@@ -76,10 +76,14 @@ gateway:
 # Telemetry smoke: the unit suite plus the overhead guards — the
 # disabled-sampling and trace-off hot paths must stay at 0 allocs/op,
 # and the flight recorder's Record must too (see DESIGN.md
-# "Observability").
+# "Observability"). The core data path is held to the same standard
+# here: TestApplyAllocs fails on an allocation creeping back into
+# GET/PUT, and the benchmark prints the allocs/op it pins.
 telemetry:
 	$(GO) test ./internal/telemetry/
 	$(GO) test -bench='BenchmarkTelemetryOff|BenchmarkTraceOff|BenchmarkFlightRecorderOn' -benchmem -run '^$$' ./internal/telemetry/
+	$(GO) test -count=1 -run 'TestApplyAllocs' ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkStorePutGet' -benchmem ./internal/core/
 
 # CPU + heap profiles of a quick kvdbench run (satellite of the tracing
 # PR): cpu.pprof / heap.pprof land in the repo root for

@@ -21,7 +21,29 @@ import (
 //kvd:hotpath
 func (s *Store) Apply(req wire.Request) wire.Response {
 	before := s.uncorrectable()
-	resp := s.applyOp(req) //lint:allow hotalloc -- response values are owned by the caller; value-bearing replies must allocate their payload
+	var resp wire.Response
+	switch req.Op {
+	case wire.OpGet:
+		if v, ok := s.Get(req.Key); ok {
+			resp = wire.Response{Status: wire.StatusOK, Value: v}
+		} else {
+			resp = wire.Response{Status: wire.StatusNotFound}
+		}
+	case wire.OpPut:
+		if err := s.Put(req.Key, req.Value); err != nil {
+			resp = errResp(err) //lint:allow hotalloc -- a failed PUT's reply carries the error text
+		} else {
+			resp = wire.Response{Status: wire.StatusOK}
+		}
+	case wire.OpDelete:
+		if s.Delete(req.Key) {
+			resp = wire.Response{Status: wire.StatusOK}
+		} else {
+			resp = wire.Response{Status: wire.StatusNotFound}
+		}
+	default:
+		resp = s.applyOther(req) //lint:allow hotalloc -- atomics, vector ops, scans, stats and gateway ops build value-bearing replies
+	}
 	if s.uncorrectable() > before && resp.Status != wire.StatusError {
 		return wire.Response{Status: wire.StatusError,
 			Value: []byte("uncorrectable memory fault during operation")} //lint:allow hotalloc -- uncorrectable-fault path: runs at most once per ECC loss, never per op
@@ -29,27 +51,10 @@ func (s *Store) Apply(req wire.Request) wire.Response {
 	return resp
 }
 
-func (s *Store) applyOp(req wire.Request) wire.Response {
+// applyOther executes every opcode but the plain GET/PUT/DELETE that
+// Apply handles inline.
+func (s *Store) applyOther(req wire.Request) wire.Response {
 	switch req.Op {
-	case wire.OpGet:
-		v, ok := s.Get(req.Key)
-		if !ok {
-			return wire.Response{Status: wire.StatusNotFound}
-		}
-		return wire.Response{Status: wire.StatusOK, Value: v}
-
-	case wire.OpPut:
-		if err := s.Put(req.Key, req.Value); err != nil {
-			return errResp(err)
-		}
-		return wire.Response{Status: wire.StatusOK}
-
-	case wire.OpDelete:
-		if !s.Delete(req.Key) {
-			return wire.Response{Status: wire.StatusNotFound}
-		}
-		return wire.Response{Status: wire.StatusOK}
-
 	case wire.OpUpdateScalar:
 		width := int(req.ElemWidth)
 		param, err := paramScalar(req.Param, width)

@@ -216,12 +216,8 @@ func NewStore(cfg Config) (*Store, error) {
 	}
 	// The engine issues to the hash table through the index-coherence
 	// wrapper, so every mutation — client ops and deferred write-backs
-	// alike — keeps the ordered secondary index in sync.
-	var exec ooo.Executor = table
-	if oidx != nil {
-		exec = indexedExec{table: table, idx: oidx}
-	}
-	s.engine = ooo.NewEngine(exec, cfg.RSSlots, cfg.Window)
+	// alike — keeps the ordered secondary index (if any) in sync.
+	s.engine = ooo.NewEngine(indexedExec{table: table, idx: oidx}, cfg.RSSlots, cfg.Window)
 	s.engine.Stall = cfg.DisableOoO
 
 	s.updateFns[FnAdd] = func(e, p uint64) uint64 { return e + p }
@@ -287,27 +283,29 @@ func keyHash(key []byte) uint64 {
 // --- synchronous operations (Table 1) ---
 
 // Get returns the value of key.
+//
+//kvd:hotpath
 func (s *Store) Get(key []byte) ([]byte, bool) {
-	var v []byte
-	var ok bool
-	s.SubmitGet(key, func(value []byte, found bool, _ error) { v, ok = value, found })
-	s.engine.Flush()
+	op := ooo.Op{Kind: ooo.Get, Key: key, KeyHash: keyHash(key)}
+	v, ok, _ := s.engine.Do(&op)
 	return v, ok
 }
 
 // Put inserts or replaces a (key, value) pair.
+//
+//kvd:hotpath
 func (s *Store) Put(key, value []byte) error {
-	var err error
-	s.SubmitPut(key, value, func(_ []byte, _ bool, e error) { err = e })
-	s.engine.Flush()
+	op := ooo.Op{Kind: ooo.Put, Key: key, KeyHash: keyHash(key), Value: value}
+	_, _, err := s.engine.Do(&op)
 	return err
 }
 
 // Delete removes key, reporting whether it existed.
+//
+//kvd:hotpath
 func (s *Store) Delete(key []byte) bool {
-	var ok bool
-	s.SubmitDelete(key, func(_ []byte, found bool, _ error) { ok = found })
-	s.engine.Flush()
+	op := ooo.Op{Kind: ooo.Delete, Key: key, KeyHash: keyHash(key)}
+	_, ok, _ := s.engine.Do(&op)
 	return ok
 }
 
@@ -437,27 +435,17 @@ type Done func(value []byte, found bool, err error)
 
 // SubmitGet pipelines a GET.
 func (s *Store) SubmitGet(key []byte, done Done) {
-	s.engine.Submit(&ooo.Op{Kind: ooo.Get, Key: key, KeyHash: keyHash(key),
-		Done: wrap(done)})
+	s.engine.Submit(&ooo.Op{Kind: ooo.Get, Key: key, KeyHash: keyHash(key), Done: done})
 }
 
 // SubmitPut pipelines a PUT.
 func (s *Store) SubmitPut(key, value []byte, done Done) {
-	s.engine.Submit(&ooo.Op{Kind: ooo.Put, Key: key, KeyHash: keyHash(key),
-		Value: value, Done: wrap(done)})
+	s.engine.Submit(&ooo.Op{Kind: ooo.Put, Key: key, KeyHash: keyHash(key), Value: value, Done: done})
 }
 
 // SubmitDelete pipelines a DELETE.
 func (s *Store) SubmitDelete(key []byte, done Done) {
-	s.engine.Submit(&ooo.Op{Kind: ooo.Delete, Key: key, KeyHash: keyHash(key),
-		Done: wrap(done)})
-}
-
-func wrap(done Done) func([]byte, bool, error) {
-	if done == nil {
-		return nil
-	}
-	return func(v []byte, ok bool, err error) { done(v, ok, err) }
+	s.engine.Submit(&ooo.Op{Kind: ooo.Delete, Key: key, KeyHash: keyHash(key), Done: done})
 }
 
 // SubmitUpdate pipelines an atomic scalar update (update_scalar2scalar).
@@ -512,12 +500,7 @@ func (s *Store) Flush() { s.engine.Flush() }
 // atomicRead reads key's value through the engine (atomicity with respect
 // to in-flight operations comes from the reservation station).
 func (s *Store) atomicRead(key []byte) ([]byte, bool, error) {
-	var v []byte
-	var found bool
-	var err error
-	s.SubmitGet(key, func(value []byte, ok bool, e error) { v, found, err = value, ok, e })
-	s.engine.Flush()
-	return v, found, err
+	return s.engine.Do(&ooo.Op{Kind: ooo.Get, Key: key, KeyHash: keyHash(key)})
 }
 
 // vectorRMW atomically transforms key's vector value, returning the
@@ -698,7 +681,9 @@ func (s *Store) uncorrectable() uint64 {
 	if s.prot != nil {
 		n += s.prot.Stats().Uncorrectable
 	}
-	if s.cache != nil {
+	// NewStore arms the cache's ECC sideband only alongside an injector;
+	// without one EccLost stays zero and the snapshot is not worth taking.
+	if s.cache != nil && s.faults != nil {
 		n += s.cache.Stats().EccLost
 	}
 	return n

@@ -27,9 +27,10 @@ var ErrNoOrderedIndex = errors.New("core: ordered index disabled")
 var ErrScanEntryTooLarge = errors.New("core: entry exceeds scan page budget")
 
 // indexedExec wraps the hash table as the engine's executor, mirroring
-// inserts and deletes into the ordered index. The index is updated
-// before the table insert so a table failure (store full, oversized
-// value) can roll the index back without ever exposing a phantom key.
+// creates and deletes into the ordered index (idx is nil on a hash-only
+// store). The table goes first: it alone knows whether a PUT creates the
+// key, and an overwrite — the common PUT, and every write-back onto an
+// existing key — leaves the index untouched, so it costs no index seek.
 type indexedExec struct {
 	table *hashtable.Table
 	idx   *ordered.Index
@@ -37,28 +38,25 @@ type indexedExec struct {
 
 func (e indexedExec) Get(key []byte) ([]byte, bool) { return e.table.Get(key) }
 
+//kvd:hotpath
 func (e indexedExec) Put(key, value []byte) error {
-	if len(key) > ordered.MaxKeyLen {
-		// Let the table produce its own oversized-key error; nothing to
-		// index either way.
-		return e.table.Put(key, value)
-	}
-	inserted, err := e.idx.Insert(key)
-	if err != nil {
+	created, err := e.table.Put(key, value)
+	if err != nil || !created || e.idx == nil {
 		return err
 	}
-	if err := e.table.Put(key, value); err != nil {
-		if inserted {
-			e.idx.Delete(key)
-		}
-		return err
+	// A key the table accepted fits the index (both cap keys at 255 B),
+	// so the only failure is the node allocation — the store is full.
+	// Undo the create, and the key is in neither structure.
+	if _, err := e.idx.Insert(key); err != nil {
+		e.table.Delete(key)
+		return ErrFull
 	}
 	return nil
 }
 
 func (e indexedExec) Delete(key []byte) bool {
 	ok := e.table.Delete(key)
-	if ok {
+	if ok && e.idx != nil {
 		e.idx.Delete(key)
 	}
 	return ok

@@ -116,41 +116,25 @@ func (d *Dispatcher) ResetStats() { d.stats = Stats{} }
 // Cache returns the underlying NIC DRAM cache (nil in baseline mode).
 func (d *Dispatcher) Cache() *nicdram.Cache { return d.cache }
 
-// runs splits [addr, addr+n) at policy-granule boundaries and merges
-// adjacent granules with the same routing decision, invoking fn once per
-// maximal same-side run. Object accesses in the KVS never cross a granule
-// boundary, so in practice there is exactly one run per request.
-func (d *Dispatcher) runs(addr uint64, n int, fn func(addr uint64, off, n int, cached bool)) {
-	off := 0
-	for off < n {
-		start := addr + uint64(off)
-		cached := d.cache != nil && d.policy.Cacheable(start)
-		end := off + n - off // default: rest of request
-		// Extend across consecutive granules with the same decision.
-		cur := start / GranuleBytes
-		for {
-			granEnd := (cur + 1) * GranuleBytes
-			if granEnd >= addr+uint64(n) {
-				break
-			}
-			nextCached := d.cache != nil && d.policy.Cacheable(granEnd)
-			if nextCached != cached {
-				end = int(granEnd - addr)
-				break
-			}
-			cur++
+// nextRun returns the length and routing decision of the maximal run of
+// same-side granules starting at addr, cut off at end. Object accesses in
+// the KVS never cross a granule boundary, so in practice a request is one
+// run. (Without a cache New zeroes the ratio, so nothing is cache-able.)
+func (d *Dispatcher) nextRun(addr, end uint64) (n int, cached bool) {
+	cached = d.policy.Cacheable(addr)
+	for g := (addr/GranuleBytes + 1) * GranuleBytes; g < end; g += GranuleBytes {
+		if d.policy.Cacheable(g) != cached {
+			return int(g - addr), cached
 		}
-		fn(start, off, end-off, cached)
-		off = end
 	}
+	return int(end - addr), cached
 }
 
 // Read implements memory.Engine.
 func (d *Dispatcher) Read(addr uint64, buf []byte) {
-	if len(buf) == 0 {
-		return
-	}
-	d.runs(addr, len(buf), func(a uint64, off, n int, cached bool) {
+	for off, end := 0, addr+uint64(len(buf)); off < len(buf); {
+		a := addr + uint64(off)
+		n, cached := d.nextRun(a, end)
 		if cached {
 			d.stats.CachedReads++
 			d.cache.Read(a, buf[off:off+n])
@@ -158,15 +142,15 @@ func (d *Dispatcher) Read(addr uint64, buf []byte) {
 			d.stats.DirectReads++
 			d.host.Read(a, buf[off:off+n])
 		}
-	})
+		off += n
+	}
 }
 
 // Write implements memory.Engine.
 func (d *Dispatcher) Write(addr uint64, data []byte) {
-	if len(data) == 0 {
-		return
-	}
-	d.runs(addr, len(data), func(a uint64, off, n int, cached bool) {
+	for off, end := 0, addr+uint64(len(data)); off < len(data); {
+		a := addr + uint64(off)
+		n, cached := d.nextRun(a, end)
 		if cached {
 			d.stats.CachedWrites++
 			d.cache.Write(a, data[off:off+n])
@@ -174,7 +158,8 @@ func (d *Dispatcher) Write(addr uint64, data []byte) {
 			d.stats.DirectWrites++
 			d.host.Write(a, data[off:off+n])
 		}
-	})
+		off += n
+	}
 }
 
 // Flush writes back all dirty cached lines to host memory.

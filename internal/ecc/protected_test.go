@@ -115,7 +115,7 @@ func TestHashTableSurvivesBitFlips(t *testing.T) {
 		k := fmt.Sprintf("ecc-%04d", i)
 		v := make([]byte, rng.Intn(200))
 		rng.Read(v)
-		if err := tbl.Put([]byte(k), v); err != nil {
+		if _, err := tbl.Put([]byte(k), v); err != nil {
 			t.Fatal(err)
 		}
 		want[k] = v

@@ -65,7 +65,7 @@ func (h *harness) val(id uint64) []byte {
 // full.
 func (h *harness) insertOne() bool {
 	id := h.nextID
-	if err := h.tbl.Put(h.key(id), h.val(id)); err != nil {
+	if _, err := h.tbl.Put(h.key(id), h.val(id)); err != nil {
 		return false
 	}
 	h.nextID++

@@ -14,39 +14,38 @@ var ErrCorrupt = errors.New("hashtable: corrupt")
 // bucket plus one per non-inline KV), so it doubles as a migration /
 // verification workload generator.
 func (t *Table) Scan(fn func(key, value []byte) bool) {
-	for b := uint64(0); b < t.numBuckets; b++ {
-		bs := []*bkt{t.loadBucket(t.cfg.Index.Base + b*BucketBytes)}
-		for {
-			c, ok := chainAddr(bs[len(bs)-1].chain())
-			if !ok {
-				break
-			}
-			bs = append(bs, t.loadBucket(c))
+	// Scan keeps buffers of its own: fn may call back into the table,
+	// whose operations reuse the table's scratch.
+	var bs []bkt
+	var data []byte
+	for p := uint64(0); p < t.numBuckets; p++ {
+		bs = bs[:0]
+		for addr, ok := t.cfg.Index.Base+p*BucketBytes, true; ok; {
+			bs = append(bs, bkt{})
+			t.load(&bs[len(bs)-1], addr)
+			addr, ok = chainAddr(bs[len(bs)-1].chain())
 		}
-		for _, bb := range bs {
-			stop := false
-			bb.iterate(func(slot int, inline bool) bool {
+		for bi := range bs {
+			b := &bs[bi]
+			for i := 0; i < SlotsPerBucket; {
+				n, inline := b.span(i)
+				if n == 0 {
+					i++
+					continue
+				}
+				var k, v []byte
+				ok := true
 				if inline {
-					k, v, _ := bb.inlineEntry(slot)
-					if !fn(k, v) {
-						stop = true
-						return true
-					}
-					return false
+					k, v, _ = b.inlineEntry(i)
+				} else {
+					ptr, _ := b.slotPtr(i)
+					k, v, ok = t.readData(ptr*ptrGranule, b.typ(i), &data)
 				}
-				ptr, _ := bb.slotPtr(slot)
-				k, v, ok := t.readData(ptr*ptrGranule, bb.typ(slot))
-				if !ok {
-					return false // Check reports this; Scan skips
+				// Check reports unreadable data; Scan skips it.
+				if ok && !fn(k, v) {
+					return
 				}
-				if !fn(k, v) {
-					stop = true
-					return true
-				}
-				return false
-			})
-			if stop {
-				return
+				i += n
 			}
 		}
 	}
@@ -99,8 +98,9 @@ func (t *Table) Check() (CheckReport, error) {
 			}
 			seen[addr] = true
 			chainLen++
-			bb := t.loadBucket(addr)
-			if err := t.checkBucket(b, bb, &rep); err != nil {
+			var bb bkt
+			t.load(&bb, addr)
+			if err := t.checkBucket(b, &bb, &rep); err != nil {
 				return rep, err
 			}
 			c := bb.chain()
@@ -190,7 +190,8 @@ func (t *Table) checkBucket(primary uint64, b *bkt, rep *CheckReport) error {
 			return fmt.Errorf("%w: bucket %d slot %d: data pointer %#x inside the hash index",
 				ErrCorrupt, primary, i, dataAddr)
 		}
-		key, value, ok := t.readData(dataAddr, b.typ(i))
+		var data []byte
+		key, value, ok := t.readData(dataAddr, b.typ(i), &data)
 		if !ok {
 			return fmt.Errorf("%w: bucket %d slot %d: unreadable KV data at %#x",
 				ErrCorrupt, primary, i, dataAddr)

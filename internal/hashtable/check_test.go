@@ -16,7 +16,7 @@ func TestScanVisitsEverything(t *testing.T) {
 		k := fmt.Sprintf("scan-%04d", i)
 		v := make([]byte, rng.Intn(400))
 		rng.Read(v)
-		if err := tbl.Put([]byte(k), v); err != nil {
+		if _, err := tbl.Put([]byte(k), v); err != nil {
 			t.Fatal(err)
 		}
 		want[k] = string(v)
@@ -36,10 +36,39 @@ func TestScanVisitsEverything(t *testing.T) {
 	}
 }
 
+func TestScanCallbackMayUseTheTable(t *testing.T) {
+	// Table operations reuse table-owned scratch; Scan must keep the key
+	// and value it hands out clear of it, since callbacks (Store.Walk's
+	// users) are free to look other keys up mid-walk.
+	tbl, _, _ := testTable(t, 1<<20, 0.01, 20)
+	for i := 0; i < 300; i++ {
+		v := bytes.Repeat([]byte{byte(i)}, 1+(i*37)%1400)
+		if _, err := tbl.Put([]byte(fmt.Sprintf("re-%04d", i)), v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	other := []byte("re-0299")
+	n := 0
+	tbl.Scan(func(k, v []byte) bool {
+		key, val := string(k), string(v)
+		if _, ok := tbl.Get(other); !ok {
+			t.Fatalf("Get(%q) during Scan missed", other)
+		}
+		if string(k) != key || string(v) != val {
+			t.Fatalf("Scan's view of %q changed under a Get from its callback", key)
+		}
+		n++
+		return true
+	})
+	if n != 300 {
+		t.Errorf("Scan visited %d entries, want 300", n)
+	}
+}
+
 func TestScanEarlyStop(t *testing.T) {
 	tbl, _, _ := testTable(t, 1<<20, 0.5, 20)
 	for i := 0; i < 100; i++ {
-		if err := tbl.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v")); err != nil {
+		if _, err := tbl.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -59,7 +88,7 @@ func TestCheckCleanTable(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		v := make([]byte, rng.Intn(600))
 		rng.Read(v)
-		if err := tbl.Put([]byte(fmt.Sprintf("chk-%04d", i)), v); err != nil {
+		if _, err := tbl.Put([]byte(fmt.Sprintf("chk-%04d", i)), v); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -82,7 +111,7 @@ func TestCheckCleanTable(t *testing.T) {
 func TestCheckDetectsBucketCorruption(t *testing.T) {
 	tbl, mem, _ := testTable(t, 1<<20, 0.5, 20)
 	for i := 0; i < 200; i++ {
-		if err := tbl.Put([]byte(fmt.Sprintf("c-%04d", i)), []byte("value!")); err != nil {
+		if _, err := tbl.Put([]byte(fmt.Sprintf("c-%04d", i)), []byte("value!")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -106,7 +135,7 @@ func TestCheckDetectsBucketCorruption(t *testing.T) {
 
 func TestCheckDetectsAccountingDrift(t *testing.T) {
 	tbl, _, _ := testTable(t, 1<<20, 0.5, 20)
-	if err := tbl.Put([]byte("a"), []byte("b")); err != nil {
+	if _, err := tbl.Put([]byte("a"), []byte("b")); err != nil {
 		t.Fatal(err)
 	}
 	tbl.numKeys++ // simulate an accounting bug
@@ -130,7 +159,7 @@ func TestCheckAfterRandomWorkloadProperty(t *testing.T) {
 			case 0:
 				v := make([]byte, rng.Intn(300))
 				rng.Read(v)
-				if err := tbl.Put(k, v); err != nil {
+				if _, err := tbl.Put(k, v); err != nil {
 					return err == ErrFull
 				}
 			case 1:
@@ -151,7 +180,7 @@ func TestScanDataMatchesGet(t *testing.T) {
 	tbl, _, _ := testTable(t, 1<<20, 0.5, 13)
 	for i := 0; i < 300; i++ {
 		v := bytes.Repeat([]byte{byte(i)}, i%520)
-		if err := tbl.Put([]byte(fmt.Sprintf("sv-%03d", i)), v); err != nil {
+		if _, err := tbl.Put([]byte(fmt.Sprintf("sv-%03d", i)), v); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -107,6 +107,14 @@ type Table struct {
 	// symptom of a corrupted chain pointer (e.g. an undetected memory
 	// fault) that would otherwise loop forever.
 	corruptChains uint64
+
+	// Working memory of the operation in progress, reused so the data path
+	// stays off the allocator (the table is single-threaded). Views into
+	// it — lookup's entryRef.value — are valid until the next operation.
+	bs    []bkt              // bucket chain loaded by walk
+	data  []byte             // KV payload being read or built
+	addrs []uint64           // chunk addresses of a chained value being written
+	chunk [slab.MaxSlab]byte // one chained chunk being written, or a tail pointer being read
 }
 
 // New creates a table. The index partition must hold at least one bucket.
@@ -178,18 +186,23 @@ type bkt struct {
 	dirty bool
 }
 
-func (t *Table) loadBucket(addr uint64) *bkt {
-	b := &bkt{addr: addr}
+// load reads the bucket at addr into b.
+func (t *Table) load(b *bkt, addr uint64) {
+	b.addr, b.dirty = addr, false
 	t.eng.Read(addr, b.raw[:])
-	return b
 }
 
-func (t *Table) flush(bs []*bkt) {
-	for _, b := range bs {
-		if b.dirty {
-			t.eng.Write(b.addr, b.raw[:])
-			b.dirty = false
-		}
+// flush writes the loaded chain's mutated buckets back, in chain order.
+func (t *Table) flush() {
+	for i := range t.bs {
+		t.writeBack(&t.bs[i])
+	}
+}
+
+func (t *Table) writeBack(b *bkt) {
+	if b.dirty {
+		t.eng.Write(b.addr, b.raw[:])
+		b.dirty = false
 	}
 }
 
@@ -259,9 +272,9 @@ func (b *bkt) setSlotPtr(i int, ptr uint64, sh uint16) {
 // inlineSlots returns how many slots an inline entry of k+v payload needs.
 func inlineSlots(kv int) int { return (2 + kv + SlotBytes - 1) / SlotBytes }
 
-// entryRef locates a stored entry during a chain walk.
+// entryRef locates a stored entry in the loaded chain.
 type entryRef struct {
-	b      *bkt
+	bi     int // index of its bucket in Table.bs
 	slot   int
 	inline bool
 	nslots int // inline: slots spanned
@@ -269,32 +282,20 @@ type entryRef struct {
 	vlen   int
 	ptr    uint64 // non-inline: data address
 	class  uint8  // non-inline: slab class of the first chunk
-	value  []byte // decoded value
+	value  []byte // view of the stored value, valid until the next operation
 }
 
-// iterate walks bucket b's entries, calling fn for each; fn returns true
-// to stop. Continuation slots of inline entries are skipped.
-func (b *bkt) iterate(fn func(slot int, inline bool) bool) {
-	for i := 0; i < SlotsPerBucket; {
-		if !b.occupied(i) {
-			i++
-			continue
-		}
-		if b.isStart(i) {
-			klen := int(b.raw[i*SlotBytes])
-			vlen := int(b.raw[i*SlotBytes+1])
-			n := inlineSlots(klen + vlen)
-			if fn(i, true) {
-				return
-			}
-			i += n
-		} else {
-			if fn(i, false) {
-				return
-			}
-			i++
-		}
+// span returns how many slots the entry starting at slot i covers and
+// whether it is inline; 0 means slot i is free. Stepping by the span
+// visits each entry once and skips inline continuation slots.
+func (b *bkt) span(i int) (n int, inline bool) {
+	if !b.occupied(i) {
+		return 0, false
 	}
+	if !b.isStart(i) {
+		return 1, false
+	}
+	return inlineSlots(int(b.raw[i*SlotBytes]) + int(b.raw[i*SlotBytes+1])), true
 }
 
 // inlineEntry decodes the inline entry starting at slot i.
@@ -322,63 +323,57 @@ func chainField(addr uint64) uint32 { return uint32(addr/BucketBytes) + 1 }
 // corrupted into a cycle would otherwise walk forever.
 const maxChainHops = 4096
 
-// walk loads the bucket chain for hash h, returning all buckets. A chain
-// longer than maxChainHops is treated as corrupt: the walk stops there
-// and the event is counted, so a damaged pointer degrades to a miss
-// instead of a hang.
-func (t *Table) walk(h uint64) []*bkt {
+// walk loads the bucket chain for hash h into t.bs. A chain longer than
+// maxChainHops is treated as corrupt: the walk stops there and the event
+// is counted, so a damaged pointer degrades to a miss instead of a hang.
+func (t *Table) walk(h uint64) {
+	t.bs = t.bs[:0]
 	addr := t.cfg.Index.Base + t.bucketIndex(h)*BucketBytes
-	bs := []*bkt{t.loadBucket(addr)}
 	for {
-		c, ok := chainAddr(bs[len(bs)-1].chain())
+		t.bs = append(t.bs, bkt{})
+		tail := &t.bs[len(t.bs)-1]
+		t.load(tail, addr)
+		next, ok := chainAddr(tail.chain())
 		if !ok {
-			return bs
+			return
 		}
-		if len(bs) >= maxChainHops {
+		if len(t.bs) >= maxChainHops {
 			t.corruptChains++
-			return bs
+			return
 		}
-		bs = append(bs, t.loadBucket(c))
+		addr = next
 	}
 }
 
-// find searches the loaded chain for key, reading slab data to verify
-// candidates whose secondary hash matches (the key is always checked to
-// ensure correctness, at the cost of one additional memory access on the
-// 1/512 false positives).
-func (t *Table) find(bs []*bkt, key []byte, sh uint16) (entryRef, bool) {
-	var ref entryRef
-	found := false
-	for _, b := range bs {
-		b := b
-		b.iterate(func(slot int, inline bool) bool {
+// lookup loads key's bucket chain and searches it, reading slab data to
+// verify candidates whose secondary hash matches (the key is always
+// checked to ensure correctness, at the cost of one additional memory
+// access on the 1/512 false positives).
+func (t *Table) lookup(h uint64, key []byte) (entryRef, bool) {
+	t.walk(h)
+	sh := sechash(h)
+	for bi := range t.bs {
+		b := &t.bs[bi]
+		for i := 0; i < SlotsPerBucket; {
+			n, inline := b.span(i)
+			if n == 0 {
+				i++
+				continue
+			}
 			if inline {
-				k, v, n := b.inlineEntry(slot)
-				if bytes.Equal(k, key) {
-					ref = entryRef{b: b, slot: slot, inline: true, nslots: n,
-						klen: len(k), vlen: len(v), value: append([]byte(nil), v...)}
-					found = true
-					return true
+				if k, v, _ := b.inlineEntry(i); bytes.Equal(k, key) {
+					return entryRef{bi: bi, slot: i, inline: true, nslots: n,
+						klen: len(k), vlen: len(v), value: v}, true
 				}
-				return false
+			} else if ptr, slotSH := b.slotPtr(i); slotSH == sh {
+				addr, class := ptr*ptrGranule, b.typ(i)
+				// A key mismatch here is a secondary-hash false positive.
+				if k, v, ok := t.readData(addr, class, &t.data); ok && bytes.Equal(k, key) {
+					return entryRef{bi: bi, slot: i, klen: len(k), vlen: len(v),
+						ptr: addr, class: class, value: v}, true
+				}
 			}
-			ptr, slotSH := b.slotPtr(slot)
-			if slotSH != sh {
-				return false
-			}
-			addr := ptr * ptrGranule
-			class := b.typ(slot)
-			k, v, ok := t.readData(addr, class)
-			if !ok || !bytes.Equal(k, key) {
-				return false // secondary-hash false positive
-			}
-			ref = entryRef{b: b, slot: slot, inline: false,
-				klen: len(k), vlen: len(v), ptr: addr, class: class, value: v}
-			found = true
-			return true
-		})
-		if found {
-			return ref, true
+			i += n
 		}
 	}
 	return entryRef{}, false
@@ -400,16 +395,30 @@ func dataFootprint(klen, vlen int) (class uint8, chunks int) {
 	return uint8(slab.NumClasses - 1), n
 }
 
+// buildData assembles [klen][vlen][key][value] in t.data.
+func (t *Table) buildData(key, value []byte) []byte {
+	t.data = append(t.data[:0], byte(len(key)), byte(len(key)>>8), byte(len(value)), byte(len(value)>>8))
+	t.data = append(t.data, key...)
+	t.data = append(t.data, value...)
+	return t.data
+}
+
+// writeChunk writes one chained 512 B slab at addr: the next payload
+// bytes, zero padding, and the trailing pointer already in t.chunk.
+// It returns the payload bytes left.
+func (t *Table) writeChunk(addr uint64, payload []byte) []byte {
+	n := copy(t.chunk[:chunkPayload], payload)
+	clear(t.chunk[n:chunkPayload])
+	t.eng.Write(addr, t.chunk[:])
+	return payload[n:]
+}
+
 // writeData allocates and writes [klen][vlen][key][value], returning the
 // address of the first chunk. On allocation failure it frees partial
 // chunks and reports ErrFull.
 func (t *Table) writeData(key, value []byte) (uint64, uint8, error) {
 	class, chunks := dataFootprint(len(key), len(value))
-	payload := make([]byte, dataHeader+len(key)+len(value))
-	binary.LittleEndian.PutUint16(payload[0:], uint16(len(key)))
-	binary.LittleEndian.PutUint16(payload[2:], uint16(len(value)))
-	copy(payload[dataHeader:], key)
-	copy(payload[dataHeader+len(key):], value)
+	payload := t.buildData(key, value)
 
 	if chunks == 1 {
 		addr, err := t.alloc.Alloc(len(payload))
@@ -420,62 +429,70 @@ func (t *Table) writeData(key, value []byte) (uint64, uint8, error) {
 		return addr, class, nil
 	}
 
-	addrs := make([]uint64, chunks)
-	for i := range addrs {
+	t.addrs = t.addrs[:0]
+	for i := 0; i < chunks; i++ {
 		a, err := t.alloc.Alloc(slab.MaxSlab)
 		if err != nil {
-			for _, done := range addrs[:i] {
+			for _, done := range t.addrs {
 				t.alloc.Free(done, slab.MaxSlab)
 			}
 			return 0, 0, ErrFull
 		}
-		addrs[i] = a
+		t.addrs = append(t.addrs, a)
 	}
-	off := 0
-	for i, a := range addrs {
-		chunk := make([]byte, slab.MaxSlab)
-		n := copy(chunk[:chunkPayload], payload[off:])
-		off += n
+	for i, a := range t.addrs {
 		next := uint32(0)
 		if i+1 < chunks {
-			next = uint32(addrs[i+1]/ptrGranule) + 1
+			next = uint32(t.addrs[i+1]/ptrGranule) + 1
 		}
-		binary.LittleEndian.PutUint32(chunk[chunkPayload:], next)
-		t.eng.Write(a, chunk)
+		binary.LittleEndian.PutUint32(t.chunk[chunkPayload:], next)
+		payload = t.writeChunk(a, payload)
 	}
-	return addrs[0], class, nil
+	return t.addrs[0], class, nil
 }
 
 // readData reads the KV data starting at addr with the given first-chunk
-// class, following the chunk chain for large values. One DMA per chunk.
-func (t *Table) readData(addr uint64, class uint8) (key, value []byte, ok bool) {
+// class into *buf (grown as needed), following the chunk chain for large
+// values. One DMA per chunk. The returned key and value are views of *buf.
+func (t *Table) readData(addr uint64, class uint8, buf *[]byte) (key, value []byte, ok bool) {
 	if int(class) >= slab.NumClasses {
 		return nil, nil, false
 	}
-	first := make([]byte, slab.Sizes[class])
-	t.eng.Read(addr, first)
-	klen := int(binary.LittleEndian.Uint16(first[0:]))
-	vlen := int(binary.LittleEndian.Uint16(first[2:]))
+	size := slab.Sizes[class]
+	b := grow(buf, size)
+	t.eng.Read(addr, b[:size])
+	klen := int(binary.LittleEndian.Uint16(b[0:]))
+	vlen := int(binary.LittleEndian.Uint16(b[2:]))
 	total := dataHeader + klen + vlen
-	if total <= slab.Sizes[class] {
-		return first[dataHeader : dataHeader+klen], first[dataHeader+klen : total], true
+	if total > size {
+		if size != slab.MaxSlab {
+			return nil, nil, false // corrupt: chained data must use 512 B chunks
+		}
+		// Each further chunk lands on the previous one's trailing pointer,
+		// so the payload ends up contiguous.
+		got := chunkPayload
+		next := binary.LittleEndian.Uint32(b[got:])
+		for got < total && next != 0 {
+			b = grow(buf, got+slab.MaxSlab)
+			t.eng.Read(uint64(next-1)*ptrGranule, b[got:got+slab.MaxSlab])
+			got += chunkPayload
+			next = binary.LittleEndian.Uint32(b[got:])
+		}
+		if got < total {
+			return nil, nil, false
+		}
 	}
-	if slab.Sizes[class] != slab.MaxSlab {
-		return nil, nil, false // corrupt: chained data must use 512 B chunks
+	return b[dataHeader : dataHeader+klen], b[dataHeader+klen : total], true
+}
+
+// grow returns *buf with length at least n, reallocating (and keeping the
+// contents) only when its capacity is short.
+func grow(buf *[]byte, n int) []byte {
+	if n > cap(*buf) {
+		*buf = append((*buf)[:cap(*buf)], make([]byte, n-cap(*buf))...)
 	}
-	payload := make([]byte, 0, total)
-	payload = append(payload, first[:chunkPayload]...)
-	next := binary.LittleEndian.Uint32(first[chunkPayload:])
-	for len(payload) < total && next != 0 {
-		chunk := make([]byte, slab.MaxSlab)
-		t.eng.Read(uint64(next-1)*ptrGranule, chunk)
-		payload = append(payload, chunk[:chunkPayload]...)
-		next = binary.LittleEndian.Uint32(chunk[chunkPayload:])
-	}
-	if len(payload) < total {
-		return nil, nil, false
-	}
-	return payload[dataHeader : dataHeader+klen], payload[dataHeader+klen : total], true
+	*buf = (*buf)[:cap(*buf)]
+	return *buf
 }
 
 // freeData releases the chunk chain starting at addr.
@@ -488,9 +505,9 @@ func (t *Table) freeData(addr uint64, class uint8, klen, vlen int) {
 	for i := 0; i < chunks; i++ {
 		var next uint32
 		if i+1 < chunks {
-			var tail [chainPtrBytes]byte
-			t.eng.Read(addr+chunkPayload, tail[:])
-			next = binary.LittleEndian.Uint32(tail[:])
+			tail := t.chunk[:chainPtrBytes]
+			t.eng.Read(addr+chunkPayload, tail)
+			next = binary.LittleEndian.Uint32(tail)
 		}
 		t.alloc.Free(addr, slab.MaxSlab)
 		if next == 0 {
@@ -515,18 +532,18 @@ func validate(key, value []byte) error {
 	return nil
 }
 
-// Get returns the value for key.
+// Get returns a copy of the value for key.
+//
+//kvd:hotpath
 func (t *Table) Get(key []byte) ([]byte, bool) {
 	if validate(key, nil) != nil {
 		return nil, false
 	}
-	h := t.hash(key)
-	bs := t.walk(h)
-	ref, ok := t.find(bs, key, sechash(h))
+	ref, ok := t.lookup(t.hash(key), key) //lint:allow hotalloc -- scratch grows to the longest chain and largest value seen, then is reused
 	if !ok {
 		return nil, false
 	}
-	return ref.value, true
+	return append([]byte(nil), ref.value...), true //lint:allow hotalloc -- the caller owns the returned value: a GET's one allocation
 }
 
 // inlineOK reports whether a k+v payload should be stored inline.
@@ -534,41 +551,40 @@ func (t *Table) inlineOK(kv int) bool {
 	return kv <= t.cfg.InlineThreshold && 2+kv <= MaxInlineData
 }
 
-// Put inserts or replaces key's value.
-func (t *Table) Put(key, value []byte) error {
+// Put inserts or replaces key's value, reporting whether it created the
+// key (false: an existing value was overwritten).
+//
+//kvd:hotpath
+func (t *Table) Put(key, value []byte) (created bool, err error) {
 	if err := validate(key, value); err != nil {
-		return err
+		return false, err
 	}
 	h := t.hash(key)
-	sh := sechash(h)
-	bs := t.walk(h)
-	ref, exists := t.find(bs, key, sh)
-
+	ref, exists := t.lookup(h, key) //lint:allow hotalloc -- scratch grows to the longest chain and largest value seen, then is reused
 	if exists {
-		if err := t.update(bs, ref, key, value, sh); err != nil {
-			return err // old entry intact on failure
+		if err := t.update(ref, key, value, sechash(h)); err != nil { //lint:allow hotalloc -- in-place overwrites allocate nothing; a footprint change may grow scratch or extend the chain
+			return false, err // old entry intact on failure
 		}
 		t.payloadBytes += uint64(len(key) + len(value))
 		t.payloadBytes -= uint64(ref.klen + ref.vlen)
 	} else {
-		if err := t.insert(bs, key, value, sh); err != nil {
-			return err
+		if err := t.insert(key, value, sechash(h)); err != nil { //lint:allow hotalloc -- may grow scratch or extend the chain
+			return false, err
 		}
 		t.numKeys++
 		t.payloadBytes += uint64(len(key) + len(value))
 	}
-	t.flush(bs)
-	return nil
+	t.flush()
+	return !exists, nil
 }
 
 // update overwrites an existing entry, in place when the footprint allows.
 // On a footprint change the new entry is inserted before the old one is
 // removed, so a failed insert (table full) leaves the old value intact.
-func (t *Table) update(bs []*bkt, ref entryRef, key, value []byte, sh uint16) error {
+func (t *Table) update(ref entryRef, key, value []byte, sh uint16) error {
 	kv := len(key) + len(value)
 	if ref.inline && t.inlineOK(kv) && inlineSlots(kv) == ref.nslots {
-		writeInline(ref.b, ref.slot, key, value)
-		ref.b.dirty = true
+		writeInline(&t.bs[ref.bi], ref.slot, key, value)
 		return nil
 	}
 	if !ref.inline && !t.inlineOK(kv) {
@@ -577,74 +593,69 @@ func (t *Table) update(bs []*bkt, ref entryRef, key, value []byte, sh uint16) er
 		if oldClass == newClass && oldChunks == newChunks {
 			// Same footprint: rewrite the data chunks in place, bucket
 			// untouched (pointer, class and secondary hash unchanged).
-			return t.rewriteData(ref.ptr, oldClass, key, value)
+			t.rewriteData(ref.ptr, key, value)
+			return nil
 		}
 	}
 	// Footprint change: place the new entry first, then remove the old.
-	if err := t.insert(bs, key, value, sh); err != nil {
+	if err := t.insert(key, value, sh); err != nil {
 		return err
 	}
-	if ref.inline {
-		clearInline(ref.b, ref.slot, ref.nslots)
-	} else {
-		t.freeData(ref.ptr, ref.class, ref.klen, ref.vlen)
-		ref.b.setOccupied(ref.slot, false)
-		ref.b.setTyp(ref.slot, 0)
-	}
-	ref.b.dirty = true
+	t.remove(ref)
 	return nil
 }
 
-// rewriteData overwrites an existing same-footprint chunk chain.
-func (t *Table) rewriteData(addr uint64, class uint8, key, value []byte) error {
-	total := dataHeader + len(key) + len(value)
-	payload := make([]byte, total)
-	binary.LittleEndian.PutUint16(payload[0:], uint16(len(key)))
-	binary.LittleEndian.PutUint16(payload[2:], uint16(len(value)))
-	copy(payload[dataHeader:], key)
-	copy(payload[dataHeader+len(key):], value)
-
-	if total <= slab.MaxSlab {
-		t.eng.Write(addr, payload)
-		return nil
+// remove clears ref's slots in its loaded bucket and frees its slab data.
+func (t *Table) remove(ref entryRef) {
+	b := &t.bs[ref.bi]
+	if ref.inline {
+		clearInline(b, ref.slot, ref.nslots)
+	} else {
+		t.freeData(ref.ptr, ref.class, ref.klen, ref.vlen)
+		b.setOccupied(ref.slot, false)
+		b.setTyp(ref.slot, 0)
 	}
-	off := 0
+	b.dirty = true
+}
+
+// rewriteData overwrites an existing same-footprint chunk chain.
+func (t *Table) rewriteData(addr uint64, key, value []byte) {
+	payload := t.buildData(key, value)
+	if len(payload) <= slab.MaxSlab {
+		t.eng.Write(addr, payload)
+		return
+	}
 	for {
-		var tail [chainPtrBytes]byte
-		t.eng.Read(addr+chunkPayload, tail[:])
-		next := binary.LittleEndian.Uint32(tail[:])
-		chunk := make([]byte, slab.MaxSlab)
-		n := copy(chunk[:chunkPayload], payload[off:])
-		off += n
-		binary.LittleEndian.PutUint32(chunk[chunkPayload:], next)
-		t.eng.Write(addr, chunk)
-		if next == 0 || off >= total {
-			return nil
+		// The chunk keeps its next pointer: read it straight into place.
+		t.eng.Read(addr+chunkPayload, t.chunk[chunkPayload:])
+		next := binary.LittleEndian.Uint32(t.chunk[chunkPayload:])
+		payload = t.writeChunk(addr, payload)
+		if next == 0 || len(payload) == 0 {
+			return
 		}
 		addr = uint64(next-1) * ptrGranule
 	}
 }
 
-// insert places a new entry somewhere in the chain, extending it with a
-// freshly allocated bucket if necessary.
-func (t *Table) insert(bs []*bkt, key, value []byte, sh uint16) error {
+// insert places a new entry somewhere in the loaded chain, extending it
+// with a freshly allocated bucket if necessary. A new bucket is written
+// at once; the rest of the chain is flushed by the caller.
+func (t *Table) insert(key, value []byte, sh uint16) error {
 	kv := len(key) + len(value)
 	if t.inlineOK(kv) {
 		need := inlineSlots(kv)
-		for _, b := range bs {
-			if i, ok := findRun(b, need); ok {
-				writeInline(b, i, key, value)
-				b.dirty = true
+		for i := range t.bs {
+			if slot, ok := findRun(&t.bs[i], need); ok {
+				writeInline(&t.bs[i], slot, key, value)
 				return nil
 			}
 		}
-		nb, err := t.extendChain(bs)
+		nb, err := t.extendChain()
 		if err != nil {
 			return err
 		}
 		writeInline(nb, 0, key, value)
-		nb.dirty = true
-		t.flush([]*bkt{nb})
+		t.writeBack(nb)
 		return nil
 	}
 
@@ -652,43 +663,45 @@ func (t *Table) insert(bs []*bkt, key, value []byte, sh uint16) error {
 	if err != nil {
 		return err
 	}
-	place := func(b *bkt, i int) {
-		b.setSlotPtr(i, addr/ptrGranule, sh)
-		b.setOccupied(i, true)
-		b.setStart(i, false)
-		b.setTyp(i, class)
-		b.dirty = true
-	}
-	for _, b := range bs {
-		if i, ok := findRun(b, 1); ok {
-			place(b, i)
+	for i := range t.bs {
+		if slot, ok := findRun(&t.bs[i], 1); ok {
+			placePtr(&t.bs[i], slot, addr, sh, class)
 			return nil
 		}
 	}
-	nb, err := t.extendChain(bs)
+	nb, err := t.extendChain()
 	if err != nil {
 		t.freeData(addr, class, len(key), len(value))
 		return err
 	}
-	place(nb, 0)
-	t.flush([]*bkt{nb})
+	placePtr(nb, 0, addr, sh, class)
+	t.writeBack(nb)
 	return nil
 }
 
-// extendChain allocates a new chained bucket, links it from the chain tail
-// and returns it. The new bucket is flushed by the caller; the tail link
-// is flushed with the main chain.
-func (t *Table) extendChain(bs []*bkt) (*bkt, error) {
+// placePtr points slot i at the slab data at addr.
+func placePtr(b *bkt, i int, addr uint64, sh uint16, class uint8) {
+	b.setSlotPtr(i, addr/ptrGranule, sh)
+	b.setOccupied(i, true)
+	b.setStart(i, false)
+	b.setTyp(i, class)
+	b.dirty = true
+}
+
+// extendChain allocates a new chained bucket, links it from the chain
+// tail, appends it to the loaded chain and returns it. The caller writes
+// the new bucket; the tail link is flushed with the rest of the chain.
+func (t *Table) extendChain() (*bkt, error) {
 	addr, err := t.alloc.Alloc(BucketBytes)
 	if err != nil {
 		return nil, ErrFull
 	}
-	nb := &bkt{addr: addr}
-	tail := bs[len(bs)-1]
+	tail := &t.bs[len(t.bs)-1]
 	tail.setChain(chainField(addr))
 	tail.dirty = true
 	t.chainBuckets++
-	return nb, nil
+	t.bs = append(t.bs, bkt{addr: addr})
+	return &t.bs[len(t.bs)-1], nil
 }
 
 // findRun returns the first index of `need` consecutive free slots.
@@ -722,6 +735,7 @@ func writeInline(b *bkt, i int, key, value []byte) {
 		b.setTyp(i+j, 0)
 	}
 	b.setStart(i, true)
+	b.dirty = true
 }
 
 // clearInline removes the inline entry spanning [i, i+n).
@@ -733,25 +747,18 @@ func clearInline(b *bkt, i, n int) {
 }
 
 // Delete removes key, returning whether it was present.
+//
+//kvd:hotpath
 func (t *Table) Delete(key []byte) bool {
 	if validate(key, nil) != nil {
 		return false
 	}
-	h := t.hash(key)
-	bs := t.walk(h)
-	ref, ok := t.find(bs, key, sechash(h))
+	ref, ok := t.lookup(t.hash(key), key) //lint:allow hotalloc -- scratch grows to the longest chain and largest value seen, then is reused
 	if !ok {
 		return false
 	}
-	if ref.inline {
-		clearInline(ref.b, ref.slot, ref.nslots)
-	} else {
-		t.freeData(ref.ptr, ref.class, ref.klen, ref.vlen)
-		ref.b.setOccupied(ref.slot, false)
-		ref.b.setTyp(ref.slot, 0)
-	}
-	ref.b.dirty = true
-	t.flush(bs)
+	t.remove(ref)
+	t.flush()
 	t.numKeys--
 	t.payloadBytes -= uint64(ref.klen + ref.vlen)
 	return true

@@ -27,7 +27,7 @@ func testTable(t *testing.T, memBytes uint64, ratio float64, inlineThreshold int
 func TestPutGetDelete(t *testing.T) {
 	tbl, _, _ := testTable(t, 1<<20, 0.5, 20)
 	key, val := []byte("hello"), []byte("world")
-	if err := tbl.Put(key, val); err != nil {
+	if _, err := tbl.Put(key, val); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := tbl.Get(key)
@@ -61,11 +61,11 @@ func TestGetMissing(t *testing.T) {
 func TestUpdateInPlace(t *testing.T) {
 	tbl, _, _ := testTable(t, 1<<20, 0.5, 20)
 	key := []byte("k1")
-	if err := tbl.Put(key, []byte("aaaa")); err != nil {
-		t.Fatal(err)
+	if created, err := tbl.Put(key, []byte("aaaa")); err != nil || !created {
+		t.Fatalf("first Put = created %v, %v", created, err)
 	}
-	if err := tbl.Put(key, []byte("bbbb")); err != nil {
-		t.Fatal(err)
+	if created, err := tbl.Put(key, []byte("bbbb")); err != nil || created {
+		t.Fatalf("overwrite = created %v, %v", created, err)
 	}
 	got, _ := tbl.Get(key)
 	if string(got) != "bbbb" {
@@ -82,7 +82,7 @@ func TestUpdateChangesSize(t *testing.T) {
 	sizes := []int{2, 10, 100, 300, 5, 700, 3}
 	for _, n := range sizes {
 		val := bytes.Repeat([]byte{byte(n)}, n)
-		if err := tbl.Put(key, val); err != nil {
+		if _, err := tbl.Put(key, val); err != nil {
 			t.Fatalf("size %d: %v", n, err)
 		}
 		got, ok := tbl.Get(key)
@@ -98,14 +98,14 @@ func TestUpdateChangesSize(t *testing.T) {
 func TestInlineVsNonInlinePlacement(t *testing.T) {
 	tbl, _, alloc := testTable(t, 1<<20, 0.5, 15)
 	// k+v = 8 <= 15: inline, no slab allocation.
-	if err := tbl.Put([]byte("tiny"), []byte("tiny")); err != nil {
+	if _, err := tbl.Put([]byte("tiny"), []byte("tiny")); err != nil {
 		t.Fatal(err)
 	}
 	if alloc.Stats().Allocs != 0 {
 		t.Error("small KV should not touch the slab allocator")
 	}
 	// k+v = 54 > 15: slab-allocated.
-	if err := tbl.Put([]byte("bigger"), bytes.Repeat([]byte{7}, 48)); err != nil {
+	if _, err := tbl.Put([]byte("bigger"), bytes.Repeat([]byte{7}, 48)); err != nil {
 		t.Fatal(err)
 	}
 	if alloc.Stats().Allocs == 0 {
@@ -115,7 +115,7 @@ func TestInlineVsNonInlinePlacement(t *testing.T) {
 
 func TestZeroInlineThresholdNeverInlines(t *testing.T) {
 	tbl, _, alloc := testTable(t, 1<<20, 0.5, 0)
-	if err := tbl.Put([]byte("a"), []byte("b")); err != nil {
+	if _, err := tbl.Put([]byte("a"), []byte("b")); err != nil {
 		t.Fatal(err)
 	}
 	if alloc.Stats().Allocs == 0 {
@@ -133,7 +133,7 @@ func TestLargeValueChainsAcrossSlabs(t *testing.T) {
 	for i := range val {
 		val[i] = byte(i * 31)
 	}
-	if err := tbl.Put([]byte("big"), val); err != nil {
+	if _, err := tbl.Put([]byte("big"), val); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := tbl.Get([]byte("big"))
@@ -144,7 +144,7 @@ func TestLargeValueChainsAcrossSlabs(t *testing.T) {
 	for i := range val {
 		val[i] = byte(i * 7)
 	}
-	if err := tbl.Put([]byte("big"), val); err != nil {
+	if _, err := tbl.Put([]byte("big"), val); err != nil {
 		t.Fatal(err)
 	}
 	got, _ = tbl.Get([]byte("big"))
@@ -159,7 +159,7 @@ func TestDeleteFreesSlabMemory(t *testing.T) {
 	keys := make([][]byte, 50)
 	for i := range keys {
 		keys[i] = []byte(fmt.Sprintf("key-%04d", i))
-		if err := tbl.Put(keys[i], bytes.Repeat([]byte{1}, 1000)); err != nil {
+		if _, err := tbl.Put(keys[i], bytes.Repeat([]byte{1}, 1000)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -187,7 +187,7 @@ func TestCollisionChaining(t *testing.T) {
 	}
 	const n = 200
 	for i := 0; i < n; i++ {
-		if err := tbl.Put([]byte(fmt.Sprintf("k%03d", i)), []byte{byte(i)}); err != nil {
+		if _, err := tbl.Put([]byte(fmt.Sprintf("k%03d", i)), []byte{byte(i)}); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
@@ -204,13 +204,13 @@ func TestCollisionChaining(t *testing.T) {
 
 func TestValidationErrors(t *testing.T) {
 	tbl, _, _ := testTable(t, 1<<20, 0.5, 20)
-	if err := tbl.Put(nil, []byte("v")); err != ErrEmptyKey {
+	if _, err := tbl.Put(nil, []byte("v")); err != ErrEmptyKey {
 		t.Errorf("empty key: %v", err)
 	}
-	if err := tbl.Put(bytes.Repeat([]byte{1}, 256), []byte("v")); err != ErrKeyTooLarge {
+	if _, err := tbl.Put(bytes.Repeat([]byte{1}, 256), []byte("v")); err != ErrKeyTooLarge {
 		t.Errorf("long key: %v", err)
 	}
-	if err := tbl.Put([]byte("k"), make([]byte, 64<<10)); err != ErrValueTooLarge {
+	if _, err := tbl.Put([]byte("k"), make([]byte, 64<<10)); err != ErrValueTooLarge {
 		t.Errorf("huge value: %v", err)
 	}
 }
@@ -219,7 +219,7 @@ func TestTableFull(t *testing.T) {
 	tbl, _, _ := testTable(t, 1<<14, 0.25, 0) // 16 KiB total, tiny slab area
 	var err error
 	for i := 0; err == nil && i < 10000; i++ {
-		err = tbl.Put([]byte(fmt.Sprintf("key-%05d", i)), bytes.Repeat([]byte{2}, 200))
+		_, err = tbl.Put([]byte(fmt.Sprintf("key-%05d", i)), bytes.Repeat([]byte{2}, 200))
 	}
 	if err != ErrFull {
 		t.Fatalf("expected ErrFull, got %v", err)
@@ -236,7 +236,7 @@ func TestGetAccessCountInline(t *testing.T) {
 	tbl, mem, _ := testTable(t, 1<<22, 0.6, 13)
 	const n = 2000
 	for i := 0; i < n; i++ {
-		if err := tbl.Put(key10(i), val10(i)); err != nil {
+		if _, err := tbl.Put(key10(i), val10(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -257,13 +257,13 @@ func TestPutAccessCountInline(t *testing.T) {
 	tbl, mem, _ := testTable(t, 1<<22, 0.6, 13)
 	const n = 2000
 	for i := 0; i < n; i++ {
-		if err := tbl.Put(key10(i), val10(i)); err != nil {
+		if _, err := tbl.Put(key10(i), val10(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	mem.ResetStats()
 	for i := 0; i < n; i++ {
-		if err := tbl.Put(key10(i), val10(i+1)); err != nil {
+		if _, err := tbl.Put(key10(i), val10(i+1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -278,7 +278,7 @@ func TestNonInlineOneExtraAccess(t *testing.T) {
 	tbl, mem, _ := testTable(t, 1<<22, 0.3, 0)
 	const n = 1000
 	for i := 0; i < n; i++ {
-		if err := tbl.Put(key10(i), bytes.Repeat([]byte{byte(i)}, 54)); err != nil {
+		if _, err := tbl.Put(key10(i), bytes.Repeat([]byte{byte(i)}, 54)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -292,7 +292,7 @@ func TestNonInlineOneExtraAccess(t *testing.T) {
 	}
 	mem.ResetStats()
 	for i := 0; i < n; i++ {
-		if err := tbl.Put(key10(i), bytes.Repeat([]byte{byte(i + 1)}, 54)); err != nil {
+		if _, err := tbl.Put(key10(i), bytes.Repeat([]byte{byte(i + 1)}, 54)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -315,7 +315,7 @@ func TestAccessCountGrowsWithUtilization(t *testing.T) {
 	}{{500, &lowUtil}, {20000, &highUtil}} {
 		tbl, mem, _ := testTable(t, 1<<20, 0.5, 13)
 		for i := 0; i < fill.n; i++ {
-			if err := tbl.Put(key10(i), val10(i)); err != nil {
+			if _, err := tbl.Put(key10(i), val10(i)); err != nil {
 				break
 			}
 		}
@@ -352,7 +352,7 @@ func TestOracleProperty(t *testing.T) {
 				n := rng.Intn(600)
 				v := make([]byte, n)
 				rng.Read(v)
-				if err := tbl.Put([]byte(k), v); err != nil {
+				if _, err := tbl.Put([]byte(k), v); err != nil {
 					return false
 				}
 				oracle[k] = v
@@ -394,14 +394,14 @@ func TestPayloadAccounting(t *testing.T) {
 		{[]byte("ab"), []byte("cdef")},               // 6 payload bytes
 		{[]byte("xy"), bytes.Repeat([]byte{1}, 100)}, // 102
 	} {
-		if err := tbl.Put(kv.k, kv.v); err != nil {
+		if _, err := tbl.Put(kv.k, kv.v); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if tbl.PayloadBytes() != 108 {
 		t.Errorf("payload = %d, want 108", tbl.PayloadBytes())
 	}
-	if err := tbl.Put([]byte("ab"), []byte("c")); err != nil { // 6 -> 3
+	if _, err := tbl.Put([]byte("ab"), []byte("c")); err != nil { // 6 -> 3
 		t.Fatal(err)
 	}
 	if tbl.PayloadBytes() != 105 {
@@ -423,7 +423,7 @@ func TestSecondaryHashFalsePositiveSafety(t *testing.T) {
 	tbl, _ := New(mem, alloc, Config{Index: idx, InlineThreshold: 0})
 	const n = 300
 	for i := 0; i < n; i++ {
-		if err := tbl.Put(key10(i), []byte(fmt.Sprintf("val-%05d", i))); err != nil {
+		if _, err := tbl.Put(key10(i), []byte(fmt.Sprintf("val-%05d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -450,7 +450,7 @@ func TestInlineThresholdClamped(t *testing.T) {
 	// A 48-byte payload fits exactly in 10 slots.
 	key := []byte("12345678")
 	val := bytes.Repeat([]byte{9}, 40)
-	if err := tbl.Put(key, val); err != nil {
+	if _, err := tbl.Put(key, val); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := tbl.Get(key)
@@ -474,7 +474,7 @@ func benchTable(b *testing.B, threshold, valSize int) (*Table, [][]byte) {
 	val := bytes.Repeat([]byte{7}, valSize)
 	for i := range keys {
 		keys[i] = []byte(fmt.Sprintf("bench-%06d", i))
-		if err := tbl.Put(keys[i], val); err != nil {
+		if _, err := tbl.Put(keys[i], val); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -506,7 +506,7 @@ func BenchmarkPutUpdateInline(b *testing.B) {
 	val := []byte{1, 2, 3, 4}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := tbl.Put(keys[i%len(keys)], val); err != nil {
+		if _, err := tbl.Put(keys[i%len(keys)], val); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -517,7 +517,7 @@ func BenchmarkPutUpdateSlab(b *testing.B) {
 	val := bytes.Repeat([]byte{9}, 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := tbl.Put(keys[i%len(keys)], val); err != nil {
+		if _, err := tbl.Put(keys[i%len(keys)], val); err != nil {
 			b.Fatal(err)
 		}
 	}

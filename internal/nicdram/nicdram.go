@@ -93,6 +93,8 @@ type Cache struct {
 	side   []byte
 	faults *fault.Injector
 
+	aligned []byte // scratch: the line-aligned region a miss or a write merges in
+
 	stats Stats
 }
 
@@ -259,6 +261,15 @@ func (c *Cache) install(line uint64, src []byte) {
 	c.stats.DRAMLineWrites++
 }
 
+// alignedBuf returns the scratch buffer sized to count lines. Its contents
+// are stale: callers overwrite every byte before reading any.
+func (c *Cache) alignedBuf(count int) []byte {
+	if n := count * LineBytes; n > cap(c.aligned) {
+		c.aligned = make([]byte, n)
+	}
+	return c.aligned[:count*LineBytes]
+}
+
 // span returns the first line index and line count of [addr, addr+n).
 func span(addr uint64, n int) (first uint64, count int) {
 	first = addr / LineBytes
@@ -294,7 +305,7 @@ func (c *Cache) Read(addr uint64, buf []byte) {
 	c.stats.Misses++
 	// One DMA read of the line-aligned covering region.
 	alignedBase := first * LineBytes
-	aligned := make([]byte, count*LineBytes)
+	aligned := c.alignedBuf(count)
 	c.host.Read(alignedBase, aligned)
 	// Pass 1: overlay resident (possibly dirty) lines, which are newer than
 	// host memory, before any install can evict them. Lines of one request
@@ -350,7 +361,7 @@ func (c *Cache) Write(addr uint64, data []byte) {
 		c.eccVerify(first, count)
 	}
 	alignedBase := first * LineBytes
-	aligned := make([]byte, count*LineBytes)
+	aligned := c.alignedBuf(count)
 
 	needFetch := false
 	for i := 0; i < count; i++ {

@@ -60,7 +60,9 @@ func (k Kind) String() string {
 // IsWrite reports whether the kind mutates the store.
 func (k Kind) IsWrite() bool { return k != Get }
 
-// Op is one KV operation flowing through the engine.
+// Op is one KV operation flowing through the engine. Submit and Do copy
+// it into engine-owned storage and do not retain the pointer, so a caller's
+// &Op{...} stays on its stack.
 type Op struct {
 	Kind    Kind
 	Key     []byte
@@ -72,6 +74,15 @@ type Op struct {
 	// read-only folds).
 	Fn   func(old []byte) []byte
 	Done func(value []byte, ok bool, err error)
+
+	res int // engine's copy only: 1-based outcome slot in Engine.results, set by Do
+}
+
+// result is the outcome of one operation, as Done would receive it.
+type result struct {
+	value []byte
+	ok    bool
+	err   error
 }
 
 // Executor is the main processing pipeline the engine issues operations
@@ -104,11 +115,12 @@ func (s Stats) MergeRatio() float64 {
 
 // entry is one reservation-station slot: the operation currently in the
 // main pipeline plus its chain of dependent pending operations and the
-// forwarding cache.
+// forwarding cache. Entries are recycled through Engine.free, keeping
+// their chain's capacity.
 type entry struct {
 	rsIdx uint32
-	head  *Op
-	chain []*Op
+	head  Op // meaningless while writeback is set
+	chain []Op
 
 	// Forwarding cache for head.Key after the head completes.
 	key     []byte
@@ -116,16 +128,25 @@ type entry struct {
 	present bool
 	dirty   bool
 
-	writeback bool // head is a synthetic write-back, not a client op
+	writeback bool // the pipeline slot holds a synthetic write-back, not a client op
 }
 
 // Engine is the functional out-of-order engine. Not safe for concurrent
 // use: the hardware processes one decoded operation per clock cycle.
 type Engine struct {
-	exec    Executor
-	slots   []*entry
-	queue   []*entry // FIFO of entries whose head is in the main pipeline
-	pending int      // client ops somewhere in the engine
+	exec  Executor
+	slots []*entry
+	free  []*entry // retired entries awaiting reuse
+
+	// FIFO of entries whose head is in the main pipeline: a ring over
+	// queue holding qlen entries from qhead. An entry is queued at most
+	// once and only while it owns a slot, so len(slots) bounds it.
+	queue       []*entry
+	qhead, qlen int
+
+	results []result // outcome slots of the Do calls in progress (nested calls stack)
+
+	pending int // client ops somewhere in the engine
 	window  int
 	stats   Stats
 
@@ -147,6 +168,7 @@ func NewEngine(exec Executor, rsSlots, window int) *Engine {
 	return &Engine{
 		exec:   exec,
 		slots:  make([]*entry, rsSlots),
+		queue:  make([]*entry, rsSlots),
 		window: window,
 	}
 }
@@ -160,40 +182,116 @@ func (e *Engine) InFlight() int { return e.pending }
 // Submit feeds one operation into the engine. Its Done callback fires
 // when the operation completes — possibly within this call (window full
 // or dependency-stall drain) or on a later Submit/Flush.
+//
+//kvd:hotpath
 func (e *Engine) Submit(op *Op) {
+	e.submit(op, 0) //lint:allow hotalloc -- see the allows in submit
+}
+
+// submit is Submit with the engine's copy of op bound to outcome slot res
+// (0 = none).
+//
+//kvd:hotpath
+func (e *Engine) submit(op *Op, res int) {
 	e.stats.Submitted++
 	rs := uint32(op.KeyHash % uint64(len(e.slots)))
-	if cur := e.slots[rs]; cur != nil {
-		if e.Stall && (op.Kind.IsWrite() || e.chainHasWrite(cur)) {
-			// Baseline: drain until the conflicting entry retires.
-			e.drainEntry(cur)
-		} else {
-			// Dependent (or hash-collision false positive): chain it.
-			cur.chain = append(cur.chain, op)
-			e.pending++
-			if n := len(cur.chain); n > e.stats.MaxChain {
-				e.stats.MaxChain = n
-			}
-			e.fill()
-			return
-		}
+	cur := e.slots[rs]
+	if cur != nil && e.Stall && (op.Kind.IsWrite() || e.chainHasWrite(cur)) {
+		// Baseline: drain until the conflicting entry retires.
+		e.drainEntry(cur) //lint:allow hotalloc -- retires entries; see the allows in retire
+		cur = nil
 	}
-	en := &entry{rsIdx: rs, head: op, key: op.Key}
-	e.slots[rs] = en
-	e.queue = append(e.queue, en)
+	if cur != nil {
+		// Dependent (or hash-collision false positive): chain it.
+		cur.chain = append(cur.chain, *op) //lint:allow hotalloc -- a recycled entry keeps its chain's capacity
+		cur.chain[len(cur.chain)-1].res = res
+		if n := len(cur.chain); n > e.stats.MaxChain {
+			e.stats.MaxChain = n
+		}
+	} else {
+		en := e.newEntry() //lint:allow hotalloc -- allocates only until the free list holds as many entries as were ever in flight
+		en.rsIdx, en.head, en.key = rs, *op, op.Key
+		en.head.res = res
+		e.slots[rs] = en
+		e.push(en) //lint:allow hotalloc -- the ring is sized to the slot count; growth is a defensive path
+	}
 	e.pending++
-	e.fill()
+	e.fill() //lint:allow hotalloc -- retires entries; see the allows in retire
+}
+
+// Do submits op, drains the pipeline and returns op's outcome: the
+// synchronous form of Submit, delivering the result through an
+// engine-owned slot so the caller needs no Done closure.
+//
+//kvd:hotpath
+func (e *Engine) Do(op *Op) (value []byte, ok bool, err error) {
+	e.results = append(e.results, result{}) //lint:allow hotalloc -- grows with Do nesting depth only; the capacity is kept
+	res := len(e.results)
+	e.submit(op, res) //lint:allow hotalloc -- see the allows in submit
+	e.Flush()         //lint:allow hotalloc -- retires entries; see the allows in retire
+	r := &e.results[res-1]
+	value, ok, err = r.value, r.ok, r.err
+	*r = result{}
+	e.results = e.results[:res-1]
+	return value, ok, err
+}
+
+// newEntry takes an entry off the free list, or allocates the first time
+// a slot's worth of concurrency is reached.
+func (e *Engine) newEntry() *entry {
+	if n := len(e.free); n > 0 {
+		en := e.free[n-1]
+		e.free = e.free[:n-1]
+		return en
+	}
+	return &entry{}
+}
+
+// release recycles a retired entry, dropping every reference it holds.
+func (e *Engine) release(en *entry) {
+	*en = entry{chain: en.chain[:0]}
+	e.free = append(e.free, en)
+}
+
+// push appends en to the pipeline FIFO.
+func (e *Engine) push(en *entry) {
+	if e.qlen == len(e.queue) {
+		// Unreachable while every queued entry owns a slot. A Stall-mode
+		// Done callback resubmitting onto its own draining slot can break
+		// that, so grow rather than rely on it.
+		grown := make([]*entry, 2*len(e.queue))
+		n := copy(grown, e.queue[e.qhead:])
+		copy(grown[n:], e.queue[:e.qhead])
+		e.queue, e.qhead = grown, 0
+	}
+	tail := e.qhead + e.qlen
+	if tail >= len(e.queue) {
+		tail -= len(e.queue)
+	}
+	e.queue[tail] = en
+	e.qlen++
+}
+
+// pop removes the oldest entry from the pipeline FIFO.
+func (e *Engine) pop() *entry {
+	en := e.queue[e.qhead]
+	e.queue[e.qhead] = nil
+	if e.qhead++; e.qhead == len(e.queue) {
+		e.qhead = 0
+	}
+	e.qlen--
+	return en
 }
 
 // chainHasWrite reports whether the entry's in-flight work includes any
 // mutation (used by the stall baseline's conflict rule: reads may overlap
 // reads, everything else stalls).
 func (e *Engine) chainHasWrite(en *entry) bool {
-	if en.head.Kind.IsWrite() || en.writeback {
+	if en.writeback || en.head.Kind.IsWrite() {
 		return true
 	}
-	for _, op := range en.chain {
-		if op.Kind.IsWrite() {
+	for i := range en.chain {
+		if en.chain[i].Kind.IsWrite() {
 			return true
 		}
 	}
@@ -202,30 +300,31 @@ func (e *Engine) chainHasWrite(en *entry) bool {
 
 // fill retires entries while the window is over-subscribed.
 func (e *Engine) fill() {
-	for e.pending > e.window && len(e.queue) > 0 {
+	for e.pending > e.window && e.qlen > 0 {
 		e.retire()
 	}
 }
 
 // Flush drains every in-flight operation.
 func (e *Engine) Flush() {
-	for len(e.queue) > 0 {
+	for e.qlen > 0 {
 		e.retire()
 	}
 }
 
 // drainEntry retires queue heads until en has fully left the engine.
 func (e *Engine) drainEntry(en *entry) {
-	for e.slots[en.rsIdx] == en && len(e.queue) > 0 {
+	for e.slots[en.rsIdx] == en && e.qlen > 0 {
 		e.retire()
 	}
 }
 
 // retire completes the oldest main-pipeline operation and processes its
 // dependency chain by data forwarding.
+//
+//kvd:hotpath
 func (e *Engine) retire() {
-	en := e.queue[0]
-	e.queue = e.queue[1:]
+	en := e.pop()
 
 	// 1. The head completes in the main pipeline.
 	if en.writeback {
@@ -243,59 +342,60 @@ func (e *Engine) retire() {
 		en.dirty = false
 		e.stats.Writebacks++
 	} else {
-		e.executeHead(en)
+		e.executeHead(en) //lint:allow hotalloc -- only an Atomic head allocates: the old-value copy handed to Fn and Done
 		e.pending--
 	}
 
 	// 2. Forward to dependent operations with a matching key, in order.
-	e.forwardChain(en)
-
-	// 3. Write back a dirty cached value, keeping the slot occupied so
-	// no same-key operation can enter the main pipeline concurrently.
-	if en.dirty {
-		en.writeback = true
-		en.head = nil
-		e.queue = append(e.queue, en)
-		return
-	}
-
-	// 4. Non-matching chained ops (hash collisions): promote the first
-	// to head and reissue.
 	if len(en.chain) > 0 {
-		next := en.chain[0]
-		en.chain = en.chain[1:]
-		en.head = next
-		en.key = next.Key
-		en.writeback = false
-		en.cached, en.present, en.dirty = nil, false, false
-		e.queue = append(e.queue, en)
-		return
+		e.forwardChain(en) //lint:allow hotalloc -- only a forwarded Atomic allocates: the old-value copy handed to Fn and Done
 	}
 
-	// 5. Slot free.
-	e.slots[en.rsIdx] = nil
+	switch {
+	case en.dirty:
+		// 3. Write back a dirty cached value, keeping the slot occupied so
+		// no same-key operation can enter the main pipeline concurrently.
+		en.writeback = true
+	case len(en.chain) > 0:
+		// 4. Non-matching chained ops (hash collisions): promote the first
+		// to head and reissue.
+		last := len(en.chain) - 1
+		en.head = en.chain[0]
+		copy(en.chain, en.chain[1:])
+		en.chain[last] = Op{}
+		en.chain = en.chain[:last]
+		en.key = en.head.Key
+		en.writeback = false
+		en.cached, en.present = nil, false
+	default:
+		// 5. Slot free.
+		e.slots[en.rsIdx] = nil
+		e.release(en) //lint:allow hotalloc -- the free list stops growing once it holds every entry ever in flight
+		return
+	}
+	e.push(en) //lint:allow hotalloc -- the ring is sized to the slot count; growth is a defensive path
 }
 
 // executeHead runs the head op against the main pipeline and primes the
 // forwarding cache.
 func (e *Engine) executeHead(en *entry) {
-	op := en.head
+	op := &en.head
 	e.stats.Issued++
 	switch op.Kind {
 	case Get:
 		v, ok := e.exec.Get(op.Key)
 		en.cached, en.present = v, ok
-		op.complete(v, ok, nil)
+		e.complete(op, v, ok, nil)
 	case Put:
 		err := e.exec.Put(op.Key, op.Value)
 		if err == nil {
 			en.cached, en.present = op.Value, true
 		}
-		op.complete(nil, err == nil, err)
+		e.complete(op, nil, err == nil, err)
 	case Delete:
 		ok := e.exec.Delete(op.Key)
 		en.cached, en.present = nil, false
-		op.complete(nil, ok, nil)
+		e.complete(op, nil, ok, nil)
 	case Atomic:
 		old, ok := e.exec.Get(op.Key)
 		var oldCopy []byte
@@ -308,7 +408,7 @@ func (e *Engine) executeHead(en *entry) {
 		} else {
 			en.cached, en.present, en.dirty = nv, true, true
 		}
-		op.complete(oldCopy, ok, nil)
+		e.complete(op, oldCopy, ok, nil)
 	}
 }
 
@@ -316,10 +416,12 @@ func (e *Engine) executeHead(en *entry) {
 // the forwarding cache (one per clock cycle in hardware), leaving
 // non-matching (hash-collision) ops in place.
 func (e *Engine) forwardChain(en *entry) {
-	rest := en.chain[:0]
-	for _, op := range en.chain {
+	kept := 0
+	for i := range en.chain {
+		op := &en.chain[i]
 		if !bytesEqual(op.Key, en.key) {
-			rest = append(rest, op)
+			en.chain[kept] = *op
+			kept++
 			continue
 		}
 		e.stats.Forwarded++
@@ -327,20 +429,20 @@ func (e *Engine) forwardChain(en *entry) {
 		switch op.Kind {
 		case Get:
 			if en.present {
-				op.complete(en.cached, true, nil)
+				e.complete(op, en.cached, true, nil)
 			} else {
-				op.complete(nil, false, nil)
+				e.complete(op, nil, false, nil)
 			}
 		case Put:
 			en.cached = op.Value
 			en.present = true
 			en.dirty = true
-			op.complete(nil, true, nil)
+			e.complete(op, nil, true, nil)
 		case Delete:
 			ok := en.present
 			en.cached, en.present = nil, false
 			en.dirty = true
-			op.complete(nil, ok, nil)
+			e.complete(op, nil, ok, nil)
 		case Atomic:
 			existed := en.present
 			var old []byte
@@ -352,13 +454,20 @@ func (e *Engine) forwardChain(en *entry) {
 				en.present = true
 				en.dirty = true
 			}
-			op.complete(old, existed, nil)
+			e.complete(op, old, existed, nil)
 		}
 	}
-	en.chain = rest
+	clear(en.chain[kept:])
+	en.chain = en.chain[:kept]
 }
 
-func (op *Op) complete(v []byte, ok bool, err error) {
+// complete delivers op's outcome: into its Do slot, to its Done
+// callback, or both.
+func (e *Engine) complete(op *Op, v []byte, ok bool, err error) {
+	if op.res != 0 {
+		r := &e.results[op.res-1]
+		r.value, r.ok, r.err = v, ok, err
+	}
 	if op.Done != nil {
 		op.Done(v, ok, err)
 	}

@@ -495,3 +495,62 @@ func (f *failingExec) Put(key, value []byte) error {
 }
 
 var errFull = fmt.Errorf("synthetic full")
+
+func TestSubmitFlushCyclesReuseEngineStorage(t *testing.T) {
+	// The pipeline FIFO once popped with queue = queue[1:], which shrank the
+	// backing array's usable capacity by one per operation, so append
+	// reallocated it forever. The FIFO, the entry and the result slot must
+	// all be reused.
+	ex := newMapExec()
+	ex.m["k"] = []byte("v")
+	e := NewEngine(ex, 0, 0)
+	key := []byte("k")
+	op := Op{Kind: Get, Key: key, KeyHash: hashOf(key)}
+	do := func() {
+		if v, ok, err := e.Do(&op); string(v) != "v" || !ok || err != nil {
+			t.Fatalf("Do = %q, %v, %v", v, ok, err)
+		}
+	}
+	do()
+	queueCap := cap(e.queue)
+	for i := 0; i < 1_000_000; i++ {
+		e.Submit(&op)
+		e.Flush()
+	}
+	if cap(e.queue) != queueCap {
+		t.Errorf("cap(queue) went from %d to %d over 1M submit/flush cycles", queueCap, cap(e.queue))
+	}
+	if len(e.free) != 1 {
+		t.Errorf("%d entries on the free list, want the one entry recycled", len(e.free))
+	}
+	if allocs := testing.AllocsPerRun(1000, do); allocs != 0 {
+		t.Errorf("Do allocates %v times per op on a warm engine", allocs)
+	}
+	if got := e.Stats(); got.Submitted != got.Issued || got.Forwarded != 0 {
+		t.Errorf("stats = %+v, want every op issued", got)
+	}
+}
+
+func TestNestedDoKeepsOutcomesApart(t *testing.T) {
+	// A Done callback may issue a synchronous op while an outer Do is
+	// draining the pipeline; the inner flush even completes the outer op.
+	// Each call must still get its own outcome.
+	ex := newMapExec()
+	ex.m["inner"], ex.m["outer"] = []byte("in"), []byte("out")
+	e := NewEngine(ex, 0, 0)
+	var inner []byte
+	e.Submit(&Op{Kind: Put, Key: []byte("p"), KeyHash: hashOf([]byte("p")), Value: []byte("x"),
+		Done: func([]byte, bool, error) {
+			inner, _, _ = e.Do(&Op{Kind: Get, Key: []byte("inner"), KeyHash: hashOf([]byte("inner"))})
+		}})
+	outer, ok, err := e.Do(&Op{Kind: Get, Key: []byte("outer"), KeyHash: hashOf([]byte("outer"))})
+	if string(outer) != "out" || !ok || err != nil {
+		t.Errorf("outer Do = %q, %v, %v", outer, ok, err)
+	}
+	if string(inner) != "in" {
+		t.Errorf("inner Do = %q", inner)
+	}
+	if len(e.results) != 0 {
+		t.Errorf("%d outcome slots left in use", len(e.results))
+	}
+}

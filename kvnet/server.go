@@ -121,8 +121,14 @@ func (b storeBackend) ApplyBatch(reqs []wire.Request) []wire.Response {
 
 func (b storeBackend) ApplyBatchTraced(reqs []wire.Request, span *telemetry.Span) []wire.Response {
 	out := make([]wire.Response, len(reqs))
+	traceID, _ := span.Trace()
+	// One clock read per op: the end of op i is the start of op i+1.
+	start := time.Now()
 	for i, req := range reqs {
 		out[i] = b.applyOne(req, span)
+		end := time.Now()
+		b.opLatency.ObserveTraced(uint64(end.Sub(start)), traceID)
+		start = end
 	}
 	return out
 }
@@ -138,11 +144,7 @@ func (b storeBackend) applyOne(req wire.Request, span *telemetry.Span) (resp wir
 				Value: []byte(fmt.Sprintf("panic: %v", r))}
 		}
 	}()
-	start := time.Now()
-	resp = b.store.ApplyTraced(req, span)
-	traceID, _ := span.Trace()
-	b.opLatency.ObserveTraced(uint64(time.Since(start).Nanoseconds()), traceID)
-	return resp
+	return b.store.ApplyTraced(req, span)
 }
 
 // Server exposes one Backend (usually a Store) over TCP.
