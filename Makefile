@@ -37,7 +37,7 @@ race: vet
 # replication failover included).
 chaos:
 	$(GO) test -race -count=1 -v -run 'TestChaos|TestServerSurvives|TestClientRe|TestNonIdempotent|TestNoReconnect|TestWriteDeadline|TestServerPanic' ./kvnet/
-	$(GO) test -race -count=2 -v -run 'TestFailover|TestPartitioned|TestDropEntry|TestSnapshotCatchup' ./kvrepl/
+	$(GO) test -race -count=2 -v -run 'TestChaos|TestFailover|TestPartitioned|TestDropEntry|TestSnapshotCatchup' ./kvrepl/
 
 # Migration chaos: kill the source primary, the destination, and the
 # coordinator mid-migration; assert zero acked-write loss and route
@@ -78,12 +78,17 @@ gateway:
 # and the flight recorder's Record must too (see DESIGN.md
 # "Observability"). The core data path is held to the same standard
 # here: TestApplyAllocs fails on an allocation creeping back into
-# GET/PUT, and the benchmark prints the allocs/op it pins.
+# GET/PUT, and the benchmark prints the allocs/op it pins. So is the
+# replicated write: TestReplicatedPutAllocs pins what one quorum-2 PUT
+# allocates end to end, and the log's append must stay at 0 allocs/op
+# with its window full.
 telemetry:
 	$(GO) test ./internal/telemetry/
 	$(GO) test -bench='BenchmarkTelemetryOff|BenchmarkTraceOff|BenchmarkFlightRecorderOn' -benchmem -run '^$$' ./internal/telemetry/
 	$(GO) test -count=1 -run 'TestApplyAllocs' ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkStorePutGet' -benchmem ./internal/core/
+	$(GO) test -count=1 -run 'TestReplicatedPutAllocs' ./kvrepl/
+	$(GO) test -run '^$$' -bench 'BenchmarkLogAppendFullWindow' -benchmem ./internal/repllog/
 
 # CPU + heap profiles of a quick kvdbench run (satellite of the tracing
 # PR): cpu.pprof / heap.pprof land in the repo root for

@@ -32,7 +32,7 @@ func TestAppendSinceRoundTrip(t *testing.T) {
 	if got := l.LastSeq(); got != 10 {
 		t.Fatalf("LastSeq = %d, want 10", got)
 	}
-	tail, err := l.Since(4)
+	tail, err := l.Since(4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestAppendSinceRoundTrip(t *testing.T) {
 	if req.Op != wire.OpPut || string(req.Key) != "k000005" {
 		t.Fatalf("decoded %v %q", req.Op, req.Key)
 	}
-	if got, err := l.Since(10); err != nil || got != nil {
+	if got, err := l.Since(10, nil); err != nil || got != nil {
 		t.Fatalf("Since(last) = %v, %v", got, err)
 	}
 }
@@ -81,10 +81,10 @@ func TestWindowTruncation(t *testing.T) {
 	}
 	// Replay from inside the window works; from before it must demand a
 	// snapshot.
-	if tail, err := l.Since(7); err != nil || len(tail) != 5 {
+	if tail, err := l.Since(7, nil); err != nil || len(tail) != 5 {
 		t.Fatalf("Since(7): %d entries, %v", len(tail), err)
 	}
-	if _, err := l.Since(3); !errors.Is(err, ErrTruncated) {
+	if _, err := l.Since(3, nil); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("Since(3): got %v, want ErrTruncated", err)
 	}
 }
@@ -111,7 +111,7 @@ func TestPinFencesTruncation(t *testing.T) {
 	if l.Len() != 18 {
 		t.Fatalf("pinned Len = %d, want 18 (window overflow allowed)", l.Len())
 	}
-	if tail, err := l.Since(2); err != nil || len(tail) != 18 {
+	if tail, err := l.Since(2, nil); err != nil || len(tail) != 18 {
 		t.Fatalf("Since(2) under pin: %d entries, %v", len(tail), err)
 	}
 	// Advancing the pin releases the head below it...
@@ -130,7 +130,7 @@ func TestPinFencesTruncation(t *testing.T) {
 	if l.Len() != 5 {
 		t.Fatalf("after Unpin: Len = %d, want window 5", l.Len())
 	}
-	if _, err := l.Since(9); !errors.Is(err, ErrTruncated) {
+	if _, err := l.Since(9, nil); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("Since(9) after Unpin: got %v, want ErrTruncated", err)
 	}
 }
@@ -144,7 +144,7 @@ func TestPinDoesNotResurrectTruncated(t *testing.T) {
 	}
 	// Seq 2 is long gone; pinning it only protects what is still here.
 	l.Pin(2)
-	if _, err := l.Since(2); !errors.Is(err, ErrTruncated) {
+	if _, err := l.Since(2, nil); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("Since(2): got %v, want ErrTruncated", err)
 	}
 	if first, _ := l.FirstSeq(); first != 8 {
@@ -186,7 +186,7 @@ func TestConcurrentAppendAndReplay(t *testing.T) {
 			default:
 			}
 			// Tail reads race appends; they must never observe a gap.
-			tail, err := l.Since(0)
+			tail, err := l.Since(0, nil)
 			if errors.Is(err, ErrTruncated) {
 				continue
 			}

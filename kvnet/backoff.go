@@ -19,12 +19,13 @@ import (
 type Backoff struct {
 	Base time.Duration
 	Max  time.Duration
-	rng  *rand.Rand
+	seed int64
+	rng  *rand.Rand // built by the first Delay: seeding costs microseconds, and most loops never retry
 }
 
 // NewBackoff returns a Backoff seeded for deterministic jitter.
 func NewBackoff(base, max time.Duration, seed int64) *Backoff {
-	return &Backoff{Base: base, Max: max, rng: rand.New(rand.NewSource(seed))}
+	return &Backoff{Base: base, Max: max, seed: seed}
 }
 
 // Delay returns the wait before retry n (1-based): uniform in [0, cap]
@@ -39,6 +40,9 @@ func (b *Backoff) Delay(n int) time.Duration {
 	}
 	if d <= 0 {
 		return 0
+	}
+	if b.rng == nil {
+		b.rng = rand.New(rand.NewSource(b.seed))
 	}
 	return time.Duration(b.rng.Int63n(int64(d) + 1))
 }

@@ -85,3 +85,24 @@ func TestBackoffSpreadsWithinCap(t *testing.T) {
 		t.Fatalf("delays span only [%v, %v] of [0, %v]; jitter is not full", lo, hi, cap)
 	}
 }
+
+// TestBackoffSeedsOnFirstDelay: seeding math/rand's generator fills 607
+// words (≈5 KB, microseconds), so a retry loop that never retries must
+// not pay it — the generator is built by the first Delay, and the
+// schedule is still the seed's.
+func TestBackoffSeedsOnFirstDelay(t *testing.T) {
+	b := NewBackoff(time.Millisecond, time.Second, 7)
+	if b.rng != nil {
+		t.Fatal("NewBackoff seeded the generator before any retry")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = NewBackoff(time.Millisecond, time.Second, 7) }); allocs > 1 {
+		t.Fatalf("NewBackoff allocates %.0f objects; the generator must wait for the first Delay", allocs)
+	}
+	first := b.Delay(3)
+	if b.rng == nil {
+		t.Fatal("Delay did not build the generator")
+	}
+	if again := NewBackoff(time.Millisecond, time.Second, 7).Delay(3); again != first {
+		t.Fatalf("lazy seeding changed the schedule: %v then %v for one seed", first, again)
+	}
+}

@@ -165,6 +165,8 @@ type Server struct {
 	counters *stats.Counters
 	tel      *telemetry.Registry
 	batchOps *telemetry.Histogram
+
+	closing bool // under connMu: Close has walked conns, so track must refuse latecomers
 }
 
 // Serve starts a server on addr (e.g. "127.0.0.1:0") with default
@@ -233,10 +235,19 @@ func (s *Server) TelemetrySnapshot() telemetry.Snapshot {
 // server.corruptions_injected.
 func (s *Server) Counters() *stats.Counters { return s.counters }
 
-func (s *Server) track(c net.Conn) {
+// track registers a connection for Close to tear down. Once Close has
+// begun it refuses and closes the connection instead: one accepted just
+// before the listener closed would otherwise miss Close's walk, and its
+// handler would block in readFrame with nothing left to unblock it.
+func (s *Server) track(c net.Conn) bool {
 	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	if s.closing {
+		_ = c.Close() // never served; shutdown outcome is ln.Close's
+		return false
+	}
 	s.conns[c] = struct{}{}
-	s.connMu.Unlock()
+	return true
 }
 
 func (s *Server) untrack(c net.Conn) {
@@ -254,6 +265,7 @@ func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
 		s.closeErr = s.ln.Close()
 		s.connMu.Lock()
+		s.closing = true
 		for c := range s.conns {
 			_ = c.Close() // unblock the handler; shutdown outcome is ln.Close's
 		}
@@ -270,8 +282,10 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
+		if !s.track(conn) {
+			continue
+		}
 		s.wg.Add(1)
-		s.track(conn)
 		go func() {
 			defer s.wg.Done()
 			defer s.untrack(conn)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"kvdirect"
 	"kvdirect/internal/stats"
@@ -344,15 +345,19 @@ type replicaSet struct {
 	mu      sync.Mutex
 	addrs   []string
 	clients map[string]*Client
+	backoff *Backoff // retry pacing for every doCall on this set; drawn from under mu
 }
 
 func newReplicaSet(sh ShardAddrs, opts Options, counters *stats.Counters) *replicaSet {
-	addrs := append([]string{sh.Primary}, sh.Backups...)
+	opts = opts.withDefaults()
 	return &replicaSet{
-		opts:     opts.withDefaults(),
+		opts:     opts,
 		counters: counters,
-		addrs:    addrs,
+		addrs:    append([]string{sh.Primary}, sh.Backups...),
 		clients:  map[string]*Client{},
+		// Clock-seeded like Client's: sets that retry the same attempt
+		// after the same failover must not draw the same delays.
+		backoff: NewBackoff(opts.RetryBaseDelay, opts.RetryMaxDelay, time.Now().UnixNano()),
 	}
 }
 
@@ -457,7 +462,10 @@ func (rs *replicaSet) doTrace(ops []kvdirect.Op, traceID uint64, parent uint32) 
 	})
 }
 
-// doCall runs the retry loop shared by do and doTrace.
+// doCall runs the retry loop shared by do and doTrace. A first attempt
+// that lands touches neither the allocator nor the backoff's generator.
+//
+//kvd:hotpath
 func (rs *replicaSet) doCall(ops []kvdirect.Op, call func(*Client) ([]kvdirect.Result, *telemetry.Span, error)) ([]kvdirect.Result, *telemetry.Span, error) {
 	// The budget covers one full tour of the group plus the retries a
 	// failover needs for the coordinator to detect and promote.
@@ -467,52 +475,66 @@ func (rs *replicaSet) doCall(ops []kvdirect.Op, call func(*Client) ([]kvdirect.R
 	if budget < 4 {
 		budget = 4
 	}
-	bo := NewBackoff(rs.opts.RetryBaseDelay, rs.opts.RetryMaxDelay, int64(len(ops))+1)
 	var lastErr error
 	for attempt := 0; attempt < budget; attempt++ {
 		if attempt > 0 {
-			bo.Sleep(attempt)
+			rs.mu.Lock()
+			d := rs.backoff.Delay(attempt)
+			rs.mu.Unlock()
+			time.Sleep(d)
 		}
-		c, addr, err := rs.client()
+		c, addr, err := rs.client() //lint:allow hotalloc -- allocates only to dial an address it holds no connection to
 		if err != nil {
 			lastErr = err // dial failure: client() already rotated
 			continue
 		}
 		res, span, err := call(c)
-		if err != nil {
-			lastErr = err
-			if errors.Is(err, ErrClosed) {
-				// Connection was closed under us by a routing update;
-				// re-resolve and retry (nothing was applied... the close
-				// happened before the send).
-				rs.dropClient(addr, c)
-				continue
-			}
-			if !idempotentOps(ops) {
-				// Ambiguous failure of a non-idempotent batch: replaying
-				// it elsewhere could apply an update twice. Same contract
-				// as Client.Do.
-				return nil, span, err
-			}
-			rs.dropClient(addr, c)
-			rs.rotate(addr)
-			continue
+		hint, rejected := notPrimaryHint(res)
+		if err == nil && !rejected {
+			return res, span, nil
 		}
-		if hint, rejected := notPrimaryHint(res); rejected {
-			// Unambiguous rejection: nothing was applied, safe to retry
-			// anywhere — follow the hint when the backup knows the
-			// primary, otherwise probe the next candidate.
-			lastErr = &NotPrimaryError{Hint: hint}
-			if hint != "" && hint != addr {
-				rs.promote(hint)
-			} else {
-				rs.rotate(addr)
-			}
-			continue
+		var giveUp bool
+		if lastErr, giveUp = rs.reroute(addr, c, ops, hint, err); giveUp { //lint:allow hotalloc -- the attempt failed; re-resolving the route may allocate
+			return nil, span, lastErr
 		}
-		return res, span, nil
 	}
-	return nil, nil, fmt.Errorf("kvnet: shard unavailable after %d attempts: %w", budget, lastErr)
+	return nil, nil, fmt.Errorf("kvnet: shard unavailable after %d attempts: %w", budget, lastErr) //lint:allow hotalloc -- the budget is spent; the error is the result
+}
+
+// reroute digests an attempt that did not land — a transport error, or
+// with err nil a NotPrimary rejection carrying hint — by dropping the
+// connection, rotating to the next candidate or following the hint. It
+// returns the error to remember, and giveUp when a retry could apply
+// the batch twice.
+func (rs *replicaSet) reroute(addr string, c *Client, ops []kvdirect.Op, hint []byte, err error) (lastErr error, giveUp bool) {
+	if err != nil {
+		if errors.Is(err, ErrClosed) {
+			// Connection was closed under us by a routing update;
+			// re-resolve and retry (nothing was applied... the close
+			// happened before the send).
+			rs.dropClient(addr, c)
+			return err, false
+		}
+		if !idempotent(ops) {
+			// Ambiguous failure of a non-idempotent batch: replaying
+			// it elsewhere could apply an update twice. Same contract
+			// as Client.Do.
+			return err, true
+		}
+		rs.dropClient(addr, c)
+		rs.rotate(addr)
+		return err, false
+	}
+	// Unambiguous rejection: nothing was applied, safe to retry
+	// anywhere — follow the hint when the backup knows the primary,
+	// otherwise probe the next candidate.
+	h := string(hint)
+	if h != "" && h != addr {
+		rs.promote(h)
+	} else {
+		rs.rotate(addr)
+	}
+	return &NotPrimaryError{Hint: h}, false
 }
 
 // dropClient forgets a broken cached connection so the next attempt
@@ -544,16 +566,13 @@ func (rs *replicaSet) close() error {
 }
 
 // notPrimaryHint reports whether the batch was rejected by a non-primary
-// replica, returning the redirect hint if any result carries one.
-func notPrimaryHint(res []kvdirect.Result) (string, bool) {
+// replica, returning the redirect hint (empty when the replica did not
+// know the primary) as the rejecting result carries it.
+func notPrimaryHint(res []kvdirect.Result) ([]byte, bool) {
 	for _, r := range res {
 		if r.NotPrimary() {
-			return string(r.Value), true
+			return r.Value, true
 		}
 	}
-	return "", false
+	return nil, false
 }
-
-// idempotentOps mirrors the Client's retry rule for routing-layer
-// replays after ambiguous transport failures.
-func idempotentOps(ops []kvdirect.Op) bool { return idempotent(ops) }

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"kvdirect"
+	"kvdirect/internal/stats"
+	"kvdirect/internal/telemetry"
 )
 
 // startShardedDeployment launches n servers, each fronting one shard of a
@@ -228,4 +230,43 @@ func u64b(v uint64) []byte {
 	b := make([]byte, 8)
 	binary.LittleEndian.PutUint64(b, v)
 	return b
+}
+
+// TestReplicaSetJitterDiffersPerSet: doCall used to seed a fresh backoff
+// with len(ops)+1, so every client retrying a one-op batch after the
+// same failover slept the same "random" delays and the fleet re-probed
+// as one wave. Each set now owns a clock-seeded backoff.
+func TestReplicaSetJitterDiffersPerSet(t *testing.T) {
+	sh := ShardAddrs{Primary: "127.0.0.1:1", Backups: []string{"127.0.0.1:2"}}
+	a := newReplicaSet(sh, Options{}, stats.NewCounters())
+	b := newReplicaSet(sh, Options{}, stats.NewCounters())
+	for n := 1; n <= 16; n++ {
+		if a.backoff.Delay(n) != b.backoff.Delay(n) {
+			return
+		}
+	}
+	t.Fatal("two replica sets for the same addresses drew identical retry delays: their retries will arrive in lock-step")
+}
+
+// TestDoCallFirstAttemptAllocatesNothing pins the retry machinery's cost
+// on the path every call takes: with a cached connection and an attempt
+// that lands, doCall itself allocates nothing — no backoff, no
+// generator, no error values.
+func TestDoCallFirstAttemptAllocatesNothing(t *testing.T) {
+	rs := newReplicaSet(ShardAddrs{Primary: "primary"}, Options{}, stats.NewCounters())
+	rs.clients["primary"] = &Client{} // never used: the stub call below answers for it
+	ops := []kvdirect.Op{{Code: kvdirect.OpPut, Key: []byte("k"), Value: []byte("v")}}
+	res := []kvdirect.Result{{Status: kvdirect.StatusOK}}
+	call := func(*Client) ([]kvdirect.Result, *telemetry.Span, error) { return res, nil, nil }
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, _, err := rs.doCall(ops, call); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("doCall allocates %.0f objects on a first-attempt success, want 0", allocs)
+	}
+	if rs.backoff.rng != nil {
+		t.Fatal("a call that never retried seeded the backoff's generator")
+	}
 }

@@ -1,8 +1,6 @@
 package kvrepl
 
 import (
-	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -24,8 +22,8 @@ import (
 //  1. snapshot — the source primary's Store.Dump streams to the
 //     destination primary over a ReplMigrate stream while the old group
 //     keeps serving clients;
-//  2. tail — the source's repllog tail ships entry by entry until the
-//     destination trails by no more than the drain the fence can absorb
+//  2. tail — the source's repllog tail ships in batches (the same ship
+//     routine a primary's backups get) until the destination has caught up
 //     (the log is pinned so a write burst cannot evict the unshipped
 //     tail);
 //  3. cutover — the coordinator bumps the shard epoch and swaps the
@@ -317,45 +315,17 @@ func (m *Migration) streamEpoch() uint64 {
 // retained log, tail shipping, then fence + drain + install once caught
 // up. It reports installed=true when the destination has committed.
 func (m *Migration) transferOnce() (installed bool, err error) {
-	timeout := m.src.opts.StreamTimeout
-	conn, err := net.DialTimeout("tcp", m.dest.ReplAddr(), timeout)
+	conn, err := net.DialTimeout("tcp", m.dest.ReplAddr(), m.src.opts.StreamTimeout)
 	if err != nil {
 		return false, err
 	}
 	defer func() { _ = conn.Close() }()
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-
-	send := func(msg wire.ReplMessage) error {
-		if m.src.faults.Should(fault.ReplMigrateStall) {
-			time.Sleep(migrateStall)
-		}
-		pkt, perr := wire.AppendReplMessage(nil, msg)
-		if perr != nil {
-			return perr
-		}
-		if derr := conn.SetWriteDeadline(time.Now().Add(timeout)); derr != nil {
-			return derr
-		}
-		if werr := kvnet.WriteFrame(bw, pkt); werr != nil {
-			return werr
-		}
-		return bw.Flush()
-	}
-	recv := func() (wire.ReplMessage, error) {
-		if derr := conn.SetReadDeadline(time.Now().Add(timeout)); derr != nil {
-			return wire.ReplMessage{}, derr
-		}
-		pkt, rerr := kvnet.ReadFrame(br)
-		if rerr != nil {
-			return wire.ReplMessage{}, rerr
-		}
-		return wire.DecodeReplMessage(pkt)
-	}
+	s := newStream(m.src, conn, m.handleAck)
+	s.migrate = true
 
 	// Handshake: announce the migration and learn the destination's
 	// surviving frontier (0 on first contact, further along on resume).
-	err = send(wire.ReplMessage{
+	err = s.send(wire.ReplMessage{
 		Kind:    wire.ReplMigrate,
 		Epoch:   m.streamEpoch(),
 		Seq:     m.src.LastApplied(),
@@ -364,7 +334,7 @@ func (m *Migration) transferOnce() (installed bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	reply, err := recv()
+	reply, err := s.recv()
 	if err != nil {
 		return false, err
 	}
@@ -394,7 +364,8 @@ func (m *Migration) transferOnce() (installed bool, err error) {
 			}
 		}
 
-		entries, serr := m.src.log.Since(sent)
+		next, serr := s.shipTail(m.streamEpoch(), sent)
+		m.entries.Add(next - sent) // batches acked before a failure count too
 		if errors.Is(serr, repllog.ErrTruncated) {
 			if m.snapBytes.Load() > 0 {
 				// The destination's surviving frontier fell below the
@@ -402,19 +373,20 @@ func (m *Migration) transferOnce() (installed bool, err error) {
 				// as a lagging backup.
 				m.src.counters.Add("repl.snapshot_fallbacks", 1)
 			}
-			snapSeq, snErr := m.sendSnapshot(send, recv)
+			snapSeq, n, snErr := s.sendSnapshot(m.streamEpoch(), true)
 			if snErr != nil {
 				return false, snErr
 			}
+			m.snapBytes.Add(uint64(n))
+			m.state.CompareAndSwap(int32(MigrateSnapshot), int32(MigrateTail))
 			sent = snapSeq
-			m.destSeq.Store(sent)
 			continue
 		}
 		if serr != nil {
 			return false, serr
 		}
 
-		if len(entries) == 0 {
+		if next == sent {
 			if !fenced {
 				// Caught up while live: commit the cutover. Any write that
 				// races in before the fence lands in the log and drains on
@@ -429,12 +401,12 @@ func (m *Migration) transferOnce() (installed bool, err error) {
 			if m.src.faults.Should(fault.ReplCutoverPartition) {
 				return false, errors.New("injected cutover partition")
 			}
-			if ierr := send(wire.ReplMessage{
+			if ierr := s.send(wire.ReplMessage{
 				Kind: wire.ReplInstall, Epoch: m.cutEpoch.Load(), Seq: sent,
 			}); ierr != nil {
 				return false, ierr
 			}
-			ack, aerr := recv()
+			ack, aerr := s.recv()
 			if aerr != nil {
 				return false, aerr
 			}
@@ -457,83 +429,20 @@ func (m *Migration) transferOnce() (installed bool, err error) {
 			return true, nil
 		}
 
-		for _, e := range entries {
-			if m.stopped() {
-				return false, errors.New("migration stopped")
-			}
-			if serr := send(wire.ReplMessage{
-				Kind: wire.ReplAppend, Epoch: m.streamEpoch(), Seq: e.Seq, Payload: e.Packet,
-			}); serr != nil {
-				return false, serr
-			}
-			ack, aerr := recv()
-			if aerr != nil {
-				return false, aerr
-			}
-			if ack.Kind == wire.ReplReject {
-				return false, fmt.Errorf("destination rejected tail entry %d: %s", e.Seq, ack.Payload)
-			}
-			if ack.Kind != wire.ReplAck {
-				return false, fmt.Errorf("unexpected %s acking tail entry %d", ack.Kind, e.Seq)
-			}
-			sent = e.Seq
-			m.destSeq.Store(ack.Seq)
-			m.entries.Add(1)
-			m.src.counters.Add("repl.migration_entries", 1)
-		}
+		sent = next
 		m.src.log.Pin(sent + 1)
 		m.src.ints.Set("repl.migration_lag", int64(m.src.LastApplied())-int64(sent))
 	}
 }
 
-// sendSnapshot streams a consistent dump of the source store; replay
-// resumes from the returned sequence. The log is pinned just past the
-// dump's frontier under the same lock that freezes it, so the tail the
-// destination still needs cannot be evicted while it installs.
-func (m *Migration) sendSnapshot(send func(wire.ReplMessage) error, recv func() (wire.ReplMessage, error)) (uint64, error) {
-	m.src.mu.Lock()
-	var buf bytes.Buffer
-	_, derr := m.src.store.Dump(&buf) //lint:allow lockorder -- consistent snapshot requires freezing the store; the lease heartbeat rides an atomic, not mu (PR 6)
-	snapSeq := m.src.lastApplied
-	if derr == nil {
-		m.src.log.Pin(snapSeq + 1)
+// handleAck is the transfer stream's reply handler: anything but an Ack
+// ends the round, and every Ack advances the destination's frontier.
+func (m *Migration) handleAck(ack wire.ReplMessage) error {
+	if ack.Kind != wire.ReplAck {
+		return fmt.Errorf("destination answered %s at seq %d: %s", ack.Kind, ack.Seq, ack.Payload)
 	}
-	m.src.mu.Unlock()
-	if derr != nil {
-		return 0, derr
-	}
-	epoch := m.streamEpoch()
-	if err := send(wire.ReplMessage{Kind: wire.ReplSnapshotBegin, Epoch: epoch, Seq: snapSeq}); err != nil {
-		return 0, err
-	}
-	data := buf.Bytes()
-	chunk := m.src.opts.SnapshotChunk
-	for off := 0; off < len(data); off += chunk {
-		end := off + chunk
-		if end > len(data) {
-			end = len(data)
-		}
-		if err := send(wire.ReplMessage{
-			Kind: wire.ReplSnapshotChunk, Epoch: epoch, Seq: snapSeq, Payload: data[off:end],
-		}); err != nil {
-			return 0, err
-		}
-	}
-	if err := send(wire.ReplMessage{Kind: wire.ReplSnapshotEnd, Epoch: epoch, Seq: snapSeq}); err != nil {
-		return 0, err
-	}
-	ack, err := recv()
-	if err != nil {
-		return 0, err
-	}
-	if ack.Kind != wire.ReplAck || ack.Seq != snapSeq {
-		return 0, fmt.Errorf("snapshot not acked (got %s seq %d, want ACK %d)", ack.Kind, ack.Seq, snapSeq)
-	}
-	m.snapBytes.Add(uint64(len(data)))
-	m.src.counters.Add("repl.snapshots_sent", 1)
-	m.src.counters.Add("repl.catchup_bytes", uint64(len(data)))
-	m.state.CompareAndSwap(int32(MigrateSnapshot), int32(MigrateTail))
-	return snapSeq, nil
+	m.destSeq.Store(ack.Seq)
+	return nil
 }
 
 // beginCutover atomically swaps the shard's membership to the

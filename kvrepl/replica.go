@@ -3,7 +3,6 @@ package kvrepl
 import (
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,9 +48,9 @@ type Replica struct {
 	lastApplied uint64
 	primaryHint string // current primary's client address, for redirects
 	closed      bool
-	ackWake     chan struct{}     // closed+recreated when acks advance or terms change
+	ackCond     *sync.Cond        // on mu: broadcast when acks advance or terms change, and on every lease tick
 	conns       map[net.Conn]bool // live inbound replication streams
-	peerAcked   map[int]uint64    // primary: highest seq each backup applied
+	peerAcked   []peerAck         // primary: highest seq each backup applied
 	peers       map[int]*peerSync // primary: live shipping loops
 	hbStop      chan struct{}     // stops the current heartbeat loop
 
@@ -94,10 +93,9 @@ func NewReplica(shard, id, groupSize int, cfg kvdirect.Config, clientAddr, replA
 		ints:       tel.IntGauges(),
 		quorumWait: tel.Histogram("repl.quorum_wait_ns"),
 		faults:     opts.Faults,
-		ackWake:    make(chan struct{}),
 		conns:      map[net.Conn]bool{},
-		peerAcked:  map[int]uint64{},
 	}
+	r.ackCond = sync.NewCond(&r.mu)
 	r.replLn, err = net.Listen("tcp", replAddr)
 	if err != nil {
 		store.Close()
@@ -154,9 +152,9 @@ func (r *Replica) Alive() bool {
 }
 
 // Counters exposes the replication counters: repl.entries_shipped,
-// repl.entries_applied, repl.entries_dropped, repl.acks,
-// repl.gap_resyncs, repl.snapshots_sent, repl.snapshots_installed,
-// repl.snapshot_fallbacks, repl.catchup_bytes, repl.promotions,
+// repl.ship_flushes (the batches they went out in), repl.entries_applied,
+// repl.entries_dropped, repl.acks, repl.gap_resyncs, repl.snapshots_sent,
+// repl.snapshots_installed, repl.snapshot_fallbacks, repl.catchup_bytes, repl.promotions,
 // repl.demotions, repl.not_primary_rejects, repl.epoch_rejects,
 // repl.quorum_failures, repl.apply_panics, repl.installs,
 // repl.migration_entries.
@@ -250,7 +248,7 @@ func (r *Replica) promote(epoch uint64, peers map[int]string) {
 	r.primaryHint = r.clientAddr
 	r.stopPeersLocked()
 	r.peers = map[int]*peerSync{}
-	r.peerAcked = map[int]uint64{}
+	r.peerAcked = r.peerAcked[:0]
 	for id, addr := range peers {
 		if id == r.id {
 			continue
@@ -329,7 +327,12 @@ func (r *Replica) removePeer(peerID int) {
 		p.stopPeer()
 		delete(r.peers, peerID)
 	}
-	delete(r.peerAcked, peerID)
+	for i, a := range r.peerAcked {
+		if a.id == peerID {
+			r.peerAcked = append(r.peerAcked[:i], r.peerAcked[i+1:]...)
+			break
+		}
+	}
 	r.wakeLocked()
 }
 
@@ -377,6 +380,10 @@ func (r *Replica) heartbeatLoop(stop chan struct{}) {
 		case <-stop:
 			return
 		case <-t.C:
+			// The tick is also the quorum waiters' clock: each re-checks
+			// its AckTimeout. Unlocked, so a wake-up can be missed — until
+			// the next tick.
+			r.ackCond.Broadcast()
 			if r.faults.Should(fault.ReplPartitionPrimary) {
 				continue
 			}
@@ -387,12 +394,9 @@ func (r *Replica) heartbeatLoop(stop chan struct{}) {
 	}
 }
 
-// wakeLocked signals quorum waiters and idle peer loops that the
-// replica's state advanced (acks, promotions, demotions, close).
-func (r *Replica) wakeLocked() {
-	close(r.ackWake)
-	r.ackWake = make(chan struct{})
-}
+// wakeLocked signals quorum waiters that the replica's state advanced
+// (acks, promotions, demotions, close).
+func (r *Replica) wakeLocked() { r.ackCond.Broadcast() }
 
 // --- the primary's data path (kvnet.Backend) ---
 
@@ -436,7 +440,6 @@ func (r *Replica) ApplyBatchTraced(reqs []wire.Request, span *telemetry.Span) []
 	epoch := r.epoch
 	out := make([]wire.Response, len(reqs))
 	var lastSeq uint64
-	mutIdx := make([]int, 0, len(reqs))
 	for i, req := range reqs {
 		if !mutating(req.Op) {
 			out[i] = r.applyLocalLocked(req, span)
@@ -467,7 +470,6 @@ func (r *Replica) ApplyBatchTraced(reqs []wire.Request, span *telemetry.Span) []
 			out[i] = wire.Response{Status: wire.StatusError, Value: []byte(err.Error())}
 		}
 		lastSeq = seq
-		mutIdx = append(mutIdx, i)
 	}
 	if lastSeq > 0 {
 		// Wake shipping loops outside their own locks; they pull the new
@@ -477,14 +479,16 @@ func (r *Replica) ApplyBatchTraced(reqs []wire.Request, span *telemetry.Span) []
 		}
 		waitStart := time.Now()
 		st := span.StartStage("repl.quorum_wait")
-		quorum := r.waitQuorumLocked(lastSeq, epoch) //lint:allow lockorder -- hand-over-hand wait: it releases mu around its blocking select and re-locks before returning
+		quorum := r.waitQuorumLocked(lastSeq, epoch) //lint:allow lockorder -- it parks in sync.Cond.Wait, which releases mu while blocked and re-locks before returning
 		st.End()
 		r.quorumWait.Observe(uint64(time.Since(waitStart).Nanoseconds()))
 		if !quorum {
 			r.counters.Add("repl.quorum_failures", 1)
 			msg := []byte("replication quorum not reached (write fate unknown)")
-			for _, i := range mutIdx {
-				out[i] = wire.Response{Status: wire.StatusError, Value: msg}
+			for i, req := range reqs {
+				if mutating(req.Op) {
+					out[i] = wire.Response{Status: wire.StatusError, Value: msg}
+				}
 			}
 		}
 	}
@@ -528,48 +532,44 @@ func (r *Replica) PublishTelemetry() {
 	r.ints.Set("repl.applied_seq", int64(r.lastApplied))
 }
 
-// quorumSeqLocked returns the highest sequence number applied by at
-// least Quorum replicas (the primary counts).
-func (r *Replica) quorumSeqLocked() uint64 {
-	if r.opts.Quorum <= 1 {
-		return r.lastApplied
-	}
-	seqs := make([]uint64, 0, len(r.peerAcked)+1)
-	seqs = append(seqs, r.lastApplied)
-	for _, s := range r.peerAcked {
-		seqs = append(seqs, s)
-	}
-	if len(seqs) < r.opts.Quorum {
-		return 0
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
-	return seqs[r.opts.Quorum-1]
+// peerAck is one backup's applied frontier as its acks report it.
+type peerAck struct {
+	id  int
+	seq uint64
 }
 
-// waitQuorumLocked blocks (releasing the lock while parked) until seq
-// reaches quorum in this epoch, the term changes, or AckTimeout.
+// replicasAtLocked counts the replicas, the primary included, that have
+// applied seq.
+func (r *Replica) replicasAtLocked(seq uint64) int {
+	n := 0
+	if r.lastApplied >= seq {
+		n++
+	}
+	for _, a := range r.peerAcked {
+		if a.seq >= seq {
+			n++
+		}
+	}
+	return n
+}
+
+// waitQuorumLocked blocks (the condition variable releases the lock
+// while parked) until seq reaches quorum in this epoch, the term
+// changes, or AckTimeout — noticed on the primary's next lease tick, so
+// honoured to within HeartbeatEvery, at no per-write timer.
 func (r *Replica) waitQuorumLocked(seq, epoch uint64) bool {
 	deadline := time.Now().Add(r.opts.AckTimeout)
 	for {
 		if r.closed || r.epoch != epoch || r.role != RolePrimary {
 			return false
 		}
-		if r.quorumSeqLocked() >= seq {
+		if r.replicasAtLocked(seq) >= r.opts.Quorum {
 			return true
 		}
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
+		if !time.Now().Before(deadline) {
 			return false
 		}
-		wake := r.ackWake
-		r.mu.Unlock()
-		t := time.NewTimer(remaining)
-		select {
-		case <-wake:
-		case <-t.C:
-		}
-		t.Stop()
-		r.mu.Lock()
+		r.ackCond.Wait()
 	}
 }
 
@@ -581,15 +581,22 @@ func (r *Replica) recordAck(epoch uint64, peerID int, seq uint64) {
 	if r.epoch != epoch || r.role != RolePrimary {
 		return
 	}
-	if seq > r.peerAcked[peerID] {
-		r.peerAcked[peerID] = seq
+	i := 0
+	for i < len(r.peerAcked) && r.peerAcked[i].id != peerID {
+		i++
+	}
+	if i == len(r.peerAcked) && seq > 0 {
+		r.peerAcked = append(r.peerAcked, peerAck{id: peerID})
+	}
+	if i < len(r.peerAcked) && seq > r.peerAcked[i].seq {
+		r.peerAcked[i].seq = seq
 		r.counters.Add("repl.acks", 1)
 		r.wakeLocked()
 	}
 	minAck := r.lastApplied
-	for _, s := range r.peerAcked {
-		if s < minAck {
-			minAck = s
+	for _, a := range r.peerAcked {
+		if a.seq < minAck {
+			minAck = a.seq
 		}
 	}
 	// Signed gauge: here the delta cannot go negative (minAck never

@@ -1,0 +1,407 @@
+package kvrepl
+
+import (
+	"bufio"
+	"bytes"
+	"fmt"
+	"net"
+	"sort"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"kvdirect"
+	"kvdirect/internal/fault"
+	"kvdirect/internal/repllog"
+	"kvdirect/internal/wire"
+	"kvdirect/kvnet"
+)
+
+// putBatch sends keys[i] = vals[i] as one packet and fails the test
+// unless every PUT was acknowledged.
+func putBatch(t *testing.T, sc *kvnet.ShardedClient, keys, vals []string) {
+	t.Helper()
+	ops := make([]kvdirect.Op, len(keys))
+	for i := range keys {
+		ops[i] = kvdirect.Op{Code: kvdirect.OpPut, Key: []byte(keys[i]), Value: []byte(vals[i])}
+	}
+	res, err := sc.Do(ops)
+	if err != nil {
+		t.Fatalf("batch of %d: %v", len(ops), err)
+	}
+	for i, r := range res {
+		if !r.OK() {
+			t.Fatalf("put %s: %s", keys[i], r.Value)
+		}
+	}
+}
+
+// burst writes n keys through sc in batches of 32 and returns what was
+// acknowledged.
+func burst(t *testing.T, sc *kvnet.ShardedClient, prefix string, n int) map[string]string {
+	t.Helper()
+	acked := map[string]string{}
+	for base := 0; base < n; base += 32 {
+		var keys, vals []string
+		for i := base; i < min(base+32, n); i++ {
+			keys = append(keys, fmt.Sprintf("%s-%05d", prefix, i))
+			vals = append(vals, fmt.Sprintf("v-%s-%05d", prefix, i))
+		}
+		putBatch(t, sc, keys, vals)
+		for i := range keys {
+			acked[keys[i]] = vals[i]
+		}
+	}
+	return acked
+}
+
+// expectConverged waits for every replica to reach the primary's
+// frontier, then demands every acknowledged write on every replica and
+// identical contents across the group.
+func expectConverged(t *testing.T, g *Group, acked map[string]string) {
+	t.Helper()
+	want := g.Primary().LastApplied()
+	for _, r := range g.Replicas {
+		r := r
+		waitFor(t, 10*time.Second, fmt.Sprintf("replica %d convergence", r.ID()),
+			func() bool { return r.LastApplied() >= want })
+	}
+	// Each replica's store hashes with its own seed, so Dump order differs
+	// replica to replica; the contents, sorted, must not.
+	var contents []string
+	for _, r := range g.Replicas {
+		for k, v := range acked {
+			if got, ok := r.Store().Get([]byte(k)); !ok || string(got) != v {
+				t.Fatalf("replica %d lost acked write %s: %q, %v", r.ID(), k, got, ok)
+			}
+		}
+		var pairs []string
+		r.Store().Walk(func(key, value []byte) bool {
+			pairs = append(pairs, fmt.Sprintf("%q=%q", key, value))
+			return true
+		})
+		sort.Strings(pairs)
+		contents = append(contents, strings.Join(pairs, "\n"))
+	}
+	for i := 1; i < len(contents); i++ {
+		if contents[i] != contents[0] {
+			t.Fatalf("replica %d's store differs from replica 0's after convergence", i)
+		}
+	}
+}
+
+func startGroupAndClient(t *testing.T, opts Options) (*Group, *kvnet.ShardedClient) {
+	t.Helper()
+	coord := NewCoordinator(CoordOptions{LeaseTimeout: 5 * time.Second}) // no failover drill here; -race stalls must not depose the primary
+	t.Cleanup(func() { coord.Close() })
+	g, err := StartGroup(coord, 0, 3, kvdirect.Config{MemoryBytes: 8 << 20}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = g.Close() })
+	sc, err := kvnet.DialReplicaShards([]kvnet.ShardAddrs{g.ShardAddrs()}, kvnet.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = sc.Close() })
+	return g, sc
+}
+
+// TestChaosDropMidBatch: entries vanish from the middle of shipped
+// batches. The backup must tear the stream down at the gap rather than
+// apply past it, the redial must resync from its true frontier, and no
+// acknowledged write may be missing anywhere afterwards.
+func TestChaosDropMidBatch(t *testing.T) {
+	inj := fault.NewInjector(5)
+	inj.Set(fault.ReplDropEntry, 0.03) // about one entry per 32-entry batch
+	opts := fastOpts()
+	opts.Faults = inj
+	g, sc := startGroupAndClient(t, opts)
+
+	acked := burst(t, sc, "drop", 1500)
+	prim := g.Primary()
+	if prim.Counters().Get("repl.entries_dropped") == 0 {
+		t.Fatal("fault schedule dropped nothing; the test exercised no gap")
+	}
+	inj.DisableAll()
+	resyncs := uint64(0)
+	for _, r := range g.Replicas {
+		resyncs += r.Counters().Get("repl.gap_resyncs")
+	}
+	if resyncs == 0 {
+		t.Fatal("entries were dropped mid-batch but no backup tore its stream down")
+	}
+	expectConverged(t, g, acked)
+}
+
+// replConn is the old stop-and-wait sender's half of a replication
+// stream, kept here to prove the backup still serves one: every message
+// is flushed alone and every append waits for its own ack.
+type replConn struct {
+	t    *testing.T
+	conn net.Conn
+	br   *bufio.Reader
+}
+
+func dialRepl(t *testing.T, r *Replica, epoch uint64) (*replConn, uint64) {
+	t.Helper()
+	conn, err := net.DialTimeout("tcp", r.ReplAddr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = conn.Close() })
+	c := &replConn{t: t, conn: conn, br: bufio.NewReader(conn)}
+	c.send(wire.ReplMessage{Kind: wire.ReplHello, Epoch: epoch})
+	hello, err := c.recv()
+	if err != nil || hello.Kind != wire.ReplHello {
+		t.Fatalf("handshake: %v %v", hello.Kind, err)
+	}
+	return c, hello.Seq
+}
+
+func (c *replConn) send(msgs ...wire.ReplMessage) {
+	c.t.Helper()
+	var out bytes.Buffer
+	for _, m := range msgs {
+		pkt, err := wire.AppendReplMessage(nil, m)
+		if err != nil {
+			c.t.Fatal(err)
+		}
+		if err := kvnet.WriteFrame(&out, pkt); err != nil {
+			c.t.Fatal(err)
+		}
+	}
+	if _, err := c.conn.Write(out.Bytes()); err != nil { // one write: the frames arrive together
+		c.t.Fatal(err)
+	}
+}
+
+func (c *replConn) recv() (wire.ReplMessage, error) {
+	if err := c.conn.SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
+		return wire.ReplMessage{}, err
+	}
+	pkt, err := kvnet.ReadFrame(c.br)
+	if err != nil {
+		return wire.ReplMessage{}, err
+	}
+	return wire.DecodeReplMessage(pkt)
+}
+
+func appendMsg(t *testing.T, seq uint64) wire.ReplMessage {
+	t.Helper()
+	e, err := repllog.NewEntry(seq, 1, wire.Request{
+		Op: wire.OpPut, Key: []byte(fmt.Sprintf("k%04d", seq)), Value: []byte(fmt.Sprintf("v%04d", seq)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire.ReplMessage{Kind: wire.ReplAppend, Epoch: 1, Seq: seq, Payload: e.Packet}
+}
+
+// TestChaosStopAndWaitSender drives a lone backup over the raw stream.
+// A sender that ships one entry per flush gets exactly one ack per
+// entry, each naming that entry; a batch sent in one flush gets a
+// cumulative ack that covers its last entry; and a batch with a hole in
+// it is applied up to the hole and then the stream is closed, the
+// backup's frontier staying at the last dense entry for the resync.
+func TestChaosStopAndWaitSender(t *testing.T) {
+	r, err := NewReplica(0, 1, 3, testConfig(), "127.0.0.1:0", "127.0.0.1:0", fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	c, frontier := dialRepl(t, r, 1)
+	if frontier != 0 {
+		t.Fatalf("fresh backup reports frontier %d", frontier)
+	}
+	const single = 100
+	for seq := uint64(1); seq <= single; seq++ {
+		c.send(appendMsg(t, seq))
+		ack, err := c.recv()
+		if err != nil || ack.Kind != wire.ReplAck || ack.Seq != seq {
+			t.Fatalf("entry %d: ack %v seq %d, %v — a stop-and-wait sender needs one ack per entry", seq, ack.Kind, ack.Seq, err)
+		}
+	}
+
+	// One flush of 40 entries: acks may be fewer than entries, never more,
+	// and the last one covers the batch.
+	var batch []wire.ReplMessage
+	for seq := uint64(single + 1); seq <= single+40; seq++ {
+		batch = append(batch, appendMsg(t, seq))
+	}
+	c.send(batch...)
+	acks := 0
+	for acked := uint64(0); acked < single+40; acks++ {
+		ack, err := c.recv()
+		if err != nil || ack.Kind != wire.ReplAck || ack.Seq <= acked {
+			t.Fatalf("batched acks: %v seq %d after %d, %v", ack.Kind, ack.Seq, acked, err)
+		}
+		acked = ack.Seq
+	}
+	if acks > 40 {
+		t.Fatalf("%d acks for 40 entries", acks)
+	}
+
+	// A hole at +4: entries +1..+3 apply, the stream dies at the gap.
+	base := uint64(single + 40)
+	c.send(appendMsg(t, base+1), appendMsg(t, base+2), appendMsg(t, base+3), appendMsg(t, base+5), appendMsg(t, base+6))
+	for {
+		ack, err := c.recv()
+		if err != nil {
+			break // closed at the gap
+		}
+		if ack.Seq > base+3 {
+			t.Fatalf("backup acked seq %d across a gap at %d", ack.Seq, base+4)
+		}
+	}
+	if got := r.LastApplied(); got != base+3 {
+		t.Fatalf("frontier after the gap = %d, want %d", got, base+3)
+	}
+	if got := r.Counters().Get("repl.gap_resyncs"); got != 1 {
+		t.Fatalf("repl.gap_resyncs = %d, want 1", got)
+	}
+	if _, frontier := dialRepl(t, r, 1); frontier != base+3 {
+		t.Fatalf("redial learns frontier %d, want %d", frontier, base+3)
+	}
+}
+
+// TestChaosBurstShipsInBatches: 2 000 PUTs arrive 32 to a packet at
+// quorum 2. Every acknowledged write must be on every replica, the three
+// stores must hold identical bytes, and the primary must have shipped
+// more than one entry per flush — the batches really form.
+func TestChaosBurstShipsInBatches(t *testing.T) {
+	g, sc := startGroupAndClient(t, fastOpts())
+	acked := burst(t, sc, "burst", 2000)
+	expectConverged(t, g, acked)
+	c := g.Primary().Counters()
+	shipped, flushes := c.Get("repl.entries_shipped"), c.Get("repl.ship_flushes")
+	if shipped != 2*2000 {
+		t.Fatalf("repl.entries_shipped = %d, want %d (two backups)", shipped, 2*2000)
+	}
+	if flushes == 0 || shipped/flushes < 2 {
+		t.Fatalf("%d entries went out in %d flushes: shipping is not batching", shipped, flushes)
+	}
+}
+
+// TestChaosMigrationDrainsPinnedTail: a live migration under write load
+// with a log window far smaller than the tail that builds up while the
+// snapshot transfers (stalled here, chunk by chunk, so that it always
+// does). The tail must drain through the shared ship routine, which it
+// can only do if the pin made the source's ring grow instead of evict.
+func TestChaosMigrationDrainsPinnedTail(t *testing.T) {
+	inj := fault.NewInjector(3)
+	inj.Set(fault.ReplMigrateStall, 1) // 2 ms per transfer message, until the snapshot is across
+	opts := fastOpts()
+	opts.LogWindow = 16
+	opts.SnapshotChunk = 256
+	opts.Faults = inj
+	coord := NewCoordinator(CoordOptions{LeaseTimeout: 5 * time.Second})
+	defer coord.Close()
+	src, dest, sc := startMigrationPair(t, coord, opts, 400)
+	srcPrim := src.Primary()
+
+	var (
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		acked  = map[string]int{} // key → highest acknowledged version; each key has one writer
+		stop   = make(chan struct{})
+		maxLen atomic.Int64
+	)
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k := fmt.Sprintf("tail-%d-%d", w, i%64)
+				if err := sc.Put([]byte(k), []byte(fmt.Sprintf("v%d", i))); err != nil {
+					time.Sleep(time.Millisecond) // cutover in progress; the route republish fixes it
+					continue
+				}
+				mu.Lock()
+				acked[k] = i
+				mu.Unlock()
+				if n := int64(srcPrim.log.Len()); n > maxLen.Load() {
+					maxLen.Store(n)
+				}
+			}
+		}(w)
+	}
+	time.Sleep(20 * time.Millisecond) // let the writers get going
+	mig, err := coord.MigrateShard(0, dest.Target("node-b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, "the snapshot to cross", func() bool { return mig.State() != MigrateSnapshot })
+	inj.DisableAll() // or the tail, stalled per entry, would never catch up with the writers
+	if err := mig.Wait(); err != nil {
+		t.Fatalf("migration under load failed: %v", err)
+	}
+	time.Sleep(20 * time.Millisecond) // and a few writes onto the new group
+	close(stop)
+	wg.Wait()
+
+	st := mig.Status()
+	t.Logf("tail entries %d, source log peaked at %d entries (window %d), %d stream resyncs", st.Entries, maxLen.Load(), opts.LogWindow, st.Resyncs)
+	if st.Entries == 0 || srcPrim.Counters().Get("repl.migration_entries") != st.Entries {
+		t.Fatalf("tail entries: status %d, repl.migration_entries %d — the tail did not drain through the ship routine",
+			st.Entries, srcPrim.Counters().Get("repl.migration_entries"))
+	}
+	if maxLen.Load() <= int64(opts.LogWindow) {
+		t.Fatalf("source log never held more than %d entries (window %d): the pin did not grow the ring", maxLen.Load(), opts.LogWindow)
+	}
+	if srcPrim.log.Len() > opts.LogWindow && srcPrim.log.LastSeq() > 0 {
+		// Unpinned at the end of the migration: one more append trims it.
+		if err := srcPrim.log.Append(repllog.Entry{Seq: srcPrim.log.LastSeq() + 1}); err != nil {
+			t.Fatal(err)
+		}
+		if got := srcPrim.log.Len(); got != opts.LogWindow {
+			t.Fatalf("after the migration the source log holds %d entries, want the window %d", got, opts.LogWindow)
+		}
+	}
+	for k, version := range acked {
+		// A later write whose ack was lost to the cutover may have landed
+		// too; an older value may not be what is read.
+		val, found, err := sc.Get([]byte(k))
+		got := -1
+		if _, serr := fmt.Sscanf(string(val), "v%d", &got); err != nil || !found || serr != nil || got < version {
+			t.Fatalf("acked write %s=v%d reads %q (found %v, err %v) after the migration", k, version, val, found, err)
+		}
+	}
+}
+
+// replicatedPutAllocs is what one steady-state quorum-2 PUT allocates
+// across client, primary, both ship loops and both backups. The parent
+// of the PR that introduced this test measured 68.
+const replicatedPutAllocs = 34
+
+// TestReplicatedPutAllocs fails when an allocation creeps back onto the
+// replicated write path. It counts process-wide, so it takes every
+// layer a PUT crosses: kvnet client and server, the primary's apply and
+// log append, two ship-and-ack round trips, two backup applies.
+func TestReplicatedPutAllocs(t *testing.T) {
+	g, sc := startGroupAndClient(t, Options{Quorum: 2})
+	acked := burst(t, sc, "alloc", 256)
+	expectConverged(t, g, acked)
+	ops := []kvdirect.Op{{Code: kvdirect.OpPut, Key: []byte("alloc-00007"), Value: bytes.Repeat([]byte("x"), 64)}}
+	put := func() {
+		if res, err := sc.Do(ops); err != nil || !res[0].OK() {
+			t.Fatalf("put: %v %v", res, err)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		put() // warm every scratch buffer and the lagging backup's too
+	}
+	got := testing.AllocsPerRun(2000, put)
+	t.Logf("one replicated PUT allocates %.0f objects (parent: 68)", got)
+	if got > replicatedPutAllocs {
+		t.Fatalf("one replicated PUT allocates %.0f objects, budget %d", got, replicatedPutAllocs)
+	}
+}

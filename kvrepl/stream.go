@@ -24,8 +24,8 @@ const stallBackup = 2 * time.Millisecond
 // --- primary side: one shipping loop per backup ---
 
 // peerSync is the primary's replication stream to one backup: dial,
-// handshake, then a ping-pong of Append/Ack (replay) with snapshot
-// catch-up whenever the backup has fallen out of the log window. The
+// handshake, then batches of Appends answered by cumulative Acks, with
+// snapshot catch-up whenever the backup has fallen out of the log window. The
 // loop belongs to one epoch; promotions and demotions stop it and start
 // fresh loops.
 type peerSync struct {
@@ -127,12 +127,11 @@ func (p *peerSync) syncOnce() (progressed bool) {
 	if !p.setConn(conn) {
 		return false
 	}
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
+	s := newStream(p.r, conn, p.handleAck)
 
 	// Handshake: announce our epoch and client address; learn the
 	// backup's applied frontier.
-	err = p.send(conn, bw, wire.ReplMessage{
+	err = s.send(wire.ReplMessage{
 		Kind:    wire.ReplHello,
 		Epoch:   p.epoch,
 		Seq:     p.r.LastApplied(),
@@ -141,7 +140,7 @@ func (p *peerSync) syncOnce() (progressed bool) {
 	if err != nil {
 		return false
 	}
-	m, err := p.recv(conn, br)
+	m, err := s.recv()
 	if err != nil || p.checkReply(m) != nil || m.Kind != wire.ReplHello {
 		return false
 	}
@@ -152,77 +151,29 @@ func (p *peerSync) syncOnce() (progressed bool) {
 		return true
 	}
 
+	heartbeat := time.NewTimer(p.r.opts.HeartbeatEvery)
+	defer heartbeat.Stop()
 	for {
 		if p.stopped() {
 			return true
 		}
-		entries, err := p.r.log.Since(sent)
-		if errors.Is(err, repllog.ErrTruncated) {
+		next, err := s.shipTail(p.epoch, sent)
+		switch {
+		case errors.Is(err, repllog.ErrTruncated):
 			// The backup's lag outran the log window: fall back to a
 			// snapshot install instead of stalling on the missing tail.
 			p.r.counters.Add("repl.snapshot_fallbacks", 1)
-			snapSeq, serr := p.sendSnapshot(conn, bw, br)
-			if serr != nil {
+			if next, _, err = s.sendSnapshot(p.epoch, false); err != nil {
 				return true
 			}
-			sent = snapSeq
-			continue
-		}
-		if err != nil {
+		case err != nil:
 			return true
+		case next == sent:
+			if !p.idle(s, heartbeat, sent) {
+				return true
+			}
 		}
-		if len(entries) == 0 {
-			if !p.idle(conn, bw, br, sent) {
-				return true
-			}
-			continue
-		}
-		for _, e := range entries {
-			if p.stopped() {
-				return true
-			}
-			if p.r.faults.Should(fault.ReplDropEntry) {
-				// Skip the entry but advance the cursor: the next Append
-				// (or idle heartbeat) presents a gap, the backup closes
-				// the stream, and the redial resyncs from its true
-				// frontier — transient loss, recovered, never acked over.
-				p.r.counters.Add("repl.entries_dropped", 1)
-				sent = e.Seq
-				continue
-			}
-			// A sampled trace context stamped onto the entry's packet by
-			// the primary's write path turns this ship+ack round-trip into
-			// a span of the originating write's trace — one per backup, so
-			// an assembled tree shows the quorum ack fan-out.
-			var span *telemetry.Span
-			if tc, ok := wire.PacketTraceContext(e.Packet); ok && tc.Sampled {
-				span = p.r.tel.Tracer().StartTrace(tc.TraceID, tc.Parent)
-				span.SetOp("REPL_SHIP", 1)
-			}
-			err = p.send(conn, bw, wire.ReplMessage{
-				Kind:    wire.ReplAppend,
-				Epoch:   p.epoch,
-				Seq:     e.Seq,
-				Payload: e.Packet,
-			})
-			if err != nil {
-				span.SetErr(err)
-				p.r.tel.Tracer().Publish(span)
-				return true
-			}
-			ack, rerr := p.recv(conn, br)
-			if rerr != nil || p.handleAck(ack) != nil {
-				if rerr == nil {
-					rerr = errors.New("kvrepl: ack rejected")
-				}
-				span.SetErr(rerr)
-				p.r.tel.Tracer().Publish(span)
-				return true
-			}
-			p.r.tel.Tracer().Publish(span)
-			sent = e.Seq
-			p.r.counters.Add("repl.entries_shipped", 1)
-		}
+		sent = next
 	}
 }
 
@@ -230,9 +181,14 @@ func (p *peerSync) syncOnce() (progressed bool) {
 // heartbeat tick (which doubles as the gap detector when the last
 // entries before the pause were fault-dropped). Returns false to tear
 // the connection down.
-func (p *peerSync) idle(conn net.Conn, bw *bufio.Writer, br *bufio.Reader, sent uint64) bool {
-	t := time.NewTimer(p.r.opts.HeartbeatEvery)
-	defer t.Stop()
+func (p *peerSync) idle(s *stream, t *time.Timer, sent uint64) bool {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	t.Reset(p.r.opts.HeartbeatEvery)
 	select {
 	case <-p.stop:
 		return false
@@ -241,65 +197,16 @@ func (p *peerSync) idle(conn net.Conn, bw *bufio.Writer, br *bufio.Reader, sent 
 	case <-t.C:
 	}
 	// Heartbeat carries the stream cursor, not the primary's frontier:
-	// entries appended after Since returned empty will be shipped next
-	// iteration and must not read as a gap.
-	err := p.send(conn, bw, wire.ReplMessage{
+	// entries appended after the log read came back empty will be shipped
+	// next iteration and must not read as a gap.
+	err := s.send(wire.ReplMessage{
 		Kind: wire.ReplHeartbeat, Epoch: p.epoch, Seq: sent,
 	})
 	if err != nil {
 		return false
 	}
-	ack, err := p.recv(conn, br)
+	ack, err := s.recv()
 	return err == nil && p.handleAck(ack) == nil
-}
-
-// sendSnapshot transfers a consistent Dump so a backup beyond the log
-// window can rejoin; replay resumes from the returned sequence.
-func (p *peerSync) sendSnapshot(conn net.Conn, bw *bufio.Writer, br *bufio.Reader) (uint64, error) {
-	p.r.mu.Lock()
-	var buf bytes.Buffer
-	_, derr := p.r.store.Dump(&buf) //lint:allow lockorder -- consistent snapshot requires freezing the store; the lease heartbeat rides an atomic, not mu (PR 6)
-	snapSeq := p.r.lastApplied
-	p.r.mu.Unlock()
-	if derr != nil {
-		return 0, derr
-	}
-	err := p.send(conn, bw, wire.ReplMessage{
-		Kind: wire.ReplSnapshotBegin, Epoch: p.epoch, Seq: snapSeq,
-	})
-	if err != nil {
-		return 0, err
-	}
-	data := buf.Bytes()
-	for off := 0; off < len(data); off += p.r.opts.SnapshotChunk {
-		end := off + p.r.opts.SnapshotChunk
-		if end > len(data) {
-			end = len(data)
-		}
-		err = p.send(conn, bw, wire.ReplMessage{
-			Kind: wire.ReplSnapshotChunk, Epoch: p.epoch, Seq: snapSeq,
-			Payload: data[off:end],
-		})
-		if err != nil {
-			return 0, err
-		}
-	}
-	err = p.send(conn, bw, wire.ReplMessage{
-		Kind: wire.ReplSnapshotEnd, Epoch: p.epoch, Seq: snapSeq,
-	})
-	if err != nil {
-		return 0, err
-	}
-	ack, err := p.recv(conn, br)
-	if err != nil {
-		return 0, err
-	}
-	if aerr := p.handleAck(ack); aerr != nil {
-		return 0, aerr
-	}
-	p.r.counters.Add("repl.snapshots_sent", 1)
-	p.r.counters.Add("repl.catchup_bytes", uint64(len(data)))
-	return snapSeq, nil
 }
 
 // handleAck folds the backup's reply into quorum state; a rejection
@@ -326,29 +233,197 @@ func (p *peerSync) checkReply(m wire.ReplMessage) error {
 	return fmt.Errorf("kvrepl: peer %d rejected stream: %s", p.peerID, m.Payload)
 }
 
-func (p *peerSync) send(conn net.Conn, bw *bufio.Writer, m wire.ReplMessage) error {
-	pkt, err := wire.AppendReplMessage(nil, m)
-	if err != nil {
-		return err
-	}
-	if err := conn.SetWriteDeadline(time.Now().Add(p.r.opts.StreamTimeout)); err != nil {
-		return err
-	}
-	if err := kvnet.WriteFrame(bw, pkt); err != nil {
-		return err
-	}
-	return bw.Flush()
+// --- framing and bulk transfer, shared by every stream ---
+
+// shipBatchBytes bounds the entry payload shipped under one flush. The
+// receiver acks at most once per frame, so the bound also keeps a
+// batch's acks (32 B each) far below a socket buffer: neither side can
+// block on a write the other is not reading.
+const shipBatchBytes = 64 << 10
+
+// stream is one end of a replication connection: framing and deadlines
+// for both ends, and for the sending end — a primary's to a backup, or a
+// migrator's to the destination primary — the two bulk transfers, batched
+// log shipping and the snapshot. It is used by one goroutine.
+type stream struct {
+	r       *Replica // the local replica: its log, store, options, faults, counters, tracer
+	conn    net.Conn
+	br      *bufio.Reader
+	bw      *bufio.Writer
+	migrate bool                         // a migration transfer: ReplMigrateStall applies; ReplDropEntry and REPL_SHIP spans do not
+	onAck   func(wire.ReplMessage) error // folds a reply into the owner's state; an error tears the stream down
+
+	buf   []byte            // message encoding scratch
+	tail  []repllog.Entry   // log read scratch
+	spans []*telemetry.Span // sampled entries of the batch in flight
 }
 
-func (p *peerSync) recv(conn net.Conn, br *bufio.Reader) (wire.ReplMessage, error) {
-	if err := conn.SetReadDeadline(time.Now().Add(p.r.opts.StreamTimeout)); err != nil {
+func newStream(r *Replica, conn net.Conn, onAck func(wire.ReplMessage) error) *stream {
+	return &stream{r: r, conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn), onAck: onAck}
+}
+
+// write frames m into the write buffer without flushing it.
+func (s *stream) write(m wire.ReplMessage) (err error) {
+	if s.migrate && s.r.faults.Should(fault.ReplMigrateStall) {
+		time.Sleep(migrateStall)
+	}
+	if s.buf, err = wire.AppendReplMessage(s.buf[:0], m); err != nil {
+		return err
+	}
+	return kvnet.WriteFrame(s.bw, s.buf)
+}
+
+// send writes one message under a fresh deadline and flushes it.
+func (s *stream) send(m wire.ReplMessage) error {
+	if err := s.conn.SetWriteDeadline(time.Now().Add(s.r.opts.StreamTimeout)); err != nil {
+		return err
+	}
+	if err := s.write(m); err != nil {
+		return err
+	}
+	return s.bw.Flush()
+}
+
+func (s *stream) recv() (wire.ReplMessage, error) {
+	if err := s.conn.SetReadDeadline(time.Now().Add(s.r.opts.StreamTimeout)); err != nil {
 		return wire.ReplMessage{}, err
 	}
-	pkt, err := kvnet.ReadFrame(br)
+	pkt, err := kvnet.ReadFrame(s.br)
 	if err != nil {
 		return wire.ReplMessage{}, err
 	}
 	return wire.DecodeReplMessage(pkt)
+}
+
+// shipTail ships every log entry after sent and returns the new cursor:
+// sent itself when the peer is caught up, repllog.ErrTruncated when the
+// entries after sent have left the window and the peer needs a snapshot.
+func (s *stream) shipTail(epoch, sent uint64) (uint64, error) {
+	var err error
+	if s.tail, err = s.r.log.Since(sent, s.tail); err != nil {
+		return sent, err
+	}
+	for rest := s.tail; len(rest) > 0 && err == nil; {
+		var n int
+		if n, err = s.shipBatch(epoch, rest); err == nil {
+			sent = rest[n-1].Seq
+			rest = rest[n:]
+		}
+	}
+	clear(s.tail) // the scratch must not keep evicted packets reachable
+	return sent, err
+}
+
+// shipBatch writes a prefix of entries as back-to-back ReplAppend
+// frames, up to shipBatchBytes under one deadline and one flush, then
+// reads acks until the peer's cumulative frontier covers the last frame
+// written — one round trip, however many entries a burst or a catch-up
+// put in the batch. It returns how many entries it consumed.
+//
+//kvd:hotpath
+func (s *stream) shipBatch(epoch uint64, entries []repllog.Entry) (n int, err error) {
+	r := s.r
+	if err := s.conn.SetWriteDeadline(time.Now().Add(r.opts.StreamTimeout)); err != nil {
+		return 0, err
+	}
+	var last uint64 // highest seq written
+	written := 0
+	for size := 0; n < len(entries) && size < shipBatchBytes && err == nil; n++ {
+		e := &entries[n]
+		if !s.migrate && r.faults.Should(fault.ReplDropEntry) {
+			// Skip the entry but advance the cursor: the next Append (or
+			// idle heartbeat) presents a gap, the backup closes the
+			// stream, and the redial resyncs from its true frontier —
+			// transient loss, recovered, never acked over.
+			r.counters.Add("repl.entries_dropped", 1)
+			continue
+		}
+		// A sampled trace context stamped onto the entry's packet by the
+		// primary's write path turns this ship+ack round-trip into a span
+		// of the originating write's trace — one per backup, so an
+		// assembled tree shows the quorum ack fan-out.
+		if tc, ok := wire.PacketTraceContext(e.Packet); ok && tc.Sampled && !s.migrate {
+			span := r.tel.Tracer().StartTrace(tc.TraceID, tc.Parent)
+			span.SetOp("REPL_SHIP", 1)
+			s.spans = append(s.spans, span) //lint:allow hotalloc -- sampled writes only, and the slice is reused
+		}
+		err = s.write(wire.ReplMessage{Kind: wire.ReplAppend, Epoch: epoch, Seq: e.Seq, Payload: e.Packet})
+		size += len(e.Packet)
+		last = e.Seq
+		written++
+	}
+	if err == nil {
+		err = s.bw.Flush()
+	}
+	for acked := uint64(0); err == nil && acked < last; {
+		var m wire.ReplMessage
+		if m, err = s.recv(); err == nil {
+			err = s.onAck(m)
+		}
+		acked = m.Seq
+	}
+	for i, span := range s.spans {
+		span.SetErr(err)
+		r.tel.Tracer().Publish(span)
+		s.spans[i] = nil
+	}
+	s.spans = s.spans[:0]
+	if err != nil {
+		return n, err
+	}
+	if s.migrate {
+		r.counters.Add("repl.migration_entries", uint64(written))
+	} else {
+		r.counters.Add("repl.entries_shipped", uint64(written))
+	}
+	r.counters.Add("repl.ship_flushes", 1)
+	return n, nil
+}
+
+// sendSnapshot transfers a consistent Dump so a peer beyond the log
+// window can join; replay resumes from the returned sequence. With pin
+// set the log is pinned just past the dump's frontier under the same
+// lock that freezes it, so the tail the peer still needs cannot be
+// evicted while it installs. It also returns the dump's size.
+func (s *stream) sendSnapshot(epoch uint64, pin bool) (uint64, int, error) {
+	r := s.r
+	r.mu.Lock()
+	var buf bytes.Buffer
+	_, err := r.store.Dump(&buf) //lint:allow lockorder -- consistent snapshot requires freezing the store; the lease heartbeat rides an atomic, not mu (PR 6)
+	snapSeq := r.lastApplied
+	if err == nil && pin {
+		r.log.Pin(snapSeq + 1)
+	}
+	r.mu.Unlock()
+	if err != nil {
+		return 0, 0, err
+	}
+	if err := s.send(wire.ReplMessage{Kind: wire.ReplSnapshotBegin, Epoch: epoch, Seq: snapSeq}); err != nil {
+		return 0, 0, err
+	}
+	data := buf.Bytes()
+	for off := 0; off < len(data); off += r.opts.SnapshotChunk {
+		chunk := data[off:min(off+r.opts.SnapshotChunk, len(data))]
+		if err := s.send(wire.ReplMessage{Kind: wire.ReplSnapshotChunk, Epoch: epoch, Seq: snapSeq, Payload: chunk}); err != nil {
+			return 0, 0, err
+		}
+	}
+	if err := s.send(wire.ReplMessage{Kind: wire.ReplSnapshotEnd, Epoch: epoch, Seq: snapSeq}); err != nil {
+		return 0, 0, err
+	}
+	ack, err := s.recv()
+	if err == nil {
+		err = s.onAck(ack)
+	}
+	if err == nil && ack.Seq != snapSeq {
+		err = fmt.Errorf("kvrepl: snapshot acked at seq %d, want %d", ack.Seq, snapSeq)
+	}
+	if err != nil {
+		return 0, 0, err
+	}
+	r.counters.Add("repl.snapshots_sent", 1)
+	r.counters.Add("repl.catchup_bytes", uint64(len(data)))
+	return snapSeq, len(data), nil
 }
 
 // --- backup side: accept the primary's stream and apply it ---
@@ -377,8 +452,9 @@ func (r *Replica) acceptRepl() {
 // handleReplConn serves one inbound replication stream. The handshake
 // enforces epoch fencing (this is also how a deposed primary learns of
 // its demotion: the new primary's higher-epoch Hello arrives here); the
-// message loop applies entries in strict sequence, acks the applied
-// frontier, and closes the stream on any gap so the primary resyncs.
+// message loop applies entries in strict sequence as they arrive, acks
+// the applied frontier whenever it has read everything the sender has
+// sent so far, and closes the stream on any gap so the primary resyncs.
 func (r *Replica) handleReplConn(conn net.Conn) {
 	defer r.wg.Done()
 	defer func() {
@@ -387,33 +463,9 @@ func (r *Replica) handleReplConn(conn net.Conn) {
 		delete(r.conns, conn)
 		r.mu.Unlock()
 	}()
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	recv := func() (wire.ReplMessage, error) {
-		if err := conn.SetReadDeadline(time.Now().Add(r.opts.StreamTimeout)); err != nil {
-			return wire.ReplMessage{}, err
-		}
-		pkt, err := kvnet.ReadFrame(br)
-		if err != nil {
-			return wire.ReplMessage{}, err
-		}
-		return wire.DecodeReplMessage(pkt)
-	}
-	send := func(m wire.ReplMessage) error {
-		pkt, err := wire.AppendReplMessage(nil, m)
-		if err != nil {
-			return err
-		}
-		if err := conn.SetWriteDeadline(time.Now().Add(r.opts.StreamTimeout)); err != nil {
-			return err
-		}
-		if err := kvnet.WriteFrame(bw, pkt); err != nil {
-			return err
-		}
-		return bw.Flush()
-	}
+	s := newStream(r, conn, nil)
 
-	hello, err := recv()
+	hello, err := s.recv()
 	if err != nil || (hello.Kind != wire.ReplHello && hello.Kind != wire.ReplMigrate) {
 		return
 	}
@@ -424,19 +476,19 @@ func (r *Replica) handleReplConn(conn net.Conn) {
 	last, herr := r.admitStream(hello)
 	if herr != nil {
 		r.counters.Add("repl.epoch_rejects", 1)
-		_ = send(wire.ReplMessage{ //lint:allow statuserr -- best-effort reject; the stream is closing and the peer re-syncs
+		_ = s.send(wire.ReplMessage{ //lint:allow statuserr -- best-effort reject; the stream is closing and the peer re-syncs
 			Kind: wire.ReplReject, Epoch: r.Epoch(), Payload: []byte(herr.Error()),
 		})
 		return
 	}
-	if err := send(wire.ReplMessage{Kind: wire.ReplHello, Epoch: hello.Epoch, Seq: last}); err != nil {
+	if err := s.send(wire.ReplMessage{Kind: wire.ReplHello, Epoch: hello.Epoch, Seq: last}); err != nil {
 		return
 	}
 
 	var snapBuf *bytes.Buffer
 	var snapSeq uint64
 	for {
-		m, err := recv()
+		m, err := s.recv()
 		if err != nil {
 			return
 		}
@@ -449,7 +501,7 @@ func (r *Replica) handleReplConn(conn net.Conn) {
 		if cur := r.Epoch(); m.Epoch < cur {
 			// A newer primary contacted us mid-stream; fence the old one.
 			r.counters.Add("repl.epoch_rejects", 1)
-			_ = send(wire.ReplMessage{ //lint:allow statuserr -- best-effort reject; the stream is closing and the peer re-syncs
+			_ = s.send(wire.ReplMessage{ //lint:allow statuserr -- best-effort reject; the stream is closing and the peer re-syncs
 				Kind: wire.ReplReject, Epoch: cur, Payload: []byte("stale epoch"),
 			})
 			return
@@ -464,7 +516,14 @@ func (r *Replica) handleReplConn(conn net.Conn) {
 				r.counters.Add("repl.gap_resyncs", 1)
 				return
 			}
-			if err := send(wire.ReplMessage{Kind: wire.ReplAck, Epoch: m.Epoch, Seq: ackSeq}); err != nil {
+			if s.br.Buffered() > 0 {
+				// More of the sender's batch is already here. An ack's Seq
+				// is the applied frontier, so the one sent when the reader
+				// runs dry covers this entry too; a sender that ships one
+				// entry at a time still gets an ack for each.
+				continue
+			}
+			if err := s.send(wire.ReplMessage{Kind: wire.ReplAck, Epoch: m.Epoch, Seq: ackSeq}); err != nil {
 				return
 			}
 		case wire.ReplHeartbeat:
@@ -482,7 +541,7 @@ func (r *Replica) handleReplConn(conn net.Conn) {
 				r.counters.Add("repl.gap_resyncs", 1)
 				return
 			}
-			if err := send(wire.ReplMessage{Kind: wire.ReplAck, Epoch: m.Epoch, Seq: ackSeq}); err != nil {
+			if err := s.send(wire.ReplMessage{Kind: wire.ReplAck, Epoch: m.Epoch, Seq: ackSeq}); err != nil {
 				return
 			}
 		case wire.ReplSnapshotBegin:
@@ -498,12 +557,12 @@ func (r *Replica) handleReplConn(conn net.Conn) {
 				return
 			}
 			if err := r.installSnapshot(snapBuf, snapSeq); err != nil {
-				_ = send(wire.ReplMessage{ //lint:allow statuserr -- best-effort reject; the stream is closing and the peer re-syncs
+				_ = s.send(wire.ReplMessage{ //lint:allow statuserr -- best-effort reject; the stream is closing and the peer re-syncs
 					Kind: wire.ReplReject, Epoch: m.Epoch, Payload: []byte(err.Error()),
 				})
 				return
 			}
-			if err := send(wire.ReplMessage{Kind: wire.ReplAck, Epoch: m.Epoch, Seq: snapSeq}); err != nil {
+			if err := s.send(wire.ReplMessage{Kind: wire.ReplAck, Epoch: m.Epoch, Seq: snapSeq}); err != nil {
 				return
 			}
 			snapBuf = nil
@@ -512,13 +571,13 @@ func (r *Replica) handleReplConn(conn net.Conn) {
 			// shard's fenced final frontier exactly — otherwise the
 			// migrator must keep draining the tail.
 			if !isMigration || !r.adoptInstall(m.Epoch, m.Seq) {
-				_ = send(wire.ReplMessage{ //lint:allow statuserr -- best-effort reject; the stream is closing and the peer re-syncs
+				_ = s.send(wire.ReplMessage{ //lint:allow statuserr -- best-effort reject; the stream is closing and the peer re-syncs
 					Kind: wire.ReplReject, Epoch: r.Epoch(),
 					Payload: []byte("install refused: frontier mismatch"),
 				})
 				return
 			}
-			if err := send(wire.ReplMessage{Kind: wire.ReplAck, Epoch: m.Epoch, Seq: m.Seq}); err != nil {
+			if err := s.send(wire.ReplMessage{Kind: wire.ReplAck, Epoch: m.Epoch, Seq: m.Seq}); err != nil {
 				return
 			}
 		default:
@@ -553,6 +612,8 @@ func (r *Replica) admitStream(hello wire.ReplMessage) (uint64, error) {
 // duplicates re-ack, the next sequence applies, anything else is a gap
 // that tears the stream down for a resync (never skip — density is what
 // makes "most advanced backup" equal "has every acked write").
+//
+//kvd:hotpath
 func (r *Replica) applyEntry(m wire.ReplMessage) (ack uint64, gap bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -565,11 +626,9 @@ func (r *Replica) applyEntry(m wire.ReplMessage) (ack uint64, gap bool) {
 	if m.Seq != r.lastApplied+1 {
 		return r.lastApplied, true
 	}
-	e := repllog.Entry{
-		Seq:    m.Seq,
-		Epoch:  m.Epoch,
-		Packet: append([]byte(nil), m.Payload...),
-	}
+	// The payload aliases the frame ReadFrame allocated for this message
+	// alone, so the log keeps it without a second copy.
+	e := repllog.Entry{Seq: m.Seq, Epoch: m.Epoch, Packet: m.Payload}
 	req, err := e.Request()
 	if err != nil {
 		return r.lastApplied, true
@@ -587,7 +646,7 @@ func (r *Replica) applyEntry(m wire.ReplMessage) (ack uint64, gap bool) {
 	}
 	// Apply after logging; a panic still advances the frontier (the
 	// primary assigned the sequence and got the same panic response).
-	resp := r.applyLocalLocked(req, span)
+	resp := r.applyLocalLocked(req, span) //lint:allow hotalloc -- its allocations are the panic report and the OpStats text, neither on a replayed write's path
 	r.tel.Tracer().Publish(span)
 	_ = resp
 	r.lastApplied = m.Seq
