@@ -81,13 +81,16 @@ gateway:
 # GET/PUT, and the benchmark prints the allocs/op it pins. So is the
 # replicated write: TestReplicatedPutAllocs pins what one quorum-2 PUT
 # allocates end to end, and the log's append must stay at 0 allocs/op
-# with its window full.
+# with its window full. And the gateway's quiet run:
+# TestGatewayQuietRunAllocs pins what a SetBatch(16) and a GetBatch(16)
+# allocate from client to core and back.
 telemetry:
 	$(GO) test ./internal/telemetry/
 	$(GO) test -bench='BenchmarkTelemetryOff|BenchmarkTraceOff|BenchmarkFlightRecorderOn' -benchmem -run '^$$' ./internal/telemetry/
 	$(GO) test -count=1 -run 'TestApplyAllocs' ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkStorePutGet' -benchmem ./internal/core/
 	$(GO) test -count=1 -run 'TestReplicatedPutAllocs' ./kvrepl/
+	$(GO) test -count=1 -run 'TestGatewayQuietRunAllocs' ./kvgw/
 	$(GO) test -run '^$$' -bench 'BenchmarkLogAppendFullWindow' -benchmem ./internal/repllog/
 
 # CPU + heap profiles of a quick kvdbench run (satellite of the tracing

@@ -213,7 +213,7 @@ func BenchmarkStorePipelinedGet(b *testing.B) {
 func BenchmarkWireEncodeDecode(b *testing.B) {
 	reqs := make([]wire.Request, 32)
 	for i := range reqs {
-		reqs[i] = wire.Request{Op: wire.OpPut,
+		reqs[i] = wire.Request{Code: wire.OpPut,
 			Key:   []byte(fmt.Sprintf("key%05d", i)),
 			Value: []byte(fmt.Sprintf("val%05d", i))}
 	}

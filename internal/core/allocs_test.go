@@ -52,7 +52,7 @@ func TestApplyAllocs(t *testing.T) {
 		for _, key := range c.keys {
 			n := 0
 			got := testing.AllocsPerRun(8, func() {
-				req := wire.Request{Op: c.op, Key: key}
+				req := wire.Request{Code: c.op, Key: key}
 				if c.vals != nil {
 					req.Value = c.vals[n%2]
 				}

@@ -22,7 +22,7 @@ import (
 func (s *Store) Apply(req wire.Request) wire.Response {
 	before := s.uncorrectable()
 	var resp wire.Response
-	switch req.Op {
+	switch req.Code {
 	case wire.OpGet:
 		if v, ok := s.Get(req.Key); ok {
 			resp = wire.Response{Status: wire.StatusOK, Value: v}
@@ -54,7 +54,7 @@ func (s *Store) Apply(req wire.Request) wire.Response {
 // applyOther executes every opcode but the plain GET/PUT/DELETE that
 // Apply handles inline.
 func (s *Store) applyOther(req wire.Request) wire.Response {
-	switch req.Op {
+	switch req.Code {
 	case wire.OpUpdateScalar:
 		width := int(req.ElemWidth)
 		param, err := paramScalar(req.Param, width)

@@ -361,13 +361,13 @@ func TestForwardingVisibleInStats(t *testing.T) {
 func TestApplyWireOps(t *testing.T) {
 	s := newStore(t)
 	resps := s.ApplyBatch([]wire.Request{
-		{Op: wire.OpPut, Key: []byte("k"), Value: []byte("v1")},
-		{Op: wire.OpGet, Key: []byte("k")},
-		{Op: wire.OpUpdateScalar, Key: []byte("n"), FuncID: FnAdd, ElemWidth: 8,
+		{Code: wire.OpPut, Key: []byte("k"), Value: []byte("v1")},
+		{Code: wire.OpGet, Key: []byte("k")},
+		{Code: wire.OpUpdateScalar, Key: []byte("n"), FuncID: FnAdd, ElemWidth: 8,
 			Param: u64(7)},
-		{Op: wire.OpGet, Key: []byte("n")},
-		{Op: wire.OpDelete, Key: []byte("k")},
-		{Op: wire.OpGet, Key: []byte("k")},
+		{Code: wire.OpGet, Key: []byte("n")},
+		{Code: wire.OpDelete, Key: []byte("k")},
+		{Code: wire.OpGet, Key: []byte("k")},
 	})
 	if resps[0].Status != wire.StatusOK {
 		t.Errorf("put: %+v", resps[0])
@@ -399,10 +399,10 @@ func TestApplyVectorOps(t *testing.T) {
 	binary.LittleEndian.PutUint32(p4, 10)
 	init := make([]byte, 8)
 	resps := s.ApplyBatch([]wire.Request{
-		{Op: wire.OpPut, Key: []byte("v"), Value: vec},
-		{Op: wire.OpUpdateS2V, Key: []byte("v"), FuncID: FnAdd, ElemWidth: 4, Param: p4},
-		{Op: wire.OpReduce, Key: []byte("v"), FuncID: FnAdd, ElemWidth: 4, Param: init[:4]},
-		{Op: wire.OpFilter, Key: []byte("v"), FuncID: FilterOdd, ElemWidth: 4},
+		{Code: wire.OpPut, Key: []byte("v"), Value: vec},
+		{Code: wire.OpUpdateS2V, Key: []byte("v"), FuncID: FnAdd, ElemWidth: 4, Param: p4},
+		{Code: wire.OpReduce, Key: []byte("v"), FuncID: FnAdd, ElemWidth: 4, Param: init[:4]},
+		{Code: wire.OpFilter, Key: []byte("v"), FuncID: FilterOdd, ElemWidth: 4},
 	})
 	for i, r := range resps {
 		if r.Status != wire.StatusOK {
@@ -421,15 +421,15 @@ func TestApplyVectorOps(t *testing.T) {
 
 func TestApplyErrors(t *testing.T) {
 	s := newStore(t)
-	r := s.Apply(wire.Request{Op: wire.OpGet, Key: []byte("missing")})
+	r := s.Apply(wire.Request{Code: wire.OpGet, Key: []byte("missing")})
 	if r.Status != wire.StatusNotFound {
 		t.Errorf("missing get: %+v", r)
 	}
-	r = s.Apply(wire.Request{Op: wire.OpCode(77), Key: []byte("k")})
+	r = s.Apply(wire.Request{Code: wire.OpCode(77), Key: []byte("k")})
 	if r.Status != wire.StatusError {
 		t.Errorf("bad opcode: %+v", r)
 	}
-	r = s.Apply(wire.Request{Op: wire.OpUpdateScalar, Key: []byte("k"),
+	r = s.Apply(wire.Request{Code: wire.OpUpdateScalar, Key: []byte("k"),
 		FuncID: FnAdd, ElemWidth: 8, Param: []byte{1}})
 	if r.Status != wire.StatusError {
 		t.Errorf("short param: %+v", r)

@@ -52,7 +52,7 @@ func (s *Store) Dump(w io.Writer) (int, error) {
 	}
 	s.Walk(func(key, value []byte) bool {
 		batch = append(batch, wire.Request{
-			Op:    wire.OpPut,
+			Code:  wire.OpPut,
 			Key:   append([]byte(nil), key...),
 			Value: append([]byte(nil), value...),
 		})
@@ -95,8 +95,8 @@ func (s *Store) Load(r io.Reader) (int, error) {
 			return count, fmt.Errorf("%w: %v", ErrDumpCorrupt, err)
 		}
 		for _, rq := range reqs {
-			if rq.Op != wire.OpPut {
-				return count, fmt.Errorf("%w: non-PUT op %v in dump", ErrDumpCorrupt, rq.Op)
+			if rq.Code != wire.OpPut {
+				return count, fmt.Errorf("%w: non-PUT op %v in dump", ErrDumpCorrupt, rq.Code)
 			}
 			if err := s.Put(rq.Key, rq.Value); err != nil {
 				return count, err

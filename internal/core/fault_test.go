@@ -80,7 +80,7 @@ func TestEccEndToEndDoubleBitFlips(t *testing.T) {
 	}
 
 	inj.Set(fault.HostDoubleBitFlip, 1)
-	resp := s.Apply(wire.Request{Op: wire.OpGet, Key: key})
+	resp := s.Apply(wire.Request{Code: wire.OpGet, Key: key})
 	inj.DisableAll()
 
 	if resp.Status != wire.StatusError {
@@ -136,7 +136,7 @@ func TestStatsTextReportsFaults(t *testing.T) {
 	s.Get([]byte("k"))
 	inj.DisableAll()
 
-	resp := s.Apply(wire.Request{Op: wire.OpStats})
+	resp := s.Apply(wire.Request{Code: wire.OpStats})
 	if resp.Status != wire.StatusOK {
 		t.Fatalf("stats failed: %v", resp.Status)
 	}

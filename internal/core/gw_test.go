@@ -30,7 +30,7 @@ func putVer(t *testing.T, s *Store, key string, mode wire.PutVerMode,
 			t.Fatal(err)
 		}
 	}
-	return s.Apply(wire.Request{Op: wire.OpPutVer, Key: []byte(key), Value: val, Param: param})
+	return s.Apply(wire.Request{Code: wire.OpPutVer, Key: []byte(key), Value: val, Param: param})
 }
 
 func putVerOK(t *testing.T, s *Store, key string, mode wire.PutVerMode,
@@ -54,7 +54,7 @@ func counterVer(t *testing.T, s *Store, key string, sub uint8,
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s.Apply(wire.Request{Op: wire.OpCounterVer, Key: []byte(key), Param: param})
+	return s.Apply(wire.Request{Code: wire.OpCounterVer, Key: []byte(key), Param: param})
 }
 
 func TestPutVerSetBumpsVersion(t *testing.T) {
@@ -164,12 +164,12 @@ func TestPutVerDelete(t *testing.T) {
 
 func TestPutVerBadInputs(t *testing.T) {
 	s := gwStore(t)
-	resp := s.Apply(wire.Request{Op: wire.OpPutVer, Key: []byte("k"), Param: []byte{1}})
+	resp := s.Apply(wire.Request{Code: wire.OpPutVer, Key: []byte("k"), Param: []byte{1}})
 	if resp.Status != wire.StatusError {
 		t.Fatalf("short param: %v", resp.Status)
 	}
 	param, _ := wire.EncodePutVerParam(wire.PutVerSet, 0)
-	resp = s.Apply(wire.Request{Op: wire.OpPutVer, Key: []byte("k"), Value: []byte{1}, Param: param})
+	resp = s.Apply(wire.Request{Code: wire.OpPutVer, Key: []byte("k"), Value: []byte{1}, Param: param})
 	if resp.Status != wire.StatusError {
 		t.Fatalf("short value: %v", resp.Status)
 	}
@@ -179,7 +179,7 @@ func TestPutVerBadInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp = s.Apply(wire.Request{Op: wire.OpPutVer, Key: []byte("big"), Value: val, Param: param}); resp.Status != wire.StatusOK {
+	if resp = s.Apply(wire.Request{Code: wire.OpPutVer, Key: []byte("big"), Value: val, Param: param}); resp.Status != wire.StatusOK {
 		t.Fatalf("max-size set: %v (%q)", resp.Status, resp.Value)
 	}
 	if resp = putVer(t, s, "big", wire.PutVerAppend, 0, 0, "x"); resp.Status != wire.StatusFull {
@@ -263,10 +263,10 @@ func TestGwDeterministicVersions(t *testing.T) {
 	v1, _ := wire.EncodeGwValue(1, []byte("alpha"))
 	v2, _ := wire.EncodeGwValue(0, []byte("-beta"))
 	log := []wire.Request{
-		{Op: wire.OpPutVer, Key: []byte("k"), Value: v1, Param: setP},
-		{Op: wire.OpPutVer, Key: []byte("k"), Value: v2, Param: appP},
-		{Op: wire.OpCounterVer, Key: []byte("c"), Param: incrP},
-		{Op: wire.OpCounterVer, Key: []byte("c"), Param: incrP},
+		{Code: wire.OpPutVer, Key: []byte("k"), Value: v1, Param: setP},
+		{Code: wire.OpPutVer, Key: []byte("k"), Value: v2, Param: appP},
+		{Code: wire.OpCounterVer, Key: []byte("c"), Param: incrP},
+		{Code: wire.OpCounterVer, Key: []byte("c"), Param: incrP},
 	}
 	ra := a.ApplyBatch(log)
 	rb := b.ApplyBatch(log)

@@ -85,13 +85,13 @@ func TestRegisterExpressionInReduce(t *testing.T) {
 
 func TestApplyRegisterOp(t *testing.T) {
 	s := newStore(t)
-	r := s.Apply(wire.Request{Op: wire.OpRegister, FuncID: 110,
+	r := s.Apply(wire.Request{Code: wire.OpRegister, FuncID: 110,
 		Param: []byte("v ^ p")})
 	if r.Status != wire.StatusOK {
 		t.Fatalf("register failed: %+v", r)
 	}
 	mustPut(t, s, []byte("x"), u64(0b1100))
-	if r := s.Apply(wire.Request{Op: wire.OpUpdateScalar, Key: []byte("x"),
+	if r := s.Apply(wire.Request{Code: wire.OpUpdateScalar, Key: []byte("x"),
 		FuncID: 110, ElemWidth: 8, Param: u64(0b1010)}); r.Status != wire.StatusOK {
 		t.Fatalf("update failed: %+v", r)
 	}
@@ -100,13 +100,13 @@ func TestApplyRegisterOp(t *testing.T) {
 		t.Errorf("xor result = %b", got)
 	}
 	// Filter registration path.
-	r = s.Apply(wire.Request{Op: wire.OpRegister, FuncID: 111, ElemWidth: 1,
+	r = s.Apply(wire.Request{Code: wire.OpRegister, FuncID: 111, ElemWidth: 1,
 		Param: []byte("v > 5")})
 	if r.Status != wire.StatusOK {
 		t.Fatalf("filter register failed: %+v", r)
 	}
 	// Bad source reports an error status.
-	r = s.Apply(wire.Request{Op: wire.OpRegister, FuncID: 112,
+	r = s.Apply(wire.Request{Code: wire.OpRegister, FuncID: 112,
 		Param: []byte("((")})
 	if r.Status != wire.StatusError {
 		t.Errorf("bad source register: %+v", r)

@@ -182,7 +182,7 @@ func TestScanIndexCoherentWithDeletes(t *testing.T) {
 		}
 	}
 	for i := 0; i < 20; i += 2 {
-		resp := s.Apply(wire.Request{Op: wire.OpDelete, Key: []byte(fmt.Sprintf("coh-%02d", i))})
+		resp := s.Apply(wire.Request{Code: wire.OpDelete, Key: []byte(fmt.Sprintf("coh-%02d", i))})
 		if resp.Status != wire.StatusOK {
 			t.Fatalf("wire delete failed: %d", resp.Status)
 		}
@@ -220,7 +220,7 @@ func TestScanWireApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp := s.Apply(wire.Request{Op: wire.OpScan, Key: []byte("wire-"), Value: param})
+	resp := s.Apply(wire.Request{Code: wire.OpScan, Key: []byte("wire-"), Value: param})
 	if resp.Status != wire.StatusOK {
 		t.Fatalf("scan failed: %s", resp.Value)
 	}
@@ -239,7 +239,7 @@ func TestScanWireApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp = s.Apply(wire.Request{Op: wire.OpScan, Key: []byte("wire-"), Value: param})
+	resp = s.Apply(wire.Request{Code: wire.OpScan, Key: []byte("wire-"), Value: param})
 	if resp.Status != wire.StatusOK {
 		t.Fatalf("resume failed: %s", resp.Value)
 	}
@@ -254,7 +254,7 @@ func TestScanWireApply(t *testing.T) {
 		t.Fatalf("resume started at %q, want wire-12", rest[0].Key)
 	}
 	// Malformed parameter is an error, not a panic.
-	resp = s.Apply(wire.Request{Op: wire.OpScan, Key: []byte("wire-")})
+	resp = s.Apply(wire.Request{Code: wire.OpScan, Key: []byte("wire-")})
 	if resp.Status != wire.StatusError {
 		t.Fatalf("empty scan param: status %d, want error", resp.Status)
 	}
@@ -322,7 +322,7 @@ func TestScanDisabledIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp := s.Apply(wire.Request{Op: wire.OpScan, Value: param})
+	resp := s.Apply(wire.Request{Code: wire.OpScan, Value: param})
 	if resp.Status != wire.StatusError {
 		t.Fatalf("wire scan on disabled index: status %d", resp.Status)
 	}

@@ -21,7 +21,7 @@ func TestApplyTracedChargesModelCounts(t *testing.T) {
 	// counters record across the op — measured, not re-derived.
 	before := s.Stats()
 	span := &telemetry.Span{}
-	resp := s.ApplyTraced(wire.Request{Op: wire.OpGet, Key: []byte("span-key")}, span)
+	resp := s.ApplyTraced(wire.Request{Code: wire.OpGet, Key: []byte("span-key")}, span)
 	after := s.Stats()
 	if resp.Status != wire.StatusOK {
 		t.Fatalf("traced GET status %d", resp.Status)
@@ -42,7 +42,7 @@ func TestApplyTracedChargesModelCounts(t *testing.T) {
 	}
 
 	// Nil span degrades to plain Apply.
-	resp = s.ApplyTraced(wire.Request{Op: wire.OpGet, Key: []byte("span-key")}, nil)
+	resp = s.ApplyTraced(wire.Request{Code: wire.OpGet, Key: []byte("span-key")}, nil)
 	if resp.Status != wire.StatusOK {
 		t.Fatalf("nil-span GET status %d", resp.Status)
 	}
@@ -55,9 +55,9 @@ func TestApplyBatchTracedAccumulates(t *testing.T) {
 	}
 	span := &telemetry.Span{}
 	reqs := []wire.Request{
-		{Op: wire.OpPut, Key: []byte("a"), Value: []byte("1")},
-		{Op: wire.OpPut, Key: []byte("b"), Value: []byte("2")},
-		{Op: wire.OpGet, Key: []byte("a")},
+		{Code: wire.OpPut, Key: []byte("a"), Value: []byte("1")},
+		{Code: wire.OpPut, Key: []byte("b"), Value: []byte("2")},
+		{Code: wire.OpGet, Key: []byte("a")},
 	}
 	resps := s.ApplyBatchTraced(reqs, span)
 	if len(resps) != 3 || resps[2].Status != wire.StatusOK {
@@ -74,7 +74,7 @@ func TestOpTelemetrySnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Without a registry the scrape fails explicitly.
-	resp := s.Apply(wire.Request{Op: wire.OpTelemetry})
+	resp := s.Apply(wire.Request{Code: wire.OpTelemetry})
 	if resp.Status != wire.StatusError {
 		t.Fatalf("scrape without registry: status %d", resp.Status)
 	}
@@ -87,7 +87,7 @@ func TestOpTelemetrySnapshot(t *testing.T) {
 	if err := s.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	resp = s.Apply(wire.Request{Op: wire.OpTelemetry})
+	resp = s.Apply(wire.Request{Code: wire.OpTelemetry})
 	if resp.Status != wire.StatusOK {
 		t.Fatalf("scrape status %d: %s", resp.Status, resp.Value)
 	}

@@ -50,7 +50,7 @@ func wireBytesPerOp(kvSize int) int {
 		v := make([]byte, valLen)
 		k[0] = byte(i)
 		v[0] = byte(i) // distinct values defeat same-value elision
-		reqs[i] = wire.Request{Op: wire.OpPut, Key: k, Value: v}
+		reqs[i] = wire.Request{Code: wire.OpPut, Key: k, Value: v}
 	}
 	n, err := wire.EncodedSize(reqs)
 	if err != nil {

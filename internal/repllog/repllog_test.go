@@ -12,7 +12,7 @@ import (
 func entry(t *testing.T, seq, epoch uint64) Entry {
 	t.Helper()
 	e, err := NewEntry(seq, epoch, wire.Request{
-		Op:    wire.OpPut,
+		Code:  wire.OpPut,
 		Key:   []byte(fmt.Sprintf("k%06d", seq)),
 		Value: []byte(fmt.Sprintf("v%06d", seq)),
 	})
@@ -43,8 +43,8 @@ func TestAppendSinceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if req.Op != wire.OpPut || string(req.Key) != "k000005" {
-		t.Fatalf("decoded %v %q", req.Op, req.Key)
+	if req.Code != wire.OpPut || string(req.Key) != "k000005" {
+		t.Fatalf("decoded %v %q", req.Code, req.Key)
 	}
 	if got, err := l.Since(10, nil); err != nil || got != nil {
 		t.Fatalf("Since(last) = %v, %v", got, err)

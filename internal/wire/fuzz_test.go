@@ -10,28 +10,28 @@ import (
 // it accepts again (decode∘encode idempotence on the accepted set).
 func FuzzDecodeRequests(f *testing.F) {
 	seed1, _ := AppendRequests(nil, []Request{
-		{Op: OpPut, Key: []byte("key"), Value: []byte("value")},
-		{Op: OpGet, Key: []byte("key")},
-		{Op: OpReduce, Key: []byte("v"), FuncID: 1, ElemWidth: 4, Param: []byte{0, 0, 0, 0}},
+		{Code: OpPut, Key: []byte("key"), Value: []byte("value")},
+		{Code: OpGet, Key: []byte("key")},
+		{Code: OpReduce, Key: []byte("v"), FuncID: 1, ElemWidth: 4, Param: []byte{0, 0, 0, 0}},
 	})
 	f.Add(seed1)
 	seed2, _ := AppendRequests(nil, []Request{
-		{Op: OpPut, Key: []byte("aaaa"), Value: bytes.Repeat([]byte{7}, 64)},
-		{Op: OpPut, Key: []byte("bbbb"), Value: bytes.Repeat([]byte{7}, 64)},
+		{Code: OpPut, Key: []byte("aaaa"), Value: bytes.Repeat([]byte{7}, 64)},
+		{Code: OpPut, Key: []byte("bbbb"), Value: bytes.Repeat([]byte{7}, 64)},
 	})
 	f.Add(seed2)
 	scanParam, _ := EncodeScanParam(100, []byte("resume-here"))
 	seed3, _ := AppendRequests(nil, []Request{
-		{Op: OpScan, Key: []byte("start"), Value: scanParam},
-		{Op: OpScan, Key: nil, Value: []byte{1, 0}},
+		{Code: OpScan, Key: []byte("start"), Value: scanParam},
+		{Code: OpScan, Key: nil, Value: []byte{1, 0}},
 	})
 	f.Add(seed3)
 	pvParam, _ := EncodePutVerParam(PutVerCAS, 7)
 	pvVal, _ := EncodeGwValue(3, []byte("payload"))
 	ctrParam, _ := EncodeCounterParam(CounterIncr, 1, 0, true)
 	seed4, _ := AppendRequests(nil, []Request{
-		{Op: OpPutVer, Key: []byte("item"), Value: pvVal, Param: pvParam},
-		{Op: OpCounterVer, Key: []byte("ctr"), Param: ctrParam},
+		{Code: OpPutVer, Key: []byte("item"), Value: pvVal, Param: pvParam},
+		{Code: OpCounterVer, Key: []byte("ctr"), Param: ctrParam},
 	})
 	f.Add(seed4)
 	f.Add([]byte{})
@@ -54,10 +54,10 @@ func FuzzDecodeRequests(f *testing.F) {
 			t.Fatalf("round trip changed op count: %d -> %d", len(reqs), len(again))
 		}
 		for i := range reqs {
-			if again[i].Op != reqs[i].Op || !bytes.Equal(again[i].Key, reqs[i].Key) {
+			if again[i].Code != reqs[i].Code || !bytes.Equal(again[i].Key, reqs[i].Key) {
 				t.Fatalf("round trip changed op %d", i)
 			}
-			if reqs[i].Op.HasValue() && !bytes.Equal(again[i].Value, reqs[i].Value) {
+			if reqs[i].Code.HasValue() && !bytes.Equal(again[i].Value, reqs[i].Value) {
 				t.Fatalf("round trip changed value %d", i)
 			}
 		}

@@ -103,7 +103,7 @@ const (
 
 // Fixed sizes of the gateway op parameter/reply encodings.
 const (
-	putVerParamBytes   = 1 + 8         // mode + expect
+	PutVerParamBytes   = 1 + 8         // mode + expect
 	putVerReplyBytes   = 8 + 1 + 4     // version + existed + oldlen
 	counterParamBytes  = 1 + 8 + 8 + 1 // sub + delta + initial + create
 	counterReplyBytes  = 8 + 8         // value + version
@@ -121,18 +121,22 @@ var (
 
 // EncodePutVerParam packs an OpPutVer condition.
 func EncodePutVerParam(mode PutVerMode, expect uint64) ([]byte, error) {
+	return AppendPutVerParam(make([]byte, 0, PutVerParamBytes), mode, expect)
+}
+
+// AppendPutVerParam appends an OpPutVer condition (PutVerParamBytes) to
+// dst.
+func AppendPutVerParam(dst []byte, mode PutVerMode, expect uint64) ([]byte, error) {
 	if !mode.Valid() {
 		return nil, ErrPutVerMode
 	}
-	out := make([]byte, putVerParamBytes)
-	out[0] = uint8(mode)
-	binary.LittleEndian.PutUint64(out[1:], expect)
-	return out, nil
+	dst = append(dst, uint8(mode))
+	return binary.LittleEndian.AppendUint64(dst, expect), nil
 }
 
 // DecodePutVerParam unpacks an OpPutVer condition.
 func DecodePutVerParam(p []byte) (mode PutVerMode, expect uint64, err error) {
-	if len(p) != putVerParamBytes {
+	if len(p) != PutVerParamBytes {
 		return 0, 0, ErrPutVerParam
 	}
 	mode = PutVerMode(p[0])
@@ -147,10 +151,17 @@ func EncodeGwValue(flags uint32, payload []byte) ([]byte, error) {
 	if len(payload) > MaxGwPayload {
 		return nil, ErrValTooLong
 	}
-	out := make([]byte, gwValueHeaderBytes+len(payload))
-	binary.LittleEndian.PutUint32(out, flags)
-	copy(out[gwValueHeaderBytes:], payload)
-	return out, nil
+	return AppendGwValue(make([]byte, 0, gwValueHeaderBytes+len(payload)), flags, payload)
+}
+
+// AppendGwValue appends a request value (flags | payload, GwFlagsBytes
+// longer than the payload) to dst.
+func AppendGwValue(dst []byte, flags uint32, payload []byte) ([]byte, error) {
+	if len(payload) > MaxGwPayload {
+		return nil, ErrValTooLong
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, flags)
+	return append(dst, payload...), nil
 }
 
 // DecodeGwValue splits an OpPutVer request value into flags and payload.
@@ -159,7 +170,7 @@ func DecodeGwValue(v []byte) (flags uint32, payload []byte, err error) {
 		return 0, nil, ErrPutVerValue
 	}
 	rest := v[gwValueHeaderBytes:]
-	return binary.LittleEndian.Uint32(v), rest[: len(rest) : len(rest)], nil
+	return binary.LittleEndian.Uint32(v), rest[:len(rest):len(rest)], nil
 }
 
 // EncodePutVerReply packs an OpPutVer success reply.
@@ -247,7 +258,7 @@ func DecodeGwItem(stored []byte) GwItem {
 	return GwItem{
 		Version: binary.LittleEndian.Uint64(stored),
 		Flags:   binary.LittleEndian.Uint32(stored[GwVersionBytes:]),
-		Payload: rest[: len(rest) : len(rest)],
+		Payload: rest[:len(rest):len(rest)],
 	}
 }
 

@@ -32,10 +32,10 @@ func TestPutVerParamRejects(t *testing.T) {
 	if _, _, err := DecodePutVerParam(nil); err != ErrPutVerParam {
 		t.Fatalf("nil param: %v", err)
 	}
-	if _, _, err := DecodePutVerParam(make([]byte, putVerParamBytes-1)); err != ErrPutVerParam {
+	if _, _, err := DecodePutVerParam(make([]byte, PutVerParamBytes-1)); err != ErrPutVerParam {
 		t.Fatalf("short param: %v", err)
 	}
-	bad := make([]byte, putVerParamBytes)
+	bad := make([]byte, PutVerParamBytes)
 	bad[0] = uint8(putVerMax)
 	if _, _, err := DecodePutVerParam(bad); err != ErrPutVerMode {
 		t.Fatalf("bad mode: %v", err)
@@ -149,9 +149,9 @@ func TestPutVerOnTheWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	reqs := []Request{
-		{Op: OpPutVer, Key: []byte("k"), Value: val, Param: param},
-		{Op: OpCounterVer, Key: []byte("n"), Param: cparam},
-		{Op: OpGet, Key: []byte("k")},
+		{Code: OpPutVer, Key: []byte("k"), Value: val, Param: param},
+		{Code: OpCounterVer, Key: []byte("n"), Param: cparam},
+		{Code: OpGet, Key: []byte("k")},
 	}
 	pkt, err := AppendRequests(nil, reqs)
 	if err != nil {
@@ -165,7 +165,7 @@ func TestPutVerOnTheWire(t *testing.T) {
 		t.Fatalf("decoded %d ops", len(got))
 	}
 	for i := range reqs {
-		if got[i].Op != reqs[i].Op || !bytes.Equal(got[i].Key, reqs[i].Key) ||
+		if got[i].Code != reqs[i].Code || !bytes.Equal(got[i].Key, reqs[i].Key) ||
 			!bytes.Equal(got[i].Value, reqs[i].Value) ||
 			!bytes.Equal(got[i].Param, reqs[i].Param) {
 			t.Fatalf("op %d changed: %+v vs %+v", i, got[i], reqs[i])

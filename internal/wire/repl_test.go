@@ -39,7 +39,7 @@ func TestReplMessageAppendPayloadCarriesRequestPacket(t *testing.T) {
 	// The Append payload is a standard single-op request packet, so the
 	// backup reuses the vector operation decoder unchanged.
 	inner, err := AppendRequests(nil, []Request{
-		{Op: OpPut, Key: []byte("k"), Value: []byte("v")},
+		{Code: OpPut, Key: []byte("k"), Value: []byte("v")},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +58,7 @@ func TestReplMessageAppendPayloadCarriesRequestPacket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reqs) != 1 || reqs[0].Op != OpPut || string(reqs[0].Key) != "k" {
+	if len(reqs) != 1 || reqs[0].Code != OpPut || string(reqs[0].Key) != "k" {
 		t.Fatalf("decoded %+v", reqs)
 	}
 }

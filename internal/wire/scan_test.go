@@ -120,7 +120,7 @@ func TestScanOpFraming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkt, err := AppendRequests(nil, []Request{{Op: OpScan, Key: []byte("start"), Value: param}})
+	pkt, err := AppendRequests(nil, []Request{{Code: OpScan, Key: []byte("start"), Value: param}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,8 +128,8 @@ func TestScanOpFraming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reqs) != 1 || reqs[0].Op != OpScan {
-		t.Fatalf("decoded %d reqs, op %v", len(reqs), reqs[0].Op)
+	if len(reqs) != 1 || reqs[0].Code != OpScan {
+		t.Fatalf("decoded %d reqs, op %v", len(reqs), reqs[0].Code)
 	}
 	limit, cursor, err := DecodeScanParam(reqs[0].Value)
 	if err != nil {

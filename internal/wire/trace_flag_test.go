@@ -7,8 +7,8 @@ import (
 
 func TestMarkTraced(t *testing.T) {
 	reqs := []Request{
-		{Op: OpGet, Key: []byte("alpha")},
-		{Op: OpPut, Key: []byte("alpha"), Value: []byte("v")},
+		{Code: OpGet, Key: []byte("alpha")},
+		{Code: OpPut, Key: []byte("alpha"), Value: []byte("v")},
 	}
 	pkt, err := AppendRequests(nil, reqs)
 	if err != nil {
@@ -28,7 +28,7 @@ func TestMarkTraced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0].Op != OpGet || !bytes.Equal(got[1].Value, []byte("v")) {
+	if len(got) != 2 || got[0].Code != OpGet || !bytes.Equal(got[1].Value, []byte("v")) {
 		t.Fatalf("traced packet decoded wrong: %+v", got)
 	}
 	// Re-encoding decoded requests drops the flag (it lives on the
@@ -71,12 +71,12 @@ func TestOpTelemetryCode(t *testing.T) {
 	if OpTelemetry.String() != "TELEMETRY" {
 		t.Fatalf("String() = %q", OpTelemetry.String())
 	}
-	pkt, err := AppendRequests(nil, []Request{{Op: OpTelemetry}})
+	pkt, err := AppendRequests(nil, []Request{{Code: OpTelemetry}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	got, err := DecodeRequests(pkt)
-	if err != nil || len(got) != 1 || got[0].Op != OpTelemetry {
+	if err != nil || len(got) != 1 || got[0].Code != OpTelemetry {
 		t.Fatalf("round trip: %v %+v", err, got)
 	}
 }

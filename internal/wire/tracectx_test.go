@@ -51,7 +51,7 @@ func TestDecodeTraceContextRejects(t *testing.T) {
 }
 
 func TestMarkTraceContext(t *testing.T) {
-	reqs := []Request{{Op: OpPut, Key: []byte("k"), Value: []byte("v")}, {Op: OpGet, Key: []byte("k")}}
+	reqs := []Request{{Code: OpPut, Key: []byte("k"), Value: []byte("v")}, {Code: OpGet, Key: []byte("k")}}
 	pkt, err := AppendRequests(nil, reqs)
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestMarkTraceContext(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode marked packet: %v", err)
 	}
-	if len(dec) != len(reqs) || dec[0].Op != OpPut || !bytes.Equal(dec[1].Key, []byte("k")) {
+	if len(dec) != len(reqs) || dec[0].Code != OpPut || !bytes.Equal(dec[1].Key, []byte("k")) {
 		t.Fatalf("marked packet decoded wrong: %+v", dec)
 	}
 
@@ -98,7 +98,7 @@ func TestMarkTraceContext(t *testing.T) {
 }
 
 func TestMarkTraceContextComposesWithMarkTraced(t *testing.T) {
-	pkt, err := AppendRequests(nil, []Request{{Op: OpGet, Key: []byte("x")}})
+	pkt, err := AppendRequests(nil, []Request{{Code: OpGet, Key: []byte("x")}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,6 +27,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Packet header.
@@ -133,7 +134,7 @@ const (
 
 // Request is one decoded KV operation.
 type Request struct {
-	Op        OpCode
+	Code      OpCode
 	Key       []byte
 	Value     []byte // PUT payload or UpdateV2V operand vector
 	FuncID    uint8  // registered update function
@@ -175,6 +176,17 @@ type Response struct {
 	Value  []byte
 }
 
+// OK reports whether the operation succeeded.
+func (r Response) OK() bool { return r.Status == StatusOK }
+
+// NotFound reports whether the key was absent.
+func (r Response) NotFound() bool { return r.Status == StatusNotFound }
+
+// NotPrimary reports whether a replica rejected the operation because it
+// is not its group's primary (Value optionally holds the primary's
+// address).
+func (r Response) NotPrimary() bool { return r.Status == StatusNotPrimary }
+
 // Decoding errors.
 var (
 	ErrBadMagic    = errors.New("wire: bad magic")
@@ -205,7 +217,7 @@ func AppendRequests(dst []byte, reqs []Request) ([]byte, error) {
 	var prevValue []byte
 	havePrevValue := false
 	for i, r := range reqs {
-		if !r.Op.Valid() {
+		if !r.Code.Valid() {
 			return nil, ErrBadOpcode
 		}
 		if len(r.Key) > 255 {
@@ -218,14 +230,14 @@ func AppendRequests(dst []byte, reqs []Request) ([]byte, error) {
 			return nil, ErrParamTooBig
 		}
 		vlen := 0
-		if r.Op.HasValue() {
+		if r.Code.HasValue() {
 			vlen = len(r.Value)
 		}
 		var flags uint8
 		if i > 0 && len(r.Key) == prevK && vlen == prevV {
 			flags |= FlagSameSizes
 		}
-		if r.Op.HasValue() && havePrevValue && vlen == len(prevValue) &&
+		if r.Code.HasValue() && havePrevValue && vlen == len(prevValue) &&
 			vlen == prevV && bytesEqual(r.Value, prevValue) {
 			// Same value as the previous op: elide the payload. The
 			// sizes flag must also hold so the decoder knows vlen.
@@ -233,7 +245,7 @@ func AppendRequests(dst []byte, reqs []Request) ([]byte, error) {
 				flags |= FlagSameValue
 			}
 		}
-		dst = append(dst, uint8(r.Op), flags)
+		dst = append(dst, uint8(r.Code), flags)
 		if flags&FlagSameSizes == 0 {
 			dst = append(dst, uint8(len(r.Key)))
 			var v [2]byte
@@ -242,7 +254,7 @@ func AppendRequests(dst []byte, reqs []Request) ([]byte, error) {
 			prevK, prevV = len(r.Key), vlen
 		}
 		dst = append(dst, r.Key...)
-		if r.Op.HasValue() {
+		if r.Code.HasValue() {
 			if flags&FlagSameValue == 0 {
 				dst = append(dst, r.Value...)
 				prevValue = r.Value
@@ -251,7 +263,7 @@ func AppendRequests(dst []byte, reqs []Request) ([]byte, error) {
 		} else {
 			havePrevValue = false
 		}
-		if r.Op.HasParam() {
+		if r.Code.HasParam() {
 			dst = append(dst, r.FuncID, r.ElemWidth, uint8(len(r.Param)))
 			dst = append(dst, r.Param...)
 		}
@@ -262,6 +274,12 @@ func AppendRequests(dst []byte, reqs []Request) ([]byte, error) {
 // DecodeRequests unpacks one packet. This is the software model of the
 // FPGA's vector operation decoder.
 func DecodeRequests(pkt []byte) ([]Request, error) {
+	return DecodeRequestsTo(nil, pkt)
+}
+
+// DecodeRequestsTo is DecodeRequests appending to dst, for a serve loop
+// that recycles its request slice. The requests alias pkt.
+func DecodeRequestsTo(dst []Request, pkt []byte) ([]Request, error) {
 	if len(pkt) < HeaderBytes {
 		return nil, ErrTruncated
 	}
@@ -274,7 +292,7 @@ func DecodeRequests(pkt []byte) ([]Request, error) {
 	count := int(binary.LittleEndian.Uint16(pkt[3:]))
 	p := pkt[HeaderBytes:]
 
-	reqs := make([]Request, 0, count)
+	reqs := slices.Grow(dst, count)
 	var prevK, prevV int
 	var prevValue []byte
 	for i := 0; i < count; i++ {
@@ -301,7 +319,7 @@ func DecodeRequests(pkt []byte) ([]Request, error) {
 		if len(p) < klen {
 			return nil, ErrTruncated
 		}
-		r := Request{Op: op, Key: p[:klen:klen]}
+		r := Request{Code: op, Key: p[:klen:klen]}
 		p = p[klen:]
 		if op.HasValue() {
 			if flags&FlagSameValue != 0 {

@@ -10,17 +10,17 @@ import (
 
 func TestRequestRoundTrip(t *testing.T) {
 	reqs := []Request{
-		{Op: OpGet, Key: []byte("k1")},
-		{Op: OpPut, Key: []byte("key-two"), Value: []byte("value-two")},
-		{Op: OpDelete, Key: []byte("k3")},
-		{Op: OpUpdateScalar, Key: []byte("ctr"), FuncID: 1, ElemWidth: 8,
+		{Code: OpGet, Key: []byte("k1")},
+		{Code: OpPut, Key: []byte("key-two"), Value: []byte("value-two")},
+		{Code: OpDelete, Key: []byte("k3")},
+		{Code: OpUpdateScalar, Key: []byte("ctr"), FuncID: 1, ElemWidth: 8,
 			Param: []byte{1, 0, 0, 0, 0, 0, 0, 0}},
-		{Op: OpUpdateS2V, Key: []byte("vec"), FuncID: 2, ElemWidth: 4,
+		{Code: OpUpdateS2V, Key: []byte("vec"), FuncID: 2, ElemWidth: 4,
 			Param: []byte{5, 0, 0, 0}},
-		{Op: OpUpdateV2V, Key: []byte("vec2"), Value: []byte{1, 2, 3, 4, 5, 6, 7, 8},
+		{Code: OpUpdateV2V, Key: []byte("vec2"), Value: []byte{1, 2, 3, 4, 5, 6, 7, 8},
 			FuncID: 3, ElemWidth: 4},
-		{Op: OpReduce, Key: []byte("vec"), FuncID: 4, ElemWidth: 8, Param: make([]byte, 8)},
-		{Op: OpFilter, Key: []byte("sparse"), FuncID: 5, ElemWidth: 4},
+		{Code: OpReduce, Key: []byte("vec"), FuncID: 4, ElemWidth: 8, Param: make([]byte, 8)},
+		{Code: OpFilter, Key: []byte("sparse"), FuncID: 5, ElemWidth: 4},
 	}
 	pkt, err := AppendRequests(nil, reqs)
 	if err != nil {
@@ -35,7 +35,7 @@ func TestRequestRoundTrip(t *testing.T) {
 	}
 	for i := range reqs {
 		r, g := reqs[i], got[i]
-		if g.Op != r.Op || !bytes.Equal(g.Key, r.Key) || !bytes.Equal(g.Value, r.Value) ||
+		if g.Code != r.Code || !bytes.Equal(g.Key, r.Key) || !bytes.Equal(g.Value, r.Value) ||
 			g.FuncID != r.FuncID || g.ElemWidth != r.ElemWidth || !bytes.Equal(g.Param, r.Param) {
 			t.Errorf("op %d mismatch:\n got %+v\nwant %+v", i, g, r)
 		}
@@ -72,7 +72,7 @@ func TestSameSizeCompression(t *testing.T) {
 	// per-op header cost (the paper's repetitive-workload optimization).
 	uniform := make([]Request, 64)
 	for i := range uniform {
-		uniform[i] = Request{Op: OpPut,
+		uniform[i] = Request{Code: OpPut,
 			Key:   []byte(fmt.Sprintf("key%05d", i)),
 			Value: []byte(fmt.Sprintf("val%05d", i))}
 	}
@@ -92,7 +92,7 @@ func TestSameValueCompression(t *testing.T) {
 	same := make([]Request, 32)
 	val := bytes.Repeat([]byte{7}, 100)
 	for i := range same {
-		same[i] = Request{Op: OpPut, Key: []byte(fmt.Sprintf("key%04d", i)), Value: val}
+		same[i] = Request{Code: OpPut, Key: []byte(fmt.Sprintf("key%04d", i)), Value: val}
 	}
 	nSame, _ := EncodedSize(same)
 	// Without value elision this would be >= 32*100 bytes of payload.
@@ -113,7 +113,7 @@ func TestSameValueCompression(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	good, _ := AppendRequests(nil, []Request{{Op: OpGet, Key: []byte("k")}})
+	good, _ := AppendRequests(nil, []Request{{Code: OpGet, Key: []byte("k")}})
 	cases := map[string][]byte{
 		"empty":        {},
 		"short header": good[:3],
@@ -129,7 +129,7 @@ func TestDecodeErrors(t *testing.T) {
 }
 
 func TestDecodeBadOpcode(t *testing.T) {
-	pkt, _ := AppendRequests(nil, []Request{{Op: OpGet, Key: []byte("k")}})
+	pkt, _ := AppendRequests(nil, []Request{{Code: OpGet, Key: []byte("k")}})
 	pkt[HeaderBytes] = 200 // corrupt opcode
 	if _, err := DecodeRequests(pkt); err != ErrBadOpcode {
 		t.Errorf("got %v, want ErrBadOpcode", err)
@@ -138,7 +138,7 @@ func TestDecodeBadOpcode(t *testing.T) {
 
 func TestFirstOpCannotReferencePrevious(t *testing.T) {
 	// Hand-craft a packet whose first op sets FlagSameSizes.
-	pkt, _ := AppendRequests(nil, []Request{{Op: OpGet, Key: []byte("k")}})
+	pkt, _ := AppendRequests(nil, []Request{{Code: OpGet, Key: []byte("k")}})
 	pkt[HeaderBytes+1] |= FlagSameSizes
 	if _, err := DecodeRequests(pkt); err != ErrFirstFlags {
 		t.Errorf("got %v, want ErrFirstFlags", err)
@@ -146,16 +146,16 @@ func TestFirstOpCannotReferencePrevious(t *testing.T) {
 }
 
 func TestEncodeValidation(t *testing.T) {
-	if _, err := AppendRequests(nil, []Request{{Op: OpCode(99), Key: []byte("k")}}); err != ErrBadOpcode {
+	if _, err := AppendRequests(nil, []Request{{Code: OpCode(99), Key: []byte("k")}}); err != ErrBadOpcode {
 		t.Errorf("bad opcode: %v", err)
 	}
-	if _, err := AppendRequests(nil, []Request{{Op: OpGet, Key: make([]byte, 300)}}); err != ErrKeyTooLong {
+	if _, err := AppendRequests(nil, []Request{{Code: OpGet, Key: make([]byte, 300)}}); err != ErrKeyTooLong {
 		t.Errorf("long key: %v", err)
 	}
-	if _, err := AppendRequests(nil, []Request{{Op: OpPut, Key: []byte("k"), Value: make([]byte, 70000)}}); err != ErrValTooLong {
+	if _, err := AppendRequests(nil, []Request{{Code: OpPut, Key: []byte("k"), Value: make([]byte, 70000)}}); err != ErrValTooLong {
 		t.Errorf("long value: %v", err)
 	}
-	if _, err := AppendRequests(nil, []Request{{Op: OpReduce, Key: []byte("k"), Param: make([]byte, 300)}}); err != ErrParamTooBig {
+	if _, err := AppendRequests(nil, []Request{{Code: OpReduce, Key: []byte("k"), Param: make([]byte, 300)}}); err != ErrParamTooBig {
 		t.Errorf("big param: %v", err)
 	}
 }
@@ -168,7 +168,7 @@ func TestRoundTripProperty(t *testing.T) {
 		reqs := make([]Request, n)
 		for i := range reqs {
 			op := ops[rng.Intn(len(ops))]
-			r := Request{Op: op, Key: make([]byte, 1+rng.Intn(32))}
+			r := Request{Code: op, Key: make([]byte, 1+rng.Intn(32))}
 			rng.Read(r.Key)
 			if op.HasValue() {
 				// Sometimes repeat sizes/values to exercise compression.
@@ -200,12 +200,12 @@ func TestRoundTripProperty(t *testing.T) {
 		}
 		for i := range reqs {
 			r, g := reqs[i], got[i]
-			if g.Op != r.Op || !bytes.Equal(g.Key, r.Key) ||
+			if g.Code != r.Code || !bytes.Equal(g.Key, r.Key) ||
 				g.FuncID != r.FuncID || g.ElemWidth != r.ElemWidth ||
 				!bytes.Equal(g.Param, r.Param) {
 				return false
 			}
-			if r.Op.HasValue() && !bytes.Equal(g.Value, r.Value) {
+			if r.Code.HasValue() && !bytes.Equal(g.Value, r.Value) {
 				return false
 			}
 		}
@@ -219,8 +219,8 @@ func TestRoundTripProperty(t *testing.T) {
 func TestFuzzDecodeNeverPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	base, _ := AppendRequests(nil, []Request{
-		{Op: OpPut, Key: []byte("abc"), Value: []byte("def")},
-		{Op: OpGet, Key: []byte("ghi")},
+		{Code: OpPut, Key: []byte("abc"), Value: []byte("def")},
+		{Code: OpGet, Key: []byte("ghi")},
 	})
 	for i := 0; i < 5000; i++ {
 		pkt := append([]byte(nil), base...)

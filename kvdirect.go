@@ -122,37 +122,37 @@ const (
 type Health = core.Health
 
 // OpCode identifies a wire-level operation (Table 1).
-type OpCode uint8
+type OpCode = wire.OpCode
 
 // Wire operation codes, usable with Op/Result batches over kvnet.
 const (
-	OpGet          = OpCode(wire.OpGet)
-	OpPut          = OpCode(wire.OpPut)
-	OpDelete       = OpCode(wire.OpDelete)
-	OpUpdateScalar = OpCode(wire.OpUpdateScalar)
-	OpUpdateS2V    = OpCode(wire.OpUpdateS2V)
-	OpUpdateV2V    = OpCode(wire.OpUpdateV2V)
-	OpReduce       = OpCode(wire.OpReduce)
-	OpFilter       = OpCode(wire.OpFilter)
+	OpGet          = wire.OpGet
+	OpPut          = wire.OpPut
+	OpDelete       = wire.OpDelete
+	OpUpdateScalar = wire.OpUpdateScalar
+	OpUpdateS2V    = wire.OpUpdateS2V
+	OpUpdateV2V    = wire.OpUpdateV2V
+	OpReduce       = wire.OpReduce
+	OpFilter       = wire.OpFilter
 	// OpRegister installs a λ expression on the server before use
 	// (Param = expression source; ElemWidth 0 = update, 1 = filter).
-	OpRegister = OpCode(wire.OpRegister)
+	OpRegister = wire.OpRegister
 	// OpStats fetches server counters as key=value text.
-	OpStats = OpCode(wire.OpStats)
+	OpStats = wire.OpStats
 	// OpTelemetry fetches the unified telemetry snapshot as JSON (see
 	// internal/telemetry); fails unless a registry is attached.
-	OpTelemetry = OpCode(wire.OpTelemetry)
+	OpTelemetry = wire.OpTelemetry
 	// OpScan performs an ordered range scan: Key is the start key and
 	// Value an encoded scan parameter (build with ScanOp); the response
 	// value is a scan page (decode with DecodeScanResult).
-	OpScan = OpCode(wire.OpScan)
+	OpScan = wire.OpScan
 	// OpPutVer is the versioned conditional store the protocol gateway
 	// maps the memcache storage family onto (build with PutVerOp /
 	// DeleteVerOp, decode with DecodePutVerResult).
-	OpPutVer = OpCode(wire.OpPutVer)
+	OpPutVer = wire.OpPutVer
 	// OpCounterVer atomically adjusts an ASCII-decimal counter item
 	// (build with CounterOp, decode with DecodeCounterResult).
-	OpCounterVer = OpCode(wire.OpCounterVer)
+	OpCounterVer = wire.OpCounterVer
 )
 
 // Result status codes.
@@ -175,57 +175,14 @@ const (
 	StatusFull = wire.StatusFull
 )
 
-// Op is one operation in a client batch.
-type Op struct {
-	Code      OpCode
-	Key       []byte
-	Value     []byte // PUT payload or vector operand
-	FuncID    uint8  // registered λ for update/reduce/filter
-	ElemWidth uint8  // vector element width in bytes
-	Param     []byte // scalar parameter or initial accumulator
-}
+// Op is one operation in a client batch. It is the wire package's own
+// request type, so a batch reaches the core apply path — in process or
+// through the codec — without being converted.
+type Op = wire.Request
 
-// Result is one operation outcome.
-type Result struct {
-	Status uint8
-	Value  []byte
-}
-
-// OK reports whether the operation succeeded.
-func (r Result) OK() bool { return r.Status == StatusOK }
-
-// NotFound reports whether the key was absent.
-func (r Result) NotFound() bool { return r.Status == StatusNotFound }
-
-// NotPrimary reports whether a replica rejected the operation because it
-// is not its group's primary (Value optionally holds the primary's
-// address).
-func (r Result) NotPrimary() bool { return r.Status == StatusNotPrimary }
-
-// toWire converts public ops to the internal wire representation.
-func toWire(ops []Op) []wire.Request {
-	out := make([]wire.Request, len(ops))
-	for i, op := range ops {
-		out[i] = wire.Request{
-			Op:        wire.OpCode(op.Code),
-			Key:       op.Key,
-			Value:     op.Value,
-			FuncID:    op.FuncID,
-			ElemWidth: op.ElemWidth,
-			Param:     op.Param,
-		}
-	}
-	return out
-}
-
-// fromWire converts internal responses to public results.
-func fromWire(resps []wire.Response) []Result {
-	out := make([]Result, len(resps))
-	for i, r := range resps {
-		out[i] = Result{Status: r.Status, Value: r.Value}
-	}
-	return out
-}
+// Result is one operation outcome (see wire.Response for OK, NotFound
+// and NotPrimary).
+type Result = wire.Response
 
 // PutVerMode selects the condition of a versioned store (PutVerOp).
 type PutVerMode = wire.PutVerMode
@@ -389,20 +346,16 @@ func MergeScanPages(pages [][]ScanEntry, cursors [][]byte, limit int) ([]ScanEnt
 // mirroring what a network round trip would do (dependent operations in
 // one batch see each other's effects).
 func Execute(s *Store, ops []Op) []Result {
-	return fromWire(s.ApplyBatch(toWire(ops)))
+	return s.ApplyBatch(ops)
 }
 
 // EncodeBatch and DecodeResults expose the wire codec for transports
 // (used by kvnet; exported for custom integrations and fuzzing).
 func EncodeBatch(ops []Op) ([]byte, error) {
-	return wire.AppendRequests(nil, toWire(ops))
+	return wire.AppendRequests(nil, ops)
 }
 
 // DecodeResults parses a response packet produced by a KV-Direct server.
 func DecodeResults(pkt []byte) ([]Result, error) {
-	resps, err := wire.DecodeResponses(pkt)
-	if err != nil {
-		return nil, err
-	}
-	return fromWire(resps), nil
+	return wire.DecodeResponses(pkt)
 }

@@ -2,6 +2,7 @@ package kvgw
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -17,7 +18,8 @@ type Client struct {
 	r      *bufio.Reader
 	w      *bufio.Writer
 	opaque uint32
-	buf    []byte
+	buf    []byte // the request frame being sent
+	frame  []byte // the response frame last received
 }
 
 // DialClient connects to a gateway.
@@ -34,10 +36,11 @@ func DialClient(addr string) (*Client, error) {
 // Close tears down the connection.
 func (c *Client) Close() error { return c.nc.Close() }
 
+//kvd:hotpath
 func (c *Client) send(req Request) error {
 	c.opaque++
 	req.Opaque = c.opaque
-	out, err := AppendRequest(c.buf[:0], req)
+	out, err := AppendRequest(c.buf[:0], req) //lint:allow hotalloc -- the frame buffer grows to the largest request sent, then is reused
 	if err != nil {
 		return err
 	}
@@ -46,21 +49,27 @@ func (c *Client) send(req Request) error {
 	return err
 }
 
+// recv reads one response. Its Extras, Key and Value alias the client's
+// frame buffer and are good until the next recv; what a caller hands on
+// it copies.
 func (c *Client) recv() (Response, error) {
 	if err := c.w.Flush(); err != nil {
 		return Response{}, err
 	}
-	var hdr [HeaderSize]byte
-	if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
+	hdr, err := c.r.Peek(HeaderSize)
+	if err != nil {
 		return Response{}, err
 	}
-	bodyLen := int(uint32(hdr[8])<<24 | uint32(hdr[9])<<16 | uint32(hdr[10])<<8 | uint32(hdr[11]))
+	bodyLen := int(binary.BigEndian.Uint32(hdr[8:]))
 	if bodyLen > MaxBodyLen {
 		return Response{}, ErrBodyLen
 	}
-	frame := make([]byte, HeaderSize+bodyLen)
-	copy(frame, hdr[:])
-	if _, err := io.ReadFull(c.r, frame[HeaderSize:]); err != nil {
+	need := HeaderSize + bodyLen
+	if cap(c.frame) < need {
+		c.frame = make([]byte, need)
+	}
+	frame := c.frame[:need]
+	if _, err := io.ReadFull(c.r, frame); err != nil {
 		return Response{}, err
 	}
 	resp, _, err := DecodeResponse(frame)
@@ -98,10 +107,9 @@ func (c *Client) Get(key []byte) (value []byte, flags uint32, cas uint64, found 
 	switch resp.Status {
 	case StatusOK:
 		if len(resp.Extras) == 4 {
-			flags = uint32(resp.Extras[0])<<24 | uint32(resp.Extras[1])<<16 |
-				uint32(resp.Extras[2])<<8 | uint32(resp.Extras[3])
+			flags = binary.BigEndian.Uint32(resp.Extras)
 		}
-		return resp.Value, flags, resp.CAS, true, nil
+		return append([]byte(nil), resp.Value...), flags, resp.CAS, true, nil
 	case StatusKeyNotFound:
 		return nil, 0, 0, false, nil
 	}
@@ -113,13 +121,11 @@ func (c *Client) Get(key []byte) (value []byte, flags uint32, cas uint64, found 
 // (KEY_EXISTS on a lost CAS race) without string matching.
 func (c *Client) Store(opcode uint8, key, value []byte, flags uint32, cas uint64) (newCAS uint64, status uint16, err error) {
 	req := Request{Opcode: opcode, Key: key, Value: value, CAS: cas}
+	var extras [8]byte // flags u32 | expiry u32
 	switch opcode {
 	case CmdSet, CmdAdd, CmdReplace:
-		req.Extras = make([]byte, 8)
-		req.Extras[0] = byte(flags >> 24)
-		req.Extras[1] = byte(flags >> 16)
-		req.Extras[2] = byte(flags >> 8)
-		req.Extras[3] = byte(flags)
+		binary.BigEndian.PutUint32(extras[:], flags)
+		req.Extras = extras[:]
 	}
 	resp, err := c.roundTrip(req)
 	if err != nil {
@@ -152,29 +158,22 @@ func (c *Client) Delete(key []byte, cas uint64) (status uint16, err error) {
 // Counter issues INCR (incr=true) or DECR. create=false sets the "do
 // not vivify" expiry.
 func (c *Client) Counter(key []byte, incr bool, delta, initial uint64, create bool) (value, cas uint64, status uint16, err error) {
-	extras := make([]byte, 20)
-	put64 := func(off int, v uint64) {
-		for i := 0; i < 8; i++ {
-			extras[off+i] = byte(v >> (56 - 8*i))
-		}
-	}
-	put64(0, delta)
-	put64(8, initial)
+	var extras [20]byte // delta u64 | initial u64 | expiry u32
+	binary.BigEndian.PutUint64(extras[:], delta)
+	binary.BigEndian.PutUint64(extras[8:], initial)
 	if !create {
-		extras[16], extras[17], extras[18], extras[19] = 0xff, 0xff, 0xff, 0xff
+		binary.BigEndian.PutUint32(extras[16:], 0xffffffff)
 	}
 	opcode := uint8(CmdIncr)
 	if !incr {
 		opcode = CmdDecr
 	}
-	resp, err := c.roundTrip(Request{Opcode: opcode, Key: key, Extras: extras})
+	resp, err := c.roundTrip(Request{Opcode: opcode, Key: key, Extras: extras[:]})
 	if err != nil {
 		return 0, 0, 0, err
 	}
 	if resp.Status == StatusOK && len(resp.Value) == 8 {
-		for _, b := range resp.Value {
-			value = value<<8 | uint64(b)
-		}
+		value = binary.BigEndian.Uint64(resp.Value)
 	}
 	return value, resp.CAS, resp.Status, nil
 }
@@ -225,15 +224,12 @@ func (c *Client) Stats() (map[string]string, error) {
 // flush, one response frame (plus any error frames), the memcache
 // idiom the gateway turns into a single backend batch per buffered
 // chunk. It returns the number of SETs that reported an error.
-func (c *Client) SetBatch(keys, values [][]byte, flags uint32) (errors int, err error) {
+func (c *Client) SetBatch(keys, values [][]byte, flags uint32) (refused int, err error) {
+	var extras [8]byte // flags u32 | expiry u32
+	binary.BigEndian.PutUint32(extras[:], flags)
 	for i := range keys {
-		req := Request{Opcode: CmdSetQ, Key: keys[i], Value: values[i],
-			Extras: make([]byte, 8)}
-		req.Extras[0] = byte(flags >> 24)
-		req.Extras[1] = byte(flags >> 16)
-		req.Extras[2] = byte(flags >> 8)
-		req.Extras[3] = byte(flags)
-		if err := c.send(req); err != nil {
+		if err := c.send(Request{Opcode: CmdSetQ, Key: keys[i], Value: values[i],
+			Extras: extras[:]}); err != nil {
 			return 0, err
 		}
 	}
@@ -243,17 +239,21 @@ func (c *Client) SetBatch(keys, values [][]byte, flags uint32) (errors int, err 
 	for {
 		resp, err := c.recv()
 		if err != nil {
-			return errors, err
+			return refused, err
 		}
 		if resp.Opcode == CmdNoop {
-			return errors, nil
+			return refused, nil
 		}
-		errors++
+		refused++
 	}
 }
 
 // GetBatch pipelines quiet GETs terminated by a NOOP, returning hit
-// values keyed by opaque order (nil for misses).
+// values keyed by opaque order (nil for misses). The values are the
+// caller's. They are cut from a slab sized, at the first hit, for as
+// many values of that length as keys remain (64 KiB at most, or the one
+// value), so a run of like-sized values costs one allocation, not one
+// per hit.
 func (c *Client) GetBatch(keys [][]byte) ([][]byte, error) {
 	base := c.opaque
 	for _, k := range keys {
@@ -265,6 +265,7 @@ func (c *Client) GetBatch(keys [][]byte) ([][]byte, error) {
 		return nil, err
 	}
 	out := make([][]byte, len(keys))
+	var slab []byte
 	for {
 		resp, err := c.recv()
 		if err != nil {
@@ -275,7 +276,12 @@ func (c *Client) GetBatch(keys [][]byte) ([][]byte, error) {
 		}
 		idx := int(resp.Opaque - base - 1)
 		if resp.Status == StatusOK && idx >= 0 && idx < len(out) {
-			out[idx] = resp.Value
+			n := len(resp.Value)
+			if cap(slab)-len(slab) < n {
+				slab = make([]byte, 0, max(n, min(n*(len(out)-idx), 64<<10)))
+			}
+			slab = append(slab, resp.Value...)
+			out[idx] = slab[len(slab)-n : len(slab) : len(slab)]
 		}
 	}
 }

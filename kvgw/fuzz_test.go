@@ -1,14 +1,19 @@
 package kvgw
 
 import (
+	"bufio"
 	"bytes"
 	"testing"
+	"time"
+
+	"kvdirect/internal/telemetry"
 )
 
 // FuzzDecodeMemcacheRequest drives the request decoder with arbitrary
 // bytes: it must never panic, must never consume bytes it didn't
 // validate, and any frame it accepts must re-encode to an identical
-// frame (the binary protocol has one canonical encoding).
+// frame (the binary protocol has one canonical encoding). The same bytes
+// also go through a gateway connection's reader, which must agree.
 func FuzzDecodeMemcacheRequest(f *testing.F) {
 	seed := func(r Request) {
 		frame, err := AppendRequest(nil, r)
@@ -28,7 +33,9 @@ func FuzzDecodeMemcacheRequest(f *testing.F) {
 	f.Add([]byte{MagicRequest})
 	f.Add(bytes.Repeat([]byte{0xFF}, HeaderSize))
 
+	gw := &Gateway{tel: telemetry.NewRegistry(), opts: Options{Now: time.Now}}
 	f.Fuzz(func(t *testing.T, frame []byte) {
+		readRequestAgrees(t, gw, frame)
 		req, n, err := DecodeRequest(frame)
 		if err != nil {
 			return
@@ -44,6 +51,37 @@ func FuzzDecodeMemcacheRequest(f *testing.F) {
 			t.Fatalf("request not canonical:\n  in  % x\n  out % x", frame[:n], re)
 		}
 	})
+}
+
+// readRequestAgrees reads the bytes as a gateway connection would, once
+// with a reader that holds the whole frame (decoded where it lies, then
+// discarded) and once with one too small for it (copied out), and holds
+// both to what DecodeRequest makes of the same bytes: the same request
+// and length, or an error. A short or oversized body has to surface as
+// a framing error, not as a panic or a request.
+func readRequestAgrees(t *testing.T, gw *Gateway, frame []byte) {
+	want, n, werr := DecodeRequest(frame)
+	for _, size := range []int{64 << 10, HeaderSize + 8} {
+		c := &conn{g: gw, r: bufio.NewReaderSize(bytes.NewReader(frame), size)}
+		got, held, err := c.readRequest()
+		if werr != nil {
+			if err == nil {
+				t.Fatalf("reader size %d accepted a frame the decoder rejects (%v)", size, werr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("reader size %d rejected a frame the decoder accepts: %v", size, err)
+		}
+		if got.Opcode != want.Opcode || got.Opaque != want.Opaque || got.CAS != want.CAS ||
+			got.VBucket != want.VBucket || !bytes.Equal(got.Extras, want.Extras) ||
+			!bytes.Equal(got.Key, want.Key) || !bytes.Equal(got.Value, want.Value) {
+			t.Fatalf("reader size %d decoded %+v, the decoder %+v", size, got, want)
+		}
+		if n <= c.r.Size() != (held == n) || held > c.r.Buffered() {
+			t.Fatalf("reader size %d holds %d of a %d-byte frame (%d buffered)", size, held, n, c.r.Buffered())
+		}
+	}
 }
 
 // FuzzEncodeMemcacheResponse round-trips arbitrary response fields

@@ -106,6 +106,7 @@ type Client struct {
 	conn   net.Conn
 	r      *bufio.Reader
 	w      *bufio.Writer
+	enc    []byte // Do's encoded request packet, reused under mu
 	broken bool
 	closed bool
 
@@ -233,11 +234,14 @@ func idempotent(ops []kvdirect.Op) bool {
 // Transport failures on idempotent batches are retried with backoff (see
 // Options); non-idempotent batches fail fast with the transport error.
 func (c *Client) Do(ops []kvdirect.Op) ([]kvdirect.Result, error) {
-	pkt, err := kvdirect.EncodeBatch(ops)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	pkt, err := wire.AppendRequests(c.enc[:0], ops)
 	if err != nil {
 		return nil, err
 	}
-	return c.exchange(ops, pkt, len(ops), 0)
+	c.enc = pkt
+	return c.exchangeLocked(ops, pkt, len(ops), 0) //lint:allow lockorder -- one request in flight per client by design: mu held across the wire exchange, its redial and its retry backoff IS the serialization
 }
 
 // DoTraced sends one batch with the wire trace flag set, asking the
@@ -262,7 +266,7 @@ func (c *Client) DoTrace(ops []kvdirect.Op, traceID uint64, parent uint32) ([]kv
 		traceID = telemetry.NewTraceID()
 	}
 	span := c.tel.Tracer().StartTrace(traceID, parent)
-	span.SetOp(traceLabel(ops), len(ops))
+	span.SetOp(batchLabel(ops), len(ops))
 	st := span.StartStage("client.encode")
 	pkt, err := kvdirect.EncodeBatch(ops)
 	if err == nil {
@@ -279,7 +283,9 @@ func (c *Client) DoTrace(ops []kvdirect.Op, traceID uint64, parent uint32) ([]kv
 	}
 	// The server appends one extra trailing response holding its span.
 	st = span.StartStage("client.rtt")
-	results, err := c.exchange(ops, pkt, len(ops)+1, span.TraceID)
+	c.mu.Lock()
+	results, err := c.exchangeLocked(ops, pkt, len(ops)+1, span.TraceID) //lint:allow lockorder -- as in Do
+	c.mu.Unlock()
 	st.End()
 	if err != nil {
 		span.SetErr(err)
@@ -299,44 +305,29 @@ func (c *Client) DoTrace(ops []kvdirect.Op, traceID uint64, parent uint32) ([]kv
 	return results, span, nil
 }
 
-// traceLabel mirrors the server's batch naming for client spans.
-func traceLabel(ops []kvdirect.Op) string {
-	if len(ops) == 0 {
-		return "EMPTY"
-	}
-	code := ops[0].Code
-	for _, op := range ops[1:] {
-		if op.Code != code {
-			return "MIXED"
-		}
-	}
-	return wire.OpCode(code).String()
-}
-
-// exchange runs the retry loop for one encoded packet, expecting want
-// responses. A nonzero traceID links the RTT observation to its trace
-// as a histogram exemplar.
-func (c *Client) exchange(ops []kvdirect.Op, pkt []byte, want int, traceID uint64) ([]kvdirect.Result, error) {
+// exchangeLocked runs the retry loop for one encoded packet, expecting
+// want responses. A nonzero traceID links the RTT observation to its
+// trace as a histogram exemplar. The results alias the response frame,
+// which is therefore allocated per exchange and never reused.
+func (c *Client) exchangeLocked(ops []kvdirect.Op, pkt []byte, want int, traceID uint64) ([]kvdirect.Result, error) {
 	retries := 0
 	if idempotent(ops) {
 		retries = c.opts.MaxRetries
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var lastErr error
 	for attempt := 0; attempt <= retries; attempt++ {
 		if attempt > 0 {
 			c.counters.Add("client.retries", 1)
-			c.backoffLocked(attempt) //lint:allow lockorder -- mu serializes the one in-flight exchange; backoff inside it is the retry contract
+			c.backoffLocked(attempt)
 		}
-		if err := c.ensureConnLocked(); err != nil { //lint:allow lockorder -- mu guards the single wire connection; redialing it is the critical section
+		if err := c.ensureConnLocked(); err != nil {
 			if errors.Is(err, ErrClosed) || errors.Is(err, ErrBroken) {
 				return nil, err
 			}
 			lastErr = err // dial failure: maybe transient, keep retrying
 			continue
 		}
-		res, err := c.doOnceLocked(pkt, want, traceID) //lint:allow lockorder -- one request in flight per client by design; mu held across the wire exchange IS the serialization
+		res, err := c.doOnceLocked(pkt, want, traceID)
 		if err == nil {
 			return res, nil
 		}

@@ -30,7 +30,11 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // surfaces as ErrFrameCorrupt with the stream intact; a short read
 // (truncated header or payload) surfaces as an io error and the
 // connection is unusable.
-func readFrame(r io.Reader) ([]byte, error) {
+func readFrame(r io.Reader) ([]byte, error) { return readFrameInto(r, nil) }
+
+// readFrameInto is readFrame reading the payload into buf's capacity
+// when it fits, for a reader that recycles its frame buffer.
+func readFrameInto(r io.Reader, buf []byte) ([]byte, error) {
 	var hdr [frameHeaderBytes]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
@@ -40,7 +44,10 @@ func readFrame(r io.Reader) ([]byte, error) {
 	if n > MaxFrame {
 		return nil, ErrFrameTooLarge
 	}
-	buf := make([]byte, n)
+	if cap(buf) < int(n) {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}

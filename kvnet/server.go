@@ -22,6 +22,7 @@ import (
 	"net"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"kvdirect"
@@ -81,7 +82,11 @@ func (o ServerOptions) withDefaults() ServerOptions {
 //
 // ApplyBatch is never called concurrently by one Server (the single
 // hardware pipeline); a Backend shared across Servers must serialize
-// itself.
+// itself. It must not retain reqs, nor the bytes their slices point to,
+// past its return: callers recycle both (a connection's frame buffer,
+// the gateway's per-connection arena). The Store copies what it keeps
+// into its own memory, and a kvrepl replica re-encodes each write into
+// its log entry.
 type Backend interface {
 	ApplyBatch(reqs []wire.Request) []wire.Response
 }
@@ -141,7 +146,7 @@ func (b storeBackend) applyOne(req wire.Request, span *telemetry.Span) (resp wir
 		if r := recover(); r != nil {
 			b.counters.Add("server.panics", 1)
 			resp = wire.Response{Status: wire.StatusError,
-				Value: []byte(fmt.Sprintf("panic: %v", r))}
+				Value: fmt.Appendf(nil, "panic: %v", r)}
 		}
 	}()
 	return b.store.ApplyTraced(req, span)
@@ -163,6 +168,7 @@ type Server struct {
 	closeErr  error
 
 	counters *stats.Counters
+	ops      *atomic.Uint64 // server.ops, resolved once
 	tel      *telemetry.Registry
 	batchOps *telemetry.Histogram
 
@@ -205,6 +211,7 @@ func serve(backend Backend, addr string, opts ServerOptions) (*Server, error) {
 		ln:       ln,
 		conns:    map[net.Conn]struct{}{},
 		counters: opts.Telemetry.Counters(),
+		ops:      opts.Telemetry.Counters().Counter("server.ops"),
 		tel:      opts.Telemetry,
 		batchOps: opts.Telemetry.Histogram("server.batch_ops"),
 	}
@@ -305,19 +312,30 @@ func (s *Server) handle(conn net.Conn) {
 	}()
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
+	// Recycled across this connection's batches: the request frame, the
+	// requests decoded from it (which alias it) and the encoded reply —
+	// unless a batch was outsize, which must not pin its memory for the
+	// life of the connection.
+	var pkt, out []byte
+	var reqs []wire.Request
 	for {
+		if cap(pkt) > 1<<20 || cap(out) > 1<<20 || cap(reqs) > 4<<10 {
+			pkt, out, reqs = nil, nil, nil
+		}
 		if t := s.opts.ReadIdleTimeout; t > 0 {
 			if err := conn.SetReadDeadline(time.Now().Add(t)); err != nil {
 				return // connection already torn down
 			}
 		}
-		pkt, err := readFrame(r)
+		var err error
+		pkt, err = readFrameInto(r, pkt)
 		if err != nil {
 			if errors.Is(err, ErrFrameCorrupt) {
 				// The CRC failed but the stream is still frame-aligned:
 				// reject the batch with an error response and keep serving.
 				s.counters.Add("server.corrupt_frames", 1)
-				if !s.reply(conn, w, errorFrame("corrupt request frame")) {
+				out = appendErrorFrame(out[:0], "corrupt request frame")
+				if !s.reply(conn, w, out) {
 					return
 				}
 				continue
@@ -342,13 +360,14 @@ func (s *Server) handle(conn net.Conn) {
 			span = s.tel.Tracer().Sample()
 		}
 		st := span.StartStage("server.decode")
-		reqs, err := wire.DecodeRequests(pkt)
+		reqs, err = wire.DecodeRequestsTo(reqs[:0], pkt)
 		st.End()
 		if err != nil {
 			// Malformed batch inside an intact frame: graceful rejection,
 			// not connection death.
 			s.counters.Add("server.bad_batches", 1)
-			if !s.reply(conn, w, errorFrame(err.Error())) {
+			out = appendErrorFrame(out[:0], err.Error())
+			if !s.reply(conn, w, out) {
 				return
 			}
 			continue
@@ -372,8 +391,7 @@ func (s *Server) handle(conn net.Conn) {
 		} else if span != nil {
 			s.tel.Tracer().Publish(span)
 		}
-		out, err := wire.AppendResponses(nil, resps)
-		if err != nil {
+		if out, err = wire.AppendResponses(out[:0], resps); err != nil {
 			return
 		}
 		if !s.reply(conn, w, out) {
@@ -388,9 +406,9 @@ func batchLabel(reqs []wire.Request) string {
 	if len(reqs) == 0 {
 		return "EMPTY"
 	}
-	op := reqs[0].Op
+	op := reqs[0].Code
 	for _, r := range reqs[1:] {
-		if r.Op != op {
+		if r.Code != op {
 			return "MIXED"
 		}
 	}
@@ -410,10 +428,12 @@ func spanResponse(span *telemetry.Span) wire.Response {
 // apply runs a batch against the backend under the pipeline lock,
 // charging a non-nil span with the batch's access counts when the
 // backend supports tracing.
+//
+//kvd:hotpath
 func (s *Server) apply(reqs []wire.Request, span *telemetry.Span) []wire.Response {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.counters.Add("server.ops", uint64(len(reqs)))
+	s.ops.Add(uint64(len(reqs)))
 	s.batchOps.Observe(uint64(len(reqs)))
 	if tb, ok := s.backend.(TracedBackend); ok && span != nil {
 		return tb.ApplyBatchTraced(reqs, span)
@@ -427,13 +447,10 @@ func (s *Server) apply(reqs []wire.Request, span *telemetry.Span) []wire.Respons
 // the wire framing and a socket. In-process front-ends (the memcache
 // protocol gateway) use this as their loopback path when they run inside
 // the server process; it satisfies the same Do contract as *Client.
+//
+//kvd:hotpath
 func (s *Server) Do(ops []kvdirect.Op) ([]kvdirect.Result, error) {
-	resps := s.apply(opsToRequests(ops), nil)
-	out := make([]kvdirect.Result, len(resps))
-	for i, r := range resps {
-		out[i] = kvdirect.Result{Status: r.Status, Value: r.Value}
-	}
-	return out, nil
+	return s.apply(ops, nil), nil
 }
 
 // DoTrace executes one batch through the loopback path like Do, under a
@@ -446,40 +463,20 @@ func (s *Server) DoTrace(ops []kvdirect.Op, traceID uint64, parent uint32) ([]kv
 		traceID = telemetry.NewTraceID()
 	}
 	span := s.tel.Tracer().StartTrace(traceID, parent)
-	reqs := opsToRequests(ops)
-	span.SetOp(batchLabel(reqs), len(reqs))
+	span.SetOp(batchLabel(ops), len(ops))
 	st := span.StartStage("server.apply")
-	resps := s.apply(reqs, span)
+	resps := s.apply(ops, span)
 	st.End()
 	s.tel.Tracer().Publish(span)
-	out := make([]kvdirect.Result, len(resps))
-	for i, r := range resps {
-		out[i] = kvdirect.Result{Status: r.Status, Value: r.Value}
-	}
-	return out, span, nil
+	return resps, span, nil
 }
 
-func opsToRequests(ops []kvdirect.Op) []wire.Request {
-	reqs := make([]wire.Request, len(ops))
-	for i, op := range ops {
-		reqs[i] = wire.Request{
-			Op:        wire.OpCode(op.Code),
-			Key:       op.Key,
-			Value:     op.Value,
-			FuncID:    op.FuncID,
-			ElemWidth: op.ElemWidth,
-			Param:     op.Param,
-		}
-	}
-	return reqs
-}
-
-// errorFrame encodes a single-error-response frame.
-func errorFrame(msg string) []byte {
-	out, _ := wire.AppendResponses(nil, []wire.Response{
+// appendErrorFrame appends a single-error-response packet to dst.
+func appendErrorFrame(dst []byte, msg string) []byte {
+	dst, _ = wire.AppendResponses(dst, []wire.Response{
 		{Status: wire.StatusError, Value: []byte(msg)},
 	})
-	return out
+	return dst
 }
 
 // reply writes one response frame under the write deadline, applying any

@@ -441,7 +441,7 @@ func (r *Replica) ApplyBatchTraced(reqs []wire.Request, span *telemetry.Span) []
 	out := make([]wire.Response, len(reqs))
 	var lastSeq uint64
 	for i, req := range reqs {
-		if !mutating(req.Op) {
+		if !mutating(req.Code) {
 			out[i] = r.applyLocalLocked(req, span)
 			continue
 		}
@@ -486,7 +486,7 @@ func (r *Replica) ApplyBatchTraced(reqs []wire.Request, span *telemetry.Span) []
 			r.counters.Add("repl.quorum_failures", 1)
 			msg := []byte("replication quorum not reached (write fate unknown)")
 			for i, req := range reqs {
-				if mutating(req.Op) {
+				if mutating(req.Code) {
 					out[i] = wire.Response{Status: wire.StatusError, Value: msg}
 				}
 			}
@@ -507,7 +507,7 @@ func (r *Replica) applyLocalLocked(req wire.Request, span *telemetry.Span) (resp
 		}
 	}()
 	resp = r.store.ApplyTraced(req, span)
-	if req.Op == wire.OpStats && resp.Status == wire.StatusOK {
+	if req.Code == wire.OpStats && resp.Status == wire.StatusOK {
 		// The status registers grow a replication section.
 		text := string(resp.Value) +
 			fmt.Sprintf("repl_role=%s\nrepl_epoch=%d\nrepl_seq=%d\n",

@@ -130,7 +130,7 @@ func (rc *ReplicatedCluster) Get(key []byte) ([]byte, bool, error) {
 
 // Put replicates a PUT to every live replica of the owning shard.
 func (rc *ReplicatedCluster) Put(key, value []byte) error {
-	resp, err := rc.group(key).mutate(wire.Request{Op: wire.OpPut, Key: key, Value: value})
+	resp, err := rc.group(key).mutate(wire.Request{Code: wire.OpPut, Key: key, Value: value})
 	if err != nil {
 		return err
 	}
@@ -142,7 +142,7 @@ func (rc *ReplicatedCluster) Put(key, value []byte) error {
 
 // Delete replicates a DELETE; it reports whether the key existed.
 func (rc *ReplicatedCluster) Delete(key []byte) (bool, error) {
-	resp, err := rc.group(key).mutate(wire.Request{Op: wire.OpDelete, Key: key})
+	resp, err := rc.group(key).mutate(wire.Request{Code: wire.OpDelete, Key: key})
 	if err != nil {
 		return false, err
 	}
@@ -157,7 +157,7 @@ func (rc *ReplicatedCluster) Update(key []byte, fnID uint8, width int, param uin
 		p[i] = byte(param >> (8 * i))
 	}
 	resp, err := rc.group(key).mutate(wire.Request{
-		Op: wire.OpUpdateScalar, Key: key, FuncID: fnID,
+		Code: wire.OpUpdateScalar, Key: key, FuncID: fnID,
 		ElemWidth: uint8(width), Param: p[:width],
 	})
 	if err != nil {

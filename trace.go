@@ -109,20 +109,9 @@ func ReplayFunc(r io.Reader, fn func(ops []Op) error) (batches, ops int, err err
 		if sum := crc32.Checksum(pkt, traceCRC); sum != binary.LittleEndian.Uint32(hdr[4:]) {
 			return batches, ops, fmt.Errorf("%w: frame checksum mismatch", ErrTraceCorrupt)
 		}
-		reqs, err := wire.DecodeRequests(pkt)
+		batch, err := wire.DecodeRequests(pkt)
 		if err != nil {
 			return batches, ops, fmt.Errorf("%w: %v", ErrTraceCorrupt, err)
-		}
-		batch := make([]Op, len(reqs))
-		for i, rq := range reqs {
-			batch[i] = Op{
-				Code:      OpCode(rq.Op),
-				Key:       rq.Key,
-				Value:     rq.Value,
-				FuncID:    rq.FuncID,
-				ElemWidth: rq.ElemWidth,
-				Param:     rq.Param,
-			}
 		}
 		batches++
 		ops += len(batch)
