@@ -17,8 +17,8 @@ type Cluster struct {
 	stores []*Store
 }
 
-// newClusterStore is the store constructor the cluster builders use; a
-// seam so tests can fail the k-th construction and check cleanup.
+// newClusterStore is the store constructor NewCluster uses; a seam so
+// tests can fail the k-th construction and check cleanup.
 var newClusterStore = New
 
 // NewCluster creates n stores, each configured with cfg (cfg.MemoryBytes
@@ -56,12 +56,16 @@ func (c *Cluster) Close() {
 func (c *Cluster) NumShards() int { return len(c.stores) }
 
 // Shard returns the store that owns key.
-func (c *Cluster) Shard(key []byte) *Store { return c.stores[c.index(key)] }
+func (c *Cluster) Shard(key []byte) *Store { return c.stores[ShardOf(key, len(c.stores))] }
 
 // ShardAt returns shard i directly (for per-NIC servers or stats).
 func (c *Cluster) ShardAt(i int) *Store { return c.stores[i] }
 
-func (c *Cluster) index(key []byte) int {
+// ShardOf is the deployment's one placement rule: the index, of n
+// shards, that owns key (FNV-1a with a final avalanche). Cluster and
+// kvnet.ShardedClient both route by it, so in-process stores fronted by
+// per-shard servers and a networked client agree on where a key lives.
+func ShardOf(key []byte, n int) int {
 	h := uint64(14695981039346656037)
 	for _, b := range key {
 		h ^= uint64(b)
@@ -70,7 +74,7 @@ func (c *Cluster) index(key []byte) int {
 	h ^= h >> 33
 	h *= 0xC4CEB9FE1A85EC53
 	h ^= h >> 33
-	return int(h % uint64(len(c.stores)))
+	return int(h % uint64(n))
 }
 
 // Get routes a GET to the owning shard.

@@ -83,22 +83,6 @@ func main() {
 		return
 	}
 
-	if args[0] == "bench" {
-		// Micro-benchmarks (replicated-write overhead vs single-store
-		// baseline, scan throughput); with -json the rows also land in
-		// BENCH_results.json. An optional trailing argument filters
-		// benchmarks by name-substring: kvdbench -json bench scan.
-		filter := ""
-		if len(args) > 1 {
-			filter = args[1]
-		}
-		if err := runBenchmarks(*asJSON, filter); err != nil {
-			fmt.Fprintf(os.Stderr, "kvdbench: bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	var todo []experiments.Experiment
 	if args[0] == "all" {
 		todo = experiments.All()
@@ -135,13 +119,7 @@ func main() {
 func usage() {
 	fmt.Fprintf(os.Stderr, `kvdbench — regenerate the KV-Direct paper's evaluation
 
-usage: kvdbench [-quick] [-seed N] [-json] <experiment>... | all | list | bench [filter]
-
-'bench' runs micro-benchmarks (single-store vs replicated writes, scan
-throughput, memcache-gateway translation cost); an optional filter
-selects benchmarks by name-substring (e.g. 'bench scan' or 'bench
-gateway'). With -json the results are merged by name into
-BENCH_results.json.
+usage: kvdbench [-quick] [-seed N] [-json] <experiment>... | all | list
 
 experiments:
 `)

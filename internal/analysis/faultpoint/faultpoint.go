@@ -2,12 +2,12 @@
 // the internal/fault registry.
 //
 // Fault-injection coverage is observed exclusively through named
-// counters ("fault.<point>") in stats.Counters registries. A typo in
+// counters ("fault.<point>") in telemetry.Counters tables. A typo in
 // such a name — in an assertion, a health check, or a dashboard query —
 // does not fail to compile; it reads a permanently-zero counter and
 // silently reports "no faults", which is precisely the failure mode a
 // chaos harness exists to prevent. This analyzer resolves every
-// constant "fault."-prefixed name passed to a stats.Counters method
+// constant "fault."-prefixed name passed to a telemetry.Counters method
 // against the registry's declared point set, importing the registry
 // itself so the set can never drift from the code.
 package faultpoint
@@ -37,8 +37,10 @@ func KnownNames() []string {
 	return names
 }
 
-// countersMethods are the stats.Counters methods taking a counter name.
-var countersMethods = map[string]bool{"Counter": true, "Add": true, "Get": true}
+// countersMethods are the telemetry.Counters methods taking a counter
+// name. Counters is an alias of a telemetry.Table instantiation, so the
+// receiver check below matches Table.
+var countersMethods = map[string]bool{"Handle": true, "Add": true, "Get": true}
 
 // Analyzer is the faultpoint pass.
 var Analyzer = &analysis.Analyzer{
@@ -63,8 +65,8 @@ func run(pass *analysis.Pass) error {
 		}
 		recv := analysis.ReceiverNamed(fn)
 		if recv == nil || recv.Obj().Pkg() == nil ||
-			recv.Obj().Pkg().Path() != "kvdirect/internal/stats" ||
-			recv.Obj().Name() != "Counters" {
+			recv.Obj().Pkg().Path() != "kvdirect/internal/telemetry" ||
+			recv.Obj().Name() != "Table" {
 			return true
 		}
 		arg := call.Args[0]

@@ -11,8 +11,14 @@
 // either collides with a neighbour or becomes unfindable on a
 // dashboard, and a well-formed name under an unrecognized layer is a
 // typo until the allow-list says otherwise. The analyzer checks every
-// string literal passed as the name argument to the stats and telemetry
-// registries; names built at runtime are out of scope.
+// string literal passed as the name argument to the telemetry registry
+// and its tables; names built at runtime are out of scope.
+//
+// It also holds hot paths to the handle discipline: every call that
+// takes a metric name (Add/Set/SetMax/Get, and Handle/Histogram
+// themselves) costs a read lock and a map lookup, so inside a
+// `//kvd:hotpath` function — the set hotalloc polices — the metric must
+// be a handle resolved at construction.
 package metricname
 
 import (
@@ -24,6 +30,7 @@ import (
 	"strings"
 
 	"kvdirect/internal/analysis"
+	"kvdirect/internal/analysis/hotalloc"
 )
 
 // nameRe is `layer.noun[_unit]`: lowercase snake_case segments joined
@@ -66,11 +73,10 @@ func layerList() string {
 }
 
 // registryTypes are the receiver types whose string-typed first
-// argument names a metric.
+// argument names a metric. Counters, Gauges and IntGauges are aliases
+// of Table instantiations, so the named receiver is Table.
 var registryTypes = map[string]bool{
-	"kvdirect/internal/stats.Counters":     true,
-	"kvdirect/internal/stats.Gauges":       true,
-	"kvdirect/internal/stats.IntGauges":    true,
+	"kvdirect/internal/telemetry.Table":    true,
 	"kvdirect/internal/telemetry.Registry": true,
 }
 
@@ -82,12 +88,30 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
+	for _, file := range pass.Files {
+		for _, d := range file.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil || !analysis.HasDirective(fd.Doc, hotalloc.Directive) {
+				continue
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if _, lit := n.(*ast.FuncLit); lit {
+					return false // as in hotalloc: a literal's body (a deferred recover) is not the per-op path
+				}
+				if call, ok := n.(*ast.CallExpr); ok {
+					if fn := registryCallee(pass.TypesInfo, call); fn != nil {
+						pass.Reportf(call.Pos(),
+							"hot path looks a metric up by name: %s takes a lock and a map lookup per call "+
+								"(resolve the handle at construction and bump it directly)", fn.Name())
+					}
+				}
+				return true
+			})
+		}
+	}
 	pass.Inspect(func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if !ok || len(call.Args) == 0 {
-			return true
-		}
-		if !isRegistryCall(pass.TypesInfo, call) {
+		if !ok || registryCallee(pass.TypesInfo, call) == nil {
 			return true
 		}
 		lit, ok := ast.Unparen(call.Args[0]).(*ast.BasicLit)
@@ -115,27 +139,27 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// isRegistryCall reports whether call is a method on one of the metric
-// registries whose first parameter is the metric name.
-func isRegistryCall(info *types.Info, call *ast.CallExpr) bool {
+// registryCallee returns the method call invokes when it is one on a
+// metric registry whose first parameter is the metric name, else nil.
+func registryCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 	fn := analysis.CalleeFunc(info, call)
-	if fn == nil {
-		return false
+	if fn == nil || len(call.Args) == 0 {
+		return nil
 	}
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil || sig.Params().Len() == 0 {
-		return false
+		return nil
 	}
 	if b, ok := sig.Params().At(0).Type().(*types.Basic); !ok || b.Kind() != types.String {
-		return false
+		return nil
 	}
 	recv := sig.Recv().Type()
 	if p, ok := recv.(*types.Pointer); ok {
 		recv = p.Elem()
 	}
 	named, ok := recv.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
+	if !ok || named.Obj().Pkg() == nil || !registryTypes[named.Obj().Pkg().Path()+"."+named.Obj().Name()] {
+		return nil
 	}
-	return registryTypes[named.Obj().Pkg().Path()+"."+named.Obj().Name()]
+	return fn
 }

@@ -2,11 +2,12 @@
 package metrics
 
 import (
-	"kvdirect/internal/stats"
+	"sync/atomic"
+
 	"kvdirect/internal/telemetry"
 )
 
-func record(c *stats.Counters, g *stats.Gauges, ig *stats.IntGauges, r *telemetry.Registry) {
+func record(c *telemetry.Counters, g *telemetry.Gauges, ig *telemetry.IntGauges, r *telemetry.Registry) {
 	// Conforming names: layer.noun, optional snake_case and unit suffix.
 	c.Add("server.ops", 1)
 	g.Set("core.keys", 7)
@@ -46,6 +47,32 @@ func record(c *stats.Counters, g *stats.Gauges, ig *stats.IntGauges, r *telemetr
 }
 
 func suffix() string { return "ops" }
+
+// A hot path that looks its metrics up by name on every call.
+//
+//kvd:hotpath
+func hotByName(c *telemetry.Counters, ig *telemetry.IntGauges, dynamic string) {
+	c.Add("server.ops", 1)        // want "hot path looks a metric up by name: Add"
+	ig.Set("repl.lag", 0)         // want "hot path looks a metric up by name: Set"
+	ig.SetMax("repl.lag_max", 0)  // want "hot path looks a metric up by name: SetMax"
+	_ = c.Get(dynamic)            // want "hot path looks a metric up by name: Get"
+	other{}.Add("whatever", 1)    // unrelated type: silent
+	c.Handle("server.ops").Add(1) // want "hot path looks a metric up by name: Handle"
+}
+
+// The same work on handles resolved at construction: silent, as is a
+// by-name bump in a deferred recover, which is not the per-op path.
+//
+//kvd:hotpath
+func hotByHandle(c *telemetry.Counters, ops *atomic.Uint64, lagMax *atomic.Int64, lag int64) {
+	defer func() {
+		if recover() != nil {
+			c.Add("server.panics", 1)
+		}
+	}()
+	ops.Add(1)
+	telemetry.StoreMax(lagMax, lag)
+}
 
 type other struct{}
 

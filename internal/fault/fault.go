@@ -11,7 +11,7 @@
 // can keep its hooks permanently compiled in (the paper's hardware keeps
 // its ECC machinery always-on for the same reason).
 //
-// Every injected fault is counted in a stats.Counters registry under
+// Every injected fault is counted in a telemetry.Counters table under
 // "fault.<point>", making the whole fault history observable through the
 // store's status registers and Health summary.
 package fault
@@ -21,7 +21,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"kvdirect/internal/stats"
+	"kvdirect/internal/telemetry"
 )
 
 // Point names one injection site.
@@ -151,18 +151,15 @@ type Injector struct {
 	rng   *rand.Rand
 	probs [NumPoints]float64
 
-	counters *stats.Counters
+	counters telemetry.Counters
 	counts   [NumPoints]*atomic.Uint64
 }
 
 // NewInjector returns an injector with all probabilities zero.
 func NewInjector(seed int64) *Injector {
-	in := &Injector{
-		rng:      rand.New(rand.NewSource(seed)),
-		counters: stats.NewCounters(),
-	}
+	in := &Injector{rng: rand.New(rand.NewSource(seed))}
 	for p := Point(0); p < NumPoints; p++ {
-		in.counts[p] = in.counters.Counter("fault." + p.String())
+		in.counts[p] = in.counters.Handle("fault." + p.String())
 	}
 	return in
 }
@@ -256,17 +253,9 @@ func (in *Injector) Total() uint64 {
 }
 
 // Counters exposes the per-point injection counters ("fault.<point>").
-func (in *Injector) Counters() *stats.Counters {
+func (in *Injector) Counters() *telemetry.Counters {
 	if in == nil {
 		return nil
 	}
-	return in.counters
-}
-
-// Snapshot returns the per-point injection counts.
-func (in *Injector) Snapshot() []stats.CounterValue {
-	if in == nil {
-		return nil
-	}
-	return in.counters.Snapshot()
+	return &in.counters
 }

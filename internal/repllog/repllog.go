@@ -1,5 +1,5 @@
 // Package repllog is the replication log shared by primaries and
-// backups in a replica group (kvrepl, kvdirect.ReplicatedCluster).
+// backups in a replica group (kvrepl).
 //
 // The log is an in-memory, bounded window of sequence-numbered entries:
 // the primary appends every mutating operation before shipping it, and

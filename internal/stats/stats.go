@@ -1,65 +1,16 @@
-// Package stats provides small statistics helpers used by the KV-Direct
-// experiments: streaming summaries, fixed-bucket histograms, percentile
-// estimation and CDF extraction.
+// Package stats provides the exact-percentile helpers the KV-Direct
+// experiments and load generators use: a raw-observation Sample with
+// interpolated percentiles and CDF extraction (Figures 3b and 17).
+// Named runtime metrics live in internal/telemetry.
 //
-// All types are deterministic and allocation-light so they can be used
-// inside tight simulation loops.
+// Sample is deterministic and allocation-light so it can be used inside
+// tight simulation loops.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
-
-// Summary accumulates streaming count/sum/min/max/mean/variance using
-// Welford's algorithm.
-type Summary struct {
-	n        uint64
-	mean, m2 float64
-	min, max float64
-}
-
-// Add records one observation.
-func (s *Summary) Add(x float64) {
-	if s.n == 0 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
-	s.n++
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
-}
-
-// N returns the number of observations.
-func (s *Summary) N() uint64 { return s.n }
-
-// Mean returns the arithmetic mean, or 0 for an empty summary.
-func (s *Summary) Mean() float64 { return s.mean }
-
-// Min returns the minimum observation, or 0 for an empty summary.
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the maximum observation, or 0 for an empty summary.
-func (s *Summary) Max() float64 { return s.max }
-
-// Variance returns the sample variance, or 0 with fewer than 2 observations.
-func (s *Summary) Variance() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n-1)
-}
-
-// Stddev returns the sample standard deviation.
-func (s *Summary) Stddev() float64 { return math.Sqrt(s.Variance()) }
 
 // Sample collects raw observations for exact percentile queries.
 // It is intended for experiment-sized data sets (up to a few million points).
@@ -138,89 +89,4 @@ func (s *Sample) CDF(points []float64) []CDFPoint {
 type CDFPoint struct {
 	Fraction float64 // cumulative probability in [0,1]
 	Value    float64
-}
-
-// Histogram is a fixed-width bucket histogram over [lo, hi). Observations
-// outside the range are clamped into the first/last bucket.
-type Histogram struct {
-	lo, hi  float64
-	width   float64
-	buckets []uint64
-	n       uint64
-}
-
-// NewHistogram creates a histogram with nbuckets equal-width buckets
-// spanning [lo, hi). It panics if the range or bucket count is invalid.
-func NewHistogram(lo, hi float64, nbuckets int) *Histogram {
-	if nbuckets <= 0 || hi <= lo {
-		panic(fmt.Sprintf("stats: invalid histogram [%g,%g) x%d", lo, hi, nbuckets))
-	}
-	return &Histogram{
-		lo:      lo,
-		hi:      hi,
-		width:   (hi - lo) / float64(nbuckets),
-		buckets: make([]uint64, nbuckets),
-	}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	i := int((x - h.lo) / h.width)
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.buckets) {
-		i = len(h.buckets) - 1
-	}
-	h.buckets[i]++
-	h.n++
-}
-
-// N returns the number of observations.
-func (h *Histogram) N() uint64 { return h.n }
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) uint64 { return h.buckets[i] }
-
-// NumBuckets returns the number of buckets.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
-
-// BucketLow returns the inclusive lower bound of bucket i.
-func (h *Histogram) BucketLow(i int) float64 { return h.lo + float64(i)*h.width }
-
-// Quantile returns an estimate of the q-th quantile (q in [0,1]) by linear
-// interpolation within the containing bucket.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * float64(h.n)
-	cum := 0.0
-	for i, c := range h.buckets {
-		next := cum + float64(c)
-		if next >= target && c > 0 {
-			frac := (target - cum) / float64(c)
-			return h.BucketLow(i) + frac*h.width
-		}
-		cum = next
-	}
-	return h.hi
-}
-
-// Mean returns the histogram mean using bucket midpoints.
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	sum := 0.0
-	for i, c := range h.buckets {
-		sum += (h.BucketLow(i) + h.width/2) * float64(c)
-	}
-	return sum / float64(h.n)
 }

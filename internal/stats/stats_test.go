@@ -7,65 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestSummaryBasics(t *testing.T) {
-	var s Summary
-	if s.Mean() != 0 || s.N() != 0 || s.Variance() != 0 {
-		t.Fatalf("zero Summary not zero: %+v", s)
-	}
-	for _, x := range []float64{1, 2, 3, 4, 5} {
-		s.Add(x)
-	}
-	if s.N() != 5 {
-		t.Errorf("N = %d, want 5", s.N())
-	}
-	if got := s.Mean(); math.Abs(got-3) > 1e-12 {
-		t.Errorf("Mean = %g, want 3", got)
-	}
-	if got := s.Variance(); math.Abs(got-2.5) > 1e-12 {
-		t.Errorf("Variance = %g, want 2.5", got)
-	}
-	if s.Min() != 1 || s.Max() != 5 {
-		t.Errorf("Min/Max = %g/%g, want 1/5", s.Min(), s.Max())
-	}
-}
-
-func TestSummarySingleValue(t *testing.T) {
-	var s Summary
-	s.Add(42)
-	if s.Mean() != 42 || s.Min() != 42 || s.Max() != 42 {
-		t.Errorf("single-value summary wrong: %+v", s)
-	}
-	if s.Variance() != 0 {
-		t.Errorf("Variance of one point = %g, want 0", s.Variance())
-	}
-}
-
-func TestSummaryMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	var s Summary
-	xs := make([]float64, 1000)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()*10 + 5
-		s.Add(xs[i])
-	}
-	mean := 0.0
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	varSum := 0.0
-	for _, x := range xs {
-		varSum += (x - mean) * (x - mean)
-	}
-	naiveVar := varSum / float64(len(xs)-1)
-	if math.Abs(s.Mean()-mean) > 1e-9 {
-		t.Errorf("Mean = %g, want %g", s.Mean(), mean)
-	}
-	if math.Abs(s.Variance()-naiveVar) > 1e-9 {
-		t.Errorf("Variance = %g, want %g", s.Variance(), naiveVar)
-	}
-}
-
 func TestSamplePercentiles(t *testing.T) {
 	s := NewSample(101)
 	for i := 0; i <= 100; i++ {
@@ -133,65 +74,5 @@ func TestPercentileMonotonicProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(0, 100, 10)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i))
-	}
-	if h.N() != 100 {
-		t.Fatalf("N = %d, want 100", h.N())
-	}
-	for i := 0; i < 10; i++ {
-		if h.Bucket(i) != 10 {
-			t.Errorf("bucket %d = %d, want 10", i, h.Bucket(i))
-		}
-	}
-	if got := h.Quantile(0.5); math.Abs(got-50) > 10 {
-		t.Errorf("Quantile(0.5) = %g, want ~50", got)
-	}
-	if got := h.Mean(); math.Abs(got-50) > 1 {
-		t.Errorf("Mean = %g, want ~50", got)
-	}
-}
-
-func TestHistogramClamping(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	h.Add(-5)
-	h.Add(100)
-	if h.Bucket(0) != 1 || h.Bucket(9) != 1 {
-		t.Errorf("clamping failed: first=%d last=%d", h.Bucket(0), h.Bucket(9))
-	}
-}
-
-func TestHistogramInvalidPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewHistogram with hi<=lo should panic")
-		}
-	}()
-	NewHistogram(5, 5, 10)
-}
-
-func TestHistogramQuantileBounds(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	h.Add(5)
-	if got := h.Quantile(-1); got != h.Quantile(0) {
-		t.Errorf("Quantile(-1) should clamp to Quantile(0)")
-	}
-	if got := h.Quantile(2); got != h.Quantile(1) {
-		t.Errorf("Quantile(2)=%g should clamp to Quantile(1)=%g", got, h.Quantile(1))
-	}
-	if h.Quantile(0.5) < 5 || h.Quantile(0.5) > 7 {
-		t.Errorf("Quantile(0.5) = %g, want within bucket containing 5", h.Quantile(0.5))
-	}
-}
-
-func TestHistogramEmptyQuantile(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	if h.Quantile(0.5) != 0 || h.Mean() != 0 {
-		t.Error("empty histogram should return zeros")
 	}
 }

@@ -13,7 +13,7 @@ func BenchmarkTelemetryOff(b *testing.B) {
 	r := NewRegistry()
 	tr := r.Tracer() // sampling off by default
 	h := r.Histogram("server.op_latency_ns")
-	ops := r.Counters().Counter("server.ops")
+	ops := r.Counters().Handle("server.ops")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -135,7 +135,7 @@ func TestTelemetryOffZeroAllocs(t *testing.T) {
 	r := NewRegistry()
 	tr := r.Tracer()
 	h := r.Histogram("server.op_latency_ns")
-	ops := r.Counters().Counter("server.ops")
+	ops := r.Counters().Handle("server.ops")
 	avg := testing.AllocsPerRun(1000, func() {
 		span := tr.Sample()
 		span.SetOp("get", 1)

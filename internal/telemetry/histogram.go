@@ -2,9 +2,10 @@
 // reproduction: lock-free log-bucketed latency histograms with
 // percentile queries and mergeable snapshots, a sampled span tracer
 // that carries one operation's per-stage durations and measured
-// PCIe/DRAM access counts across layers, and a Registry that subsumes
-// the stats counters and gauges behind one Snapshot with Prometheus and
-// JSON export.
+// PCIe/DRAM access counts across layers, and the process's one metric
+// store — named counters, gauges and signed gauges in one table type —
+// which a Registry puts behind one Snapshot with Prometheus and JSON
+// export.
 //
 // The paper's evaluation (Figures 9–17) is a story about where cycles
 // and DMA round-trips go; flat counters cannot reproduce its latency

@@ -1,11 +1,6 @@
 package telemetry
 
-import (
-	"sort"
-	"sync"
-
-	"kvdirect/internal/stats"
-)
+import "sort"
 
 // Registry is the single rendezvous point for a process's telemetry:
 // the monotonic counters and gauges the layers already keep, signed
@@ -17,37 +12,27 @@ import (
 // replication peer all hold the same instance so their metrics land in
 // one namespace.
 type Registry struct {
-	counters *stats.Counters
-	gauges   *stats.Gauges
-	ints     *stats.IntGauges
+	counters Counters
+	gauges   Gauges
+	ints     IntGauges
+	hists    index[Histogram]
 	tracer   *Tracer
 	flight   *FlightRecorder
-
-	mu    sync.RWMutex
-	order []string
-	hists map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry with sampling off.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters: stats.NewCounters(),
-		gauges:   stats.NewGauges(),
-		ints:     stats.NewIntGauges(),
-		tracer:   NewTracer(),
-		flight:   NewFlightRecorder(),
-		hists:    map[string]*Histogram{},
-	}
+	return &Registry{tracer: NewTracer(), flight: NewFlightRecorder()}
 }
 
 // Counters returns the registry's counter set.
-func (r *Registry) Counters() *stats.Counters { return r.counters }
+func (r *Registry) Counters() *Counters { return &r.counters }
 
 // Gauges returns the registry's unsigned gauge set.
-func (r *Registry) Gauges() *stats.Gauges { return r.gauges }
+func (r *Registry) Gauges() *Gauges { return &r.gauges }
 
 // IntGauges returns the registry's signed gauge set.
-func (r *Registry) IntGauges() *stats.IntGauges { return r.ints }
+func (r *Registry) IntGauges() *IntGauges { return &r.ints }
 
 // Tracer returns the registry's span tracer.
 func (r *Registry) Tracer() *Tracer { return r.tracer }
@@ -59,20 +44,7 @@ func (r *Registry) Flight() *FlightRecorder { return r.flight }
 // first use. The returned pointer is stable; hot paths resolve a name
 // once and Observe on the handle thereafter.
 func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.RLock()
-	h := r.hists[name]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h = r.hists[name]; h == nil {
-		h = NewHistogram(name)
-		r.hists[name] = h
-		r.order = append(r.order, name)
-	}
-	return h
+	return r.hists.handle(name, NewHistogram)
 }
 
 // Snapshot is a point-in-time copy of a Registry, JSON-serializable and
@@ -102,21 +74,18 @@ func (r *Registry) Snapshot() Snapshot {
 		Gauges:    map[string]uint64{},
 		IntGauges: map[string]int64{},
 	}
-	for _, cv := range r.counters.Snapshot() {
-		s.Counters[cv.Name] = cv.Value
+	for _, e := range r.counters.Snapshot() {
+		s.Counters[e.Name] = e.Value
 	}
-	for _, cv := range r.gauges.Snapshot() {
-		s.Gauges[cv.Name] = cv.Value
+	for _, e := range r.gauges.Snapshot() {
+		s.Gauges[e.Name] = e.Value
 	}
-	for _, iv := range r.ints.Snapshot() {
-		s.IntGauges[iv.Name] = iv.Value
+	for _, e := range r.ints.Snapshot() {
+		s.IntGauges[e.Name] = e.Value
 	}
-	r.mu.RLock()
-	names := append([]string(nil), r.order...)
-	r.mu.RUnlock()
-	for _, name := range names {
-		s.Histograms = append(s.Histograms, r.Histogram(name).Snapshot())
-	}
+	r.hists.each(func(_ string, h *Histogram) {
+		s.Histograms = append(s.Histograms, h.Snapshot())
+	})
 	s.Spans = r.tracer.Spans()
 	s.Events = r.flight.Events()
 	s.BlackBox = r.flight.LastDump()

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -44,6 +45,166 @@ func TestRegistryHistogramHandleStable(t *testing.T) {
 	if a != b {
 		t.Fatal("histogram handle not stable")
 	}
+}
+
+// tableOps drives one Table instantiation through the by-name API in
+// V-agnostic terms, so the cases below run once per metric kind.
+type tableOps struct {
+	kind   string
+	signed bool
+	set    func(name string, v int64)
+	setMax func(name string, v int64)
+	add    func(name string, d int64)
+	get    func(name string) int64
+	handle func(name string) any
+	names  func() []string
+	text   func() string
+}
+
+func opsOf[V uint64 | int64, A any, H interface {
+	*A
+	atomicInt[V]
+}](kind string, t *Table[V, A, H]) tableOps {
+	return tableOps{
+		kind:   kind,
+		signed: V(0)-1 < 0,
+		set:    func(n string, v int64) { t.Set(n, V(v)) },
+		setMax: func(n string, v int64) { t.SetMax(n, V(v)) },
+		add:    func(n string, d int64) { t.Add(n, V(d)) },
+		get:    func(n string) int64 { return int64(t.Get(n)) },
+		handle: func(n string) any { return t.Handle(n) },
+		names: func() (out []string) {
+			for _, e := range t.Snapshot() {
+				out = append(out, e.Name)
+			}
+			return out
+		},
+		text: t.String,
+	}
+}
+
+// eachTable runs fn against a fresh table of each kind the Registry
+// hands out: the three are one implementation, so they share one suite.
+func eachTable(t *testing.T, fn func(t *testing.T, o tableOps)) {
+	r := NewRegistry()
+	for _, o := range []tableOps{
+		opsOf("counters", r.Counters()),
+		opsOf("gauges", r.Gauges()),
+		opsOf("int_gauges", r.IntGauges()),
+	} {
+		t.Run(o.kind, func(t *testing.T) { fn(t, o) })
+	}
+}
+
+func TestTableSetGetAdd(t *testing.T) {
+	eachTable(t, func(t *testing.T, o tableOps) {
+		if got := o.get("test.level"); got != 0 {
+			t.Fatalf("unregistered metric = %d", got)
+		}
+		if names := o.names(); len(names) != 0 {
+			t.Fatalf("Get registered a metric: %v", names)
+		}
+		o.set("test.level", 7)
+		o.set("test.level", 3) // levels go down
+		o.add("test.level", 2)
+		if got := o.get("test.level"); got != 5 {
+			t.Fatalf("level = %d, want 5", got)
+		}
+	})
+}
+
+func TestTableSetMaxMonotone(t *testing.T) {
+	eachTable(t, func(t *testing.T, o tableOps) {
+		o.setMax("test.high_water", 5)
+		o.setMax("test.high_water", 2)
+		o.setMax("test.high_water", 9)
+		if got := o.get("test.high_water"); got != 9 {
+			t.Fatalf("high water = %d, want 9", got)
+		}
+	})
+}
+
+// TestTableNegativeLevels: replication lag computed as primary-seq
+// minus acked-seq can transiently go negative when an ack races local
+// bookkeeping. The signed table reports it as itself; the unsigned ones
+// wrap, the blind spot IntGauges exists to close.
+func TestTableNegativeLevels(t *testing.T) {
+	eachTable(t, func(t *testing.T, o tableOps) {
+		o.set("repl.lag", 100-103)
+		o.setMax("repl.lag_max", -5) // a fresh high-water mark is 0; -5 must not lower it
+		if !o.signed {
+			if got := uint64(o.get("repl.lag")); got < 1<<63 {
+				t.Fatalf("expected unsigned wrap, got %d", got)
+			}
+			return
+		}
+		if got := o.get("repl.lag"); got != -3 {
+			t.Fatalf("negative lag = %d, want -3", got)
+		}
+		o.add("repl.lag", -2)
+		if got := o.get("repl.lag"); got != -5 {
+			t.Fatalf("lag after add = %d, want -5", got)
+		}
+		if got := o.get("repl.lag_max"); got != 0 {
+			t.Fatalf("lag_max = %d, want 0", got)
+		}
+		if s := o.text(); !strings.Contains(s, "repl.lag=-5\n") {
+			t.Fatalf("String() = %q", s)
+		}
+	})
+}
+
+func TestTableRegistrationOrder(t *testing.T) {
+	eachTable(t, func(t *testing.T, o tableOps) {
+		o.set("test.b", 2)
+		o.set("test.a", 1)
+		o.set("test.b", 3) // a second use must not re-register
+		if names := o.names(); len(names) != 2 || names[0] != "test.b" || names[1] != "test.a" {
+			t.Fatalf("snapshot %v not in registration order", names)
+		}
+		if s := o.text(); s != "test.b=3\ntest.a=1\n" {
+			t.Fatalf("String() = %q", s)
+		}
+	})
+}
+
+// TestTableConcurrentRegistration: goroutines racing to register the
+// same names all get one handle per name, and concurrent SetMax/Add
+// lose no update.
+func TestTableConcurrentRegistration(t *testing.T) {
+	eachTable(t, func(t *testing.T, o tableOps) {
+		const workers, rounds = 8, 1000
+		handles := make([]any, workers)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				handles[w] = o.handle("test.shared")
+				for i := 0; i < rounds; i++ {
+					o.set("test.x", int64(i))
+					o.setMax("test.x_max", int64(w*rounds+i))
+					o.add("test.events", 1)
+					_ = o.get("test.x")
+				}
+			}(w)
+		}
+		wg.Wait()
+		for w, h := range handles {
+			if h != handles[0] {
+				t.Fatalf("worker %d resolved a different handle for the same name", w)
+			}
+		}
+		if got := o.get("test.x_max"); got != workers*rounds-1 {
+			t.Fatalf("x_max = %d, want %d", got, workers*rounds-1)
+		}
+		if got := o.get("test.events"); got != workers*rounds {
+			t.Fatalf("events = %d, want %d", got, workers*rounds)
+		}
+		if names := o.names(); len(names) != 4 {
+			t.Fatalf("registered %v, want 4 names", names)
+		}
+	})
 }
 
 func TestSnapshotMerge(t *testing.T) {

@@ -76,7 +76,7 @@ type Gateway struct {
 	opts     Options
 	tel      *telemetry.Registry
 	batchLat *telemetry.Histogram
-	// Counter handles resolved once (see stats.Counters.Counter).
+	// Counter handles resolved once (see telemetry.Counters.Handle).
 	batches, batchedOps, rejections *atomic.Uint64
 
 	ln net.Listener
@@ -108,9 +108,9 @@ func Serve(backend Backend, reg *Registry, addr string, opts Options) (*Gateway,
 		conns:   map[net.Conn]struct{}{},
 	}
 	g.batchLat = g.tel.Histogram("gw.batch_latency_ns")
-	g.batches = g.tel.Counters().Counter("gw.batches")
-	g.batchedOps = g.tel.Counters().Counter("gw.batched_ops")
-	g.rejections = g.tel.Counters().Counter("gw.quota_rejections")
+	g.batches = g.tel.Counters().Handle("gw.batches")
+	g.batchedOps = g.tel.Counters().Handle("gw.batched_ops")
+	g.rejections = g.tel.Counters().Handle("gw.quota_rejections")
 	g.tel.Tracer().SetSampleEvery(opts.TraceSampleEvery)
 	g.wg.Add(1)
 	go g.acceptLoop()

@@ -70,7 +70,7 @@ type Tenant struct {
 	tel *telemetry.Registry
 
 	// Stable metric handles (see telemetry.Registry.Histogram and
-	// stats.Counters.Counter): resolved once, bumped per op.
+	// telemetry.Counters.Handle): resolved once, bumped per op.
 	readLat    *telemetry.Histogram
 	writeLat   *telemetry.Histogram
 	counterLat *telemetry.Histogram
@@ -97,10 +97,10 @@ func newTenant(cfg TenantConfig, now time.Time) *Tenant {
 	t.readLat = t.tel.Histogram("gw.read_latency_ns")
 	t.writeLat = t.tel.Histogram("gw.write_latency_ns")
 	t.counterLat = t.tel.Histogram("gw.counter_latency_ns")
-	t.ops = t.tel.Counters().Counter("gw.ops")
-	t.hits = t.tel.Counters().Counter("gw.hits")
-	t.misses = t.tel.Counters().Counter("gw.misses")
-	t.rejections = t.tel.Counters().Counter("gw.quota_rejections")
+	t.ops = t.tel.Counters().Handle("gw.ops")
+	t.hits = t.tel.Counters().Handle("gw.hits")
+	t.misses = t.tel.Counters().Handle("gw.misses")
+	t.rejections = t.tel.Counters().Handle("gw.quota_rejections")
 	return t
 }
 

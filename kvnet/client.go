@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"kvdirect"
-	"kvdirect/internal/stats"
 	"kvdirect/internal/telemetry"
 	"kvdirect/internal/wire"
 )
@@ -110,7 +109,7 @@ type Client struct {
 	broken bool
 	closed bool
 
-	counters *stats.Counters
+	counters *telemetry.Counters
 	tel      *telemetry.Registry
 	rtt      *telemetry.Histogram
 	backoff  *Backoff
@@ -145,7 +144,7 @@ func DialOptions(addr string, opts Options) (*Client, error) {
 
 // Counters exposes the client's resilience counters: client.retries,
 // client.reconnects, client.broken, client.corrupt_frames.
-func (c *Client) Counters() *stats.Counters { return c.counters }
+func (c *Client) Counters() *telemetry.Counters { return c.counters }
 
 // Telemetry returns the client's registry: the counters above plus the
 // client.rtt_ns round-trip latency histogram.

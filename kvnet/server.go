@@ -27,7 +27,6 @@ import (
 
 	"kvdirect"
 	"kvdirect/internal/fault"
-	"kvdirect/internal/stats"
 	"kvdirect/internal/telemetry"
 	"kvdirect/internal/wire"
 )
@@ -116,7 +115,7 @@ type TelemetryPublisher interface {
 // percentiles reflect operation cost rather than batch size.
 type storeBackend struct {
 	store     *kvdirect.Store
-	counters  *stats.Counters
+	counters  *telemetry.Counters
 	opLatency *telemetry.Histogram
 }
 
@@ -167,7 +166,7 @@ type Server struct {
 	closeOnce sync.Once
 	closeErr  error
 
-	counters *stats.Counters
+	counters *telemetry.Counters
 	ops      *atomic.Uint64 // server.ops, resolved once
 	tel      *telemetry.Registry
 	batchOps *telemetry.Histogram
@@ -211,7 +210,7 @@ func serve(backend Backend, addr string, opts ServerOptions) (*Server, error) {
 		ln:       ln,
 		conns:    map[net.Conn]struct{}{},
 		counters: opts.Telemetry.Counters(),
-		ops:      opts.Telemetry.Counters().Counter("server.ops"),
+		ops:      opts.Telemetry.Counters().Handle("server.ops"),
 		tel:      opts.Telemetry,
 		batchOps: opts.Telemetry.Histogram("server.batch_ops"),
 	}
@@ -240,7 +239,7 @@ func (s *Server) TelemetrySnapshot() telemetry.Snapshot {
 // server.corrupt_frames, server.bad_batches, server.write_timeouts,
 // server.resets_injected, server.truncations_injected,
 // server.corruptions_injected.
-func (s *Server) Counters() *stats.Counters { return s.counters }
+func (s *Server) Counters() *telemetry.Counters { return s.counters }
 
 // track registers a connection for Close to tear down. Once Close has
 // begun it refuses and closes the connection instead: one accepted just

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"kvdirect"
-	"kvdirect/internal/stats"
 	"kvdirect/internal/telemetry"
 )
 
@@ -37,9 +36,8 @@ type ShardAddrs struct {
 //
 // Like Client, it is safe for concurrent use.
 type ShardedClient struct {
-	shards   []*replicaSet
-	counters *stats.Counters
-	tel      *telemetry.Registry
+	shards []*replicaSet
+	tel    *telemetry.Registry
 }
 
 // DialShards connects to every endpoint (one replica per shard). On
@@ -67,17 +65,13 @@ func DialReplicaShards(shards []ShardAddrs, opts Options) (*ShardedClient, error
 		// assembled traces lose their middle hops.
 		opts.Telemetry = tel
 	}
-	sc := &ShardedClient{
-		shards:   make([]*replicaSet, len(shards)),
-		counters: stats.NewCounters(),
-		tel:      tel,
-	}
+	sc := &ShardedClient{shards: make([]*replicaSet, len(shards)), tel: tel}
 	for i, sh := range shards {
 		if sh.Primary == "" {
 			_ = sc.Close() // best-effort cleanup; the config error is reported
 			return nil, fmt.Errorf("kvnet: shard %d has no primary address", i)
 		}
-		rs := newReplicaSet(sh, opts, sc.counters)
+		rs := newReplicaSet(sh, opts, tel.Counters())
 		if _, _, err := rs.client(); err != nil {
 			_ = sc.Close() // best-effort cleanup; the dial error is reported
 			return nil, fmt.Errorf("kvnet: shard %d (%s): %w", i, sh.Primary, err)
@@ -87,11 +81,12 @@ func DialReplicaShards(shards []ShardAddrs, opts Options) (*ShardedClient, error
 	return sc, nil
 }
 
-// Counters exposes the routing-layer counters: sharded.redirects
-// (NotPrimary hints followed), sharded.rotations (blind failover
-// rotations after transport errors) and sharded.route_updates
-// (coordinator republishes applied).
-func (sc *ShardedClient) Counters() *stats.Counters { return sc.counters }
+// Counters exposes the registry's counters, where the routing layer
+// keeps sharded.redirects (NotPrimary hints followed), sharded.rotations
+// (blind failover rotations after transport errors) and
+// sharded.route_updates (coordinator republishes applied) beside the
+// per-shard connections' client.* counters.
+func (sc *ShardedClient) Counters() *telemetry.Counters { return sc.tel.Counters() }
 
 // Telemetry returns the routing layer's registry: when Options.Telemetry
 // was set at dial time it is shared with every per-shard connection, so
@@ -126,21 +121,13 @@ func (sc *ShardedClient) UpdateShard(i int, addrs ShardAddrs) error {
 		return fmt.Errorf("kvnet: shard %d republish has no primary", i)
 	}
 	sc.shards[i].update(addrs)
-	sc.counters.Add("sharded.route_updates", 1)
+	sc.tel.Counters().Add("sharded.route_updates", 1)
 	return nil
 }
 
-// shardIndex mirrors kvdirect.Cluster's routing hash.
+// shardIndex routes by kvdirect.Cluster's placement rule.
 func (sc *ShardedClient) shardIndex(key []byte) int {
-	h := uint64(14695981039346656037)
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	h ^= h >> 33
-	h *= 0xC4CEB9FE1A85EC53
-	h ^= h >> 33
-	return int(h % uint64(len(sc.shards)))
+	return kvdirect.ShardOf(key, len(sc.shards))
 }
 
 // Get routes a GET to the owning shard.
@@ -340,7 +327,7 @@ func (sc *ShardedClient) DoTrace(ops []kvdirect.Op, traceID uint64, parent uint3
 // address list (front = believed primary) and cached connections.
 type replicaSet struct {
 	opts     Options
-	counters *stats.Counters
+	counters *telemetry.Counters
 
 	mu      sync.Mutex
 	addrs   []string
@@ -348,7 +335,7 @@ type replicaSet struct {
 	backoff *Backoff // retry pacing for every doCall on this set; drawn from under mu
 }
 
-func newReplicaSet(sh ShardAddrs, opts Options, counters *stats.Counters) *replicaSet {
+func newReplicaSet(sh ShardAddrs, opts Options, counters *telemetry.Counters) *replicaSet {
 	opts = opts.withDefaults()
 	return &replicaSet{
 		opts:     opts,

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"kvdirect"
-	"kvdirect/internal/stats"
 	"kvdirect/internal/telemetry"
 )
 
@@ -238,8 +237,8 @@ func u64b(v uint64) []byte {
 // as one wave. Each set now owns a clock-seeded backoff.
 func TestReplicaSetJitterDiffersPerSet(t *testing.T) {
 	sh := ShardAddrs{Primary: "127.0.0.1:1", Backups: []string{"127.0.0.1:2"}}
-	a := newReplicaSet(sh, Options{}, stats.NewCounters())
-	b := newReplicaSet(sh, Options{}, stats.NewCounters())
+	a := newReplicaSet(sh, Options{}, new(telemetry.Counters))
+	b := newReplicaSet(sh, Options{}, new(telemetry.Counters))
 	for n := 1; n <= 16; n++ {
 		if a.backoff.Delay(n) != b.backoff.Delay(n) {
 			return
@@ -248,12 +247,12 @@ func TestReplicaSetJitterDiffersPerSet(t *testing.T) {
 	t.Fatal("two replica sets for the same addresses drew identical retry delays: their retries will arrive in lock-step")
 }
 
-// TestDoCallFirstAttemptAllocatesNothing pins the retry machinery's cost
+// TestDoCallFirstAttemptAllocs pins the retry machinery's cost
 // on the path every call takes: with a cached connection and an attempt
 // that lands, doCall itself allocates nothing — no backoff, no
 // generator, no error values.
-func TestDoCallFirstAttemptAllocatesNothing(t *testing.T) {
-	rs := newReplicaSet(ShardAddrs{Primary: "primary"}, Options{}, stats.NewCounters())
+func TestDoCallFirstAttemptAllocs(t *testing.T) {
+	rs := newReplicaSet(ShardAddrs{Primary: "primary"}, Options{}, new(telemetry.Counters))
 	rs.clients["primary"] = &Client{} // never used: the stub call below answers for it
 	ops := []kvdirect.Op{{Code: kvdirect.OpPut, Key: []byte("k"), Value: []byte("v")}}
 	res := []kvdirect.Result{{Status: kvdirect.StatusOK}}

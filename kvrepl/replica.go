@@ -10,7 +10,6 @@ import (
 	"kvdirect"
 	"kvdirect/internal/fault"
 	"kvdirect/internal/repllog"
-	"kvdirect/internal/stats"
 	"kvdirect/internal/telemetry"
 	"kvdirect/internal/wire"
 	"kvdirect/kvnet"
@@ -30,11 +29,17 @@ type Replica struct {
 
 	log        *repllog.Log
 	tel        *telemetry.Registry
-	counters   *stats.Counters
-	gauges     *stats.Gauges
-	ints       *stats.IntGauges
+	counters   *telemetry.Counters
+	gauges     *telemetry.Gauges
+	ints       *telemetry.IntGauges
 	quorumWait *telemetry.Histogram
 	faults     *fault.Injector
+
+	// Handles for the metrics bumped per shipped or applied entry and
+	// per ack, resolved once so those paths do one atomic each.
+	entriesShipped, migrationEntries, entriesDropped *atomic.Uint64
+	shipFlushes, entriesApplied, acks                *atomic.Uint64
+	lag, lagMax                                      *atomic.Int64
 
 	clientSrv  *kvnet.Server
 	replLn     net.Listener
@@ -94,6 +99,15 @@ func NewReplica(shard, id, groupSize int, cfg kvdirect.Config, clientAddr, replA
 		quorumWait: tel.Histogram("repl.quorum_wait_ns"),
 		faults:     opts.Faults,
 		conns:      map[net.Conn]bool{},
+
+		entriesShipped:   tel.Counters().Handle("repl.entries_shipped"),
+		migrationEntries: tel.Counters().Handle("repl.migration_entries"),
+		entriesDropped:   tel.Counters().Handle("repl.entries_dropped"),
+		shipFlushes:      tel.Counters().Handle("repl.ship_flushes"),
+		entriesApplied:   tel.Counters().Handle("repl.entries_applied"),
+		acks:             tel.Counters().Handle("repl.acks"),
+		lag:              tel.IntGauges().Handle("repl.lag"),
+		lagMax:           tel.IntGauges().Handle("repl.lag_max"),
 	}
 	r.ackCond = sync.NewCond(&r.mu)
 	r.replLn, err = net.Listen("tcp", replAddr)
@@ -158,18 +172,18 @@ func (r *Replica) Alive() bool {
 // repl.demotions, repl.not_primary_rejects, repl.epoch_rejects,
 // repl.quorum_failures, repl.apply_panics, repl.installs,
 // repl.migration_entries.
-func (r *Replica) Counters() *stats.Counters { return r.counters }
+func (r *Replica) Counters() *telemetry.Counters { return r.counters }
 
 // Gauges exposes the replica's unsigned gauges (shared with the store's
 // core gauges). Replication lag lives in IntGauges — it is transiently
 // negative when a backup applies past a heartbeat's frontier, which an
 // unsigned gauge would wrap to ~2^64.
-func (r *Replica) Gauges() *stats.Gauges { return r.gauges }
+func (r *Replica) Gauges() *telemetry.Gauges { return r.gauges }
 
 // IntGauges exposes the signed replication gauges: repl.lag (entries
 // the slowest tracked backup is behind), repl.lag_max (its high-water
 // mark), repl.epoch, repl.applied_seq.
-func (r *Replica) IntGauges() *stats.IntGauges { return r.ints }
+func (r *Replica) IntGauges() *telemetry.IntGauges { return r.ints }
 
 // Telemetry returns the registry shared by the replica, its store and
 // its client-facing server.
@@ -590,7 +604,7 @@ func (r *Replica) recordAck(epoch uint64, peerID int, seq uint64) {
 	}
 	if i < len(r.peerAcked) && seq > r.peerAcked[i].seq {
 		r.peerAcked[i].seq = seq
-		r.counters.Add("repl.acks", 1)
+		r.acks.Add(1)
 		r.wakeLocked()
 	}
 	minAck := r.lastApplied
@@ -604,6 +618,6 @@ func (r *Replica) recordAck(epoch uint64, peerID int, seq uint64) {
 	// observe its own frontier past a stale heartbeat's, and both sites
 	// must feed the same gauge without wrapping.
 	lag := int64(r.lastApplied) - int64(minAck)
-	r.ints.Set("repl.lag", lag)
-	r.ints.SetMax("repl.lag_max", lag)
+	r.lag.Store(lag)
+	telemetry.StoreMax(r.lagMax, lag)
 }

@@ -335,7 +335,7 @@ func (s *stream) shipBatch(epoch uint64, entries []repllog.Entry) (n int, err er
 			// idle heartbeat) presents a gap, the backup closes the
 			// stream, and the redial resyncs from its true frontier —
 			// transient loss, recovered, never acked over.
-			r.counters.Add("repl.entries_dropped", 1)
+			r.entriesDropped.Add(1)
 			continue
 		}
 		// A sampled trace context stamped onto the entry's packet by the
@@ -372,11 +372,11 @@ func (s *stream) shipBatch(epoch uint64, entries []repllog.Entry) (n int, err er
 		return n, err
 	}
 	if s.migrate {
-		r.counters.Add("repl.migration_entries", uint64(written))
+		r.migrationEntries.Add(uint64(written))
 	} else {
-		r.counters.Add("repl.entries_shipped", uint64(written))
+		r.entriesShipped.Add(uint64(written))
 	}
-	r.counters.Add("repl.ship_flushes", 1)
+	r.shipFlushes.Add(1)
 	return n, nil
 }
 
@@ -533,7 +533,7 @@ func (r *Replica) handleReplConn(conn net.Conn) {
 			// Signed: our frontier can be past a stale heartbeat's Seq
 			// (entries applied while the heartbeat was in flight), which
 			// the old unsigned gauge had to clamp away.
-			r.ints.Set("repl.lag", int64(m.Seq)-int64(ackSeq))
+			r.lag.Store(int64(m.Seq) - int64(ackSeq))
 			r.mu.Unlock()
 			if behind {
 				// The cursor passed entries we never saw (drop fault at
@@ -650,7 +650,7 @@ func (r *Replica) applyEntry(m wire.ReplMessage) (ack uint64, gap bool) {
 	r.tel.Tracer().Publish(span)
 	_ = resp
 	r.lastApplied = m.Seq
-	r.counters.Add("repl.entries_applied", 1)
+	r.entriesApplied.Add(1)
 	return m.Seq, false
 }
 
