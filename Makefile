@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint lint-new lint-fix test race chaos chaos-migrate chaos-scan gateway telemetry profile check clean
+.PHONY: build vet lint lint-new lint-fix test race chaos gateway telemetry profile check
 
 build:
 	$(GO) build ./...
@@ -33,26 +33,15 @@ test: build
 race: vet
 	$(GO) test -race ./...
 
-# Just the chaos/resilience suite (fault injection across every layer,
-# replication failover included).
+# The chaos/resilience suite: every test of the packages where failure
+# handling lives — fault injection across every layer, replication
+# failover, live migration with the source, the destination and the
+# coordinator killed mid-transfer, the ordered-scan differential through
+# the sharded client, and the cmd/ topology matrix — under the race
+# detector. Whole packages, not a list of test names, so a new test
+# cannot be left out; -count=2 shakes out ordering-dependent flakes.
 chaos:
-	$(GO) test -race -count=1 -v -run 'TestChaos|TestServerSurvives|TestClientRe|TestNonIdempotent|TestNoReconnect|TestWriteDeadline|TestServerPanic' ./kvnet/
-	$(GO) test -race -count=2 -v -run 'TestChaos|TestFailover|TestPartitioned|TestDropEntry|TestSnapshotCatchup' ./kvrepl/
-
-# Migration chaos: kill the source primary, the destination, and the
-# coordinator mid-migration; assert zero acked-write loss and route
-# convergence. -count=2 shakes out ordering-dependent flakes.
-chaos-migrate:
-	$(GO) test -race -count=2 -v -run 'TestChaosMigration' ./kvnet/
-	$(GO) test -race -count=2 -v -run 'TestMigrate|TestAddReplica|TestRemoveReplica|TestBackupWindowEviction|TestDoubleLeaseExpiry|TestAdopt' ./kvrepl/
-
-# Scan chaos: the ordered-scan differential property test run through
-# the sharded networked client under fault injection (scans must keep
-# their ordering/phantom/cursor contract across redirects and retries).
-chaos-scan:
-	$(GO) test -race -count=1 -v -run 'TestScanDifferential' ./internal/core/
-	$(GO) test -race -count=2 -v -run 'TestScanDifferentialSharded|TestChaosScan|TestYCSBEEndToEnd' ./kvnet/
-	$(GO) test -race -count=1 -v -run 'TestScanRoutesToPrimary' ./kvrepl/
+	$(GO) test -race -count=2 ./kvnet/ ./kvrepl/ ./internal/core/ ./cmd/...
 
 # The whole protocol-gateway suite under the race detector: codecs and
 # fuzz seeds, tenant registry/quotas, stock-framing round trips, the

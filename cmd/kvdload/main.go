@@ -5,19 +5,24 @@
 //
 // Usage:
 //
-//	kvdload [-addr host:port] [-workload A|B|C|D|E|F] [-keys n] [-ops n]
-//	        [-keysize n] [-valsize n] [-batch n] [-clients n] [-seed n]
-//	        [-selfserve] [-record trace.bin] [-replay trace.bin]
+//	kvdload [-addr host:port[,host:port...]] [-workload A|B|C|D|E|F]
+//	        [-keys n] [-ops n] [-keysize n] [-valsize n] [-batch n]
+//	        [-clients n] [-seed n] [-selfserve] [-record oplog.bin]
+//	        [-replay oplog.bin]
 //
-// With -selfserve it launches an in-process server, so a single command
-// demonstrates the whole stack. -record captures every batch the run
-// phase sends into a replayable trace; -replay streams a captured trace
-// back at the server instead of generating fresh load.
+// -addr is the server's shard list, one address per shard in shard
+// order (kvdserver -shards n logs it); keys route by the deployment's
+// placement rule, so one address is simply a one-shard list. With
+// -selfserve it launches an in-process 1 × 1 deployment instead, so a
+// single command demonstrates the whole stack. -record captures every
+// batch the run phase sends into a replayable op-log; -replay streams a
+// captured op-log back at the server instead of generating fresh load.
 //
 // With -memcache it instead drives a kvgw memcache-binary gateway at
 // -addr as a Zipf-skewed fleet of -mctenants tenants (quiet-pipelined
 // GET/SET batches over SASL-authenticated connections); -selfserve
-// launches the gateway in-process with an auto-create registry.
+// launches the gateway in-process, on the same deployment, with an
+// auto-create registry.
 package main
 
 import (
@@ -35,16 +40,17 @@ import (
 	"kvdirect/internal/workload"
 	"kvdirect/kvgw"
 	"kvdirect/kvnet"
+	"kvdirect/kvrepl"
 )
 
 // recorder, when set, captures every batch the run phase sends (guarded
 // by recordMu; multiple client goroutines share it).
 var (
-	recorder *kvdirect.TraceWriter
+	recorder *kvdirect.OpLogWriter
 	recordMu sync.Mutex
 )
 
-// recordBatch appends ops to the trace if recording is on.
+// recordBatch appends ops to the op-log if recording is on.
 func recordBatch(ops []kvdirect.Op) {
 	if recorder == nil {
 		return
@@ -52,18 +58,18 @@ func recordBatch(ops []kvdirect.Op) {
 	recordMu.Lock()
 	defer recordMu.Unlock()
 	if err := recorder.Record(ops); err != nil {
-		log.Printf("kvdload: trace record: %v", err)
+		log.Printf("kvdload: op-log record: %v", err)
 	}
 }
 
-// replayTrace streams a recorded trace to the server batch by batch.
-func replayTrace(addr, path string) error {
+// replayOpLog streams a recorded op-log to the server batch by batch.
+func replayOpLog(addrs []string, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	cl, err := kvnet.Dial(addr)
+	cl, err := kvnet.DialShards(addrs)
 	if err != nil {
 		return err
 	}
@@ -92,7 +98,7 @@ func replayTrace(addr, path string) error {
 }
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:7890", "server address")
+	addr := flag.String("addr", "127.0.0.1:7890", "server address: comma-separated, one per shard in shard order")
 	wl := flag.String("workload", "B", "YCSB workload letter (A-F)")
 	keys := flag.Uint64("keys", 100000, "pre-loaded key count")
 	ops := flag.Int("ops", 200000, "operations to run")
@@ -102,37 +108,38 @@ func main() {
 	clients := flag.Int("clients", 4, "concurrent client connections")
 	seed := flag.Int64("seed", 1, "workload seed")
 	selfServe := flag.Bool("selfserve", false, "launch an in-process server")
-	record := flag.String("record", "", "record every batch to a trace file")
-	replay := flag.String("replay", "", "replay a recorded trace instead of generating load")
+	record := flag.String("record", "", "record every batch to an op-log file")
+	replay := flag.String("replay", "", "replay a recorded op-log instead of generating load")
 	mcMode := flag.Bool("memcache", false, "drive a kvgw memcache gateway at -addr as a multi-tenant fleet")
 	mcTenants := flag.Int("mctenants", 1000, "memcache mode: tenant count (zipf-skewed popularity)")
 	mcKeys := flag.Int("mckeys", 1000, "memcache mode: keys per tenant")
 	flag.Parse()
 
-	if *mcMode {
-		if *selfServe {
-			store, err := kvdirect.New(kvdirect.Config{MemoryBytes: 256 << 20})
-			if err != nil {
-				log.Fatalf("kvdload: %v", err)
-			}
-			srv, err := kvnet.Serve(store, "127.0.0.1:0")
-			if err != nil {
-				log.Fatalf("kvdload: %v", err)
-			}
-			defer srv.Close()
+	addrs := strings.Split(*addr, ",")
+	if *selfServe {
+		d, err := kvrepl.Deploy("127.0.0.1:0", 1, 1, 0, kvdirect.Config{MemoryBytes: 256 << 20}, kvrepl.Options{})
+		if err != nil {
+			log.Fatalf("kvdload: %v", err)
+		}
+		defer d.Close()
+		addrs = []string{d.Routes()[0].Primary}
+		log.Printf("kvdload: in-process server on %s", addrs[0])
+		if *mcMode {
 			reg, err := kvgw.NewRegistry(kvgw.RegistryConfig{AutoCreate: true}, nil)
 			if err != nil {
 				log.Fatalf("kvdload: %v", err)
 			}
-			gw, err := kvgw.Serve(srv, reg, "127.0.0.1:0", kvgw.Options{})
+			gw, err := kvgw.Serve(d, reg, "127.0.0.1:0", kvgw.Options{})
 			if err != nil {
 				log.Fatalf("kvdload: %v", err)
 			}
 			defer gw.Close()
-			*addr = gw.Addr()
-			log.Printf("kvdload: in-process memcache gateway on %s", *addr)
+			addrs = []string{gw.Addr()}
+			log.Printf("kvdload: in-process memcache gateway on %s", addrs[0])
 		}
-		runMemcacheFleet(*addr, *mcTenants, *ops, *mcKeys, *valSize, *batch, *clients, *seed)
+	}
+	if *mcMode {
+		runMemcacheFleet(addrs[0], *mcTenants, *ops, *mcKeys, *valSize, *batch, *clients, *seed)
 		return
 	}
 
@@ -141,22 +148,8 @@ func main() {
 		log.Fatalf("kvdload: %v", err)
 	}
 
-	if *selfServe {
-		store, err := kvdirect.New(kvdirect.Config{MemoryBytes: 256 << 20})
-		if err != nil {
-			log.Fatalf("kvdload: %v", err)
-		}
-		srv, err := kvnet.Serve(store, "127.0.0.1:0")
-		if err != nil {
-			log.Fatalf("kvdload: %v", err)
-		}
-		defer srv.Close()
-		*addr = srv.Addr()
-		log.Printf("kvdload: in-process server on %s", *addr)
-	}
-
 	if *replay != "" {
-		if err := replayTrace(*addr, *replay); err != nil {
+		if err := replayOpLog(addrs, *replay); err != nil {
 			log.Fatalf("kvdload: replay: %v", err)
 		}
 		return
@@ -167,7 +160,7 @@ func main() {
 			log.Fatalf("kvdload: record: %v", err)
 		}
 		defer f.Close()
-		recorder = kvdirect.NewTraceWriter(f)
+		recorder = kvdirect.NewOpLogWriter(f)
 		defer recorder.Flush()
 	}
 
@@ -178,7 +171,7 @@ func main() {
 	// Load phase.
 	log.Printf("kvdload: loading %d keys (%d B keys, %d B values)...", *keys, *keySize, *valSize)
 	loadStart := time.Now()
-	if err := loadKeys(*addr, gen, *keys, *keySize, *batch, *clients); err != nil {
+	if err := loadKeys(addrs, gen, *keys, *keySize, *batch, *clients); err != nil {
 		log.Fatalf("kvdload: load: %v", err)
 	}
 	log.Printf("kvdload: loaded in %.1fs", time.Since(loadStart).Seconds())
@@ -186,7 +179,7 @@ func main() {
 	// Run phase.
 	log.Printf("kvdload: running %s, %d ops, batch %d, %d clients",
 		preset, *ops, *batch, *clients)
-	total, elapsed, lat, errs := run(*addr, preset, *keys, *ops, *keySize, *valSize, *batch, *clients, *seed)
+	total, elapsed, lat, errs := run(addrs, preset, *keys, *ops, *keySize, *valSize, *batch, *clients, *seed)
 	if errs > 0 {
 		log.Printf("kvdload: %d operation errors", errs)
 	}
@@ -217,7 +210,7 @@ func parsePreset(s string) (workload.Preset, error) {
 	return 0, fmt.Errorf("unknown workload %q (want A-F)", s)
 }
 
-func loadKeys(addr string, gen *workload.Generator, keys uint64, keySize, batch, clients int) error {
+func loadKeys(addrs []string, gen *workload.Generator, keys uint64, keySize, batch, clients int) error {
 	var wg sync.WaitGroup
 	errCh := make(chan error, clients)
 	per := keys / uint64(clients)
@@ -230,7 +223,7 @@ func loadKeys(addr string, gen *workload.Generator, keys uint64, keySize, batch,
 		wg.Add(1)
 		go func(lo, hi uint64) {
 			defer wg.Done()
-			cl, err := kvnet.Dial(addr)
+			cl, err := kvnet.DialShards(addrs)
 			if err != nil {
 				errCh <- err
 				return
@@ -259,7 +252,7 @@ func loadKeys(addr string, gen *workload.Generator, keys uint64, keySize, batch,
 	return nil
 }
 
-func run(addr string, preset workload.Preset, keys uint64, totalOps, keySize, valSize, batch, clients int, seed int64) (int, time.Duration, *stats.Sample, int) {
+func run(addrs []string, preset workload.Preset, keys uint64, totalOps, keySize, valSize, batch, clients int, seed int64) (int, time.Duration, *stats.Sample, int) {
 	var wg sync.WaitGroup
 	latCh := make(chan []float64, clients)
 	errCh := make(chan int, clients)
@@ -270,7 +263,7 @@ func run(addr string, preset workload.Preset, keys uint64, totalOps, keySize, va
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			lats, done, errs := clientRun(addr, preset, keys, perClient, keySize, valSize, batch, seed+int64(c))
+			lats, done, errs := clientRun(addrs, preset, keys, perClient, keySize, valSize, batch, seed+int64(c))
 			latCh <- lats
 			doneCh <- done
 			errCh <- errs
@@ -297,8 +290,8 @@ func run(addr string, preset workload.Preset, keys uint64, totalOps, keySize, va
 	return total, elapsed, lat, errs
 }
 
-func clientRun(addr string, preset workload.Preset, keys uint64, ops, keySize, valSize, batch int, seed int64) (lats []float64, done, errs int) {
-	cl, err := kvnet.Dial(addr)
+func clientRun(addrs []string, preset workload.Preset, keys uint64, ops, keySize, valSize, batch int, seed int64) (lats []float64, done, errs int) {
+	cl, err := kvnet.DialShards(addrs)
 	if err != nil {
 		log.Printf("kvdload: client: %v", err)
 		return nil, 0, ops
@@ -357,8 +350,8 @@ func clientRun(addr string, preset workload.Preset, keys uint64, ops, keySize, v
 						Value: gen.ValueBytes(op.KeyID, version)})
 			}
 		case workload.Scan:
-			// Real ordered range: one SCAN op over the server's ordered
-			// secondary index, starting at the drawn key.
+			// Real ordered range: one SCAN op over the ordered secondary
+			// index of the shard that owns the drawn start key.
 			sop, serr := kvdirect.ScanOp(key, op.ScanLen, nil)
 			if serr != nil {
 				errs++

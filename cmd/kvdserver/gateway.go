@@ -1,45 +1,37 @@
 package main
 
 import (
+	"fmt"
 	"log"
 
 	"kvdirect/kvgw"
 )
 
-// loadTenants builds the gateway's tenant registry: from the -tenants
-// JSON file when given, otherwise an open registry that auto-creates a
-// tenant per SASL identity with no quota — the zero-config mode for
-// local runs.
-func loadTenants(path string) *kvgw.Registry {
-	if path == "" {
-		reg, err := kvgw.NewRegistry(kvgw.RegistryConfig{AutoCreate: true}, nil)
-		if err != nil {
-			log.Fatalf("kvdserver: tenant registry: %v", err)
-		}
-		return reg
-	}
-	reg, err := kvgw.LoadRegistry(path, nil)
-	if err != nil {
-		log.Fatalf("kvdserver: -tenants %s: %v", path, err)
-	}
-	return reg
-}
-
 // startGateway serves the memcache binary protocol on addr, translating
-// onto the given backend (a kvnet server or client — anything that can
-// run an op batch). sampleEvery makes the gateway root a distributed
-// trace for one batch in N — the same -trace-sample knob that governs
-// server-side sampling, so one flag turns tracing on everywhere.
-func startGateway(addr, tenantsPath string, backend kvgw.Backend, sampleEvery uint64) *kvgw.Gateway {
-	reg := loadTenants(tenantsPath)
+// onto the given backend (the deployment, in-process). The tenant
+// registry comes from the -tenants JSON file when given, otherwise it is
+// open: a tenant per SASL identity, auto-created with no quota — the
+// zero-config mode for local runs. sampleEvery makes the gateway root a
+// distributed trace for one batch in N — the same -trace-sample knob
+// that governs server-side sampling, so one flag turns tracing on
+// everywhere.
+func startGateway(addr, tenantsPath string, backend kvgw.Backend, sampleEvery uint64) (*kvgw.Gateway, error) {
+	var reg *kvgw.Registry
+	var err error
+	mode := "auto-create"
+	if tenantsPath == "" {
+		reg, err = kvgw.NewRegistry(kvgw.RegistryConfig{AutoCreate: true}, nil)
+	} else {
+		mode = tenantsPath
+		reg, err = kvgw.LoadRegistry(tenantsPath, nil)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("tenant registry (%s): %w", mode, err)
+	}
 	gw, err := kvgw.Serve(backend, reg, addr, kvgw.Options{TraceSampleEvery: sampleEvery})
 	if err != nil {
-		log.Fatalf("kvdserver: memcache gateway: %v", err)
-	}
-	mode := "auto-create"
-	if tenantsPath != "" {
-		mode = tenantsPath
+		return nil, fmt.Errorf("memcache gateway: %w", err)
 	}
 	log.Printf("kvdserver: memcache gateway on %s (tenants: %s)", gw.Addr(), mode)
-	return gw
+	return gw, nil
 }

@@ -5,35 +5,40 @@
 //
 //	kvdserver [-addr host:port] [-mem bytes] [-index-ratio r]
 //	          [-inline n] [-dispatch r] [-no-cache] [-no-ooo]
-//	          [-shards n] [-metrics host:port] [-trace-sample n]
-//	          [-pprof host:port]
+//	          [-shards n] [-replicas n] [-metrics host:port]
+//	          [-trace-sample n] [-admin host:port] [-memcache host:port]
+//	          [-tenants file] [-pprof host:port]
 //
-// With -shards n it runs n independent stores behind n listeners on
-// consecutive ports — the paper's multi-NIC server (pair it with
-// kvnet.DialShards). The process logs its listen addresses and serves
-// until interrupted.
+// The topology is one value, a kvrepl.Deployment of -shards × -replicas:
+// every shard a replica group under an in-process coordinator that
+// handles failover, replica r of shard s listening on port + s*replicas
+// + r. The defaults (1 × 1) are a single store — a group of one whose
+// quorum is itself; -shards 10 is the paper's multi-NIC server. The
+// process logs its routes (the shard list clients dial) and serves until
+// interrupted or terminated.
 //
-// With -metrics it additionally serves the merged telemetry of all
-// shards over HTTP: Prometheus text on /metrics, the full snapshot
-// (including sampled spans) as JSON on /debug/telemetry. -trace-sample n
-// server-samples one batch in n into the trace ring (0 disables).
+// With -metrics it additionally serves the merged telemetry of every
+// replica and the coordinator over HTTP: Prometheus text on /metrics,
+// the full snapshot (including sampled spans) as JSON on
+// /debug/telemetry. -trace-sample n server-samples one batch in n into
+// each replica's trace ring (0 disables).
 //
-// With -replicas n (n > 1) each shard runs as a kvrepl replica group —
-// n replicas on consecutive ports, an in-process coordinator handling
-// failover — and -admin serves the control surface: GET /routes, GET
-// /migrations, and POST /migrate?shard=N to live-migrate a shard onto a
-// fresh replica group (see kvdcli migrate). In replicated mode -metrics
-// merges every replica and the coordinator into one scrape.
+// -admin serves the control surface: GET /routes, GET /migrations, and
+// POST /migrate?shard=N to live-migrate a shard onto a fresh replica
+// group (see kvdcli migrate).
 //
 // With -memcache the process additionally serves the memcache binary
 // protocol through the kvgw gateway — multi-tenant, SASL PLAIN
-// authenticated, namespaced onto the same store(s). -tenants points at
-// a kvgw registry JSON (names, secrets, quotas); without it the
-// gateway auto-creates an unlimited tenant per SASL identity. Gateway
-// and per-tenant telemetry merge into the same -metrics scrape.
+// authenticated, namespaced onto the same deployment, which it calls
+// in-process. -tenants points at a kvgw registry JSON (names, secrets,
+// quotas); without it the gateway auto-creates an unlimited tenant per
+// SASL identity. Gateway and per-tenant telemetry merge into the same
+// -metrics scrape.
 package main
 
 import (
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -42,169 +47,154 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
+	"syscall"
 
 	_ "net/http/pprof" // -pprof: registers /debug/pprof on the default mux
 
 	"kvdirect"
-	"kvdirect/kvgw"
 	"kvdirect/kvnet"
+	"kvdirect/kvrepl"
 )
 
-// servePprof starts the net/http/pprof endpoint when -pprof is set. The
-// handlers register on http.DefaultServeMux (the pprof package's import
-// side effect), so serving the default mux on a dedicated listener is
-// all that is needed — and keeps profiling off the metrics mux, which
-// stays safe to expose.
-func servePprof(addr string) {
-	if addr == "" {
-		return
+func main() {
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	if err := run(os.Args[1:], stop); err != nil {
+		log.Fatalf("kvdserver: %v", err)
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		log.Fatalf("kvdserver: pprof listener: %v", err)
-	}
-	log.Printf("kvdserver: pprof on http://%s/debug/pprof/", ln.Addr())
-	go func() {
-		if err := http.Serve(ln, nil); err != nil {
-			log.Printf("kvdserver: pprof server: %v", err)
-		}
-	}()
 }
 
-func main() {
-	addr := flag.String("addr", "127.0.0.1:7890", "listen address (shard i listens on port+i)")
-	mem := flag.Uint64("mem", 256<<20, "host KVS memory bytes (per shard)")
-	indexRatio := flag.Float64("index-ratio", 0.5, "hash index ratio")
-	inline := flag.Int("inline", 13, "inline threshold in bytes (-1 disables)")
-	dispatchRatio := flag.Float64("dispatch", 0.5, "load dispatch ratio")
-	noCache := flag.Bool("no-cache", false, "disable the NIC DRAM cache")
-	noOoO := flag.Bool("no-ooo", false, "disable out-of-order execution")
-	shards := flag.Int("shards", 1, "number of NIC shards (one listener each, like the 10-NIC server)")
-	metricsAddr := flag.String("metrics", "", "serve /metrics and /debug/telemetry on this address (empty disables)")
-	traceSample := flag.Uint64("trace-sample", 0, "server-sample one batch in N for the trace ring (0 disables)")
-	replicas := flag.Int("replicas", 1, "replicas per shard; >1 runs each shard as a kvrepl replica group")
-	adminAddr := flag.String("admin", "", "replicated mode: serve /routes, /migrations and POST /migrate on this address")
-	memcacheAddr := flag.String("memcache", "", "serve the memcache binary protocol on this address (empty disables)")
-	tenants := flag.String("tenants", "", "tenant registry JSON for the memcache gateway (default: auto-create, no quotas)")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (empty disables)")
-	flag.Parse()
-	servePprof(*pprofAddr)
+// run is the whole command: flags → deployment → optional gateway,
+// metrics, admin and pprof listeners → wait for stop → close everything
+// it opened, in reverse.
+func run(args []string, stop <-chan os.Signal) error {
+	fs := flag.NewFlagSet("kvdserver", flag.ContinueOnError)
+	addr := fs.String("addr", "127.0.0.1:7890", "listen address (replica r of shard s listens on port + s*replicas + r)")
+	mem := fs.Uint64("mem", 256<<20, "host KVS memory bytes (per replica)")
+	indexRatio := fs.Float64("index-ratio", 0.5, "hash index ratio")
+	inline := fs.Int("inline", 13, "inline threshold in bytes (-1 disables)")
+	dispatchRatio := fs.Float64("dispatch", 0.5, "load dispatch ratio")
+	noCache := fs.Bool("no-cache", false, "disable the NIC DRAM cache")
+	noOoO := fs.Bool("no-ooo", false, "disable out-of-order execution")
+	shards := fs.Int("shards", 1, "number of NIC shards (like the 10-NIC server)")
+	metricsAddr := fs.String("metrics", "", "serve /metrics and /debug/telemetry on this address (empty disables)")
+	traceSample := fs.Uint64("trace-sample", 0, "sample one batch in N for the trace rings, server-side and at the gateway (0 disables)")
+	replicas := fs.Int("replicas", 1, "replicas per shard (each shard is a kvrepl replica group of this size)")
+	adminAddr := fs.String("admin", "", "serve /routes, /migrations and POST /migrate on this address")
+	memcacheAddr := fs.String("memcache", "", "serve the memcache binary protocol on this address (empty disables)")
+	tenants := fs.String("tenants", "", "tenant registry JSON for the memcache gateway (default: auto-create, no quotas)")
+	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (empty disables)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h printed the usage; that was the whole request
+		}
+		return err
+	}
 
-	cfg := kvdirect.Config{
+	d, err := kvrepl.Deploy(*addr, *shards, *replicas, *traceSample, kvdirect.Config{
 		MemoryBytes:       *mem,
 		HashIndexRatio:    *indexRatio,
 		InlineThreshold:   *inline,
 		LoadDispatchRatio: *dispatchRatio,
 		DisableCache:      *noCache,
 		DisableOoO:        *noOoO,
-	}
-	if *shards < 1 {
-		log.Fatalf("kvdserver: -shards must be >= 1")
-	}
-
-	if *replicas > 1 {
-		host, portStr, err := net.SplitHostPort(*addr)
-		if err != nil {
-			log.Fatalf("kvdserver: bad -addr: %v", err)
-		}
-		basePort, err := strconv.Atoi(portStr)
-		if err != nil {
-			log.Fatalf("kvdserver: bad port: %v", err)
-		}
-		runReplicated(host, basePort, *shards, *replicas, cfg, *metricsAddr, *adminAddr, *memcacheAddr, *tenants, *traceSample)
-		return
-	}
-	if *adminAddr != "" {
-		log.Fatalf("kvdserver: -admin requires replicated mode (-replicas > 1)")
-	}
-
-	cluster, err := kvdirect.NewCluster(*shards, cfg)
+	}, kvrepl.Options{})
 	if err != nil {
-		log.Fatalf("kvdserver: %v", err)
+		return err
 	}
-	host, portStr, err := net.SplitHostPort(*addr)
-	if err != nil {
-		log.Fatalf("kvdserver: bad -addr: %v", err)
-	}
-	basePort, err := strconv.Atoi(portStr)
-	if err != nil {
-		log.Fatalf("kvdserver: bad port: %v", err)
-	}
-	servers := make([]*kvnet.Server, *shards)
-	for i := range servers {
-		shardAddr := net.JoinHostPort(host, strconv.Itoa(basePort+i))
-		srv, err := kvnet.ServeOptions(cluster.ShardAt(i), shardAddr,
-			kvnet.ServerOptions{TraceSampleEvery: *traceSample})
-		if err != nil {
-			log.Fatalf("kvdserver: shard %d: %v", i, err)
+	defer func() {
+		if err := d.Close(); err != nil {
+			log.Printf("kvdserver: close: %v", err)
 		}
-		servers[i] = srv
-		log.Printf("kvdserver: shard %d/%d serving %d MiB on %s",
-			i+1, *shards, *mem>>20, srv.Addr())
+	}()
+	for s, r := range d.Routes() {
+		log.Printf("kvdserver: shard %d/%d serving %d MiB on %s (backups %v)", s+1, *shards, *mem>>20, r.Primary, r.Backups)
 	}
+	d.Coordinator().OnRoute(func(shard int, addrs kvnet.ShardAddrs) {
+		log.Printf("kvdserver: shard %d routes to primary %s (backups %v)", shard, addrs.Primary, addrs.Backups)
+	})
 
-	// The memcache gateway fronts shard 0's server directly when there
-	// is one shard, otherwise a loopback sharded client so gateway ops
-	// route by key exactly like native clients.
-	var gateway *kvgw.Gateway
-	var gwClient *kvnet.ShardedClient // loopback backend when sharded
+	sources := []kvnet.SnapshotSource{d}
 	if *memcacheAddr != "" {
-		var backend kvgw.Backend = servers[0]
-		if *shards > 1 {
-			addrs := make([]string, *shards)
-			for i, srv := range servers {
-				addrs[i] = srv.Addr()
-			}
-			sc, err := kvnet.DialShards(addrs)
-			if err != nil {
-				log.Fatalf("kvdserver: gateway loopback: %v", err)
-			}
-			defer sc.Close()
-			backend = sc
-			gwClient = sc
-		}
-		gateway = startGateway(*memcacheAddr, *tenants, backend, *traceSample)
-		defer gateway.Close()
-	}
-
-	if *metricsAddr != "" {
-		ln, err := net.Listen("tcp", *metricsAddr)
+		gateway, err := startGateway(*memcacheAddr, *tenants, d, *traceSample)
 		if err != nil {
-			log.Fatalf("kvdserver: metrics listener: %v", err)
+			return err
 		}
-		sources := make([]kvnet.SnapshotSource, 0, len(servers)+1)
-		for _, srv := range servers {
-			sources = append(sources, srv)
+		defer gateway.Close()
+		sources = append(sources, gateway)
+	}
+	// The pprof handlers register on http.DefaultServeMux (the package's
+	// import side effect); serving that on its own listener keeps
+	// profiling off the metrics mux, which stays safe to expose.
+	for _, h := range []struct {
+		what, addr string
+		handler    http.Handler
+	}{
+		{"metrics", *metricsAddr, kvnet.NewTelemetrySourcesHandler(sources...)},
+		{"admin", *adminAddr, adminHandler(d)},
+		{"pprof", *pprofAddr, http.DefaultServeMux},
+	} {
+		if h.addr == "" {
+			continue
 		}
-		if gateway != nil {
-			sources = append(sources, gateway)
+		ln, err := net.Listen("tcp", h.addr)
+		if err != nil {
+			return fmt.Errorf("%s listener: %w", h.what, err)
 		}
-		if gwClient != nil {
-			// The loopback client publishes the client hop of every
-			// traced gateway batch; merge its registry so trees stay
-			// whole under /debug/traces.
-			sources = append(sources, kvnet.RegistrySource(gwClient.Telemetry()))
-		}
-		log.Printf("kvdserver: telemetry on http://%s/metrics", ln.Addr())
+		log.Printf("kvdserver: %s on http://%s/", h.what, ln.Addr())
+		srv := &http.Server{Handler: h.handler}
+		defer srv.Close()
 		go func() {
-			if err := http.Serve(ln, kvnet.NewTelemetrySourcesHandler(sources...)); err != nil {
-				log.Printf("kvdserver: metrics server: %v", err)
+			if err := srv.Serve(ln); err != http.ErrServerClosed {
+				log.Printf("kvdserver: %s server: %v", h.what, err)
 			}
 		}()
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
-	<-sig
+	<-stop
+	return nil
+}
 
-	fmt.Println()
-	for i, srv := range servers {
-		st := cluster.ShardAt(i).Stats()
-		log.Printf("kvdserver: shard %d — %d keys, %d DMAs (%d reads, %d writes), cache hit rate %.2f, merge ratio %.2f",
-			i, st.Keys, st.Mem.Accesses(), st.Mem.Reads, st.Mem.Writes,
-			st.Cache.HitRate(), st.Engine.MergeRatio())
-		if err := srv.Close(); err != nil {
-			log.Fatalf("kvdserver: close shard %d: %v", i, err)
-		}
+// adminHandler is the control surface kvdcli migrate talks to.
+func adminHandler(d *kvrepl.Deployment) http.Handler {
+	type routeJSON struct {
+		Primary string   `json:"primary"`
+		Backups []string `json:"backups"`
 	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/routes", func(w http.ResponseWriter, r *http.Request) {
+		routes := map[string]routeJSON{}
+		for s, a := range d.Routes() {
+			routes[strconv.Itoa(s)] = routeJSON{Primary: a.Primary, Backups: a.Backups}
+		}
+		writeJSON(w, routes)
+	})
+	mux.HandleFunc("/migrations", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, d.Coordinator().Migrations())
+	})
+	mux.HandleFunc("/migrate", func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			http.Error(w, "POST /migrate?shard=N", http.StatusMethodNotAllowed)
+			return
+		}
+		shard, err := strconv.Atoi(r.URL.Query().Get("shard"))
+		if err != nil {
+			http.Error(w, "bad shard: "+err.Error(), http.StatusBadRequest)
+			return
+		}
+		mig, err := d.Migrate(shard)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusConflict)
+			return
+		}
+		writeJSON(w, mig.Status())
+	})
+	return mux
+}
+
+func writeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v) //lint:allow statuserr -- HTTP response write; a vanished client is not a server error
 }

@@ -87,16 +87,6 @@ func ExampleStore_SubmitUpdate() {
 	// Output: 1000 true
 }
 
-func ExampleCluster() {
-	// Ten stores = the paper's ten-NIC server; keys shard by hash.
-	cluster, _ := kvdirect.NewCluster(10, kvdirect.Config{MemoryBytes: 4 << 20})
-	for i := 0; i < 100; i++ {
-		_ = cluster.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("v")) //lint:allow statuserr -- example brevity; cannot fail on a fresh store
-	}
-	fmt.Println(cluster.NumKeys(), cluster.NumShards())
-	// Output: 100 10
-}
-
 func ExampleExecute() {
 	store, _ := kvdirect.New(kvdirect.Config{MemoryBytes: 16 << 20})
 	// A batch executes in order; dependent ops see each other's effects.

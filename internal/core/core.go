@@ -246,9 +246,9 @@ func (s *Store) Config() Config { return s.cfg }
 
 // Close releases the store: the pipeline is drained and the simulated
 // NIC is decommissioned. The store holds no OS resources, so Close is
-// about lifecycle hygiene — owners that build several stores (Cluster,
-// replica groups) call it on every store they created when construction
-// fails partway or the owner shuts down. Close is idempotent; Closed
+// about lifecycle hygiene — owners that build several stores (replica
+// groups, deployments) call it on every store they created when
+// construction fails partway or the owner shuts down. Close is idempotent; Closed
 // reports it for leak tests.
 func (s *Store) Close() {
 	if s.closed {

@@ -127,88 +127,84 @@ func mustPutU64(t *testing.T, s *Store, key string, v uint64) {
 	}
 }
 
-func TestClusterShardsAndRoutes(t *testing.T) {
-	c, err := NewCluster(4, Config{MemoryBytes: 4 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.NumShards() != 4 {
-		t.Fatalf("NumShards = %d", c.NumShards())
-	}
-	const n = 2000
+// TestShardOfBalancedAndBounded: placement is a pure function of the
+// key that spreads keys evenly and never leaves [0, n).
+func TestShardOfBalancedAndBounded(t *testing.T) {
+	const n, shards = 2000, 4
+	counts := make([]int, shards)
 	for i := 0; i < n; i++ {
 		k := []byte(fmt.Sprintf("cluster-key-%05d", i))
-		if err := c.Put(k, k); err != nil {
-			t.Fatal(err)
+		s := ShardOf(k, shards)
+		if s != ShardOf(k, shards) {
+			t.Fatalf("key %q placed twice differently", k)
 		}
+		counts[s]++
 	}
-	if c.NumKeys() != n {
-		t.Fatalf("NumKeys = %d, want %d", c.NumKeys(), n)
-	}
-	for i := 0; i < n; i++ {
-		k := []byte(fmt.Sprintf("cluster-key-%05d", i))
-		v, ok := c.Get(k)
-		if !ok || !bytes.Equal(v, k) {
-			t.Fatalf("key %d lost or corrupted", i)
-		}
-	}
-	// Shards stay balanced (hash routing): no shard more than 2x the mean.
-	counts := c.ShardKeyCounts()
 	for i, cnt := range counts {
-		if math.Abs(float64(cnt)-n/4.0) > n/8.0 {
-			t.Errorf("shard %d has %d keys, want ~%d", i, cnt, n/4)
+		if math.Abs(float64(cnt)-n/shards) > n/(2*shards) {
+			t.Errorf("shard %d owns %d keys, want ~%d", i, cnt, n/shards)
 		}
 	}
-	// Deletes route correctly.
-	if !c.Delete([]byte("cluster-key-00000")) {
-		t.Error("delete failed")
-	}
-	if _, ok := c.Get([]byte("cluster-key-00000")); ok {
-		t.Error("key survived delete")
-	}
-}
-
-func TestClusterAtomicsIndependentPerShard(t *testing.T) {
-	c, err := NewCluster(3, Config{MemoryBytes: 4 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 300; i++ {
-		key := []byte(fmt.Sprintf("ctr-%d", i%30))
-		if _, err := c.Update(key, FnAdd, 8, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.Flush()
-	total := uint64(0)
-	for i := 0; i < 30; i++ {
-		v, ok := c.Get([]byte(fmt.Sprintf("ctr-%d", i)))
-		if !ok {
-			t.Fatalf("counter %d missing", i)
-		}
-		total += binary.LittleEndian.Uint64(v)
-	}
-	if total != 300 {
-		t.Errorf("counters sum to %d, want 300", total)
-	}
-}
-
-func TestClusterRouteStable(t *testing.T) {
-	c, _ := NewCluster(5, Config{MemoryBytes: 4 << 20})
-	f := func(key []byte) bool {
-		if len(key) == 0 {
-			return true
-		}
-		return c.Shard(key) == c.Shard(key)
+	f := func(key []byte, n uint8) bool {
+		shards := int(n)%16 + 1
+		s := ShardOf(key, shards)
+		return s >= 0 && s < shards
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestClusterRejectsZeroShards(t *testing.T) {
-	if _, err := NewCluster(0, Config{}); err == nil {
-		t.Error("zero-shard cluster accepted")
+// TestDoSharded: every op reaches the shard that owns its key, each
+// shard sees its ops in batch order, results come back in batch order,
+// and a batch one shard owns is handed over as it is.
+func TestDoSharded(t *testing.T) {
+	const shards = 3
+	ops := make([]Op, 40)
+	for i := range ops {
+		ops[i] = Op{Code: OpGet, Key: []byte(fmt.Sprintf("k%02d", i))}
+	}
+	calls := 0
+	echo := func(s int, sub []Op) ([]Result, error) {
+		calls++
+		res := make([]Result, len(sub))
+		for j, op := range sub {
+			if ShardOf(op.Key, shards) != s {
+				t.Errorf("op %q handed to shard %d", op.Key, s)
+			}
+			if j > 0 && bytes.Compare(sub[j-1].Key, op.Key) >= 0 {
+				t.Errorf("shard %d sees %q after %q", s, op.Key, sub[j-1].Key)
+			}
+			res[j] = Result{Status: StatusOK, Value: op.Key}
+		}
+		return res, nil
+	}
+	res, err := DoSharded(ops, shards, echo)
+	if err != nil || len(res) != len(ops) || calls != shards {
+		t.Fatalf("DoSharded: %d results, %d calls, err %v", len(res), calls, err)
+	}
+	for i, r := range res {
+		if !bytes.Equal(r.Value, ops[i].Key) {
+			t.Fatalf("result %d answers %q, want %q", i, r.Value, ops[i].Key)
+		}
+	}
+	// One owner: the batch itself goes through, for any n.
+	for _, n := range []int{1, shards} {
+		one := []Op{ops[0], ops[0]}
+		_, err := DoSharded(one, n, func(s int, sub []Op) ([]Result, error) {
+			if &sub[0] != &one[0] {
+				t.Errorf("n=%d: single-owner batch was copied", n)
+			}
+			return make([]Result, len(sub)), nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The first failing shard fails the batch.
+	boom := fmt.Errorf("shard down")
+	if _, err := DoSharded(ops, shards, func(int, []Op) ([]Result, error) { return nil, boom }); err != boom {
+		t.Fatalf("err = %v, want the shard's error", err)
 	}
 }
 
@@ -218,37 +214,5 @@ func TestResultHelpers(t *testing.T) {
 	}
 	if !(Result{Status: StatusNotFound}).NotFound() || (Result{Status: StatusNotFound}).OK() {
 		t.Error("NotFound result helpers wrong")
-	}
-}
-
-// TestNewClusterClosesStoresOnError is the regression test for the
-// constructor leak: a mid-loop failure used to abandon the stores
-// already built without closing them.
-func TestNewClusterClosesStoresOnError(t *testing.T) {
-	orig := newClusterStore
-	defer func() { newClusterStore = orig }()
-	var built []*Store
-	calls := 0
-	newClusterStore = func(cfg Config) (*Store, error) {
-		calls++
-		if calls == 3 {
-			return nil, fmt.Errorf("injected construction failure")
-		}
-		s, err := New(cfg)
-		if err == nil {
-			built = append(built, s)
-		}
-		return s, err
-	}
-	if _, err := NewCluster(4, Config{MemoryBytes: 4 << 20}); err == nil {
-		t.Fatal("NewCluster succeeded despite injected failure")
-	}
-	if len(built) != 2 {
-		t.Fatalf("expected 2 stores built before the failure, got %d", len(built))
-	}
-	for i, s := range built {
-		if !s.Closed() {
-			t.Errorf("store %d leaked: not closed after constructor error", i)
-		}
 	}
 }

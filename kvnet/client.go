@@ -345,7 +345,7 @@ func (c *Client) doOnceLocked(pkt []byte, nops int, traceID uint64) ([]kvdirect.
 			return nil, err // connection already unusable; caller marks it broken
 		}
 	}
-	if err := writeFrame(c.w, pkt); err != nil {
+	if err := WriteFrame(c.w, pkt); err != nil {
 		return nil, err
 	}
 	if err := c.w.Flush(); err != nil {
@@ -356,7 +356,7 @@ func (c *Client) doOnceLocked(pkt []byte, nops int, traceID uint64) ([]kvdirect.
 			return nil, err
 		}
 	}
-	resp, err := readFrame(c.r)
+	resp, err := ReadFrame(c.r)
 	if err != nil {
 		if errors.Is(err, ErrFrameCorrupt) {
 			c.counters.Add("client.corrupt_frames", 1)
@@ -383,84 +383,97 @@ func asNotPrimary(r kvdirect.Result) error {
 	return nil
 }
 
-// Get fetches key's value.
-func (c *Client) Get(key []byte) (value []byte, found bool, err error) {
-	res, err := c.Do([]kvdirect.Op{{Code: kvdirect.OpGet, Key: key}})
+// opError is the error for a result that refused op: the typed redirect
+// when a replica rejected it, otherwise the server's message.
+func opError(op string, r kvdirect.Result) error {
+	if err := asNotPrimary(r); err != nil {
+		return err
+	}
+	return fmt.Errorf("kvnet: %s: %s", op, r.Value)
+}
+
+// doFunc is one way of getting a batch executed — a connection's Do, a
+// shard's replica set. The single-key calls are written once over it, so
+// a Client and a ShardedClient of one shard are the same code.
+type doFunc func([]kvdirect.Op) ([]kvdirect.Result, error)
+
+func (do doFunc) get(key []byte) (value []byte, found bool, err error) {
+	res, err := do([]kvdirect.Op{{Code: kvdirect.OpGet, Key: key}})
 	if err != nil {
 		return nil, false, err
 	}
-	r := res[0]
-	switch {
+	switch r := res[0]; {
 	case r.OK():
 		return r.Value, true, nil
 	case r.NotFound():
 		return nil, false, nil
 	default:
-		if err := asNotPrimary(r); err != nil {
-			return nil, false, err
-		}
-		return nil, false, fmt.Errorf("kvnet: get: %s", r.Value)
+		return nil, false, opError("get", r)
 	}
 }
 
-// Put stores value under key.
-func (c *Client) Put(key, value []byte) error {
-	res, err := c.Do([]kvdirect.Op{{Code: kvdirect.OpPut, Key: key, Value: value}})
+func (do doFunc) put(key, value []byte) error {
+	res, err := do([]kvdirect.Op{{Code: kvdirect.OpPut, Key: key, Value: value}})
 	if err != nil {
 		return err
 	}
 	if !res[0].OK() {
-		if err := asNotPrimary(res[0]); err != nil {
-			return err
-		}
-		return fmt.Errorf("kvnet: put: %s", res[0].Value)
+		return opError("put", res[0])
 	}
 	return nil
 }
 
-// Delete removes key, reporting whether it existed.
-func (c *Client) Delete(key []byte) (bool, error) {
-	res, err := c.Do([]kvdirect.Op{{Code: kvdirect.OpDelete, Key: key}})
+func (do doFunc) delete(key []byte) (bool, error) {
+	res, err := do([]kvdirect.Op{{Code: kvdirect.OpDelete, Key: key}})
 	if err != nil {
 		return false, err
 	}
-	switch {
-	case res[0].OK():
+	switch r := res[0]; {
+	case r.OK():
 		return true, nil
-	case res[0].NotFound():
+	case r.NotFound():
 		return false, nil
 	default:
-		if err := asNotPrimary(res[0]); err != nil {
-			return false, err
-		}
-		return false, fmt.Errorf("kvnet: delete: %s", res[0].Value)
+		return false, opError("delete", r)
 	}
 }
 
-// FetchAdd atomically adds delta to key's 8-byte counter (initializing a
-// missing key from zero) and returns the previous value — the sequencer
-// primitive (paper §2.1).
-func (c *Client) FetchAdd(key []byte, delta uint64) (old uint64, err error) {
-	param := make([]byte, 8)
-	binary.LittleEndian.PutUint64(param, delta)
-	res, err := c.Do([]kvdirect.Op{{
+func (do doFunc) fetchAdd(key []byte, delta uint64) (old uint64, err error) {
+	var param [8]byte
+	binary.LittleEndian.PutUint64(param[:], delta)
+	res, err := do([]kvdirect.Op{{
 		Code: kvdirect.OpUpdateScalar, Key: key,
-		FuncID: kvdirect.FnAdd, ElemWidth: 8, Param: param,
+		FuncID: kvdirect.FnAdd, ElemWidth: 8, Param: param[:],
 	}})
 	if err != nil {
 		return 0, err
 	}
 	r := res[0]
 	if !r.OK() {
-		if err := asNotPrimary(r); err != nil {
-			return 0, err
-		}
-		return 0, fmt.Errorf("kvnet: fetch-add: %s", r.Value)
+		return 0, opError("fetch-add", r)
 	}
 	if len(r.Value) == 8 {
 		old = binary.LittleEndian.Uint64(r.Value)
 	}
 	return old, nil
+}
+
+// Get fetches key's value.
+func (c *Client) Get(key []byte) (value []byte, found bool, err error) {
+	return doFunc(c.Do).get(key)
+}
+
+// Put stores value under key.
+func (c *Client) Put(key, value []byte) error { return doFunc(c.Do).put(key, value) }
+
+// Delete removes key, reporting whether it existed.
+func (c *Client) Delete(key []byte) (bool, error) { return doFunc(c.Do).delete(key) }
+
+// FetchAdd atomically adds delta to key's 8-byte counter (initializing a
+// missing key from zero) and returns the previous value — the sequencer
+// primitive (paper §2.1).
+func (c *Client) FetchAdd(key []byte, delta uint64) (old uint64, err error) {
+	return doFunc(c.Do).fetchAdd(key, delta)
 }
 
 // RegisterExpression compiles and installs an update λ on the server

@@ -11,17 +11,18 @@ import (
 	"testing"
 
 	"kvdirect"
+	"kvdirect/internal/wire"
 )
 
 func TestFrameZeroLengthRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, nil); err != nil {
+	if err := WriteFrame(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
-	if buf.Len() != frameHeaderBytes {
-		t.Fatalf("zero-length frame is %d bytes, want %d", buf.Len(), frameHeaderBytes)
+	if buf.Len() != wire.FrameHeaderBytes {
+		t.Fatalf("zero-length frame is %d bytes, want %d", buf.Len(), wire.FrameHeaderBytes)
 	}
-	pkt, err := readFrame(&buf)
+	pkt, err := ReadFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,10 +35,10 @@ func TestFrameExactlyMaxFrame(t *testing.T) {
 	payload := make([]byte, MaxFrame)
 	payload[0], payload[MaxFrame-1] = 0xAB, 0xCD
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, payload); err != nil {
+	if err := WriteFrame(&buf, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, err := readFrame(&buf)
+	got, err := ReadFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,38 +48,38 @@ func TestFrameExactlyMaxFrame(t *testing.T) {
 }
 
 func TestFrameOverMaxRejected(t *testing.T) {
-	if err := writeFrame(io.Discard, make([]byte, MaxFrame+1)); !errors.Is(err, ErrFrameTooLarge) {
+	if err := WriteFrame(io.Discard, make([]byte, MaxFrame+1)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("writeFrame = %v, want ErrFrameTooLarge", err)
 	}
 	// A peer claiming an oversized frame must be rejected from the header
 	// alone, before any allocation.
-	var hdr [frameHeaderBytes]byte
+	var hdr [wire.FrameHeaderBytes]byte
 	binary.LittleEndian.PutUint32(hdr[:4], MaxFrame+1)
-	if _, err := readFrame(bytes.NewReader(hdr[:])); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := ReadFrame(bytes.NewReader(hdr[:])); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("readFrame = %v, want ErrFrameTooLarge", err)
 	}
 }
 
 func TestFrameTruncatedHeader(t *testing.T) {
-	for n := 1; n < frameHeaderBytes; n++ {
-		_, err := readFrame(bytes.NewReader(make([]byte, n)))
+	for n := 1; n < wire.FrameHeaderBytes; n++ {
+		_, err := ReadFrame(bytes.NewReader(make([]byte, n)))
 		if !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("%d-byte header: err = %v, want ErrUnexpectedEOF", n, err)
 		}
 	}
 	// Empty stream: clean EOF (the peer closed between frames).
-	if _, err := readFrame(bytes.NewReader(nil)); !errors.Is(err, io.EOF) {
+	if _, err := ReadFrame(bytes.NewReader(nil)); !errors.Is(err, io.EOF) {
 		t.Fatalf("empty stream: err = %v, want EOF", err)
 	}
 }
 
 func TestFrameTruncatedPayload(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, []byte("full payload here")); err != nil {
+	if err := WriteFrame(&buf, []byte("full payload here")); err != nil {
 		t.Fatal(err)
 	}
 	cut := buf.Bytes()[:buf.Len()-5]
-	if _, err := readFrame(bytes.NewReader(cut)); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, err := ReadFrame(bytes.NewReader(cut)); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("err = %v, want ErrUnexpectedEOF", err)
 	}
 }
@@ -87,12 +88,12 @@ func TestFrameCorruptPayloadDetected(t *testing.T) {
 	payload := []byte("precious bytes that must not be trusted when damaged")
 	for i := 0; i < len(payload); i++ {
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, payload); err != nil {
+		if err := WriteFrame(&buf, payload); err != nil {
 			t.Fatal(err)
 		}
 		raw := buf.Bytes()
-		raw[frameHeaderBytes+i] ^= 0x01 // single-bit damage anywhere in the payload
-		if _, err := readFrame(bytes.NewReader(raw)); !errors.Is(err, ErrFrameCorrupt) {
+		raw[wire.FrameHeaderBytes+i] ^= 0x01 // single-bit damage anywhere in the payload
+		if _, err := ReadFrame(bytes.NewReader(raw)); !errors.Is(err, ErrFrameCorrupt) {
 			t.Fatalf("flip at byte %d: err = %v, want ErrFrameCorrupt", i, err)
 		}
 	}
@@ -127,13 +128,13 @@ func TestServerSurvivesCorruptFrame(t *testing.T) {
 	}
 
 	// Intact length, correct framing, wrong CRC.
-	var hdr [frameHeaderBytes]byte
+	var hdr [wire.FrameHeaderBytes]byte
 	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(pkt)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(pkt, castagnoli)^0xDEADBEEF)
+	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(pkt, crc32.MakeTable(crc32.Castagnoli))^0xDEADBEEF)
 	if _, err := conn.Write(append(hdr[:], pkt...)); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := readFrame(r)
+	resp, err := ReadFrame(r)
 	if err != nil {
 		t.Fatalf("no response to corrupt frame: %v", err)
 	}
@@ -147,13 +148,13 @@ func TestServerSurvivesCorruptFrame(t *testing.T) {
 
 	// Same connection, intact frame: must work.
 	var good bytes.Buffer
-	if err := writeFrame(&good, pkt); err != nil {
+	if err := WriteFrame(&good, pkt); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := conn.Write(good.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	resp, err = readFrame(r)
+	resp, err = ReadFrame(r)
 	if err != nil {
 		t.Fatalf("connection dead after corrupt frame: %v", err)
 	}
@@ -187,13 +188,13 @@ func TestServerSurvivesBadBatch(t *testing.T) {
 	r := bufio.NewReader(conn)
 
 	var junk bytes.Buffer
-	if err := writeFrame(&junk, []byte{0xFF, 0xFE, 0xFD}); err != nil {
+	if err := WriteFrame(&junk, []byte{0xFF, 0xFE, 0xFD}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := conn.Write(junk.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := readFrame(r)
+	resp, err := ReadFrame(r)
 	if err != nil {
 		t.Fatalf("no response to bad batch: %v", err)
 	}
@@ -204,11 +205,11 @@ func TestServerSurvivesBadBatch(t *testing.T) {
 
 	pkt, _ := kvdirect.EncodeBatch([]kvdirect.Op{{Code: kvdirect.OpStats}})
 	var good bytes.Buffer
-	_ = writeFrame(&good, pkt) //lint:allow statuserr -- in-memory bytes.Buffer sink cannot fail
+	_ = WriteFrame(&good, pkt) //lint:allow statuserr -- in-memory bytes.Buffer sink cannot fail
 	if _, err := conn.Write(good.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readFrame(r); err != nil {
+	if _, err := ReadFrame(r); err != nil {
 		t.Fatalf("connection dead after bad batch: %v", err)
 	}
 	if got := srv.Counters().Get("server.bad_batches"); got != 1 {

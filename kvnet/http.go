@@ -9,13 +9,13 @@ import (
 )
 
 // SnapshotSource is anything that can produce a mergeable telemetry
-// snapshot — a Server, a kvrepl.Replica, a kvrepl.Coordinator.
+// snapshot — a Server, a kvrepl.Deployment, a kvgw.Gateway.
 type SnapshotSource interface {
 	TelemetrySnapshot() telemetry.Snapshot
 }
 
-// NewTelemetryHandler returns an http.Handler exposing the servers'
-// merged telemetry:
+// NewTelemetrySourcesHandler returns an http.Handler exposing the
+// sources' merged telemetry:
 //
 //	GET /metrics          Prometheus text format (with trace exemplars)
 //	GET /debug/telemetry  the full Snapshot as JSON (includes spans)
@@ -25,21 +25,11 @@ type SnapshotSource interface {
 //	GET /debug/blackbox   the flight recorder's live event ring and the
 //	                      most recent anomaly dump
 //
-// Multiple servers (one per shard) merge into a single view — counters
-// sum, same-named histograms combine bucket-wise — exercising the same
-// mergeable-snapshot path the CLI uses. Snapshots are taken under each
-// server's pipeline lock, so scraping a loaded server is safe.
-func NewTelemetryHandler(servers ...*Server) http.Handler {
-	sources := make([]SnapshotSource, len(servers))
-	for i, s := range servers {
-		sources[i] = s
-	}
-	return NewTelemetrySourcesHandler(sources...)
-}
-
-// NewTelemetrySourcesHandler is NewTelemetryHandler over arbitrary
-// snapshot sources, so a replicated deployment can merge its replicas
-// and its coordinator into one scrape.
+// Multiple sources (a deployment's replicas and coordinator, a gateway)
+// merge into a single view — counters sum, same-named histograms combine
+// bucket-wise — exercising the same mergeable-snapshot path the CLI
+// uses. A Server snapshots under its pipeline lock, so scraping a loaded
+// one is safe.
 func NewTelemetrySourcesHandler(sources ...SnapshotSource) http.Handler {
 	snapshot := func() telemetry.Snapshot {
 		var merged telemetry.Snapshot
@@ -111,11 +101,11 @@ func NewTelemetrySourcesHandler(sources ...SnapshotSource) http.Handler {
 // returns by default.
 const debugTracesLimit = 32
 
-// RegistrySource adapts a bare telemetry registry — e.g. a gateway's
-// loopback client, which is not itself a Server — into a
-// SnapshotSource for the merged scrape. Without it the client hop of a
-// traced gateway batch never reaches /debug/traces and assembled trees
-// lose their middle span.
+// RegistrySource adapts a bare telemetry registry — e.g. a
+// ShardedClient's, which is not itself a Server — into a SnapshotSource
+// for the merged scrape. Without it the client hop of a traced batch
+// never reaches /debug/traces and assembled trees lose their middle
+// span.
 func RegistrySource(r *telemetry.Registry) SnapshotSource {
 	return registrySource{r}
 }

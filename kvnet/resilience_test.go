@@ -264,7 +264,7 @@ func TestWriteDeadlineUnsticksStalledClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrame(conn, pkt); err != nil {
+	if err := WriteFrame(conn, pkt); err != nil {
 		t.Fatal(err)
 	}
 

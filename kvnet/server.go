@@ -327,7 +327,7 @@ func (s *Server) handle(conn net.Conn) {
 			}
 		}
 		var err error
-		pkt, err = readFrameInto(r, pkt)
+		pkt, err = wire.ReadFrame(r, pkt)
 		if err != nil {
 			if errors.Is(err, ErrFrameCorrupt) {
 				// The CRC failed but the stream is still frame-aligned:
@@ -508,7 +508,7 @@ func (s *Server) reply(conn net.Conn, w *bufio.Writer, out []byte) bool {
 		s.counters.Add("server.corruptions_injected", 1)
 		err = writeCorruptFrame(w, out, f)
 	} else {
-		err = writeFrame(w, out)
+		err = WriteFrame(w, out)
 	}
 	if err == nil {
 		err = w.Flush()
@@ -524,10 +524,10 @@ func (s *Server) reply(conn net.Conn, w *bufio.Writer, out []byte) bool {
 
 // writeTruncatedFrame emits the header and roughly half the payload.
 func writeTruncatedFrame(w *bufio.Writer, out []byte) {
-	full := make([]byte, 0, frameHeaderBytes+len(out))
+	full := make([]byte, 0, wire.FrameHeaderBytes+len(out))
 	buf := &appendWriter{buf: full}
-	_ = writeFrame(buf, out) //lint:allow statuserr -- appendWriter sink cannot fail
-	cut := frameHeaderBytes + len(out)/2
+	_ = WriteFrame(buf, out) //lint:allow statuserr -- appendWriter sink cannot fail
+	cut := wire.FrameHeaderBytes + len(out)/2
 	if cut > len(buf.buf) {
 		cut = len(buf.buf)
 	}
@@ -537,15 +537,15 @@ func writeTruncatedFrame(w *bufio.Writer, out []byte) {
 // writeCorruptFrame emits a frame whose CRC matches the pristine payload
 // but whose payload bytes were flipped in flight.
 func writeCorruptFrame(w *bufio.Writer, out []byte, f *fault.Injector) error {
-	buf := &appendWriter{buf: make([]byte, 0, frameHeaderBytes+len(out))}
-	if err := writeFrame(buf, out); err != nil {
+	buf := &appendWriter{buf: make([]byte, 0, wire.FrameHeaderBytes+len(out))}
+	if err := WriteFrame(buf, out); err != nil {
 		return err
 	}
 	if len(out) > 0 {
-		buf.buf[frameHeaderBytes+f.Intn(len(out))] ^= 0xFF
+		buf.buf[wire.FrameHeaderBytes+f.Intn(len(out))] ^= 0xFF
 	} else {
 		// Zero-length payload: damage the CRC itself.
-		buf.buf[frameHeaderBytes-1] ^= 0xFF
+		buf.buf[wire.FrameHeaderBytes-1] ^= 0xFF
 	}
 	_, err := w.Write(buf.buf)
 	return err

@@ -1,7 +1,6 @@
 package kvnet
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -21,9 +20,8 @@ type ShardAddrs struct {
 
 // ShardedClient talks to a multi-NIC KV-Direct deployment (paper §5.2):
 // one endpoint per programmable NIC, each owning a disjoint slice of the
-// key space. Keys route by the same hash kvdirect.Cluster uses, so a
-// Cluster fronted by per-shard Servers and a ShardedClient agree on
-// placement.
+// key space. Keys route by kvdirect.ShardOf, the placement rule every
+// router in the repository shares.
 //
 // With replicated shards (kvrepl), each shard is a whole replica group:
 // the client tracks every member's address, follows NotPrimary redirect
@@ -125,76 +123,23 @@ func (sc *ShardedClient) UpdateShard(i int, addrs ShardAddrs) error {
 	return nil
 }
 
-// shardIndex routes by kvdirect.Cluster's placement rule.
-func (sc *ShardedClient) shardIndex(key []byte) int {
-	return kvdirect.ShardOf(key, len(sc.shards))
+// shard returns the replica set that owns key (kvdirect.ShardOf).
+func (sc *ShardedClient) shard(key []byte) doFunc {
+	return sc.shards[kvdirect.ShardOf(key, len(sc.shards))].do
 }
 
 // Get routes a GET to the owning shard.
-func (sc *ShardedClient) Get(key []byte) ([]byte, bool, error) {
-	res, err := sc.shards[sc.shardIndex(key)].do([]kvdirect.Op{{Code: kvdirect.OpGet, Key: key}})
-	if err != nil {
-		return nil, false, err
-	}
-	r := res[0]
-	switch {
-	case r.OK():
-		return r.Value, true, nil
-	case r.NotFound():
-		return nil, false, nil
-	default:
-		return nil, false, fmt.Errorf("kvnet: get: %s", r.Value)
-	}
-}
+func (sc *ShardedClient) Get(key []byte) ([]byte, bool, error) { return sc.shard(key).get(key) }
 
 // Put routes a PUT to the owning shard.
-func (sc *ShardedClient) Put(key, value []byte) error {
-	res, err := sc.shards[sc.shardIndex(key)].do([]kvdirect.Op{{Code: kvdirect.OpPut, Key: key, Value: value}})
-	if err != nil {
-		return err
-	}
-	if !res[0].OK() {
-		return fmt.Errorf("kvnet: put: %s", res[0].Value)
-	}
-	return nil
-}
+func (sc *ShardedClient) Put(key, value []byte) error { return sc.shard(key).put(key, value) }
 
 // Delete routes a DELETE to the owning shard.
-func (sc *ShardedClient) Delete(key []byte) (bool, error) {
-	res, err := sc.shards[sc.shardIndex(key)].do([]kvdirect.Op{{Code: kvdirect.OpDelete, Key: key}})
-	if err != nil {
-		return false, err
-	}
-	switch {
-	case res[0].OK():
-		return true, nil
-	case res[0].NotFound():
-		return false, nil
-	default:
-		return false, fmt.Errorf("kvnet: delete: %s", res[0].Value)
-	}
-}
+func (sc *ShardedClient) Delete(key []byte) (bool, error) { return sc.shard(key).delete(key) }
 
 // FetchAdd routes an atomic fetch-and-add to the owning shard.
 func (sc *ShardedClient) FetchAdd(key []byte, delta uint64) (uint64, error) {
-	var param [8]byte
-	binary.LittleEndian.PutUint64(param[:], delta)
-	res, err := sc.shards[sc.shardIndex(key)].do([]kvdirect.Op{{
-		Code: kvdirect.OpUpdateScalar, Key: key,
-		FuncID: kvdirect.FnAdd, ElemWidth: 8, Param: param[:],
-	}})
-	if err != nil {
-		return 0, err
-	}
-	r := res[0]
-	if !r.OK() {
-		return 0, fmt.Errorf("kvnet: fetch-add: %s", r.Value)
-	}
-	var old uint64
-	if len(r.Value) == 8 {
-		old = binary.LittleEndian.Uint64(r.Value)
-	}
-	return old, nil
+	return sc.shard(key).fetchAdd(key, delta)
 }
 
 // ScanPage fetches one globally ordered page: up to limit pairs in
@@ -245,32 +190,15 @@ func (sc *ShardedClient) Scan(start []byte, limit int) ([]kvdirect.ScanEntry, er
 	return out, nil
 }
 
-// Do splits a batch by owning shard, issues the per-shard sub-batches
-// and reassembles results in the original order. Cross-key ordering
-// within the batch is preserved per shard only — the same guarantee a
-// real multi-NIC deployment gives, since independent NICs do not
-// synchronize.
+// Do splits a batch by owning shard (kvdirect.DoSharded), issues the
+// per-shard sub-batches and reassembles results in the original order.
+// Cross-key ordering within the batch is preserved per shard only — the
+// same guarantee a real multi-NIC deployment gives, since independent
+// NICs do not synchronize.
 func (sc *ShardedClient) Do(ops []kvdirect.Op) ([]kvdirect.Result, error) {
-	groups := make(map[int][]int)
-	for i, op := range ops {
-		s := sc.shardIndex(op.Key)
-		groups[s] = append(groups[s], i)
-	}
-	out := make([]kvdirect.Result, len(ops))
-	for s, idxs := range groups {
-		sub := make([]kvdirect.Op, len(idxs))
-		for j, i := range idxs {
-			sub[j] = ops[i]
-		}
-		res, err := sc.shards[s].do(sub)
-		if err != nil {
-			return nil, err
-		}
-		for j, i := range idxs {
-			out[i] = res[j]
-		}
-	}
-	return out, nil
+	return kvdirect.DoSharded(ops, len(sc.shards), func(s int, sub []kvdirect.Op) ([]kvdirect.Result, error) {
+		return sc.shards[s].do(sub)
+	})
 }
 
 // DoTrace is Do placed in a distributed trace (traceID 0 starts a fresh
@@ -282,43 +210,26 @@ func (sc *ShardedClient) DoTrace(ops []kvdirect.Op, traceID uint64, parent uint3
 	if traceID == 0 {
 		traceID = telemetry.NewTraceID()
 	}
-	groups := make(map[int][]int)
-	for i, op := range ops {
-		s := sc.shardIndex(op.Key)
-		groups[s] = append(groups[s], i)
-	}
-	childParent := parent
-	var root *telemetry.Span
-	if len(groups) > 1 {
-		root = sc.tel.Tracer().StartTrace(traceID, parent)
-		root.SetOp("SHARDED", len(ops))
-		childParent = root.SpanID
-	}
-	out := make([]kvdirect.Result, len(ops))
-	var last *telemetry.Span
-	for s, idxs := range groups {
-		sub := make([]kvdirect.Op, len(idxs))
-		for j, i := range idxs {
-			sub[j] = ops[i]
+	var root, last *telemetry.Span
+	out, err := kvdirect.DoSharded(ops, len(sc.shards), func(s int, sub []kvdirect.Op) ([]kvdirect.Result, error) {
+		if root == nil && len(sub) < len(ops) {
+			root = sc.tel.Tracer().StartTrace(traceID, parent)
+			root.SetOp("SHARDED", len(ops))
+			parent = root.SpanID
 		}
-		res, span, err := sc.shards[s].doTrace(sub, traceID, childParent)
-		if err != nil {
-			if root != nil {
-				root.SetErr(err)
-				sc.tel.Tracer().Publish(root)
-			}
-			return nil, span, err
-		}
+		res, span, err := sc.shards[s].doTrace(sub, traceID, parent)
 		last = span
-		for j, i := range idxs {
-			out[i] = res[j]
-		}
+		return res, err
+	})
+	if root == nil {
+		return out, last, err
 	}
-	if root != nil {
-		sc.tel.Tracer().Publish(root)
-		return out, root, nil
+	root.SetErr(err)
+	sc.tel.Tracer().Publish(root)
+	if err != nil {
+		return nil, last, err
 	}
-	return out, last, nil
+	return out, root, nil
 }
 
 // --- per-shard replica set ---

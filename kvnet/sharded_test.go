@@ -10,17 +10,20 @@ import (
 	"kvdirect/internal/telemetry"
 )
 
-// startShardedDeployment launches n servers, each fronting one shard of a
-// Cluster, mirroring the paper's 10-NIC single-server deployment.
-func startShardedDeployment(t *testing.T, n int) (*kvdirect.Cluster, *ShardedClient) {
+// startShardedDeployment launches n servers, each fronting its own
+// store, mirroring the paper's 10-NIC single-server deployment, and
+// returns the stores in shard order.
+func startShardedDeployment(t *testing.T, n int) ([]*kvdirect.Store, *ShardedClient) {
 	t.Helper()
-	cluster, err := kvdirect.NewCluster(n, kvdirect.Config{MemoryBytes: 4 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
+	stores := make([]*kvdirect.Store, n)
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
-		srv, err := Serve(cluster.ShardAt(i), "127.0.0.1:0")
+		store, err := kvdirect.New(kvdirect.Config{MemoryBytes: 4 << 20, Seed: uint64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores[i] = store
+		srv, err := Serve(store, "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,11 +35,11 @@ func startShardedDeployment(t *testing.T, n int) (*kvdirect.Cluster, *ShardedCli
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = sc.Close() })
-	return cluster, sc
+	return stores, sc
 }
 
 func TestShardedClientBasics(t *testing.T) {
-	cluster, sc := startShardedDeployment(t, 4)
+	stores, sc := startShardedDeployment(t, 4)
 	const n = 500
 	for i := 0; i < n; i++ {
 		k := []byte(fmt.Sprintf("shard-key-%04d", i))
@@ -51,33 +54,30 @@ func TestShardedClientBasics(t *testing.T) {
 			t.Fatalf("key %d: %v %v", i, found, err)
 		}
 	}
-	if cluster.NumKeys() != n {
-		t.Errorf("cluster holds %d keys, want %d", cluster.NumKeys(), n)
-	}
-	// Placement agreement: the client routed each key to the shard the
-	// cluster owns it on (otherwise the Gets above would have missed).
-	counts := cluster.ShardKeyCounts()
-	nonEmpty := 0
-	for _, c := range counts {
-		if c > 0 {
-			nonEmpty++
+	// Every key landed exactly once, and every shard took a share.
+	total, counts := uint64(0), make([]uint64, len(stores))
+	for i, s := range stores {
+		counts[i] = s.NumKeys()
+		total += counts[i]
+		if counts[i] == 0 {
+			t.Errorf("shard %d unused: %v", i, counts)
 		}
 	}
-	if nonEmpty != 4 {
-		t.Errorf("only %d/4 shards used: %v", nonEmpty, counts)
+	if total != n {
+		t.Errorf("shards hold %d keys, want %d: %v", total, n, counts)
 	}
 }
 
-func TestShardedClientRoutingMatchesCluster(t *testing.T) {
-	cluster, sc := startShardedDeployment(t, 3)
+func TestShardedClientRoutingMatchesShardOf(t *testing.T) {
+	stores, sc := startShardedDeployment(t, 3)
 	for i := 0; i < 100; i++ {
 		k := []byte(fmt.Sprintf("route-%03d", i))
 		if err := sc.Put(k, []byte("x")); err != nil {
 			t.Fatal(err)
 		}
-		// Direct check: the cluster's owning shard has the key.
-		if _, ok := cluster.Shard(k).Get(k); !ok {
-			t.Fatalf("key %q not on its cluster shard", k)
+		// Direct check: the shard the placement rule names has the key.
+		if _, ok := stores[kvdirect.ShardOf(k, len(stores))].Get(k); !ok {
+			t.Fatalf("key %q not on the shard ShardOf names", k)
 		}
 	}
 }

@@ -121,7 +121,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 
-	ts := httptest.NewServer(NewTelemetryHandler(srv))
+	ts := httptest.NewServer(NewTelemetrySourcesHandler(srv))
 	defer ts.Close()
 
 	resp := httpGet(t, ts.URL+"/metrics")

@@ -2,6 +2,8 @@ package kvrepl
 
 import (
 	"fmt"
+	"net"
+	"strconv"
 
 	"kvdirect"
 	"kvdirect/kvnet"
@@ -15,17 +17,30 @@ type Group struct {
 
 // NewLocalGroup builds n replicas for shard on loopback without
 // registering them anywhere — the raw material for Register (via
-// StartGroup), Coordinator.Adopt, or a MigrationTarget. Each replica
-// gets a distinct store seed, like Cluster shards do.
+// StartGroup), Coordinator.Adopt, or a MigrationTarget.
 func NewLocalGroup(shard, n int, cfg kvdirect.Config, opts Options) (*Group, error) {
+	return newGroup(shard, n, cfg, opts, "127.0.0.1", 0, 0)
+}
+
+// newGroup is the one group constructor: n replicas for shard on host.
+// first is the group's offset among its deployment's replicas: replica i
+// is the deployment's replica first+i, which sets its store seed and —
+// unless port is 0, which makes every listener ephemeral — its client
+// port, port+first+i. Replication listeners are always ephemeral.
+func newGroup(shard, n int, cfg kvdirect.Config, opts Options, host string, port, first int) (*Group, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("kvrepl: group needs at least one replica, got %d", n)
 	}
 	g := &Group{Shard: shard, Replicas: make([]*Replica, 0, n)}
+	replAddr := net.JoinHostPort(host, "0")
 	for i := 0; i < n; i++ {
 		rcfg := cfg
-		rcfg.Seed = cfg.Seed + uint64(i)*0x9E3779B97F4A7C15
-		r, err := NewReplica(shard, i, n, rcfg, "127.0.0.1:0", "127.0.0.1:0", opts)
+		rcfg.Seed = cfg.Seed + uint64(first+i)*0x9E3779B97F4A7C15
+		clientAddr := replAddr
+		if port != 0 {
+			clientAddr = net.JoinHostPort(host, strconv.Itoa(port+first+i))
+		}
+		r, err := NewReplica(shard, i, n, rcfg, clientAddr, replAddr, opts)
 		if err != nil {
 			_ = g.Close() // already failing; the construction error wins
 			return nil, fmt.Errorf("kvrepl: shard %d replica %d: %w", shard, i, err)

@@ -196,6 +196,16 @@ func (r *Replica) TelemetrySnapshot() telemetry.Snapshot {
 	return r.clientSrv.TelemetrySnapshot()
 }
 
+// Do runs one batch in-process through the replica's client server
+// (kvnet.Server.Do): the pipeline a network client's batch takes, minus
+// the socket. A non-primary answers StatusNotPrimary results.
+func (r *Replica) Do(ops []kvdirect.Op) ([]kvdirect.Result, error) { return r.clientSrv.Do(ops) }
+
+// DoTrace is Do under a server span in the trace (traceID, parent).
+func (r *Replica) DoTrace(ops []kvdirect.Op, traceID uint64, parent uint32) ([]kvdirect.Result, *telemetry.Span, error) {
+	return r.clientSrv.DoTrace(ops, traceID, parent)
+}
+
 // Store exposes the replica's store for inspection. The store is not
 // safe for concurrent use — only read it once the group is quiesced
 // (tests, post-failover verification).

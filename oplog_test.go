@@ -3,16 +3,17 @@ package kvdirect
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"testing"
 )
 
-func TestTraceRecordReplayRoundTrip(t *testing.T) {
+func TestOpLogRecordReplayRoundTrip(t *testing.T) {
 	// Record a workload against one store, replay it against a fresh one,
 	// and require identical final state.
 	var buf bytes.Buffer
-	tw := NewTraceWriter(&buf)
+	tw := NewOpLogWriter(&buf)
 
 	src, err := New(Config{MemoryBytes: 8 << 20})
 	if err != nil {
@@ -68,10 +69,10 @@ func TestTraceRecordReplayRoundTrip(t *testing.T) {
 	})
 }
 
-func TestTraceReplayAcrossConfigs(t *testing.T) {
-	// A trace captured once replays against a differently tuned store.
+func TestOpLogReplayAcrossConfigs(t *testing.T) {
+	// An op-log captured once replays against a differently tuned store.
 	var buf bytes.Buffer
-	tw := NewTraceWriter(&buf)
+	tw := NewOpLogWriter(&buf)
 	for i := 0; i < 50; i++ {
 		k := []byte(fmt.Sprintf("cfg-%03d", i))
 		if err := tw.Record([]Op{{Code: OpPut, Key: k, Value: bytes.Repeat([]byte{1}, i*5)}}); err != nil {
@@ -100,9 +101,9 @@ func TestTraceReplayAcrossConfigs(t *testing.T) {
 	}
 }
 
-func TestTraceCorruptionDetected(t *testing.T) {
+func TestOpLogCorruptionDetected(t *testing.T) {
 	var buf bytes.Buffer
-	tw := NewTraceWriter(&buf)
+	tw := NewOpLogWriter(&buf)
 	if err := tw.Record([]Op{{Code: OpPut, Key: []byte("k"), Value: []byte("v")}}); err != nil {
 		t.Fatal(err)
 	}
@@ -123,16 +124,16 @@ func TestTraceCorruptionDetected(t *testing.T) {
 	for name, data := range cases {
 		s, _ := New(Config{MemoryBytes: 4 << 20})
 		if _, _, _, err := Replay(bytes.NewReader(data), s); err == nil {
-			t.Errorf("%s: replay accepted corrupt trace", name)
+			t.Errorf("%s: replay accepted corrupt op-log", name)
 		}
 	}
 }
 
-// traceOneBatch records a single one-op batch and returns the raw bytes.
-func traceOneBatch(t *testing.T) []byte {
+// opLogOneBatch records a single one-op batch and returns the raw bytes.
+func opLogOneBatch(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	tw := NewTraceWriter(&buf)
+	tw := NewOpLogWriter(&buf)
 	if err := tw.Record([]Op{{Code: OpPut, Key: []byte("key"), Value: []byte("value")}}); err != nil {
 		t.Fatal(err)
 	}
@@ -142,41 +143,41 @@ func traceOneBatch(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-func TestTraceReplayTruncatedFrame(t *testing.T) {
-	good := traceOneBatch(t)
-	// Every proper prefix except the full trace (and the empty one,
-	// which is a clean EOF) must fail with ErrTraceCorrupt, whether the
+func TestOpLogReplayTruncatedFrame(t *testing.T) {
+	good := opLogOneBatch(t)
+	// Every proper prefix except the full log (and the empty one,
+	// which is a clean EOF) must fail with ErrOpLogCorrupt, whether the
 	// cut lands in the header or the payload.
 	for cut := 1; cut < len(good); cut++ {
 		s, _ := New(Config{MemoryBytes: 4 << 20})
 		batches, _, _, err := Replay(bytes.NewReader(good[:cut]), s)
 		if err == nil {
-			t.Fatalf("cut at %d of %d: replay accepted truncated trace", cut, len(good))
+			t.Fatalf("cut at %d of %d: replay accepted truncated op-log", cut, len(good))
 		}
-		if !errors.Is(err, ErrTraceCorrupt) {
-			t.Fatalf("cut at %d: err = %v, want ErrTraceCorrupt", cut, err)
+		if !errors.Is(err, ErrOpLogCorrupt) {
+			t.Fatalf("cut at %d: err = %v, want ErrOpLogCorrupt", cut, err)
 		}
 		if batches != 0 {
-			t.Fatalf("cut at %d: %d batches executed from a truncated trace", cut, batches)
+			t.Fatalf("cut at %d: %d batches executed from a truncated op-log", cut, batches)
 		}
 	}
 }
 
-func TestTraceReplayOversizedFrame(t *testing.T) {
-	good := traceOneBatch(t)
+func TestOpLogReplayOversizedFrame(t *testing.T) {
+	good := opLogOneBatch(t)
 	// Declare a length just over the frame limit; the reader must
 	// reject it from the header alone instead of allocating 16 MiB+.
 	data := append([]byte(nil), good...)
 	binary.LittleEndian.PutUint32(data[:4], 16<<20+1)
 	s, _ := New(Config{MemoryBytes: 4 << 20})
 	_, _, _, err := Replay(bytes.NewReader(data), s)
-	if !errors.Is(err, ErrTraceCorrupt) {
-		t.Fatalf("oversized frame: err = %v, want ErrTraceCorrupt", err)
+	if !errors.Is(err, ErrOpLogCorrupt) {
+		t.Fatalf("oversized frame: err = %v, want ErrOpLogCorrupt", err)
 	}
 }
 
-func TestTraceReplayCRCCorruptBatch(t *testing.T) {
-	good := traceOneBatch(t)
+func TestOpLogReplayCRCCorruptBatch(t *testing.T) {
+	good := opLogOneBatch(t)
 	// Flip one bit in every payload byte position in turn: the frame
 	// length stays right, so only the checksum can catch it.
 	for i := 8; i < len(good); i++ {
@@ -184,8 +185,8 @@ func TestTraceReplayCRCCorruptBatch(t *testing.T) {
 		data[i] ^= 0x10
 		s, _ := New(Config{MemoryBytes: 4 << 20})
 		batches, _, _, err := Replay(bytes.NewReader(data), s)
-		if !errors.Is(err, ErrTraceCorrupt) {
-			t.Fatalf("flip at %d: err = %v, want ErrTraceCorrupt", i, err)
+		if !errors.Is(err, ErrOpLogCorrupt) {
+			t.Fatalf("flip at %d: err = %v, want ErrOpLogCorrupt", i, err)
 		}
 		if batches != 0 {
 			t.Fatalf("flip at %d: corrupt batch executed", i)
@@ -195,18 +196,18 @@ func TestTraceReplayCRCCorruptBatch(t *testing.T) {
 	data := append([]byte(nil), good...)
 	data[5] ^= 0xFF
 	s, _ := New(Config{MemoryBytes: 4 << 20})
-	if _, _, _, err := Replay(bytes.NewReader(data), s); !errors.Is(err, ErrTraceCorrupt) {
-		t.Fatalf("corrupt crc field: err = %v, want ErrTraceCorrupt", err)
+	if _, _, _, err := Replay(bytes.NewReader(data), s); !errors.Is(err, ErrOpLogCorrupt) {
+		t.Fatalf("corrupt crc field: err = %v, want ErrOpLogCorrupt", err)
 	}
 }
 
-func TestTraceEmptyAndCallbackError(t *testing.T) {
+func TestOpLogEmptyAndCallbackError(t *testing.T) {
 	s, _ := New(Config{MemoryBytes: 4 << 20})
 	if b, o, f, err := Replay(bytes.NewReader(nil), s); err != nil || b+o+f != 0 {
-		t.Errorf("empty trace: %d %d %d %v", b, o, f, err)
+		t.Errorf("empty op-log: %d %d %d %v", b, o, f, err)
 	}
 	var buf bytes.Buffer
-	tw := NewTraceWriter(&buf)
+	tw := NewOpLogWriter(&buf)
 	for i := 0; i < 2; i++ {
 		if err := tw.Record([]Op{{Code: OpGet, Key: []byte("k")}}); err != nil {
 			t.Fatal(err)
@@ -222,8 +223,8 @@ func TestTraceEmptyAndCallbackError(t *testing.T) {
 	}
 }
 
-func TestTraceWriterStickyError(t *testing.T) {
-	tw := NewTraceWriter(failWriter{})
+func TestOpLogWriterStickyError(t *testing.T) {
+	tw := NewOpLogWriter(failWriter{})
 	err1 := tw.Record([]Op{{Code: OpGet, Key: []byte("k")}})
 	// A buffered writer may absorb the first small write; Flush must
 	// surface the failure, and subsequent calls stay failed.
@@ -239,3 +240,71 @@ func TestTraceWriterStickyError(t *testing.T) {
 type failWriter struct{}
 
 func (failWriter) Write([]byte) (int, error) { return 0, fmt.Errorf("disk full") }
+
+// goldenOpLog is what commit 03caf94 (the last one with the op-log's own
+// copy of the frame codec) wrote for goldenOpLogBatches — the on-disk
+// format, pinned.
+const goldenOpLog = "2600000068683274564b0103000200050300616c7068616f6e650201627261766f74776f0100050000616c706861" +
+	"22000000361df0d3564b010200040003000063747201080805000000000000000300050000627261766f" +
+	"05000000e63be7f7564b010000"
+
+func goldenOpLogBatches() [][]Op {
+	five := make([]byte, 8)
+	binary.LittleEndian.PutUint64(five, 5)
+	return [][]Op{
+		{
+			{Code: OpPut, Key: []byte("alpha"), Value: []byte("one")},
+			{Code: OpPut, Key: []byte("bravo"), Value: []byte("two")},
+			{Code: OpGet, Key: []byte("alpha")},
+		},
+		{
+			{Code: OpUpdateScalar, Key: []byte("ctr"), FuncID: FnAdd, ElemWidth: 8, Param: five},
+			{Code: OpDelete, Key: []byte("bravo")},
+		},
+		nil,
+	}
+}
+
+// TestOpLogGoldenBytes: a log recorded before the codec moved replays
+// batch for batch, and recording the same batches today writes the same
+// bytes.
+func TestOpLogGoldenBytes(t *testing.T) {
+	golden, err := hex.DecodeString(goldenOpLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := goldenOpLogBatches()
+	var buf bytes.Buffer
+	tw := NewOpLogWriter(&buf)
+	for _, batch := range want {
+		if err := tw.Record(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), golden) {
+		t.Fatalf("recorded bytes changed:\n got %x\nwant %x", buf.Bytes(), golden)
+	}
+	var got [][]Op
+	batches, ops, err := ReplayFunc(bytes.NewReader(golden), func(batch []Op) error {
+		got = append(got, batch)
+		return nil
+	})
+	if err != nil || batches != 3 || ops != 5 {
+		t.Fatalf("replay: %d batches, %d ops, err %v", batches, ops, err)
+	}
+	for i, batch := range want {
+		if len(got[i]) != len(batch) {
+			t.Fatalf("batch %d: %d ops, want %d", i, len(got[i]), len(batch))
+		}
+		for j, op := range batch {
+			g := got[i][j]
+			if g.Code != op.Code || !bytes.Equal(g.Key, op.Key) || !bytes.Equal(g.Value, op.Value) ||
+				g.FuncID != op.FuncID || g.ElemWidth != op.ElemWidth || !bytes.Equal(g.Param, op.Param) {
+				t.Fatalf("batch %d op %d replayed as %+v, want %+v", i, j, g, op)
+			}
+		}
+	}
+}
