@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint lint-new lint-fix test race chaos gateway telemetry profile check
+.PHONY: build vet lint lint-new lint-fix test race chaos telemetry profile check
 
 build:
 	$(GO) build ./...
@@ -42,12 +42,6 @@ race: vet
 # cannot be left out; -count=2 shakes out ordering-dependent flakes.
 chaos:
 	$(GO) test -race -count=2 ./kvnet/ ./kvrepl/ ./internal/core/ ./cmd/...
-
-# The whole protocol-gateway suite under the race detector: codecs and
-# fuzz seeds, tenant registry/quotas, stock-framing round trips, the
-# memcache-vs-native differential, isolation and replica failover.
-gateway:
-	$(GO) test -race -count=1 ./kvgw/
 
 # Telemetry smoke: the unit suite plus the overhead guards — the
 # disabled-sampling and trace-off hot paths must stay at 0 allocs/op,

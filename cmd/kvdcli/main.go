@@ -50,8 +50,10 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strconv"
@@ -63,76 +65,76 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:7890", "server address")
-	admin := flag.String("admin", "", "kvdserver admin address (for the migrate command)")
-	mc := flag.String("mc", "", "kvgw memcache gateway address (for the mcstat command)")
-	metrics := flag.String("metrics", "", "kvdserver metrics address (for the trace and blackbox commands)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
+		log.Fatalf("kvdcli: %v", err)
+	}
+}
 
-	// migrate talks HTTP to the admin endpoint, not the data port —
-	// dispatch it before dialing so it works while routes are in flux.
-	if args := flag.Args(); len(args) > 0 && args[0] == "migrate" {
-		if err := runMigrate(*admin, args[1:]); err != nil {
-			log.Fatalf("kvdcli: %v", err)
+// run is the whole command: flags, then one command from args — or,
+// without one, a command per line of stdin until it ends or says quit —
+// with everything it prints going to stdout.
+func run(args []string, stdin io.Reader, stdout io.Writer) error {
+	fs := flag.NewFlagSet("kvdcli", flag.ContinueOnError)
+	addr := fs.String("addr", "127.0.0.1:7890", "server address")
+	admin := fs.String("admin", "", "kvdserver admin address (for the migrate command)")
+	mc := fs.String("mc", "", "kvgw memcache gateway address (for the mcstat command)")
+	metrics := fs.String("metrics", "", "kvdserver metrics address (for the trace and blackbox commands)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h printed the usage; that was the whole request
 		}
-		return
+		return err
 	}
-	// trace and blackbox scrape the metrics endpoint's debug handlers —
-	// HTTP again, so dispatch before the data-wire dial.
-	if args := flag.Args(); len(args) > 0 && (args[0] == "trace" || args[0] == "blackbox") {
-		var err error
-		if args[0] == "trace" {
-			err = runTrace(*metrics, args[1:])
-		} else {
-			err = runBlackbox(*metrics, args[1:])
+	args = fs.Args()
+
+	// migrate, trace, blackbox and mcstat talk to other endpoints — the
+	// admin and metrics HTTP handlers, the memcache gateway — so they are
+	// dispatched before the data-wire dial and work while routes are in
+	// flux.
+	if len(args) > 0 {
+		switch args[0] {
+		case "migrate":
+			return runMigrate(stdout, *admin, args[1:])
+		case "trace":
+			return runTrace(stdout, *metrics, args[1:])
+		case "blackbox":
+			return runBlackbox(stdout, *metrics, args[1:])
+		case "mcstat":
+			if *mc == "" {
+				return fmt.Errorf("mcstat needs -mc host:port (the kvdserver -memcache address)")
+			}
+			return runMcstat(stdout, *mc, args[1:])
 		}
-		if err != nil {
-			log.Fatalf("kvdcli: %v", err)
-		}
-		return
-	}
-	// mcstat speaks the memcache binary protocol to a kvgw gateway, not
-	// the native wire — dispatch it before the kvnet dial too.
-	if args := flag.Args(); len(args) > 0 && args[0] == "mcstat" {
-		if *mc == "" {
-			log.Fatalf("kvdcli: mcstat needs -mc host:port (the kvdserver -memcache address)")
-		}
-		if err := runMcstat(*mc, args[1:]); err != nil {
-			log.Fatalf("kvdcli: %v", err)
-		}
-		return
 	}
 
 	client, err := kvnet.Dial(*addr)
 	if err != nil {
-		log.Fatalf("kvdcli: %v", err)
+		return err
 	}
 	defer client.Close()
-
-	if args := flag.Args(); len(args) > 0 {
-		if err := run(client, args); err != nil {
-			log.Fatalf("kvdcli: %v", err)
-		}
-		return
+	if len(args) > 0 {
+		return command(stdout, client, args)
 	}
 
-	sc := bufio.NewScanner(os.Stdin)
-	fmt.Print("> ")
+	sc := bufio.NewScanner(stdin)
+	fmt.Fprint(stdout, "> ")
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
 		if len(fields) > 0 {
 			if fields[0] == "quit" || fields[0] == "exit" {
-				return
+				return nil
 			}
-			if err := run(client, fields); err != nil {
-				fmt.Printf("error: %v\n", err)
+			if err := command(stdout, client, fields); err != nil {
+				fmt.Fprintf(stdout, "error: %v\n", err)
 			}
 		}
-		fmt.Print("> ")
+		fmt.Fprint(stdout, "> ")
 	}
+	return sc.Err()
 }
 
-func run(c *kvnet.Client, args []string) error {
+// command runs one parsed command line against the connected server.
+func command(out io.Writer, c *kvnet.Client, args []string) error {
 	switch args[0] {
 	case "get":
 		if len(args) != 2 {
@@ -143,10 +145,10 @@ func run(c *kvnet.Client, args []string) error {
 			return err
 		}
 		if !found {
-			fmt.Println("(not found)")
+			fmt.Fprintln(out, "(not found)")
 			return nil
 		}
-		fmt.Printf("%q\n", v)
+		fmt.Fprintf(out, "%q\n", v)
 
 	case "put":
 		if len(args) != 3 {
@@ -155,7 +157,7 @@ func run(c *kvnet.Client, args []string) error {
 		if err := c.Put([]byte(args[1]), []byte(args[2])); err != nil {
 			return err
 		}
-		fmt.Println("OK")
+		fmt.Fprintln(out, "OK")
 
 	case "del":
 		if len(args) != 2 {
@@ -166,9 +168,9 @@ func run(c *kvnet.Client, args []string) error {
 			return err
 		}
 		if found {
-			fmt.Println("OK")
+			fmt.Fprintln(out, "OK")
 		} else {
-			fmt.Println("(not found)")
+			fmt.Fprintln(out, "(not found)")
 		}
 
 	case "scan":
@@ -194,9 +196,9 @@ func run(c *kvnet.Client, args []string) error {
 			return err
 		}
 		for _, e := range entries {
-			fmt.Printf("%q = %q\n", e.Key, e.Value)
+			fmt.Fprintf(out, "%q = %q\n", e.Key, e.Value)
 		}
-		fmt.Printf("(%d entries)\n", len(entries))
+		fmt.Fprintf(out, "(%d entries)\n", len(entries))
 
 	case "incr":
 		if len(args) < 2 || len(args) > 3 {
@@ -214,7 +216,7 @@ func run(c *kvnet.Client, args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%d -> %d\n", old, old+delta)
+		fmt.Fprintf(out, "%d -> %d\n", old, old+delta)
 
 	case "reduce":
 		if len(args) != 3 {
@@ -228,7 +230,7 @@ func run(c *kvnet.Client, args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(sum)
+		fmt.Fprintln(out, sum)
 
 	case "register":
 		if len(args) < 3 {
@@ -241,7 +243,7 @@ func run(c *kvnet.Client, args []string) error {
 		if err := c.RegisterExpression(uint8(id), strings.Join(args[2:], " "), false); err != nil {
 			return err
 		}
-		fmt.Println("OK")
+		fmt.Fprintln(out, "OK")
 
 	case "stats":
 		watch, raw, httpAddr := false, false, ""
@@ -267,10 +269,10 @@ func run(c *kvnet.Client, args []string) error {
 			if err != nil {
 				return err
 			}
-			fmt.Print(text)
+			fmt.Fprint(out, text)
 			return nil
 		}
-		return statsTable(c, watch, httpAddr)
+		return statsTable(out, c, watch, httpAddr)
 
 	case "bench":
 		if len(args) != 2 {
@@ -280,7 +282,7 @@ func run(c *kvnet.Client, args []string) error {
 		if err != nil {
 			return err
 		}
-		return bench(c, n)
+		return bench(out, c, n)
 
 	default:
 		return fmt.Errorf("unknown command %q", args[0])
@@ -290,7 +292,7 @@ func run(c *kvnet.Client, args []string) error {
 
 // bench issues n PUT+GET pairs in batches of 64 per packet and reports
 // round-trip throughput.
-func bench(c *kvnet.Client, n int) error {
+func bench(out io.Writer, c *kvnet.Client, n int) error {
 	const batch = 64
 	start := time.Now()
 	done := 0
@@ -318,7 +320,7 @@ func bench(c *kvnet.Client, n int) error {
 		done += m
 	}
 	el := time.Since(start)
-	fmt.Printf("%d PUT+GET pairs in %v (%.0f ops/s over TCP)\n",
+	fmt.Fprintf(out, "%d PUT+GET pairs in %v (%.0f ops/s over TCP)\n",
 		n, el, float64(2*n)/el.Seconds())
 	return nil
 }

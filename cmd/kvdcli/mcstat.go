@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"sort"
 
 	"kvdirect/kvgw"
@@ -12,7 +13,7 @@ import (
 // binary STAT, so it sees exactly what that tenant's own memcache
 // client would see — usage, quota rejections, hit counts — and nothing
 // about its neighbors.
-func runMcstat(addr string, args []string) error {
+func runMcstat(out io.Writer, addr string, args []string) error {
 	if len(args) < 1 || len(args) > 2 {
 		return fmt.Errorf("usage: kvdcli -mc host:port mcstat <tenant> [secret]")
 	}
@@ -38,7 +39,7 @@ func runMcstat(addr string, args []string) error {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		fmt.Printf("%-20s %s\n", k, st[k])
+		fmt.Fprintf(out, "%-20s %s\n", k, st[k])
 	}
 	return nil
 }

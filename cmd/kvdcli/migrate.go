@@ -3,8 +3,8 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
-	"os"
 	"sort"
 	"strconv"
 	"text/tabwriter"
@@ -32,7 +32,7 @@ type migrationStatus struct {
 //	kvdcli migrate <shard>   trigger a live migration and watch it finish
 //	kvdcli migrate status    list all migrations (running and terminal)
 //	kvdcli migrate routes    print the current shard routing table
-func runMigrate(admin string, args []string) error {
+func runMigrate(out io.Writer, admin string, args []string) error {
 	if admin == "" {
 		return fmt.Errorf("migrate needs -admin host:port (the kvdserver -admin address)")
 	}
@@ -47,10 +47,10 @@ func runMigrate(admin string, args []string) error {
 			return err
 		}
 		if len(migs) == 0 {
-			fmt.Println("(no migrations)")
+			fmt.Fprintln(out, "(no migrations)")
 			return nil
 		}
-		printMigrations(migs)
+		printMigrations(out, migs)
 		return nil
 
 	case "routes":
@@ -66,7 +66,7 @@ func runMigrate(admin string, args []string) error {
 			shards = append(shards, s)
 		}
 		sort.Strings(shards)
-		w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+		w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(w, "shard\tprimary\tbackups")
 		for _, s := range shards {
 			fmt.Fprintf(w, "%s\t%s\t%v\n", s, routes[s].Primary, routes[s].Backups)
@@ -92,14 +92,14 @@ func runMigrate(admin string, args []string) error {
 		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 			return err
 		}
-		fmt.Printf("shard %d: migration started (epoch %d)\n", st.Shard, st.Epoch)
-		return watchMigration(base, shard)
+		fmt.Fprintf(out, "shard %d: migration started (epoch %d)\n", st.Shard, st.Epoch)
+		return watchMigration(out, base, shard)
 	}
 }
 
 // watchMigration polls /migrations until the shard's migration reaches
 // a terminal state, printing progress transitions.
-func watchMigration(base string, shard int) error {
+func watchMigration(out io.Writer, base string, shard int) error {
 	lastLine := ""
 	deadline := time.Now().Add(5 * time.Minute)
 	for {
@@ -114,12 +114,12 @@ func watchMigration(base string, shard int) error {
 			line := fmt.Sprintf("shard %d: %s  seq %d/%d  snapshot %d B  entries %d  resyncs %d",
 				st.Shard, st.State, st.DestSeq, st.SourceSeq, st.SnapshotBytes, st.Entries, st.Resyncs)
 			if line != lastLine {
-				fmt.Println(line)
+				fmt.Fprintln(out, line)
 				lastLine = line
 			}
 			switch st.State {
 			case "done":
-				fmt.Printf("shard %d: migrated in %s\n", shard, time.Duration(st.DurationNs))
+				fmt.Fprintf(out, "shard %d: migrated in %s\n", shard, time.Duration(st.DurationNs))
 				return nil
 			case "aborted":
 				return fmt.Errorf("migration aborted: %s", st.Error)
@@ -132,8 +132,8 @@ func watchMigration(base string, shard int) error {
 	}
 }
 
-func printMigrations(migs []migrationStatus) {
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+func printMigrations(out io.Writer, migs []migrationStatus) {
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "shard\tstate\tepoch\tseq\tsnapshot\tentries\tresyncs\tduration\terror")
 	for _, st := range migs {
 		fmt.Fprintf(w, "%d\t%s\t%d->%d\t%d/%d\t%d B\t%d\t%d\t%s\t%s\n",

@@ -2,7 +2,7 @@ package main
 
 import (
 	"fmt"
-	"os"
+	"io"
 	"sort"
 	"strings"
 	"text/tabwriter"
@@ -19,7 +19,7 @@ import (
 // (the only place migration totals live once a source group is gone).
 // With watch it refreshes every second, deriving ops/s from
 // successive scrapes.
-func statsTable(c *kvnet.Client, watch bool, httpAddr string) error {
+func statsTable(out io.Writer, c *kvnet.Client, watch bool, httpAddr string) error {
 	scrape := func() (telemetry.Snapshot, error) {
 		if httpAddr == "" {
 			return c.ScrapeTelemetry()
@@ -37,9 +37,9 @@ func statsTable(c *kvnet.Client, watch bool, httpAddr string) error {
 		}
 		now := time.Now()
 		if watch {
-			fmt.Print("\033[H\033[2J") // home + clear, like top(1)
+			fmt.Fprint(out, "\033[H\033[2J") // home + clear, like top(1)
 		}
-		renderStats(snap, prev, now.Sub(prevAt), !prevAt.IsZero())
+		renderStats(out, snap, prev, now.Sub(prevAt), !prevAt.IsZero())
 		if !watch {
 			return nil
 		}
@@ -48,8 +48,8 @@ func statsTable(c *kvnet.Client, watch bool, httpAddr string) error {
 	}
 }
 
-func renderStats(snap, prev telemetry.Snapshot, elapsed time.Duration, havePrev bool) {
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+func renderStats(out io.Writer, snap, prev telemetry.Snapshot, elapsed time.Duration, havePrev bool) {
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	defer w.Flush()
 
 	ops := snap.Counters["server.ops"]

@@ -2,7 +2,7 @@ package main
 
 import (
 	"fmt"
-	"os"
+	"io"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -16,7 +16,7 @@ import (
 //	kvdcli -metrics host:port trace             recent traces, one tree each
 //	kvdcli -metrics host:port trace <hex id>    one trace by id
 //	kvdcli -metrics host:port trace -limit N    at most N recent traces
-func runTrace(metrics string, args []string) error {
+func runTrace(out io.Writer, metrics string, args []string) error {
 	if metrics == "" {
 		return fmt.Errorf("trace needs -metrics host:port (the kvdserver -metrics address)")
 	}
@@ -47,25 +47,25 @@ func runTrace(metrics string, args []string) error {
 		return err
 	}
 	if len(traces) == 0 {
-		fmt.Println("(no traces — is sampling on? kvgw TraceSampleEvery, or send a FlagTrace request)")
+		fmt.Fprintln(out, "(no traces — is sampling on? kvgw TraceSampleEvery, or send a FlagTrace request)")
 		return nil
 	}
 	for i, tr := range traces {
 		if i > 0 {
-			fmt.Println()
+			fmt.Fprintln(out)
 		}
-		printTrace(tr)
+		printTrace(out, tr)
 	}
 	return nil
 }
 
 // printTrace renders one assembled trace tree, one span per line,
 // children indented under their parent.
-func printTrace(tr *telemetry.Trace) {
+func printTrace(out io.Writer, tr *telemetry.Trace) {
 	c := tr.Counts()
-	fmt.Printf("trace %016x  %d span(s)  pcie %d/%d r/w  dram %d hit %d miss\n",
+	fmt.Fprintf(out, "trace %016x  %d span(s)  pcie %d/%d r/w  dram %d hit %d miss\n",
 		tr.TraceID, tr.Spans, c.PCIeReads, c.PCIeWrites, c.DRAMHits, c.DRAMMisses)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	for _, root := range tr.Roots {
 		printNode(w, root, 0)
 	}
@@ -94,7 +94,7 @@ func printNode(w *tabwriter.Writer, n *telemetry.TraceNode, depth int) {
 // recent anomaly dump from /debug/blackbox:
 //
 //	kvdcli -metrics host:port blackbox
-func runBlackbox(metrics string, args []string) error {
+func runBlackbox(out io.Writer, metrics string, args []string) error {
 	if metrics == "" {
 		return fmt.Errorf("blackbox needs -metrics host:port (the kvdserver -metrics address)")
 	}
@@ -109,25 +109,25 @@ func runBlackbox(metrics string, args []string) error {
 		return err
 	}
 	if len(box.Events) == 0 && box.BlackBox == nil {
-		fmt.Println("(flight recorder empty — no anomalies recorded)")
+		fmt.Fprintln(out, "(flight recorder empty — no anomalies recorded)")
 		return nil
 	}
 	if len(box.Events) > 0 {
-		fmt.Printf("live ring (%d event(s)):\n", len(box.Events))
-		printEvents(box.Events)
+		fmt.Fprintf(out, "live ring (%d event(s)):\n", len(box.Events))
+		printEvents(out, box.Events)
 	}
 	if box.BlackBox != nil {
-		fmt.Printf("\nblack box: trigger %q captured %s (%d event(s)):\n",
+		fmt.Fprintf(out, "\nblack box: trigger %q captured %s (%d event(s)):\n",
 			box.BlackBox.Trigger,
 			time.Unix(0, box.BlackBox.CapturedUnixNs).Format(time.RFC3339Nano),
 			len(box.BlackBox.Events))
-		printEvents(box.BlackBox.Events)
+		printEvents(out, box.BlackBox.Events)
 	}
 	return nil
 }
 
-func printEvents(events []telemetry.Event) {
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+func printEvents(out io.Writer, events []telemetry.Event) {
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "  seq\ttime\tkind\tshard\ta\tb")
 	for _, e := range events {
 		shard := fmt.Sprint(e.Shard)

@@ -53,34 +53,23 @@ func (s *Store) accessStats() Stats {
 // ApplyTraced executes req like Apply and charges the span with the
 // hardware accesses the operation cost: the delta of the performance
 // model's own counters across the call, so a span reports exactly what
-// the model charged — not a re-derivation. A nil span degrades to
-// Apply with no overhead beyond the nil check.
+// the model charged — not a re-derivation, and charged on the way out
+// even of an operation that panics. A nil span degrades to Apply with
+// no overhead beyond the nil check.
 func (s *Store) ApplyTraced(req wire.Request, span *telemetry.Span) wire.Response {
 	if span == nil {
 		return s.Apply(req)
 	}
 	before := s.accessStats()
-	resp := s.Apply(req)
-	after := s.accessStats()
-	span.AddCounts(Stats{
-		Mem:      after.Mem.Sub(before.Mem),
-		Cache:    after.Cache.Sub(before.Cache),
-		Dispatch: after.Dispatch.Sub(before.Dispatch),
-	}.AccessCounts())
-	return resp
-}
-
-// ApplyBatchTraced executes a batch like ApplyBatch, charging all
-// accesses to span.
-func (s *Store) ApplyBatchTraced(reqs []wire.Request, span *telemetry.Span) []wire.Response {
-	if span == nil {
-		return s.ApplyBatch(reqs)
-	}
-	out := make([]wire.Response, len(reqs))
-	for i, r := range reqs {
-		out[i] = s.ApplyTraced(r, span)
-	}
-	return out
+	defer func() {
+		after := s.accessStats()
+		span.AddCounts(Stats{
+			Mem:      after.Mem.Sub(before.Mem),
+			Cache:    after.Cache.Sub(before.Cache),
+			Dispatch: after.Dispatch.Sub(before.Dispatch),
+		}.AccessCounts())
+	}()
+	return s.Apply(req)
 }
 
 // PublishTelemetry pushes the store's current component counters into

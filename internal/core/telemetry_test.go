@@ -48,7 +48,7 @@ func TestApplyTracedChargesModelCounts(t *testing.T) {
 	}
 }
 
-func TestApplyBatchTracedAccumulates(t *testing.T) {
+func TestApplyTracedAccumulates(t *testing.T) {
 	s, err := NewStore(Config{MemoryBytes: 8 << 20})
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +59,10 @@ func TestApplyBatchTracedAccumulates(t *testing.T) {
 		{Code: wire.OpPut, Key: []byte("b"), Value: []byte("2")},
 		{Code: wire.OpGet, Key: []byte("a")},
 	}
-	resps := s.ApplyBatchTraced(reqs, span)
+	resps := make([]wire.Response, len(reqs))
+	for i, r := range reqs {
+		resps[i] = s.ApplyTraced(r, span)
+	}
 	if len(resps) != 3 || resps[2].Status != wire.StatusOK {
 		t.Fatalf("batch responses: %+v", resps)
 	}

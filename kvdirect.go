@@ -184,6 +184,11 @@ type Op = wire.Request
 // and NotPrimary).
 type Result = wire.Response
 
+// TraceContext says whether, and where in which distributed trace, a
+// batch is traced — the argument of every DoTrace. The zero value is an
+// untraced batch; TraceContext{Sampled: true} starts a fresh trace.
+type TraceContext = wire.TraceContext
+
 // PutVerMode selects the condition of a versioned store (PutVerOp).
 type PutVerMode = wire.PutVerMode
 

@@ -18,23 +18,17 @@ import (
 )
 
 // Backend executes translated operation batches. kvnet.Client,
-// kvnet.ShardedClient and kvnet.Server (the in-process loopback) all
-// satisfy it, so one gateway serves a single store, a sharded fleet, or
-// a replicated group without knowing which. Do must not retain ops, nor
-// the bytes they point to, past its return: both are the connection's,
-// reused for its next run.
+// kvnet.ShardedClient, kvnet.Server (the in-process loopback) and
+// kvrepl.Deployment all satisfy it, so one gateway serves a single
+// store, a sharded fleet, or a replicated group without knowing which.
+// tc is the value a packet's trace trailer carries: sampled, the batch
+// runs inside that distributed trace and the backend-side span comes
+// back for the gateway to graft under its root; the zero TraceContext is
+// an untraced batch and returns a nil span. DoTrace must not retain ops,
+// nor the bytes they point to, past its return: both are the
+// connection's, reused for its next run.
 type Backend interface {
-	Do(ops []kvdirect.Op) ([]kvdirect.Result, error)
-}
-
-// TraceBackend is the optional tracing extension of Backend: execute a
-// batch inside a distributed trace, returning the backend-side span so
-// the gateway can graft it under its own root. kvnet.Client,
-// kvnet.ShardedClient and kvnet.Server all satisfy it; when the backend
-// does not, sampled gateway batches fall back to Do and the trace tree
-// simply ends at the gateway hop.
-type TraceBackend interface {
-	DoTrace(ops []kvdirect.Op, traceID uint64, parent uint32) ([]kvdirect.Result, *telemetry.Span, error)
+	DoTrace(ops []kvdirect.Op, tc wire.TraceContext) ([]kvdirect.Result, *telemetry.Span, error)
 }
 
 // Options configures a Gateway.
@@ -310,28 +304,27 @@ func (c *conn) flush() error {
 		// the backend hop (and everything it causes — wire transfer,
 		// primary apply, replication ship/ack) parents under GW_BATCH.
 		span := c.g.tel.Tracer().Sample()
+		var tc wire.TraceContext
 		if span != nil {
 			span.BeginTrace(telemetry.NewTraceID(), 0)
 			span.SetOp("GW_BATCH", len(c.ops))
 			span.AddStage("gw.decode", c.decodeNs)
+			tc = wire.TraceContext{TraceID: span.TraceID, Parent: span.SpanID, Sampled: true}
 		}
 		c.decodeNs = 0
 		start := c.g.opts.Now()
+		var child *telemetry.Span
 		var err error
-		if tb, ok := c.g.backend.(TraceBackend); ok && span != nil {
-			var child *telemetry.Span
-			results, child, err = tb.DoTrace(c.ops, span.TraceID, span.SpanID)
-			span.Server = child
-		} else {
-			results, err = c.g.backend.Do(c.ops)
-		}
+		results, child, err = c.g.backend.DoTrace(c.ops, tc)
 		lat = c.g.opts.Now().Sub(start)
 		if err != nil || len(results) != len(c.ops) {
 			up = false
 		}
-		span.SetErr(err)
-		traceID, _ := span.Trace()
-		c.g.batchLat.ObserveTraced(uint64(lat), traceID)
+		if span != nil {
+			span.Server = child
+			span.SetErr(err)
+		}
+		c.g.batchLat.ObserveTraced(uint64(lat), tc.TraceID)
 		c.g.tel.Tracer().Publish(span)
 		c.g.batches.Add(1)
 		c.g.batchedOps.Add(uint64(len(c.ops)))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 
 	"kvdirect"
+	"kvdirect/internal/wire"
 )
 
 // TenantView is a native-protocol window onto one tenant's namespace:
@@ -22,21 +23,6 @@ func View(backend Backend, tenant *Tenant) TenantView {
 	return TenantView{backend: backend, tenant: tenant}
 }
 
-// Get fetches one of the tenant's items (decoded: payload, flags,
-// version).
-func (v TenantView) Get(key []byte) (kvdirect.GwItem, bool, error) {
-	res, err := v.backend.Do([]kvdirect.Op{
-		{Code: kvdirect.OpGet, Key: v.tenant.Namespace(key)},
-	})
-	if err != nil {
-		return kvdirect.GwItem{}, false, err
-	}
-	if res[0].NotFound() {
-		return kvdirect.GwItem{}, false, nil
-	}
-	return kvdirect.DecodeGwItem(res[0].Value), true, nil
-}
-
 // ScanPage returns up to limit of the tenant's entries in key order
 // starting at the first tenant key >= start, with a continuation cursor
 // (nil when the tenant's namespace is exhausted). Keys come back with
@@ -50,7 +36,7 @@ func (v TenantView) ScanPage(start []byte, limit int) ([]kvdirect.ScanEntry, []b
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := v.backend.Do([]kvdirect.Op{op})
+	res, _, err := v.backend.DoTrace([]kvdirect.Op{op}, wire.TraceContext{})
 	if err != nil {
 		return nil, nil, err
 	}

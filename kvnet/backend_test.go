@@ -1,0 +1,149 @@
+package kvnet_test
+
+import (
+	"strings"
+	"testing"
+	"time"
+
+	"kvdirect"
+	"kvdirect/internal/telemetry"
+	"kvdirect/internal/wire"
+	"kvdirect/kvnet"
+	"kvdirect/kvrepl"
+)
+
+// TestBackendContract holds every kvnet.Backend to the one contract the
+// serving seam states: the plain store backend, a replica group of one
+// (what kvdserver runs by default) and the primary of a replicated
+// group. The same batch and span go in; out come (a) span counts equal
+// to the store's own counter deltas, (b) one latency observation per op,
+// (c) a panicking op answered as that op's error with its neighbours
+// intact, and (d) nothing retained — the caller scribbles over reqs and
+// the bytes they point to after the return, as a connection's recycled
+// frame does, and every copy of the data still reads the original.
+func TestBackendContract(t *testing.T) {
+	cfg := kvdirect.Config{MemoryBytes: 8 << 20}
+	// An implementer under test: the backend, the registry it records
+	// into, every store that ends up holding its writes (the one it
+	// applies to first), and a wait for the others to have caught up.
+	type opened struct {
+		backend kvnet.Backend
+		tel     *telemetry.Registry
+		stores  []*kvdirect.Store
+		settle  func(*testing.T)
+	}
+	group := func(n int) func(*testing.T) opened {
+		return func(t *testing.T) opened {
+			coord := kvrepl.NewCoordinator(kvrepl.CoordOptions{})
+			t.Cleanup(coord.Close)
+			g, err := kvrepl.StartGroup(coord, 0, n, cfg, kvrepl.Options{HeartbeatEvery: 5 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = g.Close() })
+			prim := g.Primary()
+			if prim == nil {
+				t.Fatal("no primary")
+			}
+			o := opened{backend: prim, tel: prim.Telemetry(), stores: []*kvdirect.Store{prim.Store()}}
+			for _, r := range g.Replicas {
+				if r != prim {
+					o.stores = append(o.stores, r.Store())
+				}
+			}
+			o.settle = func(t *testing.T) {
+				deadline := time.Now().Add(5 * time.Second)
+				for _, r := range g.Replicas {
+					for r.LastApplied() != prim.LastApplied() {
+						if time.Now().After(deadline) {
+							t.Fatalf("replica %d stuck at %d of %d", r.ID(), r.LastApplied(), prim.LastApplied())
+						}
+						time.Sleep(time.Millisecond)
+					}
+				}
+			}
+			return o
+		}
+	}
+	for _, impl := range []struct {
+		name string
+		open func(*testing.T) opened
+	}{
+		{"store", func(t *testing.T) opened {
+			store, err := kvdirect.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(store.Close)
+			tel := telemetry.NewRegistry()
+			return opened{kvnet.NewStoreBackend(store, tel), tel, []*kvdirect.Store{store}, func(*testing.T) {}}
+		}},
+		{"replica-1x1", group(1)},
+		{"primary-1x3", group(3)},
+	} {
+		t.Run(impl.name, func(t *testing.T) {
+			o := impl.open(t)
+			for _, s := range o.stores {
+				s.RegisterUpdateFunc(100, func(e, p uint64) uint64 { return e / (p - p) })
+			}
+			store, lat := o.stores[0], o.tel.Histogram("server.op_latency_ns")
+
+			frame := []byte("alphaonebetatwoboom")
+			reqs := []wire.Request{
+				{Code: wire.OpPut, Key: frame[0:5], Value: frame[5:8]},
+				{Code: wire.OpUpdateScalar, Key: frame[15:19], FuncID: 100, ElemWidth: 8, Param: make([]byte, 8)},
+				{Code: wire.OpPut, Key: frame[8:12], Value: frame[12:15]},
+				{Code: wire.OpGet, Key: frame[0:5]},
+			}
+			before, observed := store.Stats(), lat.Count()
+			span := &telemetry.Span{}
+			resps := o.backend.ApplyBatch(reqs, span)
+			after := store.Stats()
+
+			if want := (kvdirect.Stats{
+				Mem:      after.Mem.Sub(before.Mem),
+				Cache:    after.Cache.Sub(before.Cache),
+				Dispatch: after.Dispatch.Sub(before.Dispatch),
+			}).AccessCounts(); span.Counts != want {
+				t.Errorf("span counts %+v != the store's own delta %+v", span.Counts, want)
+			}
+			if got := lat.Count() - observed; got != uint64(len(reqs)) {
+				t.Errorf("%d latency observations for %d ops", got, len(reqs))
+			}
+			if len(resps) != len(reqs) {
+				t.Fatalf("%d responses for %d requests", len(resps), len(reqs))
+			}
+			if resps[1].Status != wire.StatusError || !strings.Contains(string(resps[1].Value), "panic") {
+				t.Errorf("panicking op answered %+v, want its panic as an error", resps[1])
+			}
+			if o.tel.Counters().Get("server.panics") == 0 {
+				t.Error("server.panics did not count the panicking op")
+			}
+			if resps[0].Status != wire.StatusOK || resps[2].Status != wire.StatusOK ||
+				resps[3].Status != wire.StatusOK || string(resps[3].Value) != "one" {
+				t.Errorf("the panicking op's neighbours: %+v", resps)
+			}
+
+			for i := range frame {
+				frame[i] = 'X'
+			}
+			for i := range reqs {
+				reqs[i] = wire.Request{Code: wire.OpDelete, Key: []byte("alpha")}
+			}
+			for key, want := range map[string]string{"alpha": "one", "beta": "two"} {
+				got := o.backend.ApplyBatch([]wire.Request{{Code: wire.OpGet, Key: []byte(key)}}, nil)
+				if got[0].Status != wire.StatusOK || string(got[0].Value) != want {
+					t.Errorf("GET %s after the caller recycled its buffers: %+v, want %q", key, got[0], want)
+				}
+			}
+			// The same on the shipping path: what the backups were sent is
+			// what the caller passed, not what it scribbled afterwards.
+			o.settle(t)
+			for i, s := range o.stores {
+				if v, ok := s.Get([]byte("beta")); !ok || string(v) != "two" {
+					t.Errorf("store %d holds beta=%q (found %v) after the caller recycled its buffers, want \"two\"", i, v, ok)
+				}
+			}
+		})
+	}
+}

@@ -229,63 +229,51 @@ func idempotent(ops []kvdirect.Op) bool {
 	return true
 }
 
-// Do sends one batch of operations and returns their results in order.
-// Transport failures on idempotent batches are retried with backoff (see
-// Options); non-idempotent batches fail fast with the transport error.
-func (c *Client) Do(ops []kvdirect.Op) ([]kvdirect.Result, error) {
+// DoTrace sends one batch of operations and returns their results in
+// order. Transport failures on idempotent batches are retried with
+// backoff (see Options); non-idempotent batches fail fast with the
+// transport error.
+//
+// tc is what the packet's trace trailer will carry; the zero value is an
+// untraced batch and returns a nil span. Sampled, the client span is
+// parented under tc.Parent within tc.TraceID (0 starts a fresh trace),
+// the packet asks the server for its span and carries the context
+// downstream, so the server — and, for replicated writes, the per-backup
+// log shipping — parent their spans under this hop's. The returned span
+// (also kept in the client registry's trace ring) carries the
+// client-measured stages, the server-side child span with its stages,
+// and the PCIe/DRAM access counts the performance model charged the
+// batch — the paper's per-op cost breakdown for one live operation.
+//
+//kvd:hotpath
+func (c *Client) DoTrace(ops []kvdirect.Op, tc wire.TraceContext) ([]kvdirect.Result, *telemetry.Span, error) {
+	span := startSpan(c.tel.Tracer(), tc, ops)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	pkt, err := wire.AppendRequests(c.enc[:0], ops)
-	if err != nil {
-		return nil, err
-	}
-	c.enc = pkt
-	return c.exchangeLocked(ops, pkt, len(ops), 0) //lint:allow lockorder -- one request in flight per client by design: mu held across the wire exchange, its redial and its retry backoff IS the serialization
-}
-
-// DoTraced sends one batch with the wire trace flag set, asking the
-// server for an end-to-end span of the batch. The returned span carries
-// the client-measured stages (encode, network round trip), the
-// server-side child span with its per-stage timings, and the PCIe/DRAM
-// access counts the performance model charged the batch — the paper's
-// per-op cost breakdown for one live operation. Results are identical
-// to Do. The span is also retained in the client registry's trace ring,
-// under a fresh trace ID.
-func (c *Client) DoTraced(ops []kvdirect.Op) ([]kvdirect.Result, *telemetry.Span, error) {
-	return c.DoTrace(ops, 0, 0)
-}
-
-// DoTrace is DoTraced placed in an existing distributed trace: the
-// client span is parented under parent within traceID (0 starts a fresh
-// trace), and the packet carries the sampled trace context downstream,
-// so the server — and, for replicated writes, the per-backup log
-// shipping — parent their spans under this hop's.
-func (c *Client) DoTrace(ops []kvdirect.Op, traceID uint64, parent uint32) ([]kvdirect.Result, *telemetry.Span, error) {
-	if traceID == 0 {
-		traceID = telemetry.NewTraceID()
-	}
-	span := c.tel.Tracer().StartTrace(traceID, parent)
-	span.SetOp(batchLabel(ops), len(ops))
 	st := span.StartStage("client.encode")
-	pkt, err := kvdirect.EncodeBatch(ops)
-	if err == nil {
-		err = wire.MarkTraced(pkt)
-	}
-	if err == nil {
-		pkt, err = wire.MarkTraceContext(pkt, wire.TraceContext{
-			TraceID: span.TraceID, Parent: span.SpanID, Sampled: true,
-		})
+	pkt, err := wire.AppendRequests(c.enc[:0], ops)
+	want := len(ops)
+	if err == nil && span != nil {
+		// The server appends one extra trailing response holding its span.
+		want++
+		if err = wire.MarkTraced(pkt); err == nil {
+			pkt, err = wire.MarkTraceContext(pkt, wire.TraceContext{
+				TraceID: span.TraceID, Parent: span.SpanID, Sampled: true,
+			})
+		}
 	}
 	st.End()
 	if err != nil {
 		return nil, nil, err
 	}
-	// The server appends one extra trailing response holding its span.
+	c.enc = pkt
+	traceID, _ := span.Trace()
 	st = span.StartStage("client.rtt")
-	c.mu.Lock()
-	results, err := c.exchangeLocked(ops, pkt, len(ops)+1, span.TraceID) //lint:allow lockorder -- as in Do
-	c.mu.Unlock()
+	results, err := c.exchangeLocked(ops, pkt, want, traceID) //lint:allow lockorder,hotalloc -- one request in flight per client by design: mu held across the wire exchange, its redial and its retry backoff IS the serialization; the exchange allocates the response frame its results alias
 	st.End()
+	if span == nil {
+		return results, nil, err
+	}
 	if err != nil {
 		span.SetErr(err)
 		c.tel.Tracer().Publish(span)
@@ -302,6 +290,11 @@ func (c *Client) DoTrace(ops []kvdirect.Op, traceID uint64, parent uint32) ([]kv
 	}
 	c.tel.Tracer().Publish(span) // finishes TotalNs
 	return results, span, nil
+}
+
+// Do is DoTrace untraced.
+func (c *Client) Do(ops []kvdirect.Op) ([]kvdirect.Result, error) {
+	return untraced(c.DoTrace(ops, wire.TraceContext{}))
 }
 
 // exchangeLocked runs the retry loop for one encoded packet, expecting

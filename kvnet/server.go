@@ -79,77 +79,86 @@ func (o ServerOptions) withDefaults() ServerOptions {
 // replicas implement Backend to interpose sequence numbering, log
 // shipping and quorum acknowledgment on the same wire path.
 //
+// A non-nil span is charged with the hardware access counts the batch
+// cost; a nil span is an untraced batch (Span's methods are nil-safe).
 // ApplyBatch is never called concurrently by one Server (the single
 // hardware pipeline); a Backend shared across Servers must serialize
 // itself. It must not retain reqs, nor the bytes their slices point to,
 // past its return: callers recycle both (a connection's frame buffer,
-// the gateway's per-connection arena). The Store copies what it keeps
-// into its own memory, and a kvrepl replica re-encodes each write into
-// its log entry.
+// the gateway's per-connection arena). TestBackendContract holds every
+// implementer to that. PublishTelemetry refreshes derived gauges into
+// the shared registry before a snapshot, under the pipeline lock.
 type Backend interface {
-	ApplyBatch(reqs []wire.Request) []wire.Response
-}
-
-// TracedBackend is optionally implemented by backends that can charge a
-// span with the hardware access counts an applied batch cost (Store
-// does; so do kvrepl replicas). Servers fall back to plain ApplyBatch
-// when the backend doesn't implement it or the span is nil.
-type TracedBackend interface {
-	Backend
-	ApplyBatchTraced(reqs []wire.Request, span *telemetry.Span) []wire.Response
-}
-
-// TelemetryPublisher is optionally implemented by backends that can
-// refresh derived gauges (core key counts, cache hit levels) into the
-// shared registry before a snapshot is taken. Called under the server's
-// pipeline lock.
-type TelemetryPublisher interface {
+	ApplyBatch(reqs []wire.Request, span *telemetry.Span) []wire.Response
 	PublishTelemetry()
 }
 
-// storeBackend adapts a Store, isolating each operation's panics: a
-// fault tripping a panic (e.g. a corrupted pointer walking off the
-// address space, or a registered λ misbehaving) becomes that
-// operation's error response. It also times each operation into the
-// server.op_latency_ns histogram — per-op, not per-batch, so tail
-// percentiles reflect operation cost rather than batch size.
-type storeBackend struct {
-	store     *kvdirect.Store
-	counters  *telemetry.Counters
+// Applier is the per-op apply body every Backend shares: a backend
+// decides when an operation applies, never how. A panic (a corrupted
+// pointer walking off the address space, a registered λ misbehaving)
+// becomes that operation's error response and a server.panics count, a
+// span is charged the performance model's access counts, and a served
+// operation is timed into server.op_latency_ns — per-op, not per-batch,
+// so tail percentiles reflect operation cost rather than batch size.
+type Applier struct {
+	panics    *atomic.Uint64
 	opLatency *telemetry.Histogram
 }
 
-func (b storeBackend) ApplyBatch(reqs []wire.Request) []wire.Response {
-	return b.ApplyBatchTraced(reqs, nil)
+// NewApplier resolves the body's instruments in tel.
+func NewApplier(tel *telemetry.Registry) Applier {
+	return Applier{tel.Counters().Handle("server.panics"), tel.Histogram("server.op_latency_ns")}
 }
 
-func (b storeBackend) ApplyBatchTraced(reqs []wire.Request, span *telemetry.Span) []wire.Response {
-	out := make([]wire.Response, len(reqs))
+// Replay applies an operation nobody waits on (a backup replaying a
+// shipped log entry): isolated and charged to span, not timed.
+//
+//kvd:hotpath
+func (a Applier) Replay(store *kvdirect.Store, req wire.Request, span *telemetry.Span) (resp wire.Response) {
+	defer func() { //lint:allow hotalloc -- panic-isolation contract; the defer is open-coded and its closure stays on the stack
+		if r := recover(); r != nil {
+			a.panics.Add(1)
+			resp = wire.Response{Status: wire.StatusError,
+				Value: fmt.Appendf(nil, "panic: %v", r)}
+		}
+	}()
+	return store.ApplyTraced(req, span)
+}
+
+// Apply serves one operation and returns when it ended. One clock read
+// per op: since is the end of the batch's previous op, or its start.
+//
+//kvd:hotpath
+func (a Applier) Apply(store *kvdirect.Store, req wire.Request, span *telemetry.Span, since time.Time) (wire.Response, time.Time) {
+	resp := a.Replay(store, req, span) //lint:allow hotalloc -- Replay's one site is its open-coded panic-isolation defer
+	now := time.Now()
 	traceID, _ := span.Trace()
-	// One clock read per op: the end of op i is the start of op i+1.
-	start := time.Now()
+	a.opLatency.ObserveTraced(uint64(now.Sub(since)), traceID)
+	return resp, now
+}
+
+// storeBackend is the default Backend: a Store under the shared body.
+type storeBackend struct {
+	store *kvdirect.Store
+	Applier
+}
+
+// NewStoreBackend returns the default Backend over store, recording
+// into tel — what ServeOptions serves.
+func NewStoreBackend(store *kvdirect.Store, tel *telemetry.Registry) Backend {
+	return storeBackend{store, NewApplier(tel)}
+}
+
+func (b storeBackend) ApplyBatch(reqs []wire.Request, span *telemetry.Span) []wire.Response {
+	out := make([]wire.Response, len(reqs))
+	now := time.Now()
 	for i, req := range reqs {
-		out[i] = b.applyOne(req, span)
-		end := time.Now()
-		b.opLatency.ObserveTraced(uint64(end.Sub(start)), traceID)
-		start = end
+		out[i], now = b.Apply(b.store, req, span, now)
 	}
 	return out
 }
 
 func (b storeBackend) PublishTelemetry() { b.store.PublishTelemetry() }
-
-//kvd:hotpath
-func (b storeBackend) applyOne(req wire.Request, span *telemetry.Span) (resp wire.Response) {
-	defer func() { //lint:allow hotalloc -- panic-isolation contract; the defer is open-coded and its closure stays on the stack
-		if r := recover(); r != nil {
-			b.counters.Add("server.panics", 1)
-			resp = wire.Response{Status: wire.StatusError,
-				Value: fmt.Appendf(nil, "panic: %v", r)}
-		}
-	}()
-	return b.store.ApplyTraced(req, span)
-}
 
 // Server exposes one Backend (usually a Store) over TCP.
 type Server struct {
@@ -186,11 +195,7 @@ func Serve(store *kvdirect.Store, addr string) (*Server, error) {
 func ServeOptions(store *kvdirect.Store, addr string, opts ServerOptions) (*Server, error) {
 	opts = opts.withDefaults()
 	store.SetTelemetry(opts.Telemetry)
-	return serve(storeBackend{
-		store:     store,
-		counters:  opts.Telemetry.Counters(),
-		opLatency: opts.Telemetry.Histogram("server.op_latency_ns"),
-	}, addr, opts)
+	return serve(NewStoreBackend(store, opts.Telemetry), addr, opts)
 }
 
 // ServeBackend starts a server on addr fronting an arbitrary Backend
@@ -220,17 +225,12 @@ func serve(backend Backend, addr string, opts ServerOptions) (*Server, error) {
 	return s, nil
 }
 
-// Telemetry returns the server's registry (shared with its backend).
-func (s *Server) Telemetry() *telemetry.Registry { return s.tel }
-
 // TelemetrySnapshot refreshes backend gauges under the pipeline lock
 // and returns the full snapshot — the safe way to scrape a live server
 // from another goroutine (the HTTP exporter uses it).
 func (s *Server) TelemetrySnapshot() telemetry.Snapshot {
 	s.mu.Lock()
-	if p, ok := s.backend.(TelemetryPublisher); ok {
-		p.PublishTelemetry()
-	}
+	s.backend.PublishTelemetry()
 	s.mu.Unlock()
 	return s.tel.Snapshot()
 }
@@ -372,9 +372,7 @@ func (s *Server) handle(conn net.Conn) {
 			continue
 		}
 		span.SetOp(batchLabel(reqs), len(reqs))
-		st = span.StartStage("server.apply")
 		resps := s.apply(reqs, span)
-		st.End()
 		if traced {
 			// The span covers decode+apply; it must be finished before
 			// marshalling, so the reply stage is deliberately outside it.
@@ -424,50 +422,59 @@ func spanResponse(span *telemetry.Span) wire.Response {
 	return wire.Response{Status: wire.StatusOK, Value: data}
 }
 
-// apply runs a batch against the backend under the pipeline lock,
-// charging a non-nil span with the batch's access counts when the
-// backend supports tracing.
+// apply runs a batch against the backend under the pipeline lock, as
+// the span's server.apply stage (lock wait included).
 //
 //kvd:hotpath
 func (s *Server) apply(reqs []wire.Request, span *telemetry.Span) []wire.Response {
+	defer span.StartStage("server.apply").End()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.ops.Add(uint64(len(reqs)))
 	s.batchOps.Observe(uint64(len(reqs)))
-	if tb, ok := s.backend.(TracedBackend); ok && span != nil {
-		return tb.ApplyBatchTraced(reqs, span)
-	}
-	return s.backend.ApplyBatch(reqs)
+	return s.backend.ApplyBatch(reqs, span)
 }
 
-// Do executes one batch in-process through the same serialized pipeline
-// a network client's batch takes — same lock, same backend (and thus the
-// same replication/sharding interposition), same op accounting — minus
-// the wire framing and a socket. In-process front-ends (the memcache
-// protocol gateway) use this as their loopback path when they run inside
-// the server process; it satisfies the same Do contract as *Client.
+// DoTrace executes one batch in-process through the same serialized
+// pipeline a network client's batch takes — same lock, same backend (and
+// thus the same replication interposition), same op accounting — minus
+// the wire framing and a socket: the loopback path of in-process
+// front-ends (the memcache gateway). tc is what a packet's trailer would
+// carry. Sampled, the batch runs under a span at (tc.TraceID, tc.Parent)
+// — TraceID 0 starts a fresh trace — kept in the server's trace ring and
+// returned for the front-end to embed in its root span; the zero
+// TraceContext is an untraced batch and returns a nil span.
 //
 //kvd:hotpath
-func (s *Server) Do(ops []kvdirect.Op) ([]kvdirect.Result, error) {
-	return s.apply(ops, nil), nil
-}
-
-// DoTrace executes one batch through the loopback path like Do, under a
-// span placed in the distributed trace (traceID, parent) — or a fresh
-// trace when traceID is 0. The span is retained in the server's trace
-// ring and returned so in-process front-ends (the gateway) can embed it
-// in their own root span.
-func (s *Server) DoTrace(ops []kvdirect.Op, traceID uint64, parent uint32) ([]kvdirect.Result, *telemetry.Span, error) {
-	if traceID == 0 {
-		traceID = telemetry.NewTraceID()
-	}
-	span := s.tel.Tracer().StartTrace(traceID, parent)
-	span.SetOp(batchLabel(ops), len(ops))
-	st := span.StartStage("server.apply")
+func (s *Server) DoTrace(ops []kvdirect.Op, tc wire.TraceContext) ([]kvdirect.Result, *telemetry.Span, error) {
+	span := startSpan(s.tel.Tracer(), tc, ops)
 	resps := s.apply(ops, span)
-	st.End()
 	s.tel.Tracer().Publish(span)
 	return resps, span, nil
+}
+
+// Do is DoTrace untraced.
+func (s *Server) Do(ops []kvdirect.Op) ([]kvdirect.Result, error) {
+	return untraced(s.DoTrace(ops, wire.TraceContext{}))
+}
+
+// startSpan opens the span a sampled trace context asks for, labelled
+// after its batch; an unsampled context (the zero value) gets nil.
+func startSpan(t *telemetry.Tracer, tc wire.TraceContext, ops []kvdirect.Op) *telemetry.Span {
+	if !tc.Sampled {
+		return nil
+	}
+	if tc.TraceID == 0 {
+		tc.TraceID = telemetry.NewTraceID()
+	}
+	span := t.StartTrace(tc.TraceID, tc.Parent)
+	span.SetOp(batchLabel(ops), len(ops))
+	return span
+}
+
+// untraced drops the (nil) span of an untraced DoTrace: Do's result.
+func untraced(res []kvdirect.Result, _ *telemetry.Span, err error) ([]kvdirect.Result, error) {
+	return res, err
 }
 
 // appendErrorFrame appends a single-error-response packet to dst.

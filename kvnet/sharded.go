@@ -8,6 +8,7 @@ import (
 
 	"kvdirect"
 	"kvdirect/internal/telemetry"
+	"kvdirect/internal/wire"
 )
 
 // ShardAddrs names one shard's replica endpoints: Primary is the
@@ -190,34 +191,29 @@ func (sc *ShardedClient) Scan(start []byte, limit int) ([]kvdirect.ScanEntry, er
 	return out, nil
 }
 
-// Do splits a batch by owning shard (kvdirect.DoSharded), issues the
-// per-shard sub-batches and reassembles results in the original order.
-// Cross-key ordering within the batch is preserved per shard only — the
-// same guarantee a real multi-NIC deployment gives, since independent
-// NICs do not synchronize.
-func (sc *ShardedClient) Do(ops []kvdirect.Op) ([]kvdirect.Result, error) {
-	return kvdirect.DoSharded(ops, len(sc.shards), func(s int, sub []kvdirect.Op) ([]kvdirect.Result, error) {
-		return sc.shards[s].do(sub)
-	})
-}
-
-// DoTrace is Do placed in a distributed trace (traceID 0 starts a fresh
-// one). A single-shard batch returns that shard's client span directly;
-// a batch spanning shards gets a SHARDED root span with one client span
-// per shard parented under it. Every span carries the trace context
-// downstream, so server-apply and replication ship spans stitch in.
-func (sc *ShardedClient) DoTrace(ops []kvdirect.Op, traceID uint64, parent uint32) ([]kvdirect.Result, *telemetry.Span, error) {
-	if traceID == 0 {
-		traceID = telemetry.NewTraceID()
+// DoTrace splits a batch by owning shard (kvdirect.DoSharded), issues
+// the per-shard sub-batches and reassembles results in the original
+// order. Cross-key ordering within the batch is preserved per shard only
+// — the same guarantee a real multi-NIC deployment gives, since
+// independent NICs do not synchronize.
+//
+// A sampled tc places the batch in a distributed trace (TraceID 0 starts
+// a fresh one): a single-shard batch returns that shard's client span
+// directly; a batch spanning shards gets a SHARDED root span with one
+// client span per shard parented under it. The zero TraceContext is an
+// untraced batch and returns a nil span.
+func (sc *ShardedClient) DoTrace(ops []kvdirect.Op, tc wire.TraceContext) ([]kvdirect.Result, *telemetry.Span, error) {
+	if tc.Sampled && tc.TraceID == 0 {
+		tc.TraceID = telemetry.NewTraceID()
 	}
 	var root, last *telemetry.Span
 	out, err := kvdirect.DoSharded(ops, len(sc.shards), func(s int, sub []kvdirect.Op) ([]kvdirect.Result, error) {
-		if root == nil && len(sub) < len(ops) {
-			root = sc.tel.Tracer().StartTrace(traceID, parent)
+		if tc.Sampled && root == nil && len(sub) < len(ops) {
+			root = sc.tel.Tracer().StartTrace(tc.TraceID, tc.Parent)
 			root.SetOp("SHARDED", len(ops))
-			parent = root.SpanID
+			tc.Parent = root.SpanID
 		}
-		res, span, err := sc.shards[s].doTrace(sub, traceID, parent)
+		res, span, err := sc.shards[s].doTrace(sub, tc)
 		last = span
 		return res, err
 	})
@@ -232,6 +228,11 @@ func (sc *ShardedClient) DoTrace(ops []kvdirect.Op, traceID uint64, parent uint3
 	return out, root, nil
 }
 
+// Do is DoTrace untraced.
+func (sc *ShardedClient) Do(ops []kvdirect.Op) ([]kvdirect.Result, error) {
+	return untraced(sc.DoTrace(ops, wire.TraceContext{}))
+}
+
 // --- per-shard replica set ---
 
 // replicaSet is one shard's view of its replica group: an ordered
@@ -243,7 +244,7 @@ type replicaSet struct {
 	mu      sync.Mutex
 	addrs   []string
 	clients map[string]*Client
-	backoff *Backoff // retry pacing for every doCall on this set; drawn from under mu
+	backoff *Backoff // retry pacing for every doTrace on this set; drawn from under mu
 }
 
 func newReplicaSet(sh ShardAddrs, opts Options, counters *telemetry.Counters) *replicaSet {
@@ -340,31 +341,16 @@ func (rs *replicaSet) update(sh ShardAddrs) {
 	}
 }
 
-// do issues one batch against the shard's current primary, following
-// NotPrimary redirects and rotating across replicas on transport
-// failures until the batch lands or the failover budget is exhausted.
-func (rs *replicaSet) do(ops []kvdirect.Op) ([]kvdirect.Result, error) {
-	res, _, err := rs.doCall(ops, func(c *Client) ([]kvdirect.Result, *telemetry.Span, error) {
-		r, err := c.Do(ops)
-		return r, nil, err
-	})
-	return res, err
-}
-
-// doTrace is do under a distributed trace: each attempt's client span is
-// parented under parent, so a failover mid-trace leaves the failed
-// attempts visible in the tree alongside the one that landed.
-func (rs *replicaSet) doTrace(ops []kvdirect.Op, traceID uint64, parent uint32) ([]kvdirect.Result, *telemetry.Span, error) {
-	return rs.doCall(ops, func(c *Client) ([]kvdirect.Result, *telemetry.Span, error) {
-		return c.DoTrace(ops, traceID, parent)
-	})
-}
-
-// doCall runs the retry loop shared by do and doTrace. A first attempt
-// that lands touches neither the allocator nor the backoff's generator.
+// doTrace issues one batch against the shard's current primary,
+// following NotPrimary redirects and rotating across replicas on
+// transport failures until the batch lands or the failover budget is
+// exhausted. Under a sampled tc a failover leaves the failed attempts'
+// client spans in the tree alongside the one that landed. A first
+// attempt that lands adds no allocation to the round trip and does not
+// touch the backoff's generator.
 //
 //kvd:hotpath
-func (rs *replicaSet) doCall(ops []kvdirect.Op, call func(*Client) ([]kvdirect.Result, *telemetry.Span, error)) ([]kvdirect.Result, *telemetry.Span, error) {
+func (rs *replicaSet) doTrace(ops []kvdirect.Op, tc wire.TraceContext) ([]kvdirect.Result, *telemetry.Span, error) {
 	// The budget covers one full tour of the group plus the retries a
 	// failover needs for the coordinator to detect and promote.
 	rs.mu.Lock()
@@ -386,7 +372,7 @@ func (rs *replicaSet) doCall(ops []kvdirect.Op, call func(*Client) ([]kvdirect.R
 			lastErr = err // dial failure: client() already rotated
 			continue
 		}
-		res, span, err := call(c)
+		res, span, err := c.DoTrace(ops, tc) //lint:allow hotalloc -- the round trip itself: its response frame, and a span when tc is sampled
 		hint, rejected := notPrimaryHint(res)
 		if err == nil && !rejected {
 			return res, span, nil
@@ -397,6 +383,11 @@ func (rs *replicaSet) doCall(ops []kvdirect.Op, call func(*Client) ([]kvdirect.R
 		}
 	}
 	return nil, nil, fmt.Errorf("kvnet: shard unavailable after %d attempts: %w", budget, lastErr) //lint:allow hotalloc -- the budget is spent; the error is the result
+}
+
+// do is doTrace untraced: the doFunc a shard's single-key calls ride.
+func (rs *replicaSet) do(ops []kvdirect.Op) ([]kvdirect.Result, error) {
+	return untraced(rs.doTrace(ops, wire.TraceContext{}))
 }
 
 // reroute digests an attempt that did not land — a transport error, or

@@ -231,7 +231,7 @@ func u64b(v uint64) []byte {
 	return b
 }
 
-// TestReplicaSetJitterDiffersPerSet: doCall used to seed a fresh backoff
+// TestReplicaSetJitterDiffersPerSet: the retry loop used to seed a fresh backoff
 // with len(ops)+1, so every client retrying a one-op batch after the
 // same failover slept the same "random" delays and the fleet re-probed
 // as one wave. Each set now owns a clock-seeded backoff.
@@ -247,23 +247,51 @@ func TestReplicaSetJitterDiffersPerSet(t *testing.T) {
 	t.Fatal("two replica sets for the same addresses drew identical retry delays: their retries will arrive in lock-step")
 }
 
-// TestDoCallFirstAttemptAllocs pins the retry machinery's cost
-// on the path every call takes: with a cached connection and an attempt
-// that lands, doCall itself allocates nothing — no backoff, no
-// generator, no error values.
-func TestDoCallFirstAttemptAllocs(t *testing.T) {
-	rs := newReplicaSet(ShardAddrs{Primary: "primary"}, Options{}, new(telemetry.Counters))
-	rs.clients["primary"] = &Client{} // never used: the stub call below answers for it
+// TestClientDoAllocs pins the merged client body: an untraced one-op
+// round trip (client and server sides of one loopback exchange) costs
+// what Do cost when it was a body of its own — the nil span is free.
+func TestClientDoAllocs(t *testing.T) {
+	_, c := startServer(t)
+	for _, tc := range []struct {
+		op   kvdirect.Op
+		want float64
+	}{
+		{kvdirect.Op{Code: kvdirect.OpPut, Key: []byte("k"), Value: []byte("v")}, 7},
+		{kvdirect.Op{Code: kvdirect.OpGet, Key: []byte("k")}, 8},
+	} {
+		ops := []kvdirect.Op{tc.op}
+		allocs := testing.AllocsPerRun(1000, func() {
+			if _, err := c.Do(ops); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > tc.want {
+			t.Errorf("untraced %s round trip allocates %.0f objects, want %.0f", tc.op.Code, allocs, tc.want)
+		}
+	}
+}
+
+// TestReplicaSetFirstAttemptAllocs pins the retry machinery's cost on
+// the path every call takes: with a cached connection and an attempt
+// that lands, the loop adds nothing to the client round trip it wraps —
+// no backoff, no generator, no error values.
+func TestReplicaSetFirstAttemptAllocs(t *testing.T) {
+	srv, c := startServer(t)
+	rs := newReplicaSet(ShardAddrs{Primary: srv.Addr()}, Options{}, new(telemetry.Counters))
+	rs.clients[srv.Addr()] = c
 	ops := []kvdirect.Op{{Code: kvdirect.OpPut, Key: []byte("k"), Value: []byte("v")}}
-	res := []kvdirect.Result{{Status: kvdirect.StatusOK}}
-	call := func(*Client) ([]kvdirect.Result, *telemetry.Span, error) { return res, nil, nil }
-	allocs := testing.AllocsPerRun(1000, func() {
-		if _, _, err := rs.doCall(ops, call); err != nil {
+	direct := testing.AllocsPerRun(1000, func() {
+		if _, err := c.Do(ops); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 0 {
-		t.Fatalf("doCall allocates %.0f objects on a first-attempt success, want 0", allocs)
+	looped := testing.AllocsPerRun(1000, func() {
+		if _, err := rs.do(ops); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if looped != direct {
+		t.Fatalf("the retry loop allocates %.0f objects on a first-attempt success, the round trip alone %.0f", looped, direct)
 	}
 	if rs.backoff.rng != nil {
 		t.Fatal("a call that never retried seeded the backoff's generator")

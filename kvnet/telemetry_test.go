@@ -10,6 +10,7 @@ import (
 
 	"kvdirect"
 	"kvdirect/internal/telemetry"
+	"kvdirect/internal/wire"
 )
 
 // TestTracedGetMatchesModelCharges is the acceptance check for the span
@@ -40,7 +41,7 @@ func TestTracedGetMatchesModelCharges(t *testing.T) {
 	// equal the model's own delta across it. Nothing else touches the
 	// store between the two Stats() reads except the traced GET.
 	before := store.Stats()
-	res, span, err := c.DoTraced([]kvdirect.Op{{Code: kvdirect.OpGet, Key: []byte("traced-key")}})
+	res, span, err := c.DoTrace([]kvdirect.Op{{Code: kvdirect.OpGet, Key: []byte("traced-key")}}, wire.TraceContext{Sampled: true})
 	after := store.Stats()
 	if err != nil {
 		t.Fatal(err)

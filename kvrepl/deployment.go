@@ -9,6 +9,7 @@ import (
 
 	"kvdirect"
 	"kvdirect/internal/telemetry"
+	"kvdirect/internal/wire"
 	"kvdirect/kvnet"
 )
 
@@ -17,7 +18,7 @@ import (
 // membership, not a second code path: a "single store" is Deploy(1, 1),
 // a group of one whose quorum is itself, and the paper's ten-NIC server
 // (§5.2) is Deploy(10, 1). Network clients dial Routes; in-process
-// front-ends (the memcache gateway) call Do.
+// front-ends (the memcache gateway) call DoTrace.
 type Deployment struct {
 	coord    *Coordinator
 	cfg      kvdirect.Config
@@ -93,42 +94,29 @@ func (d *Deployment) Routes() []kvnet.ShardAddrs {
 	return routes
 }
 
-// Do runs a batch in-process: split by kvdirect.ShardOf, each shard's
-// sub-batch through its current primary's Replica.Do. It satisfies
-// kvgw.Backend for every topology.
-func (d *Deployment) Do(ops []kvdirect.Op) ([]kvdirect.Result, error) {
-	res, _, err := d.run(ops, false, 0, 0)
-	return res, err
-}
-
-// DoTrace is Do inside the distributed trace (traceID, parent) — 0
-// starts a fresh one — satisfying kvgw.TraceBackend. Each shard's server
-// span hangs directly under parent (in-process there is no client hop)
-// in its replica's trace ring; the span returned is the last shard's.
-func (d *Deployment) DoTrace(ops []kvdirect.Op, traceID uint64, parent uint32) ([]kvdirect.Result, *telemetry.Span, error) {
-	if traceID == 0 {
-		traceID = telemetry.NewTraceID()
+// DoTrace runs a batch in-process: split by kvdirect.ShardOf, each
+// shard's sub-batch through its current primary's server, satisfying
+// kvgw.Backend for every topology. Under a sampled tc (TraceID 0 starts
+// a fresh trace) each shard's server span hangs directly under tc.Parent
+// (in-process there is no client hop) in its replica's trace ring, and
+// the span returned is the last shard's; the zero TraceContext is an
+// untraced batch and returns a nil span.
+//
+// A NotPrimary answer (a replica rejects a batch whole, so nothing was
+// applied) or an election gap re-resolves the shard's primary and
+// retries under backoff until AckTimeout — what a ShardedClient does
+// with redirects, minus the sockets.
+func (d *Deployment) DoTrace(ops []kvdirect.Op, tc wire.TraceContext) (out []kvdirect.Result, last *telemetry.Span, err error) {
+	if tc.Sampled && tc.TraceID == 0 {
+		tc.TraceID = telemetry.NewTraceID()
 	}
-	return d.run(ops, true, traceID, parent)
-}
-
-// run is Do and DoTrace. A NotPrimary answer (a replica rejects a batch
-// whole, so nothing was applied) or an election gap re-resolves the
-// shard's primary and retries under backoff until AckTimeout — what a
-// ShardedClient does with redirects, minus the sockets.
-func (d *Deployment) run(ops []kvdirect.Op, traced bool, traceID uint64, parent uint32) (out []kvdirect.Result, last *telemetry.Span, err error) {
 	out, err = kvdirect.DoSharded(ops, len(d.groups), func(s int, sub []kvdirect.Op) ([]kvdirect.Result, error) {
 		var backoff *kvnet.Backoff
 		var deadline time.Time
 		for attempt := 1; ; attempt++ {
 			if r := d.group(s).Primary(); r != nil {
-				var res []kvdirect.Result
-				var err error
-				if traced {
-					res, last, err = r.DoTrace(sub, traceID, parent)
-				} else {
-					res, err = r.Do(sub)
-				}
+				res, span, err := r.clientSrv.DoTrace(sub, tc)
+				last = span
 				if err != nil || len(res) == 0 || !res[0].NotPrimary() {
 					return res, err
 				}

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"net"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"kvdirect"
+	"kvdirect/internal/wire"
 	"kvdirect/kvgw"
 	"kvdirect/kvnet"
 )
@@ -71,9 +73,9 @@ func TestDeploymentDoMatchesRoutes(t *testing.T) {
 			for i := range ops {
 				ops[i] = put(fmt.Sprintf("in-%03d", i), fmt.Sprintf("v%d", i))
 			}
-			res, err := d.Do(ops)
+			res, _, err := d.DoTrace(ops, wire.TraceContext{})
 			if err != nil || len(res) != n {
-				t.Fatalf("Do: %d results, err %v", len(res), err)
+				t.Fatalf("DoTrace: %d results, err %v", len(res), err)
 			}
 			for i, r := range res {
 				if !r.OK() {
@@ -92,7 +94,7 @@ func TestDeploymentDoMatchesRoutes(t *testing.T) {
 			for i := range ops {
 				ops[i] = kvdirect.Op{Code: kvdirect.OpGet, Key: []byte(fmt.Sprintf("net-%03d", i))}
 			}
-			res, span, err := d.DoTrace(ops, 0, 0)
+			res, span, err := d.DoTrace(ops, wire.TraceContext{Sampled: true})
 			if err != nil || span == nil || span.TraceID == 0 {
 				t.Fatalf("DoTrace: span %+v, err %v", span, err)
 			}
@@ -140,6 +142,49 @@ func TestDeploymentSamplesTracesOnReplicas(t *testing.T) {
 		if got := r.Telemetry().Tracer().SampleEvery(); got != 1 {
 			t.Fatalf("migration destination replica %d samples 1 in %d, want 1 in 1", r.ID(), got)
 		}
+	}
+}
+
+// TestDeploymentRecordsOpLatency is the regression test for the
+// replica's hand-copied apply body having the plain backend's panic
+// isolation but not its instruments: every op a primary serves, a
+// panicking one included, is one server.op_latency_ns observation, and
+// the panic is counted in server.panics — on a group of one (what
+// kvdserver runs by default) and on a replicated group, whose backups
+// replay the writes without serving them.
+func TestDeploymentRecordsOpLatency(t *testing.T) {
+	for _, replicas := range []int{1, 3} {
+		t.Run(fmt.Sprintf("1x%d", replicas), func(t *testing.T) {
+			d := deploy(t, 1, replicas, 0)
+			for _, r := range d.group(0).Replicas {
+				r.Store().RegisterUpdateFunc(100, func(e, p uint64) uint64 { return e / (p - p) })
+			}
+			sc := dialRoutes(t, d)
+			ops := []kvdirect.Op{{Code: kvdirect.OpUpdateScalar, Key: []byte("boom"), FuncID: 100,
+				ElemWidth: 8, Param: make([]byte, 8)}}
+			for i := 0; i < 10; i++ {
+				ops = append(ops, put(fmt.Sprintf("k%d", i), "v"))
+			}
+			res, err := sc.Do(ops)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res[0].Status != kvdirect.StatusError || !strings.Contains(string(res[0].Value), "panic") {
+				t.Fatalf("panicking op result = %+v, want its panic as an error", res[0])
+			}
+			for i, r := range res[1:] {
+				if !r.OK() {
+					t.Fatalf("put %d beside the panicking op: %+v", i, r)
+				}
+			}
+			snap := d.TelemetrySnapshot()
+			if got := snap.Histogram("server.op_latency_ns").Count; got != uint64(len(ops)) {
+				t.Errorf("server.op_latency_ns holds %d observations for the %d ops the primary served", got, len(ops))
+			}
+			if snap.Counters["server.panics"] == 0 {
+				t.Error("server.panics did not count the panicking op")
+			}
+		})
 	}
 }
 
@@ -255,7 +300,7 @@ func TestDeploymentMigrateGroupOfOne(t *testing.T) {
 			default:
 			}
 			k, v := fmt.Sprintf("k-%03d", n%256), strconv.Itoa(n)
-			res, err := d.Do([]kvdirect.Op{put(k, v)})
+			res, _, err := d.DoTrace([]kvdirect.Op{put(k, v)}, wire.TraceContext{})
 			if err != nil || !res[0].OK() {
 				t.Errorf("write %d during migration: %+v %v", n, res, err)
 				return
@@ -283,7 +328,7 @@ func TestDeploymentMigrateGroupOfOne(t *testing.T) {
 		t.Fatal("no write completed across the migration")
 	}
 	for k, v := range last {
-		res, err := d.Do([]kvdirect.Op{{Code: kvdirect.OpGet, Key: []byte(k)}})
+		res, _, err := d.DoTrace([]kvdirect.Op{{Code: kvdirect.OpGet, Key: []byte(k)}}, wire.TraceContext{})
 		if err != nil || !res[0].OK() || string(res[0].Value) != v {
 			t.Fatalf("acked write %s=%s lost in migration: %+v %v", k, v, res, err)
 		}

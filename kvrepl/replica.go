@@ -33,6 +33,7 @@ type Replica struct {
 	gauges     *telemetry.Gauges
 	ints       *telemetry.IntGauges
 	quorumWait *telemetry.Histogram
+	apply      kvnet.Applier // how an op applies; the replica decides only when
 	faults     *fault.Injector
 
 	// Handles for the metrics bumped per shipped or applied entry and
@@ -97,6 +98,7 @@ func NewReplica(shard, id, groupSize int, cfg kvdirect.Config, clientAddr, replA
 		gauges:     tel.Gauges(),
 		ints:       tel.IntGauges(),
 		quorumWait: tel.Histogram("repl.quorum_wait_ns"),
+		apply:      kvnet.NewApplier(tel),
 		faults:     opts.Faults,
 		conns:      map[net.Conn]bool{},
 
@@ -170,23 +172,15 @@ func (r *Replica) Alive() bool {
 // repl.entries_dropped, repl.acks, repl.gap_resyncs, repl.snapshots_sent,
 // repl.snapshots_installed, repl.snapshot_fallbacks, repl.catchup_bytes, repl.promotions,
 // repl.demotions, repl.not_primary_rejects, repl.epoch_rejects,
-// repl.quorum_failures, repl.apply_panics, repl.installs,
-// repl.migration_entries.
+// repl.quorum_failures, repl.installs, repl.migration_entries. (A
+// panicking apply is counted where every backend's is: server.panics.)
 func (r *Replica) Counters() *telemetry.Counters { return r.counters }
 
-// Gauges exposes the replica's unsigned gauges (shared with the store's
-// core gauges). Replication lag lives in IntGauges — it is transiently
-// negative when a backup applies past a heartbeat's frontier, which an
-// unsigned gauge would wrap to ~2^64.
-func (r *Replica) Gauges() *telemetry.Gauges { return r.gauges }
-
-// IntGauges exposes the signed replication gauges: repl.lag (entries
-// the slowest tracked backup is behind), repl.lag_max (its high-water
-// mark), repl.epoch, repl.applied_seq.
-func (r *Replica) IntGauges() *telemetry.IntGauges { return r.ints }
-
 // Telemetry returns the registry shared by the replica, its store and
-// its client-facing server.
+// its client-facing server. Replication lag (repl.lag, repl.lag_max) is
+// a signed gauge beside repl.epoch and repl.applied_seq: it is
+// transiently negative when a backup applies past a heartbeat's
+// frontier, which an unsigned gauge would wrap to ~2^64.
 func (r *Replica) Telemetry() *telemetry.Registry { return r.tel }
 
 // TelemetrySnapshot snapshots the replica's full registry — store,
@@ -194,16 +188,6 @@ func (r *Replica) Telemetry() *telemetry.Registry { return r.tel }
 // Replica a kvnet.SnapshotSource for /metrics export.
 func (r *Replica) TelemetrySnapshot() telemetry.Snapshot {
 	return r.clientSrv.TelemetrySnapshot()
-}
-
-// Do runs one batch in-process through the replica's client server
-// (kvnet.Server.Do): the pipeline a network client's batch takes, minus
-// the socket. A non-primary answers StatusNotPrimary results.
-func (r *Replica) Do(ops []kvdirect.Op) ([]kvdirect.Result, error) { return r.clientSrv.Do(ops) }
-
-// DoTrace is Do under a server span in the trace (traceID, parent).
-func (r *Replica) DoTrace(ops []kvdirect.Op, traceID uint64, parent uint32) ([]kvdirect.Result, *telemetry.Span, error) {
-	return r.clientSrv.DoTrace(ops, traceID, parent)
 }
 
 // Store exposes the replica's store for inspection. The store is not
@@ -439,16 +423,11 @@ func mutating(op wire.OpCode) bool {
 
 // ApplyBatch implements kvnet.Backend: the whole replication protocol
 // interposed on the standard wire path. Reads apply locally; mutations
-// are sequenced, logged, applied, shipped, and held until quorum.
-func (r *Replica) ApplyBatch(reqs []wire.Request) []wire.Response {
-	return r.ApplyBatchTraced(reqs, nil)
-}
-
-// ApplyBatchTraced implements kvnet.TracedBackend: the same path with a
-// span charged for the store's access counts and staged for the quorum
-// wait, so a traced write against a replica shows where replication
-// time went.
-func (r *Replica) ApplyBatchTraced(reqs []wire.Request, span *telemetry.Span) []wire.Response {
+// are sequenced, logged, applied, shipped, and held until quorum. A
+// non-nil span is charged for the store's access counts and staged for
+// the quorum wait, so a traced write against a replica shows where
+// replication time went.
+func (r *Replica) ApplyBatch(reqs []wire.Request, span *telemetry.Span) []wire.Response {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.role != RolePrimary || r.closed {
@@ -464,9 +443,17 @@ func (r *Replica) ApplyBatchTraced(reqs []wire.Request, span *telemetry.Span) []
 	epoch := r.epoch
 	out := make([]wire.Response, len(reqs))
 	var lastSeq uint64
+	now := time.Now()
 	for i, req := range reqs {
 		if !mutating(req.Code) {
-			out[i] = r.applyLocalLocked(req, span)
+			out[i], now = r.apply.Apply(r.store, req, span, now)
+			if req.Code == wire.OpStats && out[i].Status == wire.StatusOK {
+				// The status registers grow a replication section.
+				out[i].Value = []byte(string(out[i].Value) +
+					fmt.Sprintf("repl_role=%s\nrepl_epoch=%d\nrepl_seq=%d\n",
+						r.role, r.epoch, r.lastApplied) +
+					r.counters.String() + r.gauges.String() + r.ints.String())
+			}
 			continue
 		}
 		seq := r.lastApplied + 1
@@ -486,7 +473,7 @@ func (r *Replica) ApplyBatchTraced(reqs []wire.Request, span *telemetry.Span) []
 				e.Packet = pkt
 			}
 		}
-		out[i] = r.applyLocalLocked(req, span)
+		out[i], now = r.apply.Apply(r.store, req, span, now)
 		r.lastApplied = seq
 		if err := r.log.Append(e); err != nil {
 			// Unreachable while mu serializes appends; surface loudly
@@ -519,32 +506,9 @@ func (r *Replica) ApplyBatchTraced(reqs []wire.Request, span *telemetry.Span) []
 	return out
 }
 
-// applyLocalLocked runs one request on the local store, isolating
-// panics the way the plain server backend does. A non-nil span is
-// charged with the operation's model access counts.
-func (r *Replica) applyLocalLocked(req wire.Request, span *telemetry.Span) (resp wire.Response) {
-	defer func() {
-		if p := recover(); p != nil {
-			r.counters.Add("repl.apply_panics", 1)
-			resp = wire.Response{Status: wire.StatusError,
-				Value: []byte(fmt.Sprintf("panic: %v", p))}
-		}
-	}()
-	resp = r.store.ApplyTraced(req, span)
-	if req.Code == wire.OpStats && resp.Status == wire.StatusOK {
-		// The status registers grow a replication section.
-		text := string(resp.Value) +
-			fmt.Sprintf("repl_role=%s\nrepl_epoch=%d\nrepl_seq=%d\n",
-				r.role, r.epoch, r.lastApplied) +
-			r.counters.String() + r.gauges.String() + r.ints.String()
-		resp.Value = []byte(text)
-	}
-	return resp
-}
-
-// PublishTelemetry implements kvnet.TelemetryPublisher: refreshes the
-// store's derived gauges plus the replica's role frontier into the
-// shared registry before a snapshot is taken.
+// PublishTelemetry implements kvnet.Backend: refreshes the store's
+// derived gauges plus the replica's role frontier into the shared
+// registry before a snapshot is taken.
 func (r *Replica) PublishTelemetry() {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -646,7 +646,7 @@ func (r *Replica) applyEntry(m wire.ReplMessage) (ack uint64, gap bool) {
 	}
 	// Apply after logging; a panic still advances the frontier (the
 	// primary assigned the sequence and got the same panic response).
-	resp := r.applyLocalLocked(req, span) //lint:allow hotalloc -- its allocations are the panic report and the OpStats text, neither on a replayed write's path
+	resp := r.apply.Replay(r.store, req, span)
 	r.tel.Tracer().Publish(span)
 	_ = resp
 	r.lastApplied = m.Seq

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"kvdirect"
+	"kvdirect/internal/wire"
 	"kvdirect/kvnet"
 )
 
@@ -33,9 +34,9 @@ func TestReplicaTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, span, err := c.DoTraced([]kvdirect.Op{
+	res, span, err := c.DoTrace([]kvdirect.Op{
 		{Code: kvdirect.OpPut, Key: []byte("traced"), Value: []byte("write")},
-	})
+	}, wire.TraceContext{Sampled: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"kvdirect"
 	"kvdirect/internal/telemetry"
+	"kvdirect/internal/wire"
 	"kvdirect/kvnet"
 )
 
@@ -49,7 +50,7 @@ func TestTracedWriteAssemblesQuorumSpans(t *testing.T) {
 	before := prim.Store().Stats()
 	res, root, err := sc.DoTrace([]kvdirect.Op{
 		{Code: kvdirect.OpPut, Key: []byte("traced-key"), Value: []byte("traced-value")},
-	}, 0, 0)
+	}, wire.TraceContext{Sampled: true})
 	after := prim.Store().Stats()
 	if err != nil {
 		t.Fatalf("DoTrace: %v", err)
@@ -166,7 +167,7 @@ func TestFailoverMidTraceWellFormedPartialTree(t *testing.T) {
 
 	if _, _, err := sc.DoTrace([]kvdirect.Op{
 		{Code: kvdirect.OpPut, Key: []byte("seed"), Value: []byte("v0")},
-	}, 0, 0); err != nil {
+	}, wire.TraceContext{Sampled: true}); err != nil {
 		t.Fatalf("seed write: %v", err)
 	}
 
@@ -176,7 +177,7 @@ func TestFailoverMidTraceWellFormedPartialTree(t *testing.T) {
 	}
 	res, root, err := sc.DoTrace([]kvdirect.Op{
 		{Code: kvdirect.OpPut, Key: []byte("mid-failover"), Value: []byte("v1")},
-	}, 0, 0)
+	}, wire.TraceContext{Sampled: true})
 	if err != nil {
 		t.Fatalf("traced write across failover: %v", err)
 	}
