@@ -2,10 +2,13 @@
 //
 // Usage:
 //
-//	kvdcli [-addr host:port] [command args...]
+//	kvdcli [-addr host:port[,host:port...]] [command args...]
 //
-// With arguments it runs one command and exits; without, it reads
-// commands from stdin (one per line):
+// -addr takes the deployment's shard list, one primary per shard in
+// shard order, as kvdload does; keys route to their owner, scans merge,
+// register and stats cover every shard. With arguments it runs one
+// command and exits; without, it reads commands from stdin (one per
+// line):
 //
 //	get <key>
 //	put <key> <value>
@@ -15,7 +18,7 @@
 //	                          key >= start
 //	incr <key> [delta]        atomic fetch-and-add on an 8-byte counter
 //	reduce <key> <add|max>    fold a 4-byte-element vector on the server
-//	register <id> <expr>      compile and install an update λ on the server
+//	register <id> <expr>      compile and install an update λ on every shard
 //	stats [-watch] [-raw] [-http host:port]
 //	                          telemetry table (-watch refreshes each
 //	                          second with live ops/s; -raw dumps the
@@ -75,7 +78,7 @@ func main() {
 // with everything it prints going to stdout.
 func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("kvdcli", flag.ContinueOnError)
-	addr := fs.String("addr", "127.0.0.1:7890", "server address")
+	addr := fs.String("addr", "127.0.0.1:7890", "server address, or the comma-separated shard list")
 	admin := fs.String("admin", "", "kvdserver admin address (for the migrate command)")
 	mc := fs.String("mc", "", "kvgw memcache gateway address (for the mcstat command)")
 	metrics := fs.String("metrics", "", "kvdserver metrics address (for the trace and blackbox commands)")
@@ -107,7 +110,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		}
 	}
 
-	client, err := kvnet.Dial(*addr)
+	client, err := kvnet.DialShards(strings.Split(*addr, ","))
 	if err != nil {
 		return err
 	}

@@ -13,7 +13,7 @@ import (
 )
 
 // statsTable scrapes telemetry and renders it as a table. The scrape
-// goes over the data wire (OpTelemetry) to one server, or — when
+// goes over the data wire (OpTelemetry) to every shard, or — when
 // httpAddr is set — over HTTP from a kvdserver -metrics endpoint's
 // /debug/telemetry, which merges every replica plus the coordinator
 // (the only place migration totals live once a source group is gone).

@@ -104,55 +104,47 @@ func (s *server) http(method, addr, path string) string {
 	return string(body)
 }
 
-// native is a client of the whole topology built from the pieces a
-// client is made of — one connection per shard primary, batches split
-// by the placement rule, scans merged — so the script runs unchanged
-// against any shard count.
+// native is a network client of the whole topology, dialed from the
+// route table the admin endpoint publishes, so the script runs unchanged
+// against any shard and replica count.
 type native struct {
-	t      *testing.T
-	shards []*kvnet.Client
+	t *testing.T
+	c *kvnet.Client
 }
 
-func (s *server) dial() *native {
+func (s *server) dial() native {
 	s.t.Helper()
-	var routes map[string]struct{ Primary string }
+	var routes map[string]kvnet.ShardAddrs
 	if err := json.Unmarshal([]byte(s.http("GET", s.admin, "/routes")), &routes); err != nil {
 		s.t.Fatal(err)
 	}
-	n := &native{t: s.t, shards: make([]*kvnet.Client, len(routes))}
-	for i := range n.shards {
-		cl, err := kvnet.Dial(routes[strconv.Itoa(i)].Primary)
-		if err != nil {
-			s.t.Fatalf("dial shard %d of %d: %v", i, len(routes), err)
-		}
-		s.t.Cleanup(func() { _ = cl.Close() })
-		n.shards[i] = cl
+	table := make([]kvnet.ShardAddrs, len(routes))
+	for i := range table {
+		table[i] = routes[strconv.Itoa(i)]
 	}
-	return n
+	c, err := kvnet.DialReplicaShards(table, kvnet.Options{})
+	if err != nil {
+		s.t.Fatalf("dial %v: %v", table, err)
+	}
+	s.t.Cleanup(func() { _ = c.Close() })
+	return native{s.t, c}
 }
 
-func (n *native) do(ops ...kvdirect.Op) []kvdirect.Result {
+func (n native) do(ops ...kvdirect.Op) []kvdirect.Result {
 	n.t.Helper()
-	res, err := kvdirect.DoSharded(ops, len(n.shards), func(s int, sub []kvdirect.Op) ([]kvdirect.Result, error) {
-		return n.shards[s].Do(sub)
-	})
+	res, err := n.c.Do(ops)
 	if err != nil {
 		n.t.Fatal(err)
 	}
 	return res
 }
 
-func (n *native) scan(limit int) []kvdirect.ScanEntry {
+func (n native) scan(limit int) []kvdirect.ScanEntry {
 	n.t.Helper()
-	pages := make([][]kvdirect.ScanEntry, len(n.shards))
-	cursors := make([][]byte, len(n.shards))
-	for s, cl := range n.shards {
-		var err error
-		if pages[s], cursors[s], err = cl.ScanPage(nil, limit, nil); err != nil {
-			n.t.Fatal(err)
-		}
+	entries, _, err := n.c.ScanPage(nil, limit)
+	if err != nil {
+		n.t.Fatal(err)
 	}
-	entries, _ := kvdirect.MergeScanPages(pages, cursors, limit)
 	return entries
 }
 

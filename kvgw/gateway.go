@@ -17,10 +17,10 @@ import (
 	"kvdirect/internal/wire"
 )
 
-// Backend executes translated operation batches. kvnet.Client,
-// kvnet.ShardedClient, kvnet.Server (the in-process loopback) and
-// kvrepl.Deployment all satisfy it, so one gateway serves a single
-// store, a sharded fleet, or a replicated group without knowing which.
+// Backend executes translated operation batches. kvnet.Client (over
+// sockets, whatever its route table holds), kvnet.Server (the in-process
+// loopback) and kvrepl.Deployment all satisfy it, so one gateway serves a
+// single store, a sharded fleet, or a replicated group without knowing which.
 // tc is the value a packet's trace trailer carries: sampled, the batch
 // runs inside that distributed trace and the backend-side span comes
 // back for the gateway to graft under its root; the zero TraceContext is

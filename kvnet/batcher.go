@@ -14,25 +14,20 @@ import (
 // goroutine (each holds its own pending batch, like a per-core send
 // queue).
 type Batcher struct {
-	do      doFunc
+	c       *Client
 	maxOps  int
 	pending []kvdirect.Op
 	dones   []func(kvdirect.Result)
 }
 
 // NewBatcher wraps the client with a batch of up to maxOps operations
-// per packet (the paper batches to the MTU; ~40-80 small ops).
-func (c *Client) NewBatcher(maxOps int) *Batcher { return newBatcher(c.Do, maxOps) }
-
-// NewBatcher wraps the sharded client the same way; a shipped batch
-// splits by owning shard like any other Do.
-func (sc *ShardedClient) NewBatcher(maxOps int) *Batcher { return newBatcher(sc.Do, maxOps) }
-
-func newBatcher(do doFunc, maxOps int) *Batcher {
+// per packet (the paper batches to the MTU; ~40-80 small ops). A shipped
+// batch splits by owning shard like any other Do.
+func (c *Client) NewBatcher(maxOps int) *Batcher {
 	if maxOps < 1 {
 		maxOps = 1
 	}
-	return &Batcher{do: do, maxOps: maxOps}
+	return &Batcher{c: c, maxOps: maxOps}
 }
 
 // Pending returns the number of buffered operations.
@@ -59,7 +54,7 @@ func (b *Batcher) Flush() error {
 	dones := b.dones
 	b.pending = nil
 	b.dones = nil
-	results, err := b.do(ops)
+	results, err := b.c.Do(ops)
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"time"
 
@@ -27,19 +28,20 @@ type Options struct {
 	// WriteTimeout bounds each request write (default 30 s, negative
 	// disables).
 	WriteTimeout time.Duration
-	// MaxRetries is how many times an idempotent batch is retried after a
-	// transport failure, with exponential backoff (default 3, negative
-	// disables). Batches containing non-idempotent operations (scalar or
-	// vector updates) are never retried: a lost response leaves the
-	// update's fate unknown, and replaying it could apply it twice.
+	// MaxRetries sizes the retry budget (default 3, negative disables):
+	// a call makes at most (replicas+1) × (MaxRetries+1) attempts at its
+	// shard, and never fewer than 4, with exponential backoff between
+	// them. Refused dials and NotPrimary redirects (nothing was applied)
+	// and transport failures of idempotent batches all draw on it.
+	// Batches containing non-idempotent operations (scalar or vector
+	// updates) are never retried after a transport failure: a lost
+	// response leaves the update's fate unknown, and replaying it could
+	// apply it twice. Disabled, no batch is.
 	MaxRetries int
 	// RetryBaseDelay is the first backoff step (default 2 ms); each retry
 	// doubles it up to RetryMaxDelay (default 250 ms), with jitter.
 	RetryBaseDelay time.Duration
 	RetryMaxDelay  time.Duration
-	// NoReconnect keeps the client on its original connection: after a
-	// transport failure the client is broken and every call fails fast.
-	NoReconnect bool
 	// Telemetry is the registry the client records into (request RTTs in
 	// client.rtt_ns, resilience counters). Nil gets a private registry.
 	Telemetry *telemetry.Registry
@@ -70,10 +72,6 @@ func (o Options) withDefaults() Options {
 // ErrClosed is returned by calls on a closed client.
 var ErrClosed = errors.New("kvnet: client closed")
 
-// ErrBroken is returned when the connection failed and NoReconnect
-// prevents recovery.
-var ErrBroken = errors.New("kvnet: connection broken")
-
 // NotPrimaryError reports that the addressed replica is not its group's
 // primary; the operation was not applied, so retrying it at Hint (or any
 // other replica) is always safe — even for non-idempotent updates.
@@ -89,31 +87,35 @@ func (e *NotPrimaryError) Error() string {
 	return "kvnet: replica is not the primary (primary at " + e.Hint + ")"
 }
 
-// Client is a KV-Direct network client. It is safe for concurrent use;
-// requests on one connection are serialized (batch multiple operations
-// into one Do call for throughput, as the paper's clients do).
+// Client is a KV-Direct network client: a route table of one replica set
+// per shard (paper §5.2: one endpoint per programmable NIC, each owning a
+// disjoint slice of the key space), keys placed by kvdirect.ShardOf, the
+// placement rule every router in the repository shares. Dial's single
+// server is a table of one shard with no backups; DialReplicaShards
+// takes the general one.
 //
-// After a mid-frame transport error the connection's state is unknown
-// (the peer may interpret leftover bytes as a new frame), so the client
-// marks it broken and never reuses it: the next attempt reconnects, or
-// fails fast under NoReconnect.
+// With replicated shards (kvrepl), each shard is a whole replica group:
+// the client tracks every member's address, follows NotPrimary redirect
+// hints, rotates to promotion candidates when the primary dies, and
+// accepts routing republishes (UpdateShard) from the membership
+// coordinator — so a failover is invisible to callers beyond retry
+// latency. One loop (replicaSet.doTrace) owns that and every transport
+// retry; see Options.MaxRetries for what it will and will not replay.
+//
+// It is safe for concurrent use; requests on one connection are
+// serialized (batch multiple operations into one Do call for throughput,
+// as the paper's clients do).
 type Client struct {
-	opts Options
-	addr string
-
-	mu     sync.Mutex
-	conn   net.Conn
-	r      *bufio.Reader
-	w      *bufio.Writer
-	enc    []byte // Do's encoded request packet, reused under mu
-	broken bool
-	closed bool
-
-	counters *telemetry.Counters
+	opts     Options // defaults applied, once, by newClient
 	tel      *telemetry.Registry
+	counters *telemetry.Counters
 	rtt      *telemetry.Histogram
-	backoff  *Backoff
+	shards   []*replicaSet
 }
+
+// ShardedClient is Client under the name it had while a connection and a
+// route table were two types.
+type ShardedClient = Client
 
 // Dial connects to a KV-Direct server with default options.
 func Dial(addr string) (*Client, error) {
@@ -122,94 +124,103 @@ func Dial(addr string) (*Client, error) {
 
 // DialOptions connects to a KV-Direct server.
 func DialOptions(addr string, opts Options) (*Client, error) {
+	return DialReplicaShards([]ShardAddrs{{Primary: addr}}, opts)
+}
+
+// DialShards connects to every endpoint (one replica per shard). On
+// failure, already-opened connections are closed.
+func DialShards(addrs []string) (*Client, error) {
+	shards := make([]ShardAddrs, len(addrs))
+	for i, a := range addrs {
+		shards[i] = ShardAddrs{Primary: a}
+	}
+	return DialReplicaShards(shards, Options{})
+}
+
+// DialReplicaShards connects to a deployment of replicated shards,
+// eagerly dialing each shard's primary. Backup connections are opened
+// lazily on first failover.
+func DialReplicaShards(shards []ShardAddrs, opts Options) (*Client, error) {
+	c, err := newClient(shards, opts)
+	if err != nil {
+		return nil, err
+	}
+	for i, rs := range c.shards {
+		if _, _, err := rs.conn(); err != nil {
+			_ = c.Close() // best-effort cleanup; the dial error is reported
+			return nil, fmt.Errorf("kvnet: shard %d (%s): %w", i, shards[i].Primary, err)
+		}
+	}
+	return c, nil
+}
+
+// newClient builds the route table without dialing anything.
+func newClient(shards []ShardAddrs, opts Options) (*Client, error) {
+	if len(shards) == 0 {
+		return nil, fmt.Errorf("kvnet: no shard addresses")
+	}
 	tel := opts.Telemetry
 	if tel == nil {
 		tel = telemetry.NewRegistry()
 	}
 	c := &Client{
 		opts:     opts.withDefaults(),
-		addr:     addr,
-		counters: tel.Counters(),
 		tel:      tel,
+		counters: tel.Counters(),
 		rtt:      tel.Histogram("client.rtt_ns"),
+		shards:   make([]*replicaSet, len(shards)),
 	}
-	c.backoff = NewBackoff(c.opts.RetryBaseDelay, c.opts.RetryMaxDelay, time.Now().UnixNano())
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.reconnectLocked(); err != nil { //lint:allow lockorder -- mu guards the single wire connection; dialing it is the critical section
-		return nil, err
+	for i, sh := range shards {
+		if sh.Primary == "" {
+			return nil, fmt.Errorf("kvnet: shard %d has no primary address", i)
+		}
+		c.shards[i] = newReplicaSet(c, sh)
 	}
 	return c, nil
 }
 
-// Counters exposes the client's resilience counters: client.retries,
-// client.reconnects, client.broken, client.corrupt_frames.
+// Counters exposes the registry's counters: the connections'
+// client.retries, client.reconnects, client.broken and
+// client.corrupt_frames, and the routing layer's sharded.redirects
+// (NotPrimary hints followed), sharded.rotations (blind failover
+// rotations after transport errors) and sharded.route_updates
+// (coordinator republishes applied).
 func (c *Client) Counters() *telemetry.Counters { return c.counters }
 
-// Telemetry returns the client's registry: the counters above plus the
-// client.rtt_ns round-trip latency histogram.
+// Telemetry returns the client's registry: the counters above, the
+// client.rtt_ns round-trip latency histogram, and one trace ring that
+// sharded-batch root spans and per-shard client spans share.
 func (c *Client) Telemetry() *telemetry.Registry { return c.tel }
 
-// Close terminates the connection. Subsequent calls fail with ErrClosed.
+// NumShards returns the number of shards.
+func (c *Client) NumShards() int { return len(c.shards) }
+
+// Close closes every connection, returning the first error. Subsequent
+// calls fail with ErrClosed.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.closed = true
-	if c.conn == nil {
-		return nil
+	var first error
+	for _, rs := range c.shards {
+		if err := rs.close(); err != nil && first == nil {
+			first = err
+		}
 	}
-	err := c.conn.Close()
-	c.conn = nil
-	return err
+	return first
 }
 
-func (c *Client) reconnectLocked() error {
-	if c.conn != nil || c.broken {
-		if c.conn != nil {
-			_ = c.conn.Close() // stale connection; dial result is what matters
-			c.conn = nil
-		}
-		c.counters.Add("client.reconnects", 1)
+// UpdateShard republishes shard i's routing — the coordinator calls this
+// after a failover so clients jump straight to the new primary instead
+// of discovering it by probing.
+func (c *Client) UpdateShard(i int, addrs ShardAddrs) error {
+	if i < 0 || i >= len(c.shards) {
+		return fmt.Errorf("kvnet: shard %d out of range", i)
 	}
-	conn, err := net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
-	if err != nil {
-		return fmt.Errorf("kvnet: %w", err)
+	if addrs.Primary == "" {
+		return fmt.Errorf("kvnet: shard %d republish has no primary", i)
 	}
-	c.conn = conn
-	c.r = bufio.NewReader(conn)
-	c.w = bufio.NewWriter(conn)
-	c.broken = false
+	c.shards[i].update(addrs)
+	c.counters.Add("sharded.route_updates", 1)
 	return nil
 }
-
-// markBrokenLocked poisons the connection after a transport error.
-func (c *Client) markBrokenLocked() {
-	c.broken = true
-	c.counters.Add("client.broken", 1)
-	if c.conn != nil {
-		_ = c.conn.Close() // already poisoned by a transport error
-		c.conn = nil
-	}
-}
-
-// ensureConnLocked gets a usable connection, reconnecting if allowed.
-func (c *Client) ensureConnLocked() error {
-	if c.closed {
-		return ErrClosed
-	}
-	if c.conn != nil && !c.broken {
-		return nil
-	}
-	if c.opts.NoReconnect {
-		return ErrBroken
-	}
-	return c.reconnectLocked()
-}
-
-// backoffLocked sleeps before retry n (1-based) per the client's Backoff
-// policy (exponential from RetryBaseDelay capped at RetryMaxDelay, with
-// jitter so a fleet of clients doesn't retry in lockstep).
-func (c *Client) backoffLocked(n int) { c.backoff.Sleep(n) }
 
 // idempotent reports whether replaying the batch is safe. Get, Put,
 // Delete, Reduce, Filter, Stats and Register all converge when repeated
@@ -229,29 +240,113 @@ func idempotent(ops []kvdirect.Op) bool {
 	return true
 }
 
-// DoTrace sends one batch of operations and returns their results in
-// order. Transport failures on idempotent batches are retried with
-// backoff (see Options); non-idempotent batches fail fast with the
-// transport error.
+// DoTrace splits a batch by owning shard (kvdirect.DoSharded), issues
+// the per-shard sub-batches and reassembles results in the original
+// order. Cross-key ordering within the batch is preserved per shard only
+// — the same guarantee a real multi-NIC deployment gives, since
+// independent NICs do not synchronize. Transport failures on idempotent
+// batches are retried with backoff (see Options); non-idempotent batches
+// fail fast with the transport error.
 //
-// tc is what the packet's trace trailer will carry; the zero value is an
-// untraced batch and returns a nil span. Sampled, the client span is
-// parented under tc.Parent within tc.TraceID (0 starts a fresh trace),
-// the packet asks the server for its span and carries the context
-// downstream, so the server — and, for replicated writes, the per-backup
-// log shipping — parent their spans under this hop's. The returned span
-// (also kept in the client registry's trace ring) carries the
+// tc is what each packet's trace trailer will carry; the zero value is
+// an untraced batch and returns a nil span. Sampled, the batch sits in a
+// distributed trace (TraceID 0 starts a fresh one): a batch one shard
+// owns returns that shard's client span — parented under tc.Parent, it
+// asks the server for its span and carries the context downstream, so
+// the server and, for replicated writes, the per-backup log shipping
+// parent their spans under this hop's; a batch spanning shards gets a
+// SHARDED root span with one client span per shard parented under it.
+// A client span (also kept in the registry's trace ring) carries the
 // client-measured stages, the server-side child span with its stages,
 // and the PCIe/DRAM access counts the performance model charged the
 // batch — the paper's per-op cost breakdown for one live operation.
+func (c *Client) DoTrace(ops []kvdirect.Op, tc wire.TraceContext) ([]kvdirect.Result, *telemetry.Span, error) {
+	if tc.Sampled && tc.TraceID == 0 {
+		tc.TraceID = telemetry.NewTraceID()
+	}
+	var root, last *telemetry.Span
+	out, err := kvdirect.DoSharded(ops, len(c.shards), func(s int, sub []kvdirect.Op) ([]kvdirect.Result, error) {
+		if tc.Sampled && root == nil && len(sub) < len(ops) {
+			root = c.tel.Tracer().StartTrace(tc.TraceID, tc.Parent)
+			root.SetOp("SHARDED", len(ops))
+			tc.Parent = root.SpanID
+		}
+		res, span, err := c.shards[s].doTrace(sub, tc)
+		last = span
+		return res, err
+	})
+	if root == nil {
+		return out, last, err
+	}
+	root.SetErr(err)
+	c.tel.Tracer().Publish(root)
+	if err != nil {
+		return nil, last, err
+	}
+	return out, root, nil
+}
+
+// Do is DoTrace untraced.
+func (c *Client) Do(ops []kvdirect.Op) ([]kvdirect.Result, error) {
+	return untraced(c.DoTrace(ops, wire.TraceContext{}))
+}
+
+// conn is one socket to one server and everything that touches it: it
+// frames one batch, sends it and reads the reply, one exchange at a time.
+// It has no retry, no redial and no second life — a transport error
+// leaves the peer's framing state unknown (it may read leftover bytes as
+// a new frame), so the conn closes itself under its lock and the replica
+// set that owns it drops it and decides what happens next.
+type conn struct {
+	c *Client // deadlines, tracer, client.rtt_ns
+
+	mu  sync.Mutex // one exchange in flight; guards everything below
+	nc  net.Conn   // nil once closed
+	r   *bufio.Reader
+	w   *bufio.Writer
+	enc []byte // the encoded request packet, reused under mu
+}
+
+// errConnClosed is an exchange that found its conn already closed — by
+// a routing update, Close, or another caller's transport error — before
+// anything was sent: unlike every other conn error it is unambiguous.
+var errConnClosed = errors.New("kvnet: connection closed")
+
+// errBadBatch wraps a batch the wire format cannot carry: the caller's
+// error, not the connection's, so nothing is dropped or retried.
+var errBadBatch = errors.New("kvnet: batch does not encode")
+
+func (c *Client) dial(addr string) (*conn, error) {
+	nc, err := net.DialTimeout("tcp", addr, c.opts.DialTimeout)
+	if err != nil {
+		return nil, fmt.Errorf("kvnet: %w", err)
+	}
+	return &conn{c: c, nc: nc, r: bufio.NewReader(nc), w: bufio.NewWriter(nc)}, nil
+}
+
+// Close waits out the exchange in flight, if any, and closes the socket.
+func (cn *conn) Close() error {
+	cn.mu.Lock()
+	defer cn.mu.Unlock()
+	if cn.nc == nil {
+		return nil
+	}
+	err := cn.nc.Close()
+	cn.nc = nil
+	return err
+}
+
+// doTrace sends one batch and returns its results in order; see
+// Client.DoTrace for what a sampled tc adds to the packet and the span.
 //
 //kvd:hotpath
-func (c *Client) DoTrace(ops []kvdirect.Op, tc wire.TraceContext) ([]kvdirect.Result, *telemetry.Span, error) {
-	span := startSpan(c.tel.Tracer(), tc, ops)
-	c.mu.Lock()
-	defer c.mu.Unlock()
+func (cn *conn) doTrace(ops []kvdirect.Op, tc wire.TraceContext) ([]kvdirect.Result, *telemetry.Span, error) {
+	tracer := cn.c.tel.Tracer()
+	span := startSpan(tracer, tc, ops)
+	cn.mu.Lock()
+	defer cn.mu.Unlock()
 	st := span.StartStage("client.encode")
-	pkt, err := wire.AppendRequests(c.enc[:0], ops)
+	pkt, err := wire.AppendRequests(cn.enc[:0], ops)
 	want := len(ops)
 	if err == nil && span != nil {
 		// The server appends one extra trailing response holding its span.
@@ -264,19 +359,23 @@ func (c *Client) DoTrace(ops []kvdirect.Op, tc wire.TraceContext) ([]kvdirect.Re
 	}
 	st.End()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("%w: %w", errBadBatch, err) //lint:allow hotalloc -- the caller's malformed batch; the error is the result
 	}
-	c.enc = pkt
+	cn.enc = pkt
 	traceID, _ := span.Trace()
 	st = span.StartStage("client.rtt")
-	results, err := c.exchangeLocked(ops, pkt, want, traceID) //lint:allow lockorder,hotalloc -- one request in flight per client by design: mu held across the wire exchange, its redial and its retry backoff IS the serialization; the exchange allocates the response frame its results alias
+	results, err := cn.exchange(pkt, want, traceID) //lint:allow lockorder,hotalloc -- one request in flight per connection by design: mu held across the wire exchange IS the serialization; the exchange allocates the response frame its results alias
 	st.End()
+	if err != nil && cn.nc != nil {
+		_ = cn.nc.Close() // poisoned by the transport error, which is what is reported
+		cn.nc = nil
+	}
 	if span == nil {
 		return results, nil, err
 	}
 	if err != nil {
 		span.SetErr(err)
-		c.tel.Tracer().Publish(span)
+		tracer.Publish(span)
 		return nil, span, err
 	}
 	last := results[len(results)-1]
@@ -288,71 +387,40 @@ func (c *Client) DoTrace(ops []kvdirect.Op, tc wire.TraceContext) ([]kvdirect.Re
 			span.AddCounts(srv.Counts)
 		}
 	}
-	c.tel.Tracer().Publish(span) // finishes TotalNs
+	tracer.Publish(span) // finishes TotalNs
 	return results, span, nil
 }
 
-// Do is DoTrace untraced.
-func (c *Client) Do(ops []kvdirect.Op) ([]kvdirect.Result, error) {
-	return untraced(c.DoTrace(ops, wire.TraceContext{}))
-}
-
-// exchangeLocked runs the retry loop for one encoded packet, expecting
+// exchange is the one place a request frame is written and its reply
+// read: one round trip under the write and read deadlines, expecting
 // want responses. A nonzero traceID links the RTT observation to its
 // trace as a histogram exemplar. The results alias the response frame,
 // which is therefore allocated per exchange and never reused.
-func (c *Client) exchangeLocked(ops []kvdirect.Op, pkt []byte, want int, traceID uint64) ([]kvdirect.Result, error) {
-	retries := 0
-	if idempotent(ops) {
-		retries = c.opts.MaxRetries
+func (cn *conn) exchange(pkt []byte, want int, traceID uint64) ([]kvdirect.Result, error) {
+	if cn.nc == nil {
+		return nil, errConnClosed
 	}
-	var lastErr error
-	for attempt := 0; attempt <= retries; attempt++ {
-		if attempt > 0 {
-			c.counters.Add("client.retries", 1)
-			c.backoffLocked(attempt)
-		}
-		if err := c.ensureConnLocked(); err != nil {
-			if errors.Is(err, ErrClosed) || errors.Is(err, ErrBroken) {
-				return nil, err
-			}
-			lastErr = err // dial failure: maybe transient, keep retrying
-			continue
-		}
-		res, err := c.doOnceLocked(pkt, want, traceID)
-		if err == nil {
-			return res, nil
-		}
-		lastErr = err
-		c.markBrokenLocked()
-	}
-	return nil, lastErr
-}
-
-// doOnceLocked performs one request/response exchange on the current
-// connection.
-func (c *Client) doOnceLocked(pkt []byte, nops int, traceID uint64) ([]kvdirect.Result, error) {
 	start := time.Now()
-	if t := c.opts.WriteTimeout; t > 0 {
-		if err := c.conn.SetWriteDeadline(time.Now().Add(t)); err != nil {
-			return nil, err // connection already unusable; caller marks it broken
+	if t := cn.c.opts.WriteTimeout; t > 0 {
+		if err := cn.nc.SetWriteDeadline(time.Now().Add(t)); err != nil {
+			return nil, err // connection already unusable
 		}
 	}
-	if err := WriteFrame(c.w, pkt); err != nil {
+	if err := WriteFrame(cn.w, pkt); err != nil {
 		return nil, err
 	}
-	if err := c.w.Flush(); err != nil {
+	if err := cn.w.Flush(); err != nil {
 		return nil, err
 	}
-	if t := c.opts.ReadTimeout; t > 0 {
-		if err := c.conn.SetReadDeadline(time.Now().Add(t)); err != nil {
+	if t := cn.c.opts.ReadTimeout; t > 0 {
+		if err := cn.nc.SetReadDeadline(time.Now().Add(t)); err != nil {
 			return nil, err
 		}
 	}
-	resp, err := ReadFrame(c.r)
+	resp, err := ReadFrame(cn.r)
 	if err != nil {
 		if errors.Is(err, ErrFrameCorrupt) {
-			c.counters.Add("client.corrupt_frames", 1)
+			cn.c.counters.Add("client.corrupt_frames", 1)
 		}
 		return nil, err
 	}
@@ -360,135 +428,84 @@ func (c *Client) doOnceLocked(pkt []byte, nops int, traceID uint64) ([]kvdirect.
 	if err != nil {
 		return nil, err
 	}
-	if len(results) != nops {
-		return nil, fmt.Errorf("kvnet: %d results for %d ops", len(results), nops)
+	if len(results) != want {
+		return nil, fmt.Errorf("kvnet: %d results for %d ops", len(results), want)
 	}
-	c.rtt.ObserveTraced(uint64(time.Since(start).Nanoseconds()), traceID)
+	cn.c.rtt.ObserveTraced(uint64(time.Since(start).Nanoseconds()), traceID)
 	return results, nil
 }
 
-// asNotPrimary converts a replica's rejection into its typed error, nil
-// for any other result.
-func asNotPrimary(r kvdirect.Result) error {
-	if r.NotPrimary() {
-		return &NotPrimaryError{Hint: string(r.Value)}
+// each runs a keyless operation on every shard's primary and returns the
+// shards' results in shard order; a shard that refuses it fails the call.
+func (c *Client) each(what string, op kvdirect.Op) ([]kvdirect.Result, error) {
+	out := make([]kvdirect.Result, len(c.shards))
+	for i, rs := range c.shards {
+		var err error
+		if out[i], err = rs.one(what, false, op); err != nil {
+			return nil, fmt.Errorf("kvnet: shard %d: %w", i, err)
+		}
 	}
-	return nil
+	return out, nil
 }
 
-// opError is the error for a result that refused op: the typed redirect
-// when a replica rejected it, otherwise the server's message.
-func opError(op string, r kvdirect.Result) error {
-	if err := asNotPrimary(r); err != nil {
-		return err
-	}
-	return fmt.Errorf("kvnet: %s: %s", op, r.Value)
-}
-
-// doFunc is one way of getting a batch executed — a connection's Do, a
-// shard's replica set. The single-key calls are written once over it, so
-// a Client and a ShardedClient of one shard are the same code.
-type doFunc func([]kvdirect.Op) ([]kvdirect.Result, error)
-
-func (do doFunc) get(key []byte) (value []byte, found bool, err error) {
-	res, err := do([]kvdirect.Op{{Code: kvdirect.OpGet, Key: key}})
-	if err != nil {
-		return nil, false, err
-	}
-	switch r := res[0]; {
-	case r.OK():
-		return r.Value, true, nil
-	case r.NotFound():
-		return nil, false, nil
-	default:
-		return nil, false, opError("get", r)
-	}
-}
-
-func (do doFunc) put(key, value []byte) error {
-	res, err := do([]kvdirect.Op{{Code: kvdirect.OpPut, Key: key, Value: value}})
-	if err != nil {
-		return err
-	}
-	if !res[0].OK() {
-		return opError("put", res[0])
-	}
-	return nil
-}
-
-func (do doFunc) delete(key []byte) (bool, error) {
-	res, err := do([]kvdirect.Op{{Code: kvdirect.OpDelete, Key: key}})
-	if err != nil {
-		return false, err
-	}
-	switch r := res[0]; {
-	case r.OK():
-		return true, nil
-	case r.NotFound():
-		return false, nil
-	default:
-		return false, opError("delete", r)
-	}
-}
-
-func (do doFunc) fetchAdd(key []byte, delta uint64) (old uint64, err error) {
-	var param [8]byte
-	binary.LittleEndian.PutUint64(param[:], delta)
-	res, err := do([]kvdirect.Op{{
-		Code: kvdirect.OpUpdateScalar, Key: key,
-		FuncID: kvdirect.FnAdd, ElemWidth: 8, Param: param[:],
-	}})
-	if err != nil {
-		return 0, err
-	}
-	r := res[0]
-	if !r.OK() {
-		return 0, opError("fetch-add", r)
-	}
-	if len(r.Value) == 8 {
-		old = binary.LittleEndian.Uint64(r.Value)
-	}
-	return old, nil
+// shard returns the replica set that owns key (kvdirect.ShardOf).
+func (c *Client) shard(key []byte) *replicaSet {
+	return c.shards[kvdirect.ShardOf(key, len(c.shards))]
 }
 
 // Get fetches key's value.
 func (c *Client) Get(key []byte) (value []byte, found bool, err error) {
-	return doFunc(c.Do).get(key)
+	r, err := c.shard(key).one("get", true, kvdirect.Op{Code: kvdirect.OpGet, Key: key})
+	if err != nil || r.NotFound() {
+		return nil, false, err
+	}
+	return r.Value, true, nil
 }
 
 // Put stores value under key.
-func (c *Client) Put(key, value []byte) error { return doFunc(c.Do).put(key, value) }
+func (c *Client) Put(key, value []byte) error {
+	_, err := c.shard(key).one("put", false, kvdirect.Op{Code: kvdirect.OpPut, Key: key, Value: value})
+	return err
+}
 
 // Delete removes key, reporting whether it existed.
-func (c *Client) Delete(key []byte) (bool, error) { return doFunc(c.Do).delete(key) }
+func (c *Client) Delete(key []byte) (bool, error) {
+	r, err := c.shard(key).one("delete", true, kvdirect.Op{Code: kvdirect.OpDelete, Key: key})
+	return err == nil && r.OK(), err
+}
 
 // FetchAdd atomically adds delta to key's 8-byte counter (initializing a
 // missing key from zero) and returns the previous value — the sequencer
 // primitive (paper §2.1).
 func (c *Client) FetchAdd(key []byte, delta uint64) (old uint64, err error) {
-	return doFunc(c.Do).fetchAdd(key, delta)
+	var param [8]byte
+	binary.LittleEndian.PutUint64(param[:], delta)
+	r, err := c.shard(key).one("fetch-add", false, kvdirect.Op{
+		Code: kvdirect.OpUpdateScalar, Key: key,
+		FuncID: kvdirect.FnAdd, ElemWidth: 8, Param: param[:],
+	})
+	if len(r.Value) == 8 {
+		old = binary.LittleEndian.Uint64(r.Value)
+	}
+	return old, err
 }
 
-// RegisterExpression compiles and installs an update λ on the server
-// under fnID, making it usable in subsequent update/reduce operations —
-// the remote analogue of loading a user function into the FPGA (paper
-// §3.2). Pass filter=true to register a filter predicate instead.
+// RegisterExpression compiles and installs an update λ under fnID on
+// every shard's primary, making it usable in subsequent update/reduce
+// operations wherever their key lives — the remote analogue of loading a
+// user function into the FPGA (paper §3.2). It is a logged write, so a
+// replica group replicates it to its backups. Pass filter=true to
+// register a filter predicate instead.
 func (c *Client) RegisterExpression(fnID uint8, expr string, filter bool) error {
 	width := uint8(0)
 	if filter {
 		width = 1
 	}
-	res, err := c.Do([]kvdirect.Op{{
+	_, err := c.each("register", kvdirect.Op{
 		Code: kvdirect.OpRegister, FuncID: fnID, ElemWidth: width,
 		Param: []byte(expr),
-	}})
-	if err != nil {
-		return err
-	}
-	if !res[0].OK() {
-		return fmt.Errorf("kvnet: register: %s", res[0].Value)
-	}
-	return nil
+	})
+	return err
 }
 
 // Reduce folds key's vector on the server and returns the accumulator.
@@ -506,47 +523,49 @@ func (c *Client) Reduce(key []byte, fnID, elemWidth uint8, init uint64) (uint64,
 	default:
 		return 0, kvdirect.ErrBadWidth
 	}
-	res, err := c.Do([]kvdirect.Op{{
+	r, err := c.shard(key).one("reduce", false, kvdirect.Op{
 		Code: kvdirect.OpReduce, Key: key,
 		FuncID: fnID, ElemWidth: elemWidth, Param: param,
-	}})
+	})
 	if err != nil {
 		return 0, err
-	}
-	r := res[0]
-	if !r.OK() {
-		return 0, fmt.Errorf("kvnet: reduce: %s", r.Value)
 	}
 	return binary.LittleEndian.Uint64(r.Value), nil
 }
 
-// ScanPage fetches one page of an ordered range scan: up to limit pairs
-// in ascending key order starting at the first key >= start (or at the
-// continuation cursor from a prior page, when non-nil). The returned
-// cursor is nil once the key space is exhausted. Scans are read-only and
-// therefore retried like GETs.
-func (c *Client) ScanPage(start []byte, limit int, cursor []byte) ([]kvdirect.ScanEntry, []byte, error) {
-	op, err := kvdirect.ScanOp(start, limit, cursor)
+// ScanPage fetches one globally ordered page: up to limit pairs in
+// ascending key order starting at the first key >= start. Keys are
+// hash-partitioned, so the scan fans out to every shard and the
+// per-shard ordered pages are k-way merged (a merge of one page is that
+// page). The returned cursor is the smallest key not yet returned, nil
+// once the key space is exhausted; resume by passing it as start. Scans
+// are read-only and therefore retried like GETs.
+func (c *Client) ScanPage(start []byte, limit int) ([]kvdirect.ScanEntry, []byte, error) {
+	op, err := kvdirect.ScanOp(start, limit, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := c.Do([]kvdirect.Op{op})
-	if err != nil {
-		return nil, nil, err
+	pages := make([][]kvdirect.ScanEntry, len(c.shards))
+	cursors := make([][]byte, len(c.shards))
+	for i, rs := range c.shards {
+		r, err := rs.one("scan", false, op)
+		if err == nil {
+			pages[i], cursors[i], err = kvdirect.DecodeScanResult(r)
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("kvnet: shard %d: %w", i, err)
+		}
 	}
-	if err := asNotPrimary(res[0]); err != nil {
-		return nil, nil, err
-	}
-	return kvdirect.DecodeScanResult(res[0])
+	entries, next := kvdirect.MergeScanPages(pages, cursors, limit)
+	return entries, next, nil
 }
 
-// Scan fetches up to limit ordered pairs starting at start, following
-// continuation cursors across as many pages as needed.
+// Scan fetches up to limit globally ordered pairs starting at start,
+// following continuation cursors across as many pages as needed.
 func (c *Client) Scan(start []byte, limit int) ([]kvdirect.ScanEntry, error) {
 	var out []kvdirect.ScanEntry
-	cursor := []byte(nil)
-	for len(out) < limit {
-		entries, next, err := c.ScanPage(start, limit-len(out), cursor)
+	for cur := start; len(out) < limit; {
+		entries, next, err := c.ScanPage(cur, limit-len(out))
 		if err != nil {
 			return nil, err
 		}
@@ -554,38 +573,41 @@ func (c *Client) Scan(start []byte, limit int) ([]kvdirect.ScanEntry, error) {
 		if next == nil {
 			break
 		}
-		cursor = next
+		cur = next
 	}
 	return out, nil
 }
 
-// Stats fetches the server's counters as key=value lines — the NIC's
-// status registers, over the wire.
+// Stats fetches the servers' counters as key=value lines — the NIC's
+// status registers, over the wire — one "# shard i" block per shard.
 func (c *Client) Stats() (string, error) {
-	res, err := c.Do([]kvdirect.Op{{Code: kvdirect.OpStats}})
+	res, err := c.each("stats", kvdirect.Op{Code: kvdirect.OpStats})
 	if err != nil {
 		return "", err
 	}
-	if !res[0].OK() {
-		return "", fmt.Errorf("kvnet: stats: %s", res[0].Value)
+	var b strings.Builder
+	for i, r := range res {
+		fmt.Fprintf(&b, "# shard %d\n%s", i, r.Value)
 	}
-	return string(res[0].Value), nil
+	return b.String(), nil
 }
 
-// ScrapeTelemetry fetches the server's full telemetry snapshot over the
-// KV protocol itself (OpTelemetry): counters, gauges, latency
-// histograms and retained spans, without needing the HTTP endpoint.
+// ScrapeTelemetry fetches every shard primary's full telemetry snapshot
+// over the KV protocol itself (OpTelemetry) and merges them: counters,
+// gauges, latency histograms and retained spans, without needing the
+// HTTP endpoint.
 func (c *Client) ScrapeTelemetry() (telemetry.Snapshot, error) {
-	res, err := c.Do([]kvdirect.Op{{Code: kvdirect.OpTelemetry}})
+	res, err := c.each("telemetry", kvdirect.Op{Code: kvdirect.OpTelemetry})
 	if err != nil {
 		return telemetry.Snapshot{}, err
 	}
-	if !res[0].OK() {
-		return telemetry.Snapshot{}, fmt.Errorf("kvnet: telemetry: %s", res[0].Value)
+	var merged telemetry.Snapshot
+	for _, r := range res {
+		var snap telemetry.Snapshot
+		if err := json.Unmarshal(r.Value, &snap); err != nil {
+			return telemetry.Snapshot{}, fmt.Errorf("kvnet: telemetry: %w", err)
+		}
+		merged.Merge(snap)
 	}
-	var snap telemetry.Snapshot
-	if err := json.Unmarshal(res[0].Value, &snap); err != nil {
-		return telemetry.Snapshot{}, fmt.Errorf("kvnet: telemetry: %w", err)
-	}
-	return snap, nil
+	return merged, nil
 }

@@ -102,7 +102,7 @@ func NewTelemetrySourcesHandler(sources ...SnapshotSource) http.Handler {
 const debugTracesLimit = 32
 
 // RegistrySource adapts a bare telemetry registry — e.g. a
-// ShardedClient's, which is not itself a Server — into a SnapshotSource
+// Client's, which is not itself a Server — into a SnapshotSource
 // for the merged scrape. Without it the client hop of a traced batch
 // never reaches /debug/traces and assembled trees lose their middle
 // span.

@@ -30,7 +30,7 @@ type migrationChaos struct {
 	coord   *kvrepl.Coordinator
 	src     *kvrepl.Group
 	dest    *kvrepl.Group
-	sc      *kvnet.ShardedClient
+	sc      *kvnet.Client
 	srcInj  *fault.Injector
 	destInj *fault.Injector
 

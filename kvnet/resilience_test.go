@@ -131,55 +131,139 @@ func TestNonIdempotentFailsFast(t *testing.T) {
 	}
 }
 
-// TestNoReconnectFailsFast: with reconnection disabled, a broken
-// connection makes every subsequent call fail immediately with ErrBroken.
-func TestNoReconnectFailsFast(t *testing.T) {
+// TestOptionsAppliedOnce: "disabled" survives the trip from the
+// constructor to the connection. Defaults used to be applied twice — once
+// for the replica set, again for each connection it dialed — which turned
+// a disabled mechanism (negative, normalised to 0) back into its default.
+func TestOptionsAppliedOnce(t *testing.T) {
 	inj := fault.NewInjector(57)
 	srv, err := ServeOptions(newStore(t), "127.0.0.1:0", ServerOptions{Faults: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := DialOptions(srv.Addr(), Options{NoReconnect: true, RetryBaseDelay: time.Millisecond})
+	c, err := DialReplicaShards([]ShardAddrs{{Primary: srv.Addr()}}, Options{MaxRetries: -1, ReadTimeout: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	if c.opts.MaxRetries != 0 || c.opts.ReadTimeout != 0 {
+		t.Fatalf("disabled options re-defaulted: MaxRetries %d, ReadTimeout %v", c.opts.MaxRetries, c.opts.ReadTimeout)
+	}
 
 	inj.Set(fault.NetReset, 1)
-	if err := c.Put([]byte("k"), []byte("v")); err == nil {
-		t.Fatal("put through a reset connection succeeded")
+	for i := 0; i < 3; i++ {
+		if _, _, err := c.Get([]byte("k")); err == nil {
+			t.Fatal("get through a reset connection succeeded")
+		}
+	}
+	if got := inj.Injected(fault.NetReset); got != 3 {
+		t.Errorf("3 calls with retries disabled reached the server %d times", got)
+	}
+	if got := c.Counters().Get("client.retries"); got != 0 {
+		t.Errorf("client.retries = %d with retries disabled", got)
 	}
 	inj.DisableAll()
-
-	start := time.Now()
-	if _, _, err := c.Get([]byte("k")); !errors.Is(err, ErrBroken) {
-		t.Fatalf("err = %v, want ErrBroken", err)
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("fail-fast took %v", elapsed)
-	}
-	if c.Counters().Get("client.broken") == 0 {
-		t.Fatal("broken transition not counted")
+	if err := c.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatalf("put after the faults stopped: %v", err)
 	}
 }
 
-// TestClosedClientFailsFast: calls after Close return ErrClosed.
+// TestClosedClientFailsFast: every call after Close returns ErrClosed
+// and dials nothing, whatever the route table holds. (A replica set
+// used to keep no closed flag: it redialed, succeeded and leaked the
+// connection.)
 func TestClosedClientFailsFast(t *testing.T) {
-	srv, err := Serve(newStore(t), "127.0.0.1:0")
+	// A bare listener: a dial completes in its backlog, so Accept under
+	// a deadline says, without racing anything, whether one happened.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	c, err := Dial(srv.Addr())
+	defer ln.Close()
+	addr := ln.Addr().String()
+	dialed := func(wait time.Duration) bool {
+		if err := ln.(*net.TCPListener).SetDeadline(time.Now().Add(wait)); err != nil {
+			t.Fatal(err)
+		}
+		nc, err := ln.Accept()
+		if err == nil {
+			_ = nc.Close()
+		}
+		return err == nil
+	}
+	for name, dial := range map[string]func() (*Client, error){
+		"Dial": func() (*Client, error) { return Dial(addr) },
+		"DialReplicaShards": func() (*Client, error) {
+			return DialReplicaShards([]ShardAddrs{{Primary: addr, Backups: []string{addr}}}, Options{})
+		},
+	} {
+		c, err := dial()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !dialed(5 * time.Second) {
+			t.Fatalf("%s: the constructor's dial never arrived", name)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		calls := map[string]error{}
+		_, _, calls["Get"] = c.Get([]byte("k"))
+		calls["Put"] = c.Put([]byte("k"), []byte("v"))
+		_, calls["Delete"] = c.Delete([]byte("k"))
+		_, calls["FetchAdd"] = c.FetchAdd([]byte("n"), 1)
+		_, calls["Scan"] = c.Scan(nil, 10)
+		_, calls["Stats"] = c.Stats()
+		_, calls["Do"] = c.Do([]kvdirect.Op{{Code: kvdirect.OpGet, Key: []byte("k")}})
+		for call, err := range calls {
+			if !errors.Is(err, ErrClosed) {
+				t.Errorf("%s: %s after Close: err = %v, want ErrClosed", name, call, err)
+			}
+		}
+		if dialed(50 * time.Millisecond) {
+			t.Errorf("%s: a closed client dialed", name)
+		}
+	}
+}
+
+// TestFailoverVisitsDeadAddressOnce: when a shard's primary dies, one GET
+// costs one failed exchange and one rotation — the retry loop does not
+// redial the dead address before moving on. (When a connection carried a
+// retry loop of its own, it spent client.retries=3, client.reconnects=3
+// there first.)
+func TestFailoverVisitsDeadAddressOnce(t *testing.T) {
+	store := newStore(t)
+	if err := store.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	a, err := Serve(store, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Close(); err != nil {
+	b, err := Serve(store, "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Get([]byte("k")); !errors.Is(err, ErrClosed) {
-		t.Fatalf("err = %v, want ErrClosed", err)
+	defer b.Close()
+	c, err := DialReplicaShards([]ShardAddrs{{Primary: a.Addr(), Backups: []string{b.Addr()}}}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	v, found, err := c.Get([]byte("k"))
+	if err != nil || !found || string(v) != "v" {
+		t.Fatalf("Get after the primary died = %q,%v,%v", v, found, err)
+	}
+	for name, want := range map[string]uint64{
+		"sharded.rotations": 1, "client.retries": 1, "client.broken": 1, "client.reconnects": 0,
+	} {
+		if got := c.Counters().Get(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 
 // startScanShards brings up n independent single-store servers (one per
 // simulated NIC) and returns a sharded client over them.
-func startScanShards(t *testing.T, n int) ([]*kvdirect.Store, *ShardedClient) {
+func startScanShards(t *testing.T, n int) ([]*kvdirect.Store, *Client) {
 	t.Helper()
 	stores := make([]*kvdirect.Store, n)
 	addrs := make([]string, n)
@@ -65,7 +65,7 @@ func TestScanSingleClient(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	entries, cursor, err := c.ScanPage([]byte("net-"), 15, nil)
+	entries, cursor, err := c.ScanPage([]byte("net-"), 15)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,13 +7,12 @@ import (
 	"testing"
 
 	"kvdirect"
-	"kvdirect/internal/telemetry"
 )
 
 // startShardedDeployment launches n servers, each fronting its own
 // store, mirroring the paper's 10-NIC single-server deployment, and
 // returns the stores in shard order.
-func startShardedDeployment(t *testing.T, n int) ([]*kvdirect.Store, *ShardedClient) {
+func startShardedDeployment(t *testing.T, n int) ([]*kvdirect.Store, *Client) {
 	t.Helper()
 	stores := make([]*kvdirect.Store, n)
 	addrs := make([]string, n)
@@ -38,7 +37,7 @@ func startShardedDeployment(t *testing.T, n int) ([]*kvdirect.Store, *ShardedCli
 	return stores, sc
 }
 
-func TestShardedClientBasics(t *testing.T) {
+func TestShardedBasics(t *testing.T) {
 	stores, sc := startShardedDeployment(t, 4)
 	const n = 500
 	for i := 0; i < n; i++ {
@@ -68,7 +67,7 @@ func TestShardedClientBasics(t *testing.T) {
 	}
 }
 
-func TestShardedClientRoutingMatchesShardOf(t *testing.T) {
+func TestShardedRoutingMatchesShardOf(t *testing.T) {
 	stores, sc := startShardedDeployment(t, 3)
 	for i := 0; i < 100; i++ {
 		k := []byte(fmt.Sprintf("route-%03d", i))
@@ -236,20 +235,24 @@ func u64b(v uint64) []byte {
 // same failover slept the same "random" delays and the fleet re-probed
 // as one wave. Each set now owns a clock-seeded backoff.
 func TestReplicaSetJitterDiffersPerSet(t *testing.T) {
-	sh := ShardAddrs{Primary: "127.0.0.1:1", Backups: []string{"127.0.0.1:2"}}
-	a := newReplicaSet(sh, Options{}, new(telemetry.Counters))
-	b := newReplicaSet(sh, Options{}, new(telemetry.Counters))
+	sh := []ShardAddrs{{Primary: "127.0.0.1:1", Backups: []string{"127.0.0.1:2"}}}
+	a, _ := newClient(sh, Options{})
+	b, _ := newClient(sh, Options{})
 	for n := 1; n <= 16; n++ {
-		if a.backoff.Delay(n) != b.backoff.Delay(n) {
+		if a.shards[0].backoff.Delay(n) != b.shards[0].backoff.Delay(n) {
 			return
 		}
 	}
 	t.Fatal("two replica sets for the same addresses drew identical retry delays: their retries will arrive in lock-step")
 }
 
-// TestClientDoAllocs pins the merged client body: an untraced one-op
-// round trip (client and server sides of one loopback exchange) costs
-// what Do cost when it was a body of its own — the nil span is free.
+// TestClientDoAllocs pins the one client body: an untraced one-op round
+// trip (client and server sides of one loopback exchange) through the
+// route table, the retry loop and the conn costs what Do cost when a
+// connection was a type of its own — the nil span is free, a one-shard
+// batch passes DoSharded untouched, and with a cached connection and an
+// attempt that lands the loop adds nothing: no backoff, no generator, no
+// error values.
 func TestClientDoAllocs(t *testing.T) {
 	_, c := startServer(t)
 	for _, tc := range []struct {
@@ -269,31 +272,7 @@ func TestClientDoAllocs(t *testing.T) {
 			t.Errorf("untraced %s round trip allocates %.0f objects, want %.0f", tc.op.Code, allocs, tc.want)
 		}
 	}
-}
-
-// TestReplicaSetFirstAttemptAllocs pins the retry machinery's cost on
-// the path every call takes: with a cached connection and an attempt
-// that lands, the loop adds nothing to the client round trip it wraps —
-// no backoff, no generator, no error values.
-func TestReplicaSetFirstAttemptAllocs(t *testing.T) {
-	srv, c := startServer(t)
-	rs := newReplicaSet(ShardAddrs{Primary: srv.Addr()}, Options{}, new(telemetry.Counters))
-	rs.clients[srv.Addr()] = c
-	ops := []kvdirect.Op{{Code: kvdirect.OpPut, Key: []byte("k"), Value: []byte("v")}}
-	direct := testing.AllocsPerRun(1000, func() {
-		if _, err := c.Do(ops); err != nil {
-			t.Fatal(err)
-		}
-	})
-	looped := testing.AllocsPerRun(1000, func() {
-		if _, err := rs.do(ops); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if looped != direct {
-		t.Fatalf("the retry loop allocates %.0f objects on a first-attempt success, the round trip alone %.0f", looped, direct)
-	}
-	if rs.backoff.rng != nil {
-		t.Fatal("a call that never retried seeded the backoff's generator")
+	if c.shards[0].backoff.rng != nil {
+		t.Fatal("calls that never retried seeded the backoff's generator")
 	}
 }

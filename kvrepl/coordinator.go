@@ -93,7 +93,7 @@ func (c *Coordinator) TelemetrySnapshot() telemetry.Snapshot { return c.tel.Snap
 
 // OnRoute installs the routing-republish callback, invoked (without the
 // coordinator's lock) at registration and after every failover —
-// typically kvnet.ShardedClient.UpdateShard. Replaces any previous
+// typically kvnet.Client.UpdateShard. Replaces any previous
 // callback and immediately replays current routes so a late subscriber
 // starts consistent.
 func (c *Coordinator) OnRoute(fn func(shard int, addrs kvnet.ShardAddrs)) {

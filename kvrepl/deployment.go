@@ -104,7 +104,7 @@ func (d *Deployment) Routes() []kvnet.ShardAddrs {
 //
 // A NotPrimary answer (a replica rejects a batch whole, so nothing was
 // applied) or an election gap re-resolves the shard's primary and
-// retries under backoff until AckTimeout — what a ShardedClient does
+// retries under backoff until AckTimeout — what a kvnet.Client does
 // with redirects, minus the sockets.
 func (d *Deployment) DoTrace(ops []kvdirect.Op, tc wire.TraceContext) (out []kvdirect.Result, last *telemetry.Span, err error) {
 	if tc.Sampled && tc.TraceID == 0 {

@@ -33,7 +33,7 @@ func deploy(t *testing.T, shards, replicas int, sample uint64) *Deployment {
 
 // dialRoutes dials the deployment like a network client would, its
 // routes refreshed by the coordinator.
-func dialRoutes(t *testing.T, d *Deployment) *kvnet.ShardedClient {
+func dialRoutes(t *testing.T, d *Deployment) *kvnet.Client {
 	t.Helper()
 	sc, err := kvnet.DialReplicaShards(d.Routes(), kvnet.Options{})
 	if err != nil {

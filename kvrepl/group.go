@@ -90,7 +90,7 @@ func (g *Group) Primary() *Replica {
 	return nil
 }
 
-// ShardAddrs returns the routing entry for a kvnet.ShardedClient:
+// ShardAddrs returns the routing entry for a kvnet.Client:
 // believed primary first, live backups after.
 func (g *Group) ShardAddrs() kvnet.ShardAddrs {
 	var out kvnet.ShardAddrs

@@ -30,7 +30,7 @@
 // Failure handling is lease-based: the primary heartbeats the
 // Coordinator; when the lease expires the Coordinator bumps the group's
 // epoch, promotes the most-up-to-date live backup, and republishes
-// routing (kvnet.ShardedClient.UpdateShard), so clients redirect
+// routing (kvnet.Client.UpdateShard), so clients redirect
 // transparently. Epoch fencing closes the partition window: every
 // replication stream opens with the sender's epoch, and a replica that
 // has seen epoch E rejects streams from any lower epoch, so a deposed

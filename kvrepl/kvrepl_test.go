@@ -90,8 +90,8 @@ func TestReplicationBasic(t *testing.T) {
 			}
 		}
 	}
-	// Mutations sent to a backup are rejected with a redirect, and the
-	// plain client surfaces it as NotPrimaryError.
+	// Mutations sent to a backup are rejected with a redirect naming the
+	// primary (which a client then follows).
 	var backup *Replica
 	for _, r := range g.Replicas {
 		if r != prim {
@@ -99,19 +99,25 @@ func TestReplicationBasic(t *testing.T) {
 			break
 		}
 	}
-	c, err := kvnet.Dial(backup.ClientAddr())
+	hint, rejected := rejection(t, backup, kvdirect.Op{Code: kvdirect.OpPut, Key: []byte("direct"), Value: []byte("x")})
+	if !rejected {
+		t.Fatal("backup accepted a put")
+	}
+	if hint != prim.ClientAddr() {
+		t.Fatalf("redirect hint = %q, want %q", hint, prim.ClientAddr())
+	}
+}
+
+// rejection sends op straight at one replica's client server, below any
+// router that would follow the redirect, and reports whether the replica
+// refused it as not-primary and the hint the refusal carried.
+func rejection(t *testing.T, r *Replica, op kvdirect.Op) (hint string, rejected bool) {
+	t.Helper()
+	res, err := r.clientSrv.Do([]kvdirect.Op{op})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	err = c.Put([]byte("direct"), []byte("x"))
-	npe, ok := err.(*kvnet.NotPrimaryError)
-	if !ok {
-		t.Fatalf("backup put: got %v, want NotPrimaryError", err)
-	}
-	if npe.Hint != prim.ClientAddr() {
-		t.Fatalf("redirect hint = %q, want %q", npe.Hint, prim.ClientAddr())
-	}
+	return string(res[0].Value), res[0].NotPrimary()
 }
 
 func TestSnapshotCatchup(t *testing.T) {
@@ -282,14 +288,8 @@ func TestPartitionedPrimaryIsFenced(t *testing.T) {
 
 	// Clients talking to the deposed primary get a redirect, not stale
 	// acks.
-	c, err := kvnet.Dial(r0.ClientAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	err = c.Put([]byte("fenced"), []byte("x"))
-	if _, ok := err.(*kvnet.NotPrimaryError); !ok {
-		t.Fatalf("deposed primary put: got %v, want NotPrimaryError", err)
+	if _, rejected := rejection(t, r0, kvdirect.Op{Code: kvdirect.OpPut, Key: []byte("fenced"), Value: []byte("x")}); !rejected {
+		t.Fatal("deposed primary accepted a put")
 	}
 }
 

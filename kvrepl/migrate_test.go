@@ -7,13 +7,14 @@ import (
 	"testing"
 	"time"
 
+	"kvdirect"
 	"kvdirect/kvnet"
 )
 
 // startMigrationPair builds a registered 3-replica source group with
 // writes applied, plus an unregistered destination group, and a sharded
 // client wired to the coordinator's routes.
-func startMigrationPair(t *testing.T, coord *Coordinator, opts Options, writes int) (*Group, *Group, *kvnet.ShardedClient) {
+func startMigrationPair(t *testing.T, coord *Coordinator, opts Options, writes int) (*Group, *Group, *kvnet.Client) {
 	t.Helper()
 	src, err := StartGroup(coord, 0, 3, testConfig(), opts)
 	if err != nil {
@@ -92,18 +93,12 @@ func TestMigrateShardBasic(t *testing.T) {
 	}
 
 	// The fenced old primary redirects straggler clients to the new one.
-	c, err := kvnet.Dial(oldPrim.ClientAddr())
-	if err != nil {
-		t.Fatal(err)
+	hint, rejected := rejection(t, oldPrim, kvdirect.Op{Code: kvdirect.OpPut, Key: []byte("stale-route"), Value: []byte("x")})
+	if !rejected {
+		t.Fatal("fenced source accepted a write")
 	}
-	defer c.Close()
-	err = c.Put([]byte("stale-route"), []byte("x"))
-	npe, ok := err.(*kvnet.NotPrimaryError)
-	if !ok {
-		t.Fatalf("write to fenced source: got %v, want NotPrimaryError", err)
-	}
-	if npe.Hint != newPrim.ClientAddr() {
-		t.Fatalf("fence hint = %q, want new primary %q", npe.Hint, newPrim.ClientAddr())
+	if hint != newPrim.ClientAddr() {
+		t.Fatalf("fence hint = %q, want new primary %q", hint, newPrim.ClientAddr())
 	}
 
 	// Every write survives the move, via the (re-routed) client and on

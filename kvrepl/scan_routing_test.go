@@ -1,7 +1,6 @@
 package kvrepl
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 
@@ -10,8 +9,8 @@ import (
 )
 
 // TestScanRoutesToPrimary: in a replica group, backups reject scans with
-// NotPrimary; a bare client surfaces the typed error, and the sharded
-// client follows the redirect so scans always land on the primary.
+// NotPrimary, and the client follows the redirect so scans always land on
+// the primary.
 func TestScanRoutesToPrimary(t *testing.T) {
 	coord := NewCoordinator(CoordOptions{})
 	defer coord.Close()
@@ -34,18 +33,17 @@ func TestScanRoutesToPrimary(t *testing.T) {
 	}
 
 	// A scan sent straight at a backup is rejected, not served stale.
-	backup, err := kvnet.Dial(addrs.Backups[0])
+	scan, err := kvdirect.ScanOp([]byte("rp-"), 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer backup.Close()
-	_, _, err = backup.ScanPage([]byte("rp-"), 10, nil)
-	var npe *kvnet.NotPrimaryError
-	if !errors.As(err, &npe) {
-		t.Fatalf("backup scan: err = %v, want NotPrimaryError", err)
+	for _, r := range g.Replicas {
+		if _, rejected := rejection(t, r, scan); rejected == (r == g.Primary()) {
+			t.Fatalf("replica %d (primary: %v): scan rejected = %v", r.ID(), r == g.Primary(), rejected)
+		}
 	}
 
-	// A sharded client whose routing *starts* at a backup must redirect
+	// A client whose routing *starts* at a backup must redirect
 	// and still produce the full ordered result.
 	misrouted, err := kvnet.DialReplicaShards([]kvnet.ShardAddrs{{
 		Primary: addrs.Backups[0],

@@ -21,7 +21,7 @@ import (
 
 // putBatch sends keys[i] = vals[i] as one packet and fails the test
 // unless every PUT was acknowledged.
-func putBatch(t *testing.T, sc *kvnet.ShardedClient, keys, vals []string) {
+func putBatch(t *testing.T, sc *kvnet.Client, keys, vals []string) {
 	t.Helper()
 	ops := make([]kvdirect.Op, len(keys))
 	for i := range keys {
@@ -40,7 +40,7 @@ func putBatch(t *testing.T, sc *kvnet.ShardedClient, keys, vals []string) {
 
 // burst writes n keys through sc in batches of 32 and returns what was
 // acknowledged.
-func burst(t *testing.T, sc *kvnet.ShardedClient, prefix string, n int) map[string]string {
+func burst(t *testing.T, sc *kvnet.Client, prefix string, n int) map[string]string {
 	t.Helper()
 	acked := map[string]string{}
 	for base := 0; base < n; base += 32 {
@@ -92,7 +92,7 @@ func expectConverged(t *testing.T, g *Group, acked map[string]string) {
 	}
 }
 
-func startGroupAndClient(t *testing.T, opts Options) (*Group, *kvnet.ShardedClient) {
+func startGroupAndClient(t *testing.T, opts Options) (*Group, *kvnet.Client) {
 	t.Helper()
 	coord := NewCoordinator(CoordOptions{LeaseTimeout: 5 * time.Second}) // no failover drill here; -race stalls must not depose the primary
 	t.Cleanup(func() { coord.Close() })

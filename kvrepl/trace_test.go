@@ -13,7 +13,7 @@ import (
 // collectSpans merges the sharded client's registry with every live
 // replica's into one span pool — the same merge a metrics scrape does,
 // so assembling from it exercises the real /debug/traces path.
-func collectSpans(sc *kvnet.ShardedClient, g *Group) []*telemetry.Span {
+func collectSpans(sc *kvnet.Client, g *Group) []*telemetry.Span {
 	var merged telemetry.Snapshot
 	merged.Merge(sc.Telemetry().Snapshot())
 	for _, r := range g.Replicas {

@@ -2,7 +2,7 @@ package kvdirect
 
 // ShardOf is the deployment's one placement rule: the index, of n
 // shards, that owns key (FNV-1a with a final avalanche). Every router —
-// kvnet.ShardedClient over sockets, kvrepl.Deployment in-process — goes
+// kvnet.Client over sockets, kvrepl.Deployment in-process — goes
 // through it, so they agree on where a key lives. It reproduces the
 // paper's multi-NIC server (§5.2): each programmable NIC owns a disjoint
 // partition of host memory, and ten of them scale near-linearly to 1.22
