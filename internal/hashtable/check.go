@@ -23,7 +23,7 @@ func (t *Table) Scan(fn func(key, value []byte) bool) {
 		for addr, ok := t.cfg.Index.Base+p*BucketBytes, true; ok; {
 			bs = append(bs, bkt{})
 			t.load(&bs[len(bs)-1], addr)
-			addr, ok = chainAddr(bs[len(bs)-1].chain())
+			addr, ok = t.next(&bs[len(bs)-1])
 		}
 		for bi := range bs {
 			b := &bs[bi]
@@ -111,8 +111,8 @@ func (t *Table) Check() (CheckReport, error) {
 			if next%BucketBytes != 0 {
 				return rep, fmt.Errorf("%w: bucket %d: misaligned chain pointer %#x", ErrCorrupt, b, next)
 			}
-			if next < t.cfg.Index.End() {
-				return rep, fmt.Errorf("%w: bucket %d: chain pointer %#x inside the hash index", ErrCorrupt, b, next)
+			if !t.inSlab(next, BucketBytes) {
+				return rep, fmt.Errorf("%w: bucket %d: chain pointer %#x outside the slab region", ErrCorrupt, b, next)
 			}
 			rep.ChainBuckets++
 			addr = next

@@ -95,6 +95,7 @@ type Table struct {
 	eng   memory.Engine
 	alloc *slab.Allocator
 	cfg   Config
+	slabs memory.Partition // alloc's region: where every chain bucket and KV chunk lives
 
 	numBuckets uint64
 
@@ -103,9 +104,10 @@ type Table struct {
 	payloadBytes uint64 // sum of key+value sizes currently stored
 	chainBuckets uint64 // chained buckets currently allocated
 
-	// corruptChains counts chain walks cut short by the hop bound — a
-	// symptom of a corrupted chain pointer (e.g. an undetected memory
-	// fault) that would otherwise loop forever.
+	// corruptChains counts chain walks cut short by a corrupted pointer
+	// (e.g. an undetected memory fault): a bucket chain past the hop
+	// bound, which would otherwise loop forever, or a chain or slab
+	// pointer outside the slab region, which would load out of range.
 	corruptChains uint64
 
 	// Working memory of the operation in progress, reused so the data path
@@ -129,6 +131,7 @@ func New(eng memory.Engine, alloc *slab.Allocator, cfg Config) (*Table, error) {
 		eng:        eng,
 		alloc:      alloc,
 		cfg:        cfg,
+		slabs:      alloc.Region(),
 		numBuckets: cfg.Index.Size / BucketBytes,
 	}, nil
 }
@@ -142,7 +145,8 @@ func (t *Table) PayloadBytes() uint64 { return t.payloadBytes }
 // ChainBuckets returns the number of chained overflow buckets in use.
 func (t *Table) ChainBuckets() uint64 { return t.chainBuckets }
 
-// CorruptChains returns how many chain walks hit the hop bound.
+// CorruptChains returns how many chain walks were cut short by a
+// corrupted pointer: the hop bound, or a pointer outside the slab region.
 func (t *Table) CorruptChains() uint64 { return t.corruptChains }
 
 // NumBuckets returns the number of primary hash buckets.
@@ -323,9 +327,45 @@ func chainField(addr uint64) uint32 { return uint32(addr/BucketBytes) + 1 }
 // corrupted into a cycle would otherwise walk forever.
 const maxChainHops = 4096
 
-// walk loads the bucket chain for hash h into t.bs. A chain longer than
-// maxChainHops is treated as corrupt: the walk stops there and the event
-// is counted, so a damaged pointer degrades to a miss instead of a hang.
+// inSlab reports whether [addr, addr+n) lies inside the slab region,
+// where every chained bucket and every KV data chunk is allocated. A
+// pointer that leads anywhere else is corrupt.
+func (t *Table) inSlab(addr uint64, n int) bool {
+	return addr >= t.slabs.Base && addr <= t.slabs.End() && uint64(n) <= t.slabs.End()-addr
+}
+
+// next returns the address of the bucket chained after b, if any. A chain
+// field pointing outside the slab region is corrupt: the event is
+// counted and the chain ends at b.
+func (t *Table) next(b *bkt) (uint64, bool) {
+	addr, ok := chainAddr(b.chain())
+	if ok && !t.inSlab(addr, BucketBytes) {
+		t.corruptChains++
+		return 0, false
+	}
+	return addr, ok
+}
+
+// chunkAt returns the address of the chained value chunk a next pointer
+// names (0 = none); one outside the slab region is counted as corrupt
+// and ends the chunk chain like 0.
+func (t *Table) chunkAt(next uint32) (uint64, bool) {
+	if next == 0 {
+		return 0, false
+	}
+	addr := uint64(next-1) * ptrGranule
+	if !t.inSlab(addr, slab.MaxSlab) {
+		t.corruptChains++
+		return 0, false
+	}
+	return addr, true
+}
+
+// walk loads the bucket chain for hash h into t.bs. A damaged pointer
+// degrades to a miss instead of a hang or an out-of-range load: a chain
+// longer than maxChainHops, or one whose next pointer leaves the slab
+// region, is treated as corrupt — the walk stops there and the event is
+// counted.
 func (t *Table) walk(h uint64) {
 	t.bs = t.bs[:0]
 	addr := t.cfg.Index.Base + t.bucketIndex(h)*BucketBytes
@@ -333,7 +373,7 @@ func (t *Table) walk(h uint64) {
 		t.bs = append(t.bs, bkt{})
 		tail := &t.bs[len(t.bs)-1]
 		t.load(tail, addr)
-		next, ok := chainAddr(tail.chain())
+		next, ok := t.next(tail)
 		if !ok {
 			return
 		}
@@ -454,11 +494,17 @@ func (t *Table) writeData(key, value []byte) (uint64, uint8, error) {
 // readData reads the KV data starting at addr with the given first-chunk
 // class into *buf (grown as needed), following the chunk chain for large
 // values. One DMA per chunk. The returned key and value are views of *buf.
+// Data that is not all inside the slab region is counted as corrupt and
+// unreadable.
 func (t *Table) readData(addr uint64, class uint8, buf *[]byte) (key, value []byte, ok bool) {
 	if int(class) >= slab.NumClasses {
 		return nil, nil, false
 	}
 	size := slab.Sizes[class]
+	if !t.inSlab(addr, size) {
+		t.corruptChains++
+		return nil, nil, false
+	}
 	b := grow(buf, size)
 	t.eng.Read(addr, b[:size])
 	klen := int(binary.LittleEndian.Uint16(b[0:]))
@@ -471,12 +517,12 @@ func (t *Table) readData(addr uint64, class uint8, buf *[]byte) (key, value []by
 		// Each further chunk lands on the previous one's trailing pointer,
 		// so the payload ends up contiguous.
 		got := chunkPayload
-		next := binary.LittleEndian.Uint32(b[got:])
-		for got < total && next != 0 {
+		next, more := t.chunkAt(binary.LittleEndian.Uint32(b[got:]))
+		for got < total && more {
 			b = grow(buf, got+slab.MaxSlab)
-			t.eng.Read(uint64(next-1)*ptrGranule, b[got:got+slab.MaxSlab])
+			t.eng.Read(next, b[got:got+slab.MaxSlab])
 			got += chunkPayload
-			next = binary.LittleEndian.Uint32(b[got:])
+			next, more = t.chunkAt(binary.LittleEndian.Uint32(b[got:]))
 		}
 		if got < total {
 			return nil, nil, false
@@ -510,10 +556,10 @@ func (t *Table) freeData(addr uint64, class uint8, klen, vlen int) {
 			next = binary.LittleEndian.Uint32(tail)
 		}
 		t.alloc.Free(addr, slab.MaxSlab)
-		if next == 0 {
+		var more bool
+		if addr, more = t.chunkAt(next); !more {
 			break
 		}
-		addr = uint64(next-1) * ptrGranule
 	}
 }
 
@@ -630,10 +676,13 @@ func (t *Table) rewriteData(addr uint64, key, value []byte) {
 		t.eng.Read(addr+chunkPayload, t.chunk[chunkPayload:])
 		next := binary.LittleEndian.Uint32(t.chunk[chunkPayload:])
 		payload = t.writeChunk(addr, payload)
-		if next == 0 || len(payload) == 0 {
+		if len(payload) == 0 {
 			return
 		}
-		addr = uint64(next-1) * ptrGranule
+		var more bool
+		if addr, more = t.chunkAt(next); !more {
+			return
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package hashtable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -532,5 +533,26 @@ func BenchmarkScanAll(b *testing.B) {
 		if n != 50000 {
 			b.Fatalf("scan found %d", n)
 		}
+	}
+}
+
+// TestChainPointerPastMemoryIsCorruptNotPanic: a bucket's chain field
+// smashed to point past the end of memory (what an undetected fault can
+// leave) ends the walk as a counted corrupt chain and a miss — the
+// hop-bound policy — instead of an out-of-range load that panics.
+func TestChainPointerPastMemoryIsCorruptNotPanic(t *testing.T) {
+	const memBytes = 1 << 20
+	tbl, mem, _ := testTable(t, memBytes, 0.5, 20)
+	key := []byte("lost")
+	bucket := tbl.cfg.Index.Base + tbl.bucketIndex(tbl.hash(key))*BucketBytes
+	var field [4]byte
+	binary.LittleEndian.PutUint32(field[:], chainField(2*memBytes))
+	mem.Write(bucket+offChain, field[:])
+
+	if _, ok := tbl.Get(key); ok {
+		t.Fatal("Get through a smashed chain hit")
+	}
+	if n := tbl.CorruptChains(); n != 1 {
+		t.Fatalf("CorruptChains = %d, want 1", n)
 	}
 }

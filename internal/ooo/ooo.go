@@ -185,7 +185,10 @@ func (e *Engine) InFlight() int { return e.pending }
 //
 //kvd:hotpath
 func (e *Engine) Submit(op *Op) {
-	e.submit(op, 0) //lint:allow hotalloc -- see the allows in submit
+	done := false
+	defer e.unwind(&done) //lint:allow hotalloc -- only a panic unwinding through the engine recycles entries, onto a free list bounded by the entries ever in flight
+	e.submit(op, 0)       //lint:allow hotalloc -- see the allows in submit
+	done = true
 }
 
 // submit is Submit with the engine's copy of op bound to outcome slot res
@@ -225,15 +228,48 @@ func (e *Engine) submit(op *Op, res int) {
 //
 //kvd:hotpath
 func (e *Engine) Do(op *Op) (value []byte, ok bool, err error) {
+	done := false
+	defer e.unwind(&done) //lint:allow hotalloc -- only a panic unwinding through the engine recycles entries, onto a free list bounded by the entries ever in flight
+
 	e.results = append(e.results, result{}) //lint:allow hotalloc -- grows with Do nesting depth only; the capacity is kept
 	res := len(e.results)
 	e.submit(op, res) //lint:allow hotalloc -- see the allows in submit
-	e.Flush()         //lint:allow hotalloc -- retires entries; see the allows in retire
+	e.flush()         //lint:allow hotalloc -- retires entries; see the allows in retire
 	r := &e.results[res-1]
 	value, ok, err = r.value, r.ok, r.err
 	*r = result{}
 	e.results = e.results[:res-1]
+	done = true
 	return value, ok, err
+}
+
+// unwind is deferred by every entry point that runs caller code — an
+// Atomic's Fn, a Done callback — with a flag set once the call returned.
+// Unset, a panic is unwinding through the engine: the op that panicked
+// has left the pipeline FIFO but still owns its reservation-station slot
+// and its pending count, so every later op hashing to that slot would
+// chain behind an entry nothing retires again and never execute. unwind
+// drops the whole in-flight window instead — what was in flight is
+// abandoned, its Done never fires — and lets the panic continue to the
+// caller (kvnet.Applier turns it into that op's error). On the serving
+// path (Do) nothing else is ever in flight, so only the panicking op is
+// lost. A returning call pays one flag test.
+func (e *Engine) unwind(done *bool) {
+	if *done {
+		return
+	}
+	for i, en := range e.slots {
+		if en != nil {
+			e.slots[i] = nil
+			clear(en.chain)
+			e.release(en)
+		}
+	}
+	clear(e.queue)
+	e.qhead, e.qlen = 0, 0
+	clear(e.results)
+	e.results = e.results[:0]
+	e.pending = 0
 }
 
 // newEntry takes an entry off the free list, or allocates the first time
@@ -307,6 +343,13 @@ func (e *Engine) fill() {
 
 // Flush drains every in-flight operation.
 func (e *Engine) Flush() {
+	done := false
+	defer e.unwind(&done)
+	e.flush()
+	done = true
+}
+
+func (e *Engine) flush() {
 	for e.qlen > 0 {
 		e.retire()
 	}

@@ -142,6 +142,10 @@ func New(region memory.Partition, opts Options) *Allocator {
 	return a
 }
 
+// Region returns the memory the allocator carves slabs from: every
+// address Alloc returns lies inside it.
+func (a *Allocator) Region() memory.Partition { return a.region }
+
 // FreeBytes returns the total bytes currently in free pools.
 func (a *Allocator) FreeBytes() uint64 { return a.freeBytes }
 

@@ -120,26 +120,39 @@ func (h *Histogram) Name() string { return h.name }
 //
 //kvd:hotpath
 func (h *Histogram) Observe(v uint64) {
-	h.buckets[bucketIndex(v)].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
-	for {
-		cur := h.max.Load()
-		if v <= cur || h.max.CompareAndSwap(cur, v) {
-			return
-		}
-	}
+	h.ObserveN(v, 1, 0) //lint:allow hotalloc -- trace ID 0: the exemplar branch, ObserveN's one allocation, is not taken
 }
 
 // ObserveTraced records one value like Observe and, when traceID is
 // nonzero, retains it as the exemplar for its latency octave. The
-// traceID == 0 path is exactly Observe plus one branch — zero
-// allocations — so untraced hot-path callers pass span.Trace()'s zero
-// through unconditionally.
+// traceID == 0 path is exactly Observe — zero allocations — so untraced
+// hot-path callers pass span.Trace()'s zero through unconditionally.
 //
 //kvd:hotpath
 func (h *Histogram) ObserveTraced(v uint64, traceID uint64) {
-	h.Observe(v)
+	h.ObserveN(v, 1, traceID) //lint:allow hotalloc -- only a nonzero trace ID allocates its exemplar: see ObserveN
+}
+
+// ObserveN records n observations of the same value v at the cost of one
+// (count and sum grow by n and n·v), retaining v as its octave's exemplar
+// when traceID is nonzero, like ObserveTraced. It is how a run of n
+// operations timed by one pair of clock readings records their mean.
+// n == 0 records nothing.
+//
+//kvd:hotpath
+func (h *Histogram) ObserveN(v, n, traceID uint64) {
+	if n == 0 {
+		return
+	}
+	h.buckets[bucketIndex(v)].Add(n)
+	h.count.Add(n)
+	h.sum.Add(v * n)
+	for {
+		cur := h.max.Load()
+		if v <= cur || h.max.CompareAndSwap(cur, v) {
+			break
+		}
+	}
 	if traceID == 0 {
 		return
 	}

@@ -128,6 +128,49 @@ func TestHistogramSnapshotMerge(t *testing.T) {
 	}
 }
 
+// TestHistogramObserveN: n observations of one value at once are n
+// Observe calls — same buckets, count, sum and max — and a nonzero trace
+// ID leaves the value as its octave's exemplar while zero leaves none.
+func TestHistogramObserveN(t *testing.T) {
+	for _, traceID := range []uint64{0, 0xfeed} {
+		got, want := NewHistogram("n"), NewHistogram("n")
+		for _, o := range []struct{ v, n uint64 }{{1200, 32}, {7, 3}, {90_000, 1}, {5, 0}} {
+			got.ObserveN(o.v, o.n, traceID)
+			for i := uint64(0); i < o.n; i++ {
+				want.Observe(o.v)
+			}
+		}
+		gs, ws := got.Snapshot(), want.Snapshot()
+		if gs.Count != 36 || gs.Count != ws.Count || gs.Sum != ws.Sum || gs.Max != ws.Max {
+			t.Errorf("trace %#x: count/sum/max %d/%d/%d, want %d/%d/%d (count 36)",
+				traceID, gs.Count, gs.Sum, gs.Max, ws.Count, ws.Sum, ws.Max)
+		}
+		if len(gs.Buckets) != len(ws.Buckets) {
+			t.Fatalf("trace %#x: buckets %v, want %v", traceID, gs.Buckets, ws.Buckets)
+		}
+		for i := range gs.Buckets {
+			if gs.Buckets[i] != ws.Buckets[i] {
+				t.Errorf("trace %#x: bucket %d is %+v, want %+v", traceID, i, gs.Buckets[i], ws.Buckets[i])
+			}
+		}
+		if traceID == 0 {
+			if len(gs.Exemplars) != 0 {
+				t.Errorf("untraced observations left exemplars %+v", gs.Exemplars)
+			}
+			continue
+		}
+		// One exemplar per octave observed (5 ns with n == 0 recorded nothing).
+		if len(gs.Exemplars) != 3 {
+			t.Fatalf("exemplars %+v, want one per observed octave (3)", gs.Exemplars)
+		}
+		for _, e := range gs.Exemplars {
+			if e.TraceID != traceID || e.Low != BucketLow(bucketIndex(e.Value)) {
+				t.Errorf("exemplar %+v: want trace %#x and its bucket's low", e, traceID)
+			}
+		}
+	}
+}
+
 func TestHistogramConcurrent(t *testing.T) {
 	h := NewHistogram("test.concurrent")
 	const goroutines, per = 8, 10000

@@ -160,3 +160,27 @@ func FuzzDecodeScanPage(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeReplMessage: the replication-stream decoder must never
+// panic, and any message it accepts must re-encode byte-identically.
+func FuzzDecodeReplMessage(f *testing.F) {
+	for _, m := range replSamples {
+		pkt, _ := AppendReplMessage(nil, m)
+		f.Add(pkt)
+	}
+	f.Add([]byte{})
+	f.Add(make([]byte, ReplHeaderBytes))
+	f.Fuzz(func(t *testing.T, pkt []byte) {
+		m, err := DecodeReplMessage(pkt)
+		if err != nil {
+			return
+		}
+		re, err := AppendReplMessage(nil, m)
+		if err != nil {
+			t.Fatalf("accepted message failed to re-encode: %v", err)
+		}
+		if !bytes.Equal(re, pkt) {
+			t.Fatalf("replication message not canonical: % x -> % x", pkt, re)
+		}
+	})
+}

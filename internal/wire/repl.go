@@ -120,6 +120,7 @@ var (
 	ErrReplBadVersion = errors.New("wire: unsupported replication version")
 	ErrReplBadKind    = errors.New("wire: invalid replication message kind")
 	ErrReplTruncated  = errors.New("wire: truncated replication message")
+	ErrReplTrailing   = errors.New("wire: trailing bytes after replication message")
 )
 
 // AppendReplMessage encodes m appended to dst.
@@ -138,7 +139,10 @@ func AppendReplMessage(dst []byte, m ReplMessage) ([]byte, error) {
 	return append(dst, m.Payload...), nil
 }
 
-// DecodeReplMessage unpacks one replication message.
+// DecodeReplMessage unpacks one replication message, which must fill pkt
+// exactly: a frame carries one message, so bytes past its payload are
+// damage, not a second message. Every message it accepts re-encodes to
+// pkt byte for byte (FuzzDecodeReplMessage).
 func DecodeReplMessage(pkt []byte) (ReplMessage, error) {
 	var m ReplMessage
 	if len(pkt) < ReplHeaderBytes {
@@ -160,6 +164,9 @@ func DecodeReplMessage(pkt []byte) (ReplMessage, error) {
 	body := pkt[ReplHeaderBytes:]
 	if len(body) < plen {
 		return m, ErrReplTruncated
+	}
+	if len(body) > plen {
+		return m, ErrReplTrailing
 	}
 	if plen > 0 {
 		m.Payload = body[:plen:plen]

@@ -6,20 +6,25 @@ import (
 	"testing"
 )
 
+// replSamples holds one message of every kind.
+var replSamples = []ReplMessage{
+	{Kind: ReplHello, Epoch: 1, Seq: 42},
+	{Kind: ReplAppend, Epoch: 3, Seq: 43, Payload: []byte("op-bytes")},
+	{Kind: ReplAck, Epoch: 3, Seq: 43},
+	{Kind: ReplSnapshotBegin, Epoch: 7, Seq: 100},
+	{Kind: ReplSnapshotChunk, Epoch: 7, Seq: 100, Payload: bytes.Repeat([]byte{0xAB}, 4096)},
+	{Kind: ReplSnapshotEnd, Epoch: 7, Seq: 100},
+	{Kind: ReplHeartbeat, Epoch: 7, Seq: 250},
+	{Kind: ReplReject, Epoch: 9, Seq: 0, Payload: []byte("stale epoch 7 < 9")},
+	{Kind: ReplMigrate, Epoch: 9, Seq: 512, Payload: []byte("127.0.0.1:7890")},
+	{Kind: ReplInstall, Epoch: 10, Seq: 600},
+}
+
 func TestReplMessageRoundTrip(t *testing.T) {
-	msgs := []ReplMessage{
-		{Kind: ReplHello, Epoch: 1, Seq: 42},
-		{Kind: ReplAppend, Epoch: 3, Seq: 43, Payload: []byte("op-bytes")},
-		{Kind: ReplAck, Epoch: 3, Seq: 43},
-		{Kind: ReplSnapshotBegin, Epoch: 7, Seq: 100},
-		{Kind: ReplSnapshotChunk, Epoch: 7, Seq: 100, Payload: bytes.Repeat([]byte{0xAB}, 4096)},
-		{Kind: ReplSnapshotEnd, Epoch: 7, Seq: 100},
-		{Kind: ReplHeartbeat, Epoch: 7, Seq: 250},
-		{Kind: ReplReject, Epoch: 9, Seq: 0, Payload: []byte("stale epoch 7 < 9")},
-		{Kind: ReplMigrate, Epoch: 9, Seq: 512, Payload: []byte("127.0.0.1:7890")},
-		{Kind: ReplInstall, Epoch: 10, Seq: 600},
+	if len(replSamples) != int(replKindMax-ReplHello) {
+		t.Fatalf("%d samples for %d kinds", len(replSamples), replKindMax-ReplHello)
 	}
-	for _, m := range msgs {
+	for _, m := range replSamples {
 		pkt, err := AppendReplMessage(nil, m)
 		if err != nil {
 			t.Fatalf("%v: %v", m.Kind, err)
@@ -103,5 +108,8 @@ func TestReplMessageDecodeErrors(t *testing.T) {
 	}
 	if _, err := DecodeReplMessage(withPayload[:len(withPayload)-2]); !errors.Is(err, ErrReplTruncated) {
 		t.Fatalf("truncated payload: got %v", err)
+	}
+	if _, err := DecodeReplMessage(append(withPayload, 0)); !errors.Is(err, ErrReplTrailing) {
+		t.Fatalf("trailing byte: got %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package kvnet_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -136,6 +137,18 @@ func TestBackendContract(t *testing.T) {
 					t.Errorf("GET %s after the caller recycled its buffers: %+v, want %q", key, got[0], want)
 				}
 			}
+			// The panic left the engine whole: a key sharing the λ key's
+			// reservation-station slot — the default 1024 slots, indexed
+			// by core.keyHash (FNV-1a) — still applies, here and, shipped,
+			// on every backup.
+			mate := rsSlotMate([]byte("boom"), 1024)
+			got := o.backend.ApplyBatch([]wire.Request{
+				{Code: wire.OpPut, Key: mate, Value: []byte("mate")},
+				{Code: wire.OpGet, Key: mate},
+			}, nil)
+			if got[0].Status != wire.StatusOK || got[1].Status != wire.StatusOK || string(got[1].Value) != "mate" {
+				t.Errorf("PUT+GET %q, which shares the panicking op's slot: %+v", mate, got)
+			}
 			// The same on the shipping path: what the backups were sent is
 			// what the caller passed, not what it scribbled afterwards.
 			o.settle(t)
@@ -143,7 +156,57 @@ func TestBackendContract(t *testing.T) {
 				if v, ok := s.Get([]byte("beta")); !ok || string(v) != "two" {
 					t.Errorf("store %d holds beta=%q (found %v) after the caller recycled its buffers, want \"two\"", i, v, ok)
 				}
+				if v, ok := s.Get(mate); !ok || string(v) != "mate" {
+					t.Errorf("store %d holds %s=%q (found %v), want \"mate\"", i, mate, v, ok)
+				}
 			}
 		})
+	}
+}
+
+// rsSlotMate returns a key other than key in the same slot of a
+// reservation station of n slots (core.keyHash: FNV-1a, modulo n).
+func rsSlotMate(key []byte, n uint64) []byte {
+	fnv := func(b []byte) uint64 {
+		h := uint64(14695981039346656037)
+		for _, c := range b {
+			h ^= uint64(c)
+			h *= 1099511628211
+		}
+		return h
+	}
+	for i := 0; ; i++ {
+		if k := fmt.Appendf(nil, "mate-%d", i); fnv(k)%n == fnv(key)%n {
+			return k
+		}
+	}
+}
+
+// TestServerApplyBatchAllocs pins the store backend's per-batch cost: a
+// 32-op inline PUT batch allocates its response slice and nothing else —
+// per-op panic isolation, span charge and the run's one latency
+// observation included.
+func TestServerApplyBatchAllocs(t *testing.T) {
+	store, err := kvdirect.New(kvdirect.Config{MemoryBytes: 8 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	tel := telemetry.NewRegistry()
+	b := kvnet.NewStoreBackend(store, tel)
+	reqs := make([]wire.Request, 32)
+	for i := range reqs {
+		reqs[i] = wire.Request{Code: wire.OpPut, Key: fmt.Appendf(nil, "key-%02d", i), Value: []byte("vvvv")}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if resps := b.ApplyBatch(reqs, nil); resps[len(resps)-1].Status != wire.StatusOK {
+			t.Fatalf("PUT answered %+v", resps[len(resps)-1])
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("a 32-op inline PUT batch allocates %.0f objects, want 1 (its responses)", allocs)
+	}
+	if n := tel.Histogram("server.op_latency_ns").Count(); n != 101*32 {
+		t.Errorf("server.op_latency_ns counted %d ops, want %d", n, 101*32)
 	}
 }

@@ -23,10 +23,14 @@ type Options struct {
 	DialTimeout time.Duration
 	// ReadTimeout bounds the wait for each response frame (default 30 s,
 	// negative disables). A stuck server surfaces as a timeout error
-	// instead of a hang.
+	// instead of a hang. The deadline is re-armed at half life
+	// (Deadlines), so a stuck exchange times out between ReadTimeout/2
+	// and ReadTimeout after it started.
 	ReadTimeout time.Duration
 	// WriteTimeout bounds each request write (default 30 s, negative
-	// disables).
+	// disables), re-armed at half life like ReadTimeout: a stuck write
+	// times out between WriteTimeout/2 and WriteTimeout after its
+	// exchange started.
 	WriteTimeout time.Duration
 	// MaxRetries sizes the retry budget (default 3, negative disables):
 	// a call makes at most (replicas+1) × (MaxRetries+1) attempts at its
@@ -304,6 +308,7 @@ type conn struct {
 	nc  net.Conn   // nil once closed
 	r   *bufio.Reader
 	w   *bufio.Writer
+	dl  Deadlines
 	enc []byte // the encoded request packet, reused under mu
 }
 
@@ -392,7 +397,8 @@ func (cn *conn) doTrace(ops []kvdirect.Op, tc wire.TraceContext) ([]kvdirect.Res
 }
 
 // exchange is the one place a request frame is written and its reply
-// read: one round trip under the write and read deadlines, expecting
+// read: one round trip under the write and read deadlines — both re-armed
+// at half life from the exchange's one clock reading, start — expecting
 // want responses. A nonzero traceID links the RTT observation to its
 // trace as a histogram exemplar. The results alias the response frame,
 // which is therefore allocated per exchange and never reused.
@@ -401,10 +407,8 @@ func (cn *conn) exchange(pkt []byte, want int, traceID uint64) ([]kvdirect.Resul
 		return nil, errConnClosed
 	}
 	start := time.Now()
-	if t := cn.c.opts.WriteTimeout; t > 0 {
-		if err := cn.nc.SetWriteDeadline(time.Now().Add(t)); err != nil {
-			return nil, err // connection already unusable
-		}
+	if err := cn.dl.Write(cn.nc, start, cn.c.opts.WriteTimeout); err != nil {
+		return nil, err // connection already unusable
 	}
 	if err := WriteFrame(cn.w, pkt); err != nil {
 		return nil, err
@@ -412,10 +416,8 @@ func (cn *conn) exchange(pkt []byte, want int, traceID uint64) ([]kvdirect.Resul
 	if err := cn.w.Flush(); err != nil {
 		return nil, err
 	}
-	if t := cn.c.opts.ReadTimeout; t > 0 {
-		if err := cn.nc.SetReadDeadline(time.Now().Add(t)); err != nil {
-			return nil, err
-		}
+	if err := cn.dl.Read(cn.nc, start, cn.c.opts.ReadTimeout); err != nil {
+		return nil, err
 	}
 	resp, err := ReadFrame(cn.r)
 	if err != nil {

@@ -36,11 +36,15 @@ import (
 type ServerOptions struct {
 	// ReadIdleTimeout bounds the wait for the next request frame on a
 	// connection; on expiry the connection is dropped. 0 disables (idle
-	// connections live until Close).
+	// connections live until Close). The deadline is re-armed at half
+	// life (Deadlines), so an idle connection is dropped between
+	// ReadIdleTimeout/2 and ReadIdleTimeout after its wait began.
 	ReadIdleTimeout time.Duration
 	// WriteTimeout bounds each response write, so one stalled client
 	// cannot pin a handler goroutine forever (default 1 min, negative
-	// disables).
+	// disables). Re-armed at half life like ReadIdleTimeout: a stalled
+	// write is abandoned between WriteTimeout/2 and WriteTimeout after it
+	// began.
 	WriteTimeout time.Duration
 	// Faults optionally injects faults into the response path: NetReset
 	// drops the connection before the reply, NetTruncateFrame cuts the
@@ -96,10 +100,13 @@ type Backend interface {
 // Applier is the per-op apply body every Backend shares: a backend
 // decides when an operation applies, never how. A panic (a corrupted
 // pointer walking off the address space, a registered λ misbehaving)
-// becomes that operation's error response and a server.panics count, a
-// span is charged the performance model's access counts, and a served
-// operation is timed into server.op_latency_ns — per-op, not per-batch,
-// so tail percentiles reflect operation cost rather than batch size.
+// becomes that operation's error response and a server.panics count, and
+// a span is charged the performance model's access counts — per op. The
+// wall clock is read per run instead: a backend serving a run of n ops
+// brackets it with one clock reading at each end and records n
+// observations of the run's mean into server.op_latency_ns (Served), so
+// the count and sum stay per op, a one-op packet records exactly its own
+// service time, and a 32-op packet pays two clock reads instead of 32.
 type Applier struct {
 	panics    *atomic.Uint64
 	opLatency *telemetry.Histogram
@@ -110,8 +117,9 @@ func NewApplier(tel *telemetry.Registry) Applier {
 	return Applier{tel.Counters().Handle("server.panics"), tel.Histogram("server.op_latency_ns")}
 }
 
-// Replay applies an operation nobody waits on (a backup replaying a
-// shipped log entry): isolated and charged to span, not timed.
+// Replay applies one operation, isolated and charged to span. It is not
+// timed: a served run is timed as a whole by Served, and a backup
+// replaying a shipped log entry serves nobody.
 //
 //kvd:hotpath
 func (a Applier) Replay(store *kvdirect.Store, req wire.Request, span *telemetry.Span) (resp wire.Response) {
@@ -125,16 +133,18 @@ func (a Applier) Replay(store *kvdirect.Store, req wire.Request, span *telemetry
 	return store.ApplyTraced(req, span)
 }
 
-// Apply serves one operation and returns when it ended. One clock read
-// per op: since is the end of the batch's previous op, or its start.
+// Served records a run of n operations served since start: n
+// observations of the run's mean per-op time, with span's trace ID as
+// the exemplar. It returns the clock reading that ended the run.
 //
 //kvd:hotpath
-func (a Applier) Apply(store *kvdirect.Store, req wire.Request, span *telemetry.Span, since time.Time) (wire.Response, time.Time) {
-	resp := a.Replay(store, req, span) //lint:allow hotalloc -- Replay's one site is its open-coded panic-isolation defer
-	now := time.Now()
-	traceID, _ := span.Trace()
-	a.opLatency.ObserveTraced(uint64(now.Sub(since)), traceID)
-	return resp, now
+func (a Applier) Served(start time.Time, n int, span *telemetry.Span) time.Time {
+	end := time.Now()
+	if n > 0 {
+		traceID, _ := span.Trace()
+		a.opLatency.ObserveN(uint64(end.Sub(start))/uint64(n), uint64(n), traceID)
+	}
+	return end
 }
 
 // storeBackend is the default Backend: a Store under the shared body.
@@ -151,10 +161,11 @@ func NewStoreBackend(store *kvdirect.Store, tel *telemetry.Registry) Backend {
 
 func (b storeBackend) ApplyBatch(reqs []wire.Request, span *telemetry.Span) []wire.Response {
 	out := make([]wire.Response, len(reqs))
-	now := time.Now()
+	start := time.Now()
 	for i, req := range reqs {
-		out[i], now = b.Apply(b.store, req, span, now)
+		out[i] = b.Replay(b.store, req, span)
 	}
+	b.Served(start, len(reqs), span)
 	return out
 }
 
@@ -317,12 +328,13 @@ func (s *Server) handle(conn net.Conn) {
 	// life of the connection.
 	var pkt, out []byte
 	var reqs []wire.Request
+	var dl Deadlines
 	for {
 		if cap(pkt) > 1<<20 || cap(out) > 1<<20 || cap(reqs) > 4<<10 {
 			pkt, out, reqs = nil, nil, nil
 		}
 		if t := s.opts.ReadIdleTimeout; t > 0 {
-			if err := conn.SetReadDeadline(time.Now().Add(t)); err != nil {
+			if err := dl.Read(conn, time.Now(), t); err != nil {
 				return // connection already torn down
 			}
 		}
@@ -334,7 +346,7 @@ func (s *Server) handle(conn net.Conn) {
 				// reject the batch with an error response and keep serving.
 				s.counters.Add("server.corrupt_frames", 1)
 				out = appendErrorFrame(out[:0], "corrupt request frame")
-				if !s.reply(conn, w, out) {
+				if !s.reply(conn, w, &dl, out) {
 					return
 				}
 				continue
@@ -366,7 +378,7 @@ func (s *Server) handle(conn net.Conn) {
 			// not connection death.
 			s.counters.Add("server.bad_batches", 1)
 			out = appendErrorFrame(out[:0], err.Error())
-			if !s.reply(conn, w, out) {
+			if !s.reply(conn, w, &dl, out) {
 				return
 			}
 			continue
@@ -391,7 +403,7 @@ func (s *Server) handle(conn net.Conn) {
 		if out, err = wire.AppendResponses(out[:0], resps); err != nil {
 			return
 		}
-		if !s.reply(conn, w, out) {
+		if !s.reply(conn, w, &dl, out) {
 			return
 		}
 	}
@@ -485,10 +497,10 @@ func appendErrorFrame(dst []byte, msg string) []byte {
 	return dst
 }
 
-// reply writes one response frame under the write deadline, applying any
-// injected response-path faults. It returns false when the connection
-// must be dropped.
-func (s *Server) reply(conn net.Conn, w *bufio.Writer, out []byte) bool {
+// reply writes one response frame under the connection's write deadline
+// (re-armed at half life in dl), applying any injected response-path
+// faults. It returns false when the connection must be dropped.
+func (s *Server) reply(conn net.Conn, w *bufio.Writer, dl *Deadlines, out []byte) bool {
 	f := s.opts.Faults
 	if f.Should(fault.NetReset) {
 		// Connection torn down before the response gets out.
@@ -496,7 +508,7 @@ func (s *Server) reply(conn net.Conn, w *bufio.Writer, out []byte) bool {
 		return false
 	}
 	if t := s.opts.WriteTimeout; t > 0 {
-		if err := conn.SetWriteDeadline(time.Now().Add(t)); err != nil {
+		if err := dl.Write(conn, time.Now(), t); err != nil {
 			return false // connection already torn down
 		}
 	}

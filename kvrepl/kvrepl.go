@@ -87,7 +87,10 @@ type Options struct {
 	// SnapshotChunk is the snapshot transfer chunk size (default 64 KiB).
 	SnapshotChunk int
 	// StreamTimeout bounds each replication-stream read/write (default
-	// 2 s); a stalled peer surfaces as a timeout and a reconnect.
+	// 2 s); a stalled peer surfaces as a timeout and a reconnect. The
+	// deadlines are re-armed at half life (kvnet.Deadlines), so a stalled
+	// read or write times out between StreamTimeout/2 and StreamTimeout
+	// after it began.
 	StreamTimeout time.Duration
 	// Faults optionally injects replication faults: ReplDropEntry,
 	// ReplStallBackup, ReplPartitionPrimary.

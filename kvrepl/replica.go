@@ -443,10 +443,10 @@ func (r *Replica) ApplyBatch(reqs []wire.Request, span *telemetry.Span) []wire.R
 	epoch := r.epoch
 	out := make([]wire.Response, len(reqs))
 	var lastSeq uint64
-	now := time.Now()
+	start := time.Now()
 	for i, req := range reqs {
 		if !mutating(req.Code) {
-			out[i], now = r.apply.Apply(r.store, req, span, now)
+			out[i] = r.apply.Replay(r.store, req, span)
 			if req.Code == wire.OpStats && out[i].Status == wire.StatusOK {
 				// The status registers grow a replication section.
 				out[i].Value = []byte(string(out[i].Value) +
@@ -473,7 +473,7 @@ func (r *Replica) ApplyBatch(reqs []wire.Request, span *telemetry.Span) []wire.R
 				e.Packet = pkt
 			}
 		}
-		out[i], now = r.apply.Apply(r.store, req, span, now)
+		out[i] = r.apply.Replay(r.store, req, span)
 		r.lastApplied = seq
 		if err := r.log.Append(e); err != nil {
 			// Unreachable while mu serializes appends; surface loudly
@@ -482,13 +482,15 @@ func (r *Replica) ApplyBatch(reqs []wire.Request, span *telemetry.Span) []wire.R
 		}
 		lastSeq = seq
 	}
+	// The run's service time stops at the local apply: the quorum wait is
+	// repl.quorum_wait's, and starts at the same clock reading.
+	waitStart := r.apply.Served(start, len(reqs), span)
 	if lastSeq > 0 {
 		// Wake shipping loops outside their own locks; they pull the new
 		// tail from the log.
 		for _, p := range r.peers {
 			p.notify()
 		}
-		waitStart := time.Now()
 		st := span.StartStage("repl.quorum_wait")
 		quorum := r.waitQuorumLocked(lastSeq, epoch) //lint:allow lockorder -- it parks in sync.Cond.Wait, which releases mu while blocked and re-locks before returning
 		st.End()

@@ -250,6 +250,7 @@ type stream struct {
 	conn    net.Conn
 	br      *bufio.Reader
 	bw      *bufio.Writer
+	dl      kvnet.Deadlines              // StreamTimeout, re-armed at half life
 	migrate bool                         // a migration transfer: ReplMigrateStall applies; ReplDropEntry and REPL_SHIP spans do not
 	onAck   func(wire.ReplMessage) error // folds a reply into the owner's state; an error tears the stream down
 
@@ -273,9 +274,9 @@ func (s *stream) write(m wire.ReplMessage) (err error) {
 	return kvnet.WriteFrame(s.bw, s.buf)
 }
 
-// send writes one message under a fresh deadline and flushes it.
+// send writes one message under the write deadline and flushes it.
 func (s *stream) send(m wire.ReplMessage) error {
-	if err := s.conn.SetWriteDeadline(time.Now().Add(s.r.opts.StreamTimeout)); err != nil {
+	if err := s.dl.Write(s.conn, time.Now(), s.r.opts.StreamTimeout); err != nil {
 		return err
 	}
 	if err := s.write(m); err != nil {
@@ -285,7 +286,7 @@ func (s *stream) send(m wire.ReplMessage) error {
 }
 
 func (s *stream) recv() (wire.ReplMessage, error) {
-	if err := s.conn.SetReadDeadline(time.Now().Add(s.r.opts.StreamTimeout)); err != nil {
+	if err := s.dl.Read(s.conn, time.Now(), s.r.opts.StreamTimeout); err != nil {
 		return wire.ReplMessage{}, err
 	}
 	pkt, err := kvnet.ReadFrame(s.br)
@@ -323,7 +324,7 @@ func (s *stream) shipTail(epoch, sent uint64) (uint64, error) {
 //kvd:hotpath
 func (s *stream) shipBatch(epoch uint64, entries []repllog.Entry) (n int, err error) {
 	r := s.r
-	if err := s.conn.SetWriteDeadline(time.Now().Add(r.opts.StreamTimeout)); err != nil {
+	if err := s.dl.Write(s.conn, time.Now(), r.opts.StreamTimeout); err != nil {
 		return 0, err
 	}
 	var last uint64 // highest seq written
