@@ -132,7 +132,7 @@ const (
 // Store is a KV-Direct NIC instance: one KV processor with its host-memory
 // partition, NIC DRAM cache and reservation station. Not safe for
 // concurrent use (the hardware pipeline is a single clock domain; the
-// network server serializes into it).
+// network server's backend serializes into it).
 type Store struct {
 	cfg    Config
 	mem    *memory.Memory

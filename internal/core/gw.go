@@ -7,9 +7,10 @@ import (
 // Gateway-support ops: the versioned conditional store (OpPutVer) and
 // versioned decimal counter (OpCounterVer) the memcache protocol
 // gateway translates onto. Both are read-modify-write sequences on the
-// single KV pipeline — the server serializes batches, so each op is
-// atomic with respect to every other client, the same way the paper's
-// one hardware pipeline serializes dependent atomics (§5.1.3).
+// single KV pipeline — the serving backend applies one batch at a time
+// under its lock (the store backend's mutex, a replica's lock), so each
+// op is atomic with respect to every other client, the same way the
+// paper's one hardware pipeline serializes dependent atomics (§5.1.3).
 //
 // Version assignment is deterministic from the previous stored state
 // (old version + 1, or 1 on create), so a replicated backup replaying

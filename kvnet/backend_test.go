@@ -3,6 +3,7 @@ package kvnet_test
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -19,9 +20,10 @@ import (
 // group. The same batch and span go in; out come (a) span counts equal
 // to the store's own counter deltas, (b) one latency observation per op,
 // (c) a panicking op answered as that op's error with its neighbours
-// intact, and (d) nothing retained — the caller scribbles over reqs and
+// intact, (d) nothing retained — the caller scribbles over reqs and
 // the bytes they point to after the return, as a connection's recycled
-// frame does, and every copy of the data still reads the original.
+// frame does, and every copy of the data still reads the original — and
+// (e) concurrent callers served whole, the backend serializing itself.
 func TestBackendContract(t *testing.T) {
 	cfg := kvdirect.Config{MemoryBytes: 8 << 20}
 	// An implementer under test: the backend, the registry it records
@@ -158,6 +160,44 @@ func TestBackendContract(t *testing.T) {
 				}
 				if v, ok := s.Get(mate); !ok || string(v) != "mate" {
 					t.Errorf("store %d holds %s=%q (found %v), want \"mate\"", i, mate, v, ok)
+				}
+			}
+
+			// (e) Concurrent callers, as a Server's connections are: the
+			// backend serializes itself. Each caller alternates a PUT
+			// batch and a GET batch of its own keys, scrapes now and then,
+			// and every write reads back afterwards, on every store.
+			const callers, batches = 8, 200
+			key := func(c, i int) []byte { return fmt.Appendf(nil, "conc-%d-%03d", c, i) }
+			var wg sync.WaitGroup
+			for c := 0; c < callers; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					for i := 0; i < batches; i += 2 {
+						k := key(c, i)
+						put := o.backend.ApplyBatch([]wire.Request{{Code: wire.OpPut, Key: k, Value: k}}, nil)
+						get := o.backend.ApplyBatch([]wire.Request{{Code: wire.OpGet, Key: k}}, nil)
+						if put[0].Status != wire.StatusOK || get[0].Status != wire.StatusOK || string(get[0].Value) != string(k) {
+							t.Errorf("caller %d: PUT %s answered %+v, GET %+v", c, k, put[0], get[0])
+							return
+						}
+						if i%50 == 0 {
+							o.backend.PublishTelemetry()
+						}
+					}
+				}(c)
+			}
+			wg.Wait()
+			o.settle(t)
+			for c := 0; c < callers; c++ {
+				for i := 0; i < batches; i += 2 {
+					k := key(c, i)
+					for si, s := range o.stores {
+						if v, ok := s.Get(k); !ok || string(v) != string(k) {
+							t.Fatalf("store %d holds %s=%q (found %v) after concurrent callers", si, k, v, ok)
+						}
+					}
 				}
 			}
 		})

@@ -28,8 +28,8 @@ type SnapshotSource interface {
 // Multiple sources (a deployment's replicas and coordinator, a gateway)
 // merge into a single view — counters sum, same-named histograms combine
 // bucket-wise — exercising the same mergeable-snapshot path the CLI
-// uses. A Server snapshots under its pipeline lock, so scraping a loaded
-// one is safe.
+// uses. A Server's backend refreshes its gauges under its own lock, so
+// scraping a loaded one is safe.
 func NewTelemetrySourcesHandler(sources ...SnapshotSource) http.Handler {
 	snapshot := func() telemetry.Snapshot {
 		var merged telemetry.Snapshot

@@ -4,9 +4,9 @@
 // overhead, Figure 15) and the server plays the NIC, decoding packets and
 // feeding the KV processor.
 //
-// The server serializes batches into the store just as the single
-// hardware pipeline would; consistency across dependent operations in a
-// batch is preserved.
+// The server holds no lock; its backend serializes batches into the
+// store just as the single hardware pipeline would, and consistency
+// across dependent operations in a batch is preserved.
 //
 // Every frame carries a CRC32C, so wire corruption is detected rather
 // than decoded: a corrupt frame or batch draws an error response while
@@ -85,13 +85,13 @@ func (o ServerOptions) withDefaults() ServerOptions {
 //
 // A non-nil span is charged with the hardware access counts the batch
 // cost; a nil span is an untraced batch (Span's methods are nil-safe).
-// ApplyBatch is never called concurrently by one Server (the single
-// hardware pipeline); a Backend shared across Servers must serialize
-// itself. It must not retain reqs, nor the bytes their slices point to,
-// past its return: callers recycle both (a connection's frame buffer,
-// the gateway's per-connection arena). TestBackendContract holds every
-// implementer to that. PublishTelemetry refreshes derived gauges into
-// the shared registry before a snapshot, under the pipeline lock.
+// Both methods may be called concurrently — a Server calls them from
+// every connection at once, holding no lock — so a backend serializes
+// itself. ApplyBatch must not retain reqs, nor the bytes their slices
+// point to, past its return: callers recycle both (a connection's frame
+// buffer, the gateway's per-connection arena). TestBackendContract holds
+// every implementer to both rules. PublishTelemetry refreshes derived
+// gauges into the shared registry before a snapshot.
 type Backend interface {
 	ApplyBatch(reqs []wire.Request, span *telemetry.Span) []wire.Response
 	PublishTelemetry()
@@ -147,8 +147,10 @@ func (a Applier) Served(start time.Time, n int, span *telemetry.Span) time.Time 
 	return end
 }
 
-// storeBackend is the default Backend: a Store under the shared body.
+// storeBackend is the default Backend: a Store under the shared body,
+// serialized by its own lock (the single KV pipeline).
 type storeBackend struct {
+	mu    sync.Mutex
 	store *kvdirect.Store
 	Applier
 }
@@ -156,10 +158,12 @@ type storeBackend struct {
 // NewStoreBackend returns the default Backend over store, recording
 // into tel — what ServeOptions serves.
 func NewStoreBackend(store *kvdirect.Store, tel *telemetry.Registry) Backend {
-	return storeBackend{store, NewApplier(tel)}
+	return &storeBackend{store: store, Applier: NewApplier(tel)}
 }
 
-func (b storeBackend) ApplyBatch(reqs []wire.Request, span *telemetry.Span) []wire.Response {
+func (b *storeBackend) ApplyBatch(reqs []wire.Request, span *telemetry.Span) []wire.Response {
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	out := make([]wire.Response, len(reqs))
 	start := time.Now()
 	for i, req := range reqs {
@@ -169,16 +173,18 @@ func (b storeBackend) ApplyBatch(reqs []wire.Request, span *telemetry.Span) []wi
 	return out
 }
 
-func (b storeBackend) PublishTelemetry() { b.store.PublishTelemetry() }
+func (b *storeBackend) PublishTelemetry() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.store.PublishTelemetry()
+}
 
 // Server exposes one Backend (usually a Store) over TCP.
 type Server struct {
 	backend Backend
 	opts    ServerOptions
 	ln      net.Listener
-
-	mu sync.Mutex // serializes store access (the single KV pipeline)
-	wg sync.WaitGroup
+	wg      sync.WaitGroup
 
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -236,13 +242,11 @@ func serve(backend Backend, addr string, opts ServerOptions) (*Server, error) {
 	return s, nil
 }
 
-// TelemetrySnapshot refreshes backend gauges under the pipeline lock
-// and returns the full snapshot — the safe way to scrape a live server
-// from another goroutine (the HTTP exporter uses it).
+// TelemetrySnapshot refreshes backend gauges (under the backend's own
+// lock) and returns the full snapshot — the safe way to scrape a live
+// server from another goroutine (the HTTP exporter uses it).
 func (s *Server) TelemetrySnapshot() telemetry.Snapshot {
-	s.mu.Lock()
 	s.backend.PublishTelemetry()
-	s.mu.Unlock()
 	return s.tel.Snapshot()
 }
 
@@ -434,22 +438,20 @@ func spanResponse(span *telemetry.Span) wire.Response {
 	return wire.Response{Status: wire.StatusOK, Value: data}
 }
 
-// apply runs a batch against the backend under the pipeline lock, as
-// the span's server.apply stage (lock wait included).
+// apply runs a batch against the backend, as the span's server.apply
+// stage (the backend's lock wait included).
 //
 //kvd:hotpath
 func (s *Server) apply(reqs []wire.Request, span *telemetry.Span) []wire.Response {
 	defer span.StartStage("server.apply").End()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.ops.Add(uint64(len(reqs)))
 	s.batchOps.Observe(uint64(len(reqs)))
 	return s.backend.ApplyBatch(reqs, span)
 }
 
-// DoTrace executes one batch in-process through the same serialized
-// pipeline a network client's batch takes — same lock, same backend (and
-// thus the same replication interposition), same op accounting — minus
+// DoTrace executes one batch in-process through the same pipeline a
+// network client's batch takes — same backend (and thus the same
+// serialization and replication interposition), same op accounting — minus
 // the wire framing and a socket: the loopback path of in-process
 // front-ends (the memcache gateway). tc is what a packet's trailer would
 // carry. Sampled, the batch runs under a span at (tc.TraceID, tc.Parent)

@@ -113,11 +113,8 @@ func TestReplicationBasic(t *testing.T) {
 // refused it as not-primary and the hint the refusal carried.
 func rejection(t *testing.T, r *Replica, op kvdirect.Op) (hint string, rejected bool) {
 	t.Helper()
-	res, err := r.clientSrv.Do([]kvdirect.Op{op})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(res[0].Value), res[0].NotPrimary()
+	res := doOne(t, r, op)
+	return string(res.Value), res.NotPrimary()
 }
 
 func TestSnapshotCatchup(t *testing.T) {

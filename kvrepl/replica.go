@@ -33,7 +33,8 @@ type Replica struct {
 	gauges     *telemetry.Gauges
 	ints       *telemetry.IntGauges
 	quorumWait *telemetry.Histogram
-	apply      kvnet.Applier // how an op applies; the replica decides only when
+	inflight   *telemetry.Histogram // repl.inflight_batches: batches in quorum wait, counting the one observed
+	apply      kvnet.Applier        // how an op applies; the replica decides only when
 	faults     *fault.Injector
 
 	// Handles for the metrics bumped per shipped or applied entry and
@@ -52,6 +53,8 @@ type Replica struct {
 	role        Role
 	epoch       uint64
 	lastApplied uint64
+	abandoned   uint64 // primary: highest seq whose quorum wait gave up (lastApplied at promotion)
+	waiting     int    // primary: batches parked in their quorum wait
 	primaryHint string // current primary's client address, for redirects
 	closed      bool
 	ackCond     *sync.Cond        // on mu: broadcast when acks advance or terms change, and on every lease tick
@@ -98,6 +101,7 @@ func NewReplica(shard, id, groupSize int, cfg kvdirect.Config, clientAddr, replA
 		gauges:     tel.Gauges(),
 		ints:       tel.IntGauges(),
 		quorumWait: tel.Histogram("repl.quorum_wait_ns"),
+		inflight:   tel.Histogram("repl.inflight_batches"),
 		apply:      kvnet.NewApplier(tel),
 		faults:     opts.Faults,
 		conns:      map[net.Conn]bool{},
@@ -184,7 +188,7 @@ func (r *Replica) Counters() *telemetry.Counters { return r.counters }
 func (r *Replica) Telemetry() *telemetry.Registry { return r.tel }
 
 // TelemetrySnapshot snapshots the replica's full registry — store,
-// server and replication — under the server's pipeline lock, making a
+// server and replication — refreshed under the replica lock, making a
 // Replica a kvnet.SnapshotSource for /metrics export.
 func (r *Replica) TelemetrySnapshot() telemetry.Snapshot {
 	return r.clientSrv.TelemetrySnapshot()
@@ -253,6 +257,7 @@ func (r *Replica) promote(epoch uint64, peers map[int]string) {
 	}
 	r.epoch = epoch
 	r.role = RolePrimary
+	r.abandoned = r.lastApplied // serve what it holds without waiting for a first ack
 	r.primaryHint = r.clientAddr
 	r.stopPeersLocked()
 	r.peers = map[int]*peerSync{}
@@ -423,7 +428,9 @@ func mutating(op wire.OpCode) bool {
 
 // ApplyBatch implements kvnet.Backend: the whole replication protocol
 // interposed on the standard wire path. Reads apply locally; mutations
-// are sequenced, logged, applied, shipped, and held until quorum. A
+// are sequenced, logged, applied, shipped, and held until their last seq
+// is at quorum — a wait that releases the lock, so batches overlap it.
+// A batch that wrote nothing waits until what it read is settled. A
 // non-nil span is charged for the store's access counts and staged for
 // the quorum wait, so a traced write against a replica shows where
 // replication time went.
@@ -431,14 +438,7 @@ func (r *Replica) ApplyBatch(reqs []wire.Request, span *telemetry.Span) []wire.R
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.role != RolePrimary || r.closed {
-		hint := []byte(r.primaryHint)
-		out := make([]wire.Response, len(reqs))
-		for i := range out {
-			out[i] = wire.Response{Status: wire.StatusNotPrimary, Value: hint}
-		}
-		r.counters.Add("repl.not_primary_rejects", uint64(len(reqs)))
-		r.tel.Flight().Record(telemetry.EventNotPrimary, int64(r.shard), r.epoch, uint64(len(reqs)))
-		return out
+		return r.rejectLocked(len(reqs))
 	}
 	epoch := r.epoch
 	out := make([]wire.Response, len(reqs))
@@ -485,26 +485,47 @@ func (r *Replica) ApplyBatch(reqs []wire.Request, span *telemetry.Span) []wire.R
 	// The run's service time stops at the local apply: the quorum wait is
 	// repl.quorum_wait's, and starts at the same clock reading.
 	waitStart := r.apply.Served(start, len(reqs), span)
-	if lastSeq > 0 {
-		// Wake shipping loops outside their own locks; they pull the new
-		// tail from the log.
-		for _, p := range r.peers {
-			p.notify()
+	if lastSeq == 0 { // a read must never return a write that is only on the primary
+		if !r.waitSettledLocked(r.lastApplied, epoch) { //lint:allow lockorder -- it parks in sync.Cond.Wait, which releases mu while blocked and re-locks before returning
+			out = r.rejectLocked(len(reqs))
 		}
-		st := span.StartStage("repl.quorum_wait")
-		quorum := r.waitQuorumLocked(lastSeq, epoch) //lint:allow lockorder -- it parks in sync.Cond.Wait, which releases mu while blocked and re-locks before returning
-		st.End()
-		r.quorumWait.Observe(uint64(time.Since(waitStart).Nanoseconds()))
-		if !quorum {
-			r.counters.Add("repl.quorum_failures", 1)
-			msg := []byte("replication quorum not reached (write fate unknown)")
-			for i, req := range reqs {
-				if mutating(req.Code) {
-					out[i] = wire.Response{Status: wire.StatusError, Value: msg}
-				}
+		return out
+	}
+	// Wake shipping loops outside their own locks; they pull the new tail
+	// from the log.
+	for _, p := range r.peers {
+		p.notify()
+	}
+	r.waiting++
+	r.inflight.Observe(uint64(r.waiting))
+	st := span.StartStage("repl.quorum_wait")
+	quorum := r.waitQuorumLocked(lastSeq, epoch) //lint:allow lockorder -- it parks in sync.Cond.Wait, which releases mu while blocked and re-locks before returning
+	st.End()
+	r.waiting--
+	r.quorumWait.Observe(uint64(time.Since(waitStart).Nanoseconds()))
+	if !quorum {
+		r.counters.Add("repl.quorum_failures", 1)
+		r.abandoned = max(r.abandoned, lastSeq)
+		r.wakeLocked() // reads parked on this write may answer now
+		msg := []byte("replication quorum not reached (write fate unknown)")
+		for i, req := range reqs {
+			if mutating(req.Code) {
+				out[i] = wire.Response{Status: wire.StatusError, Value: msg}
 			}
 		}
 	}
+	return out
+}
+
+// rejectLocked answers n ops with a redirect to the current primary.
+func (r *Replica) rejectLocked(n int) []wire.Response {
+	hint := []byte(r.primaryHint)
+	out := make([]wire.Response, n)
+	for i := range out {
+		out[i] = wire.Response{Status: wire.StatusNotPrimary, Value: hint}
+	}
+	r.counters.Add("repl.not_primary_rejects", uint64(n))
+	r.tel.Flight().Record(telemetry.EventNotPrimary, int64(r.shard), r.epoch, uint64(n))
 	return out
 }
 
@@ -558,6 +579,22 @@ func (r *Replica) waitQuorumLocked(seq, epoch uint64) bool {
 		}
 		if !time.Now().Before(deadline) {
 			return false
+		}
+		r.ackCond.Wait()
+	}
+}
+
+// waitSettledLocked blocks like waitQuorumLocked until seq is at quorum
+// or at or below abandoned, and reports false if the term ends first. No
+// deadline: a seq short of both has a writer in waitQuorumLocked that
+// settles it within AckTimeout (after removePeer, the next writer does).
+func (r *Replica) waitSettledLocked(seq, epoch uint64) bool {
+	for {
+		if r.closed || r.epoch != epoch || r.role != RolePrimary {
+			return false
+		}
+		if seq <= r.abandoned || r.replicasAtLocked(seq) >= r.opts.Quorum {
+			return true
 		}
 		r.ackCond.Wait()
 	}

@@ -82,7 +82,7 @@ func TestReplicaTelemetry(t *testing.T) {
 	}
 
 	// PublishTelemetry refreshes the role frontier for snapshot paths
-	// (the HTTP exporter calls it under the pipeline lock).
+	// (the HTTP exporter calls it; it takes the replica lock itself).
 	prim.PublishTelemetry()
 	s := prim.Telemetry().Snapshot()
 	if s.IntGauges["repl.applied_seq"] < 2 {
