@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint lint-new lint-fix test race chaos telemetry profile check
+.PHONY: build vet lint lint-new lint-fix test race chaos telemetry check
 
 build:
 	$(GO) build ./...
@@ -59,12 +59,6 @@ telemetry:
 	$(GO) test -count=1 -run 'Allocs$$' ./...
 	$(GO) test -run '^$$' -bench 'BenchmarkStorePutGet' -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkLogAppendFullWindow' -benchmem ./internal/repllog/
-
-# CPU + heap profiles of a quick kvdbench run (satellite of the tracing
-# PR): cpu.pprof / heap.pprof land in the repo root for
-# `go tool pprof`.
-profile:
-	$(GO) run ./cmd/kvdbench -quick -cpuprofile cpu.pprof -memprofile heap.pprof fig11
 
 # What CI runs.
 check: vet lint

@@ -6,7 +6,6 @@
 //
 //	kvdbench [-quick] [-seed N] all
 //	kvdbench [-quick] fig11 fig13 table3 ...
-//	kvdbench [-cpuprofile cpu.pprof] [-memprofile heap.pprof] ...
 //	kvdbench list
 //
 // Each experiment prints the same rows/series the paper plots; see
@@ -18,8 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"time"
 
 	"kvdirect/internal/experiments"
@@ -29,40 +26,8 @@ func main() {
 	quick := flag.Bool("quick", false, "CI-sized scale (smaller memories and op counts)")
 	seed := flag.Int64("seed", 1, "experiment seed")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of text tables")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file (make profile)")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Usage = usage
 	flag.Parse()
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "kvdbench: cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "kvdbench: cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			_ = f.Close() // profile already flushed by StopCPUProfile
-		}()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "kvdbench: memprofile: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle allocations so the heap profile is current
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "kvdbench: memprofile: %v\n", err)
-			}
-		}()
-	}
 
 	args := flag.Args()
 	if len(args) == 0 {

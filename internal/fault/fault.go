@@ -70,19 +70,20 @@ const (
 	// the lease and trigger failover while the old primary still lives,
 	// exercising epoch fencing.
 	ReplPartitionPrimary
-	// ReplMigrateStall delays one message on a live shard-migration
-	// stream (snapshot chunk or tail entry), stretching the transfer so
-	// chaos tests can reliably kill nodes mid-migration.
+	// ReplMigrateStall delays one frame the source primary writes on a
+	// learner stream (the non-voting stream that catches a migration's
+	// destination up: snapshot chunk, tail entry or install), stretching
+	// the transfer so chaos tests can reliably kill nodes mid-migration.
 	ReplMigrateStall
-	// ReplCutoverPartition drops the migration stream's connection during
-	// the fenced cutover window (after the source stops acking writes,
-	// before the destination is installed), forcing the migrator through
-	// its redial-and-resume path at the worst possible moment.
+	// ReplCutoverPartition makes the learner drop its connection at the
+	// install point, after the fence (the source no longer acks writes)
+	// and before the destination is installed, forcing an ordinary
+	// peerSync redial-and-resume at the worst possible moment.
 	ReplCutoverPartition
-	// ReplDestCrash makes the migration destination tear down the inbound
-	// transfer stream mid-apply, simulating a crash-restart of the
-	// receiving replica; the migrator must resume from the destination's
-	// surviving frontier (or re-send the snapshot).
+	// ReplDestCrash makes a replica tear down an inbound replication
+	// stream mid-apply, simulating a crash-restart of the receiver; on a
+	// migration's destination that is the learner stream, which resumes
+	// from the surviving frontier (or re-sends the snapshot).
 	ReplDestCrash
 	// GwDecodeCorrupt flips a byte in an inbound memcache binary frame
 	// after the gateway reads it off the wire, exercising the codec's

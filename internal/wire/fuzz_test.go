@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -163,11 +164,18 @@ func FuzzDecodeScanPage(f *testing.F) {
 
 // FuzzDecodeReplMessage: the replication-stream decoder must never
 // panic, and any message it accepts must re-encode byte-identically.
+// One seed is the retired MIGRATE handshake, which must stay rejected.
 func FuzzDecodeReplMessage(f *testing.F) {
 	for _, m := range replSamples {
 		pkt, _ := AppendReplMessage(nil, m)
 		f.Add(pkt)
 	}
+	migrate, _ := AppendReplMessage(nil, ReplMessage{Kind: ReplHello, Epoch: 9, Seq: 512, Payload: []byte("127.0.0.1:7890")})
+	migrate[3] = 9 // the old MIGRATE kind value
+	if _, err := DecodeReplMessage(migrate); !errors.Is(err, ErrReplBadKind) {
+		f.Fatalf("retired MIGRATE kind decoded: %v", err)
+	}
+	f.Add(migrate)
 	f.Add([]byte{})
 	f.Add(make([]byte, ReplHeaderBytes))
 	f.Fuzz(func(t *testing.T, pkt []byte) {

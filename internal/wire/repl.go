@@ -59,18 +59,16 @@ const (
 	// ReplReject refuses the stream (stale epoch, bad handshake);
 	// payload is a human-readable reason.
 	ReplReject
-	// ReplMigrate opens a live shard-migration stream from the source
-	// group's primary to the destination group's primary: seq is the
-	// source's applied frontier, epoch the shard's current epoch, and
-	// payload the source primary's client address (the destination's
-	// redirect hint while the old group still owns the shard). The
-	// destination replies with a ReplHello carrying its own frontier and
-	// the stream then reuses the ordinary append/snapshot kinds.
-	ReplMigrate
-	// ReplInstall commits a migration at cutover: epoch is the fenced
-	// cutover epoch and seq the shard's final log frontier. The
-	// destination acks only if its applied frontier matches exactly —
-	// the wire-level proof that no acked write was left behind.
+	// replRetired (9) was the MIGRATE handshake: a migration destination
+	// is now reached with an ordinary ReplHello, and the decoder rejects
+	// the old value.
+	replRetired
+	// ReplInstall commits a migration at cutover. The source's learner (the
+	// non-voting stream that caught the destination up) sends it after
+	// draining the fenced tail: epoch is the cutover epoch and seq the
+	// shard's final log frontier. The destination acks only if its applied
+	// frontier matches exactly, the wire-level proof that no acked write
+	// was left behind.
 	ReplInstall
 
 	replKindMax
@@ -94,8 +92,6 @@ func (k ReplKind) String() string {
 		return "HEARTBEAT"
 	case ReplReject:
 		return "REJECT"
-	case ReplMigrate:
-		return "MIGRATE"
 	case ReplInstall:
 		return "INSTALL"
 	default:
@@ -104,7 +100,7 @@ func (k ReplKind) String() string {
 }
 
 // Valid reports whether the kind is defined.
-func (k ReplKind) Valid() bool { return k >= ReplHello && k < replKindMax }
+func (k ReplKind) Valid() bool { return k >= ReplHello && k < replKindMax && k != replRetired }
 
 // ReplMessage is one decoded replication message.
 type ReplMessage struct {

@@ -1,7 +1,9 @@
 package kvrepl
 
 import (
+	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -99,19 +101,13 @@ func (c *Coordinator) TelemetrySnapshot() telemetry.Snapshot { return c.tel.Snap
 func (c *Coordinator) OnRoute(fn func(shard int, addrs kvnet.ShardAddrs)) {
 	c.mu.Lock()
 	c.onRoute = fn
-	type route struct {
-		shard int
-		addrs kvnet.ShardAddrs
-	}
-	var routes []route
+	epochs := make(map[int]uint64, len(c.groups))
 	for shard, g := range c.groups {
-		routes = append(routes, route{shard, routeLocked(g)})
+		epochs[shard] = g.epoch
 	}
 	c.mu.Unlock()
-	if fn != nil {
-		for _, rt := range routes {
-			fn(rt.shard, rt.addrs)
-		}
+	for shard, epoch := range epochs {
+		c.publish(shard, epoch)
 	}
 }
 
@@ -119,41 +115,33 @@ func (c *Coordinator) OnRoute(fn func(shard int, addrs kvnet.ShardAddrs)) {
 // for epoch 1 and publishes the initial route. Every member must have
 // been built with NewReplica.
 func (c *Coordinator) Register(shard int, members map[int]*Replica, primary int) error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return fmt.Errorf("kvrepl: coordinator closed")
+	peers, err := c.addGroup(shard, members, primary, 1)
+	if err != nil {
+		return err
 	}
-	if _, dup := c.groups[shard]; dup {
-		c.mu.Unlock()
-		return fmt.Errorf("kvrepl: shard %d already registered", shard)
-	}
-	if _, ok := members[primary]; !ok {
-		c.mu.Unlock()
-		return fmt.Errorf("kvrepl: shard %d: primary %d is not a member", shard, primary)
-	}
-	g := &groupState{
-		members:  members,
-		primary:  primary,
-		epoch:    1,
-		lastBeat: time.Now(),
-	}
-	c.groups[shard] = g
-	for id, m := range members {
-		id := id
-		m.setBeat(func(shard, _ int) { c.heartbeat(shard, id) })
-	}
-	lead := members[primary]
-	peers := peerAddrsLocked(g)
-	fn := c.onRoute
-	addrs := routeLocked(g)
-	c.mu.Unlock()
-
-	lead.promote(1, peers)
-	if fn != nil {
-		fn(shard, addrs)
-	}
+	members[primary].promote(1, peers)
+	c.publish(shard, 1)
 	return nil
+}
+
+// addGroup enters members as shard's group at epoch, led by primary,
+// and returns the primary's peer addresses.
+func (c *Coordinator) addGroup(shard int, members map[int]*Replica, primary int, epoch uint64) (map[int]string, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, dup := c.groups[shard]
+	switch {
+	case c.closed:
+		return nil, errors.New("kvrepl: coordinator closed")
+	case dup:
+		return nil, fmt.Errorf("kvrepl: shard %d already registered", shard)
+	case members[primary] == nil:
+		return nil, fmt.Errorf("kvrepl: shard %d: primary %d is not a member", shard, primary)
+	}
+	g := &groupState{members: members, primary: primary, epoch: epoch, lastBeat: time.Now()}
+	c.groups[shard] = g
+	c.watchLocked(g)
+	return peerAddrsLocked(g), nil
 }
 
 // heartbeat renews the primary's lease; beats from deposed members are
@@ -187,7 +175,6 @@ func (c *Coordinator) checkLeases() {
 		cand  *Replica
 		epoch uint64
 		peers map[int]string
-		addrs kvnet.ShardAddrs
 	}
 	var promos []promotion
 	c.mu.Lock()
@@ -206,17 +193,7 @@ func (c *Coordinator) checkLeases() {
 		}
 		// Lease expired: elect the live backup with the highest applied
 		// frontier (ties to the lowest id, for determinism).
-		candID, cand := -1, (*Replica)(nil)
-		var candSeq uint64
-		for id, m := range g.members {
-			if id == g.primary || !m.Alive() {
-				continue
-			}
-			seq := m.LastApplied()
-			if cand == nil || seq > candSeq || (seq == candSeq && id < candID) {
-				candID, cand, candSeq = id, m, seq
-			}
-		}
+		candID, cand := mostAdvanced(g.members, g.primary)
 		if cand == nil {
 			// Nothing to promote; re-arm the lease and keep watching (the
 			// old primary may come back, or a replica may be revived).
@@ -234,19 +211,15 @@ func (c *Coordinator) checkLeases() {
 			cand:  cand,
 			epoch: g.epoch,
 			peers: peerAddrsLocked(g),
-			addrs: routeLocked(g),
 		})
 	}
-	fn := c.onRoute
 	c.mu.Unlock()
 
 	// Promote outside the lock: promotion takes the replica's lock and
-	// spins up shipping loops; nothing here needs coordinator state.
+	// spins up shipping loops.
 	for _, p := range promos {
 		p.cand.promote(p.epoch, p.peers)
-		if fn != nil {
-			fn(p.shard, p.addrs)
-		}
+		c.publish(p.shard, p.epoch)
 	}
 	if len(promos) > 0 {
 		// A lease failover is exactly the anomaly the flight recorder
@@ -266,35 +239,24 @@ func (c *Coordinator) AddReplica(shard, id int, r *Replica) error {
 		return fmt.Errorf("kvrepl: add replica %d to shard %d: replica is not alive", id, shard)
 	}
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return fmt.Errorf("kvrepl: coordinator closed")
+	g, err := c.stableGroupLocked(shard)
+	if err == nil {
+		if _, dup := g.members[id]; dup {
+			err = fmt.Errorf("kvrepl: shard %d already has member %d", shard, id)
+		}
 	}
-	g, ok := c.groups[shard]
-	if !ok {
+	if err != nil {
 		c.mu.Unlock()
-		return fmt.Errorf("kvrepl: shard %d not registered", shard)
-	}
-	if g.migration != nil && !g.migration.finished() {
-		c.mu.Unlock()
-		return fmt.Errorf("kvrepl: shard %d has a migration in flight", shard)
-	}
-	if _, dup := g.members[id]; dup {
-		c.mu.Unlock()
-		return fmt.Errorf("kvrepl: shard %d already has member %d", shard, id)
+		return err
 	}
 	g.members[id] = r
-	r.setBeat(func(shard, _ int) { c.heartbeat(shard, id) })
-	lead := g.members[g.primary]
-	fn := c.onRoute
-	addrs := routeLocked(g)
+	c.watchLocked(g)
+	lead, epoch := g.members[g.primary], g.epoch
 	c.counters.Add("repl.member_adds", 1)
 	c.mu.Unlock()
 
 	lead.addPeer(id, r.ReplAddr())
-	if fn != nil {
-		fn(shard, addrs)
-	}
+	c.publish(shard, epoch)
 	return nil
 }
 
@@ -305,55 +267,32 @@ func (c *Coordinator) AddReplica(shard, id int, r *Replica) error {
 // it belongs to the caller. Fails while a migration is in flight.
 func (c *Coordinator) RemoveReplica(shard, id int) error {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return fmt.Errorf("kvrepl: coordinator closed")
+	g, err := c.stableGroupLocked(shard)
+	switch {
+	case err != nil:
+	case g.members[id] == nil:
+		err = fmt.Errorf("kvrepl: shard %d has no member %d", shard, id)
+	case len(g.members) == 1:
+		err = fmt.Errorf("kvrepl: cannot remove shard %d's last member", shard)
 	}
-	g, ok := c.groups[shard]
-	if !ok {
+	if err != nil {
 		c.mu.Unlock()
-		return fmt.Errorf("kvrepl: shard %d not registered", shard)
+		return err
 	}
-	if g.migration != nil && !g.migration.finished() {
-		c.mu.Unlock()
-		return fmt.Errorf("kvrepl: shard %d has a migration in flight", shard)
-	}
-	old, ok := g.members[id]
-	if !ok {
-		c.mu.Unlock()
-		return fmt.Errorf("kvrepl: shard %d has no member %d", shard, id)
-	}
-	if len(g.members) == 1 {
-		c.mu.Unlock()
-		return fmt.Errorf("kvrepl: cannot remove shard %d's last member", shard)
-	}
+	old := g.members[id]
 	if id != g.primary {
 		delete(g.members, id)
-		lead := g.members[g.primary]
-		fn := c.onRoute
-		addrs := routeLocked(g)
+		lead, epoch := g.members[g.primary], g.epoch
 		c.counters.Add("repl.member_removes", 1)
 		c.mu.Unlock()
 
 		lead.removePeer(id)
-		if fn != nil {
-			fn(shard, addrs)
-		}
+		c.publish(shard, epoch)
 		return nil
 	}
 	// Removing the primary: elect the most advanced remaining live
 	// member (same rule as failover), then fence the departing one.
-	candID, cand := -1, (*Replica)(nil)
-	var candSeq uint64
-	for mid, m := range g.members {
-		if mid == id || !m.Alive() {
-			continue
-		}
-		seq := m.LastApplied()
-		if cand == nil || seq > candSeq || (seq == candSeq && mid < candID) {
-			candID, cand, candSeq = mid, m, seq
-		}
-	}
+	candID, cand := mostAdvanced(g.members, id)
 	if cand == nil {
 		c.mu.Unlock()
 		return fmt.Errorf("kvrepl: shard %d has no live member to take over from %d", shard, id)
@@ -364,17 +303,85 @@ func (c *Coordinator) RemoveReplica(shard, id int) error {
 	g.lastBeat = time.Now()
 	epoch := g.epoch
 	peers := peerAddrsLocked(g)
-	fn := c.onRoute
-	addrs := routeLocked(g)
 	c.counters.Add("repl.member_removes", 1)
 	c.mu.Unlock()
 
 	cand.promote(epoch, peers)
 	old.maybeDemote(epoch, cand.ClientAddr())
-	if fn != nil {
-		fn(shard, addrs)
-	}
+	c.publish(shard, epoch)
 	return nil
+}
+
+// MigrateShard starts a live migration of shard onto the target group.
+// The returned Migration runs concurrently: the old group keeps serving
+// until the epoch-fenced cutover, and Wait returns nil once the
+// destination owns the shard. On failure the shard stays with (or rolls
+// back to) the old group and the target members must be closed by the
+// caller.
+func (c *Coordinator) MigrateShard(shard int, target MigrationTarget) (*Migration, error) {
+	dest := target.Members[target.Primary]
+	if dest == nil {
+		return nil, fmt.Errorf("kvrepl: migrate shard %d: target primary %d is not a member", shard, target.Primary)
+	}
+	for id, r := range target.Members {
+		if r == nil || !r.Alive() {
+			return nil, fmt.Errorf("kvrepl: migrate shard %d: target member %d is not alive", shard, id)
+		}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	g, err := c.stableGroupLocked(shard)
+	if err != nil {
+		return nil, err
+	}
+	for _, cur := range g.members {
+		for id, r := range target.Members {
+			if cur == r {
+				return nil, fmt.Errorf("kvrepl: migrate shard %d: target member %d already serves the shard", shard, id)
+			}
+		}
+	}
+	src := g.members[g.primary]
+	if !src.Alive() {
+		return nil, fmt.Errorf("kvrepl: shard %d has no live primary to migrate from", shard)
+	}
+	m := &Migration{
+		c:        c,
+		shard:    shard,
+		target:   target,
+		src:      src,
+		dest:     dest,
+		learner:  newPeerSync(src, target.Primary, dest.ReplAddr(), g.epoch),
+		srcEpoch: g.epoch,
+		entries0: src.migrationEntries.Load(),
+		start:    time.Now(),
+		done:     make(chan struct{}),
+	}
+	m.learner.mig = m
+	g.migration = m
+	c.counters.Add("repl.migrations", 1)
+	c.wg.Add(1)
+	go m.run()
+	return m, nil
+}
+
+// Migrations returns the latest migration status per shard (running or
+// terminal), sorted by shard.
+func (c *Coordinator) Migrations() []MigrationStatus {
+	c.mu.Lock()
+	migs := make([]*Migration, 0, len(c.groups))
+	for _, g := range c.groups {
+		if g.migration != nil {
+			migs = append(migs, g.migration)
+		}
+	}
+	c.mu.Unlock()
+	out := make([]MigrationStatus, 0, len(migs))
+	for _, m := range migs {
+		out = append(out, m.Status())
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Shard < out[j].Shard })
+	return out
 }
 
 // Adopt registers a shard whose group is already live — the successor
@@ -383,42 +390,15 @@ func (c *Coordinator) RemoveReplica(shard, id int) error {
 // shard's (so fencing keeps working across the control-plane restart)
 // and just resumes lease-watching and routing.
 func (c *Coordinator) Adopt(shard int, members map[int]*Replica, primary int) error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return fmt.Errorf("kvrepl: coordinator closed")
-	}
-	if _, dup := c.groups[shard]; dup {
-		c.mu.Unlock()
-		return fmt.Errorf("kvrepl: shard %d already registered", shard)
-	}
-	lead, ok := members[primary]
-	if !ok {
-		c.mu.Unlock()
-		return fmt.Errorf("kvrepl: shard %d: primary %d is not a member", shard, primary)
-	}
-	if lead.Role() != RolePrimary {
-		c.mu.Unlock()
+	lead := members[primary]
+	if lead == nil || lead.Role() != RolePrimary {
 		return fmt.Errorf("kvrepl: shard %d: member %d is not the live primary", shard, primary)
 	}
-	g := &groupState{
-		members:  members,
-		primary:  primary,
-		epoch:    lead.Epoch(),
-		lastBeat: time.Now(),
+	epoch := lead.Epoch()
+	if _, err := c.addGroup(shard, members, primary, epoch); err != nil {
+		return err
 	}
-	c.groups[shard] = g
-	for id, m := range members {
-		id := id
-		m.setBeat(func(shard, _ int) { c.heartbeat(shard, id) })
-	}
-	fn := c.onRoute
-	addrs := routeLocked(g)
-	c.mu.Unlock()
-
-	if fn != nil {
-		fn(shard, addrs)
-	}
+	c.publish(shard, epoch)
 	return nil
 }
 
@@ -444,8 +424,8 @@ func (c *Coordinator) ShardNodes() map[int]string {
 	return out
 }
 
-// Close stops the monitor. Replicas are not closed — they belong to
-// their groups.
+// Close stops the monitor and aborts in-flight migrations. Replicas
+// are not closed — they belong to their groups.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -453,9 +433,69 @@ func (c *Coordinator) Close() {
 		return
 	}
 	c.closed = true
+	for _, g := range c.groups {
+		if g.migration != nil {
+			g.migration.Abort()
+		}
+	}
 	c.mu.Unlock()
 	close(c.stop)
 	c.wg.Wait()
+}
+
+// stableGroupLocked returns shard's group if its membership may change:
+// the coordinator is open, the shard registered, no migration in flight.
+func (c *Coordinator) stableGroupLocked(shard int) (*groupState, error) {
+	g, ok := c.groups[shard]
+	switch {
+	case c.closed:
+		return nil, errors.New("kvrepl: coordinator closed")
+	case !ok:
+		return nil, fmt.Errorf("kvrepl: shard %d not registered", shard)
+	case g.migration != nil && !g.migration.finished():
+		return nil, fmt.Errorf("kvrepl: shard %d has a migration in flight", shard)
+	}
+	return g, nil
+}
+
+// watchLocked points every member's lease heartbeat at the group's
+// entry; only the current primary's beats renew the lease.
+func (c *Coordinator) watchLocked(g *groupState) {
+	for id, m := range g.members {
+		m.setBeat(func(shard, _ int) { c.heartbeat(shard, id) })
+	}
+}
+
+// publish republishes shard's route through OnRoute, unless the shard
+// has moved past epoch since the caller changed it.
+func (c *Coordinator) publish(shard int, epoch uint64) {
+	c.mu.Lock()
+	fn, g := c.onRoute, c.groups[shard]
+	if fn == nil || g == nil || g.epoch != epoch {
+		c.mu.Unlock()
+		return
+	}
+	addrs := routeLocked(g)
+	c.mu.Unlock()
+	fn(shard, addrs)
+}
+
+// mostAdvanced picks the live member other than skip with the highest
+// applied frontier, ties to the lowest id (for determinism): the one
+// that, with quorum acks and dense prefixes, holds every acked write.
+func mostAdvanced(members map[int]*Replica, skip int) (int, *Replica) {
+	candID, cand := -1, (*Replica)(nil)
+	var candSeq uint64
+	for id, m := range members {
+		if id == skip || !m.Alive() {
+			continue
+		}
+		seq := m.LastApplied()
+		if cand == nil || seq > candSeq || (seq == candSeq && id < candID) {
+			candID, cand, candSeq = id, m, seq
+		}
+	}
+	return candID, cand
 }
 
 // peerAddrsLocked maps every member id to its replication address (the

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"kvdirect"
+	"kvdirect/internal/fault"
 	"kvdirect/kvnet"
 )
 
@@ -342,6 +343,27 @@ func TestRemoveReplicaBackupAndPrimary(t *testing.T) {
 	}
 }
 
+// TestMembershipRejectsUnknownShard: membership changes on a shard the
+// coordinator does not serve, or on a closed coordinator, are errors.
+func TestMembershipRejectsUnknownShard(t *testing.T) {
+	coord := NewCoordinator(fastCoord())
+	r, err := NewReplica(0, 0, 1, testConfig(), "127.0.0.1:0", "127.0.0.1:0", fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := coord.AddReplica(5, 0, r); err == nil {
+		t.Fatal("AddReplica on an unregistered shard succeeded")
+	}
+	if err := coord.RemoveReplica(5, 0); err == nil {
+		t.Fatal("RemoveReplica on an unregistered shard succeeded")
+	}
+	coord.Close()
+	if err := coord.RemoveReplica(0, 0); err == nil {
+		t.Fatal("RemoveReplica on a closed coordinator succeeded")
+	}
+}
+
 // TestBackupWindowEvictionSnapshotFallback pins down the catch-up
 // contract when the log window has already evicted the tail a lagging
 // backup needs: the primary falls back to a snapshot install instead of
@@ -395,6 +417,116 @@ func TestBackupWindowEvictionSnapshotFallback(t *testing.T) {
 	if _, ok := back.Store().Get([]byte("post-snap")); !ok {
 		t.Fatal("backup missing post-snapshot write")
 	}
+}
+
+// TestLearnerAckNeverMakesWriteDurable: a migration destination is a
+// learner of the source primary, caught up by the loop that feeds its
+// backups, but its acks never count toward a write's quorum. A 1×3
+// source at Quorum 2 with both backups closed keeps migrating; PUTs
+// parked on it while the learner ships the tail must each fail their
+// quorum wait or, once the source is fenced, be redirected — and the
+// source folds no ack into its quorum state (repl.acks) meanwhile.
+func TestLearnerAckNeverMakesWriteDurable(t *testing.T) {
+	inj := fault.NewInjector(5)
+	opts := fastOpts()
+	opts.SnapshotChunk = 256
+	opts.Faults = inj
+	coord := NewCoordinator(CoordOptions{LeaseTimeout: 5 * time.Second})
+	defer coord.Close()
+	src, dest, _ := startMigrationPair(t, coord, opts, 100)
+	prim := src.Primary()
+	for _, r := range src.Replicas {
+		if r != prim {
+			_ = r.Close() // no voting ack can arrive any more
+		}
+	}
+
+	const writers = 4
+	var wg sync.WaitGroup
+	var tries, oks atomic.Int64
+	before := prim.LastApplied()
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				res := doOne(t, prim, putOp(fmt.Sprintf("learner-%d-%d", w, i), "v"))
+				tries.Add(1)
+				if res.OK() {
+					oks.Add(1)
+				}
+				if res.NotPrimary() {
+					return // fenced: the source takes no more writes
+				}
+			}
+		}(w)
+	}
+	waitFor(t, 2*time.Second, "every writer's PUT to park", func() bool { return prim.LastApplied() >= before+writers })
+	acks := prim.Counters().Get("repl.acks")
+
+	inj.Set(fault.ReplMigrateStall, 1) // 2 ms per learner message: the parked PUTs ride the snapshot and tail
+	mig, err := coord.MigrateShard(0, dest.Target("node-b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mig.Wait(); err != nil {
+		t.Fatalf("migration failed: %v", err)
+	}
+	wg.Wait()
+	if n := oks.Load(); n > 0 {
+		t.Fatalf("%d of %d PUTs on a source without backups were acknowledged: a learner ack counted toward quorum", n, tries.Load())
+	}
+	if got := prim.Counters().Get("repl.acks"); got != acks {
+		t.Fatalf("repl.acks moved %d → %d with no backup left: learner acks reached the quorum state", acks, got)
+	}
+	if st := mig.Status(); st.DestSeq < before+writers {
+		t.Fatalf("destination frontier %d: the parked PUTs never reached the learner", st.DestSeq)
+	}
+}
+
+// TestLearnerResyncsUnderDestCrash: the destination drops the learner's
+// stream mid-apply now and then. The ordinary peerSync redial resumes
+// from the frontier that survived, so Status().DestSeq only moves
+// forward, and every redial is counted in Resyncs.
+func TestLearnerResyncsUnderDestCrash(t *testing.T) {
+	inj := fault.NewInjector(21)
+	opts := fastOpts()
+	opts.Faults = inj
+	coord := NewCoordinator(fastCoord())
+	defer coord.Close()
+	src, dest, _ := startMigrationPair(t, coord, opts, 300) // all in the log: 300 entries on one stream
+	frontier := src.Primary().LastApplied()
+
+	inj.Set(fault.ReplDestCrash, 0.05)
+	mig, err := coord.MigrateShard(0, dest.Target("node-b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last uint64
+	for done := false; !done; {
+		select {
+		case <-mig.Done():
+			done = true
+		case <-time.After(time.Millisecond):
+		}
+		seq := mig.Status().DestSeq
+		if seq < last {
+			t.Fatalf("destination frontier went back from %d to %d", last, seq)
+		}
+		last = seq
+	}
+	inj.DisableAll()
+	st := mig.Status()
+	if err := mig.Err(); err != nil {
+		t.Fatalf("migration failed: %v (status %+v)", err, st)
+	}
+	if st.DestSeq < frontier {
+		t.Fatalf("destination frontier %d < source frontier %d", st.DestSeq, frontier)
+	}
+	if st.Resyncs == 0 {
+		t.Fatalf("%d stream crashes injected, no learner redial counted", inj.Injected(fault.ReplDestCrash))
+	}
+	t.Logf("%d learner redials, %d crashes injected across every stream", st.Resyncs, inj.Injected(fault.ReplDestCrash))
 }
 
 // TestDoubleLeaseExpiryOneEpochBump is the coordinator double-failover

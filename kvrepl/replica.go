@@ -3,6 +3,7 @@ package kvrepl
 import (
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -263,13 +264,9 @@ func (r *Replica) promote(epoch uint64, peers map[int]string) {
 	r.peers = map[int]*peerSync{}
 	r.peerAcked = r.peerAcked[:0]
 	for id, addr := range peers {
-		if id == r.id {
-			continue
+		if id != r.id {
+			r.startPeerLocked(id, addr)
 		}
-		p := newPeerSync(r, id, addr, epoch)
-		r.peers[id] = p
-		r.wg.Add(1)
-		go p.run()
 	}
 	r.startHeartbeatLocked()
 	r.wakeLocked()
@@ -309,30 +306,37 @@ func (r *Replica) stopPeersLocked() {
 	r.peers = nil
 }
 
-// addPeer starts a shipping loop to a newly added group member at the
-// current term. A no-op unless the replica currently leads — a later
-// promotion rebuilds the peer set from the coordinator's membership.
+// startPeerLocked starts a voting shipping loop to peer id at the
+// current term, replacing any loop it already has.
+func (r *Replica) startPeerLocked(id int, addr string) {
+	if old := r.peers[id]; old != nil {
+		old.stopPeer()
+	}
+	p := newPeerSync(r, id, addr, r.epoch)
+	r.peers[id] = p
+	r.wg.Add(1)
+	go func() {
+		defer r.wg.Done()
+		p.run()
+	}()
+}
+
+// addPeer starts a shipping loop to a newly added group member. A no-op
+// unless the replica currently leads — a later promotion rebuilds the
+// peer set from the coordinator's membership.
 func (r *Replica) addPeer(peerID int, addr string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed || r.role != RolePrimary {
-		return
+	if !r.closed && r.role == RolePrimary {
+		r.startPeerLocked(peerID, addr)
 	}
-	if old := r.peers[peerID]; old != nil {
-		old.stopPeer()
-	}
-	if r.peers == nil {
-		r.peers = map[int]*peerSync{}
-	}
-	p := newPeerSync(r, peerID, addr, r.epoch)
-	r.peers[peerID] = p
-	r.wg.Add(1)
-	go p.run()
 }
 
 // removePeer stops shipping to a departing member and drops its ack
 // from quorum accounting so a removed replica's stale frontier can
-// neither satisfy nor wedge future quorums.
+// neither satisfy nor wedge future quorums. A seq that was at quorum
+// stays settled, so abandoned first rises to the highest such seq:
+// reads parked on it must not wait for a write that may never come.
 func (r *Replica) removePeer(peerID int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -340,6 +344,7 @@ func (r *Replica) removePeer(peerID int) {
 		p.stopPeer()
 		delete(r.peers, peerID)
 	}
+	r.abandoned = max(r.abandoned, r.settledLocked())
 	for i, a := range r.peerAcked {
 		if a.id == peerID {
 			r.peerAcked = append(r.peerAcked[:i], r.peerAcked[i+1:]...)
@@ -350,9 +355,9 @@ func (r *Replica) removePeer(peerID int) {
 }
 
 // adoptInstall commits a migration on the destination primary: the
-// migrator has proven the shard's final frontier matches ours, so we
+// learner has proven the shard's final frontier matches ours, so we
 // adopt the fenced cutover epoch and wait for the coordinator's
-// promotion. A frontier mismatch refuses the install — the migrator
+// promotion. A frontier mismatch refuses the install — the learner
 // must keep draining.
 func (r *Replica) adoptInstall(epoch, seq uint64) bool {
 	r.mu.Lock()
@@ -564,6 +569,20 @@ func (r *Replica) replicasAtLocked(seq uint64) int {
 	return n
 }
 
+// settledLocked returns the highest seq at quorum: the Quorum-th highest
+// frontier among the primary's own and its backups' acks (0 if fewer).
+func (r *Replica) settledLocked() uint64 {
+	seqs := []uint64{r.lastApplied}
+	for _, a := range r.peerAcked {
+		seqs = append(seqs, a.seq)
+	}
+	if len(seqs) < r.opts.Quorum {
+		return 0
+	}
+	slices.Sort(seqs)
+	return seqs[len(seqs)-r.opts.Quorum]
+}
+
 // waitQuorumLocked blocks (the condition variable releases the lock
 // while parked) until seq reaches quorum in this epoch, the term
 // changes, or AckTimeout — noticed on the primary's next lease tick, so
@@ -584,10 +603,18 @@ func (r *Replica) waitQuorumLocked(seq, epoch uint64) bool {
 	}
 }
 
+// awaitQuorum blocks, as a write's quorum wait does, until seq is at
+// quorum in epoch; a migration's install waits here on the new primary.
+func (r *Replica) awaitQuorum(seq, epoch uint64) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.waitQuorumLocked(seq, epoch) //lint:allow lockorder -- it parks in sync.Cond.Wait, which releases mu while blocked and re-locks before returning
+}
+
 // waitSettledLocked blocks like waitQuorumLocked until seq is at quorum
 // or at or below abandoned, and reports false if the term ends first. No
 // deadline: a seq short of both has a writer in waitQuorumLocked that
-// settles it within AckTimeout (after removePeer, the next writer does).
+// settles it within AckTimeout.
 func (r *Replica) waitSettledLocked(seq, epoch uint64) bool {
 	for {
 		if r.closed || r.epoch != epoch || r.role != RolePrimary {

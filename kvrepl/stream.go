@@ -21,18 +21,26 @@ import (
 // long enough to open replication lag, short enough for chaos runs.
 const stallBackup = 2 * time.Millisecond
 
-// --- primary side: one shipping loop per backup ---
+// migrateStall is how long a ReplMigrateStall fault delays one message
+// on a learner stream — long enough that chaos tests can reliably kill a
+// node mid-migration.
+const migrateStall = 2 * time.Millisecond
 
-// peerSync is the primary's replication stream to one backup: dial,
+// --- primary side: one shipping loop per peer ---
+
+// peerSync is the primary's replication stream to one peer: dial,
 // handshake, then batches of Appends answered by cumulative Acks, with
-// snapshot catch-up whenever the backup has fallen out of the log window. The
-// loop belongs to one epoch; promotions and demotions stop it and start
-// fresh loops.
+// snapshot catch-up whenever the peer has fallen out of the log window.
+// A voting peer is a backup: its acks count toward write quorum, and its
+// loop belongs to one epoch. A learner (mig set) is a migration's
+// destination: its acks only move the migration's frontier and the log
+// pin, and once caught up it drives the cutover instead of idling.
 type peerSync struct {
 	r      *Replica
 	peerID int
 	addr   string
 	epoch  uint64
+	mig    *Migration // non-nil: a non-voting learner
 
 	stop chan struct{}
 	wake chan struct{} // buffered 1: "the log grew"
@@ -84,6 +92,17 @@ func (p *peerSync) stopped() bool {
 	}
 }
 
+// halted is stopped, and for a learner also ends the loop — with its
+// migration — once the migration cannot go on.
+func (p *peerSync) halted() bool {
+	if p.mig != nil {
+		if err := p.mig.live(); err != nil {
+			p.mig.end(err)
+		}
+	}
+	return p.stopped()
+}
+
 func (p *peerSync) setConn(c net.Conn) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -94,43 +113,55 @@ func (p *peerSync) setConn(c net.Conn) bool {
 	return true
 }
 
-// run redials the backup forever (with jittered backoff) until stopped.
+// run redials the peer with jittered backoff until stopped. A learner's
+// migration gives up after migrateRetryBudget rounds in a row that did
+// not move the destination's frontier.
 func (p *peerSync) run() {
-	defer p.r.wg.Done()
 	bo := kvnet.NewBackoff(2*time.Millisecond, 250*time.Millisecond,
 		p.r.opts.Seed^int64(p.peerID+1))
 	attempt := 0
-	for {
+	for !p.halted() {
+		var from uint64
+		if p.mig != nil {
+			from = p.mig.destSeq.Load()
+		}
+		progressed, err := p.syncOnce()
 		if p.stopped() {
 			return
 		}
-		progressed := p.syncOnce()
-		if p.stopped() {
-			return
+		if p.mig != nil {
+			p.mig.resyncs.Add(1)
+			progressed = p.mig.destSeq.Load() > from
 		}
 		if progressed {
 			attempt = 0
 		}
 		attempt++
+		if p.mig != nil && attempt > migrateRetryBudget {
+			p.mig.end(fmt.Errorf("giving up after %d learner rounds: %w", attempt, err))
+			return
+		}
 		bo.Sleep(attempt)
 	}
 }
 
 // syncOnce runs one connection's lifetime; it reports whether any
-// message round-tripped (to reset the redial backoff).
-func (p *peerSync) syncOnce() (progressed bool) {
+// message round-tripped (to reset a voting peer's redial backoff) and
+// why the connection ended.
+func (p *peerSync) syncOnce() (progressed bool, err error) {
 	conn, err := net.DialTimeout("tcp", p.addr, p.r.opts.StreamTimeout)
 	if err != nil {
-		return false
+		return false, err
 	}
 	defer func() { _ = conn.Close() }()
 	if !p.setConn(conn) {
-		return false
+		return false, errors.New("kvrepl: peer stopped")
 	}
-	s := newStream(p.r, conn, p.handleAck)
+	s := newStream(p.r, conn, p.handleAck, p.mig == nil)
 
-	// Handshake: announce our epoch and client address; learn the
-	// backup's applied frontier.
+	// Handshake: announce our epoch and client address (a learner's
+	// redirect hint while the old group still owns the shard); learn the
+	// peer's applied frontier.
 	err = s.send(wire.ReplMessage{
 		Kind:    wire.ReplHello,
 		Epoch:   p.epoch,
@@ -138,43 +169,60 @@ func (p *peerSync) syncOnce() (progressed bool) {
 		Payload: []byte(p.r.clientAddr),
 	})
 	if err != nil {
-		return false
+		return false, err
 	}
 	m, err := s.recv()
-	if err != nil || p.checkReply(m) != nil || m.Kind != wire.ReplHello {
-		return false
+	if err == nil && m.Kind != wire.ReplHello {
+		if err = p.checkReply(m); err == nil {
+			err = fmt.Errorf("kvrepl: unexpected %s in peer %d handshake", m.Kind, p.peerID)
+		}
+	}
+	if err != nil {
+		return false, err
 	}
 	sent := m.Seq
+	if p.mig != nil {
+		p.mig.acked(sent)
+	}
 	if sent > p.r.LastApplied() {
-		// A backup ahead of its primary means fencing failed upstream;
+		// A peer ahead of its primary means fencing failed upstream;
 		// do not ship over it.
-		return true
+		return true, fmt.Errorf("kvrepl: peer %d at seq %d is ahead of us", p.peerID, sent)
 	}
 
 	heartbeat := time.NewTimer(p.r.opts.HeartbeatEvery)
 	defer heartbeat.Stop()
-	for {
-		if p.stopped() {
-			return true
-		}
+	for !p.halted() {
 		next, err := s.shipTail(p.epoch, sent)
 		switch {
 		case errors.Is(err, repllog.ErrTruncated):
-			// The backup's lag outran the log window: fall back to a
-			// snapshot install instead of stalling on the missing tail.
-			p.r.counters.Add("repl.snapshot_fallbacks", 1)
-			if next, _, err = s.sendSnapshot(p.epoch, false); err != nil {
-				return true
+			// The peer's frontier is below the log window: fall back to a
+			// snapshot install instead of stalling on the missing tail (a
+			// learner's first snapshot is its base copy, not a fallback).
+			if p.mig == nil || p.mig.State() != MigrateSnapshot {
+				p.r.counters.Add("repl.snapshot_fallbacks", 1)
+			}
+			var n int
+			if next, n, err = s.sendSnapshot(p.epoch); err != nil {
+				return true, err
+			}
+			if p.mig != nil {
+				p.mig.snapshotted(n)
 			}
 		case err != nil:
-			return true
+			return true, err
+		case next == sent && p.mig != nil:
+			if err := p.mig.caughtUp(p, s, sent); err != nil {
+				return true, err
+			}
 		case next == sent:
 			if !p.idle(s, heartbeat, sent) {
-				return true
+				return true, nil
 			}
 		}
 		sent = next
 	}
+	return true, nil
 }
 
 // idle keeps a quiet stream warm: wait for new entries, a stop, or a
@@ -209,8 +257,9 @@ func (p *peerSync) idle(s *stream, t *time.Timer, sent uint64) bool {
 	return err == nil && p.handleAck(ack) == nil
 }
 
-// handleAck folds the backup's reply into quorum state; a rejection
-// with a higher epoch means we have been deposed.
+// handleAck folds the peer's reply into quorum state — or, for a
+// learner, into the migration's frontier only; a rejection with a
+// higher epoch means we have been deposed.
 func (p *peerSync) handleAck(m wire.ReplMessage) error {
 	if err := p.checkReply(m); err != nil {
 		return err
@@ -218,16 +267,22 @@ func (p *peerSync) handleAck(m wire.ReplMessage) error {
 	if m.Kind != wire.ReplAck {
 		return fmt.Errorf("kvrepl: unexpected %s from peer %d", m.Kind, p.peerID)
 	}
+	if p.mig != nil {
+		p.mig.acked(m.Seq)
+		return nil
+	}
 	p.r.recordAck(p.epoch, p.peerID, m.Seq)
 	return nil
 }
 
-// checkReply handles fencing rejections common to every reply.
+// checkReply handles fencing rejections common to every reply. A
+// learner's peer is not in our group, so its epoch says nothing about
+// our term.
 func (p *peerSync) checkReply(m wire.ReplMessage) error {
 	if m.Kind != wire.ReplReject {
 		return nil
 	}
-	if m.Epoch > p.epoch {
+	if p.mig == nil && m.Epoch > p.epoch {
 		p.r.maybeDemote(m.Epoch, "")
 	}
 	return fmt.Errorf("kvrepl: peer %d rejected stream: %s", p.peerID, m.Payload)
@@ -242,30 +297,30 @@ func (p *peerSync) checkReply(m wire.ReplMessage) error {
 const shipBatchBytes = 64 << 10
 
 // stream is one end of a replication connection: framing and deadlines
-// for both ends, and for the sending end — a primary's to a backup, or a
-// migrator's to the destination primary — the two bulk transfers, batched
-// log shipping and the snapshot. It is used by one goroutine.
+// for both ends, and for the sending end — a primary's to a voting peer
+// or to a learner — the two bulk transfers, batched log shipping and the
+// snapshot. It is used by one goroutine.
 type stream struct {
-	r       *Replica // the local replica: its log, store, options, faults, counters, tracer
-	conn    net.Conn
-	br      *bufio.Reader
-	bw      *bufio.Writer
-	dl      kvnet.Deadlines              // StreamTimeout, re-armed at half life
-	migrate bool                         // a migration transfer: ReplMigrateStall applies; ReplDropEntry and REPL_SHIP spans do not
-	onAck   func(wire.ReplMessage) error // folds a reply into the owner's state; an error tears the stream down
+	r      *Replica // the local replica: its log, store, options, faults, counters, tracer
+	conn   net.Conn
+	br     *bufio.Reader
+	bw     *bufio.Writer
+	dl     kvnet.Deadlines              // StreamTimeout, re-armed at half life
+	voting bool                         // to a backup; else to a learner: ReplMigrateStall applies, ReplDropEntry and REPL_SHIP spans do not
+	onAck  func(wire.ReplMessage) error // folds a reply into the owner's state; an error tears the stream down
 
 	buf   []byte            // message encoding scratch
 	tail  []repllog.Entry   // log read scratch
 	spans []*telemetry.Span // sampled entries of the batch in flight
 }
 
-func newStream(r *Replica, conn net.Conn, onAck func(wire.ReplMessage) error) *stream {
-	return &stream{r: r, conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn), onAck: onAck}
+func newStream(r *Replica, conn net.Conn, onAck func(wire.ReplMessage) error, voting bool) *stream {
+	return &stream{r: r, conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn), onAck: onAck, voting: voting}
 }
 
 // write frames m into the write buffer without flushing it.
 func (s *stream) write(m wire.ReplMessage) (err error) {
-	if s.migrate && s.r.faults.Should(fault.ReplMigrateStall) {
+	if !s.voting && s.r.faults.Should(fault.ReplMigrateStall) {
 		time.Sleep(migrateStall)
 	}
 	if s.buf, err = wire.AppendReplMessage(s.buf[:0], m); err != nil {
@@ -294,6 +349,11 @@ func (s *stream) recv() (wire.ReplMessage, error) {
 		return wire.ReplMessage{}, err
 	}
 	return wire.DecodeReplMessage(pkt)
+}
+
+// reject tells the sender why this end is closing the stream.
+func (s *stream) reject(epoch uint64, reason string) {
+	_ = s.send(wire.ReplMessage{Kind: wire.ReplReject, Epoch: epoch, Payload: []byte(reason)}) //lint:allow statuserr -- best-effort reject; the stream is closing and the peer re-syncs
 }
 
 // shipTail ships every log entry after sent and returns the new cursor:
@@ -331,7 +391,7 @@ func (s *stream) shipBatch(epoch uint64, entries []repllog.Entry) (n int, err er
 	written := 0
 	for size := 0; n < len(entries) && size < shipBatchBytes && err == nil; n++ {
 		e := &entries[n]
-		if !s.migrate && r.faults.Should(fault.ReplDropEntry) {
+		if s.voting && r.faults.Should(fault.ReplDropEntry) {
 			// Skip the entry but advance the cursor: the next Append (or
 			// idle heartbeat) presents a gap, the backup closes the
 			// stream, and the redial resyncs from its true frontier —
@@ -343,7 +403,7 @@ func (s *stream) shipBatch(epoch uint64, entries []repllog.Entry) (n int, err er
 		// primary's write path turns this ship+ack round-trip into a span
 		// of the originating write's trace — one per backup, so an
 		// assembled tree shows the quorum ack fan-out.
-		if tc, ok := wire.PacketTraceContext(e.Packet); ok && tc.Sampled && !s.migrate {
+		if tc, ok := wire.PacketTraceContext(e.Packet); ok && tc.Sampled && s.voting {
 			span := r.tel.Tracer().StartTrace(tc.TraceID, tc.Parent)
 			span.SetOp("REPL_SHIP", 1)
 			s.spans = append(s.spans, span) //lint:allow hotalloc -- sampled writes only, and the slice is reused
@@ -372,27 +432,27 @@ func (s *stream) shipBatch(epoch uint64, entries []repllog.Entry) (n int, err er
 	if err != nil {
 		return n, err
 	}
-	if s.migrate {
-		r.migrationEntries.Add(uint64(written))
-	} else {
+	if s.voting {
 		r.entriesShipped.Add(uint64(written))
+	} else {
+		r.migrationEntries.Add(uint64(written))
 	}
 	r.shipFlushes.Add(1)
 	return n, nil
 }
 
 // sendSnapshot transfers a consistent Dump so a peer beyond the log
-// window can join; replay resumes from the returned sequence. With pin
-// set the log is pinned just past the dump's frontier under the same
-// lock that freezes it, so the tail the peer still needs cannot be
-// evicted while it installs. It also returns the dump's size.
-func (s *stream) sendSnapshot(epoch uint64, pin bool) (uint64, int, error) {
+// window can join; replay resumes from the returned sequence. To a
+// learner the log is pinned just past the dump's frontier under the
+// same lock that freezes it, so the tail the learner still needs cannot
+// be evicted while it installs. It also returns the dump's size.
+func (s *stream) sendSnapshot(epoch uint64) (uint64, int, error) {
 	r := s.r
 	r.mu.Lock()
 	var buf bytes.Buffer
 	_, err := r.store.Dump(&buf) //lint:allow lockorder -- consistent snapshot requires freezing the store; the lease heartbeat rides an atomic, not mu (PR 6)
 	snapSeq := r.lastApplied
-	if err == nil && pin {
+	if err == nil && !s.voting {
 		r.log.Pin(snapSeq + 1)
 	}
 	r.mu.Unlock()
@@ -464,22 +524,19 @@ func (r *Replica) handleReplConn(conn net.Conn) {
 		delete(r.conns, conn)
 		r.mu.Unlock()
 	}()
-	s := newStream(r, conn, nil)
+	s := newStream(r, conn, nil, true)
 
+	// The sender is our own group's primary, or — if we are a migration
+	// destination — the source group's primary, whose learner stream ends
+	// with a ReplInstall committing the shard to us. Both say Hello.
 	hello, err := s.recv()
-	if err != nil || (hello.Kind != wire.ReplHello && hello.Kind != wire.ReplMigrate) {
+	if err != nil || hello.Kind != wire.ReplHello {
 		return
 	}
-	// A ReplMigrate hello opens a live shard-migration transfer: the
-	// sender is the source group's primary, not our own, and the stream
-	// may end with a ReplInstall committing the shard to us.
-	isMigration := hello.Kind == wire.ReplMigrate
 	last, herr := r.admitStream(hello)
 	if herr != nil {
 		r.counters.Add("repl.epoch_rejects", 1)
-		_ = s.send(wire.ReplMessage{ //lint:allow statuserr -- best-effort reject; the stream is closing and the peer re-syncs
-			Kind: wire.ReplReject, Epoch: r.Epoch(), Payload: []byte(herr.Error()),
-		})
+		s.reject(r.Epoch(), herr.Error())
 		return
 	}
 	if err := s.send(wire.ReplMessage{Kind: wire.ReplHello, Epoch: hello.Epoch, Seq: last}); err != nil {
@@ -490,30 +547,26 @@ func (r *Replica) handleReplConn(conn net.Conn) {
 	var snapSeq uint64
 	for {
 		m, err := s.recv()
-		if err != nil {
-			return
-		}
-		if isMigration && r.faults.Should(fault.ReplDestCrash) {
-			// Simulated crash-restart of the receiving replica: the
-			// stream dies cold mid-apply and the migrator must resume
-			// from whatever frontier survived.
+		// ReplDestCrash simulates a crash-restart of this replica: the
+		// stream dies cold mid-apply and the sender must resume from
+		// whatever frontier survived.
+		if err != nil || r.faults.Should(fault.ReplDestCrash) {
 			return
 		}
 		if cur := r.Epoch(); m.Epoch < cur {
 			// A newer primary contacted us mid-stream; fence the old one.
 			r.counters.Add("repl.epoch_rejects", 1)
-			_ = s.send(wire.ReplMessage{ //lint:allow statuserr -- best-effort reject; the stream is closing and the peer re-syncs
-				Kind: wire.ReplReject, Epoch: cur, Payload: []byte("stale epoch"),
-			})
+			s.reject(cur, "stale epoch")
 			return
 		}
+		ackSeq := m.Seq
 		switch m.Kind {
 		case wire.ReplAppend:
 			if r.faults.Should(fault.ReplStallBackup) {
 				time.Sleep(stallBackup)
 			}
-			ackSeq, gap := r.applyEntry(m)
-			if gap {
+			var gap bool
+			if ackSeq, gap = r.applyEntry(m); gap {
 				r.counters.Add("repl.gap_resyncs", 1)
 				return
 			}
@@ -524,64 +577,50 @@ func (r *Replica) handleReplConn(conn net.Conn) {
 				// entry at a time still gets an ack for each.
 				continue
 			}
-			if err := s.send(wire.ReplMessage{Kind: wire.ReplAck, Epoch: m.Epoch, Seq: ackSeq}); err != nil {
-				return
-			}
 		case wire.ReplHeartbeat:
 			r.mu.Lock()
-			behind := m.Seq > r.lastApplied
-			ackSeq := r.lastApplied
+			ackSeq = r.lastApplied
 			// Signed: our frontier can be past a stale heartbeat's Seq
 			// (entries applied while the heartbeat was in flight), which
 			// the old unsigned gauge had to clamp away.
 			r.lag.Store(int64(m.Seq) - int64(ackSeq))
 			r.mu.Unlock()
-			if behind {
+			if m.Seq > ackSeq {
 				// The cursor passed entries we never saw (drop fault at
 				// the stream tail); force a resync.
 				r.counters.Add("repl.gap_resyncs", 1)
 				return
 			}
-			if err := s.send(wire.ReplMessage{Kind: wire.ReplAck, Epoch: m.Epoch, Seq: ackSeq}); err != nil {
-				return
-			}
 		case wire.ReplSnapshotBegin:
-			snapBuf = &bytes.Buffer{}
-			snapSeq = m.Seq
+			snapBuf, snapSeq = &bytes.Buffer{}, m.Seq
+			continue
 		case wire.ReplSnapshotChunk:
 			if snapBuf == nil {
 				return
 			}
 			_, _ = snapBuf.Write(m.Payload) // bytes.Buffer.Write cannot fail
+			continue
 		case wire.ReplSnapshotEnd:
 			if snapBuf == nil || m.Seq != snapSeq {
 				return
 			}
 			if err := r.installSnapshot(snapBuf, snapSeq); err != nil {
-				_ = s.send(wire.ReplMessage{ //lint:allow statuserr -- best-effort reject; the stream is closing and the peer re-syncs
-					Kind: wire.ReplReject, Epoch: m.Epoch, Payload: []byte(err.Error()),
-				})
-				return
-			}
-			if err := s.send(wire.ReplMessage{Kind: wire.ReplAck, Epoch: m.Epoch, Seq: snapSeq}); err != nil {
+				s.reject(m.Epoch, err.Error())
 				return
 			}
 			snapBuf = nil
 		case wire.ReplInstall:
 			// Cutover commit: ack only if our applied frontier matches the
 			// shard's fenced final frontier exactly — otherwise the
-			// migrator must keep draining the tail.
-			if !isMigration || !r.adoptInstall(m.Epoch, m.Seq) {
-				_ = s.send(wire.ReplMessage{ //lint:allow statuserr -- best-effort reject; the stream is closing and the peer re-syncs
-					Kind: wire.ReplReject, Epoch: r.Epoch(),
-					Payload: []byte("install refused: frontier mismatch"),
-				})
-				return
-			}
-			if err := s.send(wire.ReplMessage{Kind: wire.ReplAck, Epoch: m.Epoch, Seq: m.Seq}); err != nil {
+			// learner must keep draining the tail.
+			if !r.adoptInstall(m.Epoch, m.Seq) {
+				s.reject(r.Epoch(), "install refused: frontier mismatch")
 				return
 			}
 		default:
+			return
+		}
+		if err := s.send(wire.ReplMessage{Kind: wire.ReplAck, Epoch: m.Epoch, Seq: ackSeq}); err != nil {
 			return
 		}
 	}

@@ -141,6 +141,42 @@ func TestVisibilityParkedReadRedirectsWhenDeposed(t *testing.T) {
 	}
 }
 
+// TestVisibilityRemovedAcksStaySettled: a seq that was at quorum stays
+// settled when the acks that made it so leave with their members. After
+// an acknowledged PUT both backups are removed from the group; a GET
+// answers the acked value at once instead of parking for a write that
+// never comes.
+func TestVisibilityRemovedAcksStaySettled(t *testing.T) {
+	coord := NewCoordinator(CoordOptions{LeaseTimeout: 5 * time.Second})
+	defer coord.Close()
+	g, err := StartGroup(coord, 0, 3, testConfig(), fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	prim := g.Primary()
+	if res := doOne(t, prim, putOp("k", "acked")); !res.OK() {
+		t.Fatalf("PUT k=acked: %+v", res)
+	}
+	for _, r := range g.Replicas {
+		if r != prim {
+			if err := coord.RemoveReplica(0, r.ID()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	got := make(chan kvdirect.Result, 1)
+	go func() { got <- doOne(t, prim, getOp("k")) }()
+	select {
+	case res := <-got:
+		if !res.OK() || string(res.Value) != "acked" {
+			t.Fatalf("GET after the backups left: %q (status %d), want \"acked\"", res.Value, res.Status)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("a read of an acknowledged write parked once its acks left the group")
+	}
+}
+
 // TestVisibilityPromotedPrimaryReadsAtOnce: a backup promoted with no
 // peer to ack anything answers a read of what it already holds at once.
 func TestVisibilityPromotedPrimaryReadsAtOnce(t *testing.T) {
