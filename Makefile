@@ -37,11 +37,12 @@ race: vet
 # handling lives — fault injection across every layer, replication
 # failover, live migration with the source, the destination and the
 # coordinator killed mid-transfer, the ordered-scan differential through
-# the sharded client, and the cmd/ topology matrix — under the race
+# the sharded client, the memcache gateway's failover, decode-corruption
+# and panic drills, and the cmd/ topology matrix — under the race
 # detector. Whole packages, not a list of test names, so a new test
 # cannot be left out; -count=2 shakes out ordering-dependent flakes.
 chaos:
-	$(GO) test -race -count=2 ./kvnet/ ./kvrepl/ ./internal/core/ ./cmd/...
+	$(GO) test -race -count=2 ./kvnet/ ./kvrepl/ ./kvgw/ ./internal/core/ ./cmd/...
 
 # Telemetry smoke: the unit suite plus the overhead guards — the
 # disabled-sampling and trace-off hot paths must stay at 0 allocs/op,

@@ -57,13 +57,11 @@ type Config struct {
 	RSSlots, Window int
 	// Seed perturbs hash functions.
 	Seed uint64
-	// ECCProtect wraps host memory in the line-level SECDED code
-	// (internal/ecc): reads verify and transparently correct single-bit
-	// faults. Implied by Faults.
-	ECCProtect bool
 	// Faults attaches a fault injector: bit flips in host memory and NIC
-	// DRAM (caught by ECC), plus DMA-engine stalls and dropped
-	// completions. Nil disables injection entirely.
+	// DRAM, plus DMA-engine stalls and dropped completions. It also turns
+	// on the line-level SECDED code (internal/ecc) over both, so reads
+	// verify and transparently correct single-bit faults. Nil disables
+	// injection and ECC entirely.
 	Faults *fault.Injector
 	// NoOrderedIndex disables the ordered secondary index, restoring the
 	// paper's hash-only data path (PUTs stop paying index-maintenance
@@ -136,7 +134,7 @@ const (
 type Store struct {
 	cfg    Config
 	mem    *memory.Memory
-	prot   *ecc.ProtectedMemory // nil unless ECCProtect/Faults
+	prot   *ecc.ProtectedMemory // nil unless Faults
 	fmem   *fault.Memory        // nil unless Faults
 	faults *fault.Injector      // nil unless Faults
 	cache  *nicdram.Cache
@@ -158,19 +156,16 @@ type Store struct {
 func NewStore(cfg Config) (*Store, error) {
 	cfg = cfg.withDefaults()
 	mem := memory.New(cfg.MemoryBytes)
-	// Host-memory engine stack: raw DRAM, optionally wrapped by the SECDED
-	// layer, optionally wrapped by the DMA fault injector. Everything
-	// above (NIC DRAM fills, dispatcher, hash table, slabs) sees only the
-	// top of the stack.
+	// Host-memory engine stack: raw DRAM or, with Faults, raw DRAM under
+	// the SECDED layer under the DMA fault injector. Everything above
+	// (NIC DRAM fills, dispatcher, hash table, slabs) sees only the top
+	// of the stack.
 	var host memory.Engine = mem
 	var prot *ecc.ProtectedMemory
-	if cfg.ECCProtect || cfg.Faults != nil {
-		prot = ecc.NewProtectedMemory(mem)
-		host = prot
-	}
 	var fmem *fault.Memory
 	if cfg.Faults != nil {
-		fmem = fault.NewMemory(host, prot, cfg.Faults)
+		prot = ecc.NewProtectedMemory(mem)
+		fmem = fault.NewMemory(prot, prot, cfg.Faults)
 		host = fmem
 	}
 	var cache *nicdram.Cache
@@ -594,7 +589,7 @@ type Stats struct {
 	Slab     slab.Stats
 	Engine   ooo.Stats
 	Ordered  ordered.Stats
-	ECC      ecc.ProtectedStats // zero unless ECCProtect/Faults
+	ECC      ecc.ProtectedStats // zero unless Faults
 	Fault    fault.MemoryStats  // zero unless Faults
 
 	Keys           uint64

@@ -120,6 +120,43 @@ func (o OpCode) HasParam() bool {
 // HasFunc reports whether the op references a registered λ.
 func (o OpCode) HasFunc() bool { return o >= OpUpdateScalar && o <= OpRegister }
 
+// opEffects is what applying each op does to a store — the one list two
+// layers consult without applying anything: a replica sequences, logs
+// and ships exactly the ops that mutate, and a client replays after a
+// transport error only a batch of idempotent ops.
+//
+// REDUCE and FILTER only read; REGISTER mutates the store's λ table. A
+// replayed GET, PUT, DELETE or REGISTER converges (DELETE's existed-bit
+// may differ, which callers treating delete-of-missing as success
+// tolerate); a replayed update applies its λ twice, and the gateway ops
+// bump the version on every success (a replayed SET double-bumps, a
+// replayed CAS fails with Exists, a counter re-applies its delta).
+var opEffects = [opMax]struct{ mutates, idempotent bool }{
+	OpGet:          {false, true},
+	OpPut:          {true, true},
+	OpDelete:       {true, true},
+	OpUpdateScalar: {true, false},
+	OpUpdateS2V:    {true, false},
+	OpUpdateV2V:    {true, false},
+	OpReduce:       {false, true},
+	OpFilter:       {false, true},
+	OpRegister:     {true, true},
+	OpStats:        {false, true},
+	OpTelemetry:    {false, true},
+	OpScan:         {false, true},
+	OpPutVer:       {true, false},
+	OpCounterVer:   {true, false},
+}
+
+// Mutates reports whether applying the op can change stored state, so a
+// replicated write must be sequenced and shipped.
+func (o OpCode) Mutates() bool { return o.Valid() && opEffects[o].mutates }
+
+// Idempotent reports whether applying the op twice leaves the store as
+// applying it once does, so a client may replay it. An invalid op is
+// rejected without effect.
+func (o OpCode) Idempotent() bool { return !o.Valid() || opEffects[o].idempotent }
+
 // Flag bits (paper: "two flag bits to allow copying key and value size,
 // or the value of the previous KV in the packet"). FlagTrace is a
 // reproduction extension: set on the FIRST op of a packet, it asks the

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -15,6 +14,7 @@ import (
 	"kvdirect/internal/fault"
 	"kvdirect/internal/telemetry"
 	"kvdirect/internal/wire"
+	"kvdirect/kvnet"
 )
 
 // Backend executes translated operation batches. kvnet.Client (over
@@ -36,15 +36,9 @@ type Options struct {
 	// Faults is an optional injector; the gateway consults the
 	// gw_decode_corrupt and gw_tenant_quota_exhausted points.
 	Faults *kvdirect.FaultInjector
-	// ReadTimeout bounds each wait for the next request frame (0 = none).
-	ReadTimeout time.Duration
 	// Now supplies time for token buckets and latency histograms;
 	// defaults to time.Now. Tests inject a fake clock.
 	Now func() time.Time
-	// MaxValueLen caps a single stored payload (defaults to the wire
-	// limit). Larger SETs are refused with E2BIG before reaching the
-	// store.
-	MaxValueLen int
 	// TraceSampleEvery samples one backend batch in N for distributed
 	// tracing (0 = off). A sampled batch becomes a GW_BATCH root span
 	// whose trace context propagates through the backend — wire packet,
@@ -54,7 +48,8 @@ type Options struct {
 }
 
 // MaxStoredValueLen is the largest payload a gateway item can hold —
-// the store's wire value cap minus the version/flags header.
+// the store's wire value cap minus the version/flags header. Larger SETs
+// and concats are refused with E2BIG before they reach the backend.
 const MaxStoredValueLen = 0xFFFF - 12
 
 // Gateway is a memcache-binary-protocol listener translating onto a
@@ -63,8 +58,10 @@ const MaxStoredValueLen = 0xFFFF - 12
 // GETQ/SETQ pipeline terminated by a NOOP becomes one backend batch —
 // the same shape the store's native clients send, so the gateway rides
 // the wire format's batching (the paper's client-side batching, §5.4)
-// instead of defeating it with per-command round trips.
+// instead of defeating it with per-command round trips. Connections are
+// accepted, tracked and closed by its kvnet.Edge.
 type Gateway struct {
+	*kvnet.Edge
 	backend  Backend
 	reg      *Registry
 	opts     Options
@@ -72,13 +69,6 @@ type Gateway struct {
 	batchLat *telemetry.Histogram
 	// Counter handles resolved once (see telemetry.Counters.Handle).
 	batches, batchedOps, rejections *atomic.Uint64
-
-	ln net.Listener
-	wg sync.WaitGroup
-
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
 }
 
 // Serve starts a gateway on addr ("host:port", ":0" for ephemeral).
@@ -86,33 +76,23 @@ func Serve(backend Backend, reg *Registry, addr string, opts Options) (*Gateway,
 	if opts.Now == nil {
 		opts.Now = time.Now
 	}
-	if opts.MaxValueLen <= 0 || opts.MaxValueLen > MaxStoredValueLen {
-		opts.MaxValueLen = MaxStoredValueLen
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
 	g := &Gateway{
 		backend: backend,
 		reg:     reg,
 		opts:    opts,
 		tel:     telemetry.NewRegistry(),
-		ln:      ln,
-		conns:   map[net.Conn]struct{}{},
 	}
 	g.batchLat = g.tel.Histogram("gw.batch_latency_ns")
 	g.batches = g.tel.Counters().Handle("gw.batches")
 	g.batchedOps = g.tel.Counters().Handle("gw.batched_ops")
 	g.rejections = g.tel.Counters().Handle("gw.quota_rejections")
 	g.tel.Tracer().SetSampleEvery(opts.TraceSampleEvery)
-	g.wg.Add(1)
-	go g.acceptLoop()
+	var err error
+	if g.Edge, err = kvnet.Listen(addr, g.handle, g.tel.Counters().Handle("server.panics")); err != nil {
+		return nil, err
+	}
 	return g, nil
 }
-
-// Addr returns the gateway's listen address.
-func (g *Gateway) Addr() string { return g.ln.Addr().String() }
 
 // Tenants returns the gateway's tenant registry.
 func (g *Gateway) Tenants() *Registry { return g.reg }
@@ -128,64 +108,6 @@ func (g *Gateway) TelemetrySnapshot() telemetry.Snapshot {
 	snap := g.tel.Snapshot()
 	snap.Merge(g.reg.TelemetrySnapshot())
 	return snap
-}
-
-// Close stops accepting and tears down live connections.
-func (g *Gateway) Close() error {
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		return nil
-	}
-	g.closed = true
-	conns := make([]net.Conn, 0, len(g.conns))
-	for c := range g.conns {
-		conns = append(conns, c)
-	}
-	g.mu.Unlock()
-	err := g.ln.Close()
-	for _, c := range conns {
-		_ = c.Close()
-	}
-	g.wg.Wait()
-	return err
-}
-
-func (g *Gateway) track(c net.Conn) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.closed {
-		return false
-	}
-	g.conns[c] = struct{}{}
-	return true
-}
-
-func (g *Gateway) untrack(c net.Conn) {
-	g.mu.Lock()
-	delete(g.conns, c)
-	g.mu.Unlock()
-}
-
-func (g *Gateway) acceptLoop() {
-	defer g.wg.Done()
-	for {
-		nc, err := g.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		if !g.track(nc) {
-			_ = nc.Close()
-			continue
-		}
-		g.wg.Add(1)
-		go func() {
-			defer g.wg.Done()
-			defer g.untrack(nc)
-			defer nc.Close()
-			g.handle(nc)
-		}()
-	}
 }
 
 // stepKind says how a queued step is answered.
@@ -241,7 +163,6 @@ func (a *arena) grab(n int) []byte {
 // flush to the next.
 type conn struct {
 	g      *Gateway
-	nc     net.Conn
 	r      *bufio.Reader
 	w      *bufio.Writer
 	tenant *Tenant
@@ -257,7 +178,7 @@ type conn struct {
 }
 
 func (g *Gateway) handle(nc net.Conn) {
-	c := &conn{g: g, nc: nc,
+	c := &conn{g: g,
 		r: bufio.NewReaderSize(nc, 64<<10),
 		w: bufio.NewWriterSize(nc, 64<<10)}
 	g.tel.Counters().Add("gw.connections", 1)
@@ -443,11 +364,6 @@ func (c *conn) complete(s *step, res kvdirect.Result, up bool, lat time.Duration
 //
 //kvd:hotpath
 func (c *conn) readRequest() (req Request, held int, err error) {
-	if t := c.g.opts.ReadTimeout; t > 0 {
-		if err := c.nc.SetReadDeadline(time.Now().Add(t)); err != nil {
-			return Request{}, 0, err
-		}
-	}
 	hdr, err := c.r.Peek(HeaderSize)
 	if err != nil {
 		if err == io.EOF && len(hdr) > 0 {
@@ -670,7 +586,7 @@ func (c *conn) doStore(req Request, s *step) uint16 {
 	if len(req.Extras) != 8 {
 		return StatusInvalidArgs
 	}
-	if len(req.Value) > c.g.opts.MaxValueLen {
+	if len(req.Value) > MaxStoredValueLen {
 		return StatusTooLarge
 	}
 	var mode kvdirect.PutVerMode
@@ -701,7 +617,7 @@ func (c *conn) doConcat(req Request, s *step) uint16 {
 	if len(req.Extras) != 0 {
 		return StatusInvalidArgs
 	}
-	if len(req.Value) > c.g.opts.MaxValueLen {
+	if len(req.Value) > MaxStoredValueLen {
 		return StatusTooLarge
 	}
 	if status := c.admit(false, len(req.Value)); status != StatusOK {

@@ -4,12 +4,16 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"kvdirect"
+	"kvdirect/internal/telemetry"
+	"kvdirect/internal/wire"
 	"kvdirect/kvnet"
 )
 
@@ -587,6 +591,59 @@ func TestGatewayDecodeCorruptFault(t *testing.T) {
 	rc2.mustAuth("acme", "s3cret")
 	if resp := rc2.roundTrip(frame(0x01, 1, 0, storeExtras(0), []byte("k"), []byte("v"))); resp.status != 0 {
 		t.Fatalf("post-fault set: %#04x", resp.status)
+	}
+}
+
+// panicOnce is a Backend whose first batch panics; the rest reach the
+// embedded one.
+type panicOnce struct {
+	Backend
+	fired atomic.Bool
+}
+
+func (b *panicOnce) DoTrace(ops []kvdirect.Op, tc wire.TraceContext) ([]kvdirect.Result, *telemetry.Span, error) {
+	if b.fired.CompareAndSwap(false, true) {
+		panic("backend panicked")
+	}
+	return b.Backend.DoTrace(ops, tc)
+}
+
+// TestGatewayBackendPanicCostsOneConnection: a panic under a gateway
+// connection closes that connection and is counted in the gateway's
+// server.panics; the gateway goes on serving new connections.
+func TestGatewayBackendPanicCostsOneConnection(t *testing.T) {
+	fx := startGateway(t, twoTenants(), Options{})
+	reg, err := NewRegistry(twoTenants(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, err := Serve(&panicOnce{Backend: fx.server}, reg, "127.0.0.1:0", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = gw.Close() })
+
+	rc := rawDial(t, gw.Addr())
+	rc.mustAuth("acme", "s3cret")
+	// A GET: the gateway's first backend batch.
+	rc.send(frame(0x00, 2, 0, nil, []byte("k"), nil))
+	_ = rc.nc.SetReadDeadline(time.Now().Add(5 * time.Second)) //lint:allow statuserr -- best-effort bound; a deadline error would surface as the read's
+	if _, err := io.ReadFull(rc.r, make([]byte, 24)); err == nil {
+		t.Fatal("the panicking connection was answered")
+	} else if !errors.Is(err, io.EOF) {
+		t.Fatalf("the panicking connection was not closed: %v", err)
+	}
+	if got := gw.Telemetry().Counters().Get("server.panics"); got != 1 {
+		t.Fatalf("server.panics = %d, want 1", got)
+	}
+
+	rc2 := rawDial(t, gw.Addr())
+	rc2.mustAuth("acme", "s3cret")
+	if resp := rc2.roundTrip(frame(0x01, 1, 0, storeExtras(0), []byte("k"), []byte("v"))); resp.status != 0 {
+		t.Fatalf("set after the panic: %#04x", resp.status)
+	}
+	if resp := rc2.roundTrip(frame(0x00, 2, 0, nil, []byte("k"), nil)); resp.status != 0 || string(resp.value) != "v" {
+		t.Fatalf("get after the panic: %#04x %q", resp.status, resp.value)
 	}
 }
 

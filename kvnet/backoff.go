@@ -12,8 +12,9 @@ import (
 // same attempt number, and any deterministic component of the delay
 // synchronizes them into retry storms that arrive as one wave. It is
 // the one retry-pacing policy in the system — the client's transport
-// retries, kvrepl's log-stream redials and the shard migrator's
-// resume loop all draw from it.
+// retries, kvrepl's log-stream redials (a migration's learner stream
+// included) and kvrepl.Deployment.DoTrace's wait for a shard to have a
+// primary again all draw from it.
 //
 // A Backoff is not safe for concurrent use; give each retry loop its own.
 type Backoff struct {

@@ -37,10 +37,11 @@ type Options struct {
 	// shard, and never fewer than 4, with exponential backoff between
 	// them. Refused dials and NotPrimary redirects (nothing was applied)
 	// and transport failures of idempotent batches all draw on it.
-	// Batches containing non-idempotent operations (scalar or vector
-	// updates) are never retried after a transport failure: a lost
-	// response leaves the update's fate unknown, and replaying it could
-	// apply it twice. Disabled, no batch is.
+	// Batches containing non-idempotent operations (λ updates, versioned
+	// stores and counters: wire.OpCode.Idempotent) are never retried
+	// after a transport failure: a lost response leaves the update's fate
+	// unknown, and replaying it could apply it twice. Disabled, no batch
+	// is.
 	MaxRetries int
 	// RetryBaseDelay is the first backoff step (default 2 ms); each retry
 	// doubles it up to RetryMaxDelay (default 250 ms), with jitter.
@@ -224,24 +225,6 @@ func (c *Client) UpdateShard(i int, addrs ShardAddrs) error {
 	c.shards[i].update(addrs)
 	c.counters.Add("sharded.route_updates", 1)
 	return nil
-}
-
-// idempotent reports whether replaying the batch is safe. Get, Put,
-// Delete, Reduce, Filter, Stats and Register all converge when repeated
-// (Delete's existed-bit may differ on replay, which callers treating
-// delete-of-missing as success tolerate); scalar/vector updates do not —
-// a replayed fetch-add adds twice. Versioned stores bump the version on
-// every success (a replayed SET double-bumps, a replayed CAS fails with
-// Exists) and counters re-apply their delta, so both fail fast instead.
-func idempotent(ops []kvdirect.Op) bool {
-	for _, op := range ops {
-		switch op.Code {
-		case kvdirect.OpUpdateScalar, kvdirect.OpUpdateS2V, kvdirect.OpUpdateV2V,
-			kvdirect.OpPutVer, kvdirect.OpCounterVer:
-			return false
-		}
-	}
-	return true
 }
 
 // DoTrace splits a batch by owning shard (kvdirect.DoSharded), issues

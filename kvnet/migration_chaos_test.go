@@ -370,7 +370,7 @@ func TestChaosMigrationCompletesUnderFaults(t *testing.T) {
 		t.Fatalf("repl.migrations_completed = %d, want 1", got)
 	}
 	if mig.Status().Resyncs == 0 && e.destInj.Injected(fault.ReplDestCrash) > 0 {
-		t.Fatal("destination crashes were injected but the migrator never resynced")
+		t.Fatal("destination crashes were injected but the learner stream never resynced")
 	}
 	e.verify(t, e.dest)
 }

@@ -179,25 +179,17 @@ func (b *storeBackend) PublishTelemetry() {
 	b.store.PublishTelemetry()
 }
 
-// Server exposes one Backend (usually a Store) over TCP.
+// Server exposes one Backend (usually a Store) over TCP, serving each
+// connection through its Edge.
 type Server struct {
+	*Edge
 	backend Backend
 	opts    ServerOptions
-	ln      net.Listener
-	wg      sync.WaitGroup
-
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
-
-	closeOnce sync.Once
-	closeErr  error
 
 	counters *telemetry.Counters
 	ops      *atomic.Uint64 // server.ops, resolved once
 	tel      *telemetry.Registry
 	batchOps *telemetry.Histogram
-
-	closing bool // under connMu: Close has walked conns, so track must refuse latecomers
 }
 
 // Serve starts a server on addr (e.g. "127.0.0.1:0") with default
@@ -222,23 +214,19 @@ func ServeBackend(backend Backend, addr string, opts ServerOptions) (*Server, er
 }
 
 func serve(backend Backend, addr string, opts ServerOptions) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("kvnet: %w", err)
-	}
 	s := &Server{
 		backend:  backend,
 		opts:     opts,
-		ln:       ln,
-		conns:    map[net.Conn]struct{}{},
 		counters: opts.Telemetry.Counters(),
 		ops:      opts.Telemetry.Counters().Handle("server.ops"),
 		tel:      opts.Telemetry,
 		batchOps: opts.Telemetry.Histogram("server.batch_ops"),
 	}
 	s.tel.Tracer().SetSampleEvery(opts.TraceSampleEvery)
-	s.wg.Add(1)
-	go s.acceptLoop()
+	var err error
+	if s.Edge, err = Listen(addr, s.handle, s.counters.Handle("server.panics")); err != nil {
+		return nil, fmt.Errorf("kvnet: %w", err)
+	}
 	return s, nil
 }
 
@@ -256,74 +244,8 @@ func (s *Server) TelemetrySnapshot() telemetry.Snapshot {
 // server.corruptions_injected.
 func (s *Server) Counters() *telemetry.Counters { return s.counters }
 
-// track registers a connection for Close to tear down. Once Close has
-// begun it refuses and closes the connection instead: one accepted just
-// before the listener closed would otherwise miss Close's walk, and its
-// handler would block in readFrame with nothing left to unblock it.
-func (s *Server) track(c net.Conn) bool {
-	s.connMu.Lock()
-	defer s.connMu.Unlock()
-	if s.closing {
-		_ = c.Close() // never served; shutdown outcome is ln.Close's
-		return false
-	}
-	s.conns[c] = struct{}{}
-	return true
-}
-
-func (s *Server) untrack(c net.Conn) {
-	s.connMu.Lock()
-	delete(s.conns, c)
-	s.connMu.Unlock()
-}
-
-// Addr returns the server's listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Close stops accepting, closes active connections and waits for their
-// handlers to finish.
-func (s *Server) Close() error {
-	s.closeOnce.Do(func() {
-		s.closeErr = s.ln.Close()
-		s.connMu.Lock()
-		s.closing = true
-		for c := range s.conns {
-			_ = c.Close() // unblock the handler; shutdown outcome is ln.Close's
-		}
-		s.connMu.Unlock()
-		s.wg.Wait()
-	})
-	return s.closeErr
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		if !s.track(conn) {
-			continue
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer s.untrack(conn)
-			defer conn.Close()
-			s.handle(conn)
-		}()
-	}
-}
-
+// handle serves one connection until it fails or the peer goes away.
 func (s *Server) handle(conn net.Conn) {
-	// Backstop: a panic anywhere in this handler must cost one
-	// connection, never the whole server.
-	defer func() {
-		if r := recover(); r != nil {
-			s.counters.Add("server.panics", 1)
-		}
-	}()
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
 	// Recycled across this connection's batches: the request frame, the

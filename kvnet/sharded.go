@@ -3,6 +3,7 @@ package kvnet
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -215,9 +216,9 @@ func (rs *replicaSet) reroute(addr string, cn *conn, ops []kvdirect.Op, hint []b
 			return err, false
 		}
 		rs.c.counters.Add("client.broken", 1)
-		if rs.c.opts.MaxRetries == 0 || !idempotent(ops) {
+		if rs.c.opts.MaxRetries == 0 || slices.ContainsFunc(ops, func(op kvdirect.Op) bool { return !op.Code.Idempotent() }) {
 			// Ambiguous failure: the batch may have been applied, and
-			// replaying a non-idempotent one could apply it twice.
+			// replaying a non-idempotent op could apply it twice.
 			return err, true
 		}
 		rs.c.counters.Add("client.retries", 1)

@@ -108,6 +108,43 @@ func TestReplicationBasic(t *testing.T) {
 	}
 }
 
+// TestFilterIsNotShipped: FILTER only reads (core.Store.Filter), so a
+// primary answers it as it answers a GET — no sequence number, nothing
+// logged or shipped.
+func TestFilterIsNotShipped(t *testing.T) {
+	coord := NewCoordinator(fastCoord())
+	defer coord.Close()
+	g, err := StartGroup(coord, 0, 3, testConfig(), fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	prim := g.Primary()
+	if prim == nil {
+		t.Fatal("no primary")
+	}
+	vec := []byte{0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0} // four u32 elements: 0 7 0 9
+	if res := doOne(t, prim, kvdirect.Op{Code: kvdirect.OpPut, Key: []byte("vec"), Value: vec}); !res.OK() {
+		t.Fatalf("put: %+v", res)
+	}
+	seq := prim.LastApplied()
+	shipped := func() uint64 { return prim.Counters().Get("repl.entries_shipped") }
+	waitFor(t, 2*time.Second, "the put to reach both backups", func() bool { return shipped() >= 2*seq })
+	before := shipped()
+
+	res := doOne(t, prim, kvdirect.Op{Code: kvdirect.OpFilter, Key: []byte("vec"), FuncID: kvdirect.FilterNonZero, ElemWidth: 4})
+	if want := []byte{7, 0, 0, 0, 9, 0, 0, 0}; !res.OK() || string(res.Value) != string(want) {
+		t.Fatalf("filter = %+v, want %v", res, want)
+	}
+	time.Sleep(50 * time.Millisecond) // ten heartbeats: time for a shipping loop to pick up an entry
+	if got := shipped(); got != before {
+		t.Fatalf("repl.entries_shipped %d → %d after a filter", before, got)
+	}
+	if got := prim.LastApplied(); got != seq {
+		t.Fatalf("the filter was sequenced: last applied %d → %d", seq, got)
+	}
+}
+
 // rejection sends op straight at one replica's client server, below any
 // router that would follow the redirect, and reports whether the replica
 // refused it as not-primary and the hint the refusal carried.

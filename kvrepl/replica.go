@@ -2,7 +2,6 @@ package kvrepl
 
 import (
 	"fmt"
-	"net"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -45,7 +44,7 @@ type Replica struct {
 	lag, lagMax                                      *atomic.Int64
 
 	clientSrv  *kvnet.Server
-	replLn     net.Listener
+	replEdge   *kvnet.Edge // serves inbound replication streams (handleReplConn)
 	clientAddr string
 	replAddr   string
 
@@ -59,7 +58,6 @@ type Replica struct {
 	primaryHint string // current primary's client address, for redirects
 	closed      bool
 	ackCond     *sync.Cond        // on mu: broadcast when acks advance or terms change, and on every lease tick
-	conns       map[net.Conn]bool // live inbound replication streams
 	peerAcked   []peerAck         // primary: highest seq each backup applied
 	peers       map[int]*peerSync // primary: live shipping loops
 	hbStop      chan struct{}     // stops the current heartbeat loop
@@ -105,7 +103,6 @@ func NewReplica(shard, id, groupSize int, cfg kvdirect.Config, clientAddr, replA
 		inflight:   tel.Histogram("repl.inflight_batches"),
 		apply:      kvnet.NewApplier(tel),
 		faults:     opts.Faults,
-		conns:      map[net.Conn]bool{},
 
 		entriesShipped:   tel.Counters().Handle("repl.entries_shipped"),
 		migrationEntries: tel.Counters().Handle("repl.migration_entries"),
@@ -117,21 +114,19 @@ func NewReplica(shard, id, groupSize int, cfg kvdirect.Config, clientAddr, replA
 		lagMax:           tel.IntGauges().Handle("repl.lag_max"),
 	}
 	r.ackCond = sync.NewCond(&r.mu)
-	r.replLn, err = net.Listen("tcp", replAddr)
+	r.replEdge, err = kvnet.Listen(replAddr, r.handleReplConn, tel.Counters().Handle("server.panics"))
 	if err != nil {
 		store.Close()
 		return nil, fmt.Errorf("kvrepl: replica %d/%d repl listener: %w", shard, id, err)
 	}
 	r.clientSrv, err = kvnet.ServeBackend(r, clientAddr, kvnet.ServerOptions{Telemetry: tel})
 	if err != nil {
-		_ = r.replLn.Close() // listener never served; the serve error is reported
+		_ = r.replEdge.Close() // never dialed; the serve error is reported
 		store.Close()
 		return nil, fmt.Errorf("kvrepl: replica %d/%d client server: %w", shard, id, err)
 	}
 	r.clientAddr = r.clientSrv.Addr()
-	r.replAddr = r.replLn.Addr().String()
-	r.wg.Add(1)
-	go r.acceptRepl()
+	r.replAddr = r.replEdge.Addr()
 	return r, nil
 }
 
@@ -226,16 +221,10 @@ func (r *Replica) Close() error {
 	r.stopPeersLocked()
 	r.stopHeartbeatLocked()
 	r.wakeLocked()
-	for c := range r.conns {
-		_ = c.Close() // unblocks the stream handlers; we are dying anyway
-	}
-	r.conns = nil
-	ln := r.replLn
-	srv := r.clientSrv
 	r.mu.Unlock()
 
-	err := ln.Close()
-	if serr := srv.Close(); err == nil {
+	err := r.replEdge.Close()
+	if serr := r.clientSrv.Close(); err == nil {
 		err = serr
 	}
 	r.wg.Wait()
@@ -418,19 +407,6 @@ func (r *Replica) wakeLocked() { r.ackCond.Broadcast() }
 
 // --- the primary's data path (kvnet.Backend) ---
 
-// mutating reports whether op changes replica state and must be
-// sequenced and shipped. Registering a λ mutates the server's function
-// table, so it replicates too.
-func mutating(op wire.OpCode) bool {
-	switch op {
-	case wire.OpPut, wire.OpDelete, wire.OpUpdateScalar, wire.OpUpdateS2V,
-		wire.OpUpdateV2V, wire.OpFilter, wire.OpRegister,
-		wire.OpPutVer, wire.OpCounterVer:
-		return true
-	}
-	return false
-}
-
 // ApplyBatch implements kvnet.Backend: the whole replication protocol
 // interposed on the standard wire path. Reads apply locally; mutations
 // are sequenced, logged, applied, shipped, and held until their last seq
@@ -450,7 +426,7 @@ func (r *Replica) ApplyBatch(reqs []wire.Request, span *telemetry.Span) []wire.R
 	var lastSeq uint64
 	start := time.Now()
 	for i, req := range reqs {
-		if !mutating(req.Code) {
+		if !req.Code.Mutates() {
 			out[i] = r.apply.Replay(r.store, req, span)
 			if req.Code == wire.OpStats && out[i].Status == wire.StatusOK {
 				// The status registers grow a replication section.
@@ -514,7 +490,7 @@ func (r *Replica) ApplyBatch(reqs []wire.Request, span *telemetry.Span) []wire.R
 		r.wakeLocked() // reads parked on this write may answer now
 		msg := []byte("replication quorum not reached (write fate unknown)")
 		for i, req := range reqs {
-			if mutating(req.Code) {
+			if req.Code.Mutates() {
 				out[i] = wire.Response{Status: wire.StatusError, Value: msg}
 			}
 		}

@@ -489,41 +489,14 @@ func (s *stream) sendSnapshot(epoch uint64) (uint64, int, error) {
 
 // --- backup side: accept the primary's stream and apply it ---
 
-// acceptRepl owns the replication listener for the replica's lifetime.
-func (r *Replica) acceptRepl() {
-	defer r.wg.Done()
-	for {
-		conn, err := r.replLn.Accept()
-		if err != nil {
-			return
-		}
-		r.mu.Lock()
-		if r.closed {
-			r.mu.Unlock()
-			_ = conn.Close() // dying; refuse the stream
-			continue
-		}
-		r.conns[conn] = true
-		r.mu.Unlock()
-		r.wg.Add(1)
-		go r.handleReplConn(conn)
-	}
-}
-
 // handleReplConn serves one inbound replication stream. The handshake
 // enforces epoch fencing (this is also how a deposed primary learns of
 // its demotion: the new primary's higher-epoch Hello arrives here); the
 // message loop applies entries in strict sequence as they arrive, acks
 // the applied frontier whenever it has read everything the sender has
 // sent so far, and closes the stream on any gap so the primary resyncs.
+// The replica's edge closes conn when it returns.
 func (r *Replica) handleReplConn(conn net.Conn) {
-	defer r.wg.Done()
-	defer func() {
-		_ = conn.Close()
-		r.mu.Lock()
-		delete(r.conns, conn)
-		r.mu.Unlock()
-	}()
 	s := newStream(r, conn, nil, true)
 
 	// The sender is our own group's primary, or — if we are a migration
