@@ -192,3 +192,45 @@ func FuzzDecodeReplMessage(f *testing.F) {
 		}
 	})
 }
+
+// FuzzReadFrame: the frame reader must never panic; a frame it accepts
+// re-encodes through WriteFrame to exactly the bytes it consumed; and
+// what it returns, payload or error, does not depend on the reuse buffer
+// it is handed — nil, shorter than the payload, or longer.
+func FuzzReadFrame(f *testing.F) {
+	frame := func(payload string) []byte {
+		var b bytes.Buffer
+		if err := WriteFrame(&b, []byte(payload)); err != nil {
+			f.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	good := frame("one checksummed frame")
+	corrupt := bytes.Clone(good)
+	corrupt[len(corrupt)-1] ^= 0x20
+	f.Add(frame(""))
+	f.Add(good)
+	f.Add(corrupt)
+	f.Add(good[:len(good)-3])
+	f.Add(append(bytes.Clone(good), good...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		pkt, err := ReadFrame(r, nil)
+		for _, buf := range [][]byte{make([]byte, len(pkt)/2), bytes.Repeat([]byte{0xa5}, len(pkt)+7)} {
+			again, aerr := ReadFrame(bytes.NewReader(data), buf)
+			if aerr != err || !bytes.Equal(again, pkt) {
+				t.Fatalf("reuse buffer of %d bytes changed the read: %q, %v; with nil: %q, %v", len(buf), again, aerr, pkt, err)
+			}
+		}
+		if err != nil {
+			return
+		}
+		var re bytes.Buffer
+		if err := WriteFrame(&re, pkt); err != nil {
+			t.Fatalf("accepted frame failed to re-encode: %v", err)
+		}
+		if consumed := data[:len(data)-r.Len()]; !bytes.Equal(re.Bytes(), consumed) {
+			t.Fatalf("frame not canonical: % x -> % x", consumed, re.Bytes())
+		}
+	})
+}

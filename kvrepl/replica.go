@@ -168,7 +168,7 @@ func (r *Replica) Alive() bool {
 }
 
 // Counters exposes the replication counters: repl.entries_shipped,
-// repl.ship_flushes (the batches they went out in), repl.entries_applied,
+// repl.ship_flushes (the flushes that carried them), repl.entries_applied,
 // repl.entries_dropped, repl.acks, repl.gap_resyncs, repl.snapshots_sent,
 // repl.snapshots_installed, repl.snapshot_fallbacks, repl.catchup_bytes, repl.promotions,
 // repl.demotions, repl.not_primary_rejects, repl.epoch_rejects,

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"time"
 
@@ -193,6 +194,11 @@ func (p *peerSync) syncOnce() (progressed bool, err error) {
 	heartbeat := time.NewTimer(p.r.opts.HeartbeatEvery)
 	defer heartbeat.Stop()
 	for !p.halted() {
+		// Group commit: the write that woke us put this loop in runnext,
+		// ahead of writers already queued on the P. Yield once, holding
+		// no lock, so they append first and their entries share this
+		// read of the tail — one flush, one cumulative ack.
+		runtime.Gosched()
 		next, err := s.shipTail(p.epoch, sent)
 		switch {
 		case errors.Is(err, repllog.ErrTruncated):
@@ -310,6 +316,7 @@ type stream struct {
 	onAck  func(wire.ReplMessage) error // folds a reply into the owner's state; an error tears the stream down
 
 	buf   []byte            // message encoding scratch
+	rbuf  []byte            // frame read scratch, reused by every recv; only an APPEND's payload is copied out
 	tail  []repllog.Entry   // log read scratch
 	spans []*telemetry.Span // sampled entries of the batch in flight
 }
@@ -344,11 +351,18 @@ func (s *stream) recv() (wire.ReplMessage, error) {
 	if err := s.dl.Read(s.conn, time.Now(), s.r.opts.StreamTimeout); err != nil {
 		return wire.ReplMessage{}, err
 	}
-	pkt, err := kvnet.ReadFrame(s.br)
+	pkt, err := wire.ReadFrame(s.br, s.rbuf)
 	if err != nil {
 		return wire.ReplMessage{}, err
 	}
-	return wire.DecodeReplMessage(pkt)
+	s.rbuf = pkt
+	m, err := wire.DecodeReplMessage(pkt)
+	if err == nil && m.Kind == wire.ReplAppend {
+		// The log retains an entry's packet; every other payload is read
+		// (or copied) before the next recv reuses the frame.
+		m.Payload = bytes.Clone(m.Payload)
+	}
+	return m, err
 }
 
 // reject tells the sender why this end is closing the stream.
@@ -437,7 +451,9 @@ func (s *stream) shipBatch(epoch uint64, entries []repllog.Entry) (n int, err er
 	} else {
 		r.migrationEntries.Add(uint64(written))
 	}
-	r.shipFlushes.Add(1)
+	if written > 0 { // a batch the drop fault emptied flushed nothing
+		r.shipFlushes.Add(1)
+	}
 	return n, nil
 }
 
@@ -639,8 +655,8 @@ func (r *Replica) applyEntry(m wire.ReplMessage) (ack uint64, gap bool) {
 	if m.Seq != r.lastApplied+1 {
 		return r.lastApplied, true
 	}
-	// The payload aliases the frame ReadFrame allocated for this message
-	// alone, so the log keeps it without a second copy.
+	// The payload is recv's copy out of the stream's reused frame buffer,
+	// made for an APPEND alone, so the log keeps it as it is.
 	e := repllog.Entry{Seq: m.Seq, Epoch: m.Epoch, Packet: m.Payload}
 	req, err := e.Request()
 	if err != nil {

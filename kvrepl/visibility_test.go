@@ -12,9 +12,10 @@ import (
 )
 
 // The visibility rule: a primary's writes overlap their quorum waits, but
-// a read never returns a write that is only on the primary. These tests
-// and TestOverlapWritesShareQuorumWaits run -count=20 under the race
-// detector in CI, since what overlaps depends on the schedule.
+// a read never returns a write that is only on the primary. These tests,
+// TestOverlapWritesShareQuorumWaits and TestGroupCommitSharesFlushes run
+// -count=20 under the race detector in CI, since what overlaps depends on
+// the schedule.
 
 // doOne sends one op straight at a replica's client server, below any
 // router that would follow a redirect, and returns its one result. It
