@@ -149,6 +149,8 @@ type Store struct {
 
 	tel *telemetry.Registry // nil until SetTelemetry
 
+	item []byte // scratch a gateway write builds its new item in (see modify)
+
 	closed bool
 }
 

@@ -1,21 +1,37 @@
 package core
 
 import (
+	"strconv"
+
+	"kvdirect/internal/hashtable"
 	"kvdirect/internal/wire"
 )
 
 // Gateway-support ops: the versioned conditional store (OpPutVer) and
 // versioned decimal counter (OpCounterVer) the memcache protocol
-// gateway translates onto. Both are read-modify-write sequences on the
-// single KV pipeline — the serving backend applies one batch at a time
-// under its lock (the store backend's mutex, a replica's lock), so each
-// op is atomic with respect to every other client, the same way the
-// paper's one hardware pipeline serializes dependent atomics (§5.1.3).
+// gateway translates onto. Both are read-modify-writes, and each is one
+// table walk: the stored item is read, checked and — if the check
+// passes — replaced or deleted in the same pass, the KV processor's
+// atomic as one lookup and one write-back (§3.3.3). The serving backend
+// applies one batch at a time under its lock (the store backend's
+// mutex, a replica's lock), so each op is atomic with respect to every
+// other client, the same way the paper's one hardware pipeline
+// serializes dependent atomics (§5.1.3).
 //
 // Version assignment is deterministic from the previous stored state
 // (old version + 1, or 1 on create), so a replicated backup replaying
 // the identical op log converges on byte-identical items and the
 // version can serve as the memcache CAS token.
+
+// modify is one read-modify-write of key in a single table walk
+// (hashtable.Table.Modify), its create or delete mirrored into the
+// ordered index. The pipeline is drained first, as Scan does, so no
+// in-flight op shares the key. A callback builds what it stores in
+// s.item, which the table copies into its own memory.
+func (s *Store) modify(key []byte, fn func(old []byte, found bool) ([]byte, hashtable.Edit)) error {
+	s.engine.Flush()
+	return indexedExec{table: s.table, idx: s.oidx}.Modify(key, fn)
+}
 
 // applyPutVer executes one OpPutVer request.
 func (s *Store) applyPutVer(req wire.Request) wire.Response {
@@ -23,80 +39,83 @@ func (s *Store) applyPutVer(req wire.Request) wire.Response {
 	if err != nil {
 		return errResp(err)
 	}
-	old, found := s.Get(req.Key)
-	var oldItem wire.GwItem
-	if found {
-		oldItem = wire.DecodeGwItem(old)
-	}
-
-	// Precondition checks: nothing is written unless they all pass.
-	switch mode {
-	case wire.PutVerSet:
-		// Unconditional.
-	case wire.PutVerAdd:
-		if found {
-			return wire.Response{Status: wire.StatusExists}
+	var resp wire.Response
+	err = s.modify(req.Key, func(old []byte, found bool) ([]byte, hashtable.Edit) {
+		item := wire.DecodeGwItem(old) // version 0, no flags, when absent
+		if status := putVerCheck(mode, expect, found, item.Version); status != wire.StatusOK {
+			resp = wire.Response{Status: status}
+			return nil, hashtable.Keep
 		}
-	case wire.PutVerReplace:
-		if !found {
-			return wire.Response{Status: wire.StatusNotFound}
+		if mode == wire.PutVerDelete {
+			resp = wire.Response{Status: wire.StatusOK,
+				Value: wire.EncodePutVerReply(item.Version, true, len(old))}
+			return nil, hashtable.Remove
 		}
-	case wire.PutVerCAS:
-		if !found {
-			return wire.Response{Status: wire.StatusNotFound}
+		flags, payload, err := wire.DecodeGwValue(req.Value)
+		if err != nil {
+			resp = errResp(err)
+			return nil, hashtable.Keep
 		}
-		if oldItem.Version != expect {
-			return wire.Response{Status: wire.StatusExists}
+		var before, after []byte // the old payload, around the new one
+		switch mode {
+		case wire.PutVerAppend: // appends and prepends keep the old flags
+			flags, before = item.Flags, item.Payload
+		case wire.PutVerPrepend:
+			flags, after = item.Flags, item.Payload
 		}
-	case wire.PutVerAppend, wire.PutVerPrepend:
-		if !found {
-			return wire.Response{Status: wire.StatusNotStored}
+		if len(before)+len(payload)+len(after) > wire.MaxGwPayload {
+			resp = errResp(ErrFull) // grown past the wire's value cap
+			return nil, hashtable.Keep
 		}
-		if expect != 0 && oldItem.Version != expect {
-			return wire.Response{Status: wire.StatusExists}
-		}
-	case wire.PutVerDelete:
-		if !found {
-			return wire.Response{Status: wire.StatusNotFound}
-		}
-		if expect != 0 && oldItem.Version != expect {
-			return wire.Response{Status: wire.StatusExists}
-		}
-	}
-
-	if mode == wire.PutVerDelete {
-		if !s.Delete(req.Key) {
-			return wire.Response{Status: wire.StatusNotFound}
-		}
-		return wire.Response{Status: wire.StatusOK,
-			Value: wire.EncodePutVerReply(oldItem.Version, true, len(old))}
-	}
-
-	flags, payload, err := wire.DecodeGwValue(req.Value)
+		ver := item.Version + 1
+		s.item = wire.AppendGwItemHeader(s.item[:0], ver, flags)
+		s.item = append(append(append(s.item, before...), payload...), after...)
+		resp = wire.Response{Status: wire.StatusOK,
+			Value: wire.EncodePutVerReply(ver, found, len(old))}
+		return s.item, hashtable.Store
+	})
 	if err != nil {
 		return errResp(err)
 	}
-	newVer := oldItem.Version + 1
-	if !found {
-		newVer = 1
-	}
+	return resp
+}
+
+// putVerCheck returns the status a PutVer's precondition fails with
+// against the stored item, or StatusOK: nothing is written unless it
+// passes.
+func putVerCheck(mode wire.PutVerMode, expect uint64, found bool, version uint64) uint8 {
 	switch mode {
-	case wire.PutVerAppend:
-		// Appends keep the existing flags; the payload grows in place.
-		flags = oldItem.Flags
-		payload = concat(oldItem.Payload, payload)
-	case wire.PutVerPrepend:
-		flags = oldItem.Flags
-		payload = concat(payload, oldItem.Payload)
+	case wire.PutVerAdd:
+		if found {
+			return wire.StatusExists
+		}
+	case wire.PutVerReplace:
+		if !found {
+			return wire.StatusNotFound
+		}
+	case wire.PutVerCAS:
+		if !found {
+			return wire.StatusNotFound
+		}
+		if version != expect {
+			return wire.StatusExists
+		}
+	case wire.PutVerAppend, wire.PutVerPrepend:
+		if !found {
+			return wire.StatusNotStored
+		}
+		if expect != 0 && version != expect {
+			return wire.StatusExists
+		}
+	case wire.PutVerDelete:
+		if !found {
+			return wire.StatusNotFound
+		}
+		if expect != 0 && version != expect {
+			return wire.StatusExists
+		}
 	}
-	if len(payload) > wire.MaxGwPayload {
-		return errResp(ErrFull) // grown past the wire's value cap
-	}
-	if err := s.Put(req.Key, wire.EncodeGwItem(newVer, flags, payload)); err != nil {
-		return errResp(err)
-	}
-	return wire.Response{Status: wire.StatusOK,
-		Value: wire.EncodePutVerReply(newVer, found, len(old))}
+	return wire.StatusOK
 }
 
 // applyCounterVer executes one OpCounterVer request: memcache INCR/DECR
@@ -107,38 +126,36 @@ func (s *Store) applyCounterVer(req wire.Request) wire.Response {
 	if err != nil {
 		return errResp(err)
 	}
-	old, found := s.Get(req.Key)
-	var newVal uint64
-	var flags uint32
-	newVer := uint64(1)
-	if !found {
-		if !create {
-			return wire.Response{Status: wire.StatusNotFound}
+	var resp wire.Response
+	err = s.modify(req.Key, func(old []byte, found bool) ([]byte, hashtable.Edit) {
+		item := wire.DecodeGwItem(old) // version 0, no flags, when absent
+		var val uint64
+		switch cur, ok := parseDecimal(item.Payload); {
+		case !found && !create:
+			resp = wire.Response{Status: wire.StatusNotFound}
+			return nil, hashtable.Keep
+		case !found:
+			val = initial
+		case !ok:
+			resp = wire.Response{Status: wire.StatusBadDelta}
+			return nil, hashtable.Keep
+		case sub == wire.CounterIncr:
+			val = cur + delta // wraps at 2^64, as memcached does
+		case delta > cur:
+			val = 0 // decrement saturates at zero
+		default:
+			val = cur - delta
 		}
-		newVal = initial
-	} else {
-		item := wire.DecodeGwItem(old)
-		cur, ok := parseDecimal(item.Payload)
-		if !ok {
-			return wire.Response{Status: wire.StatusBadDelta}
-		}
-		if sub == wire.CounterIncr {
-			newVal = cur + delta // wraps at 2^64, as memcached does
-		} else {
-			if delta > cur {
-				newVal = 0 // decrement saturates at zero
-			} else {
-				newVal = cur - delta
-			}
-		}
-		flags = item.Flags
-		newVer = item.Version + 1
-	}
-	if err := s.Put(req.Key, wire.EncodeGwItem(newVer, flags, formatDecimal(newVal))); err != nil {
+		ver := item.Version + 1
+		// Stored as ASCII decimal, memcached's counter representation.
+		s.item = strconv.AppendUint(wire.AppendGwItemHeader(s.item[:0], ver, item.Flags), val, 10)
+		resp = wire.Response{Status: wire.StatusOK, Value: wire.EncodeCounterReply(val, ver)}
+		return s.item, hashtable.Store
+	})
+	if err != nil {
 		return errResp(err)
 	}
-	return wire.Response{Status: wire.StatusOK,
-		Value: wire.EncodeCounterReply(newVal, newVer)}
+	return resp
 }
 
 // parseDecimal interprets payload as an unsigned decimal number. A
@@ -160,28 +177,4 @@ func parseDecimal(p []byte) (uint64, bool) {
 		n = n*10 + d
 	}
 	return n, true
-}
-
-// formatDecimal renders n as ASCII decimal (memcached's stored counter
-// representation).
-func formatDecimal(n uint64) []byte {
-	if n == 0 {
-		return []byte{'0'}
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return append([]byte(nil), buf[i:]...)
-}
-
-// concat joins two byte slices into a fresh buffer (neither input is
-// aliased — the store owns its copies, the caller theirs).
-func concat(a, b []byte) []byte {
-	out := make([]byte, 0, len(a)+len(b))
-	out = append(out, a...)
-	return append(out, b...)
 }

@@ -2,8 +2,13 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
+	"kvdirect/internal/dispatch"
+	"kvdirect/internal/memory"
+	"kvdirect/internal/nicdram"
 	"kvdirect/internal/wire"
 )
 
@@ -280,6 +285,77 @@ func TestGwDeterministicVersions(t *testing.T) {
 		vb, _ := b.Get([]byte(key))
 		if !bytes.Equal(va, vb) {
 			t.Fatalf("stored %q diverged: %x vs %x", key, va, vb)
+		}
+	}
+}
+
+// TestGatewayWriteIsOneWalk holds a gateway write on an existing key to
+// the charge of the native write it amounts to: a PutVer or CounterVer
+// that stores an item costs what a PUT of the same bytes costs, and a
+// PutVer DELETE what a DELETE costs — one table walk, no read ahead of
+// it. Two stores are built identically; one runs the gateway op, the
+// other the native one, and their host memory, NIC DRAM and dispatcher
+// counters must move alike. The item sits in slab memory under the
+// default config and inline in its bucket under the second.
+func TestGatewayWriteIsOneWalk(t *testing.T) {
+	type charge struct {
+		mem   memory.Stats
+		cache nicdram.Stats
+		disp  dispatch.Stats
+	}
+	measure := func(s *Store, op func()) charge {
+		before := s.Stats()
+		op()
+		after := s.Stats()
+		return charge{after.Mem.Sub(before.Mem), after.Cache.Sub(before.Cache),
+			after.Dispatch.Sub(before.Dispatch)}
+	}
+	const key = "item"
+	for _, cfg := range []Config{
+		{MemoryBytes: 8 << 20, Seed: 7},
+		{MemoryBytes: 8 << 20, Seed: 7, InlineThreshold: 40},
+	} {
+		build := func() *Store {
+			s, err := NewStore(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 200; i++ {
+				putVerOK(t, s, fmt.Sprintf("n-%03d", i), wire.PutVerSet, 0, 0, strings.Repeat("x", i))
+			}
+			putVerOK(t, s, key, wire.PutVerSet, 0, 3, "41") // version 1
+			return s
+		}
+		for _, c := range []struct {
+			name  string
+			apply func(s *Store) wire.Response
+		}{
+			{"SET", func(s *Store) wire.Response { return putVer(t, s, key, wire.PutVerSet, 0, 5, "42") }},
+			{"CAS", func(s *Store) wire.Response { return putVer(t, s, key, wire.PutVerCAS, 1, 5, "42") }},
+			{"APPEND", func(s *Store) wire.Response { return putVer(t, s, key, wire.PutVerAppend, 0, 0, "0") }},
+			{"INCR", func(s *Store) wire.Response { return counterVer(t, s, key, wire.CounterIncr, 1, 0, false) }},
+			{"DELETE", func(s *Store) wire.Response { return putVer(t, s, key, wire.PutVerDelete, 1, 0, "") }},
+		} {
+			gw, native := build(), build()
+			var resp wire.Response
+			got := measure(gw, func() { resp = c.apply(gw) })
+			if resp.Status != wire.StatusOK {
+				t.Fatalf("%s: status %d %q", c.name, resp.Status, resp.Value)
+			}
+			var want charge
+			if stored, ok := gw.Get([]byte(key)); ok {
+				want = measure(native, func() { mustPut(t, native, []byte(key), stored) })
+			} else {
+				want = measure(native, func() {
+					if !native.Delete([]byte(key)) {
+						t.Fatal("native DELETE missed")
+					}
+				})
+			}
+			if got != want {
+				t.Errorf("inline threshold %d, %s: the gateway write charged %+v, the native write %+v",
+					cfg.InlineThreshold, c.name, got, want)
+			}
 		}
 	}
 }

@@ -41,17 +41,7 @@ func (e indexedExec) Get(key []byte) ([]byte, bool) { return e.table.Get(key) }
 //kvd:hotpath
 func (e indexedExec) Put(key, value []byte) error {
 	created, err := e.table.Put(key, value)
-	if err != nil || !created || e.idx == nil {
-		return err
-	}
-	// A key the table accepted fits the index (both cap keys at 255 B),
-	// so the only failure is the node allocation — the store is full.
-	// Undo the create, and the key is in neither structure.
-	if _, err := e.idx.Insert(key); err != nil {
-		e.table.Delete(key)
-		return ErrFull
-	}
-	return nil
+	return e.mirror(key, created, false, err)
 }
 
 func (e indexedExec) Delete(key []byte) bool {
@@ -60,6 +50,34 @@ func (e indexedExec) Delete(key []byte) bool {
 		e.idx.Delete(key)
 	}
 	return ok
+}
+
+// Modify is the table's one-walk read-modify-write (Table.Modify), its
+// create or delete mirrored into the index as Put and Delete mirror
+// theirs.
+func (e indexedExec) Modify(key []byte, fn func(old []byte, found bool) ([]byte, hashtable.Edit)) error {
+	created, deleted, err := e.table.Modify(key, fn)
+	return e.mirror(key, created, deleted, err)
+}
+
+// mirror carries a table mutation's change to the key set into the index.
+// A key the table accepted fits the index (both cap keys at 255 B), so
+// the only failure is a create's node allocation — the store is full.
+// The create is undone, and the key is in neither structure.
+func (e indexedExec) mirror(key []byte, created, deleted bool, err error) error {
+	if err != nil || e.idx == nil {
+		return err
+	}
+	if created {
+		if _, err := e.idx.Insert(key); err != nil {
+			e.table.Delete(key)
+			return ErrFull
+		}
+	}
+	if deleted {
+		e.idx.Delete(key)
+	}
+	return nil
 }
 
 // ScanEntry is one key/value pair returned by an ordered scan.

@@ -607,21 +607,77 @@ func (t *Table) Put(key, value []byte) (created bool, err error) {
 	}
 	h := t.hash(key)
 	ref, exists := t.lookup(h, key) //lint:allow hotalloc -- scratch grows to the longest chain and largest value seen, then is reused
-	if exists {
-		if err := t.update(ref, key, value, sechash(h)); err != nil { //lint:allow hotalloc -- in-place overwrites allocate nothing; a footprint change may grow scratch or extend the chain
-			return false, err // old entry intact on failure
+	//lint:allow hotalloc -- in-place overwrites allocate nothing; a create or a footprint change may grow scratch or extend the chain
+	if err := t.write(ref, exists, key, value, sechash(h)); err != nil {
+		return false, err
+	}
+	return !exists, nil
+}
+
+// Edit is a Modify callback's decision about the key it was shown.
+type Edit uint8
+
+// Modify outcomes.
+const (
+	Keep   Edit = iota // leave the key as it is
+	Store              // store the returned value, creating the key if absent
+	Remove             // delete the key (nothing to do if absent)
+)
+
+// Modify reads, checks and writes key in one chain walk: the KV
+// processor's read-modify-write as one lookup and one write-back
+// (§3.3.3). fn sees the stored value (nil and false when absent) as a
+// view valid only during the call, and decides what becomes of the key.
+// A value it stores must not alias the old one: the write reuses the
+// scratch and the bucket that view points into. A key Get could never
+// find reads as absent, and storing under it fails validation as Put
+// does. created and deleted report a change to the key set.
+//
+//kvd:hotpath
+func (t *Table) Modify(key []byte, fn func(old []byte, found bool) ([]byte, Edit)) (created, deleted bool, err error) {
+	h := t.hash(key)
+	var ref entryRef
+	exists := false
+	if validate(key, nil) == nil {
+		ref, exists = t.lookup(h, key) //lint:allow hotalloc -- scratch grows to the longest chain and largest value seen, then is reused
+	}
+	value, edit := fn(ref.value, exists)
+	switch {
+	case edit == Store:
+		if err := validate(key, value); err != nil {
+			return false, false, err
 		}
-		t.payloadBytes += uint64(len(key) + len(value))
+		//lint:allow hotalloc -- in-place overwrites allocate nothing; a create or a footprint change may grow scratch or extend the chain
+		if err := t.write(ref, exists, key, value, sechash(h)); err != nil {
+			return false, false, err
+		}
+		return !exists, false, nil
+	case edit == Remove && exists:
+		t.erase(ref)
+		return false, true, nil
+	}
+	return false, false, nil
+}
+
+// write stores value under key once lookup has found ref (exists) or
+// nothing: the update or insert, the key and payload bookkeeping, and
+// the flush of the chain's dirty buckets. On failure the table is as
+// lookup left it (an overwritten entry stays intact).
+func (t *Table) write(ref entryRef, exists bool, key, value []byte, sh uint16) error {
+	if exists {
+		if err := t.update(ref, key, value, sh); err != nil {
+			return err
+		}
 		t.payloadBytes -= uint64(ref.klen + ref.vlen)
 	} else {
-		if err := t.insert(key, value, sechash(h)); err != nil { //lint:allow hotalloc -- may grow scratch or extend the chain
-			return false, err
+		if err := t.insert(key, value, sh); err != nil {
+			return err
 		}
 		t.numKeys++
-		t.payloadBytes += uint64(len(key) + len(value))
 	}
+	t.payloadBytes += uint64(len(key) + len(value))
 	t.flush()
-	return !exists, nil
+	return nil
 }
 
 // update overwrites an existing entry, in place when the footprint allows.
@@ -803,12 +859,16 @@ func (t *Table) Delete(key []byte) bool {
 		return false
 	}
 	ref, ok := t.lookup(t.hash(key), key) //lint:allow hotalloc -- scratch grows to the longest chain and largest value seen, then is reused
-	if !ok {
-		return false
+	if ok {
+		t.erase(ref)
 	}
+	return ok
+}
+
+// erase deletes the entry lookup found and flushes its bucket.
+func (t *Table) erase(ref entryRef) {
 	t.remove(ref)
 	t.flush()
 	t.numKeys--
 	t.payloadBytes -= uint64(ref.klen + ref.vlen)
-	return true
 }

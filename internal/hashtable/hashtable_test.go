@@ -414,6 +414,53 @@ func TestPayloadAccounting(t *testing.T) {
 	}
 }
 
+// TestModify walks one key through each Modify outcome: the callback
+// sees what is stored, and a store, a keep or a remove leaves the table
+// — keys, payload bytes, contents — as Put and Delete would, each in one
+// bucket read where Put and Delete make one.
+func TestModify(t *testing.T) {
+	tbl, mem, _ := testTable(t, 1<<20, 0.5, 20)
+	key := []byte("mod")
+	step := func(name string, want []byte, edit Edit, value []byte, created, deleted bool) {
+		t.Helper()
+		before := mem.Stats()
+		c, d, err := tbl.Modify(key, func(old []byte, found bool) ([]byte, Edit) {
+			if found != (want != nil) || !bytes.Equal(old, want) {
+				t.Errorf("%s: callback saw %q (found %v), want %q", name, old, found, want)
+			}
+			return value, edit
+		})
+		if err != nil || c != created || d != deleted {
+			t.Fatalf("%s: Modify = created %v, deleted %v, %v", name, c, d, err)
+		}
+		if reads := mem.Stats().Reads - before.Reads; reads != 1 {
+			t.Errorf("%s: %d reads, want the one bucket", name, reads)
+		}
+	}
+	step("remove of an absent key", nil, Remove, nil, false, false)
+	step("create", nil, Store, []byte("v1"), true, false)
+	step("keep", []byte("v1"), Keep, nil, false, false)
+	step("overwrite", []byte("v1"), Store, []byte("v2"), false, false)
+	if tbl.NumKeys() != 1 || tbl.PayloadBytes() != 5 {
+		t.Errorf("after overwrite: %d keys, %d payload bytes", tbl.NumKeys(), tbl.PayloadBytes())
+	}
+	step("remove", []byte("v2"), Remove, nil, false, true)
+	if _, ok := tbl.Get(key); ok || tbl.NumKeys() != 0 || tbl.PayloadBytes() != 0 {
+		t.Errorf("after remove: present %v, %d keys, %d payload bytes", ok, tbl.NumKeys(), tbl.PayloadBytes())
+	}
+	// A key Get could never find reads as absent; storing under it fails
+	// as Put does.
+	_, _, err := tbl.Modify(nil, func(old []byte, found bool) ([]byte, Edit) {
+		if found {
+			t.Error("empty key found")
+		}
+		return []byte("v"), Store
+	})
+	if err != ErrEmptyKey {
+		t.Errorf("store under an empty key: %v", err)
+	}
+}
+
 func TestSecondaryHashFalsePositiveSafety(t *testing.T) {
 	// Keys are always compared even when secondary hashes collide, so no
 	// wrong value can ever be returned. Brute-force many keys through a

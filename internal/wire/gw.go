@@ -262,11 +262,9 @@ func DecodeGwItem(stored []byte) GwItem {
 	}
 }
 
-// EncodeGwItem builds the stored representation of a gateway item.
-func EncodeGwItem(version uint64, flags uint32, payload []byte) []byte {
-	out := make([]byte, GwItemOverhead+len(payload))
-	binary.LittleEndian.PutUint64(out, version)
-	binary.LittleEndian.PutUint32(out[GwVersionBytes:], flags)
-	copy(out[GwItemOverhead:], payload)
-	return out
+// AppendGwItemHeader appends a stored gateway item's header (version,
+// flags) to dst; the item's payload follows it.
+func AppendGwItemHeader(dst []byte, version uint64, flags uint32) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, version)
+	return binary.LittleEndian.AppendUint32(dst, flags)
 }

@@ -116,7 +116,7 @@ func TestCounterReplyRoundTrip(t *testing.T) {
 }
 
 func TestGwItemRoundTrip(t *testing.T) {
-	stored := EncodeGwItem(5, 77, []byte("hello"))
+	stored := append(AppendGwItemHeader(nil, 5, 77), "hello"...)
 	it := DecodeGwItem(stored)
 	if it.Version != 5 || it.Flags != 77 || string(it.Payload) != "hello" {
 		t.Fatalf("round trip gave %+v", it)
@@ -127,7 +127,7 @@ func TestGwItemRoundTrip(t *testing.T) {
 		t.Fatalf("native value gave %+v", it)
 	}
 	// Empty payload keeps the header-only shape.
-	it = DecodeGwItem(EncodeGwItem(1, 0, nil))
+	it = DecodeGwItem(AppendGwItemHeader(nil, 1, 0))
 	if it.Version != 1 || len(it.Payload) != 0 {
 		t.Fatalf("empty payload gave %+v", it)
 	}

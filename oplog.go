@@ -2,6 +2,7 @@ package kvdirect
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -58,10 +59,17 @@ func (t *OpLogWriter) Flush() error {
 	return t.err
 }
 
+// errOpLogNotCanonical rejects a packet Record could not have written.
+var errOpLogNotCanonical = errors.New("batch is not in the encoding Record writes")
+
 // ReplayFunc streams an op-log, invoking fn once per recorded batch.
-// It stops at EOF or on the first error from fn.
+// It stops at EOF or on the first error from fn. A batch is accepted
+// only in the one encoding Record gives it — no trailing bytes, no
+// trace flags, the compression the encoder chooses — so re-recording
+// what a replay accepts writes the log's bytes back exactly.
 func ReplayFunc(r io.Reader, fn func(ops []Op) error) (batches, ops int, err error) {
 	br := bufio.NewReader(r)
+	var canon []byte
 	for {
 		// A fresh frame per batch: fn may keep the ops, which alias it.
 		pkt, err := wire.ReadFrame(br, nil)
@@ -71,6 +79,12 @@ func ReplayFunc(r io.Reader, fn func(ops []Op) error) (batches, ops int, err err
 		var batch []Op
 		if err == nil {
 			batch, err = wire.DecodeRequests(pkt)
+		}
+		if err == nil {
+			canon, err = wire.AppendRequests(canon[:0], batch)
+			if err == nil && !bytes.Equal(canon, pkt) {
+				err = errOpLogNotCanonical
+			}
 		}
 		if err != nil {
 			return batches, ops, fmt.Errorf("%w: %v", ErrOpLogCorrupt, err)

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"kvdirect/internal/wire"
 )
 
 func TestOpLogRecordReplayRoundTrip(t *testing.T) {
@@ -130,7 +132,7 @@ func TestOpLogCorruptionDetected(t *testing.T) {
 }
 
 // opLogOneBatch records a single one-op batch and returns the raw bytes.
-func opLogOneBatch(t *testing.T) []byte {
+func opLogOneBatch(t testing.TB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	tw := NewOpLogWriter(&buf)
@@ -307,4 +309,55 @@ func TestOpLogGoldenBytes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzOpLogReplay is the op-log's round trip: whatever ReplayFunc
+// accepts, re-recording its batches writes back byte for byte. One seed
+// is a batch marked for tracing — a packet the server decodes, but not
+// one Record writes — which must stay rejected.
+func FuzzOpLogReplay(f *testing.F) {
+	golden, err := hex.DecodeString(goldenOpLog)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	f.Add(opLogOneBatch(f))
+	pkt, err := EncodeBatch([]Op{
+		{Code: OpPut, Key: []byte("k1"), Value: []byte("same")},
+		{Code: OpPut, Key: []byte("k2"), Value: []byte("same")},
+		{Code: OpGet, Key: []byte("k1")},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := wire.MarkTraced(pkt); err != nil {
+		f.Fatal(err)
+	}
+	var traced bytes.Buffer
+	if err := wire.WriteFrame(&traced, pkt); err != nil {
+		f.Fatal(err)
+	}
+	if _, _, err := ReplayFunc(bytes.NewReader(traced.Bytes()), func([]Op) error { return nil }); !errors.Is(err, ErrOpLogCorrupt) {
+		f.Fatalf("a traced batch replayed: %v", err)
+	}
+	f.Add(traced.Bytes())
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var re bytes.Buffer
+		w := NewOpLogWriter(&re)
+		_, _, err := ReplayFunc(bytes.NewReader(in), w.Record)
+		if errors.Is(err, ErrOpLogCorrupt) {
+			return
+		}
+		if err != nil {
+			t.Fatalf("re-recording an accepted batch: %v", err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(re.Bytes(), in) {
+			t.Fatalf("op-log not canonical: % x re-recorded as % x", in, re.Bytes())
+		}
+	})
 }
