@@ -2,7 +2,6 @@ package kvrepl
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,12 +54,15 @@ type Replica struct {
 	lastApplied uint64
 	abandoned   uint64 // primary: highest seq whose quorum wait gave up (lastApplied at promotion)
 	waiting     int    // primary: batches parked in their quorum wait
+	heldTo      uint64 // primary: highest log tail a held reply waits for; a write at or below it is not held itself
 	primaryHint string // current primary's client address, for redirects
 	closed      bool
-	ackCond     *sync.Cond        // on mu: broadcast when acks advance or terms change, and on every lease tick
+	ackCond     *sync.Cond        // on mu: broadcast when the settled frontier advances or terms change, and on every lease tick
 	peerAcked   []peerAck         // primary: highest seq each backup applied
+	led         uint64            // the epoch peerAcked's acks belong to: the last one this replica led
 	peers       map[int]*peerSync // primary: live shipping loops
 	hbStop      chan struct{}     // stops the current heartbeat loop
+	ticks       atomic.Uint64     // lease ticks so far: a held reply is released by the next one
 
 	// beat is the coordinator heartbeat sink, deliberately outside mu:
 	// the lease must keep renewing while the data path holds the replica
@@ -247,6 +249,7 @@ func (r *Replica) promote(epoch uint64, peers map[int]string) {
 	}
 	r.epoch = epoch
 	r.role = RolePrimary
+	r.led = epoch
 	r.abandoned = r.lastApplied // serve what it holds without waiting for a first ack
 	r.primaryHint = r.clientAddr
 	r.stopPeersLocked()
@@ -388,8 +391,9 @@ func (r *Replica) heartbeatLoop(stop chan struct{}) {
 			return
 		case <-t.C:
 			// The tick is also the quorum waiters' clock: each re-checks
-			// its AckTimeout. Unlocked, so a wake-up can be missed — until
-			// the next tick.
+			// its AckTimeout, and a held reply is released. Unlocked, so a
+			// wake-up can be missed — until the next tick.
+			r.ticks.Add(1)
 			r.ackCond.Broadcast()
 			if r.faults.Should(fault.ReplPartitionPrimary) {
 				continue
@@ -402,7 +406,7 @@ func (r *Replica) heartbeatLoop(stop chan struct{}) {
 }
 
 // wakeLocked signals quorum waiters that the replica's state advanced
-// (acks, promotions, demotions, close).
+// (the settled frontier, promotions, demotions, close).
 func (r *Replica) wakeLocked() { r.ackCond.Broadcast() }
 
 // --- the primary's data path (kvnet.Backend) ---
@@ -546,37 +550,60 @@ func (r *Replica) replicasAtLocked(seq uint64) int {
 }
 
 // settledLocked returns the highest seq at quorum: the Quorum-th highest
-// frontier among the primary's own and its backups' acks (0 if fewer).
+// frontier among the primary's own and its backups' acks (0 if fewer),
+// found without sorting — a group has a handful of members.
 func (r *Replica) settledLocked() uint64 {
-	seqs := []uint64{r.lastApplied}
+	var settled uint64
+	if r.replicasAtLocked(r.lastApplied) >= r.opts.Quorum {
+		settled = r.lastApplied
+	}
 	for _, a := range r.peerAcked {
-		seqs = append(seqs, a.seq)
+		if a.seq > settled && r.replicasAtLocked(a.seq) >= r.opts.Quorum {
+			settled = a.seq
+		}
 	}
-	if len(seqs) < r.opts.Quorum {
-		return 0
-	}
-	slices.Sort(seqs)
-	return seqs[len(seqs)-r.opts.Quorum]
+	return settled
 }
 
 // waitQuorumLocked blocks (the condition variable releases the lock
 // while parked) until seq reaches quorum in this epoch, the term
 // changes, or AckTimeout — noticed on the primary's next lease tick, so
-// honoured to within HeartbeatEvery, at no per-write timer.
+// honoured to within HeartbeatEvery, at no per-write timer. It reports
+// whether seq reached quorum.
+//
+// A seq at quorum is committed and answers true, but not always at once:
+// if other writers appended behind it while it was in flight, the reply
+// is held until the log tail it sees then is at quorum too — unless an
+// earlier held reply already waits for this seq, in which case the ack
+// that settles it releases both. Writers one ack settles are released
+// together, so their next requests reach the primary in the same
+// scheduler round and share the next flush (DESIGN.md "Group commit").
+// The hold ends at the ack that settles the tail, at the end of the term,
+// at Close, or at the next lease tick.
 func (r *Replica) waitQuorumLocked(seq, epoch uint64) bool {
 	deadline := time.Now().Add(r.opts.AckTimeout)
 	for {
-		if r.closed || r.epoch != epoch || r.role != RolePrimary {
-			return false
+		// The acks are the term's own until the replica leads again, so a
+		// seq they put at quorum is committed even if the term ended, or
+		// Close came, before this waiter woke.
+		if r.led == epoch && r.replicasAtLocked(seq) >= r.opts.Quorum {
+			break
 		}
-		if r.replicasAtLocked(seq) >= r.opts.Quorum {
-			return true
-		}
-		if !time.Now().Before(deadline) {
+		if r.closed || r.epoch != epoch || r.role != RolePrimary || !time.Now().Before(deadline) {
 			return false
 		}
 		r.ackCond.Wait()
 	}
+	tail, tick := r.lastApplied, r.ticks.Load()
+	if seq <= r.heldTo || r.replicasAtLocked(tail) >= r.opts.Quorum {
+		return true
+	}
+	r.heldTo = tail
+	for r.replicasAtLocked(tail) < r.opts.Quorum && !r.closed &&
+		r.epoch == epoch && r.role == RolePrimary && r.ticks.Load() == tick {
+		r.ackCond.Wait()
+	}
+	return true
 }
 
 // awaitQuorum blocks, as a write's quorum wait does, until seq is at
@@ -619,9 +646,16 @@ func (r *Replica) recordAck(epoch uint64, peerID int, seq uint64) {
 		r.peerAcked = append(r.peerAcked, peerAck{id: peerID})
 	}
 	if i < len(r.peerAcked) && seq > r.peerAcked[i].seq {
+		settled := r.settledLocked()
 		r.peerAcked[i].seq = seq
 		r.acks.Add(1)
-		r.wakeLocked()
+		// Every waiter waits on the settled frontier (or on a term change
+		// or a lease tick, which wake it themselves): an ack that does not
+		// move the frontier, like the slower backup's at quorum 2 of 3,
+		// would wake them all for nothing.
+		if r.settledLocked() > settled {
+			r.wakeLocked()
+		}
 	}
 	minAck := r.lastApplied
 	for _, a := range r.peerAcked {

@@ -697,13 +697,15 @@ func (r *Replica) installSnapshot(buf *bytes.Buffer, snapSeq uint64) error {
 	// The swapped-in store keeps reporting into the replica's registry.
 	fresh.SetTelemetry(r.tel)
 	r.mu.Lock()
+	// Counted before the frontier moves, so whoever sees the new frontier
+	// sees the install counted.
+	r.counters.Add("repl.snapshots_installed", 1)
+	r.counters.Add("repl.catchup_bytes", uint64(buf.Len()))
 	old := r.store
 	r.store = fresh
 	r.lastApplied = snapSeq
 	r.log.Reset(snapSeq)
 	r.mu.Unlock()
 	old.Close()
-	r.counters.Add("repl.snapshots_installed", 1)
-	r.counters.Add("repl.catchup_bytes", uint64(buf.Len()))
 	return nil
 }
