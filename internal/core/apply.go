@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"kvdirect/internal/telemetry"
 	"kvdirect/internal/wire"
 )
 
@@ -182,14 +183,43 @@ func (s *Store) applyOther(req wire.Request) wire.Response {
 	}
 }
 
-// ApplyBatch executes a decoded packet in order, preserving the paper's
-// guarantee that dependent operations within a batch see each other's
-// effects.
+// ApplyRun executes reqs in order into out[:len(reqs)], the one entry
+// point every serving path applies through, so dependent ops in a run
+// see each other's effects. An op that panics (a misbehaving λ, a
+// corrupted pointer) is answered as its own error and the ops after it
+// apply as a run of their own; the result counts the panics. A non-nil
+// span is charged once with the model's access-count delta across it all.
+//
+//kvd:hotpath
+func (s *Store) ApplyRun(reqs []wire.Request, out []wire.Response, span *telemetry.Span) (panics int) {
+	if span != nil {
+		before := s.accessStats()
+		defer func() { //lint:allow hotalloc -- a traced run's charge; the defer is open-coded and its closure stays on the stack
+			after := s.accessStats()
+			span.AddCounts(Stats{
+				Mem:      after.Mem.Sub(before.Mem),
+				Cache:    after.Cache.Sub(before.Cache),
+				Dispatch: after.Dispatch.Sub(before.Dispatch),
+			}.AccessCounts())
+		}()
+	}
+	i := 0
+	defer func() { //lint:allow hotalloc -- one recover per run, open-coded with its closure on the stack; only a panic's error text allocates
+		if r := recover(); r != nil {
+			out[i] = wire.Response{Status: wire.StatusError, Value: fmt.Appendf(nil, "panic: %v", r)}
+			panics = 1 + s.ApplyRun(reqs[i+1:], out[i+1:], nil)
+		}
+	}()
+	for ; i < len(reqs); i++ {
+		out[i] = s.Apply(reqs[i]) //lint:allow hotalloc -- see the allows in Apply
+	}
+	return 0
+}
+
+// ApplyBatch executes a decoded packet through ApplyRun, untraced.
 func (s *Store) ApplyBatch(reqs []wire.Request) []wire.Response {
 	out := make([]wire.Response, len(reqs))
-	for i, r := range reqs {
-		out[i] = s.Apply(r)
-	}
+	s.ApplyRun(reqs, out, nil)
 	return out
 }
 

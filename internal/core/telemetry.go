@@ -50,28 +50,6 @@ func (s *Store) accessStats() Stats {
 	return st
 }
 
-// ApplyTraced executes req like Apply and charges the span with the
-// hardware accesses the operation cost: the delta of the performance
-// model's own counters across the call, so a span reports exactly what
-// the model charged — not a re-derivation, and charged on the way out
-// even of an operation that panics. A nil span degrades to Apply with
-// no overhead beyond the nil check.
-func (s *Store) ApplyTraced(req wire.Request, span *telemetry.Span) wire.Response {
-	if span == nil {
-		return s.Apply(req)
-	}
-	before := s.accessStats()
-	defer func() {
-		after := s.accessStats()
-		span.AddCounts(Stats{
-			Mem:      after.Mem.Sub(before.Mem),
-			Cache:    after.Cache.Sub(before.Cache),
-			Dispatch: after.Dispatch.Sub(before.Dispatch),
-		}.AccessCounts())
-	}()
-	return s.Apply(req)
-}
-
 // PublishTelemetry pushes the store's current component counters into
 // the attached registry as gauges (levels of the simulation's
 // cumulative counters), so HTTP and wire scrapes see core state without

@@ -8,7 +8,10 @@ import (
 	"kvdirect/internal/wire"
 )
 
-func TestApplyTracedChargesModelCounts(t *testing.T) {
+// TestApplyRunChargesModelCounts: a run's span carries exactly the
+// delta the performance model's own counters record across it —
+// measured, not re-derived — a panicking op's accesses included.
+func TestApplyRunChargesModelCounts(t *testing.T) {
 	s, err := NewStore(Config{MemoryBytes: 8 << 20})
 	if err != nil {
 		t.Fatal(err)
@@ -16,15 +19,22 @@ func TestApplyTracedChargesModelCounts(t *testing.T) {
 	if err := s.Put([]byte("span-key"), make([]byte, 64)); err != nil {
 		t.Fatal(err)
 	}
-
-	// The span's counts must equal the delta the performance model's own
-	// counters record across the op — measured, not re-derived.
+	s.RegisterUpdateFunc(100, func(e, p uint64) uint64 { return e / (p - p) })
+	reqs := []wire.Request{
+		{Code: wire.OpGet, Key: []byte("span-key")},
+		{Code: wire.OpUpdateScalar, Key: []byte("boom"), FuncID: 100, ElemWidth: 8, Param: make([]byte, 8)},
+		{Code: wire.OpPut, Key: []byte("b"), Value: []byte("2")},
+	}
+	out := make([]wire.Response, len(reqs))
 	before := s.Stats()
 	span := &telemetry.Span{}
-	resp := s.ApplyTraced(wire.Request{Code: wire.OpGet, Key: []byte("span-key")}, span)
+	panics := s.ApplyRun(reqs, out, span)
 	after := s.Stats()
-	if resp.Status != wire.StatusOK {
-		t.Fatalf("traced GET status %d", resp.Status)
+	if panics != 1 || out[1].Status != wire.StatusError {
+		t.Fatalf("ApplyRun counted %d panics, answered the λ op %+v; want 1 and its panic as an error", panics, out[1])
+	}
+	if out[0].Status != wire.StatusOK || out[2].Status != wire.StatusOK {
+		t.Fatalf("the panicking op's neighbours: %+v", out)
 	}
 	want := Stats{
 		Mem:      after.Mem.Sub(before.Mem),
@@ -41,14 +51,15 @@ func TestApplyTracedChargesModelCounts(t *testing.T) {
 		t.Fatal("a GET was never dispatched")
 	}
 
-	// Nil span degrades to plain Apply.
-	resp = s.ApplyTraced(wire.Request{Code: wire.OpGet, Key: []byte("span-key")}, nil)
-	if resp.Status != wire.StatusOK {
-		t.Fatalf("nil-span GET status %d", resp.Status)
+	// A nil span is an untraced run.
+	if s.ApplyRun(reqs[:1], out, nil); out[0].Status != wire.StatusOK {
+		t.Fatalf("nil-span GET status %d", out[0].Status)
 	}
 }
 
-func TestApplyTracedAccumulates(t *testing.T) {
+// TestApplyRunAccumulates: runs charged to one span add up, as a
+// replica's segments of one batch do.
+func TestApplyRunAccumulates(t *testing.T) {
 	s, err := NewStore(Config{MemoryBytes: 8 << 20})
 	if err != nil {
 		t.Fatal(err)
@@ -59,15 +70,19 @@ func TestApplyTracedAccumulates(t *testing.T) {
 		{Code: wire.OpPut, Key: []byte("b"), Value: []byte("2")},
 		{Code: wire.OpGet, Key: []byte("a")},
 	}
-	resps := make([]wire.Response, len(reqs))
-	for i, r := range reqs {
-		resps[i] = s.ApplyTraced(r, span)
-	}
-	if len(resps) != 3 || resps[2].Status != wire.StatusOK {
-		t.Fatalf("batch responses: %+v", resps)
-	}
-	if span.Counts.PCIeWrites == 0 && span.Counts.DRAMLineWrites == 0 {
+	out := make([]wire.Response, len(reqs))
+	s.ApplyRun(reqs[:2], out, span)
+	first := span.Counts
+	if first.PCIeWrites+first.DRAMLineWrites == 0 {
 		t.Fatal("two PUTs charged zero writes")
+	}
+	s.ApplyRun(reqs[2:], out[2:], span)
+	if out[2].Status != wire.StatusOK || string(out[2].Value) != "1" {
+		t.Fatalf("GET after the PUT run: %+v", out[2])
+	}
+	if span.Counts.PCIeWrites+span.Counts.DRAMLineWrites < first.PCIeWrites+first.DRAMLineWrites ||
+		span.Counts.DispatchDirect+span.Counts.DispatchCached <= first.DispatchDirect+first.DispatchCached {
+		t.Fatalf("the GET run's charge %+v did not add to the PUT run's %+v", span.Counts, first)
 	}
 }
 

@@ -226,8 +226,18 @@ func (e *Engine) submit(op *Op, res int) {
 // synchronous form of Submit, delivering the result through an
 // engine-owned slot so the caller needs no Done closure.
 //
+// A Get, Put or Delete without a Done that finds the station empty (no
+// entry in the pipeline FIFO) has nothing to depend on, so it issues
+// straight to the pipeline, skipping the entry and queue bookkeeping
+// (DESIGN.md's empty-station rule, held by FuzzEngineDo).
+//
 //kvd:hotpath
 func (e *Engine) Do(op *Op) (value []byte, ok bool, err error) {
+	if e.qlen == 0 && op.Kind != Atomic && op.Done == nil {
+		e.stats.Submitted++
+		var en entry
+		return e.executeHead(&en, op) //lint:allow hotalloc -- only an Atomic head allocates, and an Atomic never issues here
+	}
 	done := false
 	defer e.unwind(&done) //lint:allow hotalloc -- only a panic unwinding through the engine recycles entries, onto a free list bounded by the entries ever in flight
 
@@ -251,9 +261,9 @@ func (e *Engine) Do(op *Op) (value []byte, ok bool, err error) {
 // chain behind an entry nothing retires again and never execute. unwind
 // drops the whole in-flight window instead — what was in flight is
 // abandoned, its Done never fires — and lets the panic continue to the
-// caller (kvnet.Applier turns it into that op's error). On the serving
-// path (Do) nothing else is ever in flight, so only the panicking op is
-// lost. A returning call pays one flag test.
+// caller (core.Store.ApplyRun turns it into that op's error). On the
+// serving path (Do) nothing else is ever in flight, so only the
+// panicking op is lost. A returning call pays one flag test.
 func (e *Engine) unwind(done *bool) {
 	if *done {
 		return
@@ -385,7 +395,8 @@ func (e *Engine) retire() {
 		en.dirty = false
 		e.stats.Writebacks++
 	} else {
-		e.executeHead(en) //lint:allow hotalloc -- only an Atomic head allocates: the old-value copy handed to Fn and Done
+		v, ok, err := e.executeHead(en, &en.head) //lint:allow hotalloc -- only an Atomic head allocates: the old-value copy handed to Fn and Done
+		e.complete(&en.head, v, ok, err)
 		e.pending--
 	}
 
@@ -419,40 +430,34 @@ func (e *Engine) retire() {
 	e.push(en) //lint:allow hotalloc -- the ring is sized to the slot count; growth is a defensive path
 }
 
-// executeHead runs the head op against the main pipeline and primes the
-// forwarding cache.
-func (e *Engine) executeHead(en *entry) {
-	op := &en.head
+// executeHead runs op, en's head, against the main pipeline, primes en's
+// forwarding cache and returns op's outcome.
+func (e *Engine) executeHead(en *entry, op *Op) (v []byte, ok bool, err error) {
 	e.stats.Issued++
 	switch op.Kind {
 	case Get:
-		v, ok := e.exec.Get(op.Key)
+		v, ok = e.exec.Get(op.Key)
 		en.cached, en.present = v, ok
-		e.complete(op, v, ok, nil)
 	case Put:
-		err := e.exec.Put(op.Key, op.Value)
-		if err == nil {
+		err = e.exec.Put(op.Key, op.Value)
+		if ok = err == nil; ok {
 			en.cached, en.present = op.Value, true
 		}
-		e.complete(op, nil, err == nil, err)
 	case Delete:
-		ok := e.exec.Delete(op.Key)
+		ok = e.exec.Delete(op.Key)
 		en.cached, en.present = nil, false
-		e.complete(op, nil, ok, nil)
 	case Atomic:
-		old, ok := e.exec.Get(op.Key)
-		var oldCopy []byte
-		if ok {
-			oldCopy = append([]byte(nil), old...)
+		var old []byte
+		if old, ok = e.exec.Get(op.Key); ok {
+			v = append([]byte(nil), old...)
 		}
-		nv := op.Fn(oldCopy)
-		if nv == nil {
-			en.cached, en.present = oldCopy, ok
+		if nv := op.Fn(v); nv == nil {
+			en.cached, en.present = v, ok
 		} else {
 			en.cached, en.present, en.dirty = nv, true, true
 		}
-		e.complete(op, oldCopy, ok, nil)
 	}
+	return v, ok, err
 }
 
 // forwardChain executes chained operations with a matching key against

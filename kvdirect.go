@@ -348,8 +348,9 @@ func MergeScanPages(pages [][]ScanEntry, cursors [][]byte, limit int) ([]ScanEnt
 }
 
 // Execute runs a batch of operations against a local store in order,
-// mirroring what a network round trip would do (dependent operations in
-// one batch see each other's effects).
+// mirroring what a network round trip would do: dependent operations in
+// one batch see each other's effects, and an op that panics is answered
+// as its own error.
 func Execute(s *Store, ops []Op) []Result {
 	return s.ApplyBatch(ops)
 }

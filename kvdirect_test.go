@@ -48,6 +48,27 @@ func TestExecuteBatch(t *testing.T) {
 	}
 }
 
+// TestExecuteIsolatesPanickingOp: a registered λ that panics is
+// answered as its own op's error, as a served batch's is, and the ops
+// on either side of it apply.
+func TestExecuteIsolatesPanickingOp(t *testing.T) {
+	s := newStore(t)
+	s.RegisterUpdateFunc(100, func(e, p uint64) uint64 { return e / (p - p) })
+	res := Execute(s, []Op{
+		{Code: OpPut, Key: []byte("before"), Value: []byte("1")},
+		{Code: OpUpdateScalar, Key: []byte("boom"), FuncID: 100, ElemWidth: 8, Param: make([]byte, 8)},
+		{Code: OpPut, Key: []byte("after"), Value: []byte("2")},
+	})
+	if len(res) != 3 || res[1].Status != StatusError {
+		t.Fatalf("results %+v, want the λ op answered StatusError", res)
+	}
+	for key, want := range map[string]string{"before": "1", "after": "2"} {
+		if v, ok := s.Get([]byte(key)); !ok || string(v) != want {
+			t.Errorf("GET %s = %q (found %v), want %q", key, v, ok, want)
+		}
+	}
+}
+
 func TestEncodeDecodeBatchRoundTrip(t *testing.T) {
 	ops := []Op{
 		{Code: OpPut, Key: []byte("x"), Value: []byte("y")},

@@ -3,6 +3,9 @@ package kvgw
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -119,6 +122,49 @@ func FuzzEncodeMemcacheResponse(f *testing.F) {
 			!bytes.Equal(out.Extras, in.Extras) || !bytes.Equal(out.Key, in.Key) ||
 			!bytes.Equal(out.Value, in.Value) {
 			t.Fatalf("round trip changed response:\n  in  %+v\n  out %+v", in, out)
+		}
+	})
+}
+
+// FuzzRegistryConfig holds the tenants.json decoder to the round-trip
+// property every decoder here has: whatever json.Unmarshal and
+// NewRegistry both accept re-encodes, through json.Marshal, to a config
+// that decodes to the same value and builds a registry of the same
+// tenants.
+func FuzzRegistryConfig(f *testing.F) {
+	f.Add([]byte(`{"tenants":[{"name":"acme","secret":"s3","quota":{"max_keys":10,"max_bytes":4096,"ops_per_sec":1.5,"burst":3}}],"auto_create":true,"default_quota":{"ops_per_sec":100}}`))
+	f.Add([]byte(`{"tenants":[{"name":"a","quota":{}},{"name":"b-1_x","quota":{"max_keys":-1}}]}`))
+	f.Add([]byte(`{"tenants":null,"default_quota":{"burst":1e-300}}`))
+	f.Add([]byte(`{"Tenants":[{"NAME":"z","Secret":"<é>","quota":{"ops_per_sec":-0}}],"auto_create":false}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var cfg RegistryConfig
+		if json.Unmarshal(data, &cfg) != nil {
+			return
+		}
+		reg, err := NewRegistry(cfg, nil)
+		if err != nil {
+			return
+		}
+		enc, err := json.Marshal(cfg)
+		if err != nil {
+			t.Fatalf("accepted config %+v does not encode: %v", cfg, err)
+		}
+		var again RegistryConfig
+		if err := json.Unmarshal(enc, &again); err != nil {
+			t.Fatalf("re-encoded config %s does not decode: %v", enc, err)
+		}
+		if !reflect.DeepEqual(again, cfg) {
+			t.Fatalf("round trip changed the config:\n  in  %+v\n  out %+v", cfg, again)
+		}
+		reg2, err := NewRegistry(again, nil)
+		if err != nil {
+			t.Fatalf("re-encoded config %s refused: %v", enc, err)
+		}
+		names, names2 := reg.Names(), reg2.Names()
+		sort.Strings(names)
+		sort.Strings(names2)
+		if !reflect.DeepEqual(names, names2) {
+			t.Fatalf("tenants %q, after the round trip %q", names, names2)
 		}
 	})
 }

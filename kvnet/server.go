@@ -97,40 +97,25 @@ type Backend interface {
 	PublishTelemetry()
 }
 
-// Applier is the per-op apply body every Backend shares: a backend
-// decides when an operation applies, never how. A panic (a corrupted
-// pointer walking off the address space, a registered λ misbehaving)
-// becomes that operation's error response and a server.panics count, and
-// a span is charged the performance model's access counts — per op. The
-// wall clock is read per run instead: a backend serving a run of n ops
-// brackets it with one clock reading at each end and records n
-// observations of the run's mean into server.op_latency_ns (Served), so
-// the count and sum stay per op, a one-op packet records exactly its own
-// service time, and a 32-op packet pays two clock reads instead of 32.
+// Applier holds the instruments a Backend's apply runs record into; how
+// a run applies is Store.ApplyRun's. A served run of n ops is timed with
+// one clock reading at each end and recorded as n observations of its
+// mean (Served), so a 32-op packet pays two clock reads instead of 32.
 type Applier struct {
 	panics    *atomic.Uint64
 	opLatency *telemetry.Histogram
 }
 
-// NewApplier resolves the body's instruments in tel.
+// NewApplier resolves the instruments in tel.
 func NewApplier(tel *telemetry.Registry) Applier {
 	return Applier{tel.Counters().Handle("server.panics"), tel.Histogram("server.op_latency_ns")}
 }
 
-// Replay applies one operation, isolated and charged to span. It is not
-// timed: a served run is timed as a whole by Served, and a backup
-// replaying a shipped log entry serves nobody.
-//
-//kvd:hotpath
-func (a Applier) Replay(store *kvdirect.Store, req wire.Request, span *telemetry.Span) (resp wire.Response) {
-	defer func() { //lint:allow hotalloc -- panic-isolation contract; the defer is open-coded and its closure stays on the stack
-		if r := recover(); r != nil {
-			a.panics.Add(1)
-			resp = wire.Response{Status: wire.StatusError,
-				Value: fmt.Appendf(nil, "panic: %v", r)}
-		}
-	}()
-	return store.ApplyTraced(req, span)
+// Panicked counts the panics an ApplyRun contained into server.panics.
+func (a Applier) Panicked(n int) {
+	if n > 0 {
+		a.panics.Add(uint64(n))
+	}
 }
 
 // Served records a run of n operations served since start: n
@@ -147,8 +132,8 @@ func (a Applier) Served(start time.Time, n int, span *telemetry.Span) time.Time 
 	return end
 }
 
-// storeBackend is the default Backend: a Store under the shared body,
-// serialized by its own lock (the single KV pipeline).
+// storeBackend is the default Backend: a Store applying each batch as
+// one run, serialized by its own lock (the single KV pipeline).
 type storeBackend struct {
 	mu    sync.Mutex
 	store *kvdirect.Store
@@ -166,9 +151,7 @@ func (b *storeBackend) ApplyBatch(reqs []wire.Request, span *telemetry.Span) []w
 	defer b.mu.Unlock()
 	out := make([]wire.Response, len(reqs))
 	start := time.Now()
-	for i, req := range reqs {
-		out[i] = b.Replay(b.store, req, span)
-	}
+	b.Panicked(b.store.ApplyRun(reqs, out, span))
 	b.Served(start, len(reqs), span)
 	return out
 }

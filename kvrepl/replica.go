@@ -33,7 +33,7 @@ type Replica struct {
 	ints       *telemetry.IntGauges
 	quorumWait *telemetry.Histogram
 	inflight   *telemetry.Histogram // repl.inflight_batches: batches in quorum wait, counting the one observed
-	apply      kvnet.Applier        // how an op applies; the replica decides only when
+	apply      kvnet.Applier        // the apply runs' instruments; the replica decides only when a run applies
 	faults     *fault.Injector
 
 	// Handles for the metrics bumped per shipped or applied entry and
@@ -412,13 +412,13 @@ func (r *Replica) wakeLocked() { r.ackCond.Broadcast() }
 // --- the primary's data path (kvnet.Backend) ---
 
 // ApplyBatch implements kvnet.Backend: the whole replication protocol
-// interposed on the standard wire path. Reads apply locally; mutations
-// are sequenced, logged, applied, shipped, and held until their last seq
-// is at quorum — a wait that releases the lock, so batches overlap it.
-// A batch that wrote nothing waits until what it read is settled. A
-// non-nil span is charged for the store's access counts and staged for
-// the quorum wait, so a traced write against a replica shows where
-// replication time went.
+// interposed on the standard wire path. Mutations are sequenced and
+// logged, then the batch applies as one run (a mutation that cannot be
+// logged fails unapplied, splitting the run), shipped, and held until
+// its last seq is at quorum — a wait that releases the lock, so batches
+// overlap it. A batch that wrote nothing waits until what it read is
+// settled. A non-nil span is charged for the store's access counts and
+// staged for the quorum wait.
 func (r *Replica) ApplyBatch(reqs []wire.Request, span *telemetry.Span) []wire.Response {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -427,27 +427,14 @@ func (r *Replica) ApplyBatch(reqs []wire.Request, span *telemetry.Span) []wire.R
 	}
 	epoch := r.epoch
 	out := make([]wire.Response, len(reqs))
-	var lastSeq uint64
 	start := time.Now()
+	seq, from := r.lastApplied, 0
 	for i, req := range reqs {
 		if !req.Code.Mutates() {
-			out[i] = r.apply.Replay(r.store, req, span)
-			if req.Code == wire.OpStats && out[i].Status == wire.StatusOK {
-				// The status registers grow a replication section.
-				out[i].Value = []byte(string(out[i].Value) +
-					fmt.Sprintf("repl_role=%s\nrepl_epoch=%d\nrepl_seq=%d\n",
-						r.role, r.epoch, r.lastApplied) +
-					r.counters.String() + r.gauges.String() + r.ints.String())
-			}
 			continue
 		}
-		seq := r.lastApplied + 1
-		e, err := repllog.NewEntry(seq, epoch, req)
-		if err != nil {
-			out[i] = wire.Response{Status: wire.StatusError, Value: []byte(err.Error())}
-			continue
-		}
-		if traceID, spanID := span.Trace(); traceID != 0 {
+		e, err := repllog.NewEntry(seq+1, epoch, req)
+		if traceID, spanID := span.Trace(); err == nil && traceID != 0 {
 			// Stamp the trace context onto the log entry's own packet so
 			// it rides the replication stream (and any migration replay)
 			// for free: each backup's apply and the primary's per-entry
@@ -458,19 +445,33 @@ func (r *Replica) ApplyBatch(reqs []wire.Request, span *telemetry.Span) []wire.R
 				e.Packet = pkt
 			}
 		}
-		out[i] = r.apply.Replay(r.store, req, span)
-		r.lastApplied = seq
-		if err := r.log.Append(e); err != nil {
-			// Unreachable while mu serializes appends; surface loudly
-			// rather than ship a divergent log.
-			out[i] = wire.Response{Status: wire.StatusError, Value: []byte(err.Error())}
+		if err == nil {
+			err = r.log.Append(e) // a gap (unreachable while mu serializes appends) fails the write
 		}
-		lastSeq = seq
+		if err != nil {
+			out[i] = wire.Response{Status: wire.StatusError, Value: []byte(err.Error())}
+			r.apply.Panicked(r.store.ApplyRun(reqs[from:i], out[from:i], span))
+			from = i + 1
+			continue
+		}
+		seq++
+	}
+	r.apply.Panicked(r.store.ApplyRun(reqs[from:], out[from:], span))
+	wrote := seq > r.lastApplied
+	r.lastApplied = seq
+	for i, req := range reqs {
+		if req.Code == wire.OpStats && out[i].Status == wire.StatusOK {
+			// The status registers grow a replication section.
+			out[i].Value = []byte(string(out[i].Value) +
+				fmt.Sprintf("repl_role=%s\nrepl_epoch=%d\nrepl_seq=%d\n",
+					r.role, r.epoch, r.lastApplied) +
+				r.counters.String() + r.gauges.String() + r.ints.String())
+		}
 	}
 	// The run's service time stops at the local apply: the quorum wait is
 	// repl.quorum_wait's, and starts at the same clock reading.
 	waitStart := r.apply.Served(start, len(reqs), span)
-	if lastSeq == 0 { // a read must never return a write that is only on the primary
+	if !wrote { // a read must never return a write that is only on the primary
 		if !r.waitSettledLocked(r.lastApplied, epoch) { //lint:allow lockorder -- it parks in sync.Cond.Wait, which releases mu while blocked and re-locks before returning
 			out = r.rejectLocked(len(reqs))
 		}
@@ -484,13 +485,13 @@ func (r *Replica) ApplyBatch(reqs []wire.Request, span *telemetry.Span) []wire.R
 	r.waiting++
 	r.inflight.Observe(uint64(r.waiting))
 	st := span.StartStage("repl.quorum_wait")
-	quorum := r.waitQuorumLocked(lastSeq, epoch) //lint:allow lockorder -- it parks in sync.Cond.Wait, which releases mu while blocked and re-locks before returning
+	quorum := r.waitQuorumLocked(seq, epoch) //lint:allow lockorder -- it parks in sync.Cond.Wait, which releases mu while blocked and re-locks before returning
 	st.End()
 	r.waiting--
 	r.quorumWait.Observe(uint64(time.Since(waitStart).Nanoseconds()))
 	if !quorum {
 		r.counters.Add("repl.quorum_failures", 1)
-		r.abandoned = max(r.abandoned, lastSeq)
+		r.abandoned = max(r.abandoned, seq)
 		r.wakeLocked() // reads parked on this write may answer now
 		msg := []byte("replication quorum not reached (write fate unknown)")
 		for i, req := range reqs {

@@ -675,9 +675,9 @@ func (r *Replica) applyEntry(m wire.ReplMessage) (ack uint64, gap bool) {
 	}
 	// Apply after logging; a panic still advances the frontier (the
 	// primary assigned the sequence and got the same panic response).
-	resp := r.apply.Replay(r.store, req, span)
+	reqs, out := [1]wire.Request{req}, [1]wire.Response{}
+	r.apply.Panicked(r.store.ApplyRun(reqs[:], out[:], span))
 	r.tel.Tracer().Publish(span)
-	_ = resp
 	r.lastApplied = m.Seq
 	r.entriesApplied.Add(1)
 	return m.Seq, false
