@@ -34,11 +34,12 @@ race: vet
 	$(GO) test -race ./...
 
 # The chaos/resilience suite: every test of the packages where failure
-# handling lives — fault injection across every layer, replication
-# failover, live migration with the source, the destination and the
-# coordinator killed mid-transfer, the ordered-scan differential through
-# the sharded client, the memcache gateway's failover, decode-corruption
-# and panic drills, and the cmd/ topology matrix — under the race
+# handling lives — the contract harness (kvrepl TestContract*: every
+# Deploy topology, native and memcache, held to one linearizability
+# oracle under network, memory and kill schedules and live migrations
+# with the source, the destination or the coordinator killed), the
+# memcache gateway's failover, decode-corruption and panic drills, and
+# the cmd/ topology matrix — under the race
 # detector. Whole packages, not a list of test names, so a new test
 # cannot be left out; -count=2 shakes out ordering-dependent flakes.
 chaos:

@@ -175,7 +175,7 @@ func NewStore(cfg Config) (*Store, error) {
 	if !cfg.DisableCache {
 		cache = nicdram.New(host, cfg.NICCacheBytes)
 		if cfg.Faults != nil {
-			cache.EnableECC(cfg.Faults)
+			cache.EnableECC(cfg.Faults, prot)
 		}
 		ratio = cfg.LoadDispatchRatio
 	}

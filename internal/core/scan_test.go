@@ -3,8 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
-	"sort"
 	"testing"
 
 	"kvdirect/internal/wire"
@@ -18,73 +16,6 @@ func newScanStore(t *testing.T) *Store {
 	}
 	t.Cleanup(s.Close)
 	return s
-}
-
-// modelScan is the reference: up to limit sorted keys >= start from the
-// model map, plus the would-be cursor.
-func modelScan(model map[string]string, start string, limit int) (keys []string, cursor string) {
-	all := make([]string, 0, len(model))
-	for k := range model {
-		if k >= start {
-			all = append(all, k)
-		}
-	}
-	sort.Strings(all)
-	if len(all) > limit {
-		return all[:limit], all[limit]
-	}
-	return all, ""
-}
-
-// TestScanDifferential interleaves puts, deletes and scans against a
-// model ordered map: every scan page must come back sorted, contain
-// exactly the model's keys for its range (no phantoms, no misses), carry
-// the right values, and resume exactly at its cursor.
-func TestScanDifferential(t *testing.T) {
-	s := newScanStore(t)
-	rng := rand.New(rand.NewSource(11))
-	model := map[string]string{}
-	key := func() string { return fmt.Sprintf("dk-%03d", rng.Intn(500)) }
-
-	for i := 0; i < 4000; i++ {
-		switch rng.Intn(10) {
-		case 0, 1, 2, 3: // put
-			k, v := key(), fmt.Sprintf("val-%d", i)
-			if err := s.Put([]byte(k), []byte(v)); err != nil {
-				t.Fatal(err)
-			}
-			model[k] = v
-		case 4, 5: // delete
-			k := key()
-			_, inModel := model[k]
-			if got := s.Delete([]byte(k)); got != inModel {
-				t.Fatalf("delete %q: got %v, model %v", k, got, inModel)
-			}
-			delete(model, k)
-		default: // scan
-			start, limit := key(), 1+rng.Intn(40)
-			entries, cursor, err := s.Scan([]byte(start), limit)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantKeys, wantCursor := modelScan(model, start, limit)
-			if len(entries) != len(wantKeys) {
-				t.Fatalf("scan(%q,%d): %d entries, want %d", start, limit, len(entries), len(wantKeys))
-			}
-			for j, e := range entries {
-				if string(e.Key) != wantKeys[j] {
-					t.Fatalf("scan(%q,%d): entry %d is %q, want %q", start, limit, j, e.Key, wantKeys[j])
-				}
-				if string(e.Value) != model[wantKeys[j]] {
-					t.Fatalf("scan(%q,%d): %q has value %q, want %q",
-						start, limit, e.Key, e.Value, model[wantKeys[j]])
-				}
-			}
-			if string(cursor) != wantCursor {
-				t.Fatalf("scan(%q,%d): cursor %q, want %q", start, limit, cursor, wantCursor)
-			}
-		}
-	}
 }
 
 // TestScanCursorResume pages through the whole store and demands the

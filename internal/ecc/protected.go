@@ -9,14 +9,17 @@ import (
 // 64-byte line carries an 8-byte sideband (8x7 Hamming + widened parity +
 // spare metadata bits). Reads verify and transparently correct single-bit
 // faults; uncorrectable (double-bit) faults are counted and surfaced via
-// Stats, mirroring a machine-check the host would log.
+// Stats, mirroring a machine-check the host would log, and poison the line:
+// it reads as uncorrectable until a write covers all of it, so no
+// read-modify-write can reseal the damage into a clean-looking line.
 //
 // ProtectedMemory implements memory.Engine, so the whole KVS stack — hash
 // index, slabs, dispatcher — can run on top of it unchanged; InjectBitFlip
 // and Scrub exist for fault-injection testing.
 type ProtectedMemory struct {
-	mem  *memory.Memory
-	side []byte // CheckBytes per line
+	mem    *memory.Memory
+	side   []byte          // CheckBytes per line
+	poison map[uint64]bool // lines an uncorrectable fault destroyed
 
 	stats ProtectedStats
 }
@@ -72,8 +75,9 @@ func (p *ProtectedMemory) verifyLine(line uint64) {
 	copy(l.Check[:], p.side[line*CheckBytes:])
 	data, _, status, err := DecodeLine(&l)
 	switch {
-	case err != nil:
+	case err != nil || p.poison[line]:
 		p.stats.Uncorrectable++
+		p.Poison(line)
 	case status == Corrected:
 		p.stats.Corrected++
 		p.mem.Poke(line*LineBytes, data[:])
@@ -95,14 +99,23 @@ func (p *ProtectedMemory) Read(addr uint64, buf []byte) {
 }
 
 // Write implements memory.Engine: one counted DMA, then the sidebands of
-// every touched line are recomputed (read-modify-write inside the DIMM
-// for partial lines).
+// every touched line are recomputed. A partial line is a read-modify-write
+// inside the DIMM, which verifies the line first: one found uncorrectable
+// stays poisoned under the new bytes. A line written whole is new data.
 func (p *ProtectedMemory) Write(addr uint64, data []byte) {
 	if len(data) == 0 {
 		return
 	}
-	p.mem.Write(addr, data)
 	first, count := lineSpan(addr, len(data))
+	end := addr + uint64(len(data))
+	for i := 0; i < count; i++ {
+		if ln := first + uint64(i); addr > ln*LineBytes || end < (ln+1)*LineBytes {
+			p.verifyLine(ln)
+		} else {
+			delete(p.poison, ln)
+		}
+	}
+	p.mem.Write(addr, data)
 	var line [LineBytes]byte
 	for i := 0; i < count; i++ {
 		ln := first + uint64(i)
@@ -111,6 +124,18 @@ func (p *ProtectedMemory) Write(addr uint64, data []byte) {
 		copy(p.side[ln*CheckBytes:], l.Check[:])
 	}
 }
+
+// Poison marks line as destroyed: every read of it is uncorrectable until
+// a write covers all of it. A cache writing back a line it lost calls it.
+func (p *ProtectedMemory) Poison(line uint64) {
+	if p.poison == nil {
+		p.poison = map[uint64]bool{}
+	}
+	p.poison[line] = true
+}
+
+// Poisoned reports whether line is poisoned, for a cache filling from it.
+func (p *ProtectedMemory) Poisoned(line uint64) bool { return p.poison[line] }
 
 // InjectBitFlip flips one data bit without updating the sideband — a
 // simulated DRAM fault.

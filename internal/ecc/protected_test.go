@@ -141,3 +141,26 @@ func TestHashTableSurvivesBitFlips(t *testing.T) {
 		t.Errorf("single-bit faults reported uncorrectable: %+v", st)
 	}
 }
+
+// TestProtectedPartialWriteKeepsPoison: the read-modify-write of a line
+// found uncorrectable must not reseal the damage as good data; only a
+// write of the whole line is new data.
+func TestProtectedPartialWriteKeepsPoison(t *testing.T) {
+	p := NewProtectedMemory(memory.New(1 << 12))
+	p.Write(0, bytes.Repeat([]byte{0xAB}, LineBytes))
+	p.InjectBitFlip(8, 0)
+	p.InjectBitFlip(8, 1)
+	buf := make([]byte, 8)
+	p.Write(32, []byte{1})
+	before := p.Stats().Uncorrectable
+	p.Read(0, buf)
+	if p.Stats().Uncorrectable == before {
+		t.Fatal("a partial write resealed an uncorrectable line as good data")
+	}
+	p.Write(0, make([]byte, LineBytes))
+	before = p.Stats().Uncorrectable
+	p.Read(0, buf)
+	if p.Stats().Uncorrectable != before {
+		t.Fatal("a whole-line write left the line poisoned")
+	}
+}

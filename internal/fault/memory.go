@@ -50,18 +50,24 @@ func (m *Memory) Stats() MemoryStats {
 // Read implements memory.Engine.
 func (m *Memory) Read(addr uint64, buf []byte) {
 	if n := len(buf); n > 0 && m.prot != nil {
+		single := ^uint64(0) // the word a single flip hit
 		if m.inj.Should(HostBitFlip) {
 			off := addr + uint64(m.inj.Intn(n))
 			m.prot.InjectBitFlip(off, uint(m.inj.Intn(8)))
+			single = off &^ 7
 		}
 		if m.inj.Should(HostDoubleBitFlip) {
 			// Flip bits 0 and 1 of a 64-bit word inside the read range.
 			// Their Hamming positions (3 and 5) XOR to position 6 — a
 			// data position, so the miscorrection leaves an odd flip
-			// count and the widened parity always detects the fault.
-			word := (addr + uint64(m.inj.Intn(n))) &^ 7
-			m.prot.InjectBitFlip(word, 0)
-			m.prot.InjectBitFlip(word, 1)
+			// count and the widened parity always detects the fault —
+			// unless the word also took the single flip: three flips in
+			// one word are past what SECDED promises, so that pair is
+			// not injected.
+			if word := (addr + uint64(m.inj.Intn(n))) &^ 7; word != single {
+				m.prot.InjectBitFlip(word, 0)
+				m.prot.InjectBitFlip(word, 1)
+			}
 		}
 	}
 	if m.inj.Should(PCIeDropTag) {

@@ -3,6 +3,7 @@ package nicdram
 import (
 	"testing"
 
+	"kvdirect/internal/ecc"
 	"kvdirect/internal/fault"
 	"kvdirect/internal/memory"
 )
@@ -13,7 +14,7 @@ func TestEccSingleFlipsCorrected(t *testing.T) {
 	host := memory.New(1 << 16)
 	c := New(host, 1<<12) // 64 lines
 	inj := fault.NewInjector(21).Set(fault.DRAMBitFlip, 1)
-	c.EnableECC(inj)
+	c.EnableECC(inj, nil)
 
 	pattern := make([]byte, 256)
 	for i := range pattern {
@@ -48,7 +49,7 @@ func TestEccCleanLineSelfHeals(t *testing.T) {
 	host := memory.New(1 << 16)
 	c := New(host, 1<<12)
 	inj := fault.NewInjector(23)
-	c.EnableECC(inj)
+	c.EnableECC(inj, nil)
 
 	pattern := make([]byte, 64)
 	for i := range pattern {
@@ -82,12 +83,13 @@ func TestEccCleanLineSelfHeals(t *testing.T) {
 
 // TestEccDirtyLineLossCounted: an uncorrectable fault on a dirty line has
 // no intact copy anywhere; it must be counted as lost (the store layer
-// escalates), never silently healed.
+// escalates), never silently healed — and stays lost: neither a partial
+// write nor the write-back reseals the damage as good data.
 func TestEccDirtyLineLossCounted(t *testing.T) {
-	host := memory.New(1 << 16)
+	host := ecc.NewProtectedMemory(memory.New(1 << 16))
 	c := New(host, 1<<12)
 	inj := fault.NewInjector(29)
-	c.EnableECC(inj)
+	c.EnableECC(inj, host)
 
 	pattern := make([]byte, 64)
 	for i := range pattern {
@@ -106,6 +108,15 @@ func TestEccDirtyLineLossCounted(t *testing.T) {
 	}
 	if st.EccHealed != 0 {
 		t.Fatalf("dirty-line fault wrongly healed: %d", st.EccHealed)
+	}
+	c.Write(130, []byte{1})
+	c.Read(128, buf)
+	if c.Stats().EccLost == st.EccLost {
+		t.Fatal("a partial write resealed a lost line as good data")
+	}
+	c.Flush()
+	if !host.Poisoned(2) {
+		t.Fatal("the lost line was written back as good data")
 	}
 }
 

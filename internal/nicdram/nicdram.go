@@ -90,8 +90,10 @@ type Cache struct {
 	// 8x7 Hamming bits, widened parity and the cache metadata (address
 	// tag + dirty flag) in the freed spare bits — the paper's §3.3.4
 	// trick, actually exercised bit-for-bit under fault injection.
-	side   []byte
-	faults *fault.Injector
+	side     []byte
+	faults   *fault.Injector
+	poisoned []bool               // per slot: the line's data is lost (no intact copy anywhere)
+	hostECC  *ecc.ProtectedMemory // the host's poison, inherited by fills and kept on write-back
 
 	aligned []byte // scratch: the line-aligned region a miss or a write merges in
 
@@ -122,10 +124,14 @@ func New(host memory.Engine, sizeBytes uint64) *Cache {
 // corrected transparently; uncorrectable (double-bit) faults on clean
 // lines self-heal by dropping the line and refetching from host memory,
 // while faults on dirty lines are counted as lost so the store can
-// escalate instead of serving corrupt data. With ECC disabled the hooks
-// cost one nil check per request.
-func (c *Cache) EnableECC(inj *fault.Injector) {
-	c.faults = inj
+// escalate instead of serving corrupt data. A lost line stays poisoned —
+// counted as lost on every access, and poisoned in host (which may be nil)
+// when written back — until a write covers all of it; a fill from a
+// poisoned host line is poisoned too. With ECC disabled the hooks cost
+// one nil check per request.
+func (c *Cache) EnableECC(inj *fault.Injector, host *ecc.ProtectedMemory) {
+	c.faults, c.hostECC = inj, host
+	c.poisoned = make([]bool, c.lines)
 	c.side = make([]byte, c.lines*ecc.CheckBytes)
 	var zero [ecc.LineBytes]byte
 	sealed := ecc.EncodeLine(&zero, 0)
@@ -153,7 +159,8 @@ func (c *Cache) reseal(slot int) {
 // eccInject flips bits in one resident line covered by [first,
 // first+count), per the injector's configured probabilities. Double
 // flips use bit pair (0,1) of one word, which the widened-parity layout
-// is guaranteed to detect (see internal/fault).
+// is guaranteed to detect (see internal/fault) — so never in the word a
+// single flip just hit: three flips in one word are past SECDED.
 func (c *Cache) eccInject(first uint64, count int) {
 	resident := make([]int, 0, count)
 	for i := 0; i < count; i++ {
@@ -164,15 +171,19 @@ func (c *Cache) eccInject(first uint64, count int) {
 	if len(resident) == 0 {
 		return
 	}
+	single := -1 // slot*8 + word of the single flip
 	if c.faults.Should(fault.DRAMBitFlip) {
 		slot := resident[c.faults.Intn(len(resident))]
 		bit := c.faults.Intn(LineBytes * 8)
+		single = slot*8 + bit/64
 		c.lineData(slot)[bit/8] ^= 1 << (bit % 8)
 	}
 	if c.faults.Should(fault.DRAMDoubleBitFlip) {
 		slot := resident[c.faults.Intn(len(resident))]
 		word := c.faults.Intn(8)
-		c.lineData(slot)[word*8] ^= 0b11
+		if slot*8+word != single {
+			c.lineData(slot)[word*8] ^= 0b11
+		}
 	}
 }
 
@@ -188,6 +199,10 @@ func (c *Cache) eccVerify(first uint64, count int) {
 			continue
 		}
 		slot := c.slotFor(line)
+		if c.poisoned[slot] {
+			c.stats.EccLost++
+			continue
+		}
 		var l ecc.Line
 		copy(l.Data[:], c.lineData(slot))
 		copy(l.Check[:], c.side[slot*ecc.CheckBytes:])
@@ -196,6 +211,7 @@ func (c *Cache) eccVerify(first uint64, count int) {
 		case err != nil:
 			if c.dirty[slot] {
 				c.stats.EccLost++
+				c.poisoned[slot] = true
 			} else {
 				c.tags[slot] = -1
 				c.stats.EccHealed++
@@ -247,14 +263,16 @@ func (c *Cache) install(line uint64, src []byte) {
 	slot := c.slotFor(line)
 	if old := c.tags[slot]; old >= 0 && old != int64(line) {
 		if c.dirty[slot] {
-			c.host.Write(uint64(old)*LineBytes, c.lineData(slot))
-			c.stats.DirtyEvictions++
+			c.writeBack(slot)
 		} else {
 			c.stats.CleanEvictions++
 		}
 	}
 	c.tags[slot] = int64(line)
 	c.dirty[slot] = false
+	if c.poisoned != nil {
+		c.poisoned[slot] = c.hostECC != nil && c.hostECC.Poisoned(line)
+	}
 	copy(c.lineData(slot), src)
 	c.reseal(slot)
 	c.stats.Fills++
@@ -408,6 +426,7 @@ func (c *Cache) Write(addr uint64, data []byte) {
 	// Overlay the write.
 	copy(aligned[addr-alignedBase:], data)
 	// Install/refresh every covered line as dirty.
+	end := addr + uint64(len(data))
 	for i := 0; i < count; i++ {
 		line := first + uint64(i)
 		slot := c.slotFor(line)
@@ -416,6 +435,9 @@ func (c *Cache) Write(addr uint64, data []byte) {
 			c.stats.DRAMLineWrites++
 		} else {
 			c.install(line, aligned[uint64(i)*LineBytes:(uint64(i)+1)*LineBytes])
+		}
+		if c.poisoned != nil && addr <= line*LineBytes && end >= (line+1)*LineBytes {
+			c.poisoned[slot] = false // written whole: new data
 		}
 		c.dirty[slot] = true
 		c.reseal(slot)
@@ -427,12 +449,22 @@ func (c *Cache) Write(addr uint64, data []byte) {
 func (c *Cache) Flush() {
 	for slot := 0; slot < c.lines; slot++ {
 		if c.tags[slot] >= 0 && c.dirty[slot] {
-			c.host.Write(uint64(c.tags[slot])*LineBytes, c.lineData(slot))
-			c.stats.DirtyEvictions++
+			c.writeBack(slot)
 		}
 		c.tags[slot] = -1
 		c.dirty[slot] = false
 	}
+}
+
+// writeBack writes slot's dirty line to host memory; a lost line lands
+// there poisoned, not resealed as good data.
+func (c *Cache) writeBack(slot int) {
+	line := uint64(c.tags[slot])
+	c.host.Write(line*LineBytes, c.lineData(slot))
+	if c.poisoned != nil && c.poisoned[slot] && c.hostECC != nil {
+		c.hostECC.Poison(line)
+	}
+	c.stats.DirtyEvictions++
 }
 
 // Resident reports whether the line containing addr is cached (for tests).

@@ -153,7 +153,9 @@ var opEffects = [opMax]struct{ mutates, idempotent bool }{
 func (o OpCode) Mutates() bool { return o.Valid() && opEffects[o].mutates }
 
 // Idempotent reports whether applying the op twice leaves the store as
-// applying it once does, so a client may replay it. An invalid op is
+// applying it once does, so a client may replay it. Replayable holds for
+// the op alone, not against a concurrent writer: a replayed PUT or DELETE
+// can land after another client's write to the same key. An invalid op is
 // rejected without effect.
 func (o OpCode) Idempotent() bool { return !o.Valid() || opEffects[o].idempotent }
 

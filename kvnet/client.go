@@ -453,7 +453,8 @@ func (c *Client) Put(key, value []byte) error {
 	return err
 }
 
-// Delete removes key, reporting whether it existed.
+// Delete removes key, reporting whether it existed. After a replay
+// (Options.MaxRetries) existed=false can mean "already removed by this call".
 func (c *Client) Delete(key []byte) (bool, error) {
 	r, err := c.shard(key).one("delete", true, kvdirect.Op{Code: kvdirect.OpDelete, Key: key})
 	return err == nil && r.OK(), err

@@ -92,8 +92,9 @@ type Options struct {
 	// read or write times out between StreamTimeout/2 and StreamTimeout
 	// after it began.
 	StreamTimeout time.Duration
-	// Faults optionally injects replication faults: ReplDropEntry,
-	// ReplStallBackup, ReplPartitionPrimary.
+	// Faults optionally injects replication faults (ReplDropEntry,
+	// ReplStallBackup, ReplPartitionPrimary) and, at each replica's client
+	// server, NetReset, NetTruncateFrame and NetCorruptFrame.
 	Faults *fault.Injector
 	// Seed drives the replication layer's deterministic jitter.
 	Seed int64

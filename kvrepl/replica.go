@@ -121,7 +121,7 @@ func NewReplica(shard, id, groupSize int, cfg kvdirect.Config, clientAddr, replA
 		store.Close()
 		return nil, fmt.Errorf("kvrepl: replica %d/%d repl listener: %w", shard, id, err)
 	}
-	r.clientSrv, err = kvnet.ServeBackend(r, clientAddr, kvnet.ServerOptions{Telemetry: tel})
+	r.clientSrv, err = kvnet.ServeBackend(r, clientAddr, kvnet.ServerOptions{Telemetry: tel, Faults: opts.Faults})
 	if err != nil {
 		_ = r.replEdge.Close() // never dialed; the serve error is reported
 		store.Close()
