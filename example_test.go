@@ -9,6 +9,7 @@ import (
 
 func ExampleStore() {
 	store, _ := kvdirect.New(kvdirect.Config{MemoryBytes: 16 << 20})
+	defer store.Close()
 	_ = store.Put([]byte("answer"), []byte("42")) //lint:allow statuserr -- example brevity; cannot fail on a fresh store
 	v, ok := store.Get([]byte("answer"))
 	fmt.Println(string(v), ok)
@@ -17,6 +18,7 @@ func ExampleStore() {
 
 func ExampleStore_Update() {
 	store, _ := kvdirect.New(kvdirect.Config{MemoryBytes: 16 << 20})
+	defer store.Close()
 	// Atomic fetch-and-add on an 8-byte counter; a missing key starts at 0.
 	old1, _ := store.Update([]byte("seq"), kvdirect.FnAdd, 8, 5)
 	old2, _ := store.Update([]byte("seq"), kvdirect.FnAdd, 8, 5)
@@ -26,6 +28,7 @@ func ExampleStore_Update() {
 
 func ExampleStore_Reduce() {
 	store, _ := kvdirect.New(kvdirect.Config{MemoryBytes: 16 << 20})
+	defer store.Close()
 	vec := make([]byte, 4*4)
 	for i := uint32(0); i < 4; i++ {
 		binary.LittleEndian.PutUint32(vec[i*4:], i+1)
@@ -38,6 +41,7 @@ func ExampleStore_Reduce() {
 
 func ExampleStore_UpdateScalarToVector() {
 	store, _ := kvdirect.New(kvdirect.Config{MemoryBytes: 16 << 20})
+	defer store.Close()
 	vec := make([]byte, 4*3)
 	for i := uint32(0); i < 3; i++ {
 		binary.LittleEndian.PutUint32(vec[i*4:], i)
@@ -52,6 +56,7 @@ func ExampleStore_UpdateScalarToVector() {
 
 func ExampleStore_CompareAndSwap() {
 	store, _ := kvdirect.New(kvdirect.Config{MemoryBytes: 16 << 20})
+	defer store.Close()
 	b := make([]byte, 8)
 	binary.LittleEndian.PutUint64(b, 1)
 	_ = store.Put([]byte("lock"), b) //lint:allow statuserr -- example brevity; cannot fail on a fresh store
@@ -63,6 +68,7 @@ func ExampleStore_CompareAndSwap() {
 
 func ExampleStore_RegisterExpression() {
 	store, _ := kvdirect.New(kvdirect.Config{MemoryBytes: 16 << 20})
+	defer store.Close()
 	// Compile a user-defined λ (the §3.2 active-message path): a counter
 	// that saturates at 100.
 	_ = store.RegisterExpression(42, "min(v + p, 100)") //lint:allow statuserr -- example brevity; cannot fail on a fresh store
@@ -76,6 +82,7 @@ func ExampleStore_RegisterExpression() {
 
 func ExampleStore_SubmitUpdate() {
 	store, _ := kvdirect.New(kvdirect.Config{MemoryBytes: 16 << 20})
+	defer store.Close()
 	// Pipelined dependent atomics execute by data forwarding in the
 	// reservation station (one op per clock in hardware).
 	for i := 0; i < 1000; i++ {
@@ -89,6 +96,7 @@ func ExampleStore_SubmitUpdate() {
 
 func ExampleExecute() {
 	store, _ := kvdirect.New(kvdirect.Config{MemoryBytes: 16 << 20})
+	defer store.Close()
 	// A batch executes in order; dependent ops see each other's effects.
 	res := kvdirect.Execute(store, []kvdirect.Op{
 		{Code: kvdirect.OpPut, Key: []byte("k"), Value: []byte("v1")},

@@ -27,6 +27,7 @@ func TestEndToEndMixedBatchOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(store.Close)
 	srv, err := kvnet.Serve(store, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -75,6 +76,7 @@ func TestStoreExhaustionAndRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(store.Close)
 	// Fill until full.
 	var keys [][]byte
 	var i int
@@ -123,6 +125,7 @@ func TestFailedUpdateKeepsOldValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(store.Close)
 	victim := []byte("victim")
 	small := bytes.Repeat([]byte{7}, 30)
 	if err := store.Put(victim, small); err != nil {
@@ -152,6 +155,7 @@ func TestLongRandomRunAgainstOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(store.Close)
 	rng := rand.New(rand.NewSource(2024))
 	oracle := map[string][]byte{}
 	nKeys := 500
@@ -217,6 +221,7 @@ func TestWorkloadDrivenPipelineConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(store.Close)
 	rng := rand.New(rand.NewSource(7))
 	z := rand.NewZipf(rng, 1.3, 1, 99)
 	const n = 50000

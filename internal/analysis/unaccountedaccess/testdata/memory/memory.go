@@ -20,6 +20,30 @@ func (m *Memory) Peek(addr int) byte {
 	return m.data[addr]
 }
 
+// Size reads only the array's length: len and cap are free to all.
+func (m *Memory) Size() int { return len(m.data) + 0*cap(m.data) }
+
+// Release is allowlisted: handing the whole array to unmap is the one
+// touch that frees it.
+func (m *Memory) Release() {
+	data := m.data
+	m.data = nil
+	unmap(data)
+}
+
+func unmap([]byte) {}
+
+// drop cheats: only Release may hand the array off or empty it.
+func (m *Memory) drop() {
+	unmap(m.data) // want "raw access to Memory.data"
+	m.data = nil  // want "raw access to Memory.data"
+}
+
+// snapshot cheats: a whole-array copy is an access Read never counts.
+func snapshot(m *Memory, dst []byte) {
+	copy(dst, m.data) // want "raw access to Memory.data"
+}
+
 // checksum cheats: it walks the array without going through Read.
 func (m *Memory) checksum() byte {
 	var sum byte

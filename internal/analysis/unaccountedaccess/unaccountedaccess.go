@@ -5,9 +5,12 @@
 // accesses per KV operation" — the quantity behind the paper's Figure 6
 // and the bottleneck arithmetic of §3 — is computed by counting calls
 // through memory.Memory's Read/Write (DMA) and nicdram.Cache's line
-// accessors. Code that indexes or slices the backing byte arrays
-// directly performs a memory access the model never sees, quietly
-// deflating the reported DMA counts. The backing fields are unexported,
+// accessors. Code that indexes, slices, ranges over or hands off the
+// backing byte arrays directly (copy(dst, m.data), m.data = nil)
+// performs a memory access the model never sees, quietly deflating the
+// reported DMA counts — or, the arrays being mapped outside the Go
+// heap, touches bytes its owner may already have unmapped. Only len and
+// cap of the field are free to all. The backing fields are unexported,
 // so the compiler already protects other packages; this analyzer closes
 // the remaining hole — code (including test helpers) inside the owning
 // packages themselves.
@@ -29,15 +32,16 @@ var accessors = map[string]map[string]allowed{
 	"kvdirect/internal/memory": {
 		"data": {typeName: "Memory", funcs: map[string]bool{
 			// Read/Write count DMA; Peek/Poke are the documented
-			// host-CPU-side uncounted accessors.
-			"Read": true, "Write": true, "Peek": true, "Poke": true,
+			// host-CPU-side uncounted accessors; Release unmaps.
+			"Read": true, "Write": true, "Peek": true, "Poke": true, "Release": true,
 		}},
 	},
 	"kvdirect/internal/nicdram": {
 		"data": {typeName: "Cache", funcs: map[string]bool{
 			// lineData is the single line-granularity window through
-			// which all cache reads/writes flow (and are counted).
-			"lineData": true,
+			// which all cache reads/writes flow (and are counted);
+			// Release unmaps.
+			"lineData": true, "Release": true,
 		}},
 	},
 }
@@ -72,20 +76,13 @@ func run(pass *analysis.Pass) error {
 }
 
 func checkFunc(pass *analysis.Pass, table map[string]allowed, fd *ast.FuncDecl) {
+	sized := map[ast.Expr]bool{} // operands of len and cap, which read no bytes
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		var target ast.Expr
-		switch n := n.(type) {
-		case *ast.IndexExpr:
-			target = n.X
-		case *ast.SliceExpr:
-			target = n.X
-		case *ast.RangeStmt:
-			target = n.X
-		default:
-			return true
+		if call, ok := n.(*ast.CallExpr); ok && len(call.Args) == 1 && isSizeBuiltin(pass.TypesInfo, call.Fun) {
+			sized[ast.Unparen(call.Args[0])] = true
 		}
-		sel, ok := ast.Unparen(target).(*ast.SelectorExpr)
-		if !ok {
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok || sized[sel] {
 			return true
 		}
 		field := fieldOf(pass.TypesInfo, sel)
@@ -105,6 +102,16 @@ func checkFunc(pass *analysis.Pass, table map[string]allowed, fd *ast.FuncDecl) 
 			al.typeName, field.Name(), accessorList(al))
 		return true
 	})
+}
+
+// isSizeBuiltin reports whether fun is the builtin len or cap.
+func isSizeBuiltin(info *types.Info, fun ast.Expr) bool {
+	id, ok := ast.Unparen(fun).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	b, ok := info.Uses[id].(*types.Builtin)
+	return ok && (b.Name() == "len" || b.Name() == "cap")
 }
 
 // fieldOf resolves sel to a struct field object, or nil.

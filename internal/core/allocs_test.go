@@ -21,6 +21,7 @@ func TestApplyAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(s.Close)
 	const nKeys = 32
 	inlineVals := [][]byte{[]byte("aaaa"), []byte("bbbb")}
 	slabVals := [][]byte{bytes.Repeat([]byte{1}, 64), bytes.Repeat([]byte{2}, 64)}

@@ -17,6 +17,7 @@ func BenchmarkStorePutGet(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Cleanup(s.Close)
 	const nKeys = 4096
 	keys := make([][]byte, nKeys)
 	vals := make([][]byte, nKeys)

@@ -241,11 +241,14 @@ func NewStore(cfg Config) (*Store, error) {
 // Config returns the effective (defaulted) configuration.
 func (s *Store) Config() Config { return s.cfg }
 
-// Close releases the store: the pipeline is drained and the simulated
-// NIC is decommissioned. The store holds no OS resources, so Close is
-// about lifecycle hygiene — owners that build several stores (replica
-// groups, deployments) call it on every store they created when
-// construction fails partway or the owner shuts down. Close is idempotent; Closed
+// Close releases the store: the pipeline is drained, then the host
+// memory and NIC DRAM mappings are unmapped (a store never closed frees
+// them only when the collector finds it unreachable, and mapped bytes
+// put no pressure on the collector). Owners that build several stores
+// (replica groups, deployments) call it on every store they created
+// when construction fails partway or the owner shuts down. An op
+// applied after Close fails its bounds check: ApplyRun answers it with
+// an error. Close is idempotent and must not race with an op; Closed
 // reports it for leak tests.
 func (s *Store) Close() {
 	if s.closed {
@@ -253,6 +256,10 @@ func (s *Store) Close() {
 	}
 	s.engine.Flush()
 	s.closed = true
+	s.mem.Release()
+	if s.cache != nil {
+		s.cache.Release()
+	}
 }
 
 // Closed reports whether Close has been called.

@@ -5,6 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"runtime/metrics"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -17,6 +20,7 @@ func newStore(t *testing.T) *Store {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(s.Close)
 	return s
 }
 
@@ -237,6 +241,7 @@ func TestPipelinedMixedOpsOracle(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		defer s.Close()
 		oracle := map[string][]byte{}
 		keys := make([]string, 20)
 		for i := range keys {
@@ -295,6 +300,7 @@ func TestDisableOoOStillCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(s.Close)
 	for i := 0; i < 100; i++ {
 		s.SubmitUpdate([]byte("ctr"), FnAdd, 8, 1, nil)
 	}
@@ -313,6 +319,7 @@ func TestDisableCacheBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(s.Close)
 	mustPut(t, s, []byte("k"), []byte("v"))
 	if got := s.Stats().Dispatch; got.CachedReads+got.CachedWrites != 0 {
 		t.Errorf("baseline store used NIC DRAM: %+v", got)
@@ -436,11 +443,70 @@ func TestApplyErrors(t *testing.T) {
 	}
 }
 
+// TestStoreUseAfterClose: Close unmaps the simulated DRAM, and an op
+// applied afterwards fails the emptied array's bounds check — a panic
+// ApplyRun answers as that op's error, not a fault on unmapped pages.
+func TestStoreUseAfterClose(t *testing.T) {
+	s := newStore(t)
+	key := []byte("before-close")
+	if err := s.Put(key, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	reqs := []wire.Request{
+		{Code: wire.OpGet, Key: key},
+		{Code: wire.OpPut, Key: []byte("after-close"), Value: []byte("v")},
+	}
+	out := make([]wire.Response, len(reqs))
+	if panics := s.ApplyRun(reqs, out, nil); panics != len(reqs) {
+		t.Errorf("ApplyRun after Close contained %d panics, want %d", panics, len(reqs))
+	}
+	for i, r := range out {
+		if r.Status != wire.StatusError || !strings.Contains(string(r.Value), "out of range") {
+			t.Errorf("%s after Close answered %+v, want an out-of-range error", reqs[i].Code, r)
+		}
+	}
+	s.Close() // idempotent
+}
+
+// TestStoreDRAMOffHeap: a 256 MiB store's host memory and NIC DRAM are
+// mapped outside the Go heap — writing keys across its whole hash index
+// grows the heap's live objects by a few MiB of metadata, not by the
+// store's size — and Close unmaps them.
+func TestStoreDRAMOffHeap(t *testing.T) {
+	heapObjects := func() uint64 {
+		runtime.GC()
+		sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+		metrics.Read(sample)
+		return sample[0].Value.Uint64()
+	}
+	before := heapObjects()
+	s, err := NewStore(Config{MemoryBytes: 256 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	for i := 0; i < 1<<14; i++ {
+		if err := s.Put(fmt.Appendf(nil, "k%05d", i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if grew := int64(heapObjects()) - int64(before); grew >= 8<<20 {
+		t.Errorf("a 256 MiB store grew the heap's objects by %d MiB, want < 8", grew>>20)
+	}
+	runtime.KeepAlive(s)
+	s.Close()
+	if n := s.mem.Size(); n != 0 {
+		t.Errorf("host memory still %d bytes after Close, want 0", n)
+	}
+}
+
 func TestConfigDefaults(t *testing.T) {
 	s, err := NewStore(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(s.Close)
 	cfg := s.Config()
 	if cfg.MemoryBytes != 256<<20 || cfg.HashIndexRatio != 0.5 ||
 		cfg.InlineThreshold != 13 || cfg.NICCacheBytes != 16<<20 ||
@@ -449,6 +515,7 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	// -1 disables inlining.
 	s2, _ := NewStore(Config{MemoryBytes: 1 << 20, InlineThreshold: -1})
+	t.Cleanup(s2.Close)
 	if s2.Config().InlineThreshold != 0 {
 		t.Error("InlineThreshold -1 should become 0")
 	}
@@ -536,6 +603,7 @@ func TestDumpLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(dst.Close)
 	m, err := dst.Load(&buf)
 	if err != nil || m != 500 {
 		t.Fatalf("Load: %d, %v", m, err)

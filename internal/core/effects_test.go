@@ -29,6 +29,7 @@ func TestOpEffectsMatchTheStore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(s.Close)
 		s.SetTelemetry(telemetry.NewRegistry())
 		for k, v := range map[string][]byte{"vec": u32(0, 7, 0, 9), "n": u32(5)} {
 			if err := s.Put([]byte(k), v); err != nil {

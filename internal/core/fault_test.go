@@ -20,6 +20,7 @@ func faultyStore(t *testing.T, inj *fault.Injector, disableCache bool) *Store {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(s.Close)
 	return s
 }
 
@@ -161,6 +162,7 @@ func TestFaultFreeStoreUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(s.Close)
 	if s.prot != nil || s.fmem != nil {
 		t.Fatal("fault/ECC layers present without Faults config")
 	}

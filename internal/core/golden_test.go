@@ -30,6 +30,7 @@ func TestGoldenModelCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(s.Close)
 	rng := rand.New(rand.NewSource(12))
 	key := func(id int) []byte { return []byte(fmt.Sprintf("k%03d", id)) }
 	value := func() []byte {

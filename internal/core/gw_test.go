@@ -18,6 +18,7 @@ func gwStore(t *testing.T) *Store {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(s.Close)
 	return s
 }
 
@@ -320,6 +321,7 @@ func TestGatewayWriteIsOneWalk(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			t.Cleanup(s.Close)
 			for i := 0; i < 200; i++ {
 				putVerOK(t, s, fmt.Sprintf("n-%03d", i), wire.PutVerSet, 0, 0, strings.Repeat("x", i))
 			}

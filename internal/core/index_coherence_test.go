@@ -107,10 +107,12 @@ func TestTableFirstPutReplaysLikeIndexFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(newer.Close)
 	ref, err := NewStore(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(ref.Close)
 	ref.engine = ooo.NewEngine(parentOrderExec{table: ref.table, idx: ref.oidx}, 0, 0)
 
 	rng := rand.New(rand.NewSource(22))
@@ -180,6 +182,7 @@ func TestPutRollsBackTableWhenIndexNodeCannotBeAllocated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(s.Close)
 	// Fill with 32 B-class entries until 64 creates in a row fail: a lone
 	// failure may be a tall index node wanting a larger slab class.
 	for i, failures := 0, 0; failures < 64; i++ {

@@ -21,6 +21,7 @@ func TestPanickingLambdaLeavesNoWedgedSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(s.Close)
 	s.RegisterUpdateFunc(100, func(e, p uint64) uint64 { return e / (p - p) })
 	boom := []byte("boom")
 	func() {

@@ -16,6 +16,7 @@ func TestApplyRunChargesModelCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(s.Close)
 	if err := s.Put([]byte("span-key"), make([]byte, 64)); err != nil {
 		t.Fatal(err)
 	}
@@ -64,6 +65,7 @@ func TestApplyRunAccumulates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(s.Close)
 	span := &telemetry.Span{}
 	reqs := []wire.Request{
 		{Code: wire.OpPut, Key: []byte("a"), Value: []byte("1")},
@@ -91,6 +93,7 @@ func TestOpTelemetrySnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(s.Close)
 	// Without a registry the scrape fails explicitly.
 	resp := s.Apply(wire.Request{Code: wire.OpTelemetry})
 	if resp.Status != wire.StatusError {

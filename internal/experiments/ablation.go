@@ -66,6 +66,7 @@ func measureAblation(sc Scale, cfg core.Config) ablationRow {
 	if err != nil {
 		panic(err)
 	}
+	defer s.Close()
 	const keySize = 5
 	gen := workload.New(workload.Config{Keys: 1, KeySize: keySize, ValSize: 5, Seed: sc.Seed})
 	var n uint64

@@ -61,7 +61,9 @@ func Fig14(sc Scale) []*Table {
 // rate: min over resources of capacity/load, capped at the clock rate.
 func measureDispatch(sc Scale, readPct int, zipfian bool, pcieCap, dramCap float64) float64 {
 	host := memory.New(sc.MemBytes)
+	defer host.Release()
 	cache := nicdram.New(host, sc.MemBytes/16)
+	defer cache.Release()
 	d := dispatch.New(host, cache, 0.5)
 	rng := rand.New(rand.NewSource(sc.Seed))
 	nLines := sc.MemBytes / memory.LineBytes

@@ -49,6 +49,7 @@ func measureYCSB(sc Scale, kvSize int, longtail bool) ycsbPoint {
 	if err != nil {
 		panic(err)
 	}
+	defer s.Close()
 	keySize := 5
 	if kvSize > 50 {
 		keySize = 10

@@ -185,6 +185,7 @@ func scalingFunctional(sc Scale) *Table {
 				rate = cap / perOp
 			}
 			aggregate += rate
+			s.Close()
 		}
 		t.Add(itoa(n),
 			fmt.Sprintf("%d/%d", minC, maxC),

@@ -13,6 +13,7 @@ package memory
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 )
 
@@ -57,6 +58,11 @@ func (s Stats) Sub(t Stats) Stats {
 // Memory is a simulated byte-addressable memory with atomic access counters.
 // It is safe for concurrent use by multiple goroutines as long as they do
 // not touch overlapping addresses (the same contract real DMA gives).
+//
+// The bytes live outside the Go heap (MapDRAM). Release frees them; a
+// Memory dropped unreleased is released by a finalizer once unreachable.
+// Every accessor that touches them ends in runtime.KeepAlive(m), so the
+// finalizer cannot run in the middle of a copy.
 type Memory struct {
 	data []byte
 
@@ -66,9 +72,22 @@ type Memory struct {
 	writeLines atomic.Uint64
 }
 
-// New allocates a zeroed memory of the given size in bytes.
+// New maps a zeroed memory of the given size in bytes.
 func New(size uint64) *Memory {
-	return &Memory{data: make([]byte, size)}
+	m := &Memory{data: MapDRAM(size)}
+	runtime.SetFinalizer(m, (*Memory).Release)
+	return m
+}
+
+// Release unmaps the memory now and cancels the finalizer. The slice is
+// emptied first, so a later access fails the accessors' bounds check
+// with a recoverable panic instead of faulting on unmapped pages.
+// Release is idempotent; it must not race with an access.
+func (m *Memory) Release() {
+	data := m.data
+	m.data = nil
+	runtime.SetFinalizer(m, nil)
+	UnmapDRAM(data)
 }
 
 // Size returns the memory size in bytes.
@@ -97,6 +116,7 @@ func (m *Memory) Read(addr uint64, buf []byte) {
 	copy(buf, m.data[addr:addr+uint64(len(buf))])
 	m.reads.Add(1)
 	m.readLines.Add(lines(addr, len(buf)))
+	runtime.KeepAlive(m)
 }
 
 // Write implements Engine. It counts one DMA write request.
@@ -105,6 +125,7 @@ func (m *Memory) Write(addr uint64, data []byte) {
 	copy(m.data[addr:addr+uint64(len(data))], data)
 	m.writes.Add(1)
 	m.writeLines.Add(lines(addr, len(data)))
+	runtime.KeepAlive(m)
 }
 
 // Peek reads without counting an access. It is intended for tests and
@@ -113,12 +134,14 @@ func (m *Memory) Write(addr uint64, data []byte) {
 func (m *Memory) Peek(addr uint64, buf []byte) {
 	m.check(addr, len(buf))
 	copy(buf, m.data[addr:addr+uint64(len(buf))])
+	runtime.KeepAlive(m)
 }
 
 // Poke writes without counting an access (host-CPU-side writes).
 func (m *Memory) Poke(addr uint64, data []byte) {
 	m.check(addr, len(data))
 	copy(m.data[addr:addr+uint64(len(data))], data)
+	runtime.KeepAlive(m)
 }
 
 // Stats returns a snapshot of the access counters.

@@ -8,7 +8,8 @@
 // data bits to free 6 bits per 64 B line; no valid bit is needed because
 // the NIC accesses KVS storage exclusively). Here the metadata lives in
 // ordinary Go slices, but the accounting is the same: no extra host-memory
-// accesses are charged for metadata.
+// accesses are charged for metadata. The line data itself is mapped
+// outside the Go heap, as host memory is (memory.MapDRAM).
 //
 // Host-memory traffic (fills and dirty write-backs) goes through the
 // underlying memory.Memory, so PCIe DMA counts stay authoritative; DRAM
@@ -17,6 +18,7 @@ package nicdram
 
 import (
 	"fmt"
+	"runtime"
 
 	"kvdirect/internal/ecc"
 	"kvdirect/internal/fault"
@@ -84,7 +86,10 @@ type Cache struct {
 
 	tags  []int64 // host line index occupying each slot, -1 = empty
 	dirty []bool
-	data  []byte // lines * 64 bytes
+	// lines * 64 bytes, mapped outside the Go heap: Release or, for a
+	// cache dropped unreleased, a finalizer unmaps them, so Read, Write
+	// and Flush end in runtime.KeepAlive(c).
+	data []byte
 
 	// ECC sideband, armed by EnableECC: CheckBytes per slot holding the
 	// 8x7 Hamming bits, widened parity and the cache metadata (address
@@ -111,12 +116,24 @@ func New(host memory.Engine, sizeBytes uint64) *Cache {
 		lines: n,
 		tags:  make([]int64, n),
 		dirty: make([]bool, n),
-		data:  make([]byte, n*LineBytes),
+		data:  memory.MapDRAM(uint64(n) * LineBytes),
 	}
+	runtime.SetFinalizer(c, (*Cache).Release)
 	for i := range c.tags {
 		c.tags[i] = -1
 	}
 	return c
+}
+
+// Release unmaps the line data now, dirty lines included (the owner is
+// done with the cache), and cancels the finalizer. The slice is emptied
+// first, so a later access fails lineData's slicing with a recoverable
+// panic instead of faulting on unmapped pages. Release is idempotent.
+func (c *Cache) Release() {
+	data := c.data
+	c.data = nil
+	runtime.SetFinalizer(c, nil)
+	memory.UnmapDRAM(data)
 }
 
 // EnableECC arms the per-line SECDED sideband and attaches inj as the
@@ -318,6 +335,7 @@ func (c *Cache) Read(addr uint64, buf []byte) {
 		c.stats.Hits++
 		c.copyOut(addr, buf)
 		c.stats.DRAMLineReads += uint64(count)
+		runtime.KeepAlive(c)
 		return
 	}
 	c.stats.Misses++
@@ -345,6 +363,7 @@ func (c *Cache) Read(addr uint64, buf []byte) {
 	}
 	copy(buf, aligned[addr-alignedBase:])
 	c.stats.DRAMLineReads += uint64(count)
+	runtime.KeepAlive(c)
 }
 
 // copyOut copies [addr, addr+len(buf)) from resident cache lines.
@@ -442,6 +461,7 @@ func (c *Cache) Write(addr uint64, data []byte) {
 		c.dirty[slot] = true
 		c.reseal(slot)
 	}
+	runtime.KeepAlive(c)
 }
 
 // Flush writes every dirty line back to host memory and invalidates the
@@ -454,6 +474,7 @@ func (c *Cache) Flush() {
 		c.tags[slot] = -1
 		c.dirty[slot] = false
 	}
+	runtime.KeepAlive(c)
 }
 
 // writeBack writes slot's dirty line to host memory; a lost line lands

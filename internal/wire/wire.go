@@ -215,6 +215,17 @@ type Response struct {
 	Value  []byte
 }
 
+// ResponsesFor returns out[:n] for a batch of n answers, allocating only
+// when out's capacity is short: a serve loop passes the same scratch
+// every batch, a caller without one passes nil. The contents are stale;
+// the caller overwrites every element.
+func ResponsesFor(out []Response, n int) []Response {
+	if cap(out) < n {
+		return make([]Response, n)
+	}
+	return out[:n]
+}
+
 // OK reports whether the operation succeeded.
 func (r Response) OK() bool { return r.Status == StatusOK }
 

@@ -155,6 +155,7 @@ func startGateway(t *testing.T, cfg RegistryConfig, opts Options) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(store.Close)
 	srv, err := kvnet.Serve(store, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -22,8 +22,10 @@ import (
 // (c) a panicking op answered as that op's error with its neighbours
 // intact, (d) nothing retained — the caller scribbles over reqs and
 // the bytes they point to after the return, as a connection's recycled
-// frame does, and every copy of the data still reads the original — and
-// (e) concurrent callers served whole, the backend serializing itself.
+// frame does, and every copy of the data still reads the original —
+// (e) concurrent callers served whole, the backend serializing itself,
+// and (f) the answers written over the caller's response scratch, in
+// place when it is large enough.
 func TestBackendContract(t *testing.T) {
 	cfg := kvdirect.Config{MemoryBytes: 8 << 20}
 	// An implementer under test: the backend, the registry it records
@@ -100,8 +102,13 @@ func TestBackendContract(t *testing.T) {
 			}
 			before, observed := store.Stats(), lat.Count()
 			span := &telemetry.Span{}
-			resps := o.backend.ApplyBatch(reqs, span)
+			scratch := make([]wire.Response, 1, len(reqs))
+			scratch[0] = wire.Response{Status: 0xDB, Value: []byte("stale")}
+			resps := o.backend.ApplyBatch(reqs, scratch, span)
 			after := store.Stats()
+			if len(resps) > 0 && &resps[0] != &scratch[0] {
+				t.Error("the answers did not reuse the caller's response scratch")
+			}
 
 			if want := (kvdirect.Stats{
 				Mem:      after.Mem.Sub(before.Mem),
@@ -134,7 +141,7 @@ func TestBackendContract(t *testing.T) {
 				reqs[i] = wire.Request{Code: wire.OpDelete, Key: []byte("alpha")}
 			}
 			for key, want := range map[string]string{"alpha": "one", "beta": "two"} {
-				got := o.backend.ApplyBatch([]wire.Request{{Code: wire.OpGet, Key: []byte(key)}}, nil)
+				got := o.backend.ApplyBatch([]wire.Request{{Code: wire.OpGet, Key: []byte(key)}}, nil, nil)
 				if got[0].Status != wire.StatusOK || string(got[0].Value) != want {
 					t.Errorf("GET %s after the caller recycled its buffers: %+v, want %q", key, got[0], want)
 				}
@@ -147,7 +154,7 @@ func TestBackendContract(t *testing.T) {
 			got := o.backend.ApplyBatch([]wire.Request{
 				{Code: wire.OpPut, Key: mate, Value: []byte("mate")},
 				{Code: wire.OpGet, Key: mate},
-			}, nil)
+			}, nil, nil)
 			if got[0].Status != wire.StatusOK || got[1].Status != wire.StatusOK || string(got[1].Value) != "mate" {
 				t.Errorf("PUT+GET %q, which shares the panicking op's slot: %+v", mate, got)
 			}
@@ -176,8 +183,8 @@ func TestBackendContract(t *testing.T) {
 					defer wg.Done()
 					for i := 0; i < batches; i += 2 {
 						k := key(c, i)
-						put := o.backend.ApplyBatch([]wire.Request{{Code: wire.OpPut, Key: k, Value: k}}, nil)
-						get := o.backend.ApplyBatch([]wire.Request{{Code: wire.OpGet, Key: k}}, nil)
+						put := o.backend.ApplyBatch([]wire.Request{{Code: wire.OpPut, Key: k, Value: k}}, nil, nil)
+						get := o.backend.ApplyBatch([]wire.Request{{Code: wire.OpGet, Key: k}}, nil, nil)
 						if put[0].Status != wire.StatusOK || get[0].Status != wire.StatusOK || string(get[0].Value) != string(k) {
 							t.Errorf("caller %d: PUT %s answered %+v, GET %+v", c, k, put[0], get[0])
 							return
@@ -199,6 +206,23 @@ func TestBackendContract(t *testing.T) {
 						}
 					}
 				}
+			}
+			// (d) once more: an alias kept past a return and written
+			// later (the scribbled frame, or the next batch's bytes in
+			// its place) shows up as a key no caller sent.
+			sent := map[string]bool{"alpha": true, "beta": true, string(mate): true}
+			for c := 0; c < callers; c++ {
+				for i := 0; i < batches; i += 2 {
+					sent[string(key(c, i))] = true
+				}
+			}
+			for si, s := range o.stores {
+				s.Walk(func(k, _ []byte) bool {
+					if !sent[string(k)] {
+						t.Errorf("store %d holds %q, a key no caller sent", si, k)
+					}
+					return true
+				})
 			}
 		})
 	}
@@ -223,9 +247,9 @@ func rsSlotMate(key []byte, n uint64) []byte {
 }
 
 // TestServerApplyBatchAllocs pins the store backend's per-batch cost: a
-// 32-op inline PUT batch allocates its response slice and nothing else —
-// per-op panic isolation, span charge and the run's one latency
-// observation included.
+// 32-op inline PUT batch answered into a recycled response scratch, as
+// a connection's are, allocates nothing — per-op panic isolation, span
+// charge and the run's one latency observation included.
 func TestServerApplyBatchAllocs(t *testing.T) {
 	store, err := kvdirect.New(kvdirect.Config{MemoryBytes: 8 << 20})
 	if err != nil {
@@ -238,13 +262,14 @@ func TestServerApplyBatchAllocs(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = wire.Request{Code: wire.OpPut, Key: fmt.Appendf(nil, "key-%02d", i), Value: []byte("vvvv")}
 	}
+	var resps []wire.Response
 	allocs := testing.AllocsPerRun(100, func() {
-		if resps := b.ApplyBatch(reqs, nil); resps[len(resps)-1].Status != wire.StatusOK {
+		if resps = b.ApplyBatch(reqs, resps, nil); resps[len(resps)-1].Status != wire.StatusOK {
 			t.Fatalf("PUT answered %+v", resps[len(resps)-1])
 		}
 	})
-	if allocs > 1 {
-		t.Errorf("a 32-op inline PUT batch allocates %.0f objects, want 1 (its responses)", allocs)
+	if allocs > 0 {
+		t.Errorf("a 32-op inline PUT batch allocates %.0f objects, want 0", allocs)
 	}
 	if n := tel.Histogram("server.op_latency_ns").Count(); n != 101*32 {
 		t.Errorf("server.op_latency_ns counted %d ops, want %d", n, 101*32)

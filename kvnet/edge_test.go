@@ -23,6 +23,7 @@ func TestServerCloseRacesAccept(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(store.Close)
 	backend, err := kvnet.Serve(store, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -13,6 +13,7 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer store.Close()
 	srv, err := kvnet.Serve(store, "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
@@ -38,6 +39,7 @@ func Example() {
 
 func ExampleClient_Do() {
 	store, _ := kvdirect.New(kvdirect.Config{MemoryBytes: 16 << 20})
+	defer store.Close()
 	srv, _ := kvnet.Serve(store, "127.0.0.1:0")
 	defer srv.Close()
 	client, _ := kvnet.Dial(srv.Addr())
@@ -55,6 +57,7 @@ func ExampleClient_Do() {
 
 func ExampleBatcher() {
 	store, _ := kvdirect.New(kvdirect.Config{MemoryBytes: 16 << 20})
+	defer store.Close()
 	srv, _ := kvnet.Serve(store, "127.0.0.1:0")
 	defer srv.Close()
 	client, _ := kvnet.Dial(srv.Addr())

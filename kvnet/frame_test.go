@@ -107,6 +107,7 @@ func TestServerSurvivesCorruptFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(store.Close)
 	srv, err := Serve(store, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -174,6 +175,7 @@ func TestServerSurvivesBadBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(store.Close)
 	srv, err := Serve(store, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

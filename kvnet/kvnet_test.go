@@ -17,6 +17,7 @@ func startServer(t *testing.T) (*Server, *Client) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(store.Close)
 	srv, err := Serve(store, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

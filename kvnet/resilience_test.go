@@ -17,6 +17,7 @@ func newStore(t *testing.T) *kvdirect.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(store.Close)
 	return store
 }
 

@@ -17,6 +17,7 @@ func TestScanSingleClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(s.Close)
 	srv, err := Serve(s, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -64,6 +65,7 @@ func TestYCSBEEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(s.Close)
 	srv, err := Serve(s, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

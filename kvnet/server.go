@@ -87,13 +87,16 @@ func (o ServerOptions) withDefaults() ServerOptions {
 // cost; a nil span is an untraced batch (Span's methods are nil-safe).
 // Both methods may be called concurrently — a Server calls them from
 // every connection at once, holding no lock — so a backend serializes
-// itself. ApplyBatch must not retain reqs, nor the bytes their slices
-// point to, past its return: callers recycle both (a connection's frame
-// buffer, the gateway's per-connection arena). TestBackendContract holds
-// every implementer to both rules. PublishTelemetry refreshes derived
-// gauges into the shared registry before a snapshot.
+// itself. ApplyBatch answers reqs in out[:0], grown only when its
+// capacity is short, and returns it: a connection hands in the same
+// scratch every batch, nil allocates. It must not retain reqs, nor the
+// bytes their slices point to, nor out, past its return: callers
+// recycle all three (a connection's frame buffer and response scratch,
+// the gateway's per-connection arena). TestBackendContract holds every
+// implementer to these rules. PublishTelemetry refreshes derived gauges
+// into the shared registry before a snapshot.
 type Backend interface {
-	ApplyBatch(reqs []wire.Request, span *telemetry.Span) []wire.Response
+	ApplyBatch(reqs []wire.Request, out []wire.Response, span *telemetry.Span) []wire.Response
 	PublishTelemetry()
 }
 
@@ -146,10 +149,11 @@ func NewStoreBackend(store *kvdirect.Store, tel *telemetry.Registry) Backend {
 	return &storeBackend{store: store, Applier: NewApplier(tel)}
 }
 
-func (b *storeBackend) ApplyBatch(reqs []wire.Request, span *telemetry.Span) []wire.Response {
+//kvd:hotpath
+func (b *storeBackend) ApplyBatch(reqs []wire.Request, out []wire.Response, span *telemetry.Span) []wire.Response {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	out := make([]wire.Response, len(reqs))
+	out = wire.ResponsesFor(out, len(reqs))
 	start := time.Now()
 	b.Panicked(b.store.ApplyRun(reqs, out, span))
 	b.Served(start, len(reqs), span)
@@ -232,15 +236,19 @@ func (s *Server) handle(conn net.Conn) {
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
 	// Recycled across this connection's batches: the request frame, the
-	// requests decoded from it (which alias it) and the encoded reply —
-	// unless a batch was outsize, which must not pin its memory for the
-	// life of the connection.
+	// requests decoded from it (which alias it), the backend's responses
+	// and the encoded reply — unless a batch was outsize, which must not
+	// pin its memory for the life of the connection.
 	var pkt, out []byte
 	var reqs []wire.Request
+	var resps []wire.Response
 	var dl Deadlines
 	for {
-		if cap(pkt) > 1<<20 || cap(out) > 1<<20 || cap(reqs) > 4<<10 {
-			pkt, out, reqs = nil, nil, nil
+		if cap(pkt) > 1<<20 || cap(out) > 1<<20 || cap(reqs) > 4<<10 || cap(resps) > 4<<10 {
+			pkt, out, reqs, resps = nil, nil, nil, nil
+		}
+		if poisonRecycled {
+			poison(pkt, out, reqs, resps)
 		}
 		if t := s.opts.ReadIdleTimeout; t > 0 {
 			if err := dl.Read(conn, time.Now(), t); err != nil {
@@ -293,7 +301,7 @@ func (s *Server) handle(conn net.Conn) {
 			continue
 		}
 		span.SetOp(batchLabel(reqs), len(reqs))
-		resps := s.apply(reqs, span)
+		resps = s.apply(reqs, resps, span)
 		if traced {
 			// The span covers decode+apply; it must be finished before
 			// marshalling, so the reply stage is deliberately outside it.
@@ -315,6 +323,31 @@ func (s *Server) handle(conn net.Conn) {
 		if !s.reply(conn, w, &dl, out) {
 			return
 		}
+	}
+}
+
+// poisonPattern is what poison writes over recycled buffers.
+const poisonPattern = 0xDB
+
+// poison overwrites a connection's recycled buffers — the request frame,
+// the encoded reply, the decoded requests and the response scratch —
+// with poisonPattern before their next use, so a backend that kept an
+// alias past ApplyBatch's return reads garbage (an unknown opcode, a
+// key of 0xDB bytes) rather than a plausible neighbour batch. Only
+// race builds call it (poisonRecycled).
+func poison(pkt, out []byte, reqs []wire.Request, resps []wire.Response) {
+	for _, b := range [][]byte{pkt[:cap(pkt)], out[:cap(out)]} {
+		for i := range b {
+			b[i] = poisonPattern
+		}
+	}
+	reqs = reqs[:cap(reqs)]
+	for i := range reqs {
+		reqs[i] = wire.Request{Code: poisonPattern}
+	}
+	resps = resps[:cap(resps)]
+	for i := range resps {
+		resps[i] = wire.Response{Status: poisonPattern}
 	}
 }
 
@@ -347,11 +380,11 @@ func spanResponse(span *telemetry.Span) wire.Response {
 // stage (the backend's lock wait included).
 //
 //kvd:hotpath
-func (s *Server) apply(reqs []wire.Request, span *telemetry.Span) []wire.Response {
+func (s *Server) apply(reqs []wire.Request, out []wire.Response, span *telemetry.Span) []wire.Response {
 	defer span.StartStage("server.apply").End()
 	s.ops.Add(uint64(len(reqs)))
 	s.batchOps.Observe(uint64(len(reqs)))
-	return s.backend.ApplyBatch(reqs, span)
+	return s.backend.ApplyBatch(reqs, out, span)
 }
 
 // DoTrace executes one batch in-process through the same pipeline a
@@ -367,7 +400,7 @@ func (s *Server) apply(reqs []wire.Request, span *telemetry.Span) []wire.Respons
 //kvd:hotpath
 func (s *Server) DoTrace(ops []kvdirect.Op, tc wire.TraceContext) ([]kvdirect.Result, *telemetry.Span, error) {
 	span := startSpan(s.tel.Tracer(), tc, ops)
-	resps := s.apply(ops, span)
+	resps := s.apply(ops, nil, span) // the results are the caller's: a fresh slice
 	s.tel.Tracer().Publish(span)
 	return resps, span, nil
 }

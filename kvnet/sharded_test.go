@@ -21,6 +21,7 @@ func startShardedDeployment(t *testing.T, n int) ([]*kvdirect.Store, *Client) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(store.Close)
 		stores[i] = store
 		srv, err := Serve(store, "127.0.0.1:0")
 		if err != nil {

@@ -22,6 +22,7 @@ func TestTracedGetMatchesModelCharges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(store.Close)
 	srv, err := Serve(store, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -101,6 +102,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(store.Close)
 	srv, err := Serve(store, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -163,6 +165,7 @@ func TestWireTelemetryScrape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(store.Close)
 	srv, err := Serve(store, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -204,6 +207,7 @@ func TestServerSampledSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(store.Close)
 	srv, err := ServeOptions(store, "127.0.0.1:0", ServerOptions{TraceSampleEvery: 2})
 	if err != nil {
 		t.Fatal(err)

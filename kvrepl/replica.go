@@ -418,15 +418,17 @@ func (r *Replica) wakeLocked() { r.ackCond.Broadcast() }
 // its last seq is at quorum — a wait that releases the lock, so batches
 // overlap it. A batch that wrote nothing waits until what it read is
 // settled. A non-nil span is charged for the store's access counts and
-// staged for the quorum wait.
-func (r *Replica) ApplyBatch(reqs []wire.Request, span *telemetry.Span) []wire.Response {
+// staged for the quorum wait. The answers go in out[:0] (see
+// kvnet.Backend).
+func (r *Replica) ApplyBatch(reqs []wire.Request, out []wire.Response, span *telemetry.Span) []wire.Response {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	out = wire.ResponsesFor(out, len(reqs))
 	if r.role != RolePrimary || r.closed {
-		return r.rejectLocked(len(reqs))
+		r.rejectLocked(out)
+		return out
 	}
 	epoch := r.epoch
-	out := make([]wire.Response, len(reqs))
 	start := time.Now()
 	seq, from := r.lastApplied, 0
 	for i, req := range reqs {
@@ -473,7 +475,7 @@ func (r *Replica) ApplyBatch(reqs []wire.Request, span *telemetry.Span) []wire.R
 	waitStart := r.apply.Served(start, len(reqs), span)
 	if !wrote { // a read must never return a write that is only on the primary
 		if !r.waitSettledLocked(r.lastApplied, epoch) { //lint:allow lockorder -- it parks in sync.Cond.Wait, which releases mu while blocked and re-locks before returning
-			out = r.rejectLocked(len(reqs))
+			r.rejectLocked(out)
 		}
 		return out
 	}
@@ -503,16 +505,15 @@ func (r *Replica) ApplyBatch(reqs []wire.Request, span *telemetry.Span) []wire.R
 	return out
 }
 
-// rejectLocked answers n ops with a redirect to the current primary.
-func (r *Replica) rejectLocked(n int) []wire.Response {
+// rejectLocked answers every op in out with a redirect to the current
+// primary.
+func (r *Replica) rejectLocked(out []wire.Response) {
 	hint := []byte(r.primaryHint)
-	out := make([]wire.Response, n)
 	for i := range out {
 		out[i] = wire.Response{Status: wire.StatusNotPrimary, Value: hint}
 	}
-	r.counters.Add("repl.not_primary_rejects", uint64(n))
-	r.tel.Flight().Record(telemetry.EventNotPrimary, int64(r.shard), r.epoch, uint64(n))
-	return out
+	r.counters.Add("repl.not_primary_rejects", uint64(len(out)))
+	r.tel.Flight().Record(telemetry.EventNotPrimary, int64(r.shard), r.epoch, uint64(len(out)))
 }
 
 // PublishTelemetry implements kvnet.Backend: refreshes the store's

@@ -21,6 +21,7 @@ func TestOpLogRecordReplayRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(src.Close)
 	for batch := 0; batch < 20; batch++ {
 		ops := make([]Op, 0, 10)
 		for i := 0; i < 10; i++ {
@@ -50,6 +51,7 @@ func TestOpLogRecordReplayRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(dst.Close)
 	batches, ops, failed, err := Replay(bytes.NewReader(buf.Bytes()), dst)
 	if err != nil {
 		t.Fatal(err)
@@ -94,6 +96,7 @@ func TestOpLogReplayAcrossConfigs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(s.Close)
 		if _, ops, failed, err := Replay(bytes.NewReader(buf.Bytes()), s); err != nil || failed != 0 || ops != 50 {
 			t.Fatalf("cfg %+v: %v ops=%d failed=%d", cfg, err, ops, failed)
 		}
@@ -125,6 +128,7 @@ func TestOpLogCorruptionDetected(t *testing.T) {
 	}
 	for name, data := range cases {
 		s, _ := New(Config{MemoryBytes: 4 << 20})
+		t.Cleanup(s.Close)
 		if _, _, _, err := Replay(bytes.NewReader(data), s); err == nil {
 			t.Errorf("%s: replay accepted corrupt op-log", name)
 		}
@@ -152,6 +156,7 @@ func TestOpLogReplayTruncatedFrame(t *testing.T) {
 	// cut lands in the header or the payload.
 	for cut := 1; cut < len(good); cut++ {
 		s, _ := New(Config{MemoryBytes: 4 << 20})
+		t.Cleanup(s.Close)
 		batches, _, _, err := Replay(bytes.NewReader(good[:cut]), s)
 		if err == nil {
 			t.Fatalf("cut at %d of %d: replay accepted truncated op-log", cut, len(good))
@@ -172,6 +177,7 @@ func TestOpLogReplayOversizedFrame(t *testing.T) {
 	data := append([]byte(nil), good...)
 	binary.LittleEndian.PutUint32(data[:4], 16<<20+1)
 	s, _ := New(Config{MemoryBytes: 4 << 20})
+	t.Cleanup(s.Close)
 	_, _, _, err := Replay(bytes.NewReader(data), s)
 	if !errors.Is(err, ErrOpLogCorrupt) {
 		t.Fatalf("oversized frame: err = %v, want ErrOpLogCorrupt", err)
@@ -186,6 +192,7 @@ func TestOpLogReplayCRCCorruptBatch(t *testing.T) {
 		data := append([]byte(nil), good...)
 		data[i] ^= 0x10
 		s, _ := New(Config{MemoryBytes: 4 << 20})
+		t.Cleanup(s.Close)
 		batches, _, _, err := Replay(bytes.NewReader(data), s)
 		if !errors.Is(err, ErrOpLogCorrupt) {
 			t.Fatalf("flip at %d: err = %v, want ErrOpLogCorrupt", i, err)
@@ -198,6 +205,7 @@ func TestOpLogReplayCRCCorruptBatch(t *testing.T) {
 	data := append([]byte(nil), good...)
 	data[5] ^= 0xFF
 	s, _ := New(Config{MemoryBytes: 4 << 20})
+	t.Cleanup(s.Close)
 	if _, _, _, err := Replay(bytes.NewReader(data), s); !errors.Is(err, ErrOpLogCorrupt) {
 		t.Fatalf("corrupt crc field: err = %v, want ErrOpLogCorrupt", err)
 	}
@@ -205,6 +213,7 @@ func TestOpLogReplayCRCCorruptBatch(t *testing.T) {
 
 func TestOpLogEmptyAndCallbackError(t *testing.T) {
 	s, _ := New(Config{MemoryBytes: 4 << 20})
+	t.Cleanup(s.Close)
 	if b, o, f, err := Replay(bytes.NewReader(nil), s); err != nil || b+o+f != 0 {
 		t.Errorf("empty op-log: %d %d %d %v", b, o, f, err)
 	}
