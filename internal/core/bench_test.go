@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"testing"
+
+	"kvdirect/internal/workload"
 )
 
 // BenchmarkStorePutGet measures the fault-free hot path end to end
@@ -41,5 +43,69 @@ func BenchmarkStorePutGet(b *testing.B) {
 		if _, ok := s.Get(k); !ok {
 			b.Fatal("missing key")
 		}
+	}
+}
+
+// BenchmarkStoreCreate times creates of new keys into a store the size of
+// the benchmark's ycsb-b-single one (128 MiB, 8 MiB NIC DRAM, 16 B keys,
+// 64 B values), with the ordered index on and off, and reports the model's
+// reads per create: engine (every request the dispatcher routes, NIC
+// DRAM hits included) and PCIe (those that reach host memory). Each store
+// is preloaded with 100 000 keys outside the timer and takes at most
+// 100 000 timed creates, so every create lands in a list of 100 000 to
+// 200 000 keys, as the benchmark's preload does in its second half.
+func BenchmarkStoreCreate(b *testing.B) {
+	const preload, span = 100_000, 100_000
+	gen := workload.New(workload.Config{Keys: preload + span, KeySize: 16, ValSize: 64})
+	keys := make([][]byte, preload+span)
+	vals := make([][]byte, preload+span)
+	for id := range keys {
+		keys[id], vals[id] = gen.KeyBytes(uint64(id)), gen.ValueBytes(uint64(id), 0)
+	}
+	for _, bc := range []struct {
+		name      string
+		noOrdered bool
+	}{{"indexed", false}, {"hash-only", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var s *Store
+			var base Stats // s's counters when its preload finished
+			var engine, pcie uint64
+			// retire adds s's reads since its preload to the totals.
+			retire := func() {
+				st := s.Stats()
+				engine += st.Dispatch.DirectReads + st.Dispatch.CachedReads -
+					base.Dispatch.DirectReads - base.Dispatch.CachedReads
+				pcie += st.Mem.Reads - base.Mem.Reads
+				s.Close()
+			}
+			for i := 0; i < b.N; i++ {
+				if i%span == 0 {
+					b.StopTimer()
+					if s != nil {
+						retire()
+					}
+					var err error
+					s, err = NewStore(Config{MemoryBytes: 128 << 20, NICCacheBytes: 8 << 20, NoOrderedIndex: bc.noOrdered})
+					if err != nil {
+						b.Fatal(err)
+					}
+					for id := 0; id < preload; id++ {
+						if err := s.Put(keys[id], vals[id]); err != nil {
+							b.Fatal(err)
+						}
+					}
+					base = s.Stats()
+					b.StartTimer()
+				}
+				id := preload + i%span
+				if err := s.Put(keys[id], vals[id]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			retire()
+			b.ReportMetric(float64(engine)/float64(b.N), "engine-reads/op")
+			b.ReportMetric(float64(pcie)/float64(b.N), "pcie-reads/op")
+		})
 	}
 }

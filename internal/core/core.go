@@ -604,7 +604,7 @@ type Stats struct {
 	Keys           uint64
 	PayloadBytes   uint64
 	ChainBuckets   uint64
-	CorruptChains  uint64
+	CorruptChains  uint64 // hash table and ordered index walks cut short by a corrupt pointer
 	FaultsInjected uint64
 }
 
@@ -622,6 +622,7 @@ func (s *Store) Stats() Stats {
 	}
 	if s.oidx != nil {
 		st.Ordered = s.oidx.Stats()
+		st.CorruptChains += st.Ordered.Corrupt
 	}
 	if s.cache != nil {
 		st.Cache = s.cache.Stats()
@@ -647,7 +648,7 @@ type Health struct {
 	Retries        uint64 // DMA reads re-issued after dropped completions
 	Stalls         uint64 // DMA requests delayed by injected stalls
 	Uncorrectable  uint64 // faults with no intact copy anywhere (data lost)
-	CorruptChains  uint64 // hash-chain walks cut short by the hop bound
+	CorruptChains  uint64 // hash-chain and index walks cut short by a corrupt pointer
 }
 
 // OK reports whether every fault so far was recovered without data loss.

@@ -90,3 +90,59 @@ func TestGoldenModelCounters(t *testing.T) {
 		t.Errorf("model counters moved\n got: %s\nwant: %s", got, goldenModelCounters)
 	}
 }
+
+// orderedModelCounts is what the script below costs on an indexed store,
+// where an index walk fetches each skip-list node whole with one DMA.
+const orderedModelCounts = "" +
+	"mem={Reads:65989 Writes:15379 ReadLines:73746 WriteLines:16256} " +
+	"cache={Hits:49741 Misses:13805 Fills:15520 DirtyEvictions:6890 CleanEvictions:7608 DRAMLineReads:60097 DRAMLineWrites:22054 EccCorrected:0 EccHealed:0 EccLost:0} " +
+	"dispatch={DirectReads:52212 DirectWrites:8489 CachedReads:54544 CachedWrites:9002} " +
+	"keys=2500"
+
+// TestOrderedModelCounts pins the performance model's counters for the
+// ordered index: 3 000 creates in scrambled order, 200 scans of 10,
+// deletes of every third key, re-creates of every sixth and 100 more
+// scans, on a store with the index on. TestGoldenModelCounters runs
+// NoOrderedIndex, so this is the test that sees an index DMA.
+func TestOrderedModelCounts(t *testing.T) {
+	s, err := NewStore(Config{MemoryBytes: 4 << 20, HashIndexRatio: 0.05,
+		NICCacheBytes: 64 << 10, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	const n = 3000
+	key := func(id int) []byte { return []byte(fmt.Sprintf("om-%05d", id)) }
+	put := func(id int) {
+		if err := s.Put(key(id), make([]byte, 8+id%93)); err != nil {
+			t.Fatalf("Put %d: %v", id, err)
+		}
+	}
+	scan := func(scans int) {
+		for i := 0; i < scans; i++ {
+			if _, _, err := s.Scan(key(i*37%n), 10); err != nil {
+				t.Fatalf("Scan: %v", err)
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		put(i * 7919 % n)
+	}
+	scan(200)
+	for id := 0; id < n; id += 3 {
+		if !s.Delete(key(id)) {
+			t.Fatalf("Delete %d missed", id)
+		}
+	}
+	for id := 0; id < n; id += 6 {
+		put(id)
+	}
+	scan(100)
+	s.Flush()
+	st := s.Stats()
+	got := fmt.Sprintf("mem=%+v cache=%+v dispatch=%+v keys=%d",
+		st.Mem, st.Cache, st.Dispatch, st.Keys)
+	if got != orderedModelCounts {
+		t.Errorf("indexed model counters moved\n got: %s\nwant: %s", got, orderedModelCounts)
+	}
+}

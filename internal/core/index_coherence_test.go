@@ -10,6 +10,7 @@ import (
 	"kvdirect/internal/hashtable"
 	"kvdirect/internal/ooo"
 	"kvdirect/internal/ordered"
+	"kvdirect/internal/wire"
 )
 
 // TestIndexUpkeepOnlyOnCreateAndDelete pins what each mutation charges the
@@ -152,10 +153,12 @@ func TestTableFirstPutReplaysLikeIndexFirst(t *testing.T) {
 	}
 	visit := func(s *Store) []string {
 		var keys []string
-		s.oidx.Visit(nil, func(k []byte) bool {
+		if err := s.oidx.Visit(nil, func(k []byte) bool {
 			keys = append(keys, string(k))
 			return true
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
 		return keys
 	}
 	k1, k2 := visit(newer), visit(ref)
@@ -242,5 +245,71 @@ func TestPutRollsBackTableWhenIndexNodeCannotBeAllocated(t *testing.T) {
 	// Overwrites need neither a slab nor an index node: they still work.
 	if err := s.Put([]byte("fill-0000000"), []byte("9876543210")); err != nil {
 		t.Errorf("same-footprint overwrite on a full store: %v", err)
+	}
+}
+
+// TestCorruptIndexLinkDegradesStore damages one level-0 link of the
+// ordered index in host memory. A create whose index walk crosses it
+// must fail with the index's corruption error, not ErrFull, and leave
+// the key in neither structure; a scan across it must fail; Health must
+// report the damage. Ops that never walk the index keep working.
+func TestCorruptIndexLinkDegradesStore(t *testing.T) {
+	s, err := NewStore(Config{MemoryBytes: 1 << 20, DisableCache: true, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	key := func(i int) []byte { return []byte(fmt.Sprintf("c-%03d", i)) }
+	for i := 0; i < 200; i++ {
+		mustPut(t, s, key(i), []byte("v"))
+	}
+
+	// Find c-100's index node in the slab region: its header — level,
+	// key length, two zero bytes — sits 4 + 8·level bytes before its key.
+	slabs := s.alloc.Region()
+	raw := make([]byte, slabs.Size)
+	s.mem.Peek(slabs.Base, raw)
+	victim := key(100)
+	node := -1
+	for from := 0; node < 0; {
+		i := bytes.Index(raw[from:], victim)
+		if i < 0 {
+			t.Fatal("c-100's index node not found")
+		}
+		q := from + i
+		for level := 1; level <= ordered.MaxLevel && node < 0; level++ {
+			h := q - 4 - 8*level
+			if h >= 0 && raw[h] == byte(level) && raw[h+1] == byte(len(victim)) && raw[h+2] == 0 && raw[h+3] == 0 {
+				node = h
+			}
+		}
+		from = q + 1
+	}
+	// Its level-0 link becomes level 1, key length 1, at an address far
+	// past the store.
+	s.mem.Poke(slabs.Base+uint64(node)+4, bytes.Repeat([]byte{1}, 8))
+
+	created := []byte("c-100a")
+	if err := s.Put(created, []byte("v")); !errors.Is(err, ordered.ErrCorrupt) || errors.Is(err, ErrFull) {
+		t.Fatalf("create across the damage: %v, want ordered.ErrCorrupt", err)
+	}
+	if _, ok := s.Get(created); ok {
+		t.Error("the refused create is readable")
+	}
+	if resp := s.Apply(wire.Request{Code: wire.OpPut, Key: created, Value: []byte("v")}); resp.Status != wire.StatusError {
+		t.Errorf("wire create across the damage: status %d, want StatusError", resp.Status)
+	}
+	if _, _, err := s.Scan(key(95), 20); !errors.Is(err, ordered.ErrCorrupt) {
+		t.Errorf("scan across the damage: %v, want ordered.ErrCorrupt", err)
+	}
+	if h := s.Health(); h.OK() || h.CorruptChains != 3 {
+		t.Errorf("Health = %v, want degraded with 3 corrupt walks", h)
+	}
+	mustPut(t, s, key(100), []byte("w"))
+	if v, ok := s.Get(key(100)); !ok || string(v) != "w" {
+		t.Errorf("overwrite of c-100: Get = %q, %v", v, ok)
+	}
+	if s.NumKeys() != 200 {
+		t.Errorf("NumKeys = %d, want 200", s.NumKeys())
 	}
 }

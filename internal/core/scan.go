@@ -62,8 +62,10 @@ func (e indexedExec) Modify(key []byte, fn func(old []byte, found bool) ([]byte,
 
 // mirror carries a table mutation's change to the key set into the index.
 // A key the table accepted fits the index (both cap keys at 255 B), so
-// the only failure is a create's node allocation — the store is full.
-// The create is undone, and the key is in neither structure.
+// a create fails only when its node cannot be allocated — the store is
+// full — or when a corrupt link cuts the index walk short, which the op
+// reports as that error. Either way the create is undone, and the key is
+// in neither structure.
 func (e indexedExec) mirror(key []byte, created, deleted bool, err error) error {
 	if err != nil || e.idx == nil {
 		return err
@@ -71,6 +73,9 @@ func (e indexedExec) mirror(key []byte, created, deleted bool, err error) error 
 	if created {
 		if _, err := e.idx.Insert(key); err != nil {
 			e.table.Delete(key)
+			if errors.Is(err, ordered.ErrCorrupt) {
+				return err
+			}
 			return ErrFull
 		}
 	}
@@ -110,7 +115,7 @@ func (s *Store) scanBounded(start []byte, limit, maxBytes int) ([]ScanEntry, []b
 	var cursor []byte
 	var scanErr error
 	pageBytes := 0
-	s.oidx.Visit(start, func(key []byte) bool {
+	err := s.oidx.Visit(start, func(key []byte) bool {
 		// The index hands out a scratch-buffer view; the entry (and the
 		// cursor) need stable copies.
 		if len(entries) == limit {
@@ -137,6 +142,9 @@ func (s *Store) scanBounded(start []byte, limit, maxBytes int) ([]ScanEntry, []b
 		entries = append(entries, e)
 		return true
 	})
+	if err != nil {
+		return nil, nil, err
+	}
 	if scanErr != nil {
 		return nil, nil, scanErr
 	}

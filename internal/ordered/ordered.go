@@ -18,7 +18,17 @@
 //
 // Node layout in slab memory (little-endian):
 //
-//	node := level u8 | klen u8 | pad u16 | next[level] u64 | key [klen]
+//	node := level u8 | klen u8 | pad u16 | next[level] link | key [klen]
+//	link := addr u48 | klen u8 | level u8
+//
+// A link — one forward pointer of a tower — carries the target's level
+// and key length beside its slab address, so a walk knows a node's size
+// before reading it and fetches each node it compares whole, with one
+// DMA. Every step is checked: a link must stay inside the slab region,
+// the fetched header must match the link, and a step must land on a
+// strictly larger key than the node it leaves. A walk that breaks a rule
+// stops, the event is counted (Stats.Corrupt), and the op reports
+// ErrCorrupt rather than looping on a damaged pointer.
 //
 // The tower height is drawn from a seeded splitmix64 stream (p = 1/4 per
 // extra level, capped at MaxLevel), keeping the structure deterministic
@@ -44,17 +54,29 @@ const (
 	// MaxKeyLen mirrors the hash table's key limit.
 	MaxKeyLen = 255
 
-	headerBytes = 4 // level u8 | klen u8 | pad u16
-	ptrBytes    = 8
+	headerBytes  = 4 // level u8 | klen u8 | pad u16
+	ptrBytes     = 8
+	maxNodeBytes = headerBytes + MaxLevel*ptrBytes + MaxKeyLen
+
+	// addrBits is the width of a link's slab address; the key length
+	// and the level sit in the two bytes above it.
+	addrBits = 48
+	addrMask = 1<<addrBits - 1
 
 	// nilPtr marks the end of a level's chain. Zero is not usable as the
 	// sentinel: with a zero-sized hash-index partition, address 0 is a
-	// valid slab.
+	// valid slab. No link collides with it: its level byte would be 255,
+	// and a level is at most MaxLevel.
 	nilPtr = ^uint64(0)
 )
 
-// ErrKeyTooLong rejects keys over MaxKeyLen bytes.
-var ErrKeyTooLong = errors.New("ordered: key exceeds 255 bytes")
+var (
+	// ErrKeyTooLong rejects keys over MaxKeyLen bytes.
+	ErrKeyTooLong = errors.New("ordered: key exceeds 255 bytes")
+
+	// ErrCorrupt reports a walk cut short by a damaged link or node.
+	ErrCorrupt = errors.New("ordered: corrupt index link")
+)
 
 // Stats counts index activity.
 type Stats struct {
@@ -64,6 +86,7 @@ type Stats struct {
 	Deletes   uint64 // keys removed
 	Seeks     uint64 // ordered lookups (scans + insert/delete searches)
 	Visited   uint64 // nodes stepped through during scans
+	Corrupt   uint64 // walks cut short by a corrupt link or node
 }
 
 // Index is one store's ordered secondary index. Like the rest of the KV
@@ -72,18 +95,22 @@ type Stats struct {
 type Index struct {
 	mem   memory.Engine
 	alloc *slab.Allocator
-	head  uint64 // head tower node (level MaxLevel, empty key)
-	rng   uint64 // splitmix64 state for deterministic level draws
+	slabs memory.Partition // alloc's region: every node lives inside it
+	head  uint64           // link to the head tower node (level MaxLevel, empty key)
+	rng   uint64           // splitmix64 state for deterministic level draws
 	stats Stats
 
-	// Reusable scratch buffers keep the seek/visit hot path at zero
-	// allocations; they also pin the no-reentrancy contract — callbacks
+	// The walk of the op in progress. seek leaves, for every level l,
+	// pred[l] (link to the last node whose key is < the sought key) and
+	// succ[l] (the link pred[l] holds at level l). buf holds the last two
+	// nodes fetched, held[i] naming buf[i]'s link (nilPtr: nothing). The
+	// buffers keep the hot path at zero allocations; Visit callbacks see
+	// views into them, which pins the no-reentrancy contract — callbacks
 	// must not call back into the same Index.
-	hdr  [headerBytes]byte
-	ptr  [ptrBytes]byte
-	node [headerBytes + MaxLevel*ptrBytes + MaxKeyLen]byte
-	kbuf [MaxKeyLen]byte // probe key during seeks
-	vbuf [MaxKeyLen]byte // visited key handed to Visit callbacks
+	pred, succ [MaxLevel]uint64
+	buf        [2][maxNodeBytes]byte
+	held       [2]uint64
+	ptr        [ptrBytes]byte
 }
 
 // New builds an empty index over the given counted memory engine and
@@ -91,13 +118,15 @@ type Index struct {
 // payloads compete for the same storage, as a real co-located secondary
 // index would).
 func New(mem memory.Engine, alloc *slab.Allocator, seed uint64) (*Index, error) {
-	x := &Index{mem: mem, alloc: alloc, rng: seed ^ 0x6F7264657265645F}
-	addr, err := alloc.Alloc(nodeSize(MaxLevel, 0))
+	x := &Index{mem: mem, alloc: alloc, slabs: alloc.Region(), rng: seed ^ 0x6F7264657265645F,
+		held: [2]uint64{nilPtr, nilPtr}}
+	size := nodeSize(MaxLevel, 0)
+	addr, err := alloc.Alloc(size)
 	if err != nil {
 		return nil, fmt.Errorf("ordered: head allocation: %w", err)
 	}
-	x.head = addr
-	buf := x.node[:nodeSize(MaxLevel, 0)]
+	x.head = makeLink(addr, MaxLevel, 0)
+	buf := x.buf[0][:size]
 	buf[0] = MaxLevel
 	buf[1], buf[2], buf[3] = 0, 0, 0
 	for l := 0; l < MaxLevel; l++ {
@@ -108,6 +137,20 @@ func New(mem memory.Engine, alloc *slab.Allocator, seed uint64) (*Index, error) 
 }
 
 func nodeSize(level, klen int) int { return headerBytes + level*ptrBytes + klen }
+
+func makeLink(addr uint64, level, klen int) uint64 {
+	return addr | uint64(klen)<<addrBits | uint64(level)<<(addrBits+8)
+}
+
+func linkAddr(link uint64) uint64 { return link & addrMask }
+
+func linkShape(link uint64) (level, klen int) {
+	return int(link >> (addrBits + 8)), int(link >> addrBits & 0xFF)
+}
+
+// nextLink and nodeKey read a fetched node's tower and key.
+func nextLink(node []byte, l int) uint64 { return getU64(node[headerBytes+l*ptrBytes:]) }
+func nodeKey(node []byte) []byte         { return node[nodeSize(int(node[0]), 0):] }
 
 func putU64(b []byte, v uint64) {
 	_ = b[7]
@@ -121,31 +164,53 @@ func getU64(b []byte) uint64 {
 		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }
 
-// readHeader fetches a node's level and key length (one DMA).
-func (x *Index) readHeader(addr uint64) (level, klen int) {
-	x.mem.Read(addr, x.hdr[:])
-	return int(x.hdr[0]), int(x.hdr[1])
-}
-
-// readNext fetches one forward pointer (one DMA).
-func (x *Index) readNext(addr uint64, lvl int) uint64 {
-	x.mem.Read(addr+headerBytes+uint64(lvl)*ptrBytes, x.ptr[:])
-	return getU64(x.ptr[:])
-}
-
-// writeNext stores one forward pointer (one DMA).
-func (x *Index) writeNext(addr uint64, lvl int, next uint64) {
-	putU64(x.ptr[:], next)
-	x.mem.Write(addr+headerBytes+uint64(lvl)*ptrBytes, x.ptr[:])
-}
-
-// readKey fetches a node's key into dst (one DMA) and returns the slice.
-func (x *Index) readKey(addr uint64, level, klen int, dst []byte) []byte {
-	if klen == 0 {
-		return dst[:0]
+// fetch reads the node link names, whole, into buf[i] (one DMA). A link
+// whose level is out of range or whose node would leave the slab region,
+// or a node whose header disagrees with its link, is corrupt: the walk
+// is counted as cut short and fetch reports false.
+func (x *Index) fetch(link uint64, i int) ([]byte, bool) {
+	level, klen := linkShape(link)
+	if level < 1 || level > MaxLevel {
+		return nil, x.corrupt()
 	}
-	x.mem.Read(addr+uint64(nodeSize(level, 0)), dst[:klen])
-	return dst[:klen]
+	addr, size := linkAddr(link), nodeSize(level, klen)
+	if addr < x.slabs.Base || addr > x.slabs.End() || uint64(size) > x.slabs.End()-addr {
+		return nil, x.corrupt()
+	}
+	node := x.buf[i][:size]
+	x.mem.Read(addr, node)
+	if int(node[0]) != level || int(node[1]) != klen {
+		x.held[i] = nilPtr
+		return nil, x.corrupt()
+	}
+	x.held[i] = link
+	return node, true
+}
+
+// load returns the node link names from the buffer already holding it,
+// or fetches it into the buffer other than keep, and says which buffer
+// that is.
+func (x *Index) load(link uint64, keep int) (int, []byte, bool) {
+	for i, h := range x.held {
+		if h == link {
+			return i, x.buf[i][:nodeSize(linkShape(link))], true
+		}
+	}
+	node, ok := x.fetch(link, 1-keep)
+	return 1 - keep, node, ok
+}
+
+// corrupt counts a walk cut short and reports false, for its caller to
+// return.
+func (x *Index) corrupt() bool {
+	x.stats.Corrupt++
+	return false
+}
+
+// writeNext stores one forward pointer of the node at link (one DMA).
+func (x *Index) writeNext(link uint64, lvl int, next uint64) {
+	putU64(x.ptr[:], next)
+	x.mem.Write(linkAddr(link)+headerBytes+uint64(lvl)*ptrBytes, x.ptr[:])
 }
 
 // splitmix64 advances the deterministic level-draw stream.
@@ -170,37 +235,46 @@ func (x *Index) drawLevel() int {
 	return lvl
 }
 
-// seek descends the towers to the predecessor of key at every level,
-// filling path[l] with the last node whose key is < key at level l.
-// It returns the address of the first level-0 node with key >= key
-// (nilPtr if none) and whether that node's key equals key exactly.
+// seek descends the towers toward key, fetching each node it compares
+// whole with one DMA; a predecessor's tower comes from its buffer, and a
+// node found >= key at one level is not fetched again when a lower
+// level meets its link. seek fills pred and succ and returns succ[0] —
+// the first node with key >= key, nilPtr if none — with whether its key
+// equals key. ok is false if a corrupt link cut the walk short.
 //
 //kvd:hotpath
-func (x *Index) seek(key []byte, path *[MaxLevel]uint64) (uint64, bool) {
+func (x *Index) seek(key []byte) (link uint64, found, ok bool) {
 	x.stats.Seeks++
-	cur := x.head
+	x.held = [2]uint64{nilPtr, nilPtr}
+	cur := 0
+	curNode, ok := x.fetch(x.head, cur)
+	if !ok {
+		return nilPtr, false, false
+	}
+	ge, geEqual := nilPtr, false // the nearest node known to be >= key
 	for l := MaxLevel - 1; l >= 0; l-- {
-		for {
-			next := x.readNext(cur, l)
-			if next == nilPtr {
+		next := nextLink(curNode, l)
+		for next != nilPtr && next != ge {
+			node, ok := x.fetch(next, 1-cur)
+			if !ok {
+				return nilPtr, false, false
+			}
+			if c := bytes.Compare(nodeKey(node), key); c >= 0 {
+				ge, geEqual = next, c == 0
 				break
 			}
-			nl, nk := x.readHeader(next)
-			if bytes.Compare(x.readKey(next, nl, nk, x.kbuf[:]), key) >= 0 {
-				break
+			// A step must land on a strictly larger key than the node
+			// it leaves (the head sorts before every key), or a damaged
+			// link could send the walk round a cycle.
+			if x.held[cur] != x.head && bytes.Compare(nodeKey(node), nodeKey(curNode)) <= 0 {
+				return nilPtr, false, x.corrupt()
 			}
-			cur = next
+			cur, curNode = 1-cur, node
+			next = nextLink(curNode, l)
 		}
-		if path != nil {
-			path[l] = cur
-		}
+		x.pred[l], x.succ[l] = x.held[cur], next
 	}
-	candidate := x.readNext(cur, 0)
-	if candidate == nilPtr {
-		return nilPtr, false
-	}
-	nl, nk := x.readHeader(candidate)
-	return candidate, bytes.Equal(x.readKey(candidate, nl, nk, x.kbuf[:]), key)
+	return x.succ[0], x.succ[0] == ge && geEqual, true
 }
 
 // Insert adds key to the index, reporting whether it was newly inserted
@@ -210,8 +284,11 @@ func (x *Index) Insert(key []byte) (bool, error) {
 	if len(key) > MaxKeyLen {
 		return false, ErrKeyTooLong
 	}
-	var path [MaxLevel]uint64
-	if _, found := x.seek(key, &path); found {
+	_, found, ok := x.seek(key)
+	if !ok {
+		return false, ErrCorrupt
+	}
+	if found {
 		return false, nil
 	}
 	level := x.drawLevel()
@@ -220,17 +297,19 @@ func (x *Index) Insert(key []byte) (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("ordered: node allocation: %w", err)
 	}
-	buf := x.node[:size]
+	x.held[0] = nilPtr
+	buf := x.buf[0][:size]
 	buf[0] = uint8(level)
 	buf[1] = uint8(len(key))
 	buf[2], buf[3] = 0, 0
 	for l := 0; l < level; l++ {
-		putU64(buf[headerBytes+l*ptrBytes:], x.readNext(path[l], l))
+		putU64(buf[headerBytes+l*ptrBytes:], x.succ[l])
 	}
 	copy(buf[nodeSize(level, 0):], key)
 	x.mem.Write(addr, buf) // one DMA: the node is a single contiguous write
+	link := makeLink(addr, level, len(key))
 	for l := 0; l < level; l++ {
-		x.writeNext(path[l], l, addr)
+		x.writeNext(x.pred[l], l, link)
 	}
 	x.stats.Keys++
 	x.stats.NodeBytes += uint64(slabSize(size))
@@ -246,39 +325,44 @@ func slabSize(n int) int {
 	return n
 }
 
-// Delete removes key from the index, reporting whether it was present.
+// Delete removes key from the index, reporting whether it was present
+// (false too if a corrupt link cut the search short).
 func (x *Index) Delete(key []byte) bool {
 	if len(key) > MaxKeyLen {
 		return false
 	}
-	var path [MaxLevel]uint64
-	addr, found := x.seek(key, &path)
-	if !found {
+	link, found, ok := x.seek(key)
+	if !ok || !found {
 		return false
 	}
-	level, klen := x.readHeader(addr)
+	_, node, ok := x.load(link, 0)
+	if !ok {
+		return false
+	}
+	level, klen := linkShape(link)
 	for l := 0; l < level; l++ {
-		// path[l] precedes addr at every level addr occupies; splice it
+		// pred[l] precedes the node at every level it occupies; splice it
 		// out by forwarding the predecessor past it.
-		if x.readNext(path[l], l) == addr {
-			x.writeNext(path[l], l, x.readNext(addr, l))
+		if x.succ[l] == link {
+			x.writeNext(x.pred[l], l, nextLink(node, l))
 		}
 	}
 	size := nodeSize(level, klen)
-	x.alloc.Free(addr, size)
+	x.alloc.Free(linkAddr(link), size)
 	x.stats.Keys--
 	x.stats.NodeBytes -= uint64(slabSize(size))
 	x.stats.Deletes++
 	return true
 }
 
-// Contains reports whether key is indexed.
+// Contains reports whether key is indexed (false if a corrupt link cut
+// the search short).
 func (x *Index) Contains(key []byte) bool {
 	if len(key) > MaxKeyLen {
 		return false
 	}
-	_, found := x.seek(key, nil)
-	return found
+	_, found, ok := x.seek(key)
+	return ok && found
 }
 
 // Len returns the number of indexed keys.
@@ -288,19 +372,33 @@ func (x *Index) Len() uint64 { return x.stats.Keys }
 func (x *Index) Stats() Stats { return x.stats }
 
 // Visit walks keys in ascending order starting at the first key >= start,
-// calling fn for each until fn returns false or the index is exhausted.
-// The key slice is only valid during the callback, and fn must not call
-// back into the Index (the walk owns the scratch buffers).
+// calling fn for each until fn returns false or the index is exhausted,
+// one fetch per node. The key slice is only valid during the callback,
+// and fn must not call back into the Index (the walk owns the buffers).
+// A walk cut short by a corrupt link returns ErrCorrupt.
 //
 //kvd:hotpath
-func (x *Index) Visit(start []byte, fn func(key []byte) bool) {
-	cur, _ := x.seek(start, nil)
-	for cur != nilPtr {
-		level, klen := x.readHeader(cur)
-		x.stats.Visited++
-		if !fn(x.readKey(cur, level, klen, x.vbuf[:])) {
-			return
-		}
-		cur = x.readNext(cur, 0)
+func (x *Index) Visit(start []byte, fn func(key []byte) bool) error {
+	link, _, ok := x.seek(start)
+	if !ok {
+		return ErrCorrupt
 	}
+	var prev []byte
+	for keep := 1; link != nilPtr; {
+		i, node, ok := x.load(link, keep)
+		if !ok {
+			return ErrCorrupt
+		}
+		key := nodeKey(node)
+		if prev != nil && bytes.Compare(key, prev) <= 0 {
+			x.corrupt()
+			return ErrCorrupt
+		}
+		x.stats.Visited++
+		if !fn(key) {
+			return nil
+		}
+		link, prev, keep = nextLink(node, 0), key, i
+	}
+	return nil
 }
