@@ -52,14 +52,17 @@ chaos:
 # convention: a test whose name ends in "Allocs" (core apply, the
 # replicated PUT, the gateway's quiet run, the sharded client's retry
 # loop) fails when an allocation creeps back into its path, so a new
-# pin joins CI by being named, not by being listed here. The two
-# benchmarks print the allocs/op those pins hold (core GET/PUT, and the
-# replication log's append with its window full).
+# pin joins CI by being named, not by being listed here. The benchmarks
+# print the allocs/op those pins hold (core GET/PUT, and the replication
+# log's append with its window full), and the model's engine and PCIe
+# reads per create into an indexed and a hash-only store (a short run:
+# the counts, not the ns/op, are what the log is for).
 telemetry:
 	$(GO) test ./internal/telemetry/
 	$(GO) test -bench='BenchmarkTelemetryOff|BenchmarkTraceOff|BenchmarkFlightRecorderOn' -benchmem -run '^$$' ./internal/telemetry/
 	$(GO) test -count=1 -run 'Allocs$$' ./...
 	$(GO) test -run '^$$' -bench 'BenchmarkStorePutGet' -benchmem ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkStoreCreate' -benchtime 20000x ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkLogAppendFullWindow' -benchmem ./internal/repllog/
 
 # What CI runs.

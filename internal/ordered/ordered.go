@@ -30,6 +30,14 @@
 // stops, the event is counted (Stats.Corrupt), and the op reports
 // ErrCorrupt rather than looping on a damaged pointer.
 //
+// A seek resumes from the last one when it can. The Index keeps the
+// last seek's walk — each level's predecessor and successor — with a
+// copy of every successor's key and of the key sought: NIC-side state,
+// like the reservation station. A seek for a larger key keeps every
+// level whose successor is still >= the key and walks on from the
+// highest successor that is not, so a sorted run of creates pays for
+// the upper levels once rather than per create.
+//
 // The tower height is drawn from a seeded splitmix64 stream (p = 1/4 per
 // extra level, capped at MaxLevel), keeping the structure deterministic
 // for a given seed and operation sequence — the same determinism contract
@@ -111,7 +119,25 @@ type Index struct {
 	buf        [2][maxNodeBytes]byte
 	held       [2]uint64
 	ptr        [ptrBytes]byte
+
+	// The finger. While finger is set, pred and succ are the walk of the
+	// last seek, for fkey (after an Insert, pred names the new node at
+	// its levels), and skey[l] copies succ[l]'s key wherever succ[l] is
+	// not nilPtr. Delete, a failed node allocation and a corrupt walk
+	// drop it, and the next seek goes from the head.
+	finger bool
+	fkey   keyCopy
+	skey   [MaxLevel]keyCopy
 }
+
+// keyCopy holds a key in the Index's own state, not in simulated memory.
+type keyCopy struct {
+	n int
+	b [MaxKeyLen]byte
+}
+
+func (k *keyCopy) set(key []byte) { k.n = copy(k.b[:], key) }
+func (k *keyCopy) bytes() []byte  { return k.b[:k.n] }
 
 // New builds an empty index over the given counted memory engine and
 // slab allocator (shared with the hash table, so index nodes and KV
@@ -200,10 +226,11 @@ func (x *Index) load(link uint64, keep int) (int, []byte, bool) {
 	return 1 - keep, node, ok
 }
 
-// corrupt counts a walk cut short and reports false, for its caller to
-// return.
+// corrupt counts a walk cut short, drops the finger and reports false,
+// for its caller to return.
 func (x *Index) corrupt() bool {
 	x.stats.Corrupt++
+	x.finger = false
 	return false
 }
 
@@ -242,25 +269,46 @@ func (x *Index) drawLevel() int {
 // the first node with key >= key, nilPtr if none — with whether its key
 // equals key. ok is false if a corrupt link cut the walk short.
 //
+// A seek for a key above the finger's starts from the finger instead of
+// the head: the levels from the lowest one whose successor is >= key up
+// are settled without a DMA, and the walk resumes from the successor of
+// the level below them, which must still hold the key the finger copied.
+//
 //kvd:hotpath
 func (x *Index) seek(key []byte) (link uint64, found, ok bool) {
 	x.stats.Seeks++
 	x.held = [2]uint64{nilPtr, nilPtr}
-	cur := 0
-	curNode, ok := x.fetch(x.head, cur)
-	if !ok {
+	cur, top := 0, MaxLevel
+	var curNode []byte
+	ge, geKey := nilPtr, []byte(nil) // the nearest node known to be >= key, and its key
+	if x.finger && bytes.Compare(key, x.fkey.bytes()) > 0 {
+		top = 0
+		for top < MaxLevel && x.succ[top] != nilPtr && bytes.Compare(x.skey[top].bytes(), key) < 0 {
+			top++
+		}
+		if top < MaxLevel {
+			ge, geKey = x.succ[top], x.skey[top].bytes()
+		}
+		if top > 0 {
+			if curNode, ok = x.fetch(x.succ[top-1], cur); !ok {
+				return nilPtr, false, false
+			}
+			if !bytes.Equal(nodeKey(curNode), x.skey[top-1].bytes()) {
+				return nilPtr, false, x.corrupt()
+			}
+		}
+	} else if curNode, ok = x.fetch(x.head, cur); !ok {
 		return nilPtr, false, false
 	}
-	ge, geEqual := nilPtr, false // the nearest node known to be >= key
-	for l := MaxLevel - 1; l >= 0; l-- {
+	for l := top - 1; l >= 0; l-- {
 		next := nextLink(curNode, l)
 		for next != nilPtr && next != ge {
 			node, ok := x.fetch(next, 1-cur)
 			if !ok {
 				return nilPtr, false, false
 			}
-			if c := bytes.Compare(nodeKey(node), key); c >= 0 {
-				ge, geEqual = next, c == 0
+			if bytes.Compare(nodeKey(node), key) >= 0 {
+				ge, geKey = next, nodeKey(node)
 				break
 			}
 			// A step must land on a strictly larger key than the node
@@ -272,9 +320,22 @@ func (x *Index) seek(key []byte) (link uint64, found, ok bool) {
 			cur, curNode = 1-cur, node
 			next = nextLink(curNode, l)
 		}
+		// next is ge (or nilPtr). Its key is copied unless this level's
+		// successor did not change: a link names one key while its node
+		// is in the list, and the seek after a Delete starts from the
+		// head, so it records every level before a freed node's slab
+		// can be reused.
+		if next != nilPtr {
+			if next != x.succ[l] {
+				x.skey[l].set(geKey)
+			}
+			geKey = x.skey[l].bytes()
+		}
 		x.pred[l], x.succ[l] = x.held[cur], next
 	}
-	return x.succ[0], x.succ[0] == ge && geEqual, true
+	x.finger = true
+	x.fkey.set(key)
+	return x.succ[0], x.succ[0] != nilPtr && bytes.Equal(x.skey[0].bytes(), key), true
 }
 
 // Insert adds key to the index, reporting whether it was newly inserted
@@ -295,6 +356,7 @@ func (x *Index) Insert(key []byte) (bool, error) {
 	size := nodeSize(level, len(key))
 	addr, err := x.alloc.Alloc(size)
 	if err != nil {
+		x.finger = false
 		return false, fmt.Errorf("ordered: node allocation: %w", err)
 	}
 	x.held[0] = nilPtr
@@ -310,6 +372,7 @@ func (x *Index) Insert(key []byte) (bool, error) {
 	link := makeLink(addr, level, len(key))
 	for l := 0; l < level; l++ {
 		x.writeNext(x.pred[l], l, link)
+		x.pred[l] = link // the finger: the new node precedes any larger key
 	}
 	x.stats.Keys++
 	x.stats.NodeBytes += uint64(slabSize(size))
@@ -332,6 +395,7 @@ func (x *Index) Delete(key []byte) bool {
 		return false
 	}
 	link, found, ok := x.seek(key)
+	x.finger = false // the splice below may free a node the finger names
 	if !ok || !found {
 		return false
 	}

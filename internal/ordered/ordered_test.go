@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -363,6 +364,12 @@ func runOrderedOps(t *testing.T, x *Index, data []byte) {
 	model := map[string]bool{}
 	for ; len(data) >= 2; data = data[2:] {
 		code, k := data[0], fuzzKey(data[1])
+		if len(data) >= 4 {
+			// After the previous op, before this one: the next key's
+			// seek, and the smallest key above the finger's.
+			checkFinger(t, x, k)
+			checkFinger(t, x, append(slices.Clip(x.fkey.bytes()), 0))
+		}
 		switch code % 4 {
 		case 0:
 			fresh, err := x.Insert(k)
@@ -406,6 +413,36 @@ func runOrderedOps(t *testing.T, x *Index, data []byte) {
 	checkTowers(t, x)
 }
 
+// checkFinger seeks key twice from the state x is in — as the index
+// would, from the finger where it applies, and from the head with the
+// finger dropped — and fails unless both walks end alike: the same
+// result, pred, succ, finger key and successor key copies. x is left as
+// it was.
+func checkFinger(t *testing.T, x *Index, key []byte) {
+	t.Helper()
+	saved := *x
+	walk := func() string {
+		link, found, ok := x.seek(key)
+		w := fmt.Sprintf("link=%#x found=%v ok=%v finger=%v fkey=%q pred=%#x succ=%#x",
+			link, found, ok, x.finger, x.fkey.bytes(), x.pred, x.succ)
+		for l, next := range x.succ {
+			if next != nilPtr {
+				w += fmt.Sprintf(" skey[%d]=%q", l, x.skey[l].bytes())
+			}
+		}
+		return w
+	}
+	viaFinger := walk()
+	*x = saved
+	x.finger = false
+	fromHead := walk()
+	*x = saved
+	if viaFinger != fromHead {
+		t.Fatalf("seek %q with the finger at %q (set %v) disagrees with a head seek\nfinger: %s\nhead:   %s",
+			key, saved.fkey.bytes(), saved.finger, viaFinger, fromHead)
+	}
+}
+
 // checkTowers walks every level from the head: each level's keys must
 // ascend strictly and be a subset of the level below. It returns the
 // tallest tower.
@@ -444,8 +481,9 @@ func checkTowers(t *testing.T, x *Index) int {
 }
 
 // orderedSeeds are FuzzOrderedIndex's seed inputs: every key id inserted
-// (tall towers), then deletes, probes and visits; and a delete and
-// re-insert of one key amid its neighbours.
+// (tall towers), then deletes, probes and visits; a delete and re-insert
+// of one key amid its neighbours; the empty key; and ascending runs
+// spread across the list, the shape of the benchmark's preload.
 func orderedSeeds() [][]byte {
 	var all []byte
 	for i := 0; i < 256; i++ {
@@ -462,7 +500,32 @@ func orderedSeeds() [][]byte {
 		reinsert = append(reinsert, 0, byte(i))
 	}
 	reinsert = append(reinsert, 1, 50, 2, 50, 0, 50, 2, 50, 3+4*25, 45, 1, 50, 3+4*25, 0)
-	return [][]byte{all, reinsert, {0, 0, 0, 1, 3, 0, 1, 0, 3, 0}}
+	return [][]byte{all, reinsert, {0, 0, 0, 1, 3, 0, 1, 0, 3, 0}, ascendingRuns()}
+}
+
+// ascendingRuns inserts all 256 keys in 16 runs, run r taking every 16th
+// key in key order from the r-th, so each run ascends across the whole
+// list as a preload chunk does; then probes and visits every 8th key and
+// deletes every 5th, all in ascending order.
+func ascendingRuns() []byte {
+	order := make([]byte, 256) // key ids in key order
+	for i := range order {
+		order[i] = byte(i)
+	}
+	sort.Slice(order, func(i, j int) bool { return bytes.Compare(fuzzKey(order[i]), fuzzKey(order[j])) < 0 })
+	var ops []byte
+	for r := 0; r < 16; r++ {
+		for i := r; i < 256; i += 16 {
+			ops = append(ops, 0, order[i])
+		}
+	}
+	for i := 0; i < 256; i += 8 {
+		ops = append(ops, 2, order[i], 3+4*2, order[i])
+	}
+	for i := 0; i < 256; i += 5 {
+		ops = append(ops, 1, order[i])
+	}
+	return ops
 }
 
 // TestOrderedSeedsBuildTallTowers keeps FuzzOrderedIndex's first seed
@@ -485,4 +548,165 @@ func FuzzOrderedIndex(f *testing.F) {
 		x, _ := newTestIndex(t, 11)
 		runOrderedOps(t, x, data)
 	})
+}
+
+// recorder notes the address of every read.
+type recorder struct {
+	memory.Engine
+	reads []uint64
+}
+
+func (r *recorder) Read(addr uint64, buf []byte) {
+	r.reads = append(r.reads, addr)
+	r.Engine.Read(addr, buf)
+}
+
+// newFingerIndex returns an index holding k000..k099, inserted in
+// ascending order, over a recorder.
+func newFingerIndex(t *testing.T) (*Index, *recorder, *memory.Memory) {
+	t.Helper()
+	mem := memory.New(1 << 20)
+	t.Cleanup(mem.Release)
+	rec := &recorder{Engine: mem}
+	x, err := New(rec, slab.New(memory.Partition{Size: 1 << 20}, slab.Options{}), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := x.Insert(fingerKey(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return x, rec, mem
+}
+
+func fingerKey(i int) []byte { return []byte(fmt.Sprintf("k%03d", i)) }
+
+// TestOrderedFingerHeadPath: a seek for a key above the finger's starts
+// from the finger and reads neither the head nor more than a head seek
+// would; a seek for a key at or below it starts from the head; and one
+// whose successor the finger already holds reads nothing.
+func TestOrderedFingerHeadPath(t *testing.T) {
+	x, rec, _ := newFingerIndex(t)
+	head := linkAddr(x.head)
+	seek := func(i int) []uint64 {
+		t.Helper()
+		rec.reads = rec.reads[:0]
+		if _, found, ok := x.seek(fingerKey(i)); !found || !ok {
+			t.Fatalf("k%03d: found=%v ok=%v", i, found, ok)
+		}
+		return append([]uint64(nil), rec.reads...)
+	}
+	seek(50)
+	for _, i := range []int{50, 30} {
+		if reads := seek(i); len(reads) == 0 || reads[0] != head {
+			t.Errorf("k%03d after k050: reads %#x, want a walk from the head %#x", i, reads, head)
+		}
+	}
+	fromHead := len(seek(90))
+	seek(50)
+	reads := seek(90)
+	if slices.Contains(reads, head) || len(reads) > fromHead {
+		t.Errorf("k090 after k050: reads %#x, want no head read and at most the head walk's %d", reads, fromHead)
+	}
+	// A create leaves succ as it was, so a seek for the key after it
+	// settles every level from the finger.
+	if _, err := x.Insert([]byte("k090a")); err != nil {
+		t.Fatal(err)
+	}
+	if reads := seek(91); len(reads) != 0 {
+		t.Errorf("k091 right after creating k090a: reads %#x, want none", reads)
+	}
+}
+
+// TestOrderedFingerDropped: Delete, a failed node allocation and a
+// corrupt walk each drop the finger, and the next seek goes from the
+// head.
+func TestOrderedFingerDropped(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		op   func(t *testing.T, x *Index, mem *memory.Memory)
+	}{
+		{"Delete", func(t *testing.T, x *Index, _ *memory.Memory) {
+			x.seek(fingerKey(40))
+			if !x.Delete(fingerKey(50)) {
+				t.Fatal("k050 not deleted")
+			}
+		}},
+		{"failed allocation", func(t *testing.T, x *Index, _ *memory.Memory) {
+			x.alloc = slab.New(memory.Partition{Base: x.slabs.End(), Size: 0}, slab.Options{})
+			if _, err := x.Insert(fingerKey(100)); err == nil {
+				t.Fatal("insert into an empty region succeeded")
+			}
+		}},
+		{"corrupt walk", func(t *testing.T, x *Index, mem *memory.Memory) {
+			victim, _, _ := x.seek(fingerKey(50))
+			var word [ptrBytes]byte
+			putU64(word[:], makeLink(x.slabs.End(), 1, 4))
+			mem.Poke(linkAddr(victim)+headerBytes, word[:])
+			if _, err := x.Insert([]byte("k050a")); err != ErrCorrupt {
+				t.Fatalf("insert across the damage: %v, want ErrCorrupt", err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			x, rec, mem := newFingerIndex(t)
+			tc.op(t, x, mem)
+			if x.finger {
+				t.Fatal("the finger survived")
+			}
+			rec.reads = rec.reads[:0]
+			if !x.Contains(fingerKey(99)) {
+				t.Fatal("k099 not found")
+			}
+			if len(rec.reads) == 0 || rec.reads[0] != linkAddr(x.head) {
+				t.Fatalf("the next seek read %#x first, want the head", rec.reads)
+			}
+		})
+	}
+}
+
+// TestOrderedFingerPokedSuccessor damages the node a finger seek resumes
+// from — its header, or its key — and demands that the seek reports the
+// damage once, drops the finger and leaves the index unchanged.
+func TestOrderedFingerPokedSuccessor(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		poke func(node []byte) // node: the fetched node, poked in place
+	}{
+		{"wrong header", func(node []byte) { node[1]++ }},
+		{"wrong key", func(node []byte) { node[len(node)-1]-- }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			x, _, mem := newFingerIndex(t)
+			x.seek(fingerKey(20))
+			sought := []byte("k040a")
+			top := 0
+			for x.succ[top] != nilPtr && bytes.Compare(x.skey[top].bytes(), sought) < 0 {
+				top++
+			}
+			if top == 0 {
+				t.Fatal("the seek would not resume from a successor")
+			}
+			resume := x.succ[top-1]
+			node := make([]byte, nodeSize(linkShape(resume)))
+			mem.Peek(linkAddr(resume), node)
+			tc.poke(node)
+			mem.Poke(linkAddr(resume), node)
+
+			before := x.Stats().Corrupt
+			if _, err := x.Insert(sought); err != ErrCorrupt {
+				t.Fatalf("Insert: %v, want ErrCorrupt", err)
+			}
+			if got := x.Stats().Corrupt; got != before+1 {
+				t.Errorf("Corrupt %d -> %d, want one more", before, got)
+			}
+			if x.finger {
+				t.Error("the finger survived")
+			}
+			if x.Len() != 100 {
+				t.Errorf("Len = %d, want 100", x.Len())
+			}
+		})
+	}
 }

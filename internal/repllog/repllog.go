@@ -31,18 +31,6 @@ type Entry struct {
 	Packet []byte
 }
 
-// Request decodes the entry's operation.
-func (e Entry) Request() (wire.Request, error) {
-	reqs, err := wire.DecodeRequests(e.Packet)
-	if err != nil {
-		return wire.Request{}, err
-	}
-	if len(reqs) != 1 {
-		return wire.Request{}, ErrBadEntry
-	}
-	return reqs[0], nil
-}
-
 // NewEntry encodes req into an entry with the given seq and epoch.
 func NewEntry(seq, epoch uint64, req wire.Request) (Entry, error) {
 	// One allocation, sized for the op plus the trace context a sampled
@@ -61,8 +49,6 @@ var (
 	ErrGap = errors.New("repllog: sequence gap")
 	// ErrTruncated reports a replay request below the retained window.
 	ErrTruncated = errors.New("repllog: sequence truncated out of the window")
-	// ErrBadEntry reports an entry whose packet is not a single op.
-	ErrBadEntry = errors.New("repllog: entry is not a single-operation packet")
 )
 
 // Log is a bounded, dense window of entries, kept in a ring: appending

@@ -39,12 +39,12 @@ func TestAppendSinceRoundTrip(t *testing.T) {
 	if len(tail) != 6 || tail[0].Seq != 5 || tail[5].Seq != 10 {
 		t.Fatalf("Since(4) = %d entries, first %d", len(tail), tail[0].Seq)
 	}
-	req, err := tail[0].Request()
+	reqs, err := wire.DecodeRequests(tail[0].Packet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if req.Code != wire.OpPut || string(req.Key) != "k000005" {
-		t.Fatalf("decoded %v %q", req.Code, req.Key)
+	if len(reqs) != 1 || reqs[0].Code != wire.OpPut || string(reqs[0].Key) != "k000005" {
+		t.Fatalf("decoded %v", reqs)
 	}
 	if got, err := l.Since(10, nil); err != nil || got != nil {
 		t.Fatalf("Since(last) = %v, %v", got, err)

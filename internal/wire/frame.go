@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -42,12 +43,10 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // stream is unusable. A payload that fails its checksum is
 // ErrFrameCorrupt with the stream intact.
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [FrameHeaderBytes]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	n, sum, err := readHeader(r)
+	if err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
-	sum := binary.LittleEndian.Uint32(hdr[4:])
 	if n > MaxFrame {
 		return nil, ErrFrameTooLarge
 	}
@@ -67,15 +66,50 @@ func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// WriteFrame writes one checksummed frame.
+// readHeader reads a frame header: straight out of a *bufio.Reader's
+// buffer, which every stream reader in the repo is, so nothing is
+// allocated; any other reader reads it into an array that escapes.
+func readHeader(r io.Reader) (n, sum uint32, err error) {
+	br, ok := r.(*bufio.Reader)
+	if !ok {
+		var hdr [FrameHeaderBytes]byte
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return 0, 0, err
+		}
+		return binary.LittleEndian.Uint32(hdr[:4]), binary.LittleEndian.Uint32(hdr[4:]), nil
+	}
+	hdr, err := br.Peek(FrameHeaderBytes)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF // cut inside the header
+		}
+		return 0, 0, err
+	}
+	n, sum = binary.LittleEndian.Uint32(hdr[:4]), binary.LittleEndian.Uint32(hdr[4:])
+	_, err = br.Discard(FrameHeaderBytes)
+	return n, sum, err
+}
+
+// WriteFrame writes one checksummed frame. Into a *bufio.Writer the
+// header is appended in the writer's own free space, allocating nothing.
 func WriteFrame(w io.Writer, pkt []byte) error {
 	if len(pkt) > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	var hdr [FrameHeaderBytes]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(pkt)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(pkt, castagnoli))
-	if _, err := w.Write(hdr[:]); err != nil {
+	var hdr []byte
+	if bw, ok := w.(*bufio.Writer); ok {
+		if bw.Available() < FrameHeaderBytes {
+			if err := bw.Flush(); err != nil {
+				return err
+			}
+		}
+		hdr = bw.AvailableBuffer()
+	} else {
+		hdr = make([]byte, 0, FrameHeaderBytes)
+	}
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(pkt)))
+	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.Checksum(pkt, castagnoli))
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	_, err := w.Write(pkt)

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"testing"
@@ -194,9 +195,11 @@ func FuzzDecodeReplMessage(f *testing.F) {
 }
 
 // FuzzReadFrame: the frame reader must never panic; a frame it accepts
-// re-encodes through WriteFrame to exactly the bytes it consumed; and
+// re-encodes through WriteFrame to exactly the bytes it consumed, into a
+// plain writer or into a bufio.Writer too full to take the header; and
 // what it returns, payload or error, does not depend on the reuse buffer
-// it is handed — nil, shorter than the payload, or longer.
+// it is handed — nil, shorter than the payload, or longer — nor on
+// whether the stream is a bufio.Reader, whose header is peeked.
 func FuzzReadFrame(f *testing.F) {
 	frame := func(payload string) []byte {
 		var b bytes.Buffer
@@ -222,15 +225,31 @@ func FuzzReadFrame(f *testing.F) {
 				t.Fatalf("reuse buffer of %d bytes changed the read: %q, %v; with nil: %q, %v", len(buf), again, aerr, pkt, err)
 			}
 		}
+		if again, berr := ReadFrame(bufio.NewReader(bytes.NewReader(data)), nil); berr != err || !bytes.Equal(again, pkt) {
+			t.Fatalf("a bufio.Reader changed the read: %q, %v; plain: %q, %v", again, berr, pkt, err)
+		}
 		if err != nil {
 			return
 		}
+		consumed := data[:len(data)-r.Len()]
 		var re bytes.Buffer
 		if err := WriteFrame(&re, pkt); err != nil {
 			t.Fatalf("accepted frame failed to re-encode: %v", err)
 		}
-		if consumed := data[:len(data)-r.Len()]; !bytes.Equal(re.Bytes(), consumed) {
+		if !bytes.Equal(re.Bytes(), consumed) {
 			t.Fatalf("frame not canonical: % x -> % x", consumed, re.Bytes())
+		}
+		re.Reset()
+		bw := bufio.NewWriterSize(&re, 16)
+		prefix := []byte("eleven byte")
+		if _, err := bw.Write(prefix); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteFrame(bw, pkt); err != nil || bw.Flush() != nil {
+			t.Fatalf("accepted frame failed to re-encode through a bufio.Writer: %v", err)
+		}
+		if !bytes.Equal(re.Bytes(), append(prefix, consumed...)) {
+			t.Fatalf("frame through a bufio.Writer: % x, want % x after the prefix", re.Bytes(), consumed)
 		}
 	})
 }

@@ -60,16 +60,28 @@ func TestFrameOverMaxRejected(t *testing.T) {
 	}
 }
 
+// streams are the two kinds of reader ReadFrame meets: a plain one, and
+// a bufio.Reader, whose frame header is peeked out of its buffer.
+var streams = []struct {
+	name string
+	of   func(b []byte) io.Reader
+}{
+	{"plain", func(b []byte) io.Reader { return bytes.NewReader(b) }},
+	{"bufio", func(b []byte) io.Reader { return bufio.NewReader(bytes.NewReader(b)) }},
+}
+
 func TestFrameTruncatedHeader(t *testing.T) {
-	for n := 1; n < wire.FrameHeaderBytes; n++ {
-		_, err := ReadFrame(bytes.NewReader(make([]byte, n)))
-		if !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Fatalf("%d-byte header: err = %v, want ErrUnexpectedEOF", n, err)
+	for _, s := range streams {
+		for n := 1; n < wire.FrameHeaderBytes; n++ {
+			_, err := ReadFrame(s.of(make([]byte, n)))
+			if !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("%s: %d-byte header: err = %v, want ErrUnexpectedEOF", s.name, n, err)
+			}
 		}
-	}
-	// Empty stream: clean EOF (the peer closed between frames).
-	if _, err := ReadFrame(bytes.NewReader(nil)); !errors.Is(err, io.EOF) {
-		t.Fatalf("empty stream: err = %v, want EOF", err)
+		// Empty stream: clean EOF (the peer closed between frames).
+		if _, err := ReadFrame(s.of(nil)); err != io.EOF {
+			t.Fatalf("%s: empty stream: err = %v, want EOF", s.name, err)
+		}
 	}
 }
 
@@ -79,8 +91,32 @@ func TestFrameTruncatedPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	cut := buf.Bytes()[:buf.Len()-5]
-	if _, err := ReadFrame(bytes.NewReader(cut)); !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("err = %v, want ErrUnexpectedEOF", err)
+	for _, s := range streams {
+		if _, err := ReadFrame(s.of(cut)); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("%s: err = %v, want ErrUnexpectedEOF", s.name, err)
+		}
+	}
+}
+
+// TestFrameEOFBetweenFrames: two frames, then a clean end of stream,
+// whichever reader carries them.
+func TestFrameEOFBetweenFrames(t *testing.T) {
+	var buf bytes.Buffer
+	for _, p := range []string{"first", ""} {
+		if err := WriteFrame(&buf, []byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, s := range streams {
+		r := s.of(buf.Bytes())
+		for _, want := range []string{"first", ""} {
+			if got, err := ReadFrame(r); err != nil || string(got) != want {
+				t.Fatalf("%s: %q, %v; want %q", s.name, got, err, want)
+			}
+		}
+		if _, err := ReadFrame(r); err != io.EOF {
+			t.Fatalf("%s: after the last frame: err = %v, want EOF", s.name, err)
+		}
 	}
 }
 

@@ -253,15 +253,15 @@ func TestReplicaSetJitterDiffersPerSet(t *testing.T) {
 // connection was a type of its own — the nil span is free, a one-shard
 // batch passes DoSharded untouched, and with a cached connection and an
 // attempt that lands the loop adds nothing: no backoff, no generator, no
-// error values.
+// error values. Neither side's frame header leaves its bufio buffer.
 func TestClientDoAllocs(t *testing.T) {
 	_, c := startServer(t)
 	for _, tc := range []struct {
 		op   kvdirect.Op
 		want float64
 	}{
-		{kvdirect.Op{Code: kvdirect.OpPut, Key: []byte("k"), Value: []byte("v")}, 7},
-		{kvdirect.Op{Code: kvdirect.OpGet, Key: []byte("k")}, 8},
+		{kvdirect.Op{Code: kvdirect.OpPut, Key: []byte("k"), Value: []byte("v")}, 2},
+		{kvdirect.Op{Code: kvdirect.OpGet, Key: []byte("k")}, 3},
 	} {
 		ops := []kvdirect.Op{tc.op}
 		allocs := testing.AllocsPerRun(1000, func() {

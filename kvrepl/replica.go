@@ -62,6 +62,7 @@ type Replica struct {
 	led         uint64            // the epoch peerAcked's acks belong to: the last one this replica led
 	peers       map[int]*peerSync // primary: live shipping loops
 	hbStop      chan struct{}     // stops the current heartbeat loop
+	decoded     [1]wire.Request   // backup: applyEntry's decode scratch (the request aliases the logged packet)
 	ticks       atomic.Uint64     // lease ticks so far: a held reply is released by the next one
 
 	// beat is the coordinator heartbeat sink, deliberately outside mu:

@@ -347,9 +347,21 @@ func (s *stream) send(m wire.ReplMessage) error {
 	return s.bw.Flush()
 }
 
+// poisonPattern is what race builds write over a recycled buffer (see
+// raceEnabled), the byte kvnet's serve loop uses.
+const poisonPattern = 0xDB
+
 func (s *stream) recv() (wire.ReplMessage, error) {
 	if err := s.dl.Read(s.conn, time.Now(), s.r.opts.StreamTimeout); err != nil {
 		return wire.ReplMessage{}, err
+	}
+	if raceEnabled {
+		// The last frame's bytes: those past it were poisoned before
+		// the frame that last held them was read over. (The whole
+		// capacity would cost a snapshot's size per entry after one.)
+		for i := range s.rbuf {
+			s.rbuf[i] = poisonPattern
+		}
 	}
 	pkt, err := wire.ReadFrame(s.br, s.rbuf)
 	if err != nil {
@@ -658,8 +670,8 @@ func (r *Replica) applyEntry(m wire.ReplMessage) (ack uint64, gap bool) {
 	// The payload is recv's copy out of the stream's reused frame buffer,
 	// made for an APPEND alone, so the log keeps it as it is.
 	e := repllog.Entry{Seq: m.Seq, Epoch: m.Epoch, Packet: m.Payload}
-	req, err := e.Request()
-	if err != nil {
+	reqs, err := wire.DecodeRequestsTo(r.decoded[:0], e.Packet)
+	if err != nil || len(reqs) != 1 {
 		return r.lastApplied, true
 	}
 	if err := r.log.Append(e); err != nil {
@@ -675,8 +687,11 @@ func (r *Replica) applyEntry(m wire.ReplMessage) (ack uint64, gap bool) {
 	}
 	// Apply after logging; a panic still advances the frontier (the
 	// primary assigned the sequence and got the same panic response).
-	reqs, out := [1]wire.Request{req}, [1]wire.Response{}
-	r.apply.Panicked(r.store.ApplyRun(reqs[:], out[:], span))
+	var out [1]wire.Response
+	r.apply.Panicked(r.store.ApplyRun(reqs, out[:], span))
+	if raceEnabled {
+		r.decoded[0] = wire.Request{Code: poisonPattern}
+	}
 	r.tel.Tracer().Publish(span)
 	r.lastApplied = m.Seq
 	r.entriesApplied.Add(1)
