@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint lint-new lint-fix test race chaos telemetry check
+.PHONY: build vet lint lint-new lint-fix test race chaos telemetry figures check
 
 build:
 	$(GO) build ./...
@@ -64,6 +64,13 @@ telemetry:
 	$(GO) test -run '^$$' -bench 'BenchmarkStorePutGet' -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkStoreCreate' -benchtime 20000x ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkLogAppendFullWindow' -benchmem ./internal/repllog/
+
+# Re-record FIGURES.json and EXPERIMENTS.md's generated claim tables from
+# one Quick-scale run of every experiment (see EXPERIMENTS.md "Where the
+# paper's numbers live"). A change that moves a figure runs this and
+# explains each moved cell or claim in CHANGES.md.
+figures:
+	$(GO) test -count=1 ./internal/experiments -run '^TestFigures$$' -update
 
 # What CI runs.
 check: vet lint

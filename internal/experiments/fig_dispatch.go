@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"math/rand"
 
 	"kvdirect/internal/dispatch"
@@ -21,15 +22,24 @@ func Fig14(sc Scale) []*Table {
 		ID:      "fig14",
 		Title:   "Memory throughput with load dispatch, l=0.5 (Mops, 64 B accesses)",
 		Columns: []string{"read %", "baseline(PCIe only)", "uniform", "long-tail"},
-		Notes:   "NIC DRAM = 1/16 of host KVS; long-tail reaches the 180 Mops clock bound for read-intensive workloads",
+		Notes:   "NIC DRAM = 1/16 of host KVS: a hot set fits it, a uniform spread does not",
 	}
 	pcieCap := float64(model.PCIeEndpoints) * model.PCIeRead64BOpsPerSec
 	dramCap := model.NICDRAMBytesPerSec / model.CacheLineBytes
 
+	overBase, overUniform, readOnly := math.MaxFloat64, math.MaxFloat64, 0.0
 	for _, readPct := range []int{50, 95, 100} {
 		uniform := measureDispatch(sc, readPct, false, pcieCap, dramCap)
 		longtail := measureDispatch(sc, readPct, true, pcieCap, dramCap)
 		t.Add(itoa(readPct), mops(pcieCap), mops(uniform), mops(longtail))
+		overBase = min(overBase, (longtail-pcieCap)/1e6)
+		overUniform = min(overUniform, (longtail-uniform)/1e6)
+		readOnly = longtail / 1e6
+	}
+	t.Claims = []Claim{
+		atLeast("fig14/longtail-minus-baseline", "load dispatch lifts long-tail throughput above PCIe alone at every read ratio", overBase, 0.1),
+		atLeast("fig14/longtail-minus-uniform", "long-tail gains more than uniform: its hot set caches", overUniform, 0),
+		atLeast("fig14/longtail-100-get", "read-intensive long-tail reaches the 180 Mops clock bound", readOnly, 175),
 	}
 
 	// The paper's companion question: what load dispatch ratio is optimal?

@@ -3,6 +3,7 @@ package experiments
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"kvdirect/internal/baseline"
@@ -190,28 +191,39 @@ func Fig6(sc Scale) []*Table {
 	}
 	utils := []float64{0.05, 0.10, 0.15, 0.20, 0.25, 0.30}
 	thresholds := []int{10, 15, 20, 25}
-	cells := make(map[[2]int]string)
+	vals := make([][]float64, len(utils)) // [utilization][threshold]
+	for ui := range vals {
+		vals[ui] = []float64{unreachable, unreachable, unreachable, unreachable}
+	}
 	for ti, thr := range thresholds {
 		ratio := tuneRatio(thr, sc.Seed+int64(ti), 5, mixedVal)
 		h := newHarness(sc.MemBytes, ratio, thr, sc.Seed+int64(ti), 5, mixedVal)
 		for ui, u := range utils {
-			if !h.fillTo(u) {
-				cells[[2]int{ui, ti}] = "—"
-				continue
+			if h.fillTo(u) {
+				vals[ui][ti] = h.measureGets(sc.Ops)
 			}
-			cells[[2]int{ui, ti}] = f2(h.measureGets(sc.Ops))
+		}
+	}
+	// The largest fall in accesses from one reachable utilization to the
+	// next, over every threshold.
+	fall := -math.MaxFloat64
+	for ti := range thresholds {
+		prev := 0.0
+		for ui := range utils {
+			if v := vals[ui][ti]; !math.IsNaN(v) {
+				fall, prev = max(fall, prev-v), v
+			}
 		}
 	}
 	for ui, u := range utils {
 		row := []string{f2(u)}
-		for ti := range thresholds {
-			c := cells[[2]int{ui, ti}]
-			if c == "" {
-				c = "—"
-			}
-			row = append(row, c)
+		for _, v := range vals[ui] {
+			row = append(row, cell2(v))
 		}
 		t.Add(row...)
+	}
+	t.Claims = []Claim{
+		atMost("fig6/largest-fall", "at every inline threshold, accesses per GET grow with utilization", fall, 0.15),
 	}
 	return []*Table{t}
 }
@@ -220,23 +232,33 @@ func Fig6(sc Scale) []*Table {
 // and vs memory utilization (b), for inline and offline (never-inline)
 // configurations.
 func Fig9(sc Scale) []*Table {
+	// inlineOffline measures accesses per GET with a 25 B inline
+	// threshold and with none, at one index ratio and utilization.
+	inlineOffline := func(ratio, util float64) (in, off float64) {
+		pt := [2]float64{unreachable, unreachable}
+		for i, thr := range []int{25, 0} {
+			if h := newHarness(sc.MemBytes, ratio, thr, sc.Seed, 5, mixedVal); h.fillTo(util) {
+				pt[i] = h.measureGets(sc.Ops)
+			}
+		}
+		return pt[0], pt[1]
+	}
 	a := &Table{
 		ID:      "fig9a",
 		Title:   "Memory accesses per GET vs hash index ratio (utilization 0.25)",
 		Columns: []string{"index ratio", "inline", "offline"},
 		Notes:   "mixed 5-30 B KVs; more index space means more inlining and fewer collisions",
 	}
+	gap := 0.0 // offline minus inline at the highest ratio where both fit
 	for _, ratio := range []float64{0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8} {
-		row := []string{f2(ratio)}
-		for _, thr := range []int{25, 0} {
-			h := newHarness(sc.MemBytes, ratio, thr, sc.Seed, 5, mixedVal)
-			if !h.fillTo(0.25) {
-				row = append(row, "—")
-				continue
-			}
-			row = append(row, f2(h.measureGets(sc.Ops)))
+		in, off := inlineOffline(ratio, 0.25)
+		if !math.IsNaN(in + off) {
+			gap = off - in
 		}
-		a.Add(row...)
+		a.Add(f2(ratio), cell2(in), cell2(off))
+	}
+	a.Claims = []Claim{
+		atLeast("fig9a/offline-minus-inline", "inlining saves accesses once the index has room for it", gap, 0.01),
 	}
 
 	b := &Table{
@@ -245,16 +267,8 @@ func Fig9(sc Scale) []*Table {
 		Columns: []string{"utilization", "inline", "offline"},
 	}
 	for _, u := range []float64{0.05, 0.10, 0.15, 0.20, 0.25, 0.30} {
-		row := []string{f2(u)}
-		for _, thr := range []int{25, 0} {
-			h := newHarness(sc.MemBytes, 0.5, thr, sc.Seed, 5, mixedVal)
-			if !h.fillTo(u) {
-				row = append(row, "—")
-				continue
-			}
-			row = append(row, f2(h.measureGets(sc.Ops)))
-		}
-		b.Add(row...)
+		in, off := inlineOffline(0.5, u)
+		b.Add(f2(u), cell2(in), cell2(off))
 	}
 	return []*Table{a, b}
 }
@@ -270,10 +284,19 @@ func Fig10(sc Scale) []*Table {
 		Columns: []string{"index ratio", "max utilization", "accesses@max"},
 		Notes:   "max utilization drops as the index squeezes out dynamic-allocation space; pick the largest ratio that still reaches the required utilization (paper Figure 10)",
 	}
+	rise, prev := -math.MaxFloat64, 2.0
+	var accesses []float64
 	for _, ratio := range []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9} {
 		h := newHarness(sc.MemBytes, ratio, 25, sc.Seed, 5, mixedVal)
 		max := h.fillMax()
-		t.Add(f2(ratio), f3(max), f2(h.measureGets(sc.Ops)))
+		get := h.measureGets(sc.Ops)
+		rise, prev = math.Max(rise, max-prev), max
+		accesses = append(accesses, get)
+		t.Add(f2(ratio), f3(max), f2(get))
+	}
+	t.Claims = []Claim{
+		atMost("fig10/largest-rise", "max utilization drops as the hash index ratio grows", rise, 0.01),
+		atLeast("fig10/accesses-first-minus-last", "accesses at max utilization fall as the ratio grows (fewer chained lookups)", accesses[0]-accesses[len(accesses)-1], 0.01),
 	}
 	return []*Table{t}
 }
@@ -285,27 +308,51 @@ func Fig10(sc Scale) []*Table {
 // reach (the paper's missing bars).
 func Fig11(sc Scale) []*Table {
 	var tables []*Table
+	vals := map[string][][3]float64{} // table ID → [utilization][KV-Direct, cuckoo, hopscotch]
+	utils := map[int][]float64{10: {0.10, 0.20, 0.30, 0.35}, 252: {0.25, 0.40, 0.55, 0.70}}
 	for _, kv := range []int{10, 252} {
-		utils := []float64{0.10, 0.20, 0.30, 0.35}
-		if kv > 50 {
-			utils = []float64{0.25, 0.40, 0.55, 0.70}
-		}
 		for _, op := range []string{"GET", "PUT"} {
 			t := &Table{
 				ID:      fmt.Sprintf("fig11-%db-%s", kv, op),
 				Title:   fmt.Sprintf("Memory accesses per %s, %d B KVs", op, kv),
 				Columns: []string{"utilization", "KV-Direct", "MemC3(cuckoo)", "FaRM(hopscotch)"},
+				Notes:   "values in slabs for MemC3/FaRM with inline keys; — marks unreachable utilizations (paper Figure 11)",
 			}
-			for _, u := range utils {
-				row := []string{f2(u)}
-				row = append(row, kvdCell(sc, kv, op, u))
-				row = append(row, cuckooCell(sc, kv, op, u))
-				row = append(row, hopscotchCell(sc, kv, op, u))
-				t.Add(row...)
+			for _, u := range utils[kv] {
+				pt := [3]float64{kvdPoint(sc, kv, op, u), cuckooPoint(sc, kv, op, u), hopscotchPoint(sc, kv, op, u)}
+				vals[t.ID] = append(vals[t.ID], pt)
+				t.Add(f2(u), cell2(pt[0]), cell2(pt[1]), cell2(pt[2]))
 			}
-			t.Notes = "values in slabs for MemC3/FaRM with inline keys; — marks unreachable utilizations (paper Figure 11)"
 			tables = append(tables, t)
 		}
+	}
+	get10, put10, put252 := vals["fig11-10b-GET"], vals["fig11-10b-PUT"], vals["fig11-252b-PUT"]
+	// reach is the highest 10 B utilization a design reaches (0: none).
+	reach := func(design int) float64 {
+		top := 0.0
+		for ui, pt := range get10 {
+			if !math.IsNaN(pt[design]) {
+				top = utils[10][ui]
+			}
+		}
+		return top
+	}
+	highest, below := utils[10][len(utils[10])-1], utils[10][len(utils[10])-2]
+	last := put252[len(put252)-1]
+	tables[0].Claims = []Claim{
+		atMost("fig11-10b-GET/kvd-low-util", "~1 memory access per GET for inline KVs", get10[0][0], 1.2),
+		atLeast("fig11-10b-GET/cuckoo-minus-kvd", "KV-Direct GETs need fewer accesses than MemC3's cuckoo", get10[1][1]-get10[1][0], 0.01),
+		atLeast("fig11-10b-GET/hopscotch-minus-kvd", "KV-Direct GETs need fewer accesses than FaRM's hopscotch", get10[1][2]-get10[1][0], 0.01),
+		atLeast("fig11-10b-GET/kvd-highest-util", "the rightmost, highest-utilization bars are KV-Direct's alone", reach(0), highest),
+		atMost("fig11-10b-GET/cuckoo-highest-util", "MemC3 cannot reach the highest utilizations for small KVs", reach(1), below),
+		atMost("fig11-10b-GET/hopscotch-highest-util", "FaRM cannot reach the highest utilizations for small KVs", reach(2), below),
+	}
+	tables[1].Claims = []Claim{
+		atMost("fig11-10b-PUT/kvd-low-util", "~2 memory accesses per PUT for inline KVs", put10[0][0], 2.3),
+	}
+	tables[3].Claims = []Claim{
+		atLeast("fig11-252b-PUT/cuckoo-minus-kvd", "KV-Direct PUTs beat cuckoo at high utilization", last[1]-last[0], 0.01),
+		atLeast("fig11-252b-PUT/hopscotch-minus-kvd", "KV-Direct PUTs beat hopscotch, which degrades at high utilization", last[2]-last[0], 0.01),
 	}
 	return tables
 }
@@ -325,7 +372,9 @@ func tuneRatioFor(util float64, threshold int, seed int64, keySize int, valSize 
 	return 0, false
 }
 
-func kvdCell(sc Scale, kv int, op string, util float64) string {
+// kvdPoint, cuckooPoint and hopscotchPoint measure one design's accesses
+// per op at a utilization, unreachable if the design cannot fill to it.
+func kvdPoint(sc Scale, kv int, op string, util float64) float64 {
 	threshold := 13
 	keySize := 5
 	valSize := kv - keySize
@@ -337,25 +386,25 @@ func kvdCell(sc Scale, kv int, op string, util float64) string {
 	ratio, reachable := tuneRatioFor(util, threshold, sc.Seed, keySize,
 		func(uint64) int { return valSize })
 	if !reachable {
-		return "—"
+		return unreachable
 	}
 	h := newHarness(sc.MemBytes, ratio, threshold, sc.Seed, keySize,
 		func(uint64) int { return valSize })
 	if !h.fillTo(util) {
-		return "—"
+		return unreachable
 	}
 	if op == "GET" {
-		return f2(h.measureGets(sc.Ops))
+		return h.measureGets(sc.Ops)
 	}
-	return f2(h.measurePuts(sc.Ops))
+	return h.measurePuts(sc.Ops)
 }
 
-func cuckooCell(sc Scale, kv int, op string, util float64) string {
+func cuckooPoint(sc Scale, kv int, op string, util float64) float64 {
 	c := baseline.NewCuckoo(sc.MemBytes, kv, cuckooIndexRatio(kv), sc.Seed)
 	next := uint64(1)
 	for c.Utilization(sc.MemBytes) < util {
 		if !c.Put(next) {
-			return "—"
+			return unreachable
 		}
 		next++
 	}
@@ -365,7 +414,7 @@ func cuckooCell(sc Scale, kv int, op string, util float64) string {
 		for i := 0; i < sc.Ops; i++ {
 			c.Get(uint64(rng.Intn(int(next-1))) + 1)
 		}
-		return f2(c.GetStats.PerOp())
+		return c.GetStats.PerOp()
 	}
 	c.PutStats = baseline.AccessStats{}
 	for i := 0; i < sc.Ops; i++ {
@@ -375,15 +424,15 @@ func cuckooCell(sc Scale, kv int, op string, util float64) string {
 			next++
 		}
 	}
-	return f2(c.PutStats.PerOp())
+	return c.PutStats.PerOp()
 }
 
-func hopscotchCell(sc Scale, kv int, op string, util float64) string {
+func hopscotchPoint(sc Scale, kv int, op string, util float64) float64 {
 	h := baseline.NewHopscotch(sc.MemBytes, kv, cuckooIndexRatio(kv))
 	next := uint64(1)
 	for h.Utilization(sc.MemBytes) < util {
 		if !h.Put(next) {
-			return "—"
+			return unreachable
 		}
 		next++
 	}
@@ -393,7 +442,7 @@ func hopscotchCell(sc Scale, kv int, op string, util float64) string {
 		for i := 0; i < sc.Ops; i++ {
 			h.Get(uint64(rng.Intn(int(next-1))) + 1)
 		}
-		return f2(h.GetStats.PerOp())
+		return h.GetStats.PerOp()
 	}
 	h.PutStats = baseline.AccessStats{}
 	for i := 0; i < sc.Ops; i++ {
@@ -403,7 +452,7 @@ func hopscotchCell(sc Scale, kv int, op string, util float64) string {
 			next++
 		}
 	}
-	return f2(h.PutStats.PerOp())
+	return h.PutStats.PerOp()
 }
 
 // cuckooIndexRatio sizes the baseline index so index slots and slab

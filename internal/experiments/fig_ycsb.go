@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"kvdirect/internal/core"
 	"kvdirect/internal/model"
@@ -173,7 +174,8 @@ func Fig16(sc Scale) []*Table {
 		{"100% GET", 1.0}, {"5% PUT", 0.95}, {"50% PUT", 0.5}, {"100% PUT", 0.0},
 	}
 	var tables []*Table
-	for _, longtail := range []bool{false, true} {
+	var tput [2][][]float64 // [uniform, long-tail][KV size][mix], Mops
+	for li, longtail := range []bool{false, true} {
 		name, id := "uniform", "fig16a"
 		if longtail {
 			name, id = "long-tail", "fig16b"
@@ -182,18 +184,36 @@ func Fig16(sc Scale) []*Table {
 			ID:      id,
 			Title:   fmt.Sprintf("YCSB throughput, %s workload (Mops)", name),
 			Columns: []string{"KV size(B)", mixes[0].name, mixes[1].name, mixes[2].name, mixes[3].name, "bottleneck"},
-			Notes:   "tiny KVs reach the 180 Mops clock bound under long-tail GETs; 62 B+ KVs are network-bound (paper Figure 16)",
+			Notes:   "the bottleneck column names the resource that binds: the clock, the network, or PCIe and NIC DRAM (paper Figure 16)",
 		}
 		for _, kv := range kvSizes {
 			pt := measureYCSB(sc, kv, longtail)
 			row := []string{itoa(kv)}
+			var rates []float64
 			for _, m := range mixes {
+				rates = append(rates, pt.throughput(m.get)/1e6)
 				row = append(row, mops(pt.throughput(m.get)))
 			}
+			tput[li] = append(tput[li], rates)
 			row = append(row, bottleneckName(pt))
 			t.Add(row...)
 		}
 		tables = append(tables, t)
+	}
+	longOverUniform, getOverPut := math.MaxFloat64, math.MaxFloat64
+	for k := range kvSizes {
+		for m := range mixes {
+			longOverUniform = min(longOverUniform, tput[1][k][m]-tput[0][k][m])
+		}
+		getOverPut = min(getOverPut, tput[0][k][0]-tput[0][k][len(mixes)-1])
+	}
+	tables[0].Claims = []Claim{
+		atLeast("fig16a/get-minus-put", "PUT-heavy mixes run slower than GET-heavy ones", getOverPut, -0.5),
+	}
+	tables[1].Claims = []Claim{
+		atLeast("fig16b/longtail-minus-uniform", "long-tail runs up to 2x uniform: merging and NIC DRAM hits", longOverUniform, -0.5),
+		atLeast("fig16b/5B-get", "tiny KVs reach the 180 Mops clock bound under long-tail GETs", tput[1][0][0], 120),
+		atMost("fig16b/252B-get", "62 B+ KVs are network-bound", tput[1][len(kvSizes)-1][0], 40),
 	}
 	return tables
 }
@@ -219,27 +239,43 @@ func bottleneckName(pt ycsbPoint) string {
 // measured access counts.
 func Fig17(sc Scale) []*Table {
 	var tables []*Table
-	for _, batched := range []bool{true, false} {
-		id, title := "fig17a", "Latency with batching (us)"
-		if !batched {
-			id, title = "fig17b", "Latency without batching (us)"
-		}
-		t := &Table{
-			ID:      id,
-			Title:   title,
+	for _, name := range [][2]string{{"fig17a", "Latency with batching (us)"}, {"fig17b", "Latency without batching (us)"}} {
+		tables = append(tables, &Table{
+			ID:      name[0],
+			Title:   name[1],
 			Columns: []string{"KV size(B)", "GET uni P50", "GET uni P95", "GET skew P95", "PUT uni P95", "PUT skew P95"},
-			Notes:   "PUT > GET (extra access); skewed < uniform (NIC DRAM hits); batching adds < 1 us (paper Figure 17)",
-		}
-		for _, kv := range []int{10, 60, 252} {
-			uni := measureYCSB(sc, kv, false)
-			skew := measureYCSB(sc, kv, true)
+			Notes:   "PUTs pay an extra memory access; skewed keys hit the NIC DRAM cache (paper Figure 17)",
+		})
+	}
+	lowest, highest := math.MaxFloat64, 0.0
+	added, skewOverUni, putOverGet := 0.0, -math.MaxFloat64, math.MaxFloat64
+	for _, kv := range []int{10, 60, 252} {
+		uni, skew := measureYCSB(sc, kv, false), measureYCSB(sc, kv, true)
+		var lat [2][5]float64 // [batched, plain][column], us
+		for i, batched := range []bool{true, false} {
 			g50, g95 := latencyPercentiles(sc, uni, true, batched, 50, 95)
 			_, gs95 := latencyPercentiles(sc, skew, true, batched, 50, 95)
 			_, p95 := latencyPercentiles(sc, uni, false, batched, 50, 95)
 			_, ps95 := latencyPercentiles(sc, skew, false, batched, 50, 95)
-			t.Add(itoa(kv), f2(g50/1000), f2(g95/1000), f2(gs95/1000), f2(p95/1000), f2(ps95/1000))
+			lat[i] = [5]float64{g50 / 1000, g95 / 1000, gs95 / 1000, p95 / 1000, ps95 / 1000}
+			tables[i].Add(itoa(kv), f2(lat[i][0]), f2(lat[i][1]), f2(lat[i][2]), f2(lat[i][3]), f2(lat[i][4]))
 		}
-		tables = append(tables, t)
+		plain := lat[1]
+		for _, v := range plain {
+			lowest, highest = min(lowest, v), max(highest, v)
+		}
+		added = max(added, lat[0][1]-plain[1])
+		skewOverUni = max(skewOverUni, plain[2]-plain[1])
+		putOverGet = min(putOverGet, plain[3]-plain[1])
+	}
+	tables[0].Claims = []Claim{
+		atMost("fig17a/batching-adds", "batching adds < 1 us", added, 1.0),
+	}
+	tables[1].Claims = []Claim{
+		atLeast("fig17b/lowest", "3-9 us tail latency without batching, by size, op and distribution", lowest, 2),
+		atMost("fig17b/highest", "3-9 us tail latency without batching, by size, op and distribution", highest, 12),
+		atMost("fig17b/skew-minus-uniform-get", "skewed GETs are no slower than uniform: NIC DRAM cache hits", skewOverUni, 0.3),
+		atLeast("fig17b/put-minus-get", "PUTs are slower than GETs: one more memory access", putOverGet, 0),
 	}
 	return tables
 }

@@ -1,7 +1,5 @@
 package experiments
 
-import "sort"
-
 // Experiment is one regenerable table/figure group.
 type Experiment struct {
 	Name string // kvdbench subcommand, e.g. "fig11"
@@ -40,14 +38,4 @@ func Lookup(name string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// Names returns all experiment names, sorted.
-func Names() []string {
-	var out []string
-	for _, e := range All() {
-		out = append(out, e.Name)
-	}
-	sort.Strings(out)
-	return out
 }
