@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint lint-new lint-fix test race chaos telemetry figures check
+.PHONY: build vet lint lint-fix test race chaos telemetry figures check
 
 build:
 	$(GO) build ./...
@@ -14,12 +14,6 @@ vet:
 # budgets, and goroutine tie-downs. See DESIGN.md "Static analysis".
 lint:
 	$(GO) run ./cmd/kvdlint ./...
-
-# Only the analyzers added since the last tagged suite — the fast loop
-# while triaging a freshly written analyzer against the tree.
-NEW_ANALYZERS ?= lockorder,hotalloc,gorolifetime
-lint-new:
-	$(GO) run ./cmd/kvdlint -only $(NEW_ANALYZERS) ./...
 
 # Apply the mechanical fixes kvdlint suggests (e.g. clock-derived rand
 # seeds rewritten to constants), then report what remains.

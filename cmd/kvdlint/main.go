@@ -18,7 +18,7 @@
 // comment on the offending line or the line above it; a directive that
 // suppresses nothing is itself reported (staleallow) and deleted by
 // -fix. The -only flag restricts a standalone run to a comma-separated
-// subset of the suite (see `make lint-new`).
+// subset of the suite, for ad hoc runs while triaging one analyzer.
 package main
 
 import (

@@ -5,11 +5,11 @@
 // it: a context, a stop channel, a WaitGroup the owner waits on, or a
 // connection whose close unblocks it. A goroutine with none of these is
 // unkillable — it leaks across reconfigurations, keeps failed replicas
-// half-alive, and turns clean shutdown into a timeout. The replication
-// layer's elastic membership (replicas join and leave at runtime) makes
-// this a correctness property, not hygiene: an orphaned heartbeat loop
-// from a demoted primary is exactly the split-brain ingredient epoch
-// fencing exists to contain.
+// half-alive, and turns clean shutdown into a timeout. In the
+// replication layer, where failovers depose primaries and migrations
+// retire whole groups at runtime, this is a correctness property, not
+// hygiene: an orphaned heartbeat loop from a demoted primary is exactly
+// the split-brain ingredient epoch fencing exists to contain.
 //
 // The analyzer inspects the function a `go` statement launches — a
 // function literal's body directly, a same-package function through the

@@ -262,9 +262,6 @@ func (s *Store) Close() {
 	}
 }
 
-// Closed reports whether Close has been called.
-func (s *Store) Closed() bool { return s.closed }
-
 // RegisterUpdateFunc registers λ under id, overriding any builtin. This is
 // the software analogue of compiling a user-defined function into the
 // FPGA before use (active messages, §3.2).

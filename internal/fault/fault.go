@@ -197,13 +197,6 @@ func (in *Injector) DisableAll() {
 	in.mu.Unlock()
 }
 
-// Prob returns point p's configured probability.
-func (in *Injector) Prob(p Point) float64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.probs[p]
-}
-
 // Should reports whether point p fires this opportunity, counting the
 // injection if so. On a nil injector or with no probabilities configured
 // it is a branch and an atomic load.

@@ -240,9 +240,6 @@ func (c *Cache) eccVerify(first uint64, count int) {
 	}
 }
 
-// SizeBytes returns the cache capacity in bytes.
-func (c *Cache) SizeBytes() uint64 { return uint64(c.lines) * LineBytes }
-
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() Stats { return c.stats }
 

@@ -199,8 +199,9 @@ func (e *Engine) submit(op *Op, res int) {
 	e.stats.Submitted++
 	rs := uint32(op.KeyHash % uint64(len(e.slots)))
 	cur := e.slots[rs]
-	if cur != nil && e.Stall && (op.Kind.IsWrite() || e.chainHasWrite(cur)) {
-		// Baseline: drain until the conflicting entry retires.
+	if cur != nil && e.Stall {
+		// Baseline: drain until the conflicting entry retires, so the op
+		// issues as its own head and pays its own access.
 		e.drainEntry(cur) //lint:allow hotalloc -- retires entries; see the allows in retire
 		cur = nil
 	}
@@ -327,21 +328,6 @@ func (e *Engine) pop() *entry {
 	}
 	e.qlen--
 	return en
-}
-
-// chainHasWrite reports whether the entry's in-flight work includes any
-// mutation (used by the stall baseline's conflict rule: reads may overlap
-// reads, everything else stalls).
-func (e *Engine) chainHasWrite(en *entry) bool {
-	if en.writeback || en.head.Kind.IsWrite() {
-		return true
-	}
-	for i := range en.chain {
-		if en.chain[i].Kind.IsWrite() {
-			return true
-		}
-	}
-	return false
 }
 
 // fill retires entries while the window is over-subscribed.

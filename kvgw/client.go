@@ -178,18 +178,6 @@ func (c *Client) Counter(key []byte, incr bool, delta, initial uint64, create bo
 	return value, resp.CAS, resp.Status, nil
 }
 
-// Noop round-trips a NOOP (the pipeline flush/terminator).
-func (c *Client) Noop() error {
-	resp, err := c.roundTrip(Request{Opcode: CmdNoop})
-	if err != nil {
-		return err
-	}
-	if resp.Status != StatusOK {
-		return fmt.Errorf("kvgw: noop: %s", StatusText(resp.Status))
-	}
-	return nil
-}
-
 // Version fetches the server version string.
 func (c *Client) Version() (string, error) {
 	resp, err := c.roundTrip(Request{Opcode: CmdVersion})

@@ -197,9 +197,6 @@ func (c *Client) Counters() *telemetry.Counters { return c.counters }
 // sharded-batch root spans and per-shard client spans share.
 func (c *Client) Telemetry() *telemetry.Registry { return c.tel }
 
-// NumShards returns the number of shards.
-func (c *Client) NumShards() int { return len(c.shards) }
-
 // Close closes every connection, returning the first error. Subsequent
 // calls fail with ErrClosed.
 func (c *Client) Close() error {

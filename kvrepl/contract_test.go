@@ -458,26 +458,43 @@ func (fx *fixture) primary(t *testing.T, shard int) *Replica {
 
 // migrate starts the live migration of shard 0 and returns its source
 // group; midFlight waits until it moves data, so a kill lands
-// mid-transfer rather than before or after.
+// mid-transfer rather than before or after. Under a loaded race run a
+// lease failover can depose the source first, which aborts the
+// migration with a handover error: then the shard settles on the old
+// group and the migration starts again, up to migrateTries times. Any
+// other early end, success included, fails the row.
 func (fx *fixture) migrate(t *testing.T, midFlight bool) *Group {
 	t.Helper()
+	const migrateTries = 3
 	old := fx.d.group(0)
-	var err error
-	if fx.mig, err = fx.d.Migrate(0); err != nil {
-		t.Fatal(err)
-	}
-	if midFlight {
+	for try := 1; ; try++ {
+		var err error
+		if fx.mig, err = fx.d.Migrate(0); err != nil {
+			t.Fatal(err)
+		}
+		if !midFlight {
+			return old
+		}
 		waitFor(t, 10*time.Second, "the migration to move data", func() bool {
 			st := fx.mig.Status()
-			return st.SnapshotBytes > 0 || st.Entries > 0
+			return st.SnapshotBytes > 0 || st.Entries > 0 || fx.mig.finished()
 		})
-		select {
-		case <-fx.mig.Done():
-			t.Fatalf("migration finished before the kill could land: %+v", fx.mig.Status())
-		default:
+		if !fx.mig.finished() {
+			return old
 		}
+		<-fx.mig.Done()
+		err = fx.mig.Err()
+		if err == nil || !strings.Contains(err.Error(), "changed hands") || try == migrateTries {
+			t.Fatalf("migration finished before the kill could land (try %d): %v, %+v", try, err, fx.mig.Status())
+		}
+		t.Logf("migration try %d ended before the kill: %v; migrating again", try, err)
+		waitFor(t, 5*time.Second, "the shard to settle on its old group", func() bool {
+			fx.d.mu.Lock()
+			busy := fx.d.migrating[0]
+			fx.d.mu.Unlock()
+			return !busy && old.Primary() != nil
+		})
 	}
-	return old
 }
 
 // settleMigration waits out the migration — the shard moves to the

@@ -58,7 +58,6 @@ type groupState struct {
 	primary   int
 	epoch     uint64
 	lastBeat  time.Time
-	node      string     // planner placement label ("" until SetShardNode)
 	cutover   bool       // mid-cutover: the lease monitor must not interfere
 	migration *Migration // latest migration for this shard (running or terminal)
 }
@@ -80,8 +79,8 @@ func NewCoordinator(opts CoordOptions) *Coordinator {
 }
 
 // Counters exposes the control-plane counters: repl.failovers,
-// repl.failovers_aborted, repl.migrations, repl.migrations_completed,
-// repl.migrations_aborted, repl.member_adds and repl.member_removes.
+// repl.failovers_aborted, repl.migrations, repl.migrations_completed
+// and repl.migrations_aborted.
 func (c *Coordinator) Counters() *telemetry.Counters { return c.counters }
 
 // Telemetry exposes the coordinator's registry (counters plus the
@@ -230,88 +229,6 @@ func (c *Coordinator) checkLeases() {
 	}
 }
 
-// AddReplica grows shard's group with a fresh backup. The current
-// primary immediately starts shipping its log (snapshot catch-up if the
-// backup is far behind) and the route gains a fallback address. Fails
-// while a migration is in flight — membership must be stable under it.
-func (c *Coordinator) AddReplica(shard, id int, r *Replica) error {
-	if r == nil || !r.Alive() {
-		return fmt.Errorf("kvrepl: add replica %d to shard %d: replica is not alive", id, shard)
-	}
-	c.mu.Lock()
-	g, err := c.stableGroupLocked(shard)
-	if err == nil {
-		if _, dup := g.members[id]; dup {
-			err = fmt.Errorf("kvrepl: shard %d already has member %d", shard, id)
-		}
-	}
-	if err != nil {
-		c.mu.Unlock()
-		return err
-	}
-	g.members[id] = r
-	c.watchLocked(g)
-	lead, epoch := g.members[g.primary], g.epoch
-	c.counters.Add("repl.member_adds", 1)
-	c.mu.Unlock()
-
-	lead.addPeer(id, r.ReplAddr())
-	c.publish(shard, epoch)
-	return nil
-}
-
-// RemoveReplica shrinks shard's group. Removing a backup just stops its
-// feed; removing the primary first elects the most advanced remaining
-// live member under a bumped epoch and fences the departing primary so
-// straggler clients get redirected. The removed replica is not closed —
-// it belongs to the caller. Fails while a migration is in flight.
-func (c *Coordinator) RemoveReplica(shard, id int) error {
-	c.mu.Lock()
-	g, err := c.stableGroupLocked(shard)
-	switch {
-	case err != nil:
-	case g.members[id] == nil:
-		err = fmt.Errorf("kvrepl: shard %d has no member %d", shard, id)
-	case len(g.members) == 1:
-		err = fmt.Errorf("kvrepl: cannot remove shard %d's last member", shard)
-	}
-	if err != nil {
-		c.mu.Unlock()
-		return err
-	}
-	old := g.members[id]
-	if id != g.primary {
-		delete(g.members, id)
-		lead, epoch := g.members[g.primary], g.epoch
-		c.counters.Add("repl.member_removes", 1)
-		c.mu.Unlock()
-
-		lead.removePeer(id)
-		c.publish(shard, epoch)
-		return nil
-	}
-	// Removing the primary: elect the most advanced remaining live
-	// member (same rule as failover), then fence the departing one.
-	candID, cand := mostAdvanced(g.members, id)
-	if cand == nil {
-		c.mu.Unlock()
-		return fmt.Errorf("kvrepl: shard %d has no live member to take over from %d", shard, id)
-	}
-	delete(g.members, id)
-	g.epoch++
-	g.primary = candID
-	g.lastBeat = time.Now()
-	epoch := g.epoch
-	peers := peerAddrsLocked(g)
-	c.counters.Add("repl.member_removes", 1)
-	c.mu.Unlock()
-
-	cand.promote(epoch, peers)
-	old.maybeDemote(epoch, cand.ClientAddr())
-	c.publish(shard, epoch)
-	return nil
-}
-
 // MigrateShard starts a live migration of shard onto the target group.
 // The returned Migration runs concurrently: the old group keeps serving
 // until the epoch-fenced cutover, and Wait returns nil once the
@@ -330,9 +247,14 @@ func (c *Coordinator) MigrateShard(shard int, target MigrationTarget) (*Migratio
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	g, err := c.stableGroupLocked(shard)
-	if err != nil {
-		return nil, err
+	g, ok := c.groups[shard]
+	switch {
+	case c.closed:
+		return nil, errors.New("kvrepl: coordinator closed")
+	case !ok:
+		return nil, fmt.Errorf("kvrepl: shard %d not registered", shard)
+	case g.migration != nil && !g.migration.finished():
+		return nil, fmt.Errorf("kvrepl: shard %d has a migration in flight", shard)
 	}
 	for _, cur := range g.members {
 		for id, r := range target.Members {
@@ -402,28 +324,6 @@ func (c *Coordinator) Adopt(shard int, members map[int]*Replica, primary int) er
 	return nil
 }
 
-// SetShardNode labels where a shard's group lives, feeding the
-// rebalance planner's load counts.
-func (c *Coordinator) SetShardNode(shard int, node string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if g, ok := c.groups[shard]; ok {
-		g.node = node
-	}
-}
-
-// ShardNodes returns the current shard→node placement (shards with no
-// label map to "").
-func (c *Coordinator) ShardNodes() map[int]string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[int]string, len(c.groups))
-	for shard, g := range c.groups {
-		out[shard] = g.node
-	}
-	return out
-}
-
 // Close stops the monitor and aborts in-flight migrations. Replicas
 // are not closed — they belong to their groups.
 func (c *Coordinator) Close() {
@@ -441,21 +341,6 @@ func (c *Coordinator) Close() {
 	c.mu.Unlock()
 	close(c.stop)
 	c.wg.Wait()
-}
-
-// stableGroupLocked returns shard's group if its membership may change:
-// the coordinator is open, the shard registered, no migration in flight.
-func (c *Coordinator) stableGroupLocked(shard int) (*groupState, error) {
-	g, ok := c.groups[shard]
-	switch {
-	case c.closed:
-		return nil, errors.New("kvrepl: coordinator closed")
-	case !ok:
-		return nil, fmt.Errorf("kvrepl: shard %d not registered", shard)
-	case g.migration != nil && !g.migration.finished():
-		return nil, fmt.Errorf("kvrepl: shard %d has a migration in flight", shard)
-	}
-	return g, nil
 }
 
 // watchLocked points every member's lease heartbeat at the group's

@@ -167,7 +167,7 @@ func (d *Deployment) Migrate(shard int) (*Migration, error) {
 	var mig *Migration
 	dest, err := d.build(shard, opts, 0, 0)
 	if err == nil {
-		mig, err = d.coord.MigrateShard(shard, dest.Target(""))
+		mig, err = d.coord.MigrateShard(shard, dest.Target())
 	}
 	if err != nil {
 		d.retire(shard, dest) // nil when it could not even be built

@@ -15,13 +15,6 @@ type Group struct {
 	Replicas []*Replica
 }
 
-// NewLocalGroup builds n replicas for shard on loopback without
-// registering them anywhere — the raw material for Register (via
-// StartGroup), Coordinator.Adopt, or a MigrationTarget.
-func NewLocalGroup(shard, n int, cfg kvdirect.Config, opts Options) (*Group, error) {
-	return newGroup(shard, n, cfg, opts, "127.0.0.1", 0, 0)
-}
-
 // newGroup is the one group constructor: n replicas for shard on host.
 // first is the group's offset among its deployment's replicas: replica i
 // is the deployment's replica first+i, which sets its store seed and —
@@ -61,15 +54,15 @@ func (g *Group) Members() map[int]*Replica {
 }
 
 // Target wraps the group as a migration destination led by its first
-// replica, optionally labeled with the planner node it lives on.
-func (g *Group) Target(node string) MigrationTarget {
-	return MigrationTarget{Members: g.Members(), Primary: g.Replicas[0].ID(), Node: node}
+// replica.
+func (g *Group) Target() MigrationTarget {
+	return MigrationTarget{Members: g.Members(), Primary: g.Replicas[0].ID()}
 }
 
 // StartGroup builds n replicas for shard on loopback, registers them
 // with coord (replica 0 is the first primary) and returns the group.
 func StartGroup(coord *Coordinator, shard, n int, cfg kvdirect.Config, opts Options) (*Group, error) {
-	g, err := NewLocalGroup(shard, n, cfg, opts)
+	g, err := newGroup(shard, n, cfg, opts, "127.0.0.1", 0, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -276,6 +276,30 @@ func TestFailoverPromotesBackup(t *testing.T) {
 	}
 }
 
+// startPartitionableGroup registers a 1×3 group led by replica 0, the
+// only replica armed with inj: a ReplPartitionPrimary there eats the
+// first primary's heartbeats and no successor's.
+func startPartitionableGroup(t *testing.T, coord *Coordinator, opts Options, inj *fault.Injector) *Group {
+	t.Helper()
+	g := &Group{Shard: 0}
+	t.Cleanup(func() { _ = g.Close() })
+	for id := 0; id < 3; id++ {
+		o := opts
+		if id == 0 {
+			o.Faults = inj
+		}
+		r, err := NewReplica(0, id, 3, testConfig(), "127.0.0.1:0", "127.0.0.1:0", o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Replicas = append(g.Replicas, r)
+	}
+	if err := coord.Register(0, g.Members(), 0); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func TestPartitionedPrimaryIsFenced(t *testing.T) {
 	// Only replica 0 gets the partition injector: its coordinator
 	// heartbeats are all eaten, but its data path still works — the
@@ -285,26 +309,8 @@ func TestPartitionedPrimaryIsFenced(t *testing.T) {
 
 	coord := NewCoordinator(fastCoord())
 	defer coord.Close()
-	cfg := testConfig()
-	partOpts := fastOpts()
-	partOpts.Faults = inj
-	r0, err := NewReplica(0, 0, 3, cfg, "127.0.0.1:0", "127.0.0.1:0", partOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := NewReplica(0, 1, 3, cfg, "127.0.0.1:0", "127.0.0.1:0", fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := NewReplica(0, 2, 3, cfg, "127.0.0.1:0", "127.0.0.1:0", fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := &Group{Shard: 0, Replicas: []*Replica{r0, r1, r2}}
-	defer g.Close()
-	if err := coord.Register(0, map[int]*Replica{0: r0, 1: r1, 2: r2}, 0); err != nil {
-		t.Fatal(err)
-	}
+	g := startPartitionableGroup(t, coord, fastOpts(), inj)
+	r0 := g.Replicas[0]
 
 	// The lease can never be renewed, so a backup takes over...
 	waitFor(t, 3*time.Second, "failover away from the partitioned primary", func() bool {

@@ -61,8 +61,6 @@ type MigrationTarget struct {
 	Members map[int]*Replica
 	// Primary is the id promoted at cutover (the source's learner).
 	Primary int
-	// Node optionally labels the destination for the rebalance planner.
-	Node string
 }
 
 // MigrationStatus is a point-in-time view of one migration, also the
@@ -277,7 +275,7 @@ func (m *Migration) fence(p *peerSync) error {
 	for id, r := range m.target.Members {
 		g.members[id] = r
 	}
-	g.primary, g.node, g.epoch, g.cutover = m.target.Primary, m.target.Node, cut, true
+	g.primary, g.epoch, g.cutover = m.target.Primary, cut, true
 	c.watchLocked(g)
 	c.mu.Unlock()
 

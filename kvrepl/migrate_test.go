@@ -27,7 +27,7 @@ func startMigrationPair(t *testing.T, coord *Coordinator, opts Options, writes i
 	destCfg.Seed = 7777
 	destOpts := opts
 	destOpts.Seed = opts.Seed + 100
-	dest, err := NewLocalGroup(0, 3, destCfg, destOpts)
+	dest, err := newGroup(0, 3, destCfg, destOpts, "127.0.0.1", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestMigrateShardBasic(t *testing.T) {
 	}
 	frontier := oldPrim.LastApplied()
 
-	mig, err := coord.MigrateShard(0, dest.Target("node-b"))
+	mig, err := coord.MigrateShard(0, dest.Target())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestMigrateShardUnderLoad(t *testing.T) {
 		}(w)
 	}
 
-	mig, err := coord.MigrateShard(0, dest.Target("node-b"))
+	mig, err := coord.MigrateShard(0, dest.Target())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestMigrateShardValidation(t *testing.T) {
 	defer coord.Close()
 	src, dest, _ := startMigrationPair(t, coord, fastOpts(), 5)
 
-	if _, err := coord.MigrateShard(9, dest.Target("")); err == nil {
+	if _, err := coord.MigrateShard(9, dest.Target()); err == nil {
 		t.Fatal("migrating an unregistered shard must fail")
 	}
 	if _, err := coord.MigrateShard(0, MigrationTarget{}); err == nil {
@@ -234,133 +234,27 @@ func TestMigrateShardValidation(t *testing.T) {
 	}
 }
 
-func TestAddReplicaCatchesUp(t *testing.T) {
-	coord := NewCoordinator(fastCoord())
-	defer coord.Close()
-	opts := fastOpts()
-	g, err := StartGroup(coord, 0, 3, testConfig(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	sc, err := kvnet.DialReplicaShards([]kvnet.ShardAddrs{g.ShardAddrs()}, kvnet.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	coord.OnRoute(func(shard int, addrs kvnet.ShardAddrs) { _ = sc.UpdateShard(shard, addrs) }) //lint:allow statuserr -- route churn mid-failover is the scenario; a stale route self-heals on retry
-
-	const n = 80
-	for i := 0; i < n; i++ {
-		if err := sc.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	extra, err := NewReplica(0, 3, 4, testConfig(), "127.0.0.1:0", "127.0.0.1:0", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer extra.Close()
-	if err := coord.AddReplica(0, 3, extra); err != nil {
-		t.Fatal(err)
-	}
-	prim := g.Primary()
-	waitFor(t, 2*time.Second, "new backup to catch up",
-		func() bool { return extra.LastApplied() >= prim.LastApplied() })
-	if v, ok := extra.Store().Get([]byte("k000")); !ok || string(v) != "v" {
-		t.Fatalf("new backup missing replicated key (got %q, %v)", v, ok)
-	}
-	if got := coord.Counters().Get("repl.member_adds"); got != 1 {
-		t.Fatalf("repl.member_adds = %d, want 1", got)
-	}
-}
-
-func TestRemoveReplicaBackupAndPrimary(t *testing.T) {
-	coord := NewCoordinator(fastCoord())
-	defer coord.Close()
-	// Quorum 1: the group stays writable all the way down to one member,
-	// so the test exercises membership mechanics, not quorum starvation.
-	opts := fastOpts()
-	opts.Quorum = 1
-	g, err := StartGroup(coord, 0, 3, testConfig(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	sc, err := kvnet.DialReplicaShards([]kvnet.ShardAddrs{g.ShardAddrs()}, kvnet.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	coord.OnRoute(func(shard int, addrs kvnet.ShardAddrs) { _ = sc.UpdateShard(shard, addrs) }) //lint:allow statuserr -- route churn mid-failover is the scenario; a stale route self-heals on retry
-	for i := 0; i < 20; i++ {
-		if err := sc.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Drop a backup: the group keeps serving at quorum 2 of... now 2.
-	prim := g.Primary()
-	var backupID = -1
-	for _, r := range g.Replicas {
-		if r != prim {
-			backupID = r.ID()
-			break
-		}
-	}
-	if err := coord.RemoveReplica(0, backupID); err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.Put([]byte("after-shrink"), []byte("v")); err != nil {
-		t.Fatalf("put after backup removal: %v", err)
-	}
-
-	// Remove the primary: the survivor is elected under a bumped epoch
-	// and the departing primary is fenced with a redirect.
-	oldEpoch := prim.Epoch()
-	if err := coord.RemoveReplica(0, prim.ID()); err != nil {
-		t.Fatal(err)
-	}
-	newPrim := g.Primary()
-	if newPrim == nil || newPrim == prim {
-		t.Fatal("no successor after removing the primary")
-	}
-	if newPrim.Epoch() <= oldEpoch {
-		t.Fatalf("successor epoch %d not bumped past %d", newPrim.Epoch(), oldEpoch)
-	}
-	if prim.Role() == RolePrimary {
-		t.Fatal("removed primary was not fenced")
-	}
-	if err := sc.Put([]byte("after-handoff"), []byte("v")); err != nil {
-		t.Fatalf("put after primary removal: %v", err)
-	}
-	if _, ok := newPrim.Store().Get([]byte("after-handoff")); !ok {
-		t.Fatal("post-handoff write missing on the successor")
-	}
-	if err := coord.RemoveReplica(0, newPrim.ID()); err == nil {
-		t.Fatal("removing the last member must fail")
-	}
-}
-
-// TestMembershipRejectsUnknownShard: membership changes on a shard the
-// coordinator does not serve, or on a closed coordinator, are errors.
+// TestMembershipRejectsUnknownShard: a membership change — a migration's
+// cutover is the only one a caller starts — on a shard the coordinator
+// does not serve, or on a closed coordinator, is an error.
 func TestMembershipRejectsUnknownShard(t *testing.T) {
 	coord := NewCoordinator(fastCoord())
-	r, err := NewReplica(0, 0, 1, testConfig(), "127.0.0.1:0", "127.0.0.1:0", fastOpts())
+	src, err := StartGroup(coord, 0, 1, testConfig(), fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
-	if err := coord.AddReplica(5, 0, r); err == nil {
-		t.Fatal("AddReplica on an unregistered shard succeeded")
+	defer src.Close()
+	dest, err := newGroup(0, 1, testConfig(), fastOpts(), "127.0.0.1", 0, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := coord.RemoveReplica(5, 0); err == nil {
-		t.Fatal("RemoveReplica on an unregistered shard succeeded")
+	defer dest.Close()
+	if _, err := coord.MigrateShard(5, dest.Target()); err == nil {
+		t.Fatal("MigrateShard on an unregistered shard succeeded")
 	}
 	coord.Close()
-	if err := coord.RemoveReplica(0, 0); err == nil {
-		t.Fatal("RemoveReplica on a closed coordinator succeeded")
+	if _, err := coord.MigrateShard(0, dest.Target()); err == nil {
+		t.Fatal("MigrateShard on a closed coordinator succeeded")
 	}
 }
 
@@ -389,14 +283,14 @@ func TestBackupWindowEvictionSnapshotFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	const n = 50 // blows far past the 8-entry window before the backup exists
+	const n = 50 // blows far past the 8-entry window before the backup joins
 	for i := 0; i < n; i++ {
 		if err := c.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	prim.addPeer(1, back.ReplAddr())
+	prim.promote(2, map[int]string{1: back.ReplAddr()}) // a new term with the backup in it
 	waitFor(t, 2*time.Second, "lagging backup to converge via snapshot",
 		func() bool { return back.LastApplied() >= prim.LastApplied() })
 	if got := prim.Counters().Get("repl.snapshot_fallbacks"); got == 0 {
@@ -465,7 +359,7 @@ func TestLearnerAckNeverMakesWriteDurable(t *testing.T) {
 	acks := prim.Counters().Get("repl.acks")
 
 	inj.Set(fault.ReplMigrateStall, 1) // 2 ms per learner message: the parked PUTs ride the snapshot and tail
-	mig, err := coord.MigrateShard(0, dest.Target("node-b"))
+	mig, err := coord.MigrateShard(0, dest.Target())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +392,7 @@ func TestLearnerResyncsUnderDestCrash(t *testing.T) {
 	frontier := src.Primary().LastApplied()
 
 	inj.Set(fault.ReplDestCrash, 0.05)
-	mig, err := coord.MigrateShard(0, dest.Target("node-b"))
+	mig, err := coord.MigrateShard(0, dest.Target())
 	if err != nil {
 		t.Fatal(err)
 	}

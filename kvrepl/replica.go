@@ -314,39 +314,6 @@ func (r *Replica) startPeerLocked(id int, addr string) {
 	}()
 }
 
-// addPeer starts a shipping loop to a newly added group member. A no-op
-// unless the replica currently leads — a later promotion rebuilds the
-// peer set from the coordinator's membership.
-func (r *Replica) addPeer(peerID int, addr string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.closed && r.role == RolePrimary {
-		r.startPeerLocked(peerID, addr)
-	}
-}
-
-// removePeer stops shipping to a departing member and drops its ack
-// from quorum accounting so a removed replica's stale frontier can
-// neither satisfy nor wedge future quorums. A seq that was at quorum
-// stays settled, so abandoned first rises to the highest such seq:
-// reads parked on it must not wait for a write that may never come.
-func (r *Replica) removePeer(peerID int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if p := r.peers[peerID]; p != nil {
-		p.stopPeer()
-		delete(r.peers, peerID)
-	}
-	r.abandoned = max(r.abandoned, r.settledLocked())
-	for i, a := range r.peerAcked {
-		if a.id == peerID {
-			r.peerAcked = append(r.peerAcked[:i], r.peerAcked[i+1:]...)
-			break
-		}
-	}
-	r.wakeLocked()
-}
-
 // adoptInstall commits a migration on the destination primary: the
 // learner has proven the shard's final frontier matches ours, so we
 // adopt the fenced cutover epoch and wait for the coordinator's

@@ -632,7 +632,7 @@ func TestChaosMigrationDrainsPinnedTail(t *testing.T) {
 		}(w)
 	}
 	time.Sleep(20 * time.Millisecond) // let the writers get going
-	mig, err := coord.MigrateShard(0, dest.Target("node-b"))
+	mig, err := coord.MigrateShard(0, dest.Target())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,17 +89,16 @@ func TestVisibilityReadWaitsForPendingWrite(t *testing.T) {
 // TestVisibilityParkedReadRedirectsWhenDeposed: a GET parked behind a
 // write that only the primary holds answers NotPrimary when the primary
 // is deposed, naming the new primary — where a client's GET reads the
-// last acknowledged value, not the one the old primary held alone.
+// last acknowledged value, not the one the old primary held alone. The
+// primary is deposed the way a partition deposes it: its heartbeats are
+// lost, the lease lapses, and the new primary's HELLO fences it.
 func TestVisibilityParkedReadRedirectsWhenDeposed(t *testing.T) {
+	inj := fault.NewInjector(11)
 	opts := fastOpts()
 	opts.AckTimeout = 10 * time.Second // the PUT must still be waiting when the term ends
-	coord := NewCoordinator(CoordOptions{LeaseTimeout: 5 * time.Second})
+	coord := NewCoordinator(fastCoord())
 	defer coord.Close()
-	g, err := StartGroup(coord, 0, 3, testConfig(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
+	g := startPartitionableGroup(t, coord, opts, inj)
 	sc, err := kvnet.DialReplicaShards([]kvnet.ShardAddrs{g.ShardAddrs()}, kvnet.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -108,12 +107,10 @@ func TestVisibilityParkedReadRedirectsWhenDeposed(t *testing.T) {
 	if err := sc.Put([]byte("k"), []byte("old")); err != nil {
 		t.Fatal(err)
 	}
-	prim := g.Primary()
-	for _, r := range g.Replicas {
-		if r != prim {
-			prim.removePeer(r.ID()) // stop shipping: the next write stays on the primary alone
-		}
-	}
+	prim := g.Replicas[0]
+	prim.mu.Lock()
+	prim.stopPeersLocked() // stop shipping: the next write stays on the primary alone
+	prim.mu.Unlock()
 
 	put := parkPut(t, prim, "k", "new")
 	got := make(chan kvdirect.Result, 1)
@@ -123,14 +120,18 @@ func TestVisibilityParkedReadRedirectsWhenDeposed(t *testing.T) {
 		t.Fatalf("GET answered %q (status %d) while the PUT still waited for its quorum", res.Value, res.Status)
 	case <-time.After(50 * time.Millisecond):
 	}
-	if err := coord.RemoveReplica(0, prim.ID()); err != nil {
-		t.Fatal(err)
+	inj.Set(fault.ReplPartitionPrimary, 1) // the lease lapses; a backup takes over and fences prim
+	var res kvdirect.Result
+	select {
+	case res = <-got:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the parked GET outlived its primary's term")
 	}
 	neu := g.Primary()
 	if neu == nil || neu == prim {
 		t.Fatal("no backup took over")
 	}
-	if res := <-got; !res.NotPrimary() || string(res.Value) != neu.ClientAddr() {
+	if !res.NotPrimary() || string(res.Value) != neu.ClientAddr() {
 		t.Fatalf("parked GET on the deposed primary answered %q (status %d), want NotPrimary naming %s", res.Value, res.Status, neu.ClientAddr())
 	}
 	if res := <-put; res.OK() {
@@ -139,42 +140,6 @@ func TestVisibilityParkedReadRedirectsWhenDeposed(t *testing.T) {
 	v, ok, err := sc.Get([]byte("k"))
 	if err != nil || !ok || string(v) != "old" {
 		t.Fatalf("GET through the client after the deposition: %q, %v, %v; want the acknowledged \"old\"", v, ok, err)
-	}
-}
-
-// TestVisibilityRemovedAcksStaySettled: a seq that was at quorum stays
-// settled when the acks that made it so leave with their members. After
-// an acknowledged PUT both backups are removed from the group; a GET
-// answers the acked value at once instead of parking for a write that
-// never comes.
-func TestVisibilityRemovedAcksStaySettled(t *testing.T) {
-	coord := NewCoordinator(CoordOptions{LeaseTimeout: 5 * time.Second})
-	defer coord.Close()
-	g, err := StartGroup(coord, 0, 3, testConfig(), fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	prim := g.Primary()
-	if res := doOne(t, prim, putOp("k", "acked")); !res.OK() {
-		t.Fatalf("PUT k=acked: %+v", res)
-	}
-	for _, r := range g.Replicas {
-		if r != prim {
-			if err := coord.RemoveReplica(0, r.ID()); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	got := make(chan kvdirect.Result, 1)
-	go func() { got <- doOne(t, prim, getOp("k")) }()
-	select {
-	case res := <-got:
-		if !res.OK() || string(res.Value) != "acked" {
-			t.Fatalf("GET after the backups left: %q (status %d), want \"acked\"", res.Value, res.Status)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("a read of an acknowledged write parked once its acks left the group")
 	}
 }
 
