@@ -37,7 +37,7 @@ func (t *table) lookup(key []byte) []byte {
 	fmt.Sprintf("key=%x", key) // want "hot path allocates: fmt.Sprintf allocates its formatted output"
 	sink(42)                   // this literal is a constant: no boxing report
 	n := len(key)
-	sink(n) // want "argument boxes a int into an interface parameter"
+	sink(n)                        // want "argument boxes a int into an interface parameter"
 	cb := func() { t.slots = nil } // want "function literal allocates a closure"
 	_ = cb
 	go t.compact() // want "go statement allocates a goroutine"

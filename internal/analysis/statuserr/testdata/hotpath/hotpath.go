@@ -30,11 +30,11 @@ func drops() {
 }
 
 func blankDrops() {
-	_ = flush()                    // want "error result of flush is discarded by blank assignment"
-	_ = apply()                    // want "wire.Response result of apply is discarded by blank assignment"
-	_, _ = pair()                  // want "error result of pair is discarded by blank assignment"
-	errors.Join(flush(), flush())  // want "joined error of errors.Join is discarded"
-	_ = errors.Join(flush(), nil)  // want "joined error of errors.Join is discarded by blank assignment"
+	_ = flush()                   // want "error result of flush is discarded by blank assignment"
+	_ = apply()                   // want "wire.Response result of apply is discarded by blank assignment"
+	_, _ = pair()                 // want "error result of pair is discarded by blank assignment"
+	errors.Join(flush(), flush()) // want "joined error of errors.Join is discarded"
+	_ = errors.Join(flush(), nil) // want "joined error of errors.Join is discarded by blank assignment"
 	var c closer
 	_ = c.Close() // best-effort cleanup: the accepted blank discard
 }
@@ -54,6 +54,6 @@ func fine() {
 	b.WriteString("x") // documented always-nil error: ignored
 	h := fnv.New64a()
 	_, _ = h.Write([]byte("x")) // hash.Hash documents Write never errors
-	flush()            //lint:allow statuserr -- fixture: suppression path
-	_ = flush()        //lint:allow statuserr -- fixture: blank-assign suppression path
+	flush()                     //lint:allow statuserr -- fixture: suppression path
+	_ = flush()                 //lint:allow statuserr -- fixture: blank-assign suppression path
 }

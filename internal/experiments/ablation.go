@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"kvdirect/internal/core"
 	"kvdirect/internal/model"
@@ -103,17 +104,10 @@ func measureAblation(sc Scale, cfg core.Config) ablationRow {
 	}
 	s.Flush()
 	st := s.Stats()
-	pcie := float64(st.Mem.Accesses()) / float64(sc.Ops)
-	dram := float64(st.Cache.DRAMLineReads+st.Cache.DRAMLineWrites) / float64(sc.Ops)
-
-	pcieCap := float64(model.PCIeEndpoints) * model.PCIeRead64BOpsPerSec
-	dramCap := model.NICDRAMBytesPerSec / 64
-	tput := model.PeakOpsPerSec
-	if pcie > 0 && pcieCap/pcie < tput {
-		tput = pcieCap / pcie
+	load := model.Load{
+		PCIe: float64(st.Mem.Accesses()) / float64(sc.Ops),
+		DRAM: float64(st.Cache.DRAMLineReads+st.Cache.DRAMLineWrites) / float64(sc.Ops),
 	}
-	if dram > 0 && dramCap/dram < tput {
-		tput = dramCap / dram
-	}
-	return ablationRow{pcie: pcie, dram: dram, merge: st.Engine.MergeRatio(), tput: tput}
+	tput, _ := model.Rate(load, pcieOpsPerSec(model.CacheLineBytes), math.Inf(1))
+	return ablationRow{pcie: load.PCIe, dram: load.DRAM, merge: st.Engine.MergeRatio(), tput: tput}
 }

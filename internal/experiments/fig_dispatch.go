@@ -24,13 +24,16 @@ func Fig14(sc Scale) []*Table {
 		Columns: []string{"read %", "baseline(PCIe only)", "uniform", "long-tail"},
 		Notes:   "NIC DRAM = 1/16 of host KVS: a hot set fits it, a uniform spread does not",
 	}
-	pcieCap := float64(model.PCIeEndpoints) * model.PCIeRead64BOpsPerSec
-	dramCap := model.NICDRAMBytesPerSec / model.CacheLineBytes
+	pcieCap := pcieOpsPerSec(model.CacheLineBytes)
+	rate := func(load model.Load) float64 {
+		r, _ := model.Rate(load, pcieCap, math.Inf(1))
+		return r
+	}
 
 	overBase, overUniform, readOnly := math.MaxFloat64, math.MaxFloat64, 0.0
 	for _, readPct := range []int{50, 95, 100} {
-		uniform := measureDispatch(sc, readPct, false, pcieCap, dramCap)
-		longtail := measureDispatch(sc, readPct, true, pcieCap, dramCap)
+		uniform := rate(measureDispatch(sc, readPct, false))
+		longtail := rate(measureDispatch(sc, readPct, true))
 		t.Add(itoa(readPct), mops(pcieCap), mops(uniform), mops(longtail))
 		overBase = min(overBase, (longtail-pcieCap)/1e6)
 		overUniform = min(overUniform, (longtail-uniform)/1e6)
@@ -57,19 +60,16 @@ func Fig14(sc Scale) []*Table {
 		{"uniform", func(l float64) float64 { return dispatch.HitRateUniform(k, l) }},
 		{"long-tail", func(l float64) float64 { return dispatch.HitRateZipf(k, l, 16e6) }},
 	} {
-		l, rate := dispatch.OptimalRatio(w.hit, 0, pcieCap, dramCap)
-		if rate > model.PeakOpsPerSec {
-			rate = model.PeakOpsPerSec // the clock caps what the pipeline can consume
-		}
-		opt.Add(w.name, f2(l), mops(rate), f2(w.hit(l)))
+		l, _ := dispatch.OptimalRatio(w.hit, 0, pcieCap, model.NICDRAMLineOpsPerSec)
+		pcieLoad, dramLoad := dispatch.Loads(l, w.hit(l), 0)
+		opt.Add(w.name, f2(l), mops(rate(model.Load{PCIe: pcieLoad, DRAM: dramLoad})), f2(w.hit(l)))
 	}
 	return []*Table{t, opt}
 }
 
 // measureDispatch runs a synthetic 64 B access stream through the real
-// dispatcher+cache and converts measured resource loads into a system
-// rate: min over resources of capacity/load, capped at the clock rate.
-func measureDispatch(sc Scale, readPct int, zipfian bool, pcieCap, dramCap float64) float64 {
+// dispatcher+cache and returns the measured resource loads per access.
+func measureDispatch(sc Scale, readPct int, zipfian bool) model.Load {
 	host := memory.New(sc.MemBytes)
 	defer host.Release()
 	cache := nicdram.New(host, sc.MemBytes/16)
@@ -109,17 +109,10 @@ func measureDispatch(sc Scale, readPct int, zipfian bool, pcieCap, dramCap float
 			d.Write(addr+8, wbuf)
 		}
 	}
-	measured := n - n/2
-	pcieLoad := float64(host.Stats().Sub(warmStats).Accesses()) / float64(measured)
+	measured := float64(n - n/2)
 	dramOps := cache.Stats().DRAMLineReads + cache.Stats().DRAMLineWrites - warmDRAM
-	dramLoad := float64(dramOps) / float64(measured)
-
-	rate := model.PeakOpsPerSec
-	if pcieLoad > 0 && pcieCap/pcieLoad < rate {
-		rate = pcieCap / pcieLoad
+	return model.Load{
+		PCIe: float64(host.Stats().Sub(warmStats).Accesses()) / measured,
+		DRAM: float64(dramOps) / measured,
 	}
-	if dramLoad > 0 && dramCap/dramLoad < rate {
-		rate = dramCap / dramLoad
-	}
-	return rate
 }

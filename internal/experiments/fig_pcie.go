@@ -1,9 +1,16 @@
 package experiments
 
 import (
+	"kvdirect/internal/model"
 	"kvdirect/internal/pcie"
 	"kvdirect/internal/sim"
 )
+
+// pcieOpsPerSec is the NIC's random DMA capacity at the given payload:
+// both endpoints at Figure 3a's per-endpoint read rate.
+func pcieOpsPerSec(payloadBytes int) float64 {
+	return model.PCIeEndpoints * pcie.DefaultConfig().ReadOpsPerSec(payloadBytes)
+}
 
 // Fig3 reproduces Figure 3, "PCIe random DMA performance": (a) throughput
 // vs request payload size for DMA reads and writes, from both the
@@ -35,7 +42,7 @@ func Fig3(sc Scale) []*Table {
 		within("fig3a/write-64B", "~87 Mops: the 5.6 GB/s theoretical write bandwidth", cfg.WriteOpsPerSec(64)/1e6, 80, 92),
 	}
 
-	// The model budgets PCIe capacity as model.PCIeEndpoints endpoints
+	// pcieOpsPerSec budgets PCIe capacity as model.PCIeEndpoints endpoints
 	// times one; the multi-endpoint simulation is what backs that product.
 	eps := &Table{
 		ID:      "fig3c",

@@ -3,26 +3,24 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"math/rand"
 
 	"kvdirect/internal/core"
 	"kvdirect/internal/model"
 	"kvdirect/internal/netmodel"
-	"kvdirect/internal/pcie"
 	"kvdirect/internal/sim"
 	"kvdirect/internal/stats"
+	"kvdirect/internal/syssim"
 	"kvdirect/internal/workload"
 )
 
 // ycsbPoint is one measured Figure 16 configuration: a real store filled
 // to the target utilization, probed with the YCSB mix, its resource loads
-// converted to a predicted throughput by the bottleneck model.
+// converted to a predicted throughput by the bottleneck rule.
 type ycsbPoint struct {
 	kvSize      int
-	getAccesses float64 // host-memory DMAs per GET
-	putAccesses float64 // host-memory DMAs per PUT
-	dramPerGet  float64 // NIC DRAM line ops per GET
-	dramPerPut  float64
-	avgDMABytes float64 // mean payload per DMA (for the PCIe rate curve)
+	get, put    model.Load // per-op loads of pure GET and pure PUT streams
+	avgDMABytes float64    // mean payload per DMA (for the PCIe rate curve)
 	utilization float64
 }
 
@@ -42,15 +40,23 @@ func ycsbStoreConfig(sc Scale, kvSize int, seed int64) core.Config {
 	return cfg
 }
 
-// measureYCSB fills a store and measures per-op resource loads for pure
-// GET and pure PUT streams under the given key distribution.
-func measureYCSB(sc Scale, kvSize int, longtail bool) ycsbPoint {
+// ycsbStore is a store filled to Figure 16's target utilization, its NIC
+// DRAM cache warmed with the measurement key distribution.
+type ycsbStore struct {
+	*core.Store
+	keys    *workload.Generator // the measurement distribution over the filled keys
+	keySize int
+}
+
+// openYCSB fills and warms the store for one KV size and key
+// distribution. Figure 16's pipelined measurement and the per-op traces
+// both start from it.
+func openYCSB(sc Scale, kvSize int, longtail bool) ycsbStore {
 	cfg := ycsbStoreConfig(sc, kvSize, sc.Seed)
 	s, err := core.NewStore(cfg)
 	if err != nil {
 		panic(err)
 	}
-	defer s.Close()
 	keySize := 5
 	if kvSize > 50 {
 		keySize = 10
@@ -83,49 +89,61 @@ func measureYCSB(sc Scale, kvSize int, longtail bool) ycsbPoint {
 	if longtail {
 		skew = 0.99
 	}
-	keys := workload.New(workload.Config{
+	y := ycsbStore{Store: s, keySize: keySize, keys: workload.New(workload.Config{
 		Keys: n, Skew: skew, KeySize: keySize, ValSize: valSize, Seed: sc.Seed + 1,
-	})
-
-	pt := ycsbPoint{kvSize: kvSize, utilization: s.Utilization()}
-
+	})}
 	// Warm the NIC DRAM cache with the measurement distribution.
 	for i := 0; i < sc.Ops; i++ {
-		s.Get(keys.KeyBytes(keys.NextKey())[:keySize])
+		y.Get(y.key(y.keys.NextKey()))
+	}
+	return y
+}
+
+func (y ycsbStore) key(id uint64) []byte { return y.keys.KeyBytes(id)[:y.keySize] }
+
+// measureYCSB fills a store and measures per-op resource loads for pure
+// GET and pure PUT streams under the given key distribution.
+func measureYCSB(sc Scale, kvSize int, longtail bool) ycsbPoint {
+	y := openYCSB(sc, kvSize, longtail)
+	defer y.Close()
+	pt := ycsbPoint{kvSize: kvSize, utilization: y.Utilization()}
+	load := func(st core.Stats) model.Load {
+		return model.Load{
+			PCIe: float64(st.Mem.Accesses()) / float64(sc.Ops),
+			DRAM: float64(st.Cache.DRAMLineReads+st.Cache.DRAMLineWrites) / float64(sc.Ops),
+		}
 	}
 
 	// Pure GET pass, pipelined through the reservation station so hot-key
 	// operations merge by data forwarding as in the hardware (the paper
 	// credits merging with part of the long-tail gain).
-	s.ResetCounters()
+	y.ResetCounters()
 	for i := 0; i < sc.Ops; i++ {
-		s.SubmitGet(keys.KeyBytes(keys.NextKey())[:keySize], func(_ []byte, ok bool, _ error) {
+		y.SubmitGet(y.key(y.keys.NextKey()), func(_ []byte, ok bool, _ error) {
 			if !ok {
 				panic("ycsb: fill key missing")
 			}
 		})
 	}
-	s.Flush()
-	st := s.Stats()
-	pt.getAccesses = float64(st.Mem.Accesses()) / float64(sc.Ops)
-	pt.dramPerGet = float64(st.Cache.DRAMLineReads+st.Cache.DRAMLineWrites) / float64(sc.Ops)
+	y.Flush()
+	st := y.Stats()
+	pt.get = load(st)
 	totalLines := st.Mem.Lines()
 	totalDMAs := st.Mem.Accesses()
 
 	// Pure PUT pass (updates, YCSB-style), also pipelined.
-	s.ResetCounters()
+	y.ResetCounters()
 	for i := 0; i < sc.Ops; i++ {
-		id := keys.NextKey()
-		s.SubmitPut(keys.KeyBytes(id)[:keySize], keys.ValueBytes(id, uint64(i)), func(_ []byte, _ bool, err error) {
+		id := y.keys.NextKey()
+		y.SubmitPut(y.key(id), y.keys.ValueBytes(id, uint64(i)), func(_ []byte, _ bool, err error) {
 			if err != nil {
 				panic(err)
 			}
 		})
 	}
-	s.Flush()
-	st = s.Stats()
-	pt.putAccesses = float64(st.Mem.Accesses()) / float64(sc.Ops)
-	pt.dramPerPut = float64(st.Cache.DRAMLineReads+st.Cache.DRAMLineWrites) / float64(sc.Ops)
+	y.Flush()
+	st = y.Stats()
+	pt.put = load(st)
 	totalLines += st.Mem.Lines()
 	totalDMAs += st.Mem.Accesses()
 
@@ -137,30 +155,45 @@ func measureYCSB(sc Scale, kvSize int, longtail bool) ycsbPoint {
 	return pt
 }
 
-// throughput converts a measured point plus a GET ratio into the
-// bottleneck-model rate (paper §5.2.2: clock, network, or PCIe/DRAM).
-func (pt ycsbPoint) throughput(getRatio float64) float64 {
-	pcieCfg := pcie.DefaultConfig()
-	pciePerOp := getRatio*pt.getAccesses + (1-getRatio)*pt.putAccesses
-	dramPerOp := getRatio*pt.dramPerGet + (1-getRatio)*pt.dramPerPut
-	pcieCap := float64(model.PCIeEndpoints) * pcieCfg.ReadOpsPerSec(int(pt.avgDMABytes))
-	dramCap := model.NICDRAMBytesPerSec / 64
+// trace runs n ops of the YCSB mix (getRatio of them GETs) one at a time
+// and records each op's own accesses: the difference of the store's access
+// counts around it. One at a time, nothing merges in the store; the
+// simulator's reservation station does the merging on replay.
+func (y ycsbStore) trace(n int, getRatio float64, seed int64) []syssim.Op {
+	rng := rand.New(rand.NewSource(seed))
+	ops := make([]syssim.Op, n)
+	before := y.Stats().AccessCounts()
+	for i := range ops {
+		id := y.keys.NextKey()
+		put := rng.Float64() >= getRatio
+		if !put {
+			if _, ok := y.Get(y.key(id)); !ok {
+				panic("ycsb: fill key missing")
+			}
+		} else if err := y.Put(y.key(id), y.keys.ValueBytes(id, uint64(i))); err != nil {
+			panic(err)
+		}
+		after := y.Stats().AccessCounts()
+		ops[i] = syssim.Op{Key: id, Put: put,
+			PCIeReads:  int(after.PCIeReads - before.PCIeReads),
+			PCIeWrites: int(after.PCIeWrites - before.PCIeWrites),
+			DRAMLines:  int(after.DRAMLineReads + after.DRAMLineWrites - before.DRAMLineReads - before.DRAMLineWrites),
+		}
+		before = after
+	}
+	return ops
+}
 
+// throughput is the bottleneck rule's rate for a measured point at a GET
+// ratio, and the resource that binds (paper §5.2.2).
+func (pt ycsbPoint) throughput(getRatio float64) (float64, model.Bound) {
+	mix := model.Load{
+		PCIe: getRatio*pt.get.PCIe + (1-getRatio)*pt.put.PCIe,
+		DRAM: getRatio*pt.get.DRAM + (1-getRatio)*pt.put.DRAM,
+	}
 	net := netmodel.DefaultConfig()
 	opWire := wireBytesPerOp(pt.kvSize)
-	netOps := net.OpsPerSecond(opWire, opWire, net.BatchFor(opWire))
-
-	rate := model.PeakOpsPerSec
-	if netOps < rate {
-		rate = netOps
-	}
-	if pciePerOp > 0 && pcieCap/pciePerOp < rate {
-		rate = pcieCap / pciePerOp
-	}
-	if dramPerOp > 0 && dramCap/dramPerOp < rate {
-		rate = dramCap / dramPerOp
-	}
-	return rate
+	return model.Rate(mix, pcieOpsPerSec(int(pt.avgDMABytes)), net.OpsPerSecond(opWire, opWire, net.BatchFor(opWire)))
 }
 
 // Fig16 reproduces Figure 16, "Throughput of KV-Direct under YCSB
@@ -191,12 +224,17 @@ func Fig16(sc Scale) []*Table {
 			row := []string{itoa(kv)}
 			var rates []float64
 			for _, m := range mixes {
-				rates = append(rates, pt.throughput(m.get)/1e6)
-				row = append(row, mops(pt.throughput(m.get)))
+				rate, _ := pt.throughput(m.get)
+				rates = append(rates, rate/1e6)
+				row = append(row, mops(rate))
 			}
 			tput[li] = append(tput[li], rates)
-			row = append(row, bottleneckName(pt))
-			t.Add(row...)
+			// The figure names PCIe and NIC DRAM together: the memory system.
+			_, bound := pt.throughput(1.0)
+			if bound == model.PCIe || bound == model.DRAM {
+				bound = "pcie/dram"
+			}
+			t.Add(append(row, string(bound))...)
 		}
 		tables = append(tables, t)
 	}
@@ -218,25 +256,10 @@ func Fig16(sc Scale) []*Table {
 	return tables
 }
 
-func bottleneckName(pt ycsbPoint) string {
-	full := pt.throughput(1.0)
-	net := netmodel.DefaultConfig()
-	opWire := wireBytesPerOp(pt.kvSize)
-	netOps := net.OpsPerSecond(opWire, opWire, net.BatchFor(opWire))
-	switch {
-	case full >= model.PeakOpsPerSec*0.999:
-		return "clock"
-	case full >= netOps*0.999:
-		return "network"
-	default:
-		return "pcie/dram"
-	}
-}
-
 // Fig17 reproduces Figure 17, "Latency of KV-Direct under peak
 // throughput": per-operation latency percentiles with and without
-// network batching, sampled from the component latency models plus the
-// measured access counts.
+// network batching, from recorded per-op traces: each op pays the network,
+// the NIC's processing and its own accesses at syssim's per-access costs.
 func Fig17(sc Scale) []*Table {
 	var tables []*Table
 	for _, name := range [][2]string{{"fig17a", "Latency with batching (us)"}, {"fig17b", "Latency without batching (us)"}} {
@@ -250,13 +273,19 @@ func Fig17(sc Scale) []*Table {
 	lowest, highest := math.MaxFloat64, 0.0
 	added, skewOverUni, putOverGet := 0.0, -math.MaxFloat64, math.MaxFloat64
 	for _, kv := range []int{10, 60, 252} {
-		uni, skew := measureYCSB(sc, kv, false), measureYCSB(sc, kv, true)
+		// GET and PUT traces of each distribution, from one filled store.
+		var get, put [2][]syssim.Op // [uniform, skewed]
+		for i, longtail := range []bool{false, true} {
+			y := openYCSB(sc, kv, longtail)
+			get[i], put[i] = y.trace(sc.Ops, 1, sc.Seed), y.trace(sc.Ops, 0, sc.Seed)
+			y.Close()
+		}
 		var lat [2][5]float64 // [batched, plain][column], us
 		for i, batched := range []bool{true, false} {
-			g50, g95 := latencyPercentiles(sc, uni, true, batched, 50, 95)
-			_, gs95 := latencyPercentiles(sc, skew, true, batched, 50, 95)
-			_, p95 := latencyPercentiles(sc, uni, false, batched, 50, 95)
-			_, ps95 := latencyPercentiles(sc, skew, false, batched, 50, 95)
+			g50, g95 := latencyPercentiles(sc, kv, get[0], batched, 50, 95)
+			_, gs95 := latencyPercentiles(sc, kv, get[1], batched, 50, 95)
+			_, p95 := latencyPercentiles(sc, kv, put[0], batched, 50, 95)
+			_, ps95 := latencyPercentiles(sc, kv, put[1], batched, 50, 95)
 			lat[i] = [5]float64{g50 / 1000, g95 / 1000, gs95 / 1000, p95 / 1000, ps95 / 1000}
 			tables[i].Add(itoa(kv), f2(lat[i][0]), f2(lat[i][1]), f2(lat[i][2]), f2(lat[i][3]), f2(lat[i][4]))
 		}
@@ -280,49 +309,22 @@ func Fig17(sc Scale) []*Table {
 	return tables
 }
 
-// latencyPercentiles samples end-to-end operation latencies: network
-// (with or without batching) + NIC processing + one sampled memory
-// round trip per DMA, where cache-served accesses cost NIC DRAM latency
-// instead of PCIe.
-func latencyPercentiles(sc Scale, pt ycsbPoint, get, batched bool, p1, p2 float64) (float64, float64) {
-	const dramLatencyNs = 200
+// latencyPercentiles replays a trace unqueued: each op's latency is the
+// network round trip (with or without batching), the NIC's processing, and
+// its own accesses, each charged what syssim charges it.
+func latencyPercentiles(sc Scale, kvSize int, trace []syssim.Op, batched bool, p1, p2 float64) (float64, float64) {
 	net := netmodel.DefaultConfig()
-	pcieCfg := pcie.DefaultConfig()
-	rng := sim.NewRNG(sc.Seed + int64(pt.kvSize))
-	sample := stats.NewSample(sc.Ops / 2)
-
-	accesses := pt.putAccesses
-	dramPer := pt.dramPerPut
-	if get {
-		accesses = pt.getAccesses
-		dramPer = pt.dramPerGet
-	}
-	// Probability an access is served by NIC DRAM rather than PCIe.
-	dramFrac := 0.0
-	if accesses+dramPer > 0 {
-		dramFrac = dramPer / (accesses + dramPer)
-	}
-	opWire := wireBytesPerOp(pt.kvSize)
+	opWire := wireBytesPerOp(kvSize)
 	batchBytes := opWire
 	if batched {
 		batchBytes = opWire * net.BatchFor(opWire)
 	}
-	netNs := net.LatencyNs(batchBytes, batched)
-
-	total := int(accesses + dramPer + 0.999)
-	if total < 1 {
-		total = 1
-	}
-	for i := 0; i < sc.Ops/2; i++ {
-		l := netNs + model.NICProcessingNs
-		for a := 0; a < total; a++ {
-			if rng.Float64() < dramFrac {
-				l += dramLatencyNs
-			} else {
-				l += pcieCfg.SampleReadLatencyNs(rng)
-			}
-		}
-		sample.Add(l)
+	fixedNs := net.LatencyNs(batchBytes, batched) + model.NICProcessingNs
+	rng := sim.NewRNG(sc.Seed + int64(kvSize))
+	var mem syssim.Config
+	sample := stats.NewSample(len(trace))
+	for _, op := range trace {
+		sample.Add(fixedNs + mem.MemoryNs(op, rng))
 	}
 	return sample.Percentile(p1), sample.Percentile(p2)
 }

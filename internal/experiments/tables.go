@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"kvdirect/internal/core"
 	"kvdirect/internal/model"
@@ -65,7 +66,7 @@ func Table3(sc Scale) []*Table {
 // (the paper's point).
 func Table4(sc Scale) []*Table {
 	// Peak DMA traffic: both PCIe endpoints moving 64 B lines.
-	dmaBytes := float64(model.PCIeEndpoints) * model.PCIeRead64BOpsPerSec * model.CacheLineBytes
+	dmaBytes := pcieOpsPerSec(model.CacheLineBytes) * model.CacheLineBytes
 	share := dmaBytes / model.HostMemBandwidthBytesPerSec
 
 	// M/M/1-flavored degradation: latency inflates with utilization of
@@ -193,12 +194,11 @@ func scalingFunctional(sc Scale) *Table {
 			if counts[i] > maxC {
 				maxC = counts[i]
 			}
-			perOp := float64(st.Mem.Accesses()) / (float64(sc.Ops*2) / float64(n))
-			cap := float64(model.PCIeEndpoints) * model.PCIeRead64BOpsPerSec
-			rate := model.PeakOpsPerSec
-			if perOp > 0 && cap/perOp < rate {
-				rate = cap / perOp
-			}
+			perShard := float64(sc.Ops*2) / float64(n)
+			rate, _ := model.Rate(model.Load{
+				PCIe: float64(st.Mem.Accesses()) / perShard,
+				DRAM: float64(st.Cache.DRAMLineReads+st.Cache.DRAMLineWrites) / perShard,
+			}, pcieOpsPerSec(model.CacheLineBytes), math.Inf(1))
 			aggregate += rate
 			s.Close()
 		}

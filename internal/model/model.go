@@ -1,12 +1,12 @@
-// Package model centralizes the hardware constants of the KV-Direct testbed
-// (SOSP'17, §2.3–§5) and the bottleneck performance model that converts
-// measured memory-access counts into predicted throughput, latency and power
-// figures.
+// Package model holds the KV-Direct testbed's numbers that belong to no
+// one component (SOSP'17, §2.2–§5.2) and the one bottleneck rule that
+// turns measured per-op loads into throughput: Rate.
 //
-// Every constant is taken from the paper; where the paper reports a
-// measurement (e.g. 60 Mops random 64 B DMA reads) the constant reproduces
-// that measurement. Sizes default to the paper's testbed but are parameters
-// everywhere, so scaled-down simulations preserve the analytic shapes.
+// Components own their own numbers: the PCIe endpoint's live in
+// pcie.DefaultConfig, the network's in netmodel.DefaultConfig, and the
+// reservation station's window and slot count in package ooo. What is
+// left here is the clock, the NIC DRAM channel, host-side measurements,
+// the published baselines and the power figures.
 package model
 
 import "math"
@@ -17,65 +17,31 @@ const (
 	ClockHz       = 180e6 // 180 MHz, fully pipelined: one op per cycle
 	PeakOpsPerSec = ClockHz
 
-	// PCIe Gen3 x8 endpoint (the NIC has two, bifurcated x16).
-	PCIeGen3x8BytesPerSec  = 7.87e9 // theoretical per endpoint
-	PCIeAchievableTwoEP    = 13.2e9 // measured achievable, two endpoints
-	PCIeTLPHeaderBytes     = 26     // TLP header + padding, 64-bit addressing
-	PCIeRoundTripNs        = 500    // packet-switched fabric RTT
-	PCIeCachedReadNs       = 800    // cached DMA read latency (incl. FPGA delay)
-	PCIeRandomExtraNs      = 250    // extra average latency for non-cached reads
-	PCIeDMATags            = 64     // DMA engine read tags (concurrency limit)
-	PCIePostedHdrCredits   = 88     // TLP posted header credits (writes)
-	PCIeNonPostedHdrCredit = 84     // TLP non-posted header credits (reads)
-	PCIeEndpoints          = 2
+	// The NIC attaches through two PCIe Gen3 x8 endpoints (bifurcated
+	// x16); each endpoint's parameters are pcie.DefaultConfig.
+	PCIeEndpoints       = 2
+	PCIeAchievableTwoEP = 13.2e9 // measured achievable bytes/s, two endpoints
 
-	// Measured PCIe random-access rates (paper §2.4, Figure 3a).
-	PCIeRead64BOpsPerSec = 60e6 // tag-bound: 64 tags / 1050 ns
-	// Saturating 64 B reads needs ~92 in-flight requests at 1050 ns.
-	PCIeConcurrencyToSaturate = 92
+	// NIC on-board DRAM: one DDR3-1600 channel.
+	NICDRAMBytesPerSec   = 12.8e9
+	NICDRAMLatencyNs     = 200 // one line access
+	CacheLineBytes       = 64
+	NICDRAMLineOpsPerSec = NICDRAMBytesPerSec / CacheLineBytes
 
-	// NIC on-board DRAM.
-	NICDRAMBytes       = 4 << 30 // 4 GiB
-	NICDRAMBytesPerSec = 12.8e9  // single DDR3-1600 channel
+	// Host memory (paper §2.2).
+	HostDRAMReadNs = 110 // 64 B random read latency
 
-	// Host memory.
-	HostKVSBytes      = 64 << 30 // KVS partition of host memory
-	HostDRAMReadNs    = 110      // 64 B random read latency (paper §2.2)
-	CacheLineBytes    = 64
-	SlabGranuleBytes  = 32 // minimum slab allocation granularity
-	PointerBits       = 31 // hash-slot pointer width (64 GiB / 32 B)
-	SecondaryHashBits = 9  // 1/512 false positive probability
-	HashSlotBytes     = 5  // pointer + secondary hash
-	BucketBytes       = 64
-	SlotsPerBucket    = 10
-
-	// Network (40 Gbps Ethernet, RDMA-based framing).
-	NetBytesPerSec     = 5e9 // 40 Gbps
-	NetRTTNs           = 2000
-	NetPacketOverhead  = 88   // RDMA-over-Ethernet header + padding
-	NetMTU             = 1500 // usable payload per packet in batching model
-	Net64BKVCeilingOps = 78e6 // network ceiling for 64 B KVs, batched
-	KVNetHeaderBytes   = 10   // per-op header in the KV-Direct wire format
-	NICProcessingNs    = 400  // decode + pipeline traversal in the FPGA
-	BatchingExtraNs    = 1000 // added latency from client-side batching (<1 us)
+	NICProcessingNs = 400 // decode + pipeline traversal in the FPGA
 
 	// CPU baseline measurements (paper §2.2).
 	CPURandom64BOpsPerCore = 29.3e6
 	CPUKVOpsPerCore        = 5.5e6 // interleaved compute + access
 	CPUKVOpsPerCoreBatched = 7.9e6 // with software batching/prefetch
 	CPUCoresPerServer      = 16    // 2x8-core E5-2650v2, HT off
-	CPUInstructionWindow   = 150   // 100-200 measured
-	KVOpComputeNs          = 100   // ~500 instructions per 64 B KV op
-	LoadStoreUnitsPerCore  = 3.5   // 3-4 measured
 
 	// RDMA baselines (paper §2.2, §5.1.3).
 	RDMAOneSidedAtomicsOps = 2.24e6 // single-key atomics, RDMA NIC
-	RDMATwoSidedAtomicsOps = 0.94e6 // matches KV-Direct without OoO
 	RDMAMessageRateOps     = 115e6  // 80-150 Mops message rate, midpoint
-
-	// Out-of-order engine (paper §3.3.3).
-	ReservationStationSlots = 1024 // hash slots in BRAM
-	MaxInflightOps          = 256  // needed to saturate PCIe+DRAM+pipeline
 
 	// Power (paper §5.2.3, watts).
 	ServerIdlePower     = 87.0
@@ -83,107 +49,44 @@ const (
 	KVDirectSystemPower = ServerIdlePower + KVDirectDeltaPower
 )
 
-// PCIeReadLatencyNs is the average random (non-cached) DMA read latency.
-const PCIeReadLatencyNs = PCIeCachedReadNs + PCIeRandomExtraNs // 1050 ns
-
-// PCIeLineOpsPerSec returns the per-endpoint DMA operation rate for the
-// given payload size in bytes, for reads or writes, reproducing Figure 3a.
-//
-// Reads are bound by min(bandwidth incl. TLP overhead, tags/latency).
-// Writes are posted (no completion), bound by min(bandwidth, credits/latency);
-// with 88 posted credits the credit bound (~84 Mops) exceeds the 64 B
-// bandwidth bound, so small writes track the bandwidth curve.
-func PCIeLineOpsPerSec(payloadBytes int, write bool) float64 {
-	if payloadBytes <= 0 {
-		return 0
-	}
-	bwBound := PCIeGen3x8BytesPerSec / float64(payloadBytes+PCIeTLPHeaderBytes)
-	var concBound float64
-	if write {
-		concBound = PCIePostedHdrCredits / (PCIeRoundTripNs * 1e-9)
-	} else {
-		concBound = PCIeDMATags / (PCIeReadLatencyNs * 1e-9)
-	}
-	return math.Min(bwBound, concBound)
+// Load is an op stream's mean demand on the NIC's memory system, as the
+// functional store measured it.
+type Load struct {
+	PCIe float64 // PCIe DMAs per op
+	DRAM float64 // NIC DRAM line operations per op
 }
 
-// MemoryOpsPerSec returns the aggregate random line-granularity operation
-// rate of the NIC's memory system: both PCIe endpoints plus, if
-// dispatchToDRAM, the on-board DRAM serving its share of accesses.
-//
-// dramShare is the fraction of memory accesses absorbed by NIC DRAM
-// (l*h(l) hits under the load dispatcher); the remainder goes to PCIe.
-// The system rate is the min over resources of capacity/load.
-func MemoryOpsPerSec(lineBytes int, dramShare float64) float64 {
-	if dramShare < 0 {
-		dramShare = 0
-	}
-	if dramShare > 1 {
-		dramShare = 1
-	}
-	pcieCap := float64(PCIeEndpoints) * PCIeLineOpsPerSec(lineBytes, false)
-	dramCap := NICDRAMBytesPerSec / float64(lineBytes)
-	pcieLoad := 1 - dramShare
-	dramLoad := dramShare
-	rate := math.Inf(1)
-	if pcieLoad > 0 {
-		rate = math.Min(rate, pcieCap/pcieLoad)
-	}
-	if dramLoad > 0 {
-		rate = math.Min(rate, dramCap/dramLoad)
-	}
-	return rate
-}
+// Bound names the resource that binds a rate.
+type Bound string
 
-// NetworkOpsPerSec returns the batched network ceiling in KV ops/s for
-// round trips carrying reqBytes per op in requests and respBytes per op in
-// responses, amortizing the per-packet overhead over batchPerPacket ops.
-// The bottleneck direction wins.
-func NetworkOpsPerSec(reqBytes, respBytes, batchPerPacket int) float64 {
-	if batchPerPacket < 1 {
-		batchPerPacket = 1
-	}
-	perPktOverhead := float64(NetPacketOverhead) / float64(batchPerPacket)
-	req := float64(reqBytes) + perPktOverhead
-	resp := float64(respBytes) + perPktOverhead
-	worst := math.Max(req, resp)
-	return NetBytesPerSec / worst
-}
+// The four resources of the bottleneck rule.
+const (
+	Clock   Bound = "clock"
+	Network Bound = "network"
+	PCIe    Bound = "pcie"
+	DRAM    Bound = "dram"
+)
 
-// Throughput is the headline bottleneck model (paper §5.2.2): a fully
-// pipelined KV processor runs at the clock rate unless the network or the
-// memory system is the bottleneck.
-//
-//	accessesPerOp — average memory accesses per KV operation (measured
-//	                from the hash table + allocator at the target
-//	                utilization).
-//	dramShare     — fraction of accesses absorbed by NIC DRAM.
-//	netOps        — network ceiling in ops/s (NetworkOpsPerSec).
-func Throughput(accessesPerOp, dramShare, netOps float64) float64 {
-	memOps := MemoryOpsPerSec(CacheLineBytes, dramShare)
-	memBound := math.Inf(1)
-	if accessesPerOp > 0 {
-		memBound = memOps / accessesPerOp
+// Rate is KV-Direct's bottleneck rule (paper §2.4, §5.2.2, Figure 16): a
+// fully pipelined KV processor runs at the clock unless the network or the
+// memory system binds first. pcieOps is the PCIe random-access capacity in
+// DMAs/s over both endpoints, netOps the network's KV-op ceiling (+Inf
+// where the network is not modeled); the NIC DRAM's capacity is its line
+// rate, and a resource with zero load never binds. It returns the rate in
+// ops/s and the resource that sets it; on a tie the earlier of clock,
+// network, PCIe, DRAM is named.
+func Rate(load Load, pcieOps, netOps float64) (float64, Bound) {
+	rate, bound := PeakOpsPerSec, Clock
+	if netOps < rate {
+		rate, bound = netOps, Network
 	}
-	return math.Min(PeakOpsPerSec, math.Min(netOps, memBound))
-}
-
-// Bottleneck names the binding constraint for a Throughput computation.
-func Bottleneck(accessesPerOp, dramShare, netOps float64) string {
-	memOps := MemoryOpsPerSec(CacheLineBytes, dramShare)
-	memBound := math.Inf(1)
-	if accessesPerOp > 0 {
-		memBound = memOps / accessesPerOp
+	if r := pcieOps / load.PCIe; r < rate {
+		rate, bound = r, PCIe
 	}
-	min := math.Min(PeakOpsPerSec, math.Min(netOps, memBound))
-	switch min {
-	case PeakOpsPerSec:
-		return "clock"
-	case netOps:
-		return "network"
-	default:
-		return "pcie/dram"
+	if r := NICDRAMLineOpsPerSec / load.DRAM; r < rate {
+		rate, bound = r, DRAM
 	}
+	return rate, bound
 }
 
 // PowerEfficiency returns KV operations per watt for the given throughput,

@@ -3,161 +3,29 @@ package model
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
-func TestPCIeRead64BMatchesPaper(t *testing.T) {
-	// Paper §2.4: 64 tags at 1050 ns latency renders ~60 Mops.
-	got := PCIeLineOpsPerSec(64, false)
-	if got < 55e6 || got > 65e6 {
-		t.Errorf("64 B read rate = %.1f Mops, want ~60", got/1e6)
-	}
-}
-
-func TestPCIeWrite64BNearBandwidthBound(t *testing.T) {
-	// Paper §2.4: theoretical 64 B granularity throughput is 5.6 GB/s or
-	// 87 Mops; posted writes approach it.
-	got := PCIeLineOpsPerSec(64, true)
-	if got < 80e6 || got > 90e6 {
-		t.Errorf("64 B write rate = %.1f Mops, want ~87", got/1e6)
-	}
-}
-
-func TestPCIeThroughputMonotonicOpsDecreaseWithPayload(t *testing.T) {
-	prevR, prevW := math.Inf(1), math.Inf(1)
-	for _, sz := range []int{16, 32, 64, 128, 256, 512} {
-		r := PCIeLineOpsPerSec(sz, false)
-		w := PCIeLineOpsPerSec(sz, true)
-		if r > prevR+1e-9 {
-			t.Errorf("read ops increased at %d B", sz)
+// TestRate: each of the four resources binds in exactly one case and is
+// named, and an op with no load runs at the clock.
+func TestRate(t *testing.T) {
+	inf := math.Inf(1)
+	for _, c := range []struct {
+		name            string
+		load            Load
+		pcieOps, netOps float64
+		want            float64
+		bound           Bound
+	}{
+		{"zero load", Load{}, 120e6, inf, PeakOpsPerSec, Clock},
+		{"light load", Load{PCIe: 0.5, DRAM: 0.5}, 120e6, 1e9, PeakOpsPerSec, Clock},
+		{"network", Load{PCIe: 0.5}, 120e6, 40e6, 40e6, Network},
+		{"pcie", Load{PCIe: 2, DRAM: 1}, 120e6, inf, 60e6, PCIe},
+		{"dram", Load{PCIe: 0.1, DRAM: 4}, 120e6, inf, NICDRAMLineOpsPerSec / 4, DRAM},
+	} {
+		got, bound := Rate(c.load, c.pcieOps, c.netOps)
+		if got != c.want || bound != c.bound {
+			t.Errorf("%s: Rate = %.2f Mops (%s), want %.2f Mops (%s)", c.name, got/1e6, bound, c.want/1e6, c.bound)
 		}
-		if w > prevW+1e-9 {
-			t.Errorf("write ops increased at %d B", sz)
-		}
-		prevR, prevW = r, w
-	}
-}
-
-func TestPCIeSmallReadsTagBound(t *testing.T) {
-	// Below 64 B, reads are bound by latency/parallelism, not bandwidth
-	// (Figure 3a: flat region).
-	r16 := PCIeLineOpsPerSec(16, false)
-	r64 := PCIeLineOpsPerSec(64, false)
-	if math.Abs(r16-r64)/r64 > 0.01 {
-		t.Errorf("16 B and 64 B reads should both be tag-bound: %.1f vs %.1f Mops",
-			r16/1e6, r64/1e6)
-	}
-}
-
-func TestPCIeZeroPayload(t *testing.T) {
-	if PCIeLineOpsPerSec(0, false) != 0 || PCIeLineOpsPerSec(-1, true) != 0 {
-		t.Error("non-positive payload should return 0")
-	}
-}
-
-func TestMemoryOpsDispatchBeatsPCIeOnly(t *testing.T) {
-	pcieOnly := MemoryOpsPerSec(64, 0)
-	dispatched := MemoryOpsPerSec(64, 0.3)
-	if dispatched <= pcieOnly {
-		t.Errorf("dispatch (%.1f Mops) should beat PCIe-only (%.1f Mops)",
-			dispatched/1e6, pcieOnly/1e6)
-	}
-}
-
-func TestMemoryOpsPureDRAMCapped(t *testing.T) {
-	// All traffic to DRAM: 12.8 GB/s / 64 B = 200 Mops.
-	got := MemoryOpsPerSec(64, 1)
-	want := NICDRAMBytesPerSec / 64
-	if math.Abs(got-want) > 1 {
-		t.Errorf("pure-DRAM rate = %g, want %g", got, want)
-	}
-}
-
-func TestMemoryOpsShareClamped(t *testing.T) {
-	if MemoryOpsPerSec(64, -0.5) != MemoryOpsPerSec(64, 0) {
-		t.Error("negative share should clamp to 0")
-	}
-	if MemoryOpsPerSec(64, 1.5) != MemoryOpsPerSec(64, 1) {
-		t.Error("share >1 should clamp to 1")
-	}
-}
-
-func TestNetworkCeiling64B(t *testing.T) {
-	// Paper §2.4: 40 Gbps with 64 B KVs and client-side batching gives a
-	// ~78 Mops ceiling. 64 B KV + per-op header, overhead amortized.
-	ops := NetworkOpsPerSec(64, 64, 18)
-	if ops < 60e6 || ops > 90e6 {
-		t.Errorf("64 B network ceiling = %.1f Mops, want ~70-80", ops/1e6)
-	}
-}
-
-func TestNetworkBatchingImproves(t *testing.T) {
-	single := NetworkOpsPerSec(16, 16, 1)
-	batched := NetworkOpsPerSec(16, 16, 20)
-	if batched < 2*single {
-		t.Errorf("batching should improve small-KV throughput >2x: %.1f vs %.1f Mops",
-			batched/1e6, single/1e6)
-	}
-}
-
-func TestNetworkBatchClamp(t *testing.T) {
-	if NetworkOpsPerSec(64, 64, 0) != NetworkOpsPerSec(64, 64, 1) {
-		t.Error("batch < 1 should clamp to 1")
-	}
-}
-
-func TestThroughputClockBound(t *testing.T) {
-	// Tiny KVs, long-tail: ~1 access/op, good dispatch, huge network.
-	got := Throughput(1.0, 0.35, 1e9)
-	if got != PeakOpsPerSec {
-		t.Errorf("throughput = %.1f Mops, want clock bound 180", got/1e6)
-	}
-	if Bottleneck(1.0, 0.35, 1e9) != "clock" {
-		t.Errorf("bottleneck = %q, want clock", Bottleneck(1.0, 0.35, 1e9))
-	}
-}
-
-func TestThroughputMemoryBound(t *testing.T) {
-	got := Throughput(3.0, 0, 1e9)
-	memOps := MemoryOpsPerSec(64, 0)
-	want := memOps / 3
-	if math.Abs(got-want) > 1 {
-		t.Errorf("throughput = %g, want %g", got, want)
-	}
-	if Bottleneck(3.0, 0, 1e9) != "pcie/dram" {
-		t.Errorf("bottleneck = %q, want pcie/dram", Bottleneck(3.0, 0, 1e9))
-	}
-}
-
-func TestThroughputNetworkBound(t *testing.T) {
-	net := NetworkOpsPerSec(254, 254, 5)
-	got := Throughput(1.0, 0.35, net)
-	if got != net {
-		t.Errorf("throughput = %g, want network bound %g", got, net)
-	}
-	if Bottleneck(1.0, 0.35, net) != "network" {
-		t.Errorf("bottleneck = %q, want network", Bottleneck(1.0, 0.35, net))
-	}
-}
-
-func TestThroughputZeroAccesses(t *testing.T) {
-	// Zero memory accesses (fully forwarded atomics) → clock bound.
-	if got := Throughput(0, 0, 1e12); got != PeakOpsPerSec {
-		t.Errorf("zero-access throughput = %g, want clock", got)
-	}
-}
-
-func TestThroughputMonotonicProperty(t *testing.T) {
-	// More accesses per op can never increase throughput.
-	f := func(a, b uint8) bool {
-		x, y := float64(a%50)/10+0.1, float64(b%50)/10+0.1
-		if x > y {
-			x, y = y, x
-		}
-		return Throughput(x, 0.2, 1e9) >= Throughput(y, 0.2, 1e9)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

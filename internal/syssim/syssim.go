@@ -1,48 +1,88 @@
 // Package syssim is an integrated, event-driven simulation of one
 // KV-Direct NIC end to end: client batches cross the network, the decoder
 // unpacks one operation per clock cycle, the reservation station chains
-// dependent operations, independent operations issue their DMAs against
-// concurrency-limited memory resources (two PCIe endpoints with tag
-// limits, the NIC DRAM channel), and responses travel back.
+// dependent operations, independent operations issue their own memory
+// accesses against concurrency-limited resources (two PCIe endpoints with
+// tag limits, the NIC DRAM channel), and responses travel back.
 //
-// Where internal/model computes bottleneck arithmetic and internal/ooo
-// simulates the pipeline in isolation, syssim composes every latency and
-// concurrency limit in one simulation, producing both sustained
-// throughput and full end-to-end latency distributions under a
-// closed-loop offered load. The experiments use it to cross-validate
-// Figures 16 and 17.
+// Where model.Rate turns a trace's mean loads into a bound, syssim replays
+// the trace op by op, each with the accesses the functional store made for
+// it, and composes every latency and concurrency limit in one simulation,
+// producing both sustained throughput and full end-to-end latency
+// distributions under a closed-loop offered load. The experiments use it
+// to cross-validate Figure 16, and Figure 17 charges each access the same
+// cost (MemoryNs).
 package syssim
 
 import (
 	"math"
 
+	"kvdirect/internal/model"
 	"kvdirect/internal/netmodel"
+	"kvdirect/internal/ooo"
 	"kvdirect/internal/pcie"
 	"kvdirect/internal/sim"
 	"kvdirect/internal/stats"
 )
 
-// Op is one operation in the simulated stream.
+// Op is one operation of a trace: its key, whether it mutates, and the
+// memory accesses the functional store made for it.
 type Op struct {
 	Key uint64 // key identity (dependency tracking)
-	Put bool   // mutating op (extra DMA + posted write tail)
+	Put bool   // mutating op: forwarding it dirties the head's value
+
+	PCIeReads  int // DMA reads of host memory
+	PCIeWrites int // posted DMA writes of host memory
+	DRAMLines  int // NIC DRAM line reads and writes
+}
+
+// accesses is the op's access count; access(i) is the kind of the i-th,
+// issued in order: PCIe reads, then DRAM lines, then PCIe writes.
+func (op Op) accesses() int { return op.PCIeReads + op.DRAMLines + op.PCIeWrites }
+
+func (op Op) access(i int) access {
+	switch {
+	case i < op.PCIeReads:
+		return pcieRead
+	case i < op.PCIeReads+op.DRAMLines:
+		return dramLine
+	}
+	return pcieWrite
+}
+
+type access int
+
+const (
+	pcieRead access = iota
+	pcieWrite
+	dramLine
+)
+
+// MeanLoad is a trace's mean per-op load on PCIe and NIC DRAM: what
+// model.Rate takes.
+func MeanLoad(trace []Op) model.Load {
+	var l model.Load
+	for _, op := range trace {
+		l.PCIe += float64(op.PCIeReads + op.PCIeWrites)
+		l.DRAM += float64(op.DRAMLines)
+	}
+	if n := float64(len(trace)); n > 0 {
+		l.PCIe /= n
+		l.DRAM /= n
+	}
+	return l
 }
 
 // Config parameterizes the simulation. Zero values take defaults from
 // the paper's hardware.
 type Config struct {
-	ClockHz float64 // KV processor clock (180e6)
-	Window  int     // max in-flight ops (256)
-	RSSlots int     // reservation-station hash slots (1024)
-
-	// Memory behaviour, measured from the functional store.
-	GetDMAs   float64 // mean memory accesses per GET (>= 1)
-	PutDMAs   float64 // mean memory accesses per PUT (>= 1)
-	DRAMShare float64 // fraction of accesses served by NIC DRAM
+	ClockHz float64 // KV processor clock (model.ClockHz)
+	Window  int     // max in-flight ops (ooo.DefaultWindow)
+	RSSlots int     // reservation-station hash slots (ooo.DefaultRSSlots)
 
 	PCIe            pcie.Config // latency model
 	PCIeConcurrency int         // in-flight DMA limit (2 endpoints x 64 tags)
-	DRAMLatencyNs   float64     // NIC DRAM access latency (~200 ns)
+	DRAMLatencyNs   float64     // NIC DRAM access latency (model.NICDRAMLatencyNs)
 	DRAMConcurrency int         // DRAM bank parallelism
 
 	Net         netmodel.Config
@@ -55,33 +95,27 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.ClockHz == 0 {
-		c.ClockHz = 180e6
+		c.ClockHz = model.ClockHz
 	}
 	if c.Window == 0 {
-		c.Window = 256
+		c.Window = ooo.DefaultWindow
 	}
 	if c.RSSlots == 0 {
-		c.RSSlots = 1024
-	}
-	if c.GetDMAs == 0 {
-		c.GetDMAs = 1
-	}
-	if c.PutDMAs == 0 {
-		c.PutDMAs = 2
+		c.RSSlots = ooo.DefaultRSSlots
 	}
 	if c.PCIe.LinkBytesPerSec == 0 {
 		c.PCIe = pcie.DefaultConfig()
 	}
 	if c.PCIeConcurrency == 0 {
-		c.PCIeConcurrency = 128 // 2 endpoints x 64 tags
+		c.PCIeConcurrency = model.PCIeEndpoints * c.PCIe.ReadTags
 	}
 	if c.DRAMLatencyNs == 0 {
-		c.DRAMLatencyNs = 200
+		c.DRAMLatencyNs = model.NICDRAMLatencyNs
 	}
 	if c.DRAMConcurrency == 0 {
-		// 12.8 GB/s at 64 B per access and ~200 ns latency needs ~40
-		// overlapped accesses (Little's law).
-		c.DRAMConcurrency = 40
+		// Little's law: the channel's line rate times one access's
+		// latency (40 overlapped accesses at 200 ns).
+		c.DRAMConcurrency = int(math.Round(model.NICDRAMLineOpsPerSec * c.DRAMLatencyNs / 1e9))
 	}
 	if c.Net.BytesPerSec == 0 {
 		c.Net = netmodel.DefaultConfig()
@@ -96,6 +130,29 @@ func (c Config) withDefaults() Config {
 		c.Clients = 16
 	}
 	return c
+}
+
+// serviceNs draws one access's service time: a NIC DRAM line access, a
+// posted PCIe write's credit turnaround, or a sampled PCIe read.
+func (c Config) serviceNs(a access, rng *sim.RNG) float64 {
+	switch a {
+	case dramLine:
+		return rng.Normal(c.DRAMLatencyNs, c.DRAMLatencyNs/4, c.DRAMLatencyNs/2)
+	case pcieWrite:
+		return c.PCIe.WriteRTTNs
+	}
+	return c.PCIe.SampleReadLatencyNs(rng)
+}
+
+// MemoryNs draws the time an op's own accesses take back to back, with no
+// queueing behind other ops: each costs what Run charges it.
+func (c Config) MemoryNs(op Op, rng *sim.RNG) float64 {
+	c = c.withDefaults()
+	ns := 0.0
+	for i := 0; i < op.accesses(); i++ {
+		ns += c.serviceNs(op.access(i), rng)
+	}
+	return ns
 }
 
 // Result reports one simulation run.
@@ -166,14 +223,15 @@ type batchState struct {
 	remaining int
 }
 
-// Run simulates nOps operations drawn round-robin from the stream
-// generator and returns sustained throughput and latency.
-func Run(cfg Config, nOps int, next func() Op) Result {
+// Run replays the trace through the simulated NIC and returns sustained
+// throughput and latency.
+func Run(cfg Config, trace []Op) Result {
 	cfg = cfg.withDefaults()
 	rng := sim.NewRNG(cfg.Seed)
 	var clk sim.Clock
 	q := sim.NewEventQueue()
 
+	nOps := len(trace)
 	cycleNs := 1e9 / cfg.ClockHz
 	pcieRes := &resource{slots: cfg.PCIeConcurrency}
 	dramRes := &resource{slots: cfg.DRAMConcurrency}
@@ -199,60 +257,31 @@ func Run(cfg Config, nOps int, next func() Op) Result {
 	var completeOp func(st *opState)
 	var finishHead func(slot int)
 
-	// memoryAccess performs one DMA and then calls done.
-	memoryAccess := func(write bool, done func()) {
-		toDRAM := rng.Float64() < cfg.DRAMShare
+	// memoryAccess performs one access and then calls done.
+	memoryAccess := func(a access, done func()) {
 		res := pcieRes
-		if toDRAM {
+		if a == dramLine {
 			res = dramRes
 		}
 		res.acquire(clk.Now(), func() {
-			var svc float64
-			if toDRAM {
-				svc = rng.Normal(cfg.DRAMLatencyNs, cfg.DRAMLatencyNs/4, cfg.DRAMLatencyNs/2)
-			} else if write {
-				svc = cfg.PCIe.WriteRTTNs
-			} else {
-				svc = cfg.PCIe.SampleReadLatencyNs(rng)
-			}
-			q.Schedule(clk.Now()+svc, func() {
+			q.Schedule(clk.Now()+cfg.serviceNs(a, rng), func() {
 				res.release(clk.Now())
 				done()
 			})
 		})
 	}
 
-	// dmasFor samples the DMA count for an op: floor(mean) plus one more
-	// with the fractional probability.
-	dmasFor := func(put bool) int {
-		mean := cfg.GetDMAs
-		if put {
-			mean = cfg.PutDMAs
-		}
-		n := int(mean)
-		if rng.Float64() < mean-float64(n) {
-			n++
-		}
-		if n < 1 {
-			n = 1
-		}
-		return n
-	}
-
-	// executeHead runs an op's DMAs sequentially (dependent accesses:
-	// bucket, then data), then finishes the head.
+	// executeHead runs an op's own accesses sequentially (dependent
+	// accesses: bucket, then data), then finishes the head.
 	executeHead := func(st *opState, slot int) {
-		n := dmasFor(st.op.Put)
 		var step func(i int)
 		step = func(i int) {
-			if i >= n {
+			if i >= st.op.accesses() {
 				completeOp(st)
 				finishHead(slot)
 				return
 			}
-			// The final access of a PUT is a posted write.
-			write := st.op.Put && i == n-1
-			memoryAccess(write, func() { step(i + 1) })
+			memoryAccess(st.op.access(i), func() { step(i + 1) })
 		}
 		step(0)
 	}
@@ -282,7 +311,7 @@ func Run(cfg Config, nOps int, next func() Op) Result {
 			// Cache write-back: one posted DMA; the slot stays busy and the
 			// chain is rescanned afterwards (new same-key arrivals chain in
 			// the meantime).
-			memoryAccess(true, func() { finishHead(slot) })
+			memoryAccess(pcieWrite, func() { finishHead(slot) })
 			return
 		}
 		if len(e.chain) > 0 {
@@ -364,7 +393,7 @@ func Run(cfg Config, nOps int, next func() Op) Result {
 		sent := clk.Now()
 		arrive := sent + netDelay(n)
 		for i := 0; i < n; i++ {
-			op := next()
+			op := trace[issued]
 			issued++
 			inflight++
 			st := &opState{op: op, sentAt: sent, batch: b}

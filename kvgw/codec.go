@@ -32,25 +32,25 @@ const (
 
 // Request opcodes the gateway serves.
 const (
-	CmdGet     = 0x00
-	CmdSet     = 0x01
-	CmdAdd     = 0x02
-	CmdReplace = 0x03
-	CmdDelete  = 0x04
-	CmdIncr    = 0x05
-	CmdDecr    = 0x06
-	CmdQuit    = 0x07
-	CmdFlush   = 0x08 // accepted, refused (tenant flush is an admin op)
-	CmdGetQ    = 0x09
-	CmdNoop    = 0x0a
-	CmdVersion = 0x0b
-	CmdGetK    = 0x0c
-	CmdGetKQ   = 0x0d
-	CmdAppend  = 0x0e
-	CmdPrepend = 0x0f
-	CmdStat    = 0x10
-	CmdSetQ    = 0x11
-	CmdAddQ    = 0x12
+	CmdGet      = 0x00
+	CmdSet      = 0x01
+	CmdAdd      = 0x02
+	CmdReplace  = 0x03
+	CmdDelete   = 0x04
+	CmdIncr     = 0x05
+	CmdDecr     = 0x06
+	CmdQuit     = 0x07
+	CmdFlush    = 0x08 // accepted, refused (tenant flush is an admin op)
+	CmdGetQ     = 0x09
+	CmdNoop     = 0x0a
+	CmdVersion  = 0x0b
+	CmdGetK     = 0x0c
+	CmdGetKQ    = 0x0d
+	CmdAppend   = 0x0e
+	CmdPrepend  = 0x0f
+	CmdStat     = 0x10
+	CmdSetQ     = 0x11
+	CmdAddQ     = 0x12
 	CmdReplaceQ = 0x13
 	CmdDeleteQ  = 0x14
 	CmdIncrQ    = 0x15
