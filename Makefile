@@ -49,8 +49,9 @@ chaos:
 # pin joins CI by being named, not by being listed here. The benchmarks
 # print the allocs/op those pins hold (core GET/PUT, and the replication
 # log's append with its window full), and the model's engine and PCIe
-# reads per create into an indexed and a hash-only store (a short run:
-# the counts, not the ns/op, are what the log is for).
+# reads per create into a scanned (indexed) and an unscanned store, and
+# the index build's reads per key (a short run: the counts, not the
+# ns/op, are what the log is for).
 telemetry:
 	$(GO) test ./internal/telemetry/
 	$(GO) test -bench='BenchmarkTelemetryOff|BenchmarkTraceOff|BenchmarkFlightRecorderOn' -benchmem -run '^$$' ./internal/telemetry/

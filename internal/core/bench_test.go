@@ -48,12 +48,16 @@ func BenchmarkStorePutGet(b *testing.B) {
 
 // BenchmarkStoreCreate times creates of new keys into a store the size of
 // the benchmark's ycsb-b-single one (128 MiB, 8 MiB NIC DRAM, 16 B keys,
-// 64 B values), with the ordered index on and off, and reports the model's
-// reads per create: engine (every request the dispatcher routes, NIC
-// DRAM hits included) and PCIe (those that reach host memory). Each store
-// is preloaded with 100 000 keys outside the timer and takes at most
+// 64 B values), indexed and unscanned, and reports the model's reads per
+// create: engine (every request the dispatcher routes, NIC DRAM hits
+// included) and PCIe (those that reach host memory). Each store is
+// preloaded with 100 000 keys outside the timer and takes at most
 // 100 000 timed creates, so every create lands in a list of 100 000 to
-// 200 000 keys, as the benchmark's preload does in its second half.
+// 200 000 keys, as the benchmark's preload does in its second half. The
+// indexed store scans once after its preload, so its ordered index is
+// built and every timed create pays the index's upkeep; it also reports
+// the build's engine reads per preloaded key. The unscanned store never
+// builds an index, and its creates pay the hash table alone.
 func BenchmarkStoreCreate(b *testing.B) {
 	const preload, span = 100_000, 100_000
 	gen := workload.New(workload.Config{Keys: preload + span, KeySize: 16, ValSize: 64})
@@ -62,19 +66,19 @@ func BenchmarkStoreCreate(b *testing.B) {
 	for id := range keys {
 		keys[id], vals[id] = gen.KeyBytes(uint64(id)), gen.ValueBytes(uint64(id), 0)
 	}
+	engineReads := func(st Stats) uint64 { return st.Dispatch.DirectReads + st.Dispatch.CachedReads }
 	for _, bc := range []struct {
-		name      string
-		noOrdered bool
-	}{{"indexed", false}, {"hash-only", true}} {
+		name    string
+		scanned bool
+	}{{"indexed", true}, {"unscanned", false}} {
 		b.Run(bc.name, func(b *testing.B) {
 			var s *Store
-			var base Stats // s's counters when its preload finished
-			var engine, pcie uint64
+			var base Stats // s's counters when its preload (and build) finished
+			var engine, pcie, build, built uint64
 			// retire adds s's reads since its preload to the totals.
 			retire := func() {
 				st := s.Stats()
-				engine += st.Dispatch.DirectReads + st.Dispatch.CachedReads -
-					base.Dispatch.DirectReads - base.Dispatch.CachedReads
+				engine += engineReads(st) - engineReads(base)
 				pcie += st.Mem.Reads - base.Mem.Reads
 				s.Close()
 			}
@@ -85,7 +89,7 @@ func BenchmarkStoreCreate(b *testing.B) {
 						retire()
 					}
 					var err error
-					s, err = NewStore(Config{MemoryBytes: 128 << 20, NICCacheBytes: 8 << 20, NoOrderedIndex: bc.noOrdered})
+					s, err = NewStore(Config{MemoryBytes: 128 << 20, NICCacheBytes: 8 << 20})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -93,6 +97,14 @@ func BenchmarkStoreCreate(b *testing.B) {
 						if err := s.Put(keys[id], vals[id]); err != nil {
 							b.Fatal(err)
 						}
+					}
+					if bc.scanned {
+						before := engineReads(s.Stats())
+						if _, _, err := s.Scan(nil, 1); err != nil {
+							b.Fatal(err)
+						}
+						build += engineReads(s.Stats()) - before
+						built += preload
 					}
 					base = s.Stats()
 					b.StartTimer()
@@ -106,6 +118,9 @@ func BenchmarkStoreCreate(b *testing.B) {
 			retire()
 			b.ReportMetric(float64(engine)/float64(b.N), "engine-reads/op")
 			b.ReportMetric(float64(pcie)/float64(b.N), "pcie-reads/op")
+			if built > 0 {
+				b.ReportMetric(float64(build)/float64(built), "build-reads/key")
+			}
 		})
 	}
 }

@@ -63,12 +63,6 @@ type Config struct {
 	// verify and transparently correct single-bit faults. Nil disables
 	// injection and ECC entirely.
 	Faults *fault.Injector
-	// NoOrderedIndex disables the ordered secondary index, restoring the
-	// paper's hash-only data path (PUTs stop paying index-maintenance
-	// DMAs and Scan returns ErrNoOrderedIndex). The experiment drivers
-	// set this: the figures reproduce the paper's configuration, which
-	// has no ordered index.
-	NoOrderedIndex bool
 }
 
 func (c Config) withDefaults() Config {
@@ -141,7 +135,7 @@ type Store struct {
 	disp   *dispatch.Dispatcher
 	alloc  *slab.Allocator
 	table  *hashtable.Table
-	oidx   *ordered.Index
+	exec   indexedExec // the engine's executor; holds the ordered index once a scan built it
 	engine *ooo.Engine
 
 	updateFns map[uint8]UpdateFunc
@@ -190,13 +184,6 @@ func NewStore(cfg Config) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	var oidx *ordered.Index
-	if !cfg.NoOrderedIndex {
-		oidx, err = ordered.New(disp, alloc, cfg.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-	}
 	s := &Store{
 		cfg:       cfg,
 		mem:       mem,
@@ -207,14 +194,15 @@ func NewStore(cfg Config) (*Store, error) {
 		disp:      disp,
 		alloc:     alloc,
 		table:     table,
-		oidx:      oidx,
+		exec:      indexedExec{table: table},
 		updateFns: map[uint8]UpdateFunc{},
 		filterFns: map[uint8]FilterFunc{},
 	}
 	// The engine issues to the hash table through the index-coherence
 	// wrapper, so every mutation — client ops and deferred write-backs
-	// alike — keeps the ordered secondary index (if any) in sync.
-	s.engine = ooo.NewEngine(indexedExec{table: table, idx: oidx}, cfg.RSSlots, cfg.Window)
+	// alike — keeps the ordered secondary index in sync once the first
+	// scan has built it (see scan.go).
+	s.engine = ooo.NewEngine(&s.exec, cfg.RSSlots, cfg.Window)
 	s.engine.Stall = cfg.DisableOoO
 
 	s.updateFns[FnAdd] = func(e, p uint64) uint64 { return e + p }
@@ -617,8 +605,8 @@ func (s *Store) Stats() Stats {
 		ChainBuckets:  s.table.ChainBuckets(),
 		CorruptChains: s.table.CorruptChains(),
 	}
-	if s.oidx != nil {
-		st.Ordered = s.oidx.Stats()
+	if s.exec.idx != nil {
+		st.Ordered = s.exec.idx.Stats()
 		st.CorruptChains += st.Ordered.Corrupt
 	}
 	if s.cache != nil {

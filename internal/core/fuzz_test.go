@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"sort"
 	"testing"
 )
 
@@ -71,6 +72,81 @@ func FuzzStoreLoad(f *testing.F) {
 		for k, v := range want {
 			if gv, ok := got[k]; !ok || gv != v {
 				t.Fatalf("key %q: reloaded %q (present %v), loaded %q", k, gv, ok, v)
+			}
+		}
+	})
+}
+
+// FuzzScanBuild differential-tests the ordered index a store builds on its
+// first scan. The input decodes three bytes an op — opcode, key id,
+// argument — into PUTs (creates and overwrites, synchronous and
+// pipelined, inline and slab-held), DELETEs and Scan(start, limit) calls,
+// applied to a store and to a map. Every page, the build scan's and every
+// later one's, must equal the map's sorted range, cursor included, and
+// once built the index must hold exactly the table's keys.
+func FuzzScanBuild(f *testing.F) {
+	f.Add([]byte{0, 1, 5, 0, 2, 90, 1, 3, 7, 6, 0x80, 4, 0, 4, 1, 4, 1, 0, 7, 2, 3})
+	f.Add([]byte{3, 9, 200, 3, 8, 1, 6, 8, 2, 5, 9, 0, 0, 10, 30, 7, 0x81, 12, 2, 7, 7, 6, 7, 1})
+	f.Add([]byte{6, 0x80, 1, 0, 5, 5, 1, 6, 6, 6, 0x80, 11, 5, 5, 0, 7, 6, 3})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		s, err := NewStore(Config{MemoryBytes: 256 << 10, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		key := func(id byte) []byte { return []byte(fmt.Sprintf("%s%02d", "kkk"[:1+id%3], id%48)) }
+		model := map[string][]byte{}
+		for i := 0; i+2 < len(in); i += 3 {
+			op, id, arg := in[i]%8, in[i+1], in[i+2]
+			k := key(id)
+			switch {
+			case op < 4:
+				v := bytes.Repeat([]byte{arg}, int(arg)%7+int(arg)/64*70) // 0-6 B inline, up to 216 B in a slab
+				if op == 3 {
+					s.SubmitPut(k, v, nil)
+				} else if err := s.Put(k, v); err != nil {
+					t.Fatalf("op %d: Put: %v", i/3, err)
+				}
+				model[string(k)] = v
+			case op < 6:
+				_, want := model[string(k)]
+				if got := s.Delete(k); got != want {
+					t.Fatalf("op %d: Delete(%q) = %v, want %v", i/3, k, got, want)
+				}
+				delete(model, string(k))
+			default:
+				var start []byte
+				if id&0x80 == 0 {
+					start = k
+				}
+				limit := 1 + int(arg)%12
+				entries, cursor, err := s.Scan(start, limit)
+				if err != nil {
+					t.Fatalf("op %d: Scan: %v", i/3, err)
+				}
+				var keys []string
+				for mk := range model {
+					if mk >= string(start) {
+						keys = append(keys, mk)
+					}
+				}
+				sort.Strings(keys)
+				var wantCursor []byte
+				if len(keys) > limit {
+					keys, wantCursor = keys[:limit], []byte(keys[limit])
+				}
+				if len(entries) != len(keys) || !bytes.Equal(cursor, wantCursor) {
+					t.Fatalf("op %d: Scan(%q, %d) = %d entries, cursor %q; want %d, %q",
+						i/3, start, limit, len(entries), cursor, len(keys), wantCursor)
+				}
+				for j, e := range entries {
+					if string(e.Key) != keys[j] || !bytes.Equal(e.Value, model[keys[j]]) {
+						t.Fatalf("op %d: entry %d = %q=%q, want %q=%q", i/3, j, e.Key, e.Value, keys[j], model[keys[j]])
+					}
+				}
+				if st := s.Stats(); st.Ordered.Keys != st.Keys {
+					t.Fatalf("op %d: index holds %d keys, table %d", i/3, st.Ordered.Keys, st.Keys)
+				}
 			}
 		}
 	})

@@ -22,11 +22,12 @@ const goldenModelCounters = "" +
 // TestGoldenModelCounters drives a fixed-seed 10 000-op mix — inline,
 // slab and chained values, footprint-changing overwrites, deletes,
 // atomics, and pipelined bursts on a hot key set so the reservation
-// station forwards and writes back — through a NoOrderedIndex store and
-// compares every model counter with the recorded constants.
+// station forwards and writes back — through a store that never scans, so
+// never builds its ordered index, and compares every model counter with
+// the recorded constants.
 func TestGoldenModelCounters(t *testing.T) {
 	s, err := NewStore(Config{MemoryBytes: 4 << 20, HashIndexRatio: 0.005,
-		NICCacheBytes: 32 << 10, Seed: 7, NoOrderedIndex: true})
+		NICCacheBytes: 32 << 10, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,20 +92,22 @@ func TestGoldenModelCounters(t *testing.T) {
 	}
 }
 
-// orderedModelCounts is what the script below costs on an indexed store,
-// where an index walk fetches each skip-list node whole with one DMA and
-// a seek for a key above the last one resumes from the index's finger.
+// orderedModelCounts is what the script below costs: the first scan
+// builds the index from one table walk and appends the sorted keys, an
+// index walk fetches each skip-list node whole with one DMA, and a seek
+// for a key above the last one resumes from the index's finger.
 const orderedModelCounts = "" +
-	"mem={Reads:59789 Writes:15379 ReadLines:65660 WriteLines:16256} " +
-	"cache={Hits:42526 Misses:13727 Fills:15445 DirtyEvictions:6890 CleanEvictions:7533 DRAMLineReads:51216 DRAMLineWrites:21979 EccCorrected:0 EccHealed:0 EccLost:0} " +
-	"dispatch={DirectReads:46090 DirectWrites:8489 CachedReads:47251 CachedWrites:9002} " +
+	"mem={Reads:35426 Writes:14721 ReadLines:39819 WriteLines:15571} " +
+	"cache={Hits:19999 Misses:12785 Fills:15245 DirtyEvictions:6066 CleanEvictions:8155 DRAMLineReads:27799 DRAMLineWrites:21654 EccCorrected:0 EccHealed:0 EccLost:0} " +
+	"dispatch={DirectReads:22673 DirectWrites:8655 CachedReads:23948 CachedWrites:8836} " +
 	"keys=2500"
 
 // TestOrderedModelCounts pins the performance model's counters for the
-// ordered index: 3 000 creates in scrambled order, 200 scans of 10,
-// deletes of every third key, re-creates of every sixth and 100 more
-// scans, on a store with the index on. TestGoldenModelCounters runs
-// NoOrderedIndex, so this is the test that sees an index DMA.
+// ordered index: 3 000 creates in scrambled order (hash-only: nothing has
+// scanned yet), 200 scans of 10 (the first builds the index), deletes of
+// every third key, re-creates of every sixth and 100 more scans.
+// TestGoldenModelCounters never scans, so this is the test that sees an
+// index DMA.
 func TestOrderedModelCounts(t *testing.T) {
 	s, err := NewStore(Config{MemoryBytes: 4 << 20, HashIndexRatio: 0.05,
 		NICCacheBytes: 64 << 10, Seed: 7})

@@ -30,7 +30,7 @@ import (
 // s.item, which the table copies into its own memory.
 func (s *Store) modify(key []byte, fn func(old []byte, found bool) ([]byte, hashtable.Edit)) error {
 	s.engine.Flush()
-	return indexedExec{table: s.table, idx: s.oidx}.Modify(key, fn)
+	return s.exec.Modify(key, fn)
 }
 
 // applyPutVer executes one OpPutVer request.

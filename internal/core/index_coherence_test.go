@@ -14,11 +14,12 @@ import (
 )
 
 // TestIndexUpkeepOnlyOnCreateAndDelete pins what each mutation charges the
-// ordered index: nothing for an overwrite or an atomic's write-back onto
-// an existing key, one insert (and its seek) for a create, one seek for a
-// delete.
+// ordered index once a scan has built it: nothing for an overwrite or an
+// atomic's write-back onto an existing key, one insert (and its seek) for
+// a create, one seek for a delete.
 func TestIndexUpkeepOnlyOnCreateAndDelete(t *testing.T) {
 	s := newScanStore(t)
+	scanOnce(t, s)
 	key, ctr := []byte("upkeep-key"), []byte("upkeep-ctr")
 	step := func(name string, op func(), wantSeeks, wantInserts, wantDeletes uint64) {
 		t.Helper()
@@ -101,7 +102,7 @@ func (e parentOrderExec) Delete(key []byte) bool {
 // executor. Logical contents (Dump bytes), key order and the skip list's
 // shape must match — a replica replaying a primary's log lands in the same
 // state whichever ordering either side ran — while the new ordering seeks
-// the index far less.
+// the index far less. Both stores scan once first, so both keep an index.
 func TestTableFirstPutReplaysLikeIndexFirst(t *testing.T) {
 	cfg := Config{MemoryBytes: 8 << 20, HashIndexRatio: 0.05, Seed: 21}
 	newer, err := NewStore(cfg)
@@ -114,7 +115,9 @@ func TestTableFirstPutReplaysLikeIndexFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(ref.Close)
-	ref.engine = ooo.NewEngine(parentOrderExec{table: ref.table, idx: ref.oidx}, 0, 0)
+	scanOnce(t, newer)
+	scanOnce(t, ref)
+	ref.engine = ooo.NewEngine(parentOrderExec{table: ref.table, idx: ref.exec.idx}, 0, 0)
 
 	rng := rand.New(rand.NewSource(22))
 	for i := 0; i < 20000; i++ {
@@ -153,7 +156,7 @@ func TestTableFirstPutReplaysLikeIndexFirst(t *testing.T) {
 	}
 	visit := func(s *Store) []string {
 		var keys []string
-		if err := s.oidx.Visit(nil, func(k []byte) bool {
+		if err := s.exec.idx.Visit(nil, func(k []byte) bool {
 			keys = append(keys, string(k))
 			return true
 		}); err != nil {
@@ -177,15 +180,17 @@ func TestTableFirstPutReplaysLikeIndexFirst(t *testing.T) {
 	}
 }
 
-// TestPutRollsBackTableWhenIndexNodeCannotBeAllocated exhausts the slabs,
-// then creates an inline key: the table takes it without a slab, the index
-// node allocation fails, and the create must be undone everywhere.
+// TestPutRollsBackTableWhenIndexNodeCannotBeAllocated exhausts the slabs
+// of a store whose index a scan has built, then creates an inline key:
+// the table takes it without a slab, the index node allocation fails, and
+// the create must be undone everywhere.
 func TestPutRollsBackTableWhenIndexNodeCannotBeAllocated(t *testing.T) {
 	s, err := NewStore(Config{MemoryBytes: 1 << 20, HashIndexRatio: 0.9, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
+	scanOnce(t, s)
 	// Fill with 32 B-class entries until 64 creates in a row fail: a lone
 	// failure may be a tall index node wanting a larger slab class.
 	for i, failures := 0, 0; failures < 64; i++ {
@@ -252,13 +257,15 @@ func TestPutRollsBackTableWhenIndexNodeCannotBeAllocated(t *testing.T) {
 // ordered index in host memory. A create whose index walk crosses it
 // must fail with the index's corruption error, not ErrFull, and leave
 // the key in neither structure; a scan across it must fail; Health must
-// report the damage. Ops that never walk the index keep working.
+// report the damage. Ops that never walk the index keep working. The
+// store scans once first, so it has an index to damage.
 func TestCorruptIndexLinkDegradesStore(t *testing.T) {
 	s, err := NewStore(Config{MemoryBytes: 1 << 20, DisableCache: true, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
+	scanOnce(t, s)
 	key := func(i int) []byte { return []byte(fmt.Sprintf("c-%03d", i)) }
 	for i := 0; i < 200; i++ {
 		mustPut(t, s, key(i), []byte("v"))

@@ -27,9 +27,7 @@ func Ablations(sc Scale) []*Table {
 		name string
 		cfg  core.Config
 	}
-	// NoOrderedIndex everywhere below: the figures reproduce the paper's
-	// hash-only data path, which predates the ordered secondary index.
-	base := core.Config{MemoryBytes: sc.MemBytes, InlineThreshold: 15, HashIndexRatio: 0.9, Seed: uint64(sc.Seed), NoOrderedIndex: true}
+	base := core.Config{MemoryBytes: sc.MemBytes, InlineThreshold: 15, HashIndexRatio: 0.9, Seed: uint64(sc.Seed)}
 	noInline := base
 	noInline.InlineThreshold = -1
 	noInline.HashIndexRatio = chooseRatio(10, 0)

@@ -27,9 +27,7 @@ type ycsbPoint struct {
 // ycsbStoreConfig tunes the store per KV size as the paper does before
 // each benchmark.
 func ycsbStoreConfig(sc Scale, kvSize int, seed int64) core.Config {
-	// The paper's configuration has no ordered secondary index; don't
-	// charge its maintenance DMAs to the reproduced figures.
-	cfg := core.Config{MemoryBytes: sc.MemBytes, Seed: uint64(seed), NoOrderedIndex: true}
+	cfg := core.Config{MemoryBytes: sc.MemBytes, Seed: uint64(seed)}
 	if kvSize <= 15 {
 		cfg.InlineThreshold = 15
 		cfg.HashIndexRatio = 0.9

@@ -140,7 +140,6 @@ func scalingFunctional(sc Scale) *Table {
 			s, err := core.NewStore(core.Config{
 				MemoryBytes: sc.MemBytes / uint64(n), InlineThreshold: 15,
 				HashIndexRatio: 0.9, Seed: uint64(sc.Seed) + uint64(i),
-				NoOrderedIndex: true,
 			})
 			if err != nil {
 				panic(err)

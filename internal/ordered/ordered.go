@@ -419,6 +419,37 @@ func (x *Index) Delete(key []byte) bool {
 	return true
 }
 
+// Release frees every node, the head included, walking level 0 with one
+// fetch per node; the Index must not be used afterwards. It is how a
+// build that ran out of room gives its nodes back. A walk cut short by a
+// corrupt link frees the nodes before the damage and returns ErrCorrupt.
+func (x *Index) Release() error {
+	x.finger = false
+	x.held = [2]uint64{nilPtr, nilPtr}
+	var prev []byte
+	for i, link, first := 0, x.head, true; link != nilPtr; i, first = 1-i, false {
+		node, ok := x.fetch(link, i)
+		if !ok {
+			return ErrCorrupt
+		}
+		if !first {
+			// The step rule of every walk — the head only first, then
+			// strictly larger keys — rules out a cycle, which would free
+			// a node twice.
+			if link == x.head || prev != nil && bytes.Compare(nodeKey(node), prev) <= 0 {
+				x.corrupt()
+				return ErrCorrupt
+			}
+			prev = nodeKey(node)
+		}
+		next := nextLink(node, 0)
+		x.alloc.Free(linkAddr(link), nodeSize(linkShape(link)))
+		link = next
+	}
+	x.stats.Keys, x.stats.NodeBytes = 0, 0
+	return nil
+}
+
 // Contains reports whether key is indexed (false if a corrupt link cut
 // the search short).
 func (x *Index) Contains(key []byte) bool {

@@ -234,6 +234,33 @@ func TestOrderedAllocExhaustion(t *testing.T) {
 	}
 }
 
+// TestOrderedRelease: Release hands every node back, the head included,
+// whatever the heights and key lengths, so a failed build leaks nothing.
+func TestOrderedRelease(t *testing.T) {
+	mem := memory.New(1 << 20)
+	t.Cleanup(mem.Release)
+	alloc := slab.New(memory.Partition{Size: 1 << 20}, slab.Options{})
+	free := alloc.FreeBytes()
+	x, err := New(mem, alloc, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3000; i++ {
+		if _, err := x.Insert(bytes.Repeat([]byte{byte('a' + i%26)}, 1+i*7919%MaxKeyLen)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := x.Release(); err != nil {
+		t.Fatal(err)
+	}
+	if got := alloc.FreeBytes(); got != free {
+		t.Errorf("FreeBytes = %d after Release, want %d", got, free)
+	}
+	if st := x.Stats(); st.Keys != 0 || st.NodeBytes != 0 {
+		t.Errorf("Stats after Release: %+v", st)
+	}
+}
+
 // budget is a memory engine that fails the test once more than left
 // reads have been issued: a walk round a damaged pointer cycle fails
 // fast instead of hanging the test.
@@ -250,13 +277,13 @@ func (b *budget) Read(addr uint64, buf []byte) {
 	b.Engine.Read(addr, buf)
 }
 
-// TestOrderedCorruptLinkEndsWalk damages one level-0 link four ways — a
-// cycle back to a smaller key, a target outside the slab region, a level
-// no tower has, and a target whose header disagrees with the link — and
-// demands that every
-// operation whose walk crosses it returns within a small read budget,
-// reports the damage (ErrCorrupt from Insert and Visit, false from
-// Delete and Contains) and counts it.
+// TestOrderedCorruptLinkEndsWalk damages one level-0 link five ways — a
+// cycle back to a smaller key or to the head, a target outside the slab
+// region, a level no tower has, and a target whose header disagrees with
+// the link — and demands that every operation whose walk crosses it
+// returns within a small read budget, reports the damage (ErrCorrupt from
+// Insert, Visit and Release, false from Delete and Contains) and counts
+// it.
 func TestOrderedCorruptLinkEndsWalk(t *testing.T) {
 	key := func(i int) []byte { return []byte(fmt.Sprintf("k%03d", i)) }
 	for _, tc := range []struct {
@@ -270,6 +297,7 @@ func TestOrderedCorruptLinkEndsWalk(t *testing.T) {
 			}
 			return link
 		}},
+		{"cycle to the head", func(x *Index) uint64 { return x.head }},
 		{"outside the slab region", func(x *Index) uint64 {
 			return makeLink(x.slabs.End(), 1, 4)
 		}},
@@ -342,6 +370,10 @@ func TestOrderedCorruptLinkEndsWalk(t *testing.T) {
 			eng.left = 64
 			if !x.Contains(key(49)) {
 				t.Error("a key before the damage is no longer found")
+			}
+			eng.left = 128
+			if err := x.Release(); err != ErrCorrupt {
+				t.Errorf("Release: %v, want ErrCorrupt", err)
 			}
 		})
 	}
