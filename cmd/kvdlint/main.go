@@ -9,24 +9,20 @@
 //
 // Usage:
 //
-//	kvdlint [-fix] [-only names] [packages]  # standalone; packages default to ./...
-//	go vet -vettool=$(which kvdlint) ./...   # as a vet tool
+//	kvdlint [-fix] [-only names] [-analyzers] [packages]  # packages default to ./...
 //
 // Exit status is 0 when the tree is clean, 2 when findings were
 // reported, 1 on operational errors. Individual findings can be
 // suppressed with a trailing `//lint:allow <analyzer> -- reason`
 // comment on the offending line or the line above it; a directive that
 // suppresses nothing is itself reported (staleallow) and deleted by
-// -fix. The -only flag restricts a standalone run to a comma-separated
+// -fix. The -only flag restricts a run to a comma-separated
 // subset of the suite, for ad hoc runs while triaging one analyzer.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
@@ -90,42 +86,11 @@ func main() {
 func run() int {
 	var (
 		fix      = flag.Bool("fix", false, "apply suggested fixes to the source files")
-		asJSON   = flag.Bool("json", false, "emit diagnostics as JSON (vet protocol)")
-		version  = flag.String("V", "", "print version and exit (vet handshake)")
 		listOnly = flag.Bool("analyzers", false, "list the analyzers in the suite and exit")
 		only     = flag.String("only", "", "comma-separated analyzer names to run (default: the full suite)")
-		_        = flag.Int("c", -1, "accepted for vet compatibility; ignored")
 	)
-	// cmd/go probes a vettool's flag set with a bare `-flags` argument
-	// before any normal run, expecting a JSON description.
-	if len(os.Args) == 2 && os.Args[1] == "-flags" {
-		return printFlags()
-	}
 	flag.Parse()
 
-	if *version != "" {
-		// cmd/go fingerprints vet tools via `-V=full` and expects the
-		// objabi version format, with a content hash standing in for a
-		// build ID so caching notices tool changes.
-		exe, err := os.Executable()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "kvdlint: %v\n", err)
-			return 1
-		}
-		f, err := os.Open(exe)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "kvdlint: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		h := sha256.New()
-		if _, err := io.Copy(h, f); err != nil {
-			fmt.Fprintf(os.Stderr, "kvdlint: %v\n", err)
-			return 1
-		}
-		fmt.Printf("%s version devel comments-go-here buildID=%02x\n", exe, h.Sum(nil))
-		return 0
-	}
 	if *listOnly {
 		for _, a := range Analyzers {
 			fmt.Printf("%-18s %s\n", a.Name, a.Doc)
@@ -139,14 +104,7 @@ func run() int {
 		return 1
 	}
 
-	args := flag.Args()
-	// Vet-tool mode: cmd/go invokes the tool with a single *.cfg path.
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		return analysis.RunUnitchecker(suite, args[0], *asJSON)
-	}
-
-	// Standalone mode: load, check, optionally fix.
-	units, err := analysis.Load(".", args...)
+	units, err := analysis.Load(".", flag.Args()...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "kvdlint: %v\n", err)
 		return 1
@@ -171,34 +129,6 @@ func run() int {
 	}
 	if len(findings) > 0 {
 		return 2
-	}
-	return 0
-}
-
-// printFlags emits the tool's flag set in the JSON shape cmd/go expects
-// from `vettool -flags` (name, boolness, usage per flag). Flags that
-// only make sense standalone are hidden from vet.
-func printFlags() int {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	var flags []jsonFlag
-	flag.VisitAll(func(f *flag.Flag) {
-		if f.Name == "fix" || f.Name == "analyzers" {
-			return // no effect under go vet's unit-at-a-time protocol
-		}
-		b, ok := f.Value.(interface{ IsBoolFlag() bool })
-		flags = append(flags, jsonFlag{f.Name, ok && b.IsBoolFlag(), f.Usage})
-	})
-	data, err := json.MarshalIndent(flags, "", "\t")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "kvdlint: %v\n", err)
-		return 1
-	}
-	if _, err := os.Stdout.Write(data); err != nil {
-		return 1
 	}
 	return 0
 }

@@ -114,26 +114,6 @@ func PropagateSets[E comparable](g *CallGraph, local map[*types.Func]map[E]bool)
 	return out
 }
 
-// Reachable returns the functions reachable from the seed set through
-// the call graph, seeds included.
-func (g *CallGraph) Reachable(seeds []*types.Func) map[*types.Func]bool {
-	reached := map[*types.Func]bool{}
-	var visit func(fn *types.Func)
-	visit = func(fn *types.Func) {
-		if reached[fn] {
-			return
-		}
-		reached[fn] = true
-		for _, callee := range g.Callees[fn] {
-			visit(callee)
-		}
-	}
-	for _, fn := range seeds {
-		visit(fn)
-	}
-	return reached
-}
-
 // SortedFuncs returns the graph's functions ordered by declaration
 // position, so analyzer passes that iterate the graph report
 // deterministically.

@@ -15,7 +15,7 @@
 // and its tables; names built at runtime are out of scope.
 //
 // It also holds hot paths to the handle discipline: every call that
-// takes a metric name (Add/Set/SetMax/Get, and Handle/Histogram
+// takes a metric name (Add/Set/Get, and Handle/Histogram
 // themselves) costs a read lock and a map lookup, so inside a
 // `//kvd:hotpath` function — the set hotalloc polices — the metric must
 // be a handle resolved at construction.

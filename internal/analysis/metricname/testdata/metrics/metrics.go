@@ -11,7 +11,7 @@ func record(c *telemetry.Counters, g *telemetry.Gauges, ig *telemetry.IntGauges,
 	// Conforming names: layer.noun, optional snake_case and unit suffix.
 	c.Add("server.ops", 1)
 	g.Set("core.keys", 7)
-	g.SetMax("repl.lag_max", 3)
+	g.Set("repl.lag_max", 3)
 	ig.Set("repl.lag", -2)
 	r.Histogram("server.op_latency_ns").Observe(1)
 	c.Add("dram.line_reads", 1)
@@ -54,7 +54,6 @@ func suffix() string { return "ops" }
 func hotByName(c *telemetry.Counters, ig *telemetry.IntGauges, dynamic string) {
 	c.Add("server.ops", 1)        // want "hot path looks a metric up by name: Add"
 	ig.Set("repl.lag", 0)         // want "hot path looks a metric up by name: Set"
-	ig.SetMax("repl.lag_max", 0)  // want "hot path looks a metric up by name: SetMax"
 	_ = c.Get(dynamic)            // want "hot path looks a metric up by name: Get"
 	other{}.Add("whatever", 1)    // unrelated type: silent
 	c.Handle("server.ops").Add(1) // want "hot path looks a metric up by name: Handle"

@@ -8,7 +8,8 @@
 //     values in dynamically allocated slabs, per the paper's Figure 11
 //     methodology);
 //   - analytic throughput models for CPU-based KVS and one-/two-sided
-//     RDMA KVS, calibrated with the paper's measured constants.
+//     RDMA atomics (Figure 13a), calibrated with the paper's measured
+//     constants.
 //
 // The hash tables store synthetic uint64 key ids: Figure 11's metric is
 // access counts, which depend on table mechanics, not on key contents.
@@ -440,35 +441,6 @@ func CPUKVSOpsPerSec(cores int, batched bool) float64 {
 		per = model.CPUKVOpsPerCoreBatched
 	}
 	return per * float64(cores)
-}
-
-// TwoSidedRDMAOpsPerSec models a two-sided RDMA KVS (Figure 1a): every KV
-// operation costs two NIC messages (request + response) and server CPU
-// processing, so throughput is bounded by the smaller of half the message
-// rate and the CPU.
-func TwoSidedRDMAOpsPerSec(cores int) float64 {
-	return math.Min(model.RDMAMessageRateOps/2, CPUKVSOpsPerSec(cores, true))
-}
-
-// OneSidedRDMAOpsPerSec models a one-sided RDMA KVS (Figure 1b): GETs
-// bypass the CPU at the NIC message rate but need avgReads round trips
-// per operation; PUTs fall back to the server CPU.
-func OneSidedRDMAOpsPerSec(getRatio float64, avgGetReads float64, cores int) float64 {
-	if avgGetReads < 1 {
-		avgGetReads = 1
-	}
-	getCap := model.RDMAMessageRateOps / avgGetReads
-	putCap := CPUKVSOpsPerSec(cores, true)
-	// Weighted harmonic combination: the mix saturates when either side
-	// is exhausted.
-	rate := math.Inf(1)
-	if getRatio > 0 {
-		rate = math.Min(rate, getCap/getRatio)
-	}
-	if getRatio < 1 {
-		rate = math.Min(rate, putCap/(1-getRatio))
-	}
-	return rate
 }
 
 // Atomics baselines for Figure 13a: throughput of fetch-and-add spread

@@ -213,23 +213,6 @@ func TestCPUModel(t *testing.T) {
 	}
 }
 
-func TestRDMAModels(t *testing.T) {
-	two := TwoSidedRDMAOpsPerSec(16)
-	if two > model.RDMAMessageRateOps || two > CPUKVSOpsPerSec(16, true) {
-		t.Errorf("two-sided = %g exceeds caps", two)
-	}
-	// Pure GET one-sided beats two-sided (CPU bypass).
-	oneGet := OneSidedRDMAOpsPerSec(1.0, 1.2, 16)
-	if oneGet <= two {
-		t.Errorf("one-sided pure GET (%.0f) should beat two-sided (%.0f)", oneGet, two)
-	}
-	// Write-heavy one-sided collapses to CPU throughput.
-	onePut := OneSidedRDMAOpsPerSec(0.0, 1.2, 16)
-	if onePut != CPUKVSOpsPerSec(16, true) {
-		t.Errorf("one-sided pure PUT = %g, want CPU bound", onePut)
-	}
-}
-
 func TestAtomicsBaselinesScaleThenSaturate(t *testing.T) {
 	one1 := OneSidedRDMAAtomicsOps(1)
 	if one1 != model.RDMAOneSidedAtomicsOps {

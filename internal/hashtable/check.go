@@ -57,23 +57,8 @@ type CheckReport struct {
 	PayloadBytes uint64
 	ChainBuckets uint64
 	MaxChainLen  int   // longest bucket chain (primary bucket = length 1)
-	ChainLenSum  int   // for averaging
+	ChainLenSum  int   // sum of every chain's length
 	ChainHist    []int // chain-length histogram, index = length-1
-}
-
-// AvgChainLen returns the mean bucket-chain length.
-func (r CheckReport) AvgChainLen() float64 {
-	if r.ChainHist == nil {
-		return 0
-	}
-	n := 0
-	for _, c := range r.ChainHist {
-		n += c
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(r.ChainLenSum) / float64(n)
 }
 
 // Check walks the entire table verifying structural invariants — the

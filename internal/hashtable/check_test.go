@@ -103,7 +103,11 @@ func TestCheckCleanTable(t *testing.T) {
 	if rep.Keys != tbl.NumKeys() {
 		t.Errorf("report keys %d != %d", rep.Keys, tbl.NumKeys())
 	}
-	if rep.MaxChainLen < 1 || rep.AvgChainLen() < 1 {
+	sum := 0
+	for i, n := range rep.ChainHist {
+		sum += (i + 1) * n
+	}
+	if rep.MaxChainLen < 1 || rep.MaxChainLen != len(rep.ChainHist) || sum != rep.ChainLenSum {
 		t.Errorf("chain stats implausible: %+v", rep)
 	}
 }

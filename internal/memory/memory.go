@@ -11,7 +11,6 @@
 package memory
 
 import (
-	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sync/atomic"
@@ -129,8 +128,8 @@ func (m *Memory) Write(addr uint64, data []byte) {
 }
 
 // Peek reads without counting an access. It is intended for tests and
-// for host-CPU-side components (e.g. the slab daemon), which access host
-// memory directly rather than over PCIe.
+// for components that model host-side work (the ECC layer's check bits
+// and scrub), which access host memory directly rather than over PCIe.
 func (m *Memory) Peek(addr uint64, buf []byte) {
 	m.check(addr, len(buf))
 	copy(buf, m.data[addr:addr+uint64(len(buf))])
@@ -160,23 +159,6 @@ func (m *Memory) ResetStats() {
 	m.writes.Store(0)
 	m.readLines.Store(0)
 	m.writeLines.Store(0)
-}
-
-// U64 helpers: the hash index and slab structures store little-endian
-// fixed-width fields.
-
-// ReadU64 reads a little-endian uint64 at addr (one DMA request).
-func (m *Memory) ReadU64(addr uint64) uint64 {
-	var b [8]byte
-	m.Read(addr, b[:])
-	return binary.LittleEndian.Uint64(b[:])
-}
-
-// WriteU64 writes a little-endian uint64 at addr (one DMA request).
-func (m *Memory) WriteU64(addr uint64, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	m.Write(addr, b[:])
 }
 
 // Partition describes a contiguous address range within a Memory, used to

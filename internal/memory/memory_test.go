@@ -93,14 +93,6 @@ func TestStatsSub(t *testing.T) {
 	}
 }
 
-func TestU64RoundTrip(t *testing.T) {
-	m := New(64)
-	m.WriteU64(8, 0xDEADBEEFCAFEBABE)
-	if got := m.ReadU64(8); got != 0xDEADBEEFCAFEBABE {
-		t.Errorf("U64 round trip = %#x", got)
-	}
-}
-
 func TestOutOfRangePanics(t *testing.T) {
 	m := New(64)
 	for name, fn := range map[string]func(){

@@ -57,9 +57,6 @@ func (k Kind) String() string {
 	}
 }
 
-// IsWrite reports whether the kind mutates the store.
-func (k Kind) IsWrite() bool { return k != Get }
-
 // Op is one KV operation flowing through the engine. Submit and Do copy
 // it into engine-owned storage and do not retain the pointer, so a caller's
 // &Op{...} stays on its stack.

@@ -19,14 +19,6 @@ type Clock struct {
 // Now returns the current simulated time in nanoseconds.
 func (c *Clock) Now() float64 { return c.now }
 
-// Advance moves the clock forward by d nanoseconds. Negative advances are
-// ignored so callers can pass raw deltas without clamping.
-func (c *Clock) Advance(d float64) {
-	if d > 0 {
-		c.now += d
-	}
-}
-
 // AdvanceTo moves the clock to time t if t is in the future.
 func (c *Clock) AdvanceTo(t float64) {
 	if t > c.now {
@@ -62,15 +54,6 @@ func (q *EventQueue) Schedule(at float64, fn func()) {
 // Len returns the number of pending events.
 func (q *EventQueue) Len() int { return len(q.h) }
 
-// PeekTime returns the time of the earliest pending event, or ok=false if
-// the queue is empty.
-func (q *EventQueue) PeekTime() (t float64, ok bool) {
-	if len(q.h) == 0 {
-		return 0, false
-	}
-	return q.h[0].At, true
-}
-
 // RunNext pops and runs the earliest event, advancing clk to its time.
 // It returns false if the queue is empty.
 func (q *EventQueue) RunNext(clk *Clock) bool {
@@ -81,20 +64,6 @@ func (q *EventQueue) RunNext(clk *Clock) bool {
 	clk.AdvanceTo(ev.At)
 	ev.Fn()
 	return true
-}
-
-// RunUntil runs events in order until the queue is empty or the next event
-// is after deadline. It returns the number of events run.
-func (q *EventQueue) RunUntil(clk *Clock, deadline float64) int {
-	n := 0
-	for {
-		t, ok := q.PeekTime()
-		if !ok || t > deadline {
-			return n
-		}
-		q.RunNext(clk)
-		n++
-	}
 }
 
 type eventHeap []*Event

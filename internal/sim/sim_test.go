@@ -7,9 +7,7 @@ import (
 
 func TestClockAdvance(t *testing.T) {
 	var c Clock
-	c.Advance(10)
-	c.Advance(-5) // ignored
-	c.Advance(2.5)
+	c.AdvanceTo(12.5)
 	if c.Now() != 12.5 {
 		t.Errorf("Now = %g, want 12.5", c.Now())
 	}
@@ -57,22 +55,6 @@ func TestEventQueueFIFOTieBreak(t *testing.T) {
 	}
 }
 
-func TestEventQueueRunUntil(t *testing.T) {
-	q := NewEventQueue()
-	var clk Clock
-	ran := 0
-	for _, at := range []float64{1, 2, 3, 100} {
-		q.Schedule(at, func() { ran++ })
-	}
-	n := q.RunUntil(&clk, 50)
-	if n != 3 || ran != 3 {
-		t.Errorf("RunUntil ran %d (cb %d), want 3", n, ran)
-	}
-	if q.Len() != 1 {
-		t.Errorf("queue should retain 1 event, has %d", q.Len())
-	}
-}
-
 func TestEventQueueSchedulingFromCallback(t *testing.T) {
 	q := NewEventQueue()
 	var clk Clock
@@ -92,17 +74,6 @@ func TestEventQueueSchedulingFromCallback(t *testing.T) {
 	}
 	if clk.Now() != 40 {
 		t.Errorf("clock = %g, want 40", clk.Now())
-	}
-}
-
-func TestPeekTime(t *testing.T) {
-	q := NewEventQueue()
-	if _, ok := q.PeekTime(); ok {
-		t.Error("PeekTime on empty queue returned ok")
-	}
-	q.Schedule(7, func() {})
-	if tm, ok := q.PeekTime(); !ok || tm != 7 {
-		t.Errorf("PeekTime = %g,%v, want 7,true", tm, ok)
 	}
 }
 

@@ -4,14 +4,15 @@
 // allocation.
 //
 // Allocation sizes are rounded up to power-of-two slab sizes (32..512 B).
-// Each size class has a free pool kept in host memory by a host-CPU daemon
-// and a small cache on the NIC; the two sides form double-ended stacks
-// synchronized in batches of slab entries over DMA (12 five-byte entries
-// per 64 B DMA), so the NIC pays one DMA per batch rather than per
-// operation. Slab splitting copies entries from a larger pool to a smaller
-// one; merging free buddies back into larger slabs is done lazily, with a
-// choice of the paper's two algorithms (allocation bitmap vs multi-core
-// radix sort — Figure 12).
+// Each size class has a free pool in host memory and a small cache on the
+// NIC; the two sides form double-ended stacks synchronized in batches of
+// slab entries over DMA (12 five-byte entries per 64 B DMA), so the NIC
+// pays one DMA per batch rather than per operation. Slab splitting copies
+// entries from a larger pool to a smaller one; free buddies merge back into
+// larger slabs lazily, inside Alloc, only when a pool is empty and no
+// larger slab is left to split. The paper's two merge algorithms
+// (allocation bitmap vs multi-core radix sort) are MergeBitmap and
+// MergeRadix, which Figure 12 times.
 package slab
 
 import (
@@ -90,18 +91,9 @@ type Stats struct {
 	MergeRuns   uint64 // lazy merge invocations
 }
 
-// AmortizedDMAPerOp returns sync DMAs per alloc/free (paper: < 0.1).
-func (s Stats) AmortizedDMAPerOp() float64 {
-	ops := s.Allocs + s.Frees
-	if ops == 0 {
-		return 0
-	}
-	return float64(s.SyncDMAs) / float64(ops)
-}
-
 // Allocator manages a contiguous slab region of the simulated host memory.
 // It is not safe for concurrent use (the KV processor pipeline serializes
-// allocation, and the host daemon runs between operations).
+// allocation).
 type Allocator struct {
 	region memory.Partition
 	opts   Options
@@ -306,8 +298,8 @@ func (a *Allocator) splitInto(c int) {
 func (a *Allocator) lazyMerge() {
 	a.stats.MergeRuns++
 	for c := 0; c < NumClasses-1; c++ {
-		// Host-side daemon sees the union of host pool and NIC cache;
-		// drain the NIC cache first so all free entries are mergeable.
+		// Merging sees the union of host pool and NIC cache; drain the
+		// NIC cache first so all free entries are mergeable.
 		for len(a.nic[c]) > 0 {
 			a.pushToHost(c)
 		}
@@ -318,46 +310,6 @@ func (a *Allocator) lazyMerge() {
 		}
 		a.stats.MergedPairs += uint64(len(merged))
 	}
-}
-
-// MergeAll runs a full lazy merge across all classes with the given worker
-// count and algorithm, returning the number of buddy pairs merged. It is
-// the host daemon's background reclamation entry point.
-func (a *Allocator) MergeAll(workers int, algo MergeAlgo) int {
-	total := 0
-	for c := 0; c < NumClasses-1; c++ {
-		for len(a.nic[c]) > 0 {
-			a.pushToHost(c)
-		}
-		offs := entriesToOffsets(a.host[c])
-		var merged, rest []uint64
-		switch algo {
-		case MergeBitmapAlgo:
-			merged, rest = MergeBitmap(offs, uint64(Sizes[c]), a.region.Size)
-		default:
-			merged, rest = MergeRadix(offs, uint64(Sizes[c]), workers)
-		}
-		a.host[c] = offsetsToEntries(rest)
-		for _, off := range merged {
-			a.host[c+1] = append(a.host[c+1], entry(off))
-		}
-		total += len(merged)
-	}
-	a.stats.MergedPairs += uint64(total)
-	if total > 0 {
-		a.stats.MergeRuns++
-	}
-	return total
-}
-
-// PoolSizes returns (host, nic) free-entry counts per class, for tests and
-// the daemon's watermark checks.
-func (a *Allocator) PoolSizes() (host, nic [NumClasses]int) {
-	for c := 0; c < NumClasses; c++ {
-		host[c] = len(a.host[c])
-		nic[c] = len(a.nic[c])
-	}
-	return host, nic
 }
 
 func entriesToOffsets(es []entry) []uint64 {
@@ -375,18 +327,6 @@ func offsetsToEntries(offs []uint64) []entry {
 	}
 	return out
 }
-
-// MergeAlgo selects the free-slab merging algorithm (Figure 12).
-type MergeAlgo int
-
-const (
-	// MergeRadixAlgo sorts free-slab offsets with a multi-core radix sort
-	// and merges adjacent buddies in a linear scan. Scales with cores.
-	MergeRadixAlgo MergeAlgo = iota
-	// MergeBitmapAlgo fills an allocation bitmap with the free offsets
-	// (random memory accesses) and scans it. Does not scale with cores.
-	MergeBitmapAlgo
-)
 
 // MergeBitmap merges buddy pairs among free slabs of one class using a
 // bitmap over the region: set a bit per free slab, then scan for aligned

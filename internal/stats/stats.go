@@ -1,6 +1,6 @@
 // Package stats provides the exact-percentile helpers the KV-Direct
 // experiments and load generators use: a raw-observation Sample with
-// interpolated percentiles and CDF extraction (Figures 3b and 17).
+// interpolated percentiles (Figures 3b and 17).
 // Named runtime metrics live in internal/telemetry.
 //
 // Sample is deterministic and allocation-light so it can be used inside
@@ -29,9 +29,6 @@ func (s *Sample) Add(x float64) {
 	s.xs = append(s.xs, x)
 	s.sorted = false
 }
-
-// N returns the number of observations.
-func (s *Sample) N() int { return len(s.xs) }
 
 // Mean returns the arithmetic mean, or 0 for an empty sample.
 func (s *Sample) Mean() float64 {
@@ -73,20 +70,4 @@ func (s *Sample) Percentile(p float64) float64 {
 	}
 	frac := rank - float64(lo)
 	return s.xs[lo]*(1-frac) + s.xs[hi]*frac
-}
-
-// CDF returns (value, cumulative fraction) pairs at the given percentile
-// points, suitable for plotting a CDF like the paper's Figure 3b.
-func (s *Sample) CDF(points []float64) []CDFPoint {
-	out := make([]CDFPoint, 0, len(points))
-	for _, p := range points {
-		out = append(out, CDFPoint{Fraction: p / 100, Value: s.Percentile(p)})
-	}
-	return out
-}
-
-// CDFPoint is one point of an empirical CDF.
-type CDFPoint struct {
-	Fraction float64 // cumulative probability in [0,1]
-	Value    float64
 }

@@ -69,7 +69,7 @@ func opsOf[V uint64 | int64, A any, H interface {
 		kind:   kind,
 		signed: V(0)-1 < 0,
 		set:    func(n string, v int64) { t.Set(n, V(v)) },
-		setMax: func(n string, v int64) { t.SetMax(n, V(v)) },
+		setMax: func(n string, v int64) { StoreMax(t.Handle(n), V(v)) },
 		add:    func(n string, d int64) { t.Add(n, V(d)) },
 		get:    func(n string) int64 { return int64(t.Get(n)) },
 		handle: func(n string) any { return t.Handle(n) },
@@ -169,7 +169,7 @@ func TestTableRegistrationOrder(t *testing.T) {
 }
 
 // TestTableConcurrentRegistration: goroutines racing to register the
-// same names all get one handle per name, and concurrent SetMax/Add
+// same names all get one handle per name, and concurrent StoreMax/Add
 // lose no update.
 func TestTableConcurrentRegistration(t *testing.T) {
 	eachTable(t, func(t *testing.T, o tableOps) {

@@ -102,9 +102,6 @@ func (t *Table[V, A, H]) Add(name string, delta V) { t.Handle(name).Add(delta) }
 // Set stores the current level of name.
 func (t *Table[V, A, H]) Set(name string, v V) { t.Handle(name).Store(v) }
 
-// SetMax raises name to v if v is higher, for high-water marks.
-func (t *Table[V, A, H]) SetMax(name string, v V) { StoreMax(t.Handle(name), v) }
-
 // Get returns name's current value (zero if never registered).
 func (t *Table[V, A, H]) Get(name string) V {
 	if h := t.idx.lookup(name); h != nil {
@@ -138,7 +135,7 @@ func (t *Table[V, A, H]) String() string {
 	return b.String()
 }
 
-// StoreMax raises h to v if v is higher: SetMax on a resolved handle.
+// StoreMax raises h to v if v is higher, for high-water marks.
 func StoreMax[V uint64 | int64, H atomicInt[V]](h H, v V) {
 	for {
 		cur := h.Load()

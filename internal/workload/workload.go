@@ -118,15 +118,6 @@ func (g *Generator) Next() Op {
 	return Op{Kind: k, KeyID: g.NextKey()}
 }
 
-// Stream generates n operations.
-func (g *Generator) Stream(n int) []Op {
-	ops := make([]Op, n)
-	for i := range ops {
-		ops[i] = g.Next()
-	}
-	return ops
-}
-
 // KeyBytes renders a key id as a KeySize-byte key: the 8-byte id followed
 // by deterministic padding.
 func (g *Generator) KeyBytes(id uint64) []byte {

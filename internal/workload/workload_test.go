@@ -126,19 +126,6 @@ func TestValueBytesVersioned(t *testing.T) {
 	}
 }
 
-func TestStream(t *testing.T) {
-	g := New(Config{Keys: 50, GetRatio: 1, Seed: 9})
-	ops := g.Stream(100)
-	if len(ops) != 100 {
-		t.Fatalf("stream length %d", len(ops))
-	}
-	for _, op := range ops {
-		if op.Kind != Get {
-			t.Fatal("GetRatio=1 produced a PUT")
-		}
-	}
-}
-
 func TestZeroKeysPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -34,17 +34,12 @@ import (
 // ServerOptions tunes the server's resilience behaviour. The zero value
 // gives sane defaults; negative durations disable that deadline.
 type ServerOptions struct {
-	// ReadIdleTimeout bounds the wait for the next request frame on a
-	// connection; on expiry the connection is dropped. 0 disables (idle
-	// connections live until Close). The deadline is re-armed at half
-	// life (Deadlines), so an idle connection is dropped between
-	// ReadIdleTimeout/2 and ReadIdleTimeout after its wait began.
-	ReadIdleTimeout time.Duration
 	// WriteTimeout bounds each response write, so one stalled client
 	// cannot pin a handler goroutine forever (default 1 min, negative
-	// disables). Re-armed at half life like ReadIdleTimeout: a stalled
-	// write is abandoned between WriteTimeout/2 and WriteTimeout after it
-	// began.
+	// disables). The deadline is re-armed at half life (Deadlines): a
+	// stalled write is abandoned between WriteTimeout/2 and WriteTimeout
+	// after it began. Reads carry no deadline: an idle connection lives
+	// until the peer goes away or Close.
 	WriteTimeout time.Duration
 	// Faults optionally injects faults into the response path: NetReset
 	// drops the connection before the reply, NetTruncateFrame cuts the
@@ -68,9 +63,6 @@ func (o ServerOptions) withDefaults() ServerOptions {
 		o.WriteTimeout = time.Minute
 	case o.WriteTimeout < 0:
 		o.WriteTimeout = 0
-	}
-	if o.ReadIdleTimeout < 0 {
-		o.ReadIdleTimeout = 0
 	}
 	if o.Telemetry == nil {
 		o.Telemetry = telemetry.NewRegistry()
@@ -250,11 +242,6 @@ func (s *Server) handle(conn net.Conn) {
 		if poisonRecycled {
 			poison(pkt, out, reqs, resps)
 		}
-		if t := s.opts.ReadIdleTimeout; t > 0 {
-			if err := dl.Read(conn, time.Now(), t); err != nil {
-				return // connection already torn down
-			}
-		}
 		var err error
 		pkt, err = wire.ReadFrame(r, pkt)
 		if err != nil {
@@ -268,7 +255,7 @@ func (s *Server) handle(conn net.Conn) {
 				}
 				continue
 			}
-			return // short read / reset / idle timeout: connection is gone
+			return // short read / reset: connection is gone
 		}
 		// A client-requested trace (FlagTrace on the packet) always gets
 		// a span, returned as one extra trailing response. A sampled

@@ -37,12 +37,21 @@ func fastOpts() Options {
 	}
 }
 
+// fastCoord is for failover drills, the tests that wait for a lease to
+// lapse: a primary that misses 60 ms of heartbeats is deposed.
 func fastCoord() CoordOptions {
 	return CoordOptions{LeaseTimeout: 60 * time.Millisecond, CheckEvery: 10 * time.Millisecond}
 }
 
+// steadyCoord is for every other test. A -race or loaded-machine stall
+// can starve a primary's heartbeats past fastCoord's 60 ms lease; the
+// coordinator then promotes a backup, and the write the old primary was
+// waiting on fails with "replication quorum not reached". Its 5 s lease
+// outlasts such stalls, so no failover happens unless a test drills one.
+func steadyCoord() CoordOptions { return CoordOptions{LeaseTimeout: 5 * time.Second} }
+
 func TestReplicationBasic(t *testing.T) {
-	coord := NewCoordinator(fastCoord())
+	coord := NewCoordinator(steadyCoord())
 	defer coord.Close()
 	g, err := StartGroup(coord, 0, 3, testConfig(), fastOpts())
 	if err != nil {
@@ -112,7 +121,7 @@ func TestReplicationBasic(t *testing.T) {
 // primary answers it as it answers a GET — no sequence number, nothing
 // logged or shipped.
 func TestFilterIsNotShipped(t *testing.T) {
-	coord := NewCoordinator(fastCoord())
+	coord := NewCoordinator(steadyCoord())
 	defer coord.Close()
 	g, err := StartGroup(coord, 0, 3, testConfig(), fastOpts())
 	if err != nil {
@@ -339,7 +348,7 @@ func TestDropEntryResync(t *testing.T) {
 	opts := fastOpts()
 	opts.Faults = inj
 
-	coord := NewCoordinator(fastCoord())
+	coord := NewCoordinator(steadyCoord())
 	defer coord.Close()
 	g, err := StartGroup(coord, 0, 3, testConfig(), opts)
 	if err != nil {
@@ -389,7 +398,7 @@ func TestDropEntryResync(t *testing.T) {
 }
 
 func TestStatsExposesReplicationSection(t *testing.T) {
-	coord := NewCoordinator(fastCoord())
+	coord := NewCoordinator(steadyCoord())
 	defer coord.Close()
 	g, err := StartGroup(coord, 0, 2, testConfig(), fastOpts())
 	if err != nil {

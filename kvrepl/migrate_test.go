@@ -50,7 +50,7 @@ func startMigrationPair(t *testing.T, coord *Coordinator, opts Options, writes i
 }
 
 func TestMigrateShardBasic(t *testing.T) {
-	coord := NewCoordinator(fastCoord())
+	coord := NewCoordinator(steadyCoord())
 	defer coord.Close()
 	opts := fastOpts()
 	opts.LogWindow = 64 // writes outrun the window: the transfer must snapshot first
@@ -139,7 +139,7 @@ func TestMigrateShardBasic(t *testing.T) {
 }
 
 func TestMigrateShardUnderLoad(t *testing.T) {
-	coord := NewCoordinator(fastCoord())
+	coord := NewCoordinator(steadyCoord())
 	defer coord.Close()
 	_, dest, sc := startMigrationPair(t, coord, fastOpts(), 50)
 
@@ -214,7 +214,7 @@ func TestMigrateShardUnderLoad(t *testing.T) {
 }
 
 func TestMigrateShardValidation(t *testing.T) {
-	coord := NewCoordinator(fastCoord())
+	coord := NewCoordinator(steadyCoord())
 	defer coord.Close()
 	src, dest, _ := startMigrationPair(t, coord, fastOpts(), 5)
 
@@ -238,7 +238,7 @@ func TestMigrateShardValidation(t *testing.T) {
 // cutover is the only one a caller starts — on a shard the coordinator
 // does not serve, or on a closed coordinator, is an error.
 func TestMembershipRejectsUnknownShard(t *testing.T) {
-	coord := NewCoordinator(fastCoord())
+	coord := NewCoordinator(steadyCoord())
 	src, err := StartGroup(coord, 0, 1, testConfig(), fastOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +325,7 @@ func TestLearnerAckNeverMakesWriteDurable(t *testing.T) {
 	opts := fastOpts()
 	opts.SnapshotChunk = 256
 	opts.Faults = inj
-	coord := NewCoordinator(CoordOptions{LeaseTimeout: 5 * time.Second})
+	coord := NewCoordinator(steadyCoord())
 	defer coord.Close()
 	src, dest, _ := startMigrationPair(t, coord, opts, 100)
 	prim := src.Primary()
@@ -386,7 +386,7 @@ func TestLearnerResyncsUnderDestCrash(t *testing.T) {
 	inj := fault.NewInjector(21)
 	opts := fastOpts()
 	opts.Faults = inj
-	coord := NewCoordinator(fastCoord())
+	coord := NewCoordinator(steadyCoord())
 	defer coord.Close()
 	src, dest, _ := startMigrationPair(t, coord, opts, 300) // all in the log: 300 entries on one stream
 	frontier := src.Primary().LastApplied()

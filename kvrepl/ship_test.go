@@ -95,7 +95,7 @@ func expectConverged(t *testing.T, g *Group, acked map[string]string) {
 
 func startGroupAndClient(t *testing.T, opts Options) (*Group, *kvnet.Client) {
 	t.Helper()
-	coord := NewCoordinator(CoordOptions{LeaseTimeout: 5 * time.Second}) // no failover drill here; -race stalls must not depose the primary
+	coord := NewCoordinator(steadyCoord())
 	t.Cleanup(func() { coord.Close() })
 	g, err := StartGroup(coord, 0, 3, kvdirect.Config{MemoryBytes: 8 << 20}, opts)
 	if err != nil {
@@ -595,7 +595,7 @@ func TestChaosMigrationDrainsPinnedTail(t *testing.T) {
 	opts.LogWindow = 16
 	opts.SnapshotChunk = 256
 	opts.Faults = inj
-	coord := NewCoordinator(CoordOptions{LeaseTimeout: 5 * time.Second})
+	coord := NewCoordinator(steadyCoord())
 	defer coord.Close()
 	src, dest, sc := startMigrationPair(t, coord, opts, 400)
 	srcPrim := src.Primary()

@@ -13,7 +13,7 @@ import (
 // the store's access counts, the wire scrape sees replication gauges
 // next to server counters, and the lag gauges are signed.
 func TestReplicaTelemetry(t *testing.T) {
-	coord := NewCoordinator(fastCoord())
+	coord := NewCoordinator(steadyCoord())
 	defer coord.Close()
 	g, err := StartGroup(coord, 0, 3, testConfig(), fastOpts())
 	if err != nil {

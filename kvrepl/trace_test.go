@@ -30,7 +30,7 @@ func collectSpans(sc *kvnet.Client, g *Group) []*telemetry.Span {
 // primary-apply span's access counts reconciling exactly against the
 // primary store's own model counters.
 func TestTracedWriteAssemblesQuorumSpans(t *testing.T) {
-	coord := NewCoordinator(fastCoord())
+	coord := NewCoordinator(steadyCoord())
 	defer coord.Close()
 	g, err := StartGroup(coord, 0, 3, testConfig(), fastOpts())
 	if err != nil {

@@ -56,7 +56,7 @@ func parkPut(t *testing.T, prim *Replica, key, value string) <-chan kvdirect.Res
 func TestVisibilityReadWaitsForPendingWrite(t *testing.T) {
 	opts := fastOpts()
 	opts.AckTimeout = 300 * time.Millisecond
-	coord := NewCoordinator(CoordOptions{LeaseTimeout: 5 * time.Second})
+	coord := NewCoordinator(steadyCoord())
 	defer coord.Close()
 	g, err := StartGroup(coord, 0, 3, testConfig(), opts)
 	if err != nil {
