@@ -2,13 +2,14 @@
 // backups in a replica group (kvrepl).
 //
 // The log is an in-memory, bounded window of sequence-numbered entries:
-// the primary appends every mutating operation before shipping it, and
-// each backup appends every entry it applies, so whichever replica is
-// promoted can replay its own tail to the others. Entries are dense
-// (seq N is always followed by N+1) and the window is truncated from
-// the front once it exceeds its capacity — a replica that has fallen
-// behind the window's first retained entry must catch up by snapshot
-// instead of replay, exactly the Raft-style compaction split.
+// the primary appends a client packet's mutating operations as one
+// entry, a run, before shipping it, and each backup appends every entry
+// it applies, so whichever replica is promoted can replay its own tail
+// to the others. Entries are dense (seq N is always followed by N+1) and
+// the window is truncated from the front once it exceeds its capacity —
+// a replica that has fallen behind the window's first retained entry
+// must catch up by snapshot instead of replay, exactly the Raft-style
+// compaction split.
 package repllog
 
 import (
@@ -21,26 +22,38 @@ import (
 // DefaultWindow is the default number of retained entries.
 const DefaultWindow = 4096
 
-// Entry is one replicated mutating operation.
+// Entry is one replicated run of mutating operations.
 type Entry struct {
 	Seq   uint64 // dense, starting at 1
 	Epoch uint64 // election epoch of the primary that created it
-	// Packet is the encoded single-operation request packet
-	// (wire.AppendRequests of one mutating op) — the same bytes a
-	// client would have sent, so replicas reuse the standard decoder.
+	// Packet is the run's request packet (wire.AppendRequests of its
+	// ops), so replicas reuse the standard decoder.
 	Packet []byte
 }
 
-// NewEntry encodes req into an entry with the given seq and epoch.
-func NewEntry(seq, epoch uint64, req wire.Request) (Entry, error) {
-	// One allocation, sized for the op plus the trace context a sampled
-	// write stamps on afterwards.
-	size := wire.HeaderBytes + 8 + len(req.Key) + len(req.Value) + len(req.Param) + wire.TraceContextBytes
-	pkt, err := wire.AppendRequests(make([]byte, 0, size), []wire.Request{req})
-	if err != nil {
-		return Entry{}, err
+// opBytes bounds the bytes op adds to a packet: code, flags, sizes,
+// function header, key, value and param.
+func opBytes(op wire.Request) int { return 8 + len(op.Key) + len(op.Value) + len(op.Param) }
+
+// NewEntries appends to dst the entries of writes, numbered on from seq
+// and stamped with tc when it is sampled: one per run, cut only where its
+// packet would pass maxBytes. A packet is one allocation, with room for tc.
+func NewEntries(dst []Entry, seq, epoch uint64, writes []wire.Request, tc wire.TraceContext, maxBytes int) ([]Entry, error) {
+	for len(writes) > 0 {
+		n, size := 1, wire.HeaderBytes+wire.TraceContextBytes+opBytes(writes[0])
+		for ; n < len(writes) && size+opBytes(writes[n]) <= maxBytes; n++ {
+			size += opBytes(writes[n])
+		}
+		pkt, err := wire.AppendRequests(make([]byte, 0, size), writes[:n])
+		if err == nil && tc.Sampled {
+			pkt, err = wire.MarkTraceContext(pkt, tc)
+		}
+		if err != nil {
+			return dst, err
+		}
+		dst, writes, seq = append(dst, Entry{Seq: seq, Epoch: epoch, Packet: pkt}), writes[n:], seq+1
 	}
-	return Entry{Seq: seq, Epoch: epoch, Packet: pkt}, nil
+	return dst, nil
 }
 
 // Log errors.

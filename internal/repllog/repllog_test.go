@@ -11,15 +11,15 @@ import (
 
 func entry(t *testing.T, seq, epoch uint64) Entry {
 	t.Helper()
-	e, err := NewEntry(seq, epoch, wire.Request{
+	e, err := NewEntries(nil, seq, epoch, []wire.Request{{
 		Code:  wire.OpPut,
 		Key:   []byte(fmt.Sprintf("k%06d", seq)),
 		Value: []byte(fmt.Sprintf("v%06d", seq)),
-	})
+	}}, wire.TraceContext{}, 1<<16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e
+	return e[0]
 }
 
 func TestAppendSinceRoundTrip(t *testing.T) {
@@ -209,4 +209,46 @@ func TestConcurrentAppendAndReplay(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
+}
+
+// TestNewEntriesCutsRuns: runs are numbered densely, each packet stays
+// within maxBytes unless one op alone passes it, every op lands in order
+// in exactly one run, and a sampled trace context is stamped on each.
+func TestNewEntriesCutsRuns(t *testing.T) {
+	var writes []wire.Request
+	for i, vlen := range []int{40, 40, 40, 300, 40, 40} {
+		writes = append(writes, wire.Request{Code: wire.OpPut, Key: []byte{byte('a' + i)}, Value: make([]byte, vlen)})
+	}
+	tc := wire.TraceContext{TraceID: 7, Parent: 3, Sampled: true}
+	// 18 B of header and trace context, 49 B per 40 B PUT: two fit in 128.
+	got, err := NewEntries(nil, 5, 2, writes, tc, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRuns := [][]byte{[]byte("ab"), []byte("c"), []byte("d"), []byte("ef")}
+	if len(got) != len(wantRuns) {
+		t.Fatalf("%d runs, want %d", len(got), len(wantRuns))
+	}
+	for i, e := range got {
+		reqs, err := wire.DecodeRequests(e.Packet)
+		if err != nil || e.Seq != uint64(5+i) || e.Epoch != 2 {
+			t.Fatalf("run %d: seq %d epoch %d, %v", i, e.Seq, e.Epoch, err)
+		}
+		var keys []byte
+		for _, r := range reqs {
+			keys = append(keys, r.Key...)
+		}
+		if string(keys) != string(wantRuns[i]) {
+			t.Fatalf("run %d holds %q, want %q", i, keys, wantRuns[i])
+		}
+		if len(e.Packet) > 128 && len(reqs) > 1 {
+			t.Fatalf("run %d is %d B with %d ops", i, len(e.Packet), len(reqs))
+		}
+		if got, ok := wire.PacketTraceContext(e.Packet); !ok || got != tc {
+			t.Fatalf("run %d carries trace context %+v, %v", i, got, ok)
+		}
+	}
+	if _, err := NewEntries(nil, 1, 1, []wire.Request{{Code: wire.OpPut, Key: make([]byte, 300)}}, wire.TraceContext{}, 128); err == nil {
+		t.Fatal("an op the wire cannot encode made an entry")
+	}
 }

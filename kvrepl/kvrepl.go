@@ -12,11 +12,11 @@
 // # Protocol
 //
 // The primary serves clients through the ordinary kvnet.Server wire
-// path. Every mutating operation (wire.OpCode.Mutates) is assigned a
-// dense sequence number, appended to a bounded in-memory replication log
-// (internal/repllog), applied locally, and shipped to each backup over a
+// path. A packet's mutating operations (wire.OpCode.Mutates) are one
+// entry, a run, with a dense sequence number, appended to a bounded
+// replication log (internal/repllog), shipped to each backup over a
 // CRC32C-framed TCP stream (kvnet frames carrying wire.ReplMessage
-// envelopes). The client write is acknowledged only once Quorum
+// envelopes) and applied locally. A write is acknowledged only once Quorum
 // replicas — the primary plus Quorum-1 backups — have applied it, so any
 // acknowledged write survives the loss of up to N-Quorum+1 replicas (the
 // acked entry lives on at least Quorum-1 backups, and applied prefixes

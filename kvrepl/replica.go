@@ -62,7 +62,9 @@ type Replica struct {
 	led         uint64            // the epoch peerAcked's acks belong to: the last one this replica led
 	peers       map[int]*peerSync // primary: live shipping loops
 	hbStop      chan struct{}     // stops the current heartbeat loop
-	decoded     [1]wire.Request   // backup: applyEntry's decode scratch (the request aliases the logged packet)
+	scratch     []wire.Request    // a primary's batch writes, or a backup's decoded entry: they alias a packet
+	runs        []repllog.Entry   // primary: a batch's entries
+	resps       []wire.Response   // backup: applyEntry's response scratch
 	ticks       atomic.Uint64     // lease ticks so far: a held reply is released by the next one
 
 	// beat is the coordinator heartbeat sink, deliberately outside mu:
@@ -172,8 +174,9 @@ func (r *Replica) Alive() bool {
 
 // Counters exposes the replication counters: repl.entries_shipped,
 // repl.ship_flushes (the flushes that carried them), repl.entries_applied,
-// repl.entries_dropped, repl.acks, repl.gap_resyncs, repl.snapshots_sent,
-// repl.snapshots_installed, repl.snapshot_fallbacks, repl.catchup_bytes, repl.promotions,
+// repl.entries_dropped (entries are runs: a packet's writes, 64 KiB at
+// most), repl.acks, repl.gap_resyncs, repl.snapshots_sent, repl.snapshots_installed,
+// repl.snapshot_fallbacks, repl.catchup_bytes, repl.promotions,
 // repl.demotions, repl.not_primary_rejects, repl.epoch_rejects,
 // repl.quorum_failures, repl.installs, repl.migration_entries. (A
 // panicking apply is counted where every backend's is: server.panics.)
@@ -380,13 +383,13 @@ func (r *Replica) wakeLocked() { r.ackCond.Broadcast() }
 // --- the primary's data path (kvnet.Backend) ---
 
 // ApplyBatch implements kvnet.Backend: the whole replication protocol
-// interposed on the standard wire path. Mutations are sequenced and
-// logged, then the batch applies as one run (a mutation that cannot be
-// logged fails unapplied, splitting the run), shipped, and held until
-// its last seq is at quorum — a wait that releases the lock, so batches
-// overlap it. A batch that wrote nothing waits until what it read is
-// settled. A non-nil span is charged for the store's access counts and
-// staged for the quorum wait. The answers go in out[:0] (see
+// interposed on the standard wire path. The batch's mutations are logged
+// as one entry and the shipping loops woken before the batch applies as
+// one run, so backups apply it while the primary does; then the batch is
+// held until its last seq is at quorum — a wait that releases the lock,
+// so batches overlap it. A batch that wrote nothing waits until what it
+// read is settled. A non-nil span is charged for the store's access
+// counts and staged for the quorum wait. The answers go in out[:0] (see
 // kvnet.Backend).
 func (r *Replica) ApplyBatch(reqs []wire.Request, out []wire.Response, span *telemetry.Span) []wire.Response {
 	r.mu.Lock()
@@ -398,36 +401,37 @@ func (r *Replica) ApplyBatch(reqs []wire.Request, out []wire.Response, span *tel
 	}
 	epoch := r.epoch
 	start := time.Now()
-	seq, from := r.lastApplied, 0
-	for i, req := range reqs {
-		if !req.Code.Mutates() {
-			continue
+	// The batch's writes are one entry, cut only where its packet would
+	// pass a flush, stamped so a backup's apply joins the write's trace.
+	writes := r.scratch[:0]
+	for _, req := range reqs {
+		if req.Code.Mutates() {
+			writes = append(writes, req)
 		}
-		e, err := repllog.NewEntry(seq+1, epoch, req)
-		if traceID, spanID := span.Trace(); err == nil && traceID != 0 {
-			// Stamp the trace context onto the log entry's own packet so
-			// it rides the replication stream (and any migration replay)
-			// for free: each backup's apply and the primary's per-entry
-			// ship hop stitch themselves to the originating write's trace.
-			if pkt, merr := wire.MarkTraceContext(e.Packet, wire.TraceContext{
-				TraceID: traceID, Parent: spanID, Sampled: true,
-			}); merr == nil {
-				e.Packet = pkt
-			}
-		}
-		if err == nil {
-			err = r.log.Append(e) // a gap (unreachable while mu serializes appends) fails the write
-		}
-		if err != nil {
-			out[i] = wire.Response{Status: wire.StatusError, Value: []byte(err.Error())}
-			r.apply.Panicked(r.store.ApplyRun(reqs[from:i], out[from:i], span))
-			from = i + 1
-			continue
-		}
-		seq++
 	}
-	r.apply.Panicked(r.store.ApplyRun(reqs[from:], out[from:], span))
+	traceID, spanID := span.Trace()
+	tc := wire.TraceContext{TraceID: traceID, Parent: spanID, Sampled: traceID != 0}
+	runs, err := repllog.NewEntries(r.runs[:0], r.lastApplied+1, epoch, writes, tc, shipBatchBytes)
+	for i := 0; i < len(runs) && err == nil; i++ {
+		err = r.log.Append(runs[i]) // a gap (unreachable while mu serializes appends) can refuse only the first
+	}
+	seq := r.lastApplied + uint64(len(runs))
+	clear(writes) // neither scratch may keep a packet reachable
+	clear(runs)
+	r.scratch, r.runs = writes[:0], runs[:0]
+	if err != nil { // a write that cannot be logged fails its batch whole, unapplied
+		for i := range out {
+			out[i] = wire.Response{Status: wire.StatusError, Value: []byte(err.Error())}
+		}
+		return out
+	}
 	wrote := seq > r.lastApplied
+	if wrote { // the backups apply while we do; an ack waits for mu, so none counts ahead of us
+		for _, p := range r.peers {
+			p.notify()
+		}
+	}
+	r.apply.Panicked(r.store.ApplyRun(reqs, out, span))
 	r.lastApplied = seq
 	for i, req := range reqs {
 		if req.Code == wire.OpStats && out[i].Status == wire.StatusOK {
@@ -446,11 +450,6 @@ func (r *Replica) ApplyBatch(reqs []wire.Request, out []wire.Response, span *tel
 			r.rejectLocked(out)
 		}
 		return out
-	}
-	// Wake shipping loops outside their own locks; they pull the new tail
-	// from the log.
-	for _, p := range r.peers {
-		p.notify()
 	}
 	r.waiting++
 	r.inflight.Observe(uint64(r.waiting))

@@ -110,13 +110,14 @@ func startGroupAndClient(t *testing.T, opts Options) (*Group, *kvnet.Client) {
 	return g, sc
 }
 
-// TestChaosDropMidBatch: entries vanish from the middle of shipped
-// batches. The backup must tear the stream down at the gap rather than
-// apply past it, the redial must resync from its true frontier, and no
-// acknowledged write may be missing anywhere afterwards.
+// TestChaosDropMidBatch: entries vanish from the replication stream, and
+// each is a client packet's whole run of 32 PUTs. The backup must tear
+// the stream down at the gap rather than apply past it, the redial must
+// resync from its true frontier, and no acknowledged write may be
+// missing anywhere afterwards.
 func TestChaosDropMidBatch(t *testing.T) {
 	inj := fault.NewInjector(5)
-	inj.Set(fault.ReplDropEntry, 0.03) // about one entry per 32-entry batch
+	inj.Set(fault.ReplDropEntry, 0.03) // a few of the 94 runs shipped
 	opts := fastOpts()
 	opts.Faults = inj
 	g, sc := startGroupAndClient(t, opts)
@@ -192,13 +193,13 @@ func (c *replConn) recv() (wire.ReplMessage, error) {
 
 func appendMsg(t *testing.T, seq uint64) wire.ReplMessage {
 	t.Helper()
-	e, err := repllog.NewEntry(seq, 1, wire.Request{
+	e, err := repllog.NewEntries(nil, seq, 1, []wire.Request{{
 		Code: wire.OpPut, Key: []byte(fmt.Sprintf("k%04d", seq)), Value: []byte(fmt.Sprintf("v%04d", seq)),
-	})
+	}}, wire.TraceContext{}, shipBatchBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return wire.ReplMessage{Kind: wire.ReplAppend, Epoch: 1, Seq: seq, Payload: e.Packet}
+	return wire.ReplMessage{Kind: wire.ReplAppend, Epoch: 1, Seq: seq, Payload: e[0].Packet}
 }
 
 // TestChaosStopAndWaitSender drives a lone backup over the raw stream.
@@ -283,19 +284,15 @@ func TestChaosStopAndWaitSender(t *testing.T) {
 
 // TestChaosBurstShipsInBatches: 2 000 PUTs arrive 32 to a packet at
 // quorum 2. Every acknowledged write must be on every replica, the three
-// stores must hold identical bytes, and the primary must have shipped
-// more than one entry per flush — the batches really form.
+// stores must hold identical bytes, and the batches are the client's
+// packets: each of the 63 is one log entry, shipped once to each backup.
 func TestChaosBurstShipsInBatches(t *testing.T) {
 	g, sc := startGroupAndClient(t, fastOpts())
 	acked := burst(t, sc, "burst", 2000)
 	expectConverged(t, g, acked)
-	c := g.Primary().Counters()
-	shipped, flushes := c.Get("repl.entries_shipped"), c.Get("repl.ship_flushes")
-	if shipped != 2*2000 {
-		t.Fatalf("repl.entries_shipped = %d, want %d (two backups)", shipped, 2*2000)
-	}
-	if flushes == 0 || shipped/flushes < 2 {
-		t.Fatalf("%d entries went out in %d flushes: shipping is not batching", shipped, flushes)
+	const packets = (2000 + 31) / 32
+	if shipped := g.Primary().Counters().Get("repl.entries_shipped"); shipped != 2*packets {
+		t.Fatalf("repl.entries_shipped = %d, want %d (one entry per packet, two backups)", shipped, 2*packets)
 	}
 }
 

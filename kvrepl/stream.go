@@ -649,10 +649,10 @@ func (r *Replica) admitStream(hello wire.ReplMessage) (uint64, error) {
 	return r.lastApplied, nil
 }
 
-// applyEntry applies one shipped entry under the dense-prefix rule:
-// duplicates re-ack, the next sequence applies, anything else is a gap
-// that tears the stream down for a resync (never skip — density is what
-// makes "most advanced backup" equal "has every acked write").
+// applyEntry applies one shipped entry, a run, under the dense-prefix
+// rule: duplicates re-ack, the next sequence applies, anything else is a
+// gap that tears the stream down for a resync (never skip — density is
+// what makes "most advanced backup" equal "has every acked write").
 //
 //kvd:hotpath
 func (r *Replica) applyEntry(m wire.ReplMessage) (ack uint64, gap bool) {
@@ -670,8 +670,8 @@ func (r *Replica) applyEntry(m wire.ReplMessage) (ack uint64, gap bool) {
 	// The payload is recv's copy out of the stream's reused frame buffer,
 	// made for an APPEND alone, so the log keeps it as it is.
 	e := repllog.Entry{Seq: m.Seq, Epoch: m.Epoch, Packet: m.Payload}
-	reqs, err := wire.DecodeRequestsTo(r.decoded[:0], e.Packet)
-	if err != nil || len(reqs) != 1 {
+	reqs, err := wire.DecodeRequestsTo(r.scratch[:0], e.Packet)
+	if err != nil || len(reqs) == 0 {
 		return r.lastApplied, true
 	}
 	if err := r.log.Append(e); err != nil {
@@ -683,15 +683,18 @@ func (r *Replica) applyEntry(m wire.ReplMessage) (ack uint64, gap bool) {
 	var span *telemetry.Span
 	if tc, ok := wire.PacketTraceContext(e.Packet); ok && tc.Sampled {
 		span = r.tel.Tracer().StartTrace(tc.TraceID, tc.Parent)
-		span.SetOp("REPL_APPLY", 1)
+		span.SetOp("REPL_APPLY", len(reqs))
 	}
 	// Apply after logging; a panic still advances the frontier (the
 	// primary assigned the sequence and got the same panic response).
-	var out [1]wire.Response
-	r.apply.Panicked(r.store.ApplyRun(reqs, out[:], span))
+	out := wire.ResponsesFor(r.resps, len(reqs))
+	r.apply.Panicked(r.store.ApplyRun(reqs, out, span))
 	if raceEnabled {
-		r.decoded[0] = wire.Request{Code: poisonPattern}
+		for i := range reqs {
+			reqs[i], out[i] = wire.Request{Code: poisonPattern}, wire.Response{Status: poisonPattern}
+		}
 	}
+	r.scratch, r.resps = reqs[:0], out[:0]
 	r.tel.Tracer().Publish(span)
 	r.lastApplied = m.Seq
 	r.entriesApplied.Add(1)
